@@ -21,7 +21,7 @@ fn bench_scaling(c: &mut Criterion) {
                             &ctx,
                             &demo_plan(),
                             &Policy::MinCost,
-                            ExecutionConfig::parallel(workers),
+                            ExecutionConfig::sequential().with_parallelism(workers),
                         )
                         .expect("pipeline runs");
                         black_box(outcome.records.len())
@@ -33,9 +33,9 @@ fn bench_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-/// Chunked out-of-core scan vs the whole-corpus legacy drive over a streamed
-/// 10k-document corpus (E21 runs the full 10k/100k/1M curve; this keeps the
-/// chunked path honest at bench cadence).
+/// The materializing drive's chunked scan over a streamed 10k-document
+/// corpus — three chunks (E21 runs the full 10k/100k/1M curve; this keeps
+/// the scan honest at bench cadence).
 fn bench_chunked_scan(c: &mut Criterion) {
     let mut group = c.benchmark_group("chunked_scan");
     group.sample_size(10);
@@ -70,20 +70,15 @@ fn bench_chunked_scan(c: &mut Criterion) {
             },
         ],
     };
-    for (label, chunk) in [("whole", 0usize), ("chunk4096", 4096)] {
-        group.bench_with_input(BenchmarkId::new("scan10k", label), &chunk, |b, &chunk| {
-            b.iter(|| {
-                let ctx = make_ctx();
-                let (records, _stats) = pz_core::exec::execute_plan(
-                    &ctx,
-                    &plan,
-                    ExecutionConfig::sequential().with_scan_chunk_size(chunk),
-                )
-                .expect("scan runs");
-                black_box(records.len())
-            })
-        });
-    }
+    group.bench_function("scan10k", |b| {
+        b.iter(|| {
+            let ctx = make_ctx();
+            let (records, _stats) =
+                pz_core::exec::execute_plan(&ctx, &plan, ExecutionConfig::sequential())
+                    .expect("scan runs");
+            black_box(records.len())
+        })
+    });
     group.finish();
 }
 

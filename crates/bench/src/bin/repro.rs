@@ -13,6 +13,9 @@
 //! experiment (default: materializing). `--fault-plan <spec>` scripts
 //! provider faults (e.g. `gpt-4o:outage@0..120`) into the E1 headline run
 //! and the trace export, so CI can archive a degraded-run trace.
+//! `--parallelism N` (0 = one per core) sets every experiment's
+//! intra-operator parallelism: thread fan-out per LLM operator when
+//! materializing, modelled per-stage overlap when streaming.
 //! `--adaptive` arms runtime adaptive re-optimization in every experiment's
 //! executor (E18 scripts its own adaptive-vs-static brownout comparison
 //! regardless of the flag).
@@ -47,8 +50,9 @@ static EXEC_MODE: std::sync::OnceLock<ExecMode> = std::sync::OnceLock::new();
 /// trace. E15 scripts its own outage regardless of this flag.
 static FAULT_PLAN: std::sync::OnceLock<pz_llm::FaultPlan> = std::sync::OnceLock::new();
 
-/// Streaming per-stage worker-pool size (`--parallelism N`, default 1).
-/// Only affects streaming runs; materializing ignores it.
+/// Intra-operator parallelism (`--parallelism N`, default 1): thread
+/// fan-out per LLM operator in materializing runs, modelled per-stage
+/// overlap in streaming runs.
 static PARALLELISM: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
 
 /// Runtime adaptive re-optimization (`--adaptive`): every experiment's
@@ -101,21 +105,13 @@ fn scripted_incremental(ctx: &mut PzContext) {
 }
 
 fn cfg_seq() -> ExecutionConfig {
-    let cfg = ExecutionConfig::sequential()
-        .with_mode(exec_mode())
-        .with_parallelism_config(ParallelismConfig::fixed(parallelism()))
-        .with_adaptive(adaptive_cfg());
-    if incremental() {
-        cfg.with_incremental()
-    } else {
-        cfg
-    }
+    cfg_par(parallelism())
 }
 
 fn cfg_par(workers: usize) -> ExecutionConfig {
-    let cfg = ExecutionConfig::parallel(workers)
+    let cfg = ExecutionConfig::sequential()
         .with_mode(exec_mode())
-        .with_parallelism_config(ParallelismConfig::fixed(parallelism()))
+        .with_parallelism(workers.max(1))
         .with_adaptive(adaptive_cfg());
     if incremental() {
         cfg.with_incremental()
@@ -194,11 +190,11 @@ fn main() {
             Ok(0) => {
                 let cores = pz_core::exec::available_cores();
                 let _ = PARALLELISM.set(cores);
-                println!("parallelism: {cores} workers/stage (one per core)");
+                println!("parallelism: {cores} workers/operator (one per core)");
             }
             Ok(w) => {
                 let _ = PARALLELISM.set(w);
-                println!("parallelism: {w} workers/stage");
+                println!("parallelism: {w} workers/operator");
             }
             Err(_) => {
                 eprintln!("bad --parallelism value {n:?} (want an integer)");
@@ -330,8 +326,10 @@ fn export_trace(path: &str) {
     let mut chat = PalimpChat::new();
     {
         let mut session = chat.session().lock();
-        session.ctx.exec_mode = exec_mode();
-        session.ctx.adaptive = adaptive_cfg();
+        session.exec = session
+            .exec
+            .with_mode(exec_mode())
+            .with_adaptive(adaptive_cfg());
         scripted_incremental(&mut session.ctx);
     }
     scripted_faults(&chat.session().lock().ctx);
@@ -1048,24 +1046,26 @@ fn record_multiset(records: &[pz_core::record::DataRecord]) -> Vec<String> {
 }
 
 /// Streaming config for the parallelism experiments: batch size 1 so every
-/// record is its own unit of overlap (`effective_workers = min(pool,
-/// records)` instead of `min(pool, ceil(records / 4))`).
+/// record is its own unit of overlap (`effective_workers =
+/// min(parallelism, records)` instead of `min(parallelism, ceil(records /
+/// 4))`).
 fn streaming_cfg(parallelism: usize) -> ExecutionConfig {
     ExecutionConfig::sequential()
         .with_mode(ExecMode::Streaming {
             channel_capacity: 2,
             batch_size: 1,
         })
-        .with_parallelism_config(ParallelismConfig::fixed(parallelism))
+        .with_parallelism(parallelism.max(1))
 }
 
-/// E16 — intra-operator worker pools: parallelism sweep over the §3 demo
-/// plan (Scan → LLMFilter → LLMConvert) under the streaming executor.
-/// Output multiset and ledger cost must be bit-identical at every level —
-/// pools change *when* calls overlap on the virtual clock, never what is
-/// called — and attributed time must drop at least 2x by parallelism 8.
+/// E16 — modelled intra-stage parallelism: parallelism sweep over the §3
+/// demo plan (Scan → LLMFilter → LLMConvert) under the streaming
+/// executor. Output multiset and ledger cost must be bit-identical at
+/// every level — parallelism changes how much of a stage's calls overlap
+/// on the virtual clock, never what is called — and attributed time must
+/// drop at least 2x by parallelism 8.
 fn e16_parallelism() {
-    banner("E16", "streaming worker pools: parallelism sweep");
+    banner("E16", "streaming intra-stage parallelism (modelled): sweep");
     println!(
         "{:<12} {:>8} {:>9} {:>9} {:>9} {:>7}",
         "parallelism", "records", "cost($)", "time(s)", "speedup", "calls"
@@ -1776,7 +1776,6 @@ fn peak_rss_kb() -> u64 {
 /// streamed corpus of `n` documents. Runs in a subprocess (see
 /// `scaling-cell` in `main`) so peak RSS is attributable to this cell.
 fn scaling_cell_scan(n: usize) -> serde_json::Value {
-    const CHUNK: usize = 4096;
     let ctx = PzContext::simulated();
     let cfg = pz_datagen::stream::StreamConfig::sized(n, 11);
     ctx.registry
@@ -1807,16 +1806,11 @@ fn scaling_cell_scan(n: usize) -> serde_json::Value {
         ],
     };
     let t = Instant::now();
-    let (records, stats) = pz_core::exec::execute_plan(
-        &ctx,
-        &plan,
-        ExecutionConfig::sequential().with_scan_chunk_size(CHUNK),
-    )
-    .expect("scan cell");
+    let (records, stats) =
+        pz_core::exec::execute_plan(&ctx, &plan, ExecutionConfig::sequential()).expect("scan cell");
     serde_json::json!({
         "kind": "scan",
         "n": n,
-        "chunk": CHUNK,
         "elapsed_secs": t.elapsed().as_secs_f64(),
         "outputs": records.len(),
         "peak_resident_records": stats.peak_resident_records,
@@ -2057,7 +2051,7 @@ fn e21_scaling() {
         "scaling curve: chunked scan memory stays flat, HNSW query stays sub-linear",
     );
     let nums = e21_measure(&[10_000, 100_000, 1_000_000], &[10_000, 1_000_000]);
-    println!("chunked scan (chunk=4096, sparse UDF filter):");
+    println!("default materializing scan (sparse UDF filter):");
     for (n, secs, rss, resident, outputs) in &nums.scan {
         println!(
             "  n={n:>9}  wall={secs:>7.2}s  peak_rss={:>7.1}MiB  resident_records={resident:>5}  out={outputs}",

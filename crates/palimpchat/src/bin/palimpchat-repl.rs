@@ -9,7 +9,8 @@
 //! Type `:trace` to toggle the ReAct trace display, `:spans` to print the
 //! session's observability trace tree, `:export <path>` to write the trace
 //! as JSONL, `:exec streaming|materializing` to switch the execution mode,
-//! `:parallelism <n>|auto` to size the streaming per-stage worker pools,
+//! `:parallelism <n>|auto` to set intra-operator parallelism (thread
+//! fan-out when materializing, modelled overlap when streaming),
 //! `:adaptive [on|off|thresholds <time> <cost> <health>]` to arm runtime
 //! plan repair (re-cost the remaining suffix mid-run, swap degraded
 //! models), `:faults <spec>|off` to script provider faults into the
@@ -41,7 +42,7 @@ fn main() {
          then \"run the pipeline with maximum quality\".\n\
          (:trace toggles traces, :spans shows the span tree, :export <path> writes JSONL, \
          :exec streaming|materializing switches the executor, \
-         :parallelism <n>|auto sizes the streaming worker pools, \
+         :parallelism <n>|auto sets intra-operator parallelism, \
          :adaptive [on|off|thresholds t c h] arms runtime plan repair, \
          :faults <spec>|off scripts provider faults, \
          :watch <dataset>|off arms incremental re-runs, \
@@ -117,7 +118,7 @@ fn main() {
                 continue;
             }
             ":adaptive" => {
-                let a = chat.session().lock().ctx.adaptive;
+                let a = chat.session().lock().exec.adaptive;
                 if a.enabled {
                     println!(
                         "adaptive replanning: on (time drift >= {:.1}x, cost drift >= {:.1}x, \
@@ -135,7 +136,7 @@ fn main() {
             }
             ":adaptive on" => {
                 let mut s = chat.session().lock();
-                s.ctx.adaptive.enabled = true;
+                s.exec.adaptive.enabled = true;
                 println!(
                     "adaptive replanning: on — degraded models are re-costed and swapped mid-run \
                      (rides on failover; see :faults to script a brownout)"
@@ -143,7 +144,7 @@ fn main() {
                 continue;
             }
             ":adaptive off" => {
-                chat.session().lock().ctx.adaptive.enabled = false;
+                chat.session().lock().exec.adaptive.enabled = false;
                 println!("adaptive replanning: off");
                 continue;
             }
@@ -198,11 +199,11 @@ fn main() {
         if let Some(mode) = line.strip_prefix(":exec ") {
             match mode.trim() {
                 "streaming" => {
-                    chat.session().lock().ctx.exec_mode = ExecMode::streaming();
+                    chat.session().lock().exec.mode = ExecMode::streaming();
                     println!("execution mode: streaming (pipelined stages, bounded channels)");
                 }
                 "materializing" => {
-                    chat.session().lock().ctx.exec_mode = ExecMode::Materializing;
+                    chat.session().lock().exec.mode = ExecMode::Materializing;
                     println!("execution mode: materializing (operator-at-a-time)");
                 }
                 other => println!("unknown mode {other:?} — try :exec streaming | materializing"),
@@ -221,10 +222,10 @@ fn main() {
             match parsed {
                 Some((t, c, h)) if t >= 1.0 && c >= 1.0 && (0.0..=1.0).contains(&h) => {
                     let mut s = chat.session().lock();
-                    s.ctx.adaptive.time_drift_threshold = t;
-                    s.ctx.adaptive.cost_drift_threshold = c;
-                    s.ctx.adaptive.health_failure_rate = h;
-                    s.ctx.adaptive.enabled = true;
+                    s.exec.adaptive.time_drift_threshold = t;
+                    s.exec.adaptive.cost_drift_threshold = c;
+                    s.exec.adaptive.health_failure_rate = h;
+                    s.exec.adaptive.enabled = true;
                     println!(
                         "adaptive replanning: on (time drift >= {t:.1}x, cost drift >= {c:.1}x, \
                          failure rate >= {h:.2})"
@@ -241,18 +242,18 @@ fn main() {
             match n.trim() {
                 "auto" => {
                     let cores = pz_core::exec::available_cores();
-                    chat.session().lock().ctx.parallelism = cores;
-                    println!("streaming parallelism: {cores} workers/stage (one per core)");
+                    chat.session().lock().exec.parallelism = cores;
+                    println!("parallelism: {cores} workers/operator (one per core)");
                 }
                 n => match n.parse::<usize>() {
                     Ok(w) if w >= 1 => {
-                        chat.session().lock().ctx.parallelism = w;
+                        chat.session().lock().exec.parallelism = w;
                         if w == 1 {
-                            println!("streaming parallelism: serial (1 worker/stage)");
+                            println!("parallelism: serial (1 worker/operator)");
                         } else {
                             println!(
-                                "streaming parallelism: {w} workers/stage \
-                                 (clamped per model by its rate limit)"
+                                "parallelism: {w} workers/operator \
+                                 (streaming stages clamp it by the model's rate limit)"
                             );
                         }
                     }

@@ -18,8 +18,10 @@ pub struct SessionState {
     pub pending_ops: Vec<LogicalOp>,
     /// Optimization preference for the next execution.
     pub policy: Policy,
-    /// Worker threads for execution.
-    pub workers: usize,
+    /// How `execute_pipeline` drives the plan: executor mode, parallelism
+    /// and adaptive re-planning (the REPL's `:exec` / `:parallelism` /
+    /// `:adaptive` switches edit this).
+    pub exec: ExecutionConfig,
     /// Outcome of the most recent execution.
     pub last_outcome: Option<ExecutionOutcome>,
     /// The Beaker-style notebook accumulating generated snippets.
@@ -34,7 +36,7 @@ impl SessionState {
             schemas: BTreeMap::new(),
             pending_ops: Vec::new(),
             policy: Policy::MaxQuality,
-            workers: 1,
+            exec: ExecutionConfig::sequential(),
             last_outcome: None,
             notebook: Notebook::new(),
         }

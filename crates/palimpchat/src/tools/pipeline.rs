@@ -276,12 +276,11 @@ pub fn execute_pipeline_tool(session: SessionHandle) -> Arc<dyn Tool> {
          count, runtime and cost. Use when the user asks to run, execute or \
          process the workload.",
     )
-    .with_arg(ArgSpec::new("workers", ArgKind::Int, "Parallel workers").optional())
     .with_arg(
         ArgSpec::new(
             "parallelism",
             ArgKind::Int,
-            "Streaming worker-pool size per stage",
+            "Intra-operator parallelism for this run",
         )
         .optional(),
     )
@@ -291,26 +290,15 @@ pub fn execute_pipeline_tool(session: SessionHandle) -> Arc<dyn Tool> {
         let plan = state
             .current_plan()
             .map_err(|e| tool_err("execute_pipeline", e))?;
-        let workers = args
-            .get("workers")
-            .and_then(|v| v.as_i64())
-            .map(|n| n.clamp(1, 64) as usize)
-            .unwrap_or(state.workers);
-        let parallelism = args
-            .get("parallelism")
-            .and_then(|v| v.as_i64())
-            .map(|n| n.clamp(1, 64) as usize)
-            .unwrap_or(state.ctx.parallelism);
         let policy = state.policy.clone();
-        // The session's `:exec` switch decides materializing vs
-        // streaming. `workers` partitions a materializing run;
-        // `parallelism` sizes each streaming stage's worker pool;
-        // `:adaptive` arms runtime plan repair; `:watch` arms the
-        // incremental memo so re-runs re-bill only changed records.
-        let mut config = ExecutionConfig::parallel(workers)
-            .with_mode(state.ctx.exec_mode)
-            .with_parallelism(parallelism)
-            .with_adaptive(state.ctx.adaptive);
+        // The session's execution defaults (`:exec`, `:parallelism`,
+        // `:adaptive`) drive the run; the `parallelism` argument overrides
+        // one of them for this call. `:watch` arms the incremental memo so
+        // re-runs re-bill only changed records.
+        let mut config = state.exec;
+        if let Some(n) = args.get("parallelism").and_then(|v| v.as_i64()) {
+            config = config.with_parallelism(n.clamp(1, 64) as usize);
+        }
         if state.ctx.incremental.is_some() {
             config = config.with_incremental();
         }

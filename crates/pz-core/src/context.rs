@@ -6,7 +6,7 @@
 //! allocator. Clones share all state, so one context can be handed to
 //! parallel workers.
 
-use crate::datasource::{DataRegistry, UdfRegistry};
+use crate::datasource::{DataRegistry, RecordBatchIter, UdfRegistry};
 use crate::error::PzResult;
 use pz_llm::{
     CachingClient, Catalog, FaultInjector, HealthTracker, LlmClient, ModelId, RetryContext,
@@ -79,17 +79,6 @@ pub struct PzContext {
     pub spill_budget_records: Option<usize>,
     /// Default embedding model.
     pub embed_model: ModelId,
-    /// How plans are driven by default (the REPL's `:exec` switch and the
-    /// pipeline tool read this; explicit `ExecutionConfig`s override it).
-    pub exec_mode: crate::exec::ExecMode,
-    /// Default intra-operator worker-pool size for streaming stages (the
-    /// REPL's `:parallelism` switch and the pipeline tool read this;
-    /// explicit `ExecutionConfig`s override it). `1` = serial.
-    pub parallelism: usize,
-    /// Default adaptive re-optimization configuration (the REPL's
-    /// `:adaptive` switch and the pipeline tool read this; explicit
-    /// `ExecutionConfig`s override it). Disabled by default.
-    pub adaptive: crate::optimizer::adaptive::AdaptiveConfig,
     /// Profiler sink for retry-backoff time (virtual µs). The executor
     /// points this at a per-stage accumulator on its cloned stage
     /// contexts when profiling is enabled; `None` records nothing.
@@ -154,9 +143,6 @@ impl PzContext {
             spill_budget_records: None,
             tracer,
             embed_model: "text-embedding-3-small".into(),
-            exec_mode: crate::exec::ExecMode::Materializing,
-            parallelism: 1,
-            adaptive: crate::optimizer::adaptive::AdaptiveConfig::default(),
             retry_wait_us: None,
             incremental: None,
             admission: None,
@@ -178,30 +164,6 @@ impl PzContext {
     /// plan (see [`AdmissionGate`]).
     pub fn with_admission(mut self, gate: Arc<dyn AdmissionGate>) -> Self {
         self.admission = Some(gate);
-        self
-    }
-
-    /// Set the default execution mode for plans run through this context.
-    pub fn with_exec_mode(mut self, mode: crate::exec::ExecMode) -> Self {
-        self.exec_mode = mode;
-        self
-    }
-
-    /// Set the default streaming worker-pool size. `0` means one worker per
-    /// available core ([`crate::exec::available_cores`]).
-    pub fn with_parallelism(mut self, workers: usize) -> Self {
-        self.parallelism = if workers == 0 {
-            crate::exec::available_cores()
-        } else {
-            workers
-        };
-        self
-    }
-
-    /// Set the default adaptive re-optimization configuration for plans
-    /// run through this context.
-    pub fn with_adaptive(mut self, adaptive: crate::optimizer::adaptive::AdaptiveConfig) -> Self {
-        self.adaptive = adaptive;
         self
     }
 
@@ -238,6 +200,17 @@ impl PzContext {
     /// Allocate a contiguous block of `n` ids, returning the first.
     pub fn next_ids(&self, n: u64) -> u64 {
         self.ids.fetch_add(n, Ordering::Relaxed)
+    }
+
+    /// Open dataset `dataset` as a batch stream of at most `chunk_size`
+    /// records per batch (0 = one batch holding everything). The one place
+    /// a scan reserves record ids — a contiguous block sized by the
+    /// source's cardinality hint, taken up front — so every drive numbers
+    /// the same corpus identically.
+    pub fn open_scan(&self, dataset: &str, chunk_size: usize) -> PzResult<RecordBatchIter> {
+        let src = self.registry.get(dataset)?;
+        let n = src.cardinality_hint().unwrap_or(0) as u64;
+        src.batches(self.next_ids(n.max(1)), chunk_size)
     }
 
     /// Reset accounting (clock + ledger + trace + breaker state) between

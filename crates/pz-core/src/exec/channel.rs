@@ -9,12 +9,6 @@
 //!   propagates early termination (e.g. a satisfied `Limit`) upstream.
 //! - `recv` blocks while the buffer is empty and returns `None` once every
 //!   sender is gone — the end-of-stream signal that drains the pipeline.
-//!
-//! Worker pools share one `Receiver` behind a mutex (the pool's intake,
-//! which also assigns sequence numbers). That is safe precisely because
-//! `recv` only blocks when the buffer is empty: a worker holding the
-//! intake lock can never be waiting on a sender that is itself blocked on
-//! a full buffer.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};

@@ -129,8 +129,10 @@ pub fn candidates(
 }
 
 /// Emit the observability record of one failover decision: a structured
-/// executor-layer event plus the `exec.failover` counter.
-pub(crate) fn emit_event(tracer: &pz_obs::Tracer, entry: &DegradedExecution) {
+/// executor-layer event plus the `exec.failover` counter. `in_flight` is
+/// the size of the batch being re-run on the substitute (the entry's own
+/// `records_affected` only accrues as batches succeed).
+pub(crate) fn emit_event(tracer: &pz_obs::Tracer, entry: &DegradedExecution, in_flight: usize) {
     tracer.event(
         pz_obs::Layer::Executor,
         "failover",
@@ -139,7 +141,7 @@ pub(crate) fn emit_event(tracer: &pz_obs::Tracer, entry: &DegradedExecution) {
             ("from", entry.from_model.clone()),
             ("to", entry.to_model.clone()),
             ("reason", entry.reason.clone()),
-            ("records", entry.records_affected.to_string()),
+            ("records", in_flight.to_string()),
             ("at_secs", format!("{:.3}", entry.at_secs)),
         ],
     );

@@ -1,27 +1,40 @@
 //! Plan executor.
 //!
-//! Materializing (operator-at-a-time) execution with per-operator
-//! accounting. LLM-bound operators can fan their records out over a worker
-//! pool (`workers > 1`): calls still accrue full cost on the ledger, but
-//! attributed *time* is divided by the worker count — on the virtual clock,
+//! `execute_plan` is the entry point for both drives. The materializing
+//! drive below is **one loop**: the leading `Scan` is always pulled in
+//! chunks of [`SCAN_CHUNK`] records, each chunk is pushed through the
+//! *prefix* — the longest run of operators that commute with chunking —
+//! and the remaining *suffix* runs operator-at-a-time over the accumulated
+//! records. A corpus that fits one chunk is therefore driven exactly
+//! operator-at-a-time; a larger one keeps O(chunk + output) leaf records
+//! resident. Every operator application, in either part, goes through one
+//! [`Drive::step`] (ledger snapshot, `op:` span, profiling attributes,
+//! stats row) around one [`OpRunner`] (memo, failover).
+//!
+//! `parallelism > 1` fans each LLM-bound operator's records out over that
+//! many threads: calls still accrue full cost on the ledger, but
+//! attributed *time* is divided by the fan-out — on the virtual clock,
 //! parallel calls overlap.
 
 use crate::context::PzContext;
 use crate::error::{PzError, PzResult};
-use crate::exec::failover::{self, FailoverRank};
-use crate::exec::stats::{DegradedExecution, ExecutionStats, OperatorStats};
+use crate::exec::failover::FailoverRank;
+use crate::exec::runner::OpRunner;
+use crate::exec::stats::{ExecutionStats, OperatorStats};
+use crate::exec::streaming::{stage_kind, StageKind};
 use crate::ops::physical::{PhysicalOp, PhysicalPlan};
 use crate::optimizer::adaptive::{AdaptiveConfig, AdaptiveController};
 use crate::record::DataRecord;
-use pz_llm::ModelId;
 use std::sync::Arc;
+
+/// Records per pull of the leading `Scan` in the materializing drive — the
+/// size the E21 flat-memory curve was measured at.
+const SCAN_CHUNK: usize = 4096;
 
 /// How a physical plan is driven.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Operator-at-a-time: each operator consumes the full record set
-    /// before the next starts. `workers` fans parallelizable operators
-    /// out over a thread pool.
+    /// Operator-at-a-time over scan chunks: see the module docs.
     #[default]
     Materializing,
     /// Stage-per-operator pipeline over bounded channels: stages overlap
@@ -45,85 +58,6 @@ impl ExecMode {
     }
 }
 
-/// Intra-operator worker-pool sizing for streaming stages.
-///
-/// Each per-batch streaming stage fans its record batches out to a pool of
-/// `workers_for(op_index)` workers; the effective pool is further clamped
-/// by the operator's model rate limit (`ModelCard::max_concurrency`) and
-/// by how many batches actually arrive. Kept `Copy` so it can travel
-/// inside [`ExecutionConfig`]: per-operator overrides live in a small
-/// fixed table (plans in this reproduction are shallow).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ParallelismConfig {
-    /// Default workers per stage. `0` means *auto*: one worker per
-    /// available core.
-    pub default_workers: usize,
-    /// `(op_index, workers)` overrides, first `len` entries valid.
-    overrides: [(usize, usize); Self::MAX_OVERRIDES],
-    len: usize,
-}
-
-impl ParallelismConfig {
-    /// Fixed-size override table (kept tiny so the config stays `Copy`).
-    pub const MAX_OVERRIDES: usize = 4;
-
-    /// One worker per stage — serial, byte-identical to pre-pool runs.
-    pub fn serial() -> Self {
-        Self::fixed(1)
-    }
-
-    /// The same worker count for every stage.
-    pub fn fixed(workers: usize) -> Self {
-        Self {
-            default_workers: workers.max(1),
-            overrides: [(0, 0); Self::MAX_OVERRIDES],
-            len: 0,
-        }
-    }
-
-    /// One worker per available core.
-    pub fn auto() -> Self {
-        Self::fixed(available_cores())
-    }
-
-    /// Override the pool size for one operator (by plan index). At most
-    /// [`Self::MAX_OVERRIDES`] overrides are kept; excess ones are ignored.
-    pub fn with_override(mut self, op_index: usize, workers: usize) -> Self {
-        if let Some(slot) = self.overrides.get_mut(self.len) {
-            *slot = (op_index, workers.max(1));
-            self.len += 1;
-        }
-        self
-    }
-
-    /// Pool size for the operator at `op_index`.
-    pub fn workers_for(&self, op_index: usize) -> usize {
-        self.overrides[..self.len]
-            .iter()
-            .find(|(i, _)| *i == op_index)
-            .map(|(_, w)| *w)
-            .unwrap_or(self.default_workers)
-            .max(1)
-    }
-
-    /// Largest pool any stage may get (used for reporting).
-    pub fn max_workers(&self) -> usize {
-        self.overrides[..self.len]
-            .iter()
-            .map(|(_, w)| *w)
-            .chain(std::iter::once(self.default_workers))
-            .max()
-            .unwrap_or(1)
-            .max(1)
-    }
-}
-
-impl Default for ParallelismConfig {
-    fn default() -> Self {
-        Self::serial()
-    }
-}
-
 /// Worker count for "auto" parallelism: the cores the OS reports.
 pub fn available_cores() -> usize {
     std::thread::available_parallelism()
@@ -134,12 +68,16 @@ pub fn available_cores() -> usize {
 /// Executor configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct ExecutionConfig {
-    /// Worker threads for parallelizable operators (materializing mode
-    /// only; streaming overlap comes from the stage pipeline). 0 and 1
-    /// both mean sequential.
-    pub workers: usize,
     /// Materializing or streaming execution.
     pub mode: ExecMode,
+    /// Intra-operator parallelism; `1` is serial. Materializing mode fans
+    /// each LLM-bound operator's records out over this many threads.
+    /// Streaming mode runs every stage serially and *models* the overlap:
+    /// a stage's attributed busy time is divided by this many workers
+    /// (clamped by the model's provider rate limit and by the batches the
+    /// stage saw). Records, ledger, and trace are identical at every
+    /// value; only attributed time changes.
+    pub parallelism: usize,
     /// Mid-plan model failover: when an operator's model goes unhealthy
     /// (circuit breaker open, or a provider fault survives retries), swap
     /// the operator to the next-best healthy model instead of aborting.
@@ -152,12 +90,6 @@ pub struct ExecutionConfig {
     /// Retries, backoff, and failover all respect it; exceeding it yields
     /// partial results flagged `deadline_exceeded`, never a hang.
     pub deadline_secs: Option<f64>,
-    /// Intra-operator worker pools for streaming stages: each per-batch
-    /// stage fans batches out to this many workers and merges results
-    /// through a sequence-numbered reordering buffer, so output order,
-    /// ledger cost, and trace reconciliation are byte-identical to the
-    /// serial run — only attributed time shrinks.
-    pub parallelism: ParallelismConfig,
     /// Runtime adaptive re-optimization: re-cost the remaining plan suffix
     /// during execution and swap degraded models out before they fail
     /// outright. Requires `failover` (it reuses the same substitution
@@ -169,16 +101,6 @@ pub struct ExecutionConfig {
     /// `PzContext::with_incremental`; off by default and byte-invisible
     /// while off (or while no snapshot is installed).
     pub incremental: bool,
-    /// Out-of-core scan: in materializing mode, pull the leading `Scan`
-    /// in chunks of this many records and push each chunk through the
-    /// maximal prefix of per-record operators before the next chunk is
-    /// generated, so at most O(chunk) leaf records are resident at once.
-    /// `0` (the default) keeps the legacy whole-corpus materialization and
-    /// is byte-identical to pre-chunking builds. Streaming mode already
-    /// pulls the source in `batch_size` chunks and ignores this knob.
-    /// Output, ledger cost, and per-operator stats are identical at every
-    /// chunk size; only peak memory changes.
-    pub scan_chunk_size: usize,
     /// Memory budget (in records) for blocking operators, plumbed to
     /// `PzContext::spill_budget_records` on the executor's cloned context.
     /// Past it, `Sort` spills sorted runs to temp files and `HashJoin`
@@ -190,57 +112,38 @@ pub struct ExecutionConfig {
 impl Default for ExecutionConfig {
     fn default() -> Self {
         Self {
-            workers: 0,
             mode: ExecMode::default(),
+            parallelism: 1,
             failover: true,
             rank: FailoverRank::default(),
             deadline_secs: None,
-            parallelism: ParallelismConfig::serial(),
             adaptive: AdaptiveConfig::default(),
             incremental: false,
-            scan_chunk_size: 0,
             spill_budget_records: None,
         }
     }
 }
 
 impl ExecutionConfig {
+    /// Materializing, serial — the default.
     pub fn sequential() -> Self {
-        Self {
-            workers: 1,
-            ..Self::default()
-        }
-    }
-
-    pub fn parallel(workers: usize) -> Self {
-        Self {
-            workers: workers.max(1),
-            ..Self::default()
-        }
+        Self::default()
     }
 
     /// Streaming pipeline with default knobs.
     pub fn streaming() -> Self {
-        Self {
-            workers: 1,
-            mode: ExecMode::streaming(),
-            ..Self::default()
-        }
+        Self::default().with_mode(ExecMode::streaming())
     }
 
     /// Streaming pipeline with explicit backpressure knobs.
     pub fn streaming_with(channel_capacity: usize, batch_size: usize) -> Self {
-        Self {
-            workers: 1,
-            mode: ExecMode::Streaming {
-                channel_capacity: channel_capacity.max(1),
-                batch_size: batch_size.max(1),
-            },
-            ..Self::default()
-        }
+        Self::default().with_mode(ExecMode::Streaming {
+            channel_capacity: channel_capacity.max(1),
+            batch_size: batch_size.max(1),
+        })
     }
 
-    /// Replace the execution mode, keeping the worker count.
+    /// Replace the execution mode.
     pub fn with_mode(mut self, mode: ExecMode) -> Self {
         self.mode = mode;
         self
@@ -264,25 +167,14 @@ impl ExecutionConfig {
         self
     }
 
-    /// Set the same intra-operator worker-pool size for every streaming
-    /// stage (also raises the materializing worker count so both modes
-    /// benefit from one knob). `0` means auto (available cores).
+    /// Set the intra-operator parallelism. `0` means auto (one worker per
+    /// available core).
     pub fn with_parallelism(mut self, workers: usize) -> Self {
-        let workers = if workers == 0 {
+        self.parallelism = if workers == 0 {
             available_cores()
         } else {
             workers
         };
-        self.parallelism = ParallelismConfig::fixed(workers);
-        if self.workers < workers {
-            self.workers = workers;
-        }
-        self
-    }
-
-    /// Set a full per-operator parallelism configuration.
-    pub fn with_parallelism_config(mut self, parallelism: ParallelismConfig) -> Self {
-        self.parallelism = parallelism;
         self
     }
 
@@ -297,14 +189,6 @@ impl ExecutionConfig {
     /// memoized operator verdicts, only the delta is executed and billed.
     pub fn with_incremental(mut self) -> Self {
         self.incremental = true;
-        self
-    }
-
-    /// Pull the leading `Scan` in chunks of `records` and drive each chunk
-    /// through the per-record operator prefix before generating the next
-    /// (materializing mode; `0` restores the legacy whole-corpus scan).
-    pub fn with_scan_chunk_size(mut self, records: usize) -> Self {
-        self.scan_chunk_size = records;
         self
     }
 
@@ -333,11 +217,13 @@ impl Drop for AdmissionGuard {
 /// True when `e` is the tenant's own budget refusing further calls — the
 /// signal for quota truncation (flagged partial results) rather than a
 /// pipeline failure.
-fn is_quota_exhausted(e: &crate::error::PzError) -> bool {
-    matches!(
-        e,
-        crate::error::PzError::Llm(pz_llm::LlmError::QuotaExhausted { .. })
-    )
+fn is_quota_exhausted(e: &PzError) -> bool {
+    matches!(e, PzError::Llm(pz_llm::LlmError::QuotaExhausted { .. }))
+}
+
+/// Attach operator context to a failure.
+pub(super) fn op_error(op: &PhysicalOp, cause: impl std::fmt::Display) -> PzError {
+    PzError::Execution(format!("operator {}: {cause}", op.describe()))
 }
 
 /// Execute a physical plan, returning output records and statistics.
@@ -401,214 +287,161 @@ pub fn execute_plan(
         None
     };
     let memo_hits_before = memo.as_ref().map_or(0, |s| s.hits());
-    if let ExecMode::Streaming {
-        channel_capacity,
-        batch_size,
-    } = config.mode
-    {
-        let (records, mut stats) = crate::exec::streaming::execute_streaming(
+    let (records, mut stats) = match config.mode {
+        ExecMode::Streaming {
+            channel_capacity,
+            batch_size,
+        } => crate::exec::streaming::execute_streaming(
             ctx,
             plan,
             channel_capacity,
             batch_size,
             &config,
             adaptive,
-        )?;
-        if let Some(s) = &memo {
-            stats.memo_hits = s.hits() - memo_hits_before;
-        }
-        return Ok((records, stats));
-    }
-    let mut records: Vec<DataRecord> = Vec::new();
-    let mut stats = ExecutionStats {
-        plan: plan.describe(),
-        ..Default::default()
+        )?,
+        ExecMode::Materializing => execute_materializing(ctx, plan, &config, adaptive)?,
     };
+    if let Some(s) = &memo {
+        stats.memo_hits = s.hits() - memo_hits_before;
+    }
+    Ok((records, stats))
+}
+
+/// True when `op` commutes with input chunking: `op(a ++ b)` equals
+/// `op(a) ++ op(b)` bytewise, including ledger charges and derived-id
+/// assignment order — the streaming executor's plain per-batch stages.
+/// Joins are per-batch there too but would re-materialize their build side
+/// per chunk, and `Limit` stays a barrier so a materializing run bills the
+/// whole input (early-stop economies are streaming mode's contract).
+fn chunk_safe(op: &PhysicalOp) -> bool {
+    matches!(stage_kind(op), StageKind::PerBatch)
+}
+
+/// The materializing drive: scan chunks through the chunk-safe prefix,
+/// then the suffix over the accumulated records (see the module docs).
+fn execute_materializing(
+    ctx: &PzContext,
+    plan: &PhysicalPlan,
+    config: &ExecutionConfig,
+    adaptive: Option<Arc<AdaptiveController>>,
+) -> PzResult<(Vec<DataRecord>, ExecutionStats)> {
     let plan_span = ctx.tracer.span(pz_obs::Layer::Executor, "execute_plan");
     plan_span.set_attr("plan", plan.describe());
-    plan_span.set_attr("workers", config.workers.to_string());
+    plan_span.set_attr("workers", config.parallelism.to_string());
 
-    // The plan is cloned into a working copy so the adaptive controller
-    // can rewrite not-yet-executed operators between steps.
+    // A working copy, so the adaptive controller can rewrite
+    // not-yet-executed operators between steps.
     let mut ops: Vec<PhysicalOp> = plan.ops.clone();
-    let mut op_index = 0usize;
     // Quota truncation is armed only when the tenant ledger carries a
-    // budget: unbudgeted runs skip the per-op input clone entirely and
-    // stay byte-identical to pre-quota builds.
+    // budget: unbudgeted runs skip the per-op input clone entirely.
     let quota_armed = ctx.ledger.quota().is_limited();
-    // Out-of-core scan: pull the leading Scan in chunks and push each
-    // chunk through the longest prefix of chunk-safe (per-record)
-    // operators before the next chunk is generated, so at most
-    // O(chunk + carried output) leaf records are resident at once.
-    // Chunking commutes with these operators — output, ledger, and
-    // per-operator stats are identical at every chunk size — so the gate
-    // only excludes paths whose control flow depends on whole-input state
-    // (adaptive re-planning between ops, quota restore points).
-    if config.scan_chunk_size > 0
-        && !quota_armed
-        && adaptive.is_none()
-        && matches!(ops.first(), Some(PhysicalOp::Scan { .. }))
-    {
-        let prefix_len = 1 + ops[1..].iter().take_while(|op| chunk_safe(op)).count();
-        records = run_chunked_prefix(ctx, &ops[..prefix_len], &config, profiling, &mut stats)?;
-        // A deadline that tripped mid-drive already stopped the plan (the
-        // drive emitted the event); don't run the suffix on partial input.
-        op_index = if stats.deadline_exceeded {
-            ops.len()
-        } else {
-            prefix_len
-        };
-        stats.peak_resident_records = stats.peak_resident_records.max(records.len());
-    }
-    while op_index < ops.len() {
-        let op = &ops[op_index].clone();
-        if let Some(d) = deadline_at {
-            if ctx.clock.now_secs() >= d {
-                stats.deadline_exceeded = true;
-                ctx.tracer.event(
-                    pz_obs::Layer::Executor,
-                    "deadline_exceeded",
-                    &[
-                        ("at_op", op.describe()),
-                        ("at_secs", format!("{:.3}", ctx.clock.now_secs())),
-                    ],
-                );
+    // Control flow that depends on whole-input state — adaptive repair
+    // between operators, quota restore points — lives in the suffix, so
+    // those runs get a scan-only prefix.
+    let prefix_len = match ops.first() {
+        Some(PhysicalOp::Scan { .. }) if quota_armed || adaptive.is_some() => 1,
+        Some(PhysicalOp::Scan { .. }) => {
+            1 + ops[1..].iter().take_while(|op| chunk_safe(op)).count()
+        }
+        _ => 0,
+    };
+    let mut drive = Drive {
+        ctx,
+        config,
+        adaptive: adaptive.as_deref(),
+        quota_armed,
+        profiling: ctx.tracer.profiling_enabled(),
+        stats: ExecutionStats {
+            plan: plan.describe(),
+            ..Default::default()
+        },
+    };
+    let mut records: Vec<DataRecord> = Vec::new();
+
+    if let Some(PhysicalOp::Scan { dataset }) = ops[..prefix_len].first() {
+        // One runner per prefix operator for the whole scan: a failover is
+        // sticky across chunks.
+        let mut runners: Vec<OpRunner> = (1..prefix_len)
+            .map(|i| OpRunner::new(ops[i].clone(), i, config, None))
+            .collect();
+        // An unopenable source fails inside the first scan step, under its
+        // `op:` span like any other operator failure.
+        let batches = ctx
+            .open_scan(dataset, SCAN_CHUNK)
+            .unwrap_or_else(|e| Box::new(std::iter::once(Err(e))));
+        'scan: for batch in batches {
+            if drive.past_deadline(&ops[0]) {
                 break;
             }
+            let mut chunk = drive
+                .step(0, &ops[0], Vec::new(), records.len(), |_, _| batch)
+                .map_err(|e| op_error(&ops[0], e))?;
+            for (runner, i) in runners.iter_mut().zip(1..) {
+                if drive.past_deadline(&ops[i]) {
+                    // Partial results carry one schema: the records that
+                    // cleared the whole prefix, or — when none have — the
+                    // chunk as far as it got.
+                    if records.is_empty() {
+                        records = chunk;
+                    }
+                    break 'scan;
+                }
+                chunk = drive
+                    .step(i, &ops[i], chunk, records.len(), |input, fanout| {
+                        runner.execute(ctx, input, fanout, &|| 0.0)
+                    })
+                    .map_err(|e| op_error(&ops[i], e))?;
+            }
+            if records.is_empty() {
+                records = chunk;
+            } else {
+                records.extend(chunk);
+            }
         }
-        let input_count = if matches!(op, PhysicalOp::Scan { .. }) {
-            0
-        } else {
-            records.len()
-        };
-        let ledger_before = snapshot(ctx);
-        let clock_before = ctx.clock.now_secs();
-        let latency_before = ctx.ledger.total_latency_secs();
-        let retry_before = ctx
-            .retry_wait_us
-            .as_ref()
-            .map_or(0, |s| s.load(std::sync::atomic::Ordering::Relaxed));
-        // Structural span: LLM leaf spans made by this operator (from any
-        // worker thread) nest under it.
-        let op_span = ctx
-            .tracer
-            .span(pz_obs::Layer::Executor, &format!("op:{}", op.describe()));
+        for runner in runners {
+            drive.stats.degraded.extend(runner.degraded);
+        }
+    }
+    if let Some(ctrl) = &adaptive {
+        ctrl.repair_suffix(ctx, &mut ops, prefix_len, records.len());
+    }
 
-        let workers = config.workers.min(records.len().max(1));
+    for i in prefix_len..ops.len() {
+        let op = ops[i].clone();
+        if drive.past_deadline(&op) {
+            break;
+        }
         // Under a budget, keep the op's input so a mid-op quota refusal can
         // return results through the last *completed* operator.
-        let saved = if quota_armed {
-            Some(records.clone())
-        } else {
-            None
-        };
-        let result = execute_op_with_failover(
-            ctx,
-            op,
-            op_index,
-            std::mem::take(&mut records),
-            workers,
-            &config,
-            &mut stats.degraded,
-        );
+        let saved = quota_armed.then(|| records.clone());
+        let mut runner = OpRunner::new(op.clone(), i, config, None);
+        let input = std::mem::take(&mut records);
+        let result = drive.step(i, &op, input, 0, |input, fanout| {
+            runner.execute(ctx, input, fanout, &|| 0.0)
+        });
+        drive.stats.degraded.extend(runner.degraded);
         records = match result {
             Ok(out) => out,
-            Err(e) if quota_armed && is_quota_exhausted(&e) => {
-                // The tenant's own budget refused the next call. Calls made
-                // before the refusal are billed (they ran); nothing past the
-                // budget ever was. Truncate: flag the stats, restore the
-                // input of the aborted operator, and stop here.
-                stats.quota_exhausted = true;
-                ctx.tracer.event(
-                    pz_obs::Layer::Executor,
-                    "quota_exhausted",
-                    &[
-                        ("at_op", op.describe()),
-                        ("at_secs", format!("{:.3}", ctx.clock.now_secs())),
-                    ],
-                );
-                op_span.finish();
+            // The tenant's own budget refused the next call (the step
+            // flagged it). Calls made before the refusal are billed — they
+            // ran; nothing past the budget ever was. Truncate: restore the
+            // input of the aborted operator and stop here.
+            Err(_) if drive.stats.quota_exhausted => {
                 records = saved.unwrap_or_default();
                 break;
             }
-            Err(e) => {
-                return Err(crate::error::PzError::Execution(format!(
-                    "operator {}: {e}",
-                    op.describe()
-                )))
-            }
+            Err(e) => return Err(op_error(&op, e)),
         };
-
-        stats.peak_resident_records = stats.peak_resident_records.max(records.len());
-        let ledger_after = snapshot(ctx);
-        let raw_elapsed = ctx.clock.now_secs() - clock_before;
-        let elapsed = if workers > 1 && op.is_parallelizable() {
-            raw_elapsed / workers as f64
-        } else {
-            raw_elapsed
-        };
-
-        let op_stats = OperatorStats {
-            logical: op.logical_kind().to_string(),
-            physical: op.describe(),
-            model: op.model().map(|m| m.to_string()),
-            input_records: input_count,
-            output_records: records.len(),
-            llm_calls: ledger_after.0 - ledger_before.0,
-            input_tokens: ledger_after.1 - ledger_before.1,
-            output_tokens: ledger_after.2 - ledger_before.2,
-            cost_usd: ledger_after.3 - ledger_before.3,
-            time_secs: elapsed,
-        };
-        op_span.set_attr("in", op_stats.input_records.to_string());
-        op_span.set_attr("out", op_stats.output_records.to_string());
-        op_span.set_attr("llm_calls", op_stats.llm_calls.to_string());
-        op_span.set_attr("cost_usd", format!("{:.6}", op_stats.cost_usd));
-        op_span.set_attr("time_secs", format!("{:.6}", op_stats.time_secs));
-        if profiling {
-            // Materializing attribution: ops run sequentially, so each
-            // op's window is its raw clock elapsed; provider-wait is the
-            // ledger's modelled latency delta, retry is the sink delta,
-            // queue/backpressure do not exist in this mode.
-            let window_us = (raw_elapsed * 1e6).round() as u64;
-            let provider_us =
-                ((ctx.ledger.total_latency_secs() - latency_before) * 1e6).round() as u64;
-            let retry_after = ctx
-                .retry_wait_us
-                .as_ref()
-                .map_or(0, |s| s.load(std::sync::atomic::Ordering::Relaxed));
-            op_span.set_attr("prof_window_us", window_us.to_string());
-            op_span.set_attr("prof_provider_wait_us", provider_us.to_string());
-            op_span.set_attr(
-                "prof_retry_backoff_us",
-                retry_after.saturating_sub(retry_before).to_string(),
-            );
-            if window_us > 0 {
-                let util = (op_stats.time_secs * 1e6) / window_us as f64;
-                op_span.set_attr("prof_utilization", format!("{:.4}", util.clamp(0.0, 1.0)));
-            }
-        }
-        op_span.finish();
-        stats.operators.push(op_stats);
+        // The step fed the controller this operator's observation; let it
+        // repair the unexecuted suffix if a model drifted.
         if let Some(ctrl) = &adaptive {
-            // Feed the completed operator's observation in, then let the
-            // controller repair the unexecuted suffix if a model drifted.
-            ctrl.observe(
-                op_index,
-                op.model(),
-                input_count,
-                raw_elapsed,
-                ledger_after.3 - ledger_before.3,
-            );
-            ctrl.repair_suffix(ctx, &mut ops, op_index + 1, records.len());
+            ctrl.repair_suffix(ctx, &mut ops, i + 1, records.len());
         }
-        op_index += 1;
     }
+
+    let mut stats = drive.stats;
     if let Some(ctrl) = &adaptive {
         stats.adaptive = ctrl.take_reports();
-    }
-    if let Some(s) = &memo {
-        stats.memo_hits = s.hits() - memo_hits_before;
     }
     stats.finalize();
     plan_span.set_attr("output_records", stats.output_records.to_string());
@@ -617,298 +450,146 @@ pub fn execute_plan(
     Ok((records, stats))
 }
 
-/// True when `op` commutes with input chunking: `op(a ++ b)` equals
-/// `op(a) ++ op(b)` bytewise, including ledger charges and derived-id
-/// assignment order. Mirrors the streaming executor's per-batch stage set,
-/// minus the joins (whose build side would re-materialize per chunk) and
-/// minus `Limit` (kept a barrier so chunked materializing bills exactly
-/// what the legacy path bills; early-stop economies are streaming mode's
-/// contract).
-fn chunk_safe(op: &PhysicalOp) -> bool {
-    matches!(
-        op,
-        PhysicalOp::LlmFilter { .. }
-            | PhysicalOp::EmbeddingFilter { .. }
-            | PhysicalOp::EnsembleFilter { .. }
-            | PhysicalOp::UdfFilter { .. }
-            | PhysicalOp::LlmConvert { .. }
-            | PhysicalOp::FieldwiseConvert { .. }
-            | PhysicalOp::Map { .. }
-            | PhysicalOp::Project { .. }
-            | PhysicalOp::LlmClassify { .. }
-    )
-}
-
-/// Per-operator accumulator for the chunked drive: the same ledger deltas
-/// the legacy loop takes per op, summed over chunks.
-#[derive(Clone, Copy, Default)]
-struct PrefixAcc {
-    input_records: usize,
-    output_records: usize,
-    llm_calls: usize,
-    input_tokens: usize,
-    output_tokens: usize,
-    cost_usd: f64,
-    raw_elapsed: f64,
-}
-
-/// Drive `prefix` (a leading `Scan` plus zero or more chunk-safe
-/// operators) chunk-at-a-time: each scan chunk flows through the whole
-/// prefix before the next chunk is generated, so resident records stay at
-/// O(chunk + carried output). Ids are reserved exactly as the legacy
-/// `Scan` reserves them, chunks are consecutive, and every operator runs
-/// through the same failover/memo machinery the legacy loop uses — output,
-/// ledger, and the accumulated per-operator stats rows are identical to
-/// the whole-corpus path at every chunk size. The deadline is checked at
-/// chunk boundaries (chunk-granular, vs. the legacy loop's op-granular
-/// check).
-fn run_chunked_prefix(
-    ctx: &PzContext,
-    prefix: &[PhysicalOp],
-    config: &ExecutionConfig,
+/// The state of one materializing run.
+struct Drive<'a> {
+    ctx: &'a PzContext,
+    config: &'a ExecutionConfig,
+    adaptive: Option<&'a AdaptiveController>,
+    quota_armed: bool,
     profiling: bool,
-    stats: &mut ExecutionStats,
-) -> PzResult<Vec<DataRecord>> {
-    let PhysicalOp::Scan { dataset } = &prefix[0] else {
-        unreachable!("chunked drive requires a leading Scan");
-    };
-    let wrap = |op: &PhysicalOp, e: PzError| {
-        PzError::Execution(format!("operator {}: {e}", op.describe()))
-    };
-    let batches = (|| {
-        let src = ctx.registry.get(dataset)?;
-        let n = src.cardinality_hint().unwrap_or(0) as u64;
-        let base = ctx.next_ids(n.max(1));
-        src.batches(base, config.scan_chunk_size)
-    })()
-    .map_err(|e| wrap(&prefix[0], e))?;
+    stats: ExecutionStats,
+}
 
-    let mut acc = vec![PrefixAcc::default(); prefix.len()];
-    let mut out: Vec<DataRecord> = Vec::new();
-    for batch in batches {
-        if let Some(d) = ctx.deadline_at_secs {
-            if ctx.clock.now_secs() >= d {
-                stats.deadline_exceeded = true;
-                ctx.tracer.event(
-                    pz_obs::Layer::Executor,
-                    "deadline_exceeded",
-                    &[
-                        ("at_op", prefix[0].describe()),
-                        ("at_secs", format!("{:.3}", ctx.clock.now_secs())),
-                    ],
-                );
-                break;
-            }
+impl Drive<'_> {
+    /// The deadline check made before every operator application; flags
+    /// the run as partial (once) when it fires.
+    fn past_deadline(&mut self, at: &PhysicalOp) -> bool {
+        let now = self.ctx.clock.now_secs();
+        if !self.stats.deadline_exceeded && self.ctx.deadline_at_secs.is_some_and(|d| now >= d) {
+            self.stats.deadline_exceeded = true;
+            self.ctx.tracer.event(
+                pz_obs::Layer::Executor,
+                "deadline_exceeded",
+                &[("at_op", at.describe()), ("at_secs", format!("{now:.3}"))],
+            );
         }
-        // The pull itself gets a (leaf-free) span so chunked traces still
-        // carry one `op:Scan[..]` span per unit of scan work.
-        let scan_span = ctx.tracer.span(
-            pz_obs::Layer::Executor,
-            &format!("op:{}", prefix[0].describe()),
-        );
-        let mut chunk = batch.map_err(|e| wrap(&prefix[0], e))?;
-        acc[0].output_records += chunk.len();
-        scan_span.set_attr("out", chunk.len().to_string());
-        scan_span.finish();
-        stats.peak_resident_records = stats.peak_resident_records.max(out.len() + chunk.len());
-        for (i, op) in prefix.iter().enumerate().skip(1) {
-            let in_len = chunk.len();
-            let ledger_before = snapshot(ctx);
-            let clock_before = ctx.clock.now_secs();
-            let latency_before = ctx.ledger.total_latency_secs();
-            let retry_before = ctx
-                .retry_wait_us
+        self.stats.deadline_exceeded
+    }
+
+    /// One application of operator `i` to one batch — the only place this
+    /// executor snapshots the ledger, opens an `op:` span, and writes
+    /// `prof_*` attributes. `run` does the work, given the input and the
+    /// thread fan-out; its deltas accrue onto the
+    /// operator's stats row (created on first application, so rows cover
+    /// exactly the operators that ran). `carried` counts records resident
+    /// besides this batch. Errors come back unwrapped.
+    fn step(
+        &mut self,
+        i: usize,
+        op: &PhysicalOp,
+        input: Vec<DataRecord>,
+        carried: usize,
+        run: impl FnOnce(Vec<DataRecord>, usize) -> PzResult<Vec<DataRecord>>,
+    ) -> PzResult<Vec<DataRecord>> {
+        let ctx = self.ctx;
+        // A Scan ignores whatever it is handed.
+        let in_len = if matches!(op, PhysicalOp::Scan { .. }) {
+            0
+        } else {
+            input.len()
+        };
+        let fanout = self.config.parallelism.min(input.len().max(1));
+        let retry_wait_us = || {
+            ctx.retry_wait_us
                 .as_ref()
-                .map_or(0, |s| s.load(std::sync::atomic::Ordering::Relaxed));
-            let op_span = ctx
-                .tracer
-                .span(pz_obs::Layer::Executor, &format!("op:{}", op.describe()));
-            let workers = config.workers.min(in_len.max(1));
-            chunk = execute_op_with_failover(
-                ctx,
-                op,
-                i,
-                std::mem::take(&mut chunk),
-                workers,
-                config,
-                &mut stats.degraded,
-            )
-            .map_err(|e| wrap(op, e))?;
-            let ledger_after = snapshot(ctx);
-            let raw = ctx.clock.now_secs() - clock_before;
-            acc[i].input_records += in_len;
-            acc[i].output_records += chunk.len();
-            acc[i].llm_calls += ledger_after.0 - ledger_before.0;
-            acc[i].input_tokens += ledger_after.1 - ledger_before.1;
-            acc[i].output_tokens += ledger_after.2 - ledger_before.2;
-            acc[i].cost_usd += ledger_after.3 - ledger_before.3;
-            acc[i].raw_elapsed += raw;
-            op_span.set_attr("in", in_len.to_string());
-            op_span.set_attr("out", chunk.len().to_string());
-            op_span.set_attr("llm_calls", (ledger_after.0 - ledger_before.0).to_string());
-            op_span.set_attr(
-                "cost_usd",
-                format!("{:.6}", ledger_after.3 - ledger_before.3),
-            );
-            op_span.set_attr("time_secs", format!("{:.6}", raw));
-            if profiling {
-                let window_us = (raw * 1e6).round() as u64;
-                let provider_us =
-                    ((ctx.ledger.total_latency_secs() - latency_before) * 1e6).round() as u64;
-                let retry_after = ctx
-                    .retry_wait_us
-                    .as_ref()
-                    .map_or(0, |s| s.load(std::sync::atomic::Ordering::Relaxed));
-                op_span.set_attr("prof_window_us", window_us.to_string());
-                op_span.set_attr("prof_provider_wait_us", provider_us.to_string());
-                op_span.set_attr(
-                    "prof_retry_backoff_us",
-                    retry_after.saturating_sub(retry_before).to_string(),
-                );
-            }
-            op_span.finish();
-            stats.peak_resident_records = stats.peak_resident_records.max(out.len() + chunk.len());
-        }
-        out.extend(chunk);
-    }
-    // One stats row per prefix operator, in the legacy row shape: the
-    // parallel-time divisor uses the op's *total* input so `time_secs`
-    // matches the whole-corpus run bit-for-bit.
-    for (i, op) in prefix.iter().enumerate() {
-        let a = acc[i];
-        let workers = config.workers.min(a.input_records.max(1));
-        let elapsed = if workers > 1 && op.is_parallelizable() {
-            a.raw_elapsed / workers as f64
-        } else {
-            a.raw_elapsed
+                .map_or(0, |s| s.load(std::sync::atomic::Ordering::Relaxed))
         };
-        stats.operators.push(OperatorStats {
-            logical: op.logical_kind().to_string(),
-            physical: op.describe(),
-            model: op.model().map(|m| m.to_string()),
-            input_records: if i == 0 { 0 } else { a.input_records },
-            output_records: a.output_records,
-            llm_calls: a.llm_calls,
-            input_tokens: a.input_tokens,
-            output_tokens: a.output_tokens,
-            cost_usd: a.cost_usd,
-            time_secs: elapsed,
-        });
-    }
-    Ok(out)
-}
+        let ledger_before = snapshot(ctx);
+        let clock_before = ctx.clock.now_secs();
+        let latency_before = ctx.ledger.total_latency_secs();
+        let retry_before = retry_wait_us();
+        // Structural span: LLM leaf spans made by this operator (from any
+        // worker thread) nest under it.
+        let span = ctx
+            .tracer
+            .span(pz_obs::Layer::Executor, &format!("op:{}", op.describe()));
 
-/// Run one operator, splitting off memoized records first when incremental
-/// re-execution is armed: unchanged records replay their memoized verdicts
-/// from the context snapshot, and only the dirty subset flows through the
-/// normal (failover-wrapped) execution path below.
-#[allow(clippy::too_many_arguments)]
-fn execute_op_with_failover(
-    ctx: &PzContext,
-    op: &PhysicalOp,
-    op_index: usize,
-    input: Vec<DataRecord>,
-    workers: usize,
-    config: &ExecutionConfig,
-    degraded: &mut Vec<DegradedExecution>,
-) -> PzResult<Vec<DataRecord>> {
-    if config.incremental {
-        if let Some(snap) = ctx.incremental.clone() {
-            return crate::exec::incremental::execute_memoized(
-                ctx,
-                &snap,
-                op,
-                input,
-                &mut |dirty| {
-                    execute_op_uncached(ctx, op, op_index, dirty, workers, config, degraded)
-                },
-            );
-        }
-    }
-    execute_op_uncached(ctx, op, op_index, input, workers, config, degraded)
-}
-
-/// Run one operator, failing over to substitute models when its fault
-/// domain is unhealthy. Materializing semantics: a mid-operator provider
-/// fault re-runs the *whole* input on the substitute (already-billed calls
-/// stay on the ledger; per-op snapshot deltas keep stats reconciled).
-/// Errors come back unwrapped — the caller adds operator context.
-#[allow(clippy::too_many_arguments)]
-fn execute_op_uncached(
-    ctx: &PzContext,
-    op: &PhysicalOp,
-    op_index: usize,
-    input: Vec<DataRecord>,
-    workers: usize,
-    config: &ExecutionConfig,
-    degraded: &mut Vec<DegradedExecution>,
-) -> PzResult<Vec<DataRecord>> {
-    let run = |active: &PhysicalOp, records: Vec<DataRecord>| {
-        if workers > 1 && active.is_parallelizable() {
-            execute_parallel(ctx, active, records, workers)
-        } else {
-            active.execute(ctx, records)
-        }
-    };
-    if !config.failover || !failover::swappable(op) {
-        return run(op, input);
-    }
-    let mut active = op.clone();
-    let mut tried: Vec<ModelId> = active.model().cloned().into_iter().collect();
-    let mut first_err: Option<PzError> = None;
-    loop {
-        let model = active
-            .model()
-            .cloned()
-            .expect("swappable operator carries a model");
-        let now = ctx.clock.now_secs();
-        // Proactive: skip a model whose breaker is already open (tripped by
-        // an earlier operator) instead of burning a doomed attempt.
-        let (reason, err) = if ctx.health.is_open(&model, now) {
-            ("breaker open", None)
-        } else {
-            match run(&active, input.clone()) {
-                Ok(out) => return Ok(out),
-                Err(e) if is_provider_fault(&e) => ("provider fault", Some(e)),
-                Err(e) => return Err(e),
+        let out = match run(input, fanout) {
+            Ok(out) => out,
+            Err(e) => {
+                if self.quota_armed && is_quota_exhausted(&e) {
+                    self.stats.quota_exhausted = true;
+                    ctx.tracer.event(
+                        pz_obs::Layer::Executor,
+                        "quota_exhausted",
+                        &[
+                            ("at_op", op.describe()),
+                            ("at_secs", format!("{:.3}", ctx.clock.now_secs())),
+                        ],
+                    );
+                }
+                return Err(e);
             }
         };
-        if first_err.is_none() {
-            first_err = err;
-        }
-        let next = failover::candidates(&ctx.catalog, &ctx.health, &active, config.rank, now)
-            .into_iter()
-            .find(|m| !tried.contains(m));
-        let Some(to) = next else {
-            // No healthy substitute left: surface the first provider error
-            // exactly as a failover-less executor would have.
-            return Err(first_err.unwrap_or_else(|| {
-                PzError::Execution(format!(
-                    "circuit breaker open for {model} and no healthy substitute model"
-                ))
-            }));
-        };
-        let entry = DegradedExecution {
-            operator_index: op_index,
-            operator: op.describe(),
-            from_model: model.to_string(),
-            to_model: to.to_string(),
-            records_affected: input.len(),
-            est_quality_delta: failover::quality_delta(&ctx.catalog, &model, &to),
-            at_secs: ctx.clock.now_secs(),
-            reason: reason.to_string(),
-        };
-        failover::emit_event(&ctx.tracer, &entry);
-        degraded.push(entry);
-        active = failover::with_model(&active, to.clone()).expect("swappable operator");
-        tried.push(to);
-    }
-}
 
-/// Is this the kind of error failover can route around — a fault of the
-/// model's provider rather than of the plan or the data?
-fn is_provider_fault(e: &PzError) -> bool {
-    matches!(e, PzError::Llm(inner) if inner.is_provider_fault())
+        let ledger_after = snapshot(ctx);
+        let raw_elapsed = ctx.clock.now_secs() - clock_before;
+        let time_secs = if fanout > 1 && op.is_parallelizable() {
+            raw_elapsed / fanout as f64
+        } else {
+            raw_elapsed
+        };
+        let llm_calls = ledger_after.0 - ledger_before.0;
+        let cost_usd = ledger_after.3 - ledger_before.3;
+        let stats = &mut self.stats;
+        stats.peak_resident_records = stats.peak_resident_records.max(carried + out.len());
+        if stats.operators.len() == i {
+            stats.operators.push(OperatorStats {
+                logical: op.logical_kind().to_string(),
+                physical: op.describe(),
+                model: op.model().map(|m| m.to_string()),
+                ..Default::default()
+            });
+        }
+        let row = &mut stats.operators[i];
+        row.input_records += in_len;
+        row.output_records += out.len();
+        row.llm_calls += llm_calls;
+        row.input_tokens += ledger_after.1 - ledger_before.1;
+        row.output_tokens += ledger_after.2 - ledger_before.2;
+        row.cost_usd += cost_usd;
+        row.time_secs += time_secs;
+
+        span.set_attr("in", in_len.to_string());
+        span.set_attr("out", out.len().to_string());
+        span.set_attr("llm_calls", llm_calls.to_string());
+        span.set_attr("cost_usd", format!("{cost_usd:.6}"));
+        span.set_attr("time_secs", format!("{time_secs:.6}"));
+        if self.profiling {
+            // Applications run one after another, so each one's window is
+            // its raw clock elapsed; provider-wait is the ledger's modelled
+            // latency delta, retry is the sink delta, queue/backpressure do
+            // not exist in this mode.
+            let window_us = (raw_elapsed * 1e6).round() as u64;
+            let provider_us =
+                ((ctx.ledger.total_latency_secs() - latency_before) * 1e6).round() as u64;
+            span.set_attr("prof_window_us", window_us.to_string());
+            span.set_attr("prof_provider_wait_us", provider_us.to_string());
+            span.set_attr(
+                "prof_retry_backoff_us",
+                retry_wait_us().saturating_sub(retry_before).to_string(),
+            );
+            if window_us > 0 {
+                let util = (time_secs * 1e6) / window_us as f64;
+                span.set_attr("prof_utilization", format!("{:.4}", util.clamp(0.0, 1.0)));
+            }
+        }
+        span.finish();
+        if let Some(ctrl) = self.adaptive {
+            ctrl.observe(i, op.model(), in_len, raw_elapsed, cost_usd);
+        }
+        Ok(out)
+    }
 }
 
 fn snapshot(ctx: &PzContext) -> (usize, usize, usize, f64) {
@@ -919,40 +600,6 @@ fn snapshot(ctx: &PzContext) -> (usize, usize, usize, f64) {
         usage.output_tokens,
         ctx.ledger.total_cost_usd(),
     )
-}
-
-/// Fan records out over `workers` threads, preserving input order.
-fn execute_parallel(
-    ctx: &PzContext,
-    op: &PhysicalOp,
-    input: Vec<DataRecord>,
-    workers: usize,
-) -> PzResult<Vec<DataRecord>> {
-    let chunk_size = input.len().div_ceil(workers);
-    let chunks: Vec<Vec<DataRecord>> = input
-        .chunks(chunk_size.max(1))
-        .map(|c| c.to_vec())
-        .collect();
-    let mut results: Vec<PzResult<Vec<DataRecord>>> = Vec::with_capacity(chunks.len());
-    crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| {
-                let ctx = ctx.clone();
-                let op = op.clone();
-                s.spawn(move |_| op.execute(&ctx, chunk))
-            })
-            .collect();
-        for h in handles {
-            results.push(h.join().expect("worker panicked"));
-        }
-    })
-    .expect("crossbeam scope");
-    let mut out = Vec::new();
-    for r in results {
-        out.extend(r?);
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -1060,8 +707,12 @@ mod tests {
         let (rec_seq, stats_seq) =
             execute_plan(&ctx1, &demo_plan(), ExecutionConfig::sequential()).unwrap();
         let ctx2 = science_ctx();
-        let (rec_par, stats_par) =
-            execute_plan(&ctx2, &demo_plan(), ExecutionConfig::parallel(4)).unwrap();
+        let (rec_par, stats_par) = execute_plan(
+            &ctx2,
+            &demo_plan(),
+            ExecutionConfig::sequential().with_parallelism(4),
+        )
+        .unwrap();
         // Same outputs (determinism is per record content, not thread order
         // within chunks — chunk order preserves input order).
         assert_eq!(rec_seq.len(), rec_par.len());
@@ -1382,168 +1033,459 @@ mod tests {
         assert!(execute_plan(&ctx, &plan, ExecutionConfig::sequential()).is_err());
     }
 
-    /// Equality the chunked drive guarantees against the legacy path:
-    /// records bytewise, and every per-operator stats row field-for-field
-    /// (peak_resident_records is a memory *measurement* and differs by
-    /// design).
-    fn assert_drive_equal(
-        (lr, ls): &(Vec<DataRecord>, ExecutionStats),
-        (cr, cs): &(Vec<DataRecord>, ExecutionStats),
+    // -- multi-chunk drive: corpora larger than SCAN_CHUNK ----------------
+
+    const BIG: &str = "generated";
+
+    fn big_source(n: usize) -> crate::datasource::GeneratedSource {
+        crate::datasource::GeneratedSource::new(BIG, Schema::text_file(), n, |i| {
+            let topic = if i % 32 == 0 {
+                "colorectal cancer cohort"
+            } else {
+                "modern home"
+            };
+            (format!("doc-{i:05}.txt"), format!("Document {i}: {topic}."))
+        })
+    }
+
+    /// Context over an `n`-record generated corpus. A UDF pre-filter keeps
+    /// every 16th document (half of them about cancer), so the LLM work
+    /// stays small while every scan chunk still contributes survivors.
+    fn big_ctx(n: usize) -> PzContext {
+        let ctx = PzContext::simulated();
+        ctx.registry.register(Arc::new(big_source(n)));
+        ctx.udfs.register_filter("sixteenth", |r: &DataRecord| {
+            r.get("filename")
+                .and_then(|v| v.as_display()[4..9].parse::<usize>().ok())
+                .is_some_and(|i| i % 16 == 0)
+        });
+        ctx
+    }
+
+    fn big_plan() -> PhysicalPlan {
+        PhysicalPlan {
+            ops: vec![
+                PhysicalOp::Scan {
+                    dataset: BIG.into(),
+                },
+                PhysicalOp::UdfFilter {
+                    udf: "sixteenth".into(),
+                },
+                PhysicalOp::LlmFilter {
+                    predicate: "The document is about colorectal cancer".into(),
+                    model: "gpt-4o".into(),
+                    effort: Effort::Standard,
+                },
+                PhysicalOp::LlmClassify {
+                    labels: vec!["cancer".into(), "other".into()],
+                    output_field: "label".into(),
+                    model: "gpt-4o".into(),
+                    effort: Effort::Standard,
+                },
+            ],
+        }
+    }
+
+    /// Per operator: (input records, output records, LLM calls, dollars).
+    type ReferenceRows = Vec<(usize, usize, usize, f64)>;
+
+    /// The reference every chunked run is held to: the plan's operators
+    /// applied one after another to the whole corpus at once, with the
+    /// ledger delta each one caused.
+    fn whole_corpus_reference(
+        ctx: &PzContext,
+        plan: &PhysicalPlan,
+    ) -> (Vec<DataRecord>, ReferenceRows) {
+        let mut records = Vec::new();
+        let mut rows = Vec::new();
+        for op in &plan.ops {
+            let (in_len, before) = (records.len(), snapshot(ctx));
+            records = op.execute(ctx, records).unwrap();
+            let after = snapshot(ctx);
+            rows.push((
+                in_len,
+                records.len(),
+                after.0 - before.0,
+                after.3 - before.3,
+            ));
+        }
+        (records, rows)
+    }
+
+    /// Records bytewise (ids included) and every counted stats field
+    /// exactly; money accumulates per chunk, so it may differ by f64
+    /// summation order only.
+    fn assert_matches_reference(
+        (records, stats): &(Vec<DataRecord>, ExecutionStats),
+        (ref_records, ref_rows): &(Vec<DataRecord>, ReferenceRows),
         label: &str,
     ) {
-        assert_eq!(lr, cr, "{label}: records diverge");
-        assert_eq!(
-            ls.operators.len(),
-            cs.operators.len(),
-            "{label}: operator row count"
-        );
-        for (a, b) in ls.operators.iter().zip(&cs.operators) {
-            // Money and time accumulate per chunk, so they can differ by
-            // f64 summation order (~1e-17); every counted field is exact.
-            assert_eq!(a.physical, b.physical, "{label}: operator row diverges");
+        assert_eq!(records, ref_records, "{label}: records diverge");
+        assert_eq!(stats.operators.len(), ref_rows.len(), "{label}: row count");
+        for (row, (in_len, out_len, calls, cost)) in stats.operators.iter().zip(ref_rows) {
+            assert_eq!(row.input_records, *in_len, "{label}: {}: in", row.physical);
             assert_eq!(
-                a.input_records, b.input_records,
-                "{label}: {}: in",
-                a.physical
-            );
-            assert_eq!(
-                a.output_records, b.output_records,
+                row.output_records, *out_len,
                 "{label}: {}: out",
-                a.physical
+                row.physical
             );
-            assert_eq!(a.llm_calls, b.llm_calls, "{label}: {}: calls", a.physical);
-            assert_eq!(
-                a.input_tokens, b.input_tokens,
-                "{label}: {}: in toks",
-                a.physical
-            );
-            assert_eq!(
-                a.output_tokens, b.output_tokens,
-                "{label}: {}: out toks",
-                a.physical
-            );
+            assert_eq!(row.llm_calls, *calls, "{label}: {}: calls", row.physical);
             assert!(
-                (a.cost_usd - b.cost_usd).abs() < 1e-12,
-                "{label}: {}: cost {} vs {}",
-                a.physical,
-                a.cost_usd,
-                b.cost_usd
-            );
-            assert!(
-                (a.time_secs - b.time_secs).abs() < 1e-9,
-                "{label}: {}: time {} vs {}",
-                a.physical,
-                a.time_secs,
-                b.time_secs
+                (row.cost_usd - cost).abs() < 1e-9,
+                "{label}: {}: cost {} vs {cost}",
+                row.physical,
+                row.cost_usd
             );
         }
-        assert_eq!(ls.total_llm_calls, cs.total_llm_calls, "{label}: calls");
-        assert!(
-            (ls.total_cost_usd - cs.total_cost_usd).abs() < 1e-12,
-            "{label}: cost"
-        );
-        assert!(
-            (ls.total_time_secs - cs.total_time_secs).abs() < 1e-9,
-            "{label}: time"
-        );
-        assert_eq!(ls.output_records, cs.output_records, "{label}: outputs");
+        assert_eq!(stats.output_records, ref_records.len(), "{label}: outputs");
     }
+
+    /// Corpus sizes around the chunk boundary and well past it.
+    const BOUNDARY_SIZES: [usize; 4] = [
+        SCAN_CHUNK - 1,
+        SCAN_CHUNK,
+        SCAN_CHUNK + 1,
+        SCAN_CHUNK * 5 / 2,
+    ];
 
     #[test]
     fn chunked_scan_identical_at_every_chunk_size() {
         // Fresh contexts per run so id counters, ledgers, and clocks all
         // start from the same state; the simulator keys responses on
         // request content, so equal inputs mean equal outputs.
-        let legacy =
-            execute_plan(&science_ctx(), &demo_plan(), ExecutionConfig::sequential()).unwrap();
-        for chunk in [1, 3, 7, 64] {
-            let chunked = execute_plan(
-                &science_ctx(),
-                &demo_plan(),
-                ExecutionConfig::sequential().with_scan_chunk_size(chunk),
-            )
-            .unwrap();
-            assert_drive_equal(&legacy, &chunked, &format!("chunk={chunk}"));
+        for n in BOUNDARY_SIZES {
+            let reference = whole_corpus_reference(&big_ctx(n), &big_plan());
+            let ctx = big_ctx(n);
+            let run = execute_plan(&ctx, &big_plan(), ExecutionConfig::sequential()).unwrap();
+            assert_matches_reference(&run, &reference, &format!("n={n}"));
+            assert!((ctx.ledger.total_cost_usd() - run.1.total_cost_usd).abs() < 1e-9);
+            let scans = ctx
+                .tracer
+                .snapshot()
+                .spans
+                .iter()
+                .filter(|s| s.name == format!("op:Scan[{BIG}]"))
+                .count();
+            assert_eq!(
+                scans,
+                n.div_ceil(SCAN_CHUNK),
+                "n={n}: one scan span per chunk"
+            );
         }
     }
 
     #[test]
     fn chunked_scan_bounds_resident_records() {
-        let (_, legacy) =
+        // A corpus that fits one chunk is resident whole...
+        let (_, small) =
             execute_plan(&science_ctx(), &demo_plan(), ExecutionConfig::sequential()).unwrap();
-        // Legacy materializes the whole 11-paper corpus at once.
-        assert_eq!(legacy.peak_resident_records, 11);
-        let (_, chunked) = execute_plan(
-            &science_ctx(),
-            &demo_plan(),
-            ExecutionConfig::sequential().with_scan_chunk_size(2),
-        )
-        .unwrap();
-        // Chunked holds one 2-record chunk plus the filtered survivors.
+        assert_eq!(small.peak_resident_records, 11);
+        // ...a larger one holds one chunk plus the filtered survivors.
+        let n = SCAN_CHUNK * 5 / 2;
+        let (records, big) =
+            execute_plan(&big_ctx(n), &big_plan(), ExecutionConfig::sequential()).unwrap();
         assert!(
-            chunked.peak_resident_records < legacy.peak_resident_records,
-            "chunked peak {} not below legacy {}",
-            chunked.peak_resident_records,
-            legacy.peak_resident_records
+            big.peak_resident_records <= SCAN_CHUNK + records.len(),
+            "peak {} for chunk {SCAN_CHUNK} + output {}",
+            big.peak_resident_records,
+            records.len()
         );
+        assert!(big.peak_resident_records < n);
     }
 
     #[test]
     fn chunked_scan_blocking_suffix_runs_on_accumulated_records() {
-        // Sort is not chunk-safe: the drive must stop at it and hand the
-        // accumulated records to the legacy loop.
-        let mut plan = demo_plan();
+        // Sort is not chunk-safe: the prefix must stop at it and hand the
+        // accumulated records of every chunk to the suffix.
+        let mut plan = big_plan();
         plan.ops.push(PhysicalOp::Sort {
-            field: "name".into(),
-            descending: false,
+            field: "filename".into(),
+            descending: true,
         });
         plan.ops.push(PhysicalOp::Limit { n: 3 });
-        let legacy = execute_plan(&science_ctx(), &plan, ExecutionConfig::sequential()).unwrap();
-        for chunk in [1, 4] {
-            let chunked = execute_plan(
-                &science_ctx(),
-                &plan,
-                ExecutionConfig::sequential().with_scan_chunk_size(chunk),
-            )
-            .unwrap();
-            assert_drive_equal(&legacy, &chunked, &format!("suffix chunk={chunk}"));
+        for n in [SCAN_CHUNK + 1, SCAN_CHUNK * 5 / 2] {
+            let reference = whole_corpus_reference(&big_ctx(n), &plan);
+            let run = execute_plan(&big_ctx(n), &plan, ExecutionConfig::sequential()).unwrap();
+            assert_matches_reference(&run, &reference, &format!("suffix n={n}"));
         }
     }
 
     #[test]
     fn chunked_scan_parallel_same_multiset_and_cost() {
-        // With worker pools the thread interleaving may reassign derived
-        // ids, so compare the field multiset plus the accounted totals
-        // (time uses the same total-input divisor, so it matches exactly).
+        // With thread fan-out the interleaving may reassign derived ids, so
+        // compare the field multiset plus the accounted totals.
         let multiset = |records: &[DataRecord]| {
             let mut keys: Vec<String> = records.iter().map(|r| format!("{:?}", r.fields)).collect();
             keys.sort();
             keys
         };
-        let (lr, ls) =
-            execute_plan(&science_ctx(), &demo_plan(), ExecutionConfig::parallel(4)).unwrap();
-        let (cr, cs) = execute_plan(
-            &science_ctx(),
-            &demo_plan(),
-            ExecutionConfig::parallel(4).with_scan_chunk_size(3),
+        let n = SCAN_CHUNK * 5 / 2;
+        let (ref_records, ref_rows) = whole_corpus_reference(&big_ctx(n), &big_plan());
+        let (records, stats) = execute_plan(
+            &big_ctx(n),
+            &big_plan(),
+            ExecutionConfig::sequential().with_parallelism(4),
         )
         .unwrap();
-        assert_eq!(multiset(&lr), multiset(&cr));
-        assert_eq!(ls.total_llm_calls, cs.total_llm_calls);
-        assert!((ls.total_cost_usd - cs.total_cost_usd).abs() < 1e-12);
-        assert!((ls.total_time_secs - cs.total_time_secs).abs() < 1e-9);
+        let (_, serial) =
+            execute_plan(&big_ctx(n), &big_plan(), ExecutionConfig::sequential()).unwrap();
+        assert_eq!(multiset(&records), multiset(&ref_records));
+        assert_eq!(
+            stats.total_llm_calls,
+            ref_rows.iter().map(|r| r.2).sum::<usize>()
+        );
+        let ref_cost: f64 = ref_rows.iter().map(|r| r.3).sum();
+        assert!((stats.total_cost_usd - ref_cost).abs() < 1e-9);
+        // Every chunk hands the LLM operators >= 4 records, so the whole
+        // run's attributed time divides by the fan-out.
+        assert!((stats.total_time_secs * 4.0 - serial.total_time_secs).abs() < 1e-6);
     }
 
     #[test]
-    fn chunk_size_zero_is_legacy_path() {
-        // The default config never enters the drive: stats carry the
-        // legacy whole-corpus peak.
-        let (_, stats) = execute_plan(
-            &science_ctx(),
-            &demo_plan(),
-            ExecutionConfig::sequential().with_scan_chunk_size(0),
+    fn multi_chunk_outage_fails_over_once_per_operator() {
+        // gpt-4o is down for the whole run. The runner is sticky across
+        // scan chunks: one failover entry per LLM operator, accruing every
+        // record the planned model did not handle — the same entries the
+        // streaming executor records.
+        let outage = pz_llm::FaultPlan::none().outage("gpt-4o", 0.0, 1e9);
+        let n = SCAN_CHUNK * 5 / 2;
+        let decisions = |stats: &ExecutionStats| {
+            stats
+                .degraded
+                .iter()
+                .map(|d| {
+                    (
+                        d.operator_index,
+                        d.operator.clone(),
+                        d.from_model.clone(),
+                        d.to_model.clone(),
+                        d.records_affected,
+                    )
+                })
+                .collect::<Vec<_>>()
+        };
+        let ctx_m = big_ctx(n);
+        ctx_m.faults.set(outage.clone());
+        let (rec_m, stats_m) =
+            execute_plan(&ctx_m, &big_plan(), ExecutionConfig::sequential()).unwrap();
+        let ctx_s = big_ctx(n);
+        ctx_s.faults.set(outage);
+        let (rec_s, stats_s) =
+            execute_plan(&ctx_s, &big_plan(), ExecutionConfig::streaming()).unwrap();
+
+        assert_eq!(stats_m.degraded.len(), 2, "{:?}", stats_m.degraded);
+        for (d, row) in stats_m.degraded.iter().zip(&stats_m.operators[2..]) {
+            assert_eq!(d.from_model, "gpt-4o");
+            assert_eq!(d.records_affected, row.input_records, "{d:?}");
+        }
+        assert_eq!(decisions(&stats_m), decisions(&stats_s));
+        assert_eq!(rec_m.len(), rec_s.len());
+        assert!((ctx_m.ledger.total_cost_usd() - ctx_s.ledger.total_cost_usd()).abs() < 1e-9);
+    }
+
+    /// A source that ignores the requested chunk size and reports its
+    /// whole corpus as a single chunk.
+    struct OneChunk(crate::datasource::GeneratedSource);
+
+    impl crate::datasource::DataSource for OneChunk {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+        fn schema(&self) -> Schema {
+            self.0.schema()
+        }
+        fn records(&self, base_id: u64) -> PzResult<Vec<DataRecord>> {
+            self.0.records(base_id)
+        }
+        fn batches(
+            &self,
+            base_id: u64,
+            _chunk_size: usize,
+        ) -> PzResult<crate::datasource::RecordBatchIter> {
+            self.0.batches(base_id, 0)
+        }
+        fn cardinality_hint(&self) -> Option<usize> {
+            self.0.cardinality_hint()
+        }
+    }
+
+    #[test]
+    fn quota_and_adaptive_runs_are_chunk_invariant() {
+        // Quota-armed and adaptive runs take a scan-only prefix, so a
+        // corpus pulled in several chunks must behave exactly like the
+        // same corpus reported as one chunk.
+        let n = SCAN_CHUNK * 5 / 2;
+        // Runs the plan over the chunked and the single-chunk source after
+        // `arm` prepared each context; returns the (shared) stats.
+        let differential = |label: &str, arm: &dyn Fn(&PzContext), config: ExecutionConfig| {
+            let ctx_multi = big_ctx(n);
+            let ctx_one = big_ctx(n);
+            ctx_one.registry.register(Arc::new(OneChunk(big_source(n))));
+            arm(&ctx_multi);
+            arm(&ctx_one);
+            let (rec_multi, stats_multi) = execute_plan(&ctx_multi, &big_plan(), config).unwrap();
+            let (rec_one, mut stats_one) = execute_plan(&ctx_one, &big_plan(), config).unwrap();
+            assert_eq!(rec_multi, rec_one, "{label}: records");
+            // Residency is the one thing chunking is allowed to change.
+            stats_one.peak_resident_records = stats_multi.peak_resident_records;
+            assert_eq!(
+                serde_json::to_string(&stats_multi).unwrap(),
+                serde_json::to_string(&stats_one).unwrap(),
+                "{label}: stats"
+            );
+            assert_eq!(
+                ctx_multi.ledger.total_requests(),
+                ctx_one.ledger.total_requests(),
+                "{label}: ledger"
+            );
+            stats_multi
+        };
+
+        let stats = differential(
+            "quota",
+            &|ctx| ctx.ledger.set_quota(pz_llm::Quota::request_limit(300)),
+            ExecutionConfig::sequential(),
+        );
+        assert!(stats.quota_exhausted);
+
+        let brownout =
+            pz_llm::FaultPlan::parse("gpt-4o:timeout@0..1000000:p=0.35:stall=25", 42).unwrap();
+        let stats = differential(
+            "adaptive",
+            &|ctx| ctx.faults.set(brownout.clone()),
+            ExecutionConfig::sequential().with_adaptive(AdaptiveConfig::on()),
+        );
+        assert!(!stats.adaptive.is_empty(), "no adaptive repair fired");
+    }
+
+    #[test]
+    fn multi_chunk_deadline_returns_one_schema_and_reconciles() {
+        // The deadline trips somewhere inside the second chunk: the partial
+        // output is the records that cleared the whole prefix — labelled,
+        // every one — and every billed call is on a stats row.
+        let n = SCAN_CHUNK * 5 / 2;
+        let ctx = big_ctx(n);
+        let (_, full) = execute_plan(&ctx, &big_plan(), ExecutionConfig::sequential()).unwrap();
+        let ctx = big_ctx(n);
+        let (records, stats) = execute_plan(
+            &ctx,
+            &big_plan(),
+            ExecutionConfig::sequential().with_deadline(full.total_time_secs * 0.6),
         )
         .unwrap();
-        assert_eq!(stats.peak_resident_records, 11);
+        assert!(stats.deadline_exceeded);
+        assert!(!records.is_empty());
+        assert!(records.iter().all(|r| r.get("label").is_some()));
+        let op_calls: usize = stats.operators.iter().map(|o| o.llm_calls).sum();
+        assert_eq!(op_calls, ctx.ledger.total_requests());
+        let op_cost: f64 = stats.operators.iter().map(|o| o.cost_usd).sum();
+        assert!((op_cost - ctx.ledger.total_cost_usd()).abs() < 1e-9);
+    }
+
+    // -- streaming: modelled intra-stage parallelism ------------------------
+
+    #[test]
+    fn streaming_parallelism_changes_time_attribution_only() {
+        let run = |p: usize| {
+            let ctx = science_ctx();
+            let config = ExecutionConfig::streaming_with(2, 1).with_parallelism(p);
+            let (records, stats) = execute_plan(&ctx, &demo_plan(), config).unwrap();
+            (ctx, records, stats)
+        };
+        let (ctx_1, rec_1, stats_1) = run(1);
+        for p in [2usize, 8] {
+            let (ctx_p, rec_p, stats_p) = run(p);
+            assert_eq!(rec_1, rec_p, "p={p}: records (ids included)");
+            assert_eq!(ctx_1.ledger.total_requests(), ctx_p.ledger.total_requests());
+            assert_eq!(ctx_1.ledger.total_cost_usd(), ctx_p.ledger.total_cost_usd());
+            assert_eq!(ctx_1.clock.now_secs(), ctx_p.clock.now_secs());
+            assert_eq!(stats_p.parallelism, p);
+            let snap = ctx_p.tracer.snapshot();
+            for (serial, row) in stats_1.operators.iter().zip(&stats_p.operators) {
+                // The scan has no input channel and stays serial; an LLM
+                // stage's busy time divides by `p`, capped by the
+                // single-record batches it saw.
+                let workers = if row.model.is_some() {
+                    p.min(row.input_records)
+                } else {
+                    1
+                };
+                // Stage threads interleave, so a stage's dollars are summed
+                // from ledger deltas taken at different totals: equal to
+                // the last bit or two, not bitwise.
+                let mut expect = serial.clone();
+                expect.time_secs = serial.time_secs / workers as f64;
+                expect.cost_usd = row.cost_usd;
+                assert_eq!(&expect, row, "p={p}");
+                assert!((serial.cost_usd - row.cost_usd).abs() < 1e-12, "p={p}");
+                let span = snap
+                    .spans
+                    .iter()
+                    .find(|s| s.name == format!("op:{}", row.physical))
+                    .unwrap();
+                assert_eq!(
+                    span.attrs.get("workers").cloned(),
+                    (workers > 1).then(|| workers.to_string()),
+                    "p={p}: {} workers attribute",
+                    row.physical
+                );
+            }
+        }
+    }
+
+    // -- panics and odd plan shapes ------------------------------------------
+
+    #[test]
+    fn panicking_udf_is_an_execution_error_in_both_modes() {
+        for config in [
+            ExecutionConfig::streaming(),
+            ExecutionConfig::sequential().with_parallelism(2),
+        ] {
+            let ctx = science_ctx();
+            ctx.udfs
+                .register_filter("boom", |_: &DataRecord| panic!("tenant bug"));
+            let plan = PhysicalPlan {
+                ops: vec![
+                    PhysicalOp::Scan {
+                        dataset: "sigmod-demo".into(),
+                    },
+                    PhysicalOp::UdfFilter { udf: "boom".into() },
+                    PhysicalOp::Limit { n: 3 },
+                ],
+            };
+            let err = execute_plan(&ctx, &plan, config).unwrap_err();
+            let msg = err.to_string();
+            assert!(
+                matches!(err, PzError::Execution(_)),
+                "{:?}: {msg}",
+                config.mode
+            );
+            assert!(msg.contains("operator UDFFilter[boom]"), "{msg}");
+            assert!(msg.contains("panicked: tenant bug"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn plan_without_leading_scan_runs_identically_in_both_modes() {
+        // UnionAll over no input yields the other dataset; with no Scan in
+        // front there is no source stage and no chunked prefix.
+        let plan = PhysicalPlan {
+            ops: vec![
+                PhysicalOp::UnionAll {
+                    dataset: "sigmod-demo".into(),
+                },
+                PhysicalOp::Project {
+                    fields: vec!["filename".into()],
+                },
+            ],
+        };
+        let (rec_m, stats_m) =
+            execute_plan(&science_ctx(), &plan, ExecutionConfig::sequential()).unwrap();
+        let (rec_s, stats_s) =
+            execute_plan(&science_ctx(), &plan, ExecutionConfig::streaming()).unwrap();
+        assert_eq!(rec_m.len(), 11);
+        assert_eq!(rec_m, rec_s);
+        assert_eq!(stats_m.operators.len(), 2);
+        assert_eq!(stats_s.output_records, 11);
     }
 }

@@ -24,7 +24,7 @@ pub struct OperatorStats {
     pub output_tokens: usize,
     pub cost_usd: f64,
     /// Virtual seconds attributed to this operator (already divided by the
-    /// worker count for parallel execution).
+    /// operator's parallelism).
     pub time_secs: f64,
 }
 
@@ -92,8 +92,8 @@ pub struct ExecutionStats {
     /// byte-identical.
     #[serde(default, skip_serializing_if = "std::ops::Not::not")]
     pub quota_exhausted: bool,
-    /// Largest intra-operator worker-pool size used by any streaming
-    /// stage. `0`/`1` (serial) keeps serialized stats byte-identical to
+    /// Largest effective parallelism any streaming stage's time was
+    /// divided by. `0`/`1` (serial) keeps serialized stats byte-identical to
     /// pre-parallelism runs.
     #[serde(default, skip_serializing_if = "serial_workers")]
     pub parallelism: usize,

@@ -26,28 +26,20 @@
 //! as `ExecutionStats::finalize_pipelined` — plan time is the bottleneck
 //! stage plus upstream pipeline-fill delay, not the sum of stages.
 //!
-//! ## Intra-operator worker pools
+//! ## Intra-stage parallelism is modelled, not run
 //!
-//! Per-batch stages can additionally fan their batches out to a pool of
-//! workers ([`ExecutionConfig::parallelism`], clamped by the model's
-//! provider rate limit). The pool is built for determinism first:
-//!
-//! - an **intake** hands each incoming batch a sequence number;
-//! - a **turnstile** grants provider access strictly in sequence order,
-//!   so the clock, the ledger, fault windows, and failover decisions are
-//!   byte-identical to the serial schedule no matter how the OS schedules
-//!   the workers;
-//! - a sequence-numbered **reordering buffer** re-serializes completed
-//!   batches before emission, so downstream sees exactly the serial
-//!   output order;
-//! - the stage's [`StageFailover`] is shared by all its workers, so one
-//!   worker tripping a breaker fails the whole stage over exactly once.
-//!
-//! Concurrency therefore changes *time attribution only*: a stage's busy
-//! time is divided by its effective worker count
-//! (`min(workers, batches)`), mirroring the materializing executor's
-//! `elapsed / workers` rule, and `finalize_pipelined` turns that into the
-//! plan-level speedup.
+//! Every stage processes its batches serially, in arrival order, on its
+//! one thread — that is what keeps the clock, the ledger, fault windows,
+//! and failover decisions deterministic. [`ExecutionConfig::parallelism`]
+//! changes *time attribution only*: a per-batch stage's busy time is
+//! divided by its effective worker count (the configured parallelism,
+//! clamped by the model's provider rate limit and by the batches the stage
+//! saw), mirroring the materializing executor's `elapsed / fan-out` rule,
+//! and `finalize_pipelined` turns that into the plan-level speedup. An
+//! earlier thread pool per stage took strict turns at the provider to stay
+//! deterministic and so never bought wall-clock time (measured at
+//! 0.80–1.08x of serial across the benchmark's workloads); it was removed
+//! in favour of this arithmetic, which is all it reduced to.
 //!
 //! ## Spans
 //!
@@ -61,8 +53,8 @@
 use crate::context::PzContext;
 use crate::error::{PzError, PzResult};
 use crate::exec::channel::{bounded, Receiver, Sender};
-use crate::exec::failover;
 use crate::exec::run::ExecutionConfig;
+use crate::exec::runner::{panicked, OpRunner};
 use crate::exec::stats::{DegradedExecution, ExecutionStats, OperatorStats};
 use crate::ops::physical::{PhysicalOp, PhysicalPlan};
 use crate::optimizer::adaptive::AdaptiveController;
@@ -70,10 +62,9 @@ use crate::record::DataRecord;
 use parking_lot::Mutex;
 use pz_llm::{
     CompletionRequest, CompletionResponse, EmbeddingRequest, EmbeddingResponse, LlmClient,
-    LlmError, ModelId, Usage, UsageLedger,
+    LlmError, Usage, UsageLedger,
 };
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Per-stage accounting accumulated by [`StageMeter`].
@@ -104,7 +95,7 @@ struct StageProf {
     queue_wait_us: AtomicU64,
     /// Blocked on a full output channel (downstream too slow).
     backpressure_us: AtomicU64,
-    /// Waiting for the provider gate/turnstile plus the modelled latency
+    /// Waiting for the provider gate plus the modelled latency
     /// of the stage's own provider calls.
     provider_wait_us: AtomicU64,
     /// Retry-backoff sleeps, accumulated by the retry layer through the
@@ -214,7 +205,7 @@ struct StageReport {
     startup_secs: f64,
     /// Failover decisions made by this stage, in order.
     degraded: Vec<DegradedExecution>,
-    /// Workers that could actually overlap: `min(pool size, batches)`.
+    /// Modelled workers: `min(rate-capped parallelism, batches seen)`.
     /// `0`/`1` means serial; divides the stage's attributed busy time.
     effective_workers: usize,
     /// Profiling only: virtual µs from stage launch to the stage thread
@@ -222,202 +213,15 @@ struct StageReport {
     window_us: u64,
 }
 
-/// Per-stage failover state: once a stage swaps models it *stays* on the
-/// substitute for later batches (sticky), re-checking the breaker per
-/// batch so trips from other stages are seen promptly. Unlike the
-/// materializing executor, only the in-flight batch is re-run on a swap —
-/// earlier batches already streamed downstream on the planned model.
-struct StageFailover {
-    active: PhysicalOp,
-    planned_model: Option<ModelId>,
-    planned_desc: String,
-    op_index: usize,
-    enabled: bool,
-    rank: crate::exec::FailoverRank,
-    /// Adaptive controller shared by all stages; `None` unless enabled.
-    adaptive: Option<Arc<AdaptiveController>>,
-    /// Incremental re-execution armed (`ExecutionConfig::with_incremental`
-    /// plus a context snapshot): memoized records in each batch replay,
-    /// only the dirty subset reaches the operator below.
-    incremental: bool,
-}
-
-impl StageFailover {
-    fn new(
-        op: PhysicalOp,
-        op_index: usize,
-        config: &ExecutionConfig,
-        adaptive: Option<Arc<AdaptiveController>>,
-    ) -> Self {
-        let enabled = config.failover && failover::swappable(&op);
-        Self {
-            planned_model: op.model().cloned(),
-            planned_desc: op.describe(),
-            active: op,
-            op_index,
-            enabled,
-            rank: config.rank,
-            adaptive: if enabled { adaptive } else { None },
-            incremental: config.incremental,
-        }
-    }
-
-    /// Run one batch through the active operator, swapping models on
-    /// provider faults / open breakers. Successful batches processed by a
-    /// substitute accrue onto the latest degraded entry so
-    /// `records_affected` sums to exactly the records the planned model
-    /// did not handle.
-    ///
-    /// With an adaptive controller attached, each batch is preceded by a
-    /// champion/challenger check (sticky swap off a degraded-but-alive
-    /// model) and followed by an observation: the batch's clock delta
-    /// minus *other* stages' billed latency — the only attribution that
-    /// sees fault stalls and retry backoff, which never reach the ledger.
-    fn execute(
-        &mut self,
-        ctx: &PzContext,
-        input: Vec<DataRecord>,
-        degraded: &mut Vec<DegradedExecution>,
-        meter: &StageMeter,
-    ) -> PzResult<Vec<DataRecord>> {
-        // Memo split first, so every stage shape (source, per-batch,
-        // pooled, blocking) replays memoized records and routes only the
-        // dirty subset through the adaptive/failover machinery below. The
-        // fingerprint follows the *active* operator: a sticky model swap
-        // changes the memo namespace along with the outputs.
-        if self.incremental {
-            if let Some(snap) = ctx.incremental.clone() {
-                let op = self.active.clone();
-                if crate::exec::incremental::memoizable(&op) {
-                    return crate::exec::incremental::execute_memoized(
-                        ctx,
-                        &snap,
-                        &op,
-                        input,
-                        &mut |dirty| self.execute_direct(ctx, dirty, degraded, meter),
-                    );
-                }
-            }
-        }
-        self.execute_direct(ctx, input, degraded, meter)
-    }
-
-    fn execute_direct(
-        &mut self,
-        ctx: &PzContext,
-        input: Vec<DataRecord>,
-        degraded: &mut Vec<DegradedExecution>,
-        meter: &StageMeter,
-    ) -> PzResult<Vec<DataRecord>> {
-        if !self.enabled {
-            return self.active.execute(ctx, input);
-        }
-        if let Some(to) = self
-            .adaptive
-            .as_ref()
-            .and_then(|ctrl| ctrl.challenge(ctx, &self.active, self.op_index))
-        {
-            self.active = failover::with_model(&self.active, to).expect("swappable operator");
-            // The substitution is sticky: later failover entries and
-            // records_affected accrual are relative to the adaptively
-            // chosen model, not the originally planned one.
-            self.planned_model = self.active.model().cloned();
-            self.planned_desc = self.active.describe();
-        }
-        let batch_len = input.len();
-        let obs = self.adaptive.as_ref().map(|_| {
-            (
-                self.active.model().cloned(),
-                ctx.clock.now_secs(),
-                ctx.ledger.total_latency_secs(),
-                meter.busy_secs(),
-            )
-        });
-        let out = self.execute_with_failover(ctx, input, degraded);
-        if let (Some(ctrl), Some((model, clock0, lat0, busy0))) = (&self.adaptive, obs) {
-            if out.is_ok() {
-                let clock_delta = ctx.clock.now_secs() - clock0;
-                let others = (ctx.ledger.total_latency_secs() - lat0) - (meter.busy_secs() - busy0);
-                let attributed = (clock_delta - others).max(0.0);
-                ctrl.observe(self.op_index, model.as_ref(), batch_len, attributed, 0.0);
-            }
-        }
-        out
-    }
-
-    fn execute_with_failover(
-        &mut self,
-        ctx: &PzContext,
-        input: Vec<DataRecord>,
-        degraded: &mut Vec<DegradedExecution>,
-    ) -> PzResult<Vec<DataRecord>> {
-        let mut tried: Vec<ModelId> = self.active.model().cloned().into_iter().collect();
-        let mut first_err: Option<PzError> = None;
-        loop {
-            let model = self
-                .active
-                .model()
-                .cloned()
-                .expect("swappable operator carries a model");
-            let now = ctx.clock.now_secs();
-            let (reason, err) = if ctx.health.is_open(&model, now) {
-                ("breaker open", None)
-            } else {
-                match self.active.execute(ctx, input.clone()) {
-                    Ok(out) => {
-                        if self.active.model() != self.planned_model.as_ref() {
-                            if let Some(entry) = degraded.last_mut() {
-                                entry.records_affected += input.len();
-                            }
-                        }
-                        return Ok(out);
-                    }
-                    Err(e) if is_provider_fault(&e) => ("provider fault", Some(e)),
-                    Err(e) => return Err(e),
-                }
-            };
-            if first_err.is_none() {
-                first_err = err;
-            }
-            let next =
-                failover::candidates(&ctx.catalog, &ctx.health, &self.active, self.rank, now)
-                    .into_iter()
-                    .find(|m| !tried.contains(m));
-            let Some(to) = next else {
-                return Err(first_err.unwrap_or_else(|| {
-                    PzError::Execution(format!(
-                        "circuit breaker open for {model} and no healthy substitute model"
-                    ))
-                }));
-            };
-            let entry = DegradedExecution {
-                operator_index: self.op_index,
-                operator: self.planned_desc.clone(),
-                from_model: model.to_string(),
-                to_model: to.to_string(),
-                // Accrued per successfully processed batch, above.
-                records_affected: 0,
-                est_quality_delta: failover::quality_delta(&ctx.catalog, &model, &to),
-                at_secs: ctx.clock.now_secs(),
-                reason: reason.to_string(),
-            };
-            failover::emit_event(&ctx.tracer, &entry);
-            degraded.push(entry);
-            self.active =
-                failover::with_model(&self.active, to.clone()).expect("swappable operator");
-            tried.push(to);
-        }
-    }
-}
-
-fn is_provider_fault(e: &PzError) -> bool {
-    matches!(e, PzError::Llm(inner) if inner.is_provider_fault())
-}
-
-/// How a stage consumes its input stream.
-enum StageKind {
-    /// Batch-at-a-time: `op.execute` per incoming batch.
+/// How a stage consumes its input stream. Classifying a `PhysicalOp` is an
+/// exhaustive match: a new operator does not compile until it is placed.
+pub(super) enum StageKind {
+    /// Batch-at-a-time: `op.execute` per incoming batch, and nothing else
+    /// — these operators commute with any re-chunking of their input.
     PerBatch,
+    /// Batch-at-a-time probe against a build side that each `op.execute`
+    /// materializes anew (the joins).
+    Probe,
     /// Must see the whole input before producing anything.
     Blocking,
     /// Stateful pass-through that cancels upstream once satisfied.
@@ -426,8 +230,18 @@ enum StageKind {
     Union,
 }
 
-fn stage_kind(op: &PhysicalOp) -> StageKind {
+pub(super) fn stage_kind(op: &PhysicalOp) -> StageKind {
     match op {
+        PhysicalOp::LlmFilter { .. }
+        | PhysicalOp::EmbeddingFilter { .. }
+        | PhysicalOp::EnsembleFilter { .. }
+        | PhysicalOp::UdfFilter { .. }
+        | PhysicalOp::LlmConvert { .. }
+        | PhysicalOp::FieldwiseConvert { .. }
+        | PhysicalOp::Map { .. }
+        | PhysicalOp::Project { .. }
+        | PhysicalOp::LlmClassify { .. } => StageKind::PerBatch,
+        PhysicalOp::HashJoin { .. } | PhysicalOp::LlmJoin { .. } => StageKind::Probe,
         PhysicalOp::Limit { n } => StageKind::Limit(*n),
         // Sort/Distinct/Aggregate need the full input; Retrieve builds a
         // temporary vector collection over it, so per-batch top-k would
@@ -439,7 +253,6 @@ fn stage_kind(op: &PhysicalOp) -> StageKind {
         | PhysicalOp::Retrieve { .. }
         | PhysicalOp::Scan { .. } => StageKind::Blocking,
         PhysicalOp::UnionAll { .. } => StageKind::Union,
-        _ => StageKind::PerBatch,
     }
 }
 
@@ -500,104 +313,6 @@ fn recv_timed(rx: &Receiver<Vec<DataRecord>>, meter: &StageMeter) -> Option<Vec<
     }
 }
 
-/// Sequence-numbered reordering buffer: workers insert completed batches
-/// in any order; [`ReorderBuffer::pop_ready`] yields them strictly in
-/// sequence order. This is the invariant that keeps a worker pool's
-/// output order byte-identical to the serial run.
-struct ReorderBuffer {
-    next_seq: usize,
-    pending: BTreeMap<usize, Vec<DataRecord>>,
-}
-
-impl ReorderBuffer {
-    fn new() -> Self {
-        Self {
-            next_seq: 0,
-            pending: BTreeMap::new(),
-        }
-    }
-
-    fn insert(&mut self, seq: usize, batch: Vec<DataRecord>) {
-        self.pending.insert(seq, batch);
-    }
-
-    /// The next in-sequence batch, if it has arrived. Empty batches flow
-    /// through too — they advance the sequence without being emitted.
-    fn pop_ready(&mut self) -> Option<Vec<DataRecord>> {
-        let batch = self.pending.remove(&self.next_seq)?;
-        self.next_seq += 1;
-        Some(batch)
-    }
-}
-
-/// Grants workers provider access strictly in batch-sequence order.
-///
-/// The virtual clock, ledger, fault windows, and breaker state are all
-/// shared global state: if workers hit the provider in OS-scheduling
-/// order, timestamps (and therefore fault-window hits and failover
-/// decisions) would differ run to run. The turnstile pins provider-call
-/// order to the serial schedule, making worker pools deterministic;
-/// concurrency is then *modelled* by dividing attributed time.
-struct Turnstile {
-    turn: std::sync::Mutex<usize>,
-    advanced: std::sync::Condvar,
-}
-
-impl Turnstile {
-    fn new() -> Self {
-        Self {
-            turn: std::sync::Mutex::new(0),
-            advanced: std::sync::Condvar::new(),
-        }
-    }
-
-    fn wait_for(&self, seq: usize) {
-        let mut turn = self.turn.lock().expect("turnstile lock");
-        while *turn != seq {
-            turn = self.advanced.wait(turn).expect("turnstile lock");
-        }
-    }
-
-    fn advance(&self) {
-        let mut turn = self.turn.lock().expect("turnstile lock");
-        *turn += 1;
-        self.advanced.notify_all();
-    }
-}
-
-/// The intake side of a worker pool: workers pull the next batch and its
-/// sequence number atomically, so sequence numbers mirror channel order.
-struct Intake {
-    rx: Receiver<Vec<DataRecord>>,
-    next_seq: usize,
-}
-
-/// The emit side of a worker pool: completed batches funnel through the
-/// reordering buffer into the stage's ordinary [`Emitter`].
-struct EmitGate {
-    emitter: Emitter,
-    buffer: ReorderBuffer,
-    output_records: usize,
-}
-
-impl EmitGate {
-    /// Insert a completed batch and flush everything now in sequence.
-    /// `false` means downstream disconnected (early termination).
-    fn push(&mut self, seq: usize, batch: Vec<DataRecord>, meter: &StageMeter) -> bool {
-        self.buffer.insert(seq, batch);
-        while let Some(b) = self.buffer.pop_ready() {
-            if b.is_empty() {
-                continue;
-            }
-            self.output_records += b.len();
-            if !self.emitter.emit(meter, b) {
-                return false;
-            }
-        }
-        true
-    }
-}
-
 struct StageShared {
     abort: AtomicBool,
     first_error: Mutex<Option<PzError>>,
@@ -609,13 +324,9 @@ struct StageShared {
 impl StageShared {
     fn fail(&self, op: &PhysicalOp, e: PzError) {
         self.abort.store(true, Ordering::SeqCst);
-        let mut slot = self.first_error.lock();
-        if slot.is_none() {
-            *slot = Some(PzError::Execution(format!(
-                "operator {}: {e}",
-                op.describe()
-            )));
-        }
+        self.first_error
+            .lock()
+            .get_or_insert_with(|| crate::exec::run::op_error(op, e));
     }
 
     fn aborted(&self) -> bool {
@@ -733,8 +444,13 @@ pub(crate) fn execute_streaming(
                 )
             }));
         }
-        for h in handles {
-            reports.push(h.join().expect("stage thread panicked"));
+        for (h, op) in handles.into_iter().zip(&plan.ops) {
+            // A stage that died dropped its channel ends, so its neighbours
+            // drained; its failure is recorded like any other stage's.
+            reports.push(h.join().unwrap_or_else(|payload| {
+                shared.fail(op, panicked(payload));
+                StageReport::default()
+            }));
         }
     })
     .expect("crossbeam scope");
@@ -769,9 +485,9 @@ pub(crate) fn execute_streaming(
         .zip(meters.iter().zip(op_spans))
     {
         let m = meter.totals();
-        // Worker pools overlap a stage's calls on the modelled timeline:
-        // attributed time divides by the workers that could actually run
-        // concurrently (mirrors the materializing `elapsed / workers`).
+        // Intra-stage parallelism overlaps a stage's calls on the modelled
+        // timeline: attributed time divides by the stage's effective
+        // workers (mirrors the materializing `elapsed / fan-out`).
         // Cost, calls, and tokens never divide — billing is identical.
         let workers = report.effective_workers.max(1);
         let op_stats = OperatorStats {
@@ -797,8 +513,7 @@ pub(crate) fn execute_streaming(
         span.set_attr("cost_usd", format!("{:.6}", op_stats.cost_usd));
         span.set_attr("time_secs", format!("{:.6}", op_stats.time_secs));
         if let Some(p) = &meter.prof {
-            // Raw gauge sums; `pz_obs::profile` normalizes pooled stages
-            // (whose waits sum over workers) back into the wall window.
+            // Raw gauge sums; `pz_obs::profile` fits them to the window.
             span.set_attr("prof_window_us", report.window_us.to_string());
             span.set_attr(
                 "prof_queue_wait_us",
@@ -860,81 +575,52 @@ fn run_stage(
         collected: Vec::new(),
         first_emit_busy: None,
     };
-    let mut fo = StageFailover::new(op.clone(), idx, config, adaptive);
+    let mut fo = OpRunner::new(op.clone(), idx, config, adaptive);
+    let busy = || meter.busy_secs();
     let prof_t0 = meter.prof.as_ref().map(|p| p.now());
 
-    match input {
-        // Source stage: a leading Scan pulls its source chunk-at-a-time
-        // (`DataSource::batches`), so at most one batch of leaf records is
-        // resident here however large the corpus. Batch boundaries equal
-        // the old materialize-then-`chunks(batch_size)` split, ids are
-        // reserved identically up front, and a Scan never swaps models or
-        // memoizes — output and ledger are byte-identical to the old
-        // path. A failed emit means downstream cancelled — stop early.
-        None if matches!(op, PhysicalOp::Scan { .. }) => {
-            let pulled = (|| {
-                let PhysicalOp::Scan { dataset } = op else {
-                    unreachable!()
-                };
-                let src = ctx.registry.get(dataset)?;
-                let n = src.cardinality_hint().unwrap_or(0) as u64;
-                let base = ctx.next_ids(n.max(1));
-                src.batches(base, batch_size)
-            })();
-            match pulled {
-                Ok(batches) => {
-                    for batch in batches {
-                        if shared.aborted() || shared.past_deadline(ctx.clock.now_secs()) {
-                            break;
-                        }
-                        match batch {
-                            // The old path emitted nothing for an empty
-                            // corpus (`chunks` of an empty vec); keep that.
-                            Ok(b) if b.is_empty() => continue,
-                            Ok(b) => {
-                                report.output_records += b.len();
-                                if !emitter.emit(meter, b) {
-                                    break;
-                                }
-                            }
-                            Err(e) => {
-                                shared.fail(op, e);
-                                break;
-                            }
-                        }
-                    }
-                }
-                Err(e) => shared.fail(op, e),
-            }
-        }
-        // Non-Scan sources (none today) keep the materialize-once path.
-        None => match fo.execute(ctx, Vec::new(), &mut report.degraded, meter) {
-            Ok(out) => {
-                for chunk in out.chunks(batch_size) {
+    match (input, op) {
+        // Source stage: a leading Scan pulls its source chunk-at-a-time, so
+        // at most one batch of leaf records is resident here however large
+        // the corpus. A failed emit means downstream cancelled — stop early.
+        (None, PhysicalOp::Scan { dataset }) => match ctx.open_scan(dataset, batch_size) {
+            Ok(batches) => {
+                for batch in batches {
                     if shared.aborted() || shared.past_deadline(ctx.clock.now_secs()) {
                         break;
                     }
-                    report.output_records += chunk.len();
-                    if !emitter.emit(meter, chunk.to_vec()) {
-                        break;
+                    match batch {
+                        // An empty corpus emits nothing.
+                        Ok(b) if b.is_empty() => continue,
+                        Ok(b) => {
+                            report.output_records += b.len();
+                            if !emitter.emit(meter, b) {
+                                break;
+                            }
+                        }
+                        Err(e) => {
+                            shared.fail(op, e);
+                            break;
+                        }
                     }
                 }
             }
             Err(e) => shared.fail(op, e),
         },
-        Some(rx) => match stage_kind(op) {
-            StageKind::PerBatch => {
-                let pool = effective_pool_size(ctx, op, idx, config);
-                if pool > 1 {
-                    emitter =
-                        run_stage_pool(ctx, op, rx, emitter, shared, meter, fo, pool, &mut report);
-                } else {
+        // Any other operator without an upstream (a plan that does not
+        // open with a Scan) reads an empty, already-closed input.
+        (input, _) => {
+            let rx = input.unwrap_or_else(|| bounded(1).1);
+            match stage_kind(op) {
+                StageKind::PerBatch | StageKind::Probe => {
+                    let mut batches = 0usize;
                     while let Some(batch) = recv_timed(&rx, meter) {
+                        batches += 1;
                         if shared.aborted() || shared.past_deadline(ctx.clock.now_secs()) {
                             break;
                         }
                         report.input_records += batch.len();
-                        match fo.execute(ctx, batch, &mut report.degraded, meter) {
+                        match fo.execute(ctx, batch, 1, &busy) {
                             Ok(out) => {
                                 if out.is_empty() {
                                     continue;
@@ -950,84 +636,88 @@ fn run_stage(
                             }
                         }
                     }
+                    // Modelled overlap: no more workers than batches seen.
+                    report.effective_workers =
+                        rate_capped_parallelism(ctx, op, config).min(batches);
                 }
-            }
-            StageKind::Blocking => {
-                let mut buf = Vec::new();
-                while let Some(batch) = recv_timed(&rx, meter) {
-                    if shared.aborted() {
-                        break;
+                StageKind::Blocking => {
+                    let mut buf = Vec::new();
+                    while let Some(batch) = recv_timed(&rx, meter) {
+                        if shared.aborted() {
+                            break;
+                        }
+                        report.input_records += batch.len();
+                        buf.extend(batch);
                     }
-                    report.input_records += batch.len();
-                    buf.extend(batch);
-                }
-                // A blocking op whose input was cut short by the deadline
-                // still runs — partial input, partial output.
-                if !shared.aborted() && !shared.past_deadline(ctx.clock.now_secs()) {
-                    match fo.execute(ctx, buf, &mut report.degraded, meter) {
-                        Ok(out) => {
-                            for chunk in out.chunks(batch_size) {
-                                report.output_records += chunk.len();
-                                if !emitter.emit(meter, chunk.to_vec()) {
-                                    break;
+                    // A blocking op whose input was cut short by the deadline
+                    // still runs — partial input, partial output.
+                    if !shared.aborted() && !shared.past_deadline(ctx.clock.now_secs()) {
+                        match fo.execute(ctx, buf, 1, &busy) {
+                            Ok(out) => {
+                                for chunk in out.chunks(batch_size) {
+                                    report.output_records += chunk.len();
+                                    if !emitter.emit(meter, chunk.to_vec()) {
+                                        break;
+                                    }
                                 }
                             }
+                            Err(e) => shared.fail(op, e),
                         }
-                        Err(e) => shared.fail(op, e),
                     }
                 }
-            }
-            StageKind::Limit(n) => {
-                let mut remaining = n;
-                while remaining > 0 {
-                    let Some(mut batch) = recv_timed(&rx, meter) else {
-                        break;
-                    };
-                    if shared.aborted() {
-                        break;
+                StageKind::Limit(n) => {
+                    let mut remaining = n;
+                    while remaining > 0 {
+                        let Some(mut batch) = recv_timed(&rx, meter) else {
+                            break;
+                        };
+                        if shared.aborted() {
+                            break;
+                        }
+                        report.input_records += batch.len();
+                        batch.truncate(remaining);
+                        remaining -= batch.len();
+                        report.output_records += batch.len();
+                        if !emitter.emit(meter, batch) {
+                            break;
+                        }
                     }
-                    report.input_records += batch.len();
-                    batch.truncate(remaining);
-                    remaining -= batch.len();
-                    report.output_records += batch.len();
-                    if !emitter.emit(meter, batch) {
-                        break;
-                    }
+                    // Falling out drops `rx`: upstream sends start failing and
+                    // the cancellation cascades to the source.
                 }
-                // Falling out drops `rx`: upstream sends start failing and
-                // the cancellation cascades to the source.
-            }
-            StageKind::Union => {
-                let mut cancelled = false;
-                while let Some(batch) = recv_timed(&rx, meter) {
-                    if shared.aborted() || shared.past_deadline(ctx.clock.now_secs()) {
-                        cancelled = true;
-                        break;
+                StageKind::Union => {
+                    let mut cancelled = false;
+                    while let Some(batch) = recv_timed(&rx, meter) {
+                        if shared.aborted() || shared.past_deadline(ctx.clock.now_secs()) {
+                            cancelled = true;
+                            break;
+                        }
+                        report.input_records += batch.len();
+                        report.output_records += batch.len();
+                        if !emitter.emit(meter, batch) {
+                            cancelled = true;
+                            break;
+                        }
                     }
-                    report.input_records += batch.len();
-                    report.output_records += batch.len();
-                    if !emitter.emit(meter, batch) {
-                        cancelled = true;
-                        break;
-                    }
-                }
-                if !cancelled && !shared.aborted() {
-                    // UnionAll over empty input yields the other dataset.
-                    match op.execute(ctx, Vec::new()) {
-                        Ok(other) => {
-                            for chunk in other.chunks(batch_size) {
-                                report.output_records += chunk.len();
-                                if !emitter.emit(meter, chunk.to_vec()) {
-                                    break;
+                    if !cancelled && !shared.aborted() {
+                        // UnionAll over empty input yields the other dataset.
+                        match op.execute(ctx, Vec::new()) {
+                            Ok(other) => {
+                                for chunk in other.chunks(batch_size) {
+                                    report.output_records += chunk.len();
+                                    if !emitter.emit(meter, chunk.to_vec()) {
+                                        break;
+                                    }
                                 }
                             }
+                            Err(e) => shared.fail(op, e),
                         }
-                        Err(e) => shared.fail(op, e),
                     }
                 }
             }
-        },
+        }
     }
+    report.degraded = fo.degraded;
     report.startup_secs = emitter.first_emit_busy.unwrap_or_else(|| meter.busy_secs());
     report.collected = emitter.collected;
     if let (Some(p), Some(t0)) = (meter.prof.as_ref(), prof_t0) {
@@ -1036,220 +726,15 @@ fn run_stage(
     report
 }
 
-/// Worker-pool size for a stage: the configured per-operator parallelism
-/// clamped by the operator model's provider rate limit
+/// Workers a stage's busy time may be divided by: the configured
+/// parallelism clamped by the operator model's provider rate limit
 /// (`ModelCard::max_concurrency`). Stages without a model get the raw
-/// configured size (their pool is free — no provider to rate-limit).
-fn effective_pool_size(
-    ctx: &PzContext,
-    op: &PhysicalOp,
-    idx: usize,
-    config: &ExecutionConfig,
-) -> usize {
-    let requested = config.parallelism.workers_for(idx);
+/// configured size (no provider to rate-limit).
+fn rate_capped_parallelism(ctx: &PzContext, op: &PhysicalOp, config: &ExecutionConfig) -> usize {
     let rate_cap = op
         .model()
         .and_then(|m| ctx.catalog.get(m))
         .map(|card| card.concurrency_cap())
         .unwrap_or(usize::MAX);
-    requested.min(rate_cap).max(1)
-}
-
-/// Run a per-batch stage through a pool of `pool_size` workers.
-///
-/// Determinism contract (see the module docs): the intake assigns each
-/// batch a sequence number, the [`Turnstile`] serializes provider access
-/// in that order, and the [`ReorderBuffer`] re-serializes emission — so
-/// output order, the ledger, fault-window hits, and failover decisions
-/// are byte-identical to the serial run. One shared [`StageFailover`]
-/// means a breaker trip observed by any worker swaps the whole stage
-/// exactly once; later batches from every worker stay on the substitute.
-///
-/// Returns the stage's [`Emitter`] so the caller can finish its report
-/// (collected records, startup time) exactly as in the serial path.
-#[allow(clippy::too_many_arguments)]
-fn run_stage_pool(
-    ctx: &PzContext,
-    op: &PhysicalOp,
-    rx: Receiver<Vec<DataRecord>>,
-    emitter: Emitter,
-    shared: &StageShared,
-    meter: &StageMeter,
-    fo: StageFailover,
-    pool_size: usize,
-    report: &mut StageReport,
-) -> Emitter {
-    let intake = std::sync::Mutex::new(Intake { rx, next_seq: 0 });
-    let turnstile = Turnstile::new();
-    let failover = Mutex::new((fo, Vec::new()));
-    let gate = Mutex::new(EmitGate {
-        emitter,
-        buffer: ReorderBuffer::new(),
-        output_records: 0,
-    });
-    let stop = AtomicBool::new(false);
-    let input_records = AtomicUsize::new(0);
-
-    crossbeam::thread::scope(|s| {
-        for _ in 0..pool_size {
-            let wctx = ctx.clone();
-            let intake = &intake;
-            let turnstile = &turnstile;
-            let failover = &failover;
-            let gate = &gate;
-            let stop = &stop;
-            let input_records = &input_records;
-            s.spawn(move |_| {
-                pool_worker(
-                    &wctx,
-                    op,
-                    shared,
-                    meter,
-                    intake,
-                    turnstile,
-                    failover,
-                    gate,
-                    stop,
-                    input_records,
-                )
-            });
-        }
-    })
-    .expect("worker pool scope");
-
-    let intake = intake.into_inner().expect("intake lock");
-    report.input_records = input_records.load(Ordering::SeqCst);
-    report.effective_workers = pool_size.min(intake.next_seq).max(1);
-    let (_, degraded) = failover.into_inner();
-    report.degraded = degraded;
-    let gate = gate.into_inner();
-    report.output_records = gate.output_records;
-    gate.emitter
-}
-
-/// One pool worker: pull the next sequenced batch, execute it at its
-/// turnstile turn, and hand the result to the reordering gate. Every
-/// sequence number taken from the intake MUST advance the turnstile
-/// exactly once — the `stop` paths below still advance, otherwise a
-/// later-sequence worker would wait forever.
-#[allow(clippy::too_many_arguments)]
-fn pool_worker(
-    ctx: &PzContext,
-    op: &PhysicalOp,
-    shared: &StageShared,
-    meter: &StageMeter,
-    intake: &std::sync::Mutex<Intake>,
-    turnstile: &Turnstile,
-    failover: &Mutex<(StageFailover, Vec<DegradedExecution>)>,
-    gate: &Mutex<EmitGate>,
-    stop: &AtomicBool,
-    input_records: &AtomicUsize,
-) {
-    loop {
-        let (seq, batch) = {
-            let mut intake = intake.lock().expect("intake lock");
-            if stop.load(Ordering::SeqCst) || shared.aborted() {
-                return;
-            }
-            match recv_timed(&intake.rx, meter) {
-                Some(batch) => {
-                    let seq = intake.next_seq;
-                    intake.next_seq += 1;
-                    (seq, batch)
-                }
-                None => return,
-            }
-        };
-        // Turnstile wait groups with provider-wait: the worker is queued
-        // for its (serialized) turn at the provider.
-        match meter.prof.as_ref() {
-            None => turnstile.wait_for(seq),
-            Some(p) => {
-                let t0 = p.now();
-                turnstile.wait_for(seq);
-                p.provider_wait_us
-                    .fetch_add(p.now().saturating_sub(t0), Ordering::Relaxed);
-            }
-        }
-        let mut done = stop.load(Ordering::SeqCst);
-        if !done && !shared.aborted() && !shared.past_deadline(ctx.clock.now_secs()) {
-            input_records.fetch_add(batch.len(), Ordering::SeqCst);
-            let result = {
-                let mut guard = failover.lock();
-                let (fo, degraded) = &mut *guard;
-                fo.execute(ctx, batch, degraded, meter)
-            };
-            match result {
-                Ok(out) => {
-                    if !gate.lock().push(seq, out, meter) {
-                        // Downstream disconnected: early termination.
-                        stop.store(true, Ordering::SeqCst);
-                        done = true;
-                    }
-                }
-                Err(e) => {
-                    shared.fail(op, e);
-                    stop.store(true, Ordering::SeqCst);
-                    done = true;
-                }
-            }
-        } else {
-            // Stopping: the batch is discarded, but its sequence number
-            // must still flow through the reorder buffer and turnstile.
-            gate.lock().push(seq, Vec::new(), meter);
-            stop.store(true, Ordering::SeqCst);
-            done = true;
-        }
-        turnstile.advance();
-        if done {
-            return;
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn reorder_buffer_emits_in_sequence_regardless_of_insertion_order() {
-        let rec = |n: u64| DataRecord::new(n);
-        let mut buf = ReorderBuffer::new();
-        buf.insert(2, vec![rec(2)]);
-        assert!(buf.pop_ready().is_none(), "seq 0 not in yet");
-        buf.insert(0, vec![rec(0)]);
-        assert_eq!(buf.pop_ready().unwrap()[0].id, 0);
-        assert!(buf.pop_ready().is_none(), "seq 1 still missing");
-        buf.insert(1, vec![rec(1)]);
-        assert_eq!(buf.pop_ready().unwrap()[0].id, 1);
-        assert_eq!(buf.pop_ready().unwrap()[0].id, 2);
-        assert!(buf.pop_ready().is_none());
-    }
-
-    #[test]
-    fn turnstile_grants_turns_in_order_across_threads() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-        let turnstile = Arc::new(Turnstile::new());
-        let order = Arc::new(std::sync::Mutex::new(Vec::new()));
-        let spawned = Arc::new(AtomicUsize::new(0));
-        let handles: Vec<_> = (0..4usize)
-            .rev() // spawn in reverse to make out-of-order arrival likely
-            .map(|seq| {
-                let t = turnstile.clone();
-                let order = order.clone();
-                let spawned = spawned.clone();
-                std::thread::spawn(move || {
-                    spawned.fetch_add(1, Ordering::SeqCst);
-                    t.wait_for(seq);
-                    order.lock().unwrap().push(seq);
-                    t.advance();
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(*order.lock().unwrap(), vec![0, 1, 2, 3]);
-    }
+    config.parallelism.min(rate_cap).max(1)
 }

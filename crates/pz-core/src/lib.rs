@@ -148,7 +148,7 @@ pub fn execute_with_optimizer(
     let mut optimizer = optimizer.clone();
     if matches!(config.mode, ExecMode::Streaming { .. }) {
         optimizer.pipelined_time = true;
-        optimizer.parallel_workers = config.parallelism.max_workers();
+        optimizer.parallel_workers = config.parallelism.max(1);
     }
     let (chosen_plan, estimate, report) = optimizer.optimize(ctx, plan, policy)?;
     // Failover picks substitutes along the same dimension the policy
@@ -177,7 +177,7 @@ pub mod prelude {
     pub use crate::error::{PzError, PzResult};
     pub use crate::exec::{
         DegradedExecution, ExecMode, ExecutionConfig, ExecutionSnapshot, ExecutionStats,
-        FailoverRank, OperatorStats, ParallelismConfig,
+        FailoverRank, OperatorStats,
     };
     pub use crate::execute;
     pub use crate::execute_with_optimizer;

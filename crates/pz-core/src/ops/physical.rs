@@ -265,10 +265,13 @@ impl PhysicalOp {
     pub fn execute(&self, ctx: &PzContext, input: Vec<DataRecord>) -> PzResult<Vec<DataRecord>> {
         match self {
             PhysicalOp::Scan { dataset } => {
-                let src = ctx.registry.get(dataset)?;
-                let n = src.cardinality_hint().unwrap_or(0) as u64;
-                let base = ctx.next_ids(n.max(1));
-                src.records(base)
+                // Chunk size 0 asks for one batch holding everything.
+                let mut batches = ctx.open_scan(dataset, 0)?;
+                let mut all = batches.next().transpose()?.unwrap_or_default();
+                for batch in batches {
+                    all.extend(batch?);
+                }
+                Ok(all)
             }
             PhysicalOp::LlmFilter {
                 predicate,

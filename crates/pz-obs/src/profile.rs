@@ -8,14 +8,14 @@
 //!
 //! - **compute** — virtual time the stage was busy itself (residual);
 //! - **queue-wait** — blocked on an empty input channel;
-//! - **provider-wait** — waiting for the provider gate/turnstile plus the
-//!   modelled provider latency of its own calls;
+//! - **provider-wait** — waiting for the provider gate plus the modelled
+//!   provider latency of its own calls;
 //! - **backpressure** — blocked on a full output channel;
 //! - **retry/backoff** — exponential-backoff sleeps between attempts.
 //!
 //! Buckets are normalized so they always sum to the stage's observed
-//! window: pooled stages record waits from several workers, so the raw
-//! sum can exceed wall time — when it does, waits are scaled down
+//! window: if a trace's raw wait sum exceeds it (gauges are sampled
+//! around overlapping blocking regions), waits are scaled down
 //! proportionally and compute is 0. All quantities are *virtual-clock*
 //! microseconds: real compute takes zero virtual time, so a simulated
 //! run attributes nearly everything to waits by design.
@@ -56,7 +56,7 @@ pub struct StageProfile {
     /// Virtual time from stage start to the stage thread finishing.
     pub window_us: u64,
     pub buckets: StageBuckets,
-    /// Worker-pool utilization (busy / (workers × window)), if recorded.
+    /// Utilization (attributed busy time / window), if recorded.
     pub utilization: Option<f64>,
     /// Attributed busy seconds (matches `OperatorStats::time_secs`).
     pub time_secs: f64,
@@ -127,9 +127,9 @@ fn build_stage(index: usize, span: &SpanRecord) -> StageProfile {
     let mut backpressure = attr_u64(span, "prof_backpressure_us").unwrap_or(0);
     let mut retry = attr_u64(span, "prof_retry_backoff_us").unwrap_or(0);
 
-    // Normalize: pooled stages sum waits over workers, which can exceed
-    // the wall window. Scale proportionally so buckets fit the window
-    // (flooring keeps the scaled sum ≤ window; the remainder is compute).
+    // Normalize: a raw wait sum can exceed the window. Scale
+    // proportionally so buckets fit it (flooring keeps the scaled sum ≤
+    // window; the remainder is compute).
     let wait_sum = queue + provider + backpressure + retry;
     if wait_sum > window_us && wait_sum > 0 {
         let scale = window_us as f64 / wait_sum as f64;
@@ -377,8 +377,8 @@ mod tests {
 
     #[test]
     fn oversubscribed_waits_scale_down_to_window() {
-        // A pooled stage summing waits over 4 workers: raw waits are 4x
-        // the window. Buckets must still sum to the window exactly.
+        // Raw waits 4x the window: buckets must still sum to the window
+        // exactly.
         let snap = snapshot(vec![
             span(&[1], None, "execute_plan", 0, 500_000, &[]),
             span(

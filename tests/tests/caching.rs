@@ -94,7 +94,7 @@ fn parallel_workers_share_one_cache() {
         &ctx,
         &filter_plan(),
         &Policy::MaxQuality,
-        ExecutionConfig::parallel(4),
+        ExecutionConfig::sequential().with_parallelism(4),
     )
     .unwrap();
     let cost_after_first = ctx.ledger.total_cost_usd();
@@ -102,7 +102,7 @@ fn parallel_workers_share_one_cache() {
         &ctx,
         &filter_plan(),
         &Policy::MaxQuality,
-        ExecutionConfig::parallel(4),
+        ExecutionConfig::sequential().with_parallelism(4),
     )
     .unwrap();
     assert!((ctx.ledger.total_cost_usd() - cost_after_first).abs() < 1e-12);

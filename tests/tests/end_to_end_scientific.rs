@@ -150,7 +150,7 @@ fn parallel_matches_sequential_outputs() {
         &ctx2,
         &demo_plan(),
         &Policy::MaxQuality,
-        ExecutionConfig::parallel(4),
+        ExecutionConfig::sequential().with_parallelism(4),
     )
     .unwrap();
     let names = |o: &ExecutionOutcome| {

@@ -51,7 +51,7 @@ fn streaming_cfg(parallelism: usize) -> ExecutionConfig {
             channel_capacity: 2,
             batch_size: 1,
         })
-        .with_parallelism_config(ParallelismConfig::fixed(parallelism))
+        .with_parallelism(parallelism)
 }
 
 fn record_keys(records: &[DataRecord]) -> Vec<String> {

@@ -1,59 +1,109 @@
-//! Integration: the out-of-core data plane (`exec/run.rs` chunked drive,
+//! Integration: the out-of-core data plane (`exec/run.rs` chunked scan,
 //! `ops/relational.rs` spill sort, `ops/join.rs` batched build side,
 //! `pz-vector` HNSW tier).
 //!
-//! The headline guarantee, test-enforced: chunking is a memory knob, not a
-//! semantics knob. For any plan and any chunk size, the chunked drive must
-//! produce the same records, the same ledger bill, and the same stats as
-//! the whole-corpus drive — and the spill operators must produce
-//! byte-identical output at any memory budget. The HNSW tier must stay
-//! deterministic under a fixed seed and keep recall >= 0.9 against an
-//! exact flat scan.
+//! The headline guarantee, test-enforced: chunking is a memory property,
+//! not a semantics one. The materializing executor always pulls its
+//! leading scan in fixed-size chunks; for any plan, a corpus that spans
+//! several chunks must produce the same records, the same ledger bill, and
+//! the same stats as the plan's operators applied to the whole corpus at
+//! once — and the spill operators must produce byte-identical output at
+//! any memory budget. The HNSW tier must stay deterministic under a fixed
+//! seed and keep recall >= 0.9 against an exact flat scan.
 
 mod common;
 
-use common::{arb_corpus, arb_steps, assert_reconciled, build_plan, multiset};
+use common::{arb_steps, assert_reconciled, build_plan, multiset};
 use proptest::prelude::*;
 use pz_core::exec::execute_plan;
 use pz_core::prelude::*;
 use pz_vector::{FlatIndex, HnswConfig, HnswIndex, Metric, VectorStore};
+use std::sync::Arc;
 
 const DATASET: &str = "scale";
 
-/// The fixed chunk-size matrix from the differential plan: degenerate
-/// (1), prime and non-divisor of typical corpus sizes (7), larger than
-/// small corpora (64), and whole-corpus (0 = chunking off).
-const CHUNK_SIZES: [usize; 4] = [1, 7, 64, 0];
+/// The materializing executor's scan chunk (a private constant of
+/// `pz_core::exec::run`); the corpus sizes below are pinned to it.
+const SCAN_CHUNK: usize = 4096;
+
+/// One record short of a chunk, exactly one chunk, one record into the
+/// second chunk, and two and a half chunks.
+const BOUNDARY_SIZES: [usize; 4] = [
+    SCAN_CHUNK - 1,
+    SCAN_CHUNK,
+    SCAN_CHUNK + 1,
+    SCAN_CHUNK * 5 / 2,
+];
 
 fn record_keys(records: &[DataRecord]) -> Vec<String> {
     records.iter().map(|r| format!("{r:?}")).collect()
 }
 
+/// Fresh context over an `n`-document generated corpus. The `sparse` UDF
+/// keeps every `keep_every`-th document — every scan chunk contributes
+/// survivors, while the LLM work downstream stays small.
+fn generated_ctx(n: usize, keep_every: usize) -> PzContext {
+    let ctx = PzContext::simulated();
+    ctx.registry.register(Arc::new(GeneratedSource::new(
+        DATASET,
+        Schema::pdf_file(),
+        n,
+        |i| {
+            let topic = if i % 3 == 0 {
+                "cancer cohort"
+            } else {
+                "modern home"
+            };
+            (format!("doc-{i:05}.pdf"), format!("Document {i}. {topic}"))
+        },
+    )));
+    ctx.udfs.register_filter("sparse", move |r: &DataRecord| {
+        r.get("filename")
+            .and_then(|v| v.as_display()[4..9].parse::<usize>().ok())
+            .is_some_and(|i| i % keep_every == 0)
+    });
+    ctx
+}
+
+/// `plan` with the `sparse` UDF filter spliced in right after its scan.
+fn sparse(mut plan: PhysicalPlan) -> PhysicalPlan {
+    plan.ops.insert(
+        1,
+        PhysicalOp::UdfFilter {
+            udf: "sparse".into(),
+        },
+    );
+    plan
+}
+
+/// The reference: the plan's operators applied one after another to the
+/// whole corpus at once.
+fn whole_corpus(ctx: &PzContext, plan: &PhysicalPlan) -> Vec<DataRecord> {
+    plan.ops.iter().fold(Vec::new(), |records, op| {
+        op.execute(ctx, records).expect("reference operator runs")
+    })
+}
+
 // ---------------------------------------------------------------------------
-// Differential: chunked materializing vs whole-corpus materializing.
+// Differential: chunked materializing vs whole-corpus application.
 // ---------------------------------------------------------------------------
 
 proptest! {
-    /// For any corpus, any plan tail, and any chunk size, the chunked
-    /// drive is bytewise-invisible at parallelism 1: identical records
-    /// (ids included), identical output multiset, identical ledger bill.
+    /// For any plan tail and a corpus on either side of the chunk
+    /// boundary, the chunked drive is bytewise-invisible at parallelism 1:
+    /// identical records (ids included), identical ledger bill.
     #[test]
     fn chunked_scan_equals_whole_corpus(
-        corpus in arb_corpus(),
         steps in arb_steps(),
-        chunk in 1usize..12,
+        size in 0usize..3,
     ) {
-        let plan = build_plan(DATASET, &steps);
-        let ctx_whole = common::fresh_ctx(DATASET, &corpus);
-        let (whole, stats_whole) =
-            execute_plan(&ctx_whole, &plan, ExecutionConfig::sequential()).unwrap();
-        let ctx_chunked = common::fresh_ctx(DATASET, &corpus);
-        let (chunked, stats_chunked) = execute_plan(
-            &ctx_chunked,
-            &plan,
-            ExecutionConfig::sequential().with_scan_chunk_size(chunk),
-        )
-        .unwrap();
+        let n = BOUNDARY_SIZES[size];
+        let plan = sparse(build_plan(DATASET, &steps));
+        let ctx_whole = generated_ctx(n, 64);
+        let whole = whole_corpus(&ctx_whole, &plan);
+        let ctx_chunked = generated_ctx(n, 64);
+        let (chunked, stats) =
+            execute_plan(&ctx_chunked, &plan, ExecutionConfig::sequential()).unwrap();
         prop_assert_eq!(record_keys(&whole), record_keys(&chunked));
         let (whole_cost, chunked_cost) = (
             ctx_whole.ledger.total_cost_usd(),
@@ -63,15 +113,15 @@ proptest! {
             (whole_cost - chunked_cost).abs() < 1e-9,
             "whole ${} vs chunked ${}", whole_cost, chunked_cost
         );
-        prop_assert_eq!(stats_whole.total_llm_calls, stats_chunked.total_llm_calls);
-        assert_reconciled(&ctx_chunked, &stats_chunked);
+        prop_assert_eq!(ctx_whole.ledger.total_requests(), stats.total_llm_calls);
+        assert_reconciled(&ctx_chunked, &stats);
     }
 
     /// Spilling the sort to temp-file runs at any budget is bytewise
     /// invisible: same records (stability included) as the in-memory sort.
     #[test]
     fn spill_sort_equals_in_memory(
-        corpus in arb_corpus(),
+        corpus in common::arb_corpus(),
         budget in 1usize..10,
         descending in any::<bool>(),
     ) {
@@ -96,31 +146,11 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Fixed matrix: chunk sizes x execution modes x parallelism.
+// Fixed matrix: corpus sizes x execution modes x parallelism.
 // ---------------------------------------------------------------------------
 
-/// ~40-document corpus: bigger than every finite chunk size in the matrix
-/// so each run crosses several chunk boundaries.
-fn matrix_corpus() -> Vec<(String, String)> {
-    (0..40)
-        .map(|i| {
-            (
-                format!("doc-{i:03}.pdf"),
-                format!(
-                    "Document {i}. {}",
-                    if i % 3 == 0 {
-                        "cancer cohort"
-                    } else {
-                        "modern home"
-                    }
-                ),
-            )
-        })
-        .collect()
-}
-
 fn matrix_plan() -> PhysicalPlan {
-    PhysicalPlan {
+    sparse(PhysicalPlan {
         ops: vec![
             PhysicalOp::Scan {
                 dataset: DATASET.into(),
@@ -137,58 +167,53 @@ fn matrix_plan() -> PhysicalPlan {
                 effort: pz_llm::protocol::Effort::Standard,
             },
         ],
-    }
+    })
 }
 
-/// Chunk sizes {1, 7, 64, whole} x parallelism {1, 4}, materializing:
-/// every cell agrees with the whole-corpus sequential baseline on the
-/// output multiset and the ledger bill. (Parallel workers race derived-id
-/// assignment, so the comparison is content, not ids.)
+/// Corpus sizes {chunk - 1, chunk, chunk + 1, 2.5 chunks} x parallelism
+/// {1, 4}, materializing: every cell agrees with the whole-corpus
+/// reference on the output multiset and the ledger bill. (Parallel
+/// workers race derived-id assignment, so the comparison is content, not
+/// ids.)
 #[test]
 fn chunk_matrix_materializing() {
-    let corpus = matrix_corpus();
     let plan = matrix_plan();
-    let ctx = common::fresh_ctx(DATASET, &corpus);
-    let (baseline, _) = execute_plan(&ctx, &plan, ExecutionConfig::sequential()).unwrap();
-    let (base_keys, base_cost) = (multiset(&baseline), ctx.ledger.total_cost_usd());
-    for chunk in CHUNK_SIZES {
+    for n in BOUNDARY_SIZES {
+        let ctx = generated_ctx(n, 16);
+        let base_keys = multiset(&whole_corpus(&ctx, &plan));
+        let base_cost = ctx.ledger.total_cost_usd();
         for workers in [1usize, 4] {
-            let ctx = common::fresh_ctx(DATASET, &corpus);
-            let config = ExecutionConfig::parallel(workers).with_scan_chunk_size(chunk);
+            let ctx = generated_ctx(n, 16);
+            let config = ExecutionConfig::sequential().with_parallelism(workers);
             let (records, stats) = execute_plan(&ctx, &plan, config).unwrap();
             assert_eq!(
                 multiset(&records),
                 base_keys,
-                "multiset diverged at chunk={chunk} workers={workers}"
+                "multiset diverged at n={n} workers={workers}"
             );
             let cost = ctx.ledger.total_cost_usd();
             assert!(
                 (cost - base_cost).abs() < 1e-9,
-                "cost diverged at chunk={chunk} workers={workers}: ${base_cost} vs ${cost}"
+                "cost diverged at n={n} workers={workers}: ${base_cost} vs ${cost}"
             );
             assert_reconciled(&ctx, &stats);
         }
     }
 }
 
-/// The same matrix against the streaming executor: chunked materializing
-/// and streaming must agree on the output multiset and the bill (the plan
-/// has no early-exit operator, so exact cost equality binds).
+/// A multi-chunk materializing run against the streaming executor: both
+/// must agree on the output multiset and the bill (the plan has no
+/// early-exit operator, so exact cost equality binds).
 #[test]
 fn chunk_matrix_agrees_with_streaming() {
-    let corpus = matrix_corpus();
+    let n = SCAN_CHUNK * 5 / 2;
     let plan = matrix_plan();
-    let ctx = common::fresh_ctx(DATASET, &corpus);
-    let (baseline, _) = execute_plan(
-        &ctx,
-        &plan,
-        ExecutionConfig::sequential().with_scan_chunk_size(7),
-    )
-    .unwrap();
+    let ctx = generated_ctx(n, 16);
+    let (baseline, _) = execute_plan(&ctx, &plan, ExecutionConfig::sequential()).unwrap();
     let (base_keys, base_cost) = (multiset(&baseline), ctx.ledger.total_cost_usd());
     for batch in [1usize, 7, 64] {
         for workers in [1usize, 4] {
-            let ctx = common::fresh_ctx(DATASET, &corpus);
+            let ctx = generated_ctx(n, 16);
             let config = ExecutionConfig::streaming_with(2, batch).with_parallelism(workers);
             let (records, _) = execute_plan(&ctx, &plan, config).unwrap();
             assert_eq!(
@@ -205,12 +230,11 @@ fn chunk_matrix_agrees_with_streaming() {
     }
 }
 
-/// Chunking composes with spilling: a chunked scan into a budgeted sort
-/// and a tail limit still matches the all-in-memory whole-corpus run
-/// bytewise (sequential, so ids line up too).
+/// Chunking composes with spilling: a multi-chunk scan into a budgeted
+/// sort and a tail limit still matches the all-in-memory whole-corpus
+/// application bytewise (sequential, so ids line up too).
 #[test]
 fn chunked_scan_with_spill_sort_is_bytewise_identical() {
-    let corpus = matrix_corpus();
     let plan = PhysicalPlan {
         ops: vec![
             PhysicalOp::Scan {
@@ -223,47 +247,43 @@ fn chunked_scan_with_spill_sort_is_bytewise_identical() {
             PhysicalOp::Limit { n: 5 },
         ],
     };
-    let ctx = common::fresh_ctx(DATASET, &corpus);
-    let (baseline, _) = execute_plan(&ctx, &plan, ExecutionConfig::sequential()).unwrap();
-    for chunk in [1usize, 7, 64] {
-        for budget in [1usize, 3, 8] {
-            let ctx = common::fresh_ctx(DATASET, &corpus);
-            let config = ExecutionConfig::sequential()
-                .with_scan_chunk_size(chunk)
-                .with_spill_budget(budget);
-            let (records, _) = execute_plan(&ctx, &plan, config).unwrap();
+    for n in [SCAN_CHUNK + 1, SCAN_CHUNK * 5 / 2] {
+        let baseline = whole_corpus(&generated_ctx(n, 1), &plan);
+        for budget in [500usize, SCAN_CHUNK] {
+            let config = ExecutionConfig::sequential().with_spill_budget(budget);
+            let (records, _) = execute_plan(&generated_ctx(n, 1), &plan, config).unwrap();
             assert_eq!(
                 record_keys(&baseline),
                 record_keys(&records),
-                "diverged at chunk={chunk} budget={budget}"
+                "diverged at n={n} budget={budget}"
             );
         }
     }
 }
 
-/// The chunked drive keeps O(chunk + output) records resident while the
-/// whole-corpus drive holds the full corpus; the stats gauge must show it.
+/// A corpus that fits one chunk is resident whole; a larger one keeps
+/// O(chunk + output) records resident, and the stats gauge must show it.
 #[test]
 fn chunked_scan_caps_resident_records() {
-    let corpus = matrix_corpus();
     let plan = matrix_plan();
-    let ctx = common::fresh_ctx(DATASET, &corpus);
-    let (_, whole) = execute_plan(&ctx, &plan, ExecutionConfig::sequential()).unwrap();
-    assert_eq!(whole.peak_resident_records, corpus.len());
-    let ctx = common::fresh_ctx(DATASET, &corpus);
-    let (records, chunked) = execute_plan(
-        &ctx,
+    let small = SCAN_CHUNK / 4;
+    let (_, whole) = execute_plan(
+        &generated_ctx(small, 16),
         &plan,
-        ExecutionConfig::sequential().with_scan_chunk_size(4),
+        ExecutionConfig::sequential(),
     )
     .unwrap();
+    assert_eq!(whole.peak_resident_records, small);
+    let n = SCAN_CHUNK * 5 / 2;
+    let (records, chunked) =
+        execute_plan(&generated_ctx(n, 16), &plan, ExecutionConfig::sequential()).unwrap();
     assert!(
-        chunked.peak_resident_records <= records.len() + 2 * 4,
-        "chunked drive held {} records resident (output {}, chunk 4)",
+        chunked.peak_resident_records <= records.len() + SCAN_CHUNK,
+        "chunked drive held {} records resident (output {}, chunk {SCAN_CHUNK})",
         chunked.peak_resident_records,
         records.len()
     );
-    assert!(chunked.peak_resident_records < whole.peak_resident_records);
+    assert!(chunked.peak_resident_records < n);
 }
 
 // ---------------------------------------------------------------------------
