@@ -1050,12 +1050,7 @@ fn record_multiset(records: &[pz_core::record::DataRecord]) -> Vec<String> {
 /// min(parallelism, records)` instead of `min(parallelism, ceil(records /
 /// 4))`).
 fn streaming_cfg(parallelism: usize) -> ExecutionConfig {
-    ExecutionConfig::sequential()
-        .with_mode(ExecMode::Streaming {
-            channel_capacity: 2,
-            batch_size: 1,
-        })
-        .with_parallelism(parallelism.max(1))
+    ExecutionConfig::streaming_with(1).with_parallelism(parallelism.max(1))
 }
 
 /// E16 — modelled intra-stage parallelism: parallelism sweep over the §3

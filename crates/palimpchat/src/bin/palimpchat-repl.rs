@@ -9,8 +9,8 @@
 //! Type `:trace` to toggle the ReAct trace display, `:spans` to print the
 //! session's observability trace tree, `:export <path>` to write the trace
 //! as JSONL, `:exec streaming|materializing` to switch the execution mode,
-//! `:parallelism <n>|auto` to set intra-operator parallelism (thread
-//! fan-out when materializing, modelled overlap when streaming),
+//! `:parallelism <n>|auto` to set intra-operator parallelism (modelled in
+//! both modes: it divides attributed time, never what runs),
 //! `:adaptive [on|off|thresholds <time> <cost> <health>]` to arm runtime
 //! plan repair (re-cost the remaining suffix mid-run, swap degraded
 //! models), `:faults <spec>|off` to script provider faults into the
@@ -200,7 +200,7 @@ fn main() {
             match mode.trim() {
                 "streaming" => {
                     chat.session().lock().exec.mode = ExecMode::streaming();
-                    println!("execution mode: streaming (pipelined stages, bounded channels)");
+                    println!("execution mode: streaming (small batches, pipelined virtual time)");
                 }
                 "materializing" => {
                     chat.session().lock().exec.mode = ExecMode::Materializing;
@@ -243,7 +243,7 @@ fn main() {
                 "auto" => {
                     let cores = pz_core::exec::available_cores();
                     chat.session().lock().exec.parallelism = cores;
-                    println!("parallelism: {cores} workers/operator (one per core)");
+                    println!("parallelism: {cores} modelled workers/operator (one per core)");
                 }
                 n => match n.parse::<usize>() {
                     Ok(w) if w >= 1 => {
@@ -252,8 +252,9 @@ fn main() {
                             println!("parallelism: serial (1 worker/operator)");
                         } else {
                             println!(
-                                "parallelism: {w} workers/operator \
-                                 (streaming stages clamp it by the model's rate limit)"
+                                "parallelism: {w} modelled workers/operator — divides \
+                                 attributed time only (streaming clamps it by the model's \
+                                 rate limit)"
                             );
                         }
                     }

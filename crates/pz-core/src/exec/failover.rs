@@ -236,7 +236,7 @@ mod tests {
         // retired alias, a typo in a hand-written plan) must still rank
         // substitutes: `candidates` draws from the catalog rather than
         // resolving the current model, so nothing can unwrap-panic the
-        // worker thread.
+        // executor.
         let catalog = Catalog::builtin();
         let health = HealthTracker::default();
         let op = filter_op("retired-model-v0");

@@ -180,8 +180,8 @@ pub fn memoizable(op: &PhysicalOp) -> bool {
 
 /// Run one operator with memoization: split the input into memoized
 /// (clean) and unseen (dirty) records, route only the dirty subset through
-/// `run` (the caller's normal execution path — failover, fan-out, adaptive
-/// checks all included), replay memoized verdicts for the rest, and merge
+/// `run` (the caller's normal execution path — failover and adaptive
+/// checks included), replay memoized verdicts for the rest, and merge
 /// in input order so the output is identical to a from-scratch run.
 ///
 /// Non-memoizable operators pass straight through to `run` with the full

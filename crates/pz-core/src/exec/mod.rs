@@ -1,13 +1,12 @@
-//! Execution engine: materializing and streaming-pipelined executors over
-//! physical plans, with per-operator statistics (Figure 5).
+//! Execution engine: one single-threaded stage loop over a physical plan,
+//! driven by a materializing or a streaming policy, with per-operator
+//! statistics (Figure 5).
 
-pub mod channel;
 pub mod failover;
 pub mod incremental;
 pub mod run;
 mod runner;
 pub mod stats;
-mod streaming;
 
 pub use crate::optimizer::adaptive::{AdaptiveConfig, AdaptiveReport};
 pub use failover::FailoverRank;

@@ -1,60 +1,104 @@
-//! Plan executor.
+//! Plan executor: one single-threaded loop over the plan's stages.
 //!
-//! `execute_plan` is the entry point for both drives. The materializing
-//! drive below is **one loop**: the leading `Scan` is always pulled in
-//! chunks of [`SCAN_CHUNK`] records, each chunk is pushed through the
-//! *prefix* — the longest run of operators that commute with chunking —
-//! and the remaining *suffix* runs operator-at-a-time over the accumulated
-//! records. A corpus that fits one chunk is therefore driven exactly
-//! operator-at-a-time; a larger one keeps O(chunk + output) leaf records
-//! resident. Every operator application, in either part, goes through one
-//! [`Drive::step`] (ledger snapshot, `op:` span, profiling attributes,
-//! stats row) around one [`OpRunner`] (memo, failover).
+//! A *stage* is one physical operator: its [`OpRunner`] (memo, adaptive
+//! challenge, sticky failover, `catch_unwind`) plus the state its
+//! [`StageKind`] needs — a barrier's input buffer, a `Limit`'s remaining
+//! count. The loop schedules **downstream-first**: a batch a stage emits is
+//! carried through every following stage (until one buffers it or it
+//! reaches the output) before anything upstream moves, so nothing queues
+//! between stages. Only when nothing is in flight is the source pulled
+//! again, and only when the source is dry do the stages see end-of-stream,
+//! in plan order — which is when a barrier applies its operator.
 //!
-//! `parallelism > 1` fans each LLM-bound operator's records out over that
-//! many threads: calls still accrue full cost on the ledger, but
-//! attributed *time* is divided by the fan-out — on the virtual clock,
-//! parallel calls overlap.
+//! Every operator application, whatever asked for it, is one
+//! [`Drive::step`]: deadline check by the caller, ledger snapshot, `op:`
+//! span, operator, stats row, `prof_*` gauges, adaptive observation. No
+//! operator ever runs on a second thread, so a run is a pure function of
+//! its inputs: same seed, same records, ids, stats, ledger, clock and
+//! trace, at every parallelism and in either mode.
+//!
+//! ## Two policies
+//!
+//! [`ExecMode`] picks a [`Policy`] — data the loop consults, not a second
+//! drive:
+//!
+//! - **Materializing** pulls [`SCAN_CHUNK`]-record batches. Operators that
+//!   commute with chunking run per batch; every other operator is a
+//!   barrier that sees its whole input at once and passes its whole output
+//!   on, so a corpus of any size keeps O(chunk + output) leaf records
+//!   resident. Empty batches still flow (an operator over nothing is still
+//!   an application), each application gets its own `op:` span, a `Limit`
+//!   bills its whole input, and plan time is the sum of the stages. Under a
+//!   tenant quota or the adaptive controller every operator is a barrier:
+//!   both act *between* operators (restore the input of the one the budget
+//!   refused; re-cost the unexecuted suffix).
+//! - **Streaming** pulls `batch_size`-record batches and classifies stages
+//!   by [`stage_kind`]: joins probe per batch, `UnionAll` passes through
+//!   and appends the other dataset at end-of-stream, a satisfied `Limit`
+//!   stops the source and everything upstream of it on the spot. A
+//!   barrier's output is re-chunked to `batch_size`; empty batches are
+//!   dropped. Each stage keeps one `op:` span for the run, and plan time is
+//!   *pipelined*: the bottleneck stage plus the fill delay before it
+//!   (`ExecutionStats::finalize_pipelined`) — arithmetic over per-stage
+//!   busy seconds, since the virtual clock advances by every call's full
+//!   latency in either mode.
+//!
+//! ## Parallelism is modelled
+//!
+//! `parallelism` divides *attributed time* and nothing else — calls, cost,
+//! records and ids are identical at every value. Materializing divides an
+//! LLM-bound application's elapsed time by `min(parallelism, records)`;
+//! streaming divides a per-batch stage's busy time by `min(parallelism
+//! capped at the model's rate limit, batches seen)`. Running the fan-out
+//! on threads measures 1.0–1.5× wall-clock against a simulated provider
+//! that never blocks, and costs rerun determinism; the arithmetic is the
+//! part of it worth having.
+//!
+//! ## Profiling gauges
+//!
+//! With the tracer's profiling flag on, `prof_provider_wait_us` and
+//! `prof_retry_backoff_us` are the ledger-latency and retry-sink deltas
+//! around a step. A streaming stage's other two gauges follow from the
+//! schedule: while one stage's step advances the clock by *d*, every live
+//! stage upstream of it accrues *d* of backpressure and every live stage
+//! downstream *d* of queue wait, so each stage's buckets partition its
+//! window exactly.
 
 use crate::context::PzContext;
+use crate::datasource::RecordBatchIter;
 use crate::error::{PzError, PzResult};
 use crate::exec::failover::FailoverRank;
 use crate::exec::runner::OpRunner;
 use crate::exec::stats::{ExecutionStats, OperatorStats};
-use crate::exec::streaming::{stage_kind, StageKind};
 use crate::ops::physical::{PhysicalOp, PhysicalPlan};
 use crate::optimizer::adaptive::{AdaptiveConfig, AdaptiveController};
 use crate::record::DataRecord;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Records per pull of the leading `Scan` in the materializing drive — the
+/// Records per pull of the leading `Scan` in a materializing run — the
 /// size the E21 flat-memory curve was measured at.
 const SCAN_CHUNK: usize = 4096;
 
-/// How a physical plan is driven.
+/// How a physical plan is driven: the scheduling policy of the one loop.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecMode {
     /// Operator-at-a-time over scan chunks: see the module docs.
     #[default]
     Materializing,
-    /// Stage-per-operator pipeline over bounded channels: stages overlap
-    /// on the virtual clock; downstream early termination cancels
-    /// upstream work.
+    /// Pipelined: stages overlap on the virtual clock, residency is
+    /// bounded by the batch size, and a satisfied `Limit` cancels upstream
+    /// work.
     Streaming {
-        /// In-flight batches each channel may hold (backpressure knob).
-        channel_capacity: usize,
         /// Records per batch flowing between stages.
         batch_size: usize,
     },
 }
 
 impl ExecMode {
-    /// Streaming with the default knobs (capacity 2, batch 4).
+    /// Streaming with the default batch size (4).
     pub fn streaming() -> Self {
-        ExecMode::Streaming {
-            channel_capacity: 2,
-            batch_size: 4,
-        }
+        ExecMode::Streaming { batch_size: 4 }
     }
 }
 
@@ -70,13 +114,11 @@ pub fn available_cores() -> usize {
 pub struct ExecutionConfig {
     /// Materializing or streaming execution.
     pub mode: ExecMode,
-    /// Intra-operator parallelism; `1` is serial. Materializing mode fans
-    /// each LLM-bound operator's records out over this many threads.
-    /// Streaming mode runs every stage serially and *models* the overlap:
-    /// a stage's attributed busy time is divided by this many workers
-    /// (clamped by the model's provider rate limit and by the batches the
-    /// stage saw). Records, ledger, and trace are identical at every
-    /// value; only attributed time changes.
+    /// Intra-operator parallelism; `1` is serial. Modelled in both modes:
+    /// an LLM-bound operator's attributed time is divided by this many
+    /// workers (clamped by the records or batches it saw and, when
+    /// streaming, by the model's provider rate limit). Records, ledger and
+    /// trace are identical at every value; only attributed time changes.
     pub parallelism: usize,
     /// Mid-plan model failover: when an operator's model goes unhealthy
     /// (circuit breaker open, or a provider fault survives retries), swap
@@ -130,15 +172,14 @@ impl ExecutionConfig {
         Self::default()
     }
 
-    /// Streaming pipeline with default knobs.
+    /// Streaming with the default batch size.
     pub fn streaming() -> Self {
         Self::default().with_mode(ExecMode::streaming())
     }
 
-    /// Streaming pipeline with explicit backpressure knobs.
-    pub fn streaming_with(channel_capacity: usize, batch_size: usize) -> Self {
+    /// Streaming with an explicit batch size.
+    pub fn streaming_with(batch_size: usize) -> Self {
         Self::default().with_mode(ExecMode::Streaming {
-            channel_capacity: channel_capacity.max(1),
             batch_size: batch_size.max(1),
         })
     }
@@ -221,11 +262,6 @@ fn is_quota_exhausted(e: &PzError) -> bool {
     matches!(e, PzError::Llm(pz_llm::LlmError::QuotaExhausted { .. }))
 }
 
-/// Attach operator context to a failure.
-pub(super) fn op_error(op: &PhysicalOp, cause: impl std::fmt::Display) -> PzError {
-    PzError::Execution(format!("operator {}: {cause}", op.describe()))
-}
-
 /// Execute a physical plan, returning output records and statistics.
 pub fn execute_plan(
     ctx: &PzContext,
@@ -250,24 +286,20 @@ pub fn execute_plan(
         }
         None => None,
     };
-    let profiling = ctx.tracer.profiling_enabled();
     let ctx = &{
         let mut c = ctx.clone();
         c.deadline_at_secs = deadline_at;
         // Blocking operators consult the budget straight off the context,
-        // so it rides the same clone the deadline does (streaming stage
-        // contexts derive from this clone too).
+        // so it rides the same clone the deadline does.
         c.spill_budget_records = config.spill_budget_records;
-        if profiling {
-            // Collect retry-backoff time; per-op deltas are attributed on
-            // the op spans below. Off by default (no sink, no overhead).
-            c.retry_wait_us = Some(std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0)));
-        } else {
-            // A caller's context may still carry the sink a previous run
-            // installed (e.g. a deadline-aborted profiled run): clear it
-            // so this run's retries never leak into stale attribution.
-            c.retry_wait_us = None;
-        }
+        // Profiling collects retry-backoff time in a sink the retry layer
+        // writes; steps attribute its deltas. Otherwise clear whatever sink
+        // a previous (e.g. deadline-aborted, profiled) run left on the
+        // caller's context, so this run's retries never leak into it.
+        c.retry_wait_us = ctx
+            .tracer
+            .profiling_enabled()
+            .then(|| Arc::new(AtomicU64::new(0)));
         c
     };
     // Adaptive re-optimization rides on the failover machinery; the
@@ -287,211 +319,403 @@ pub fn execute_plan(
         None
     };
     let memo_hits_before = memo.as_ref().map_or(0, |s| s.hits());
-    let (records, mut stats) = match config.mode {
-        ExecMode::Streaming {
-            channel_capacity,
-            batch_size,
-        } => crate::exec::streaming::execute_streaming(
-            ctx,
-            plan,
-            channel_capacity,
-            batch_size,
-            &config,
-            adaptive,
-        )?,
-        ExecMode::Materializing => execute_materializing(ctx, plan, &config, adaptive)?,
-    };
+    let (records, mut stats) = Drive::new(ctx, plan, &config, adaptive).run()?;
     if let Some(s) = &memo {
         stats.memo_hits = s.hits() - memo_hits_before;
     }
     Ok((records, stats))
 }
 
-/// True when `op` commutes with input chunking: `op(a ++ b)` equals
-/// `op(a) ++ op(b)` bytewise, including ledger charges and derived-id
-/// assignment order — the streaming executor's plain per-batch stages.
-/// Joins are per-batch there too but would re-materialize their build side
-/// per chunk, and `Limit` stays a barrier so a materializing run bills the
-/// whole input (early-stop economies are streaming mode's contract).
-fn chunk_safe(op: &PhysicalOp) -> bool {
-    matches!(stage_kind(op), StageKind::PerBatch)
+/// What tells the two execution modes apart, as data the loop consults
+/// (module docs, "Two policies").
+#[derive(Clone, Copy)]
+struct Policy {
+    /// Records per pull of the source.
+    batch: usize,
+    /// Streaming. Off, every stage that does not commute with chunking is
+    /// a barrier whose output is passed on whole.
+    pipelined: bool,
 }
 
-/// The materializing drive: scan chunks through the chunk-safe prefix,
-/// then the suffix over the accumulated records (see the module docs).
-fn execute_materializing(
-    ctx: &PzContext,
-    plan: &PhysicalPlan,
-    config: &ExecutionConfig,
-    adaptive: Option<Arc<AdaptiveController>>,
-) -> PzResult<(Vec<DataRecord>, ExecutionStats)> {
-    let plan_span = ctx.tracer.span(pz_obs::Layer::Executor, "execute_plan");
-    plan_span.set_attr("plan", plan.describe());
-    plan_span.set_attr("workers", config.parallelism.to_string());
-
-    // A working copy, so the adaptive controller can rewrite
-    // not-yet-executed operators between steps.
-    let mut ops: Vec<PhysicalOp> = plan.ops.clone();
-    // Quota truncation is armed only when the tenant ledger carries a
-    // budget: unbudgeted runs skip the per-op input clone entirely.
-    let quota_armed = ctx.ledger.quota().is_limited();
-    // Control flow that depends on whole-input state — adaptive repair
-    // between operators, quota restore points — lives in the suffix, so
-    // those runs get a scan-only prefix.
-    let prefix_len = match ops.first() {
-        Some(PhysicalOp::Scan { .. }) if quota_armed || adaptive.is_some() => 1,
-        Some(PhysicalOp::Scan { .. }) => {
-            1 + ops[1..].iter().take_while(|op| chunk_safe(op)).count()
-        }
-        _ => 0,
-    };
-    let mut drive = Drive {
-        ctx,
-        config,
-        adaptive: adaptive.as_deref(),
-        quota_armed,
-        profiling: ctx.tracer.profiling_enabled(),
-        stats: ExecutionStats {
-            plan: plan.describe(),
-            ..Default::default()
-        },
-    };
-    let mut records: Vec<DataRecord> = Vec::new();
-
-    if let Some(PhysicalOp::Scan { dataset }) = ops[..prefix_len].first() {
-        // One runner per prefix operator for the whole scan: a failover is
-        // sticky across chunks.
-        let mut runners: Vec<OpRunner> = (1..prefix_len)
-            .map(|i| OpRunner::new(ops[i].clone(), i, config, None))
-            .collect();
-        // An unopenable source fails inside the first scan step, under its
-        // `op:` span like any other operator failure.
-        let batches = ctx
-            .open_scan(dataset, SCAN_CHUNK)
-            .unwrap_or_else(|e| Box::new(std::iter::once(Err(e))));
-        'scan: for batch in batches {
-            if drive.past_deadline(&ops[0]) {
-                break;
-            }
-            let mut chunk = drive
-                .step(0, &ops[0], Vec::new(), records.len(), |_, _| batch)
-                .map_err(|e| op_error(&ops[0], e))?;
-            for (runner, i) in runners.iter_mut().zip(1..) {
-                if drive.past_deadline(&ops[i]) {
-                    // Partial results carry one schema: the records that
-                    // cleared the whole prefix, or — when none have — the
-                    // chunk as far as it got.
-                    if records.is_empty() {
-                        records = chunk;
-                    }
-                    break 'scan;
-                }
-                chunk = drive
-                    .step(i, &ops[i], chunk, records.len(), |input, fanout| {
-                        runner.execute(ctx, input, fanout, &|| 0.0)
-                    })
-                    .map_err(|e| op_error(&ops[i], e))?;
-            }
-            if records.is_empty() {
-                records = chunk;
-            } else {
-                records.extend(chunk);
-            }
-        }
-        for runner in runners {
-            drive.stats.degraded.extend(runner.degraded);
-        }
-    }
-    if let Some(ctrl) = &adaptive {
-        ctrl.repair_suffix(ctx, &mut ops, prefix_len, records.len());
-    }
-
-    for i in prefix_len..ops.len() {
-        let op = ops[i].clone();
-        if drive.past_deadline(&op) {
-            break;
-        }
-        // Under a budget, keep the op's input so a mid-op quota refusal can
-        // return results through the last *completed* operator.
-        let saved = quota_armed.then(|| records.clone());
-        let mut runner = OpRunner::new(op.clone(), i, config, None);
-        let input = std::mem::take(&mut records);
-        let result = drive.step(i, &op, input, 0, |input, fanout| {
-            runner.execute(ctx, input, fanout, &|| 0.0)
-        });
-        drive.stats.degraded.extend(runner.degraded);
-        records = match result {
-            Ok(out) => out,
-            // The tenant's own budget refused the next call (the step
-            // flagged it). Calls made before the refusal are billed — they
-            // ran; nothing past the budget ever was. Truncate: restore the
-            // input of the aborted operator and stop here.
-            Err(_) if drive.stats.quota_exhausted => {
-                records = saved.unwrap_or_default();
-                break;
-            }
-            Err(e) => return Err(op_error(&op, e)),
-        };
-        // The step fed the controller this operator's observation; let it
-        // repair the unexecuted suffix if a model drifted.
-        if let Some(ctrl) = &adaptive {
-            ctrl.repair_suffix(ctx, &mut ops, i + 1, records.len());
-        }
-    }
-
-    let mut stats = drive.stats;
-    if let Some(ctrl) = &adaptive {
-        stats.adaptive = ctrl.take_reports();
-    }
-    stats.finalize();
-    plan_span.set_attr("output_records", stats.output_records.to_string());
-    plan_span.set_attr("llm_calls", stats.total_llm_calls.to_string());
-    plan_span.set_attr("cost_usd", format!("{:.6}", stats.total_cost_usd));
-    Ok((records, stats))
+/// How a stage consumes its input. Classifying a `PhysicalOp` is an
+/// exhaustive match: a new operator does not compile until it is placed.
+enum StageKind {
+    /// The leading `Scan`: the loop pulls the data source on its behalf.
+    Source,
+    /// Batch-at-a-time: the operator applied to each incoming batch, and
+    /// nothing else — these operators commute with any re-chunking of
+    /// their input.
+    PerBatch,
+    /// Batch-at-a-time probe against a build side that each application
+    /// materializes anew (the joins).
+    Probe,
+    /// A barrier: must see the whole input before producing anything.
+    Blocking,
+    /// Passes records through until this many are left to pass, then
+    /// cancels everything upstream.
+    Limit(usize),
+    /// Pass-through, then the other dataset at end-of-stream.
+    Union,
 }
 
-/// The state of one materializing run.
+fn stage_kind(op: &PhysicalOp) -> StageKind {
+    match op {
+        PhysicalOp::LlmFilter { .. }
+        | PhysicalOp::EmbeddingFilter { .. }
+        | PhysicalOp::EnsembleFilter { .. }
+        | PhysicalOp::UdfFilter { .. }
+        | PhysicalOp::LlmConvert { .. }
+        | PhysicalOp::FieldwiseConvert { .. }
+        | PhysicalOp::Map { .. }
+        | PhysicalOp::Project { .. }
+        | PhysicalOp::LlmClassify { .. } => StageKind::PerBatch,
+        PhysicalOp::HashJoin { .. } | PhysicalOp::LlmJoin { .. } => StageKind::Probe,
+        PhysicalOp::Limit { n } => StageKind::Limit(*n),
+        // Sort/Distinct/Aggregate need the full input; Retrieve builds a
+        // temporary vector collection over it, so per-batch top-k would
+        // be wrong. A mid-plan Scan ignores its input entirely — running
+        // it once at end-of-stream is all it can mean.
+        PhysicalOp::Sort { .. }
+        | PhysicalOp::Distinct { .. }
+        | PhysicalOp::Aggregate { .. }
+        | PhysicalOp::Retrieve { .. }
+        | PhysicalOp::Scan { .. } => StageKind::Blocking,
+        PhysicalOp::UnionAll { .. } => StageKind::Union,
+    }
+}
+
+/// Profiling gauges of one application or one stage, in virtual µs.
+#[derive(Clone, Copy, Default)]
+struct Prof {
+    /// Clock time the gauges below (plus compute) must fill.
+    window_us: u64,
+    queue_wait_us: u64,
+    backpressure_us: u64,
+    provider_wait_us: u64,
+    retry_backoff_us: u64,
+}
+
+/// One operator of the plan in the loop.
+struct Stage {
+    runner: OpRunner,
+    kind: StageKind,
+    /// Input a `Blocking` stage has collected so far.
+    buf: Vec<DataRecord>,
+    /// Streaming: flushed output the loop has yet to hand on, re-chunked.
+    out: std::vec::IntoIter<DataRecord>,
+    /// The stats row; `time_secs` is not yet divided by streaming workers.
+    row: OperatorStats,
+    applications: usize,
+    /// `row.time_secs` when the stage first emitted a record — its share
+    /// of the downstream pipeline-fill delay.
+    startup_secs: Option<f64>,
+    /// Streaming: the stage's one `op:` span. A leaf, opened up front in
+    /// plan order, so per-call spans parent under the plan span.
+    span: Option<pz_obs::SpanGuard>,
+    prof: Prof,
+}
+
+/// An empty stats row labelled for `op`.
+fn row_for(op: &PhysicalOp) -> OperatorStats {
+    OperatorStats {
+        logical: op.logical_kind().to_string(),
+        physical: op.describe(),
+        model: op.model().map(|m| m.to_string()),
+        ..Default::default()
+    }
+}
+
+/// `Some(records)`: the run stops here with these partial results.
+type Halt = Option<Vec<DataRecord>>;
+
+/// The state of one run.
 struct Drive<'a> {
     ctx: &'a PzContext,
     config: &'a ExecutionConfig,
-    adaptive: Option<&'a AdaptiveController>,
+    policy: Policy,
+    /// Working copy of the plan: the materializing adaptive repair rewrites
+    /// operators that have not run yet.
+    ops: Vec<PhysicalOp>,
+    stages: Vec<Stage>,
+    /// `None` once exhausted or cancelled.
+    source: Option<RecordBatchIter>,
+    /// Stages below this index have seen end-of-stream.
+    closed: usize,
+    /// What the last stage emitted.
+    sink: Vec<DataRecord>,
+    /// The adaptive controller, if armed. Materializing actuates it here,
+    /// between operators (`close`); streaming hands it to the runners, which
+    /// challenge before each batch.
+    adaptive: Option<Arc<AdaptiveController>>,
     quota_armed: bool,
     profiling: bool,
+    plan_span: pz_obs::SpanGuard,
     stats: ExecutionStats,
 }
 
-impl Drive<'_> {
-    /// The deadline check made before every operator application; flags
-    /// the run as partial (once) when it fires.
-    fn past_deadline(&mut self, at: &PhysicalOp) -> bool {
+impl<'a> Drive<'a> {
+    fn new(
+        ctx: &'a PzContext,
+        plan: &PhysicalPlan,
+        config: &'a ExecutionConfig,
+        adaptive: Option<Arc<AdaptiveController>>,
+    ) -> Self {
+        let policy = match config.mode {
+            ExecMode::Materializing => Policy {
+                batch: SCAN_CHUNK,
+                pipelined: false,
+            },
+            ExecMode::Streaming { batch_size } => Policy {
+                batch: batch_size.max(1),
+                pipelined: true,
+            },
+        };
+        let plan_span = ctx.tracer.span(pz_obs::Layer::Executor, "execute_plan");
+        plan_span.set_attr("plan", plan.describe());
+        if policy.pipelined {
+            plan_span.set_attr("mode", "streaming");
+            plan_span.set_attr("batch_size", policy.batch.to_string());
+        } else {
+            plan_span.set_attr("workers", config.parallelism.to_string());
+        }
+        // Quota truncation is a materializing contract (a streaming run
+        // surfaces the refusal), armed only when the tenant ledger carries
+        // a budget.
+        let quota_armed = !policy.pipelined && ctx.ledger.quota().is_limited();
+        let barriers_only = !policy.pipelined && (quota_armed || adaptive.is_some());
+        let source = plan.ops.first().map(|first| match first {
+            // An unopenable source fails inside the first scan step, under
+            // its `op:` span like any other operator failure.
+            PhysicalOp::Scan { dataset } => ctx
+                .open_scan(dataset, policy.batch)
+                .unwrap_or_else(|e| Box::new(std::iter::once(Err(e)))),
+            // A plan that does not open with a Scan is fed one empty batch.
+            _ => Box::new(std::iter::once(Ok(Vec::new()))) as RecordBatchIter,
+        });
+        let stages = plan
+            .ops
+            .iter()
+            .enumerate()
+            .map(|(i, op)| {
+                let kind = match stage_kind(op) {
+                    _ if i == 0 && matches!(op, PhysicalOp::Scan { .. }) => StageKind::Source,
+                    kind if policy.pipelined => kind,
+                    StageKind::PerBatch if !barriers_only => StageKind::PerBatch,
+                    _ => StageKind::Blocking,
+                };
+                let per_batch_adaptive = adaptive.clone().filter(|_| policy.pipelined);
+                Stage {
+                    runner: OpRunner::new(op.clone(), i, config, per_batch_adaptive),
+                    kind,
+                    buf: Vec::new(),
+                    out: Default::default(),
+                    row: row_for(op),
+                    applications: 0,
+                    startup_secs: None,
+                    span: policy.pipelined.then(|| {
+                        ctx.tracer
+                            .leaf_span(pz_obs::Layer::Executor, &format!("op:{}", op.describe()))
+                    }),
+                    prof: Prof::default(),
+                }
+            })
+            .collect();
+        Self {
+            ctx,
+            config,
+            policy,
+            ops: plan.ops.clone(),
+            stages,
+            source,
+            closed: 0,
+            sink: Vec::new(),
+            adaptive,
+            quota_armed,
+            profiling: ctx.tracer.profiling_enabled(),
+            plan_span,
+            stats: ExecutionStats {
+                plan: plan.describe(),
+                ..Default::default()
+            },
+        }
+    }
+
+    /// The loop (module docs): hand on what is in flight, else pull the
+    /// source, else close the next stage.
+    fn run(mut self) -> PzResult<(Vec<DataRecord>, ExecutionStats)> {
+        let records = loop {
+            let in_flight = (0..self.stages.len())
+                .rev()
+                .find(|&i| self.stages[i].out.len() > 0);
+            let halt = if let Some(i) = in_flight {
+                let out = &mut self.stages[i].out;
+                let batch = if out.len() <= self.policy.batch {
+                    std::mem::take(out).collect()
+                } else {
+                    out.by_ref().take(self.policy.batch).collect()
+                };
+                self.push(i + 1, batch)?
+            } else if let Some(pulled) = self.source.as_mut().and_then(|s| s.next()) {
+                if self.past_deadline(0) {
+                    Some(self.partial(0, Vec::new()))
+                } else if matches!(self.stages[0].kind, StageKind::Source) {
+                    let chunk = self.step(0, Vec::new(), |_, _| pulled)?;
+                    self.push(1, chunk)?
+                } else {
+                    self.push(0, pulled?)?
+                }
+            } else if self.closed < self.stages.len() {
+                self.source = None;
+                let next = self.closed;
+                self.closed += 1;
+                self.close(next)?
+            } else {
+                break std::mem::take(&mut self.sink);
+            };
+            if let Some(partial) = halt {
+                break partial;
+            }
+        };
+        Ok(self.finish(records))
+    }
+
+    /// Carry `batch` from stage `i` downstream as far as it goes: through
+    /// every per-batch stage, into the first barrier's buffer or the sink.
+    fn push(&mut self, mut i: usize, mut batch: Vec<DataRecord>) -> PzResult<Halt> {
+        loop {
+            if batch.is_empty() && self.policy.pipelined {
+                return Ok(None);
+            }
+            let Some(stage) = self.stages.get_mut(i) else {
+                self.sink.append(&mut batch);
+                return Ok(None);
+            };
+            if let StageKind::Blocking = stage.kind {
+                stage.buf.append(&mut batch);
+                return Ok(None);
+            }
+            if self.past_deadline(i) {
+                return Ok(Some(self.partial(i, batch)));
+            }
+            batch = match self.stages[i].kind {
+                StageKind::Limit(remaining) => {
+                    let kept = self.step(i, batch, |_, mut b| {
+                        b.truncate(remaining);
+                        Ok(b)
+                    })?;
+                    self.stages[i].kind = StageKind::Limit(remaining - kept.len());
+                    if remaining == kept.len() {
+                        self.cancel_upstream(i);
+                    }
+                    kept
+                }
+                StageKind::Union => self.step(i, batch, |_, b| Ok(b))?,
+                _ => {
+                    let ctx = self.ctx;
+                    self.step(i, batch, |runner, b| runner.execute(ctx, b))?
+                }
+            };
+            i += 1;
+        }
+    }
+
+    /// End-of-stream reaches stage `i`: a barrier applies its operator to
+    /// everything it collected, a union appends the other dataset.
+    fn close(&mut self, i: usize) -> PzResult<Halt> {
+        let ctx = self.ctx;
+        let input = match self.stages[i].kind {
+            StageKind::Blocking => {
+                if let (false, Some(ctrl)) = (self.policy.pipelined, &self.adaptive) {
+                    // Every operator before `i` has run and fed the
+                    // controller; let it move the rest off a drifted model.
+                    ctrl.repair_suffix(ctx, &mut self.ops, i, self.stages[i].buf.len());
+                    for (stage, op) in self.stages[i..].iter_mut().zip(&self.ops[i..]) {
+                        stage.runner.replan(op.clone());
+                        stage.row = row_for(op);
+                    }
+                }
+                std::mem::take(&mut self.stages[i].buf)
+            }
+            StageKind::Union => Vec::new(),
+            _ => return Ok(None),
+        };
+        if self.past_deadline(i) {
+            return Ok(Some(self.partial(i, input)));
+        }
+        // Under a budget, keep the input so a mid-operator quota refusal
+        // can return results through the last *completed* operator.
+        let saved = self.quota_armed.then(|| input.clone());
+        let out = match self.step(i, input, |runner, b| runner.execute(ctx, b)) {
+            Ok(out) => out,
+            // The tenant's own budget refused the next call (the step
+            // flagged it). Calls made before the refusal are billed — they
+            // ran; nothing past the budget ever was. Truncate: the run ends
+            // with the input of the aborted operator.
+            Err(_) if self.stats.quota_exhausted => return Ok(saved),
+            Err(e) => return Err(e),
+        };
+        if self.policy.pipelined {
+            self.stages[i].out = out.into_iter();
+            Ok(None)
+        } else {
+            self.push(i + 1, out)
+        }
+    }
+
+    /// A `Limit` at stage `i` is satisfied: nothing at or above it runs
+    /// again, and nothing they still hold is wanted.
+    fn cancel_upstream(&mut self, i: usize) {
+        self.source = None;
+        self.closed = self.closed.max(i + 1);
+        for stage in &mut self.stages[..=i] {
+            stage.buf = Vec::new();
+            stage.out = Default::default();
+        }
+    }
+
+    /// The deadline check made before every step; flags the run as partial
+    /// (once) when it fires.
+    fn past_deadline(&mut self, i: usize) -> bool {
         let now = self.ctx.clock.now_secs();
         if !self.stats.deadline_exceeded && self.ctx.deadline_at_secs.is_some_and(|d| now >= d) {
             self.stats.deadline_exceeded = true;
             self.ctx.tracer.event(
                 pz_obs::Layer::Executor,
                 "deadline_exceeded",
-                &[("at_op", at.describe()), ("at_secs", format!("{now:.3}"))],
+                &[
+                    ("at_op", self.ops[i].describe()),
+                    ("at_secs", format!("{now:.3}")),
+                ],
             );
         }
         self.stats.deadline_exceeded
     }
 
-    /// One application of operator `i` to one batch — the only place this
-    /// executor snapshots the ledger, opens an `op:` span, and writes
-    /// `prof_*` attributes. `run` does the work, given the input and the
-    /// thread fan-out; its deltas accrue onto the
-    /// operator's stats row (created on first application, so rows cover
-    /// exactly the operators that ran). `carried` counts records resident
-    /// besides this batch. Errors come back unwrapped.
+    /// What a run cut short before a step of stage `i` returns: the nearest
+    /// records collected downstream of it — they cleared every operator up
+    /// to there — or, when nothing has got that far, the input the step was
+    /// about to consume.
+    fn partial(&mut self, i: usize, interrupted: Vec<DataRecord>) -> Vec<DataRecord> {
+        self.stages[i + 1..]
+            .iter_mut()
+            .map(|s| &mut s.buf)
+            .chain([&mut self.sink])
+            .find(|held| !held.is_empty())
+            .map_or(interrupted, std::mem::take)
+    }
+
+    /// One application of stage `i`'s operator to one batch — the only
+    /// place the executor snapshots the ledger, opens an `op:` span, writes
+    /// `prof_*` attributes and accrues a stats row. `run` does the work
+    /// (the runner, or the loop's own pull / truncate / pass-through).
     fn step(
         &mut self,
         i: usize,
-        op: &PhysicalOp,
         input: Vec<DataRecord>,
-        carried: usize,
-        run: impl FnOnce(Vec<DataRecord>, usize) -> PzResult<Vec<DataRecord>>,
+        run: impl FnOnce(&mut OpRunner, Vec<DataRecord>) -> PzResult<Vec<DataRecord>>,
     ) -> PzResult<Vec<DataRecord>> {
         let ctx = self.ctx;
+        let op = &self.ops[i];
         // A Scan ignores whatever it is handed.
         let in_len = if matches!(op, PhysicalOp::Scan { .. }) {
             0
@@ -499,22 +723,27 @@ impl Drive<'_> {
             input.len()
         };
         let fanout = self.config.parallelism.min(input.len().max(1));
+        // Records resident besides this batch.
+        let held = self.sink.len()
+            + (self.stages.iter())
+                .map(|s| s.buf.len() + s.out.len())
+                .sum::<usize>();
         let retry_wait_us = || {
             ctx.retry_wait_us
                 .as_ref()
-                .map_or(0, |s| s.load(std::sync::atomic::Ordering::Relaxed))
+                .map_or(0, |s| s.load(Ordering::Relaxed))
         };
         let ledger_before = snapshot(ctx);
         let clock_before = ctx.clock.now_secs();
-        let latency_before = ctx.ledger.total_latency_secs();
         let retry_before = retry_wait_us();
-        // Structural span: LLM leaf spans made by this operator (from any
-        // worker thread) nest under it.
-        let span = ctx
-            .tracer
-            .span(pz_obs::Layer::Executor, &format!("op:{}", op.describe()));
+        // Materializing: a structural span per application, so the LLM leaf
+        // spans it makes nest under it.
+        let span = (!self.policy.pipelined).then(|| {
+            ctx.tracer
+                .span(pz_obs::Layer::Executor, &format!("op:{}", op.describe()))
+        });
 
-        let out = match run(input, fanout) {
+        let out = match run(&mut self.stages[i].runner, input) {
             Ok(out) => out,
             Err(e) => {
                 if self.quota_armed && is_quota_exhausted(&e) {
@@ -528,77 +757,174 @@ impl Drive<'_> {
                         ],
                     );
                 }
-                return Err(e);
+                return Err(PzError::Execution(format!(
+                    "operator {}: {e}",
+                    op.describe()
+                )));
             }
         };
 
         let ledger_after = snapshot(ctx);
-        let raw_elapsed = ctx.clock.now_secs() - clock_before;
-        let time_secs = if fanout > 1 && op.is_parallelizable() {
-            raw_elapsed / fanout as f64
-        } else {
-            raw_elapsed
+        let elapsed = ctx.clock.now_secs() - clock_before;
+        let latency = ledger_after.4 - ledger_before.4;
+        let applied = OperatorStats {
+            input_records: in_len,
+            output_records: out.len(),
+            llm_calls: ledger_after.0 - ledger_before.0,
+            input_tokens: ledger_after.1 - ledger_before.1,
+            output_tokens: ledger_after.2 - ledger_before.2,
+            cost_usd: ledger_after.3 - ledger_before.3,
+            // Streaming bills a stage its calls' modelled latency and
+            // divides by the stage's workers once they are known (`finish`);
+            // materializing bills the clock, overlapped across the fan-out.
+            time_secs: if self.policy.pipelined {
+                latency
+            } else if fanout > 1 && op.is_parallelizable() {
+                elapsed / fanout as f64
+            } else {
+                elapsed
+            },
+            ..Default::default()
         };
-        let llm_calls = ledger_after.0 - ledger_before.0;
-        let cost_usd = ledger_after.3 - ledger_before.3;
-        let stats = &mut self.stats;
-        stats.peak_resident_records = stats.peak_resident_records.max(carried + out.len());
-        if stats.operators.len() == i {
-            stats.operators.push(OperatorStats {
-                logical: op.logical_kind().to_string(),
-                physical: op.describe(),
-                model: op.model().map(|m| m.to_string()),
-                ..Default::default()
-            });
+        let gauges = Prof {
+            window_us: (elapsed * 1e6).round() as u64,
+            provider_wait_us: (latency * 1e6).round() as u64,
+            retry_backoff_us: retry_wait_us().saturating_sub(retry_before),
+            ..Default::default()
+        };
+        self.stats.peak_resident_records = self.stats.peak_resident_records.max(held + out.len());
+        if let Some(span) = span {
+            report(&span, &applied, self.profiling.then_some(&gauges));
+            span.finish();
         }
-        let row = &mut stats.operators[i];
-        row.input_records += in_len;
-        row.output_records += out.len();
-        row.llm_calls += llm_calls;
-        row.input_tokens += ledger_after.1 - ledger_before.1;
-        row.output_tokens += ledger_after.2 - ledger_before.2;
-        row.cost_usd += cost_usd;
-        row.time_secs += time_secs;
-
-        span.set_attr("in", in_len.to_string());
-        span.set_attr("out", out.len().to_string());
-        span.set_attr("llm_calls", llm_calls.to_string());
-        span.set_attr("cost_usd", format!("{cost_usd:.6}"));
-        span.set_attr("time_secs", format!("{time_secs:.6}"));
-        if self.profiling {
-            // Applications run one after another, so each one's window is
-            // its raw clock elapsed; provider-wait is the ledger's modelled
-            // latency delta, retry is the sink delta, queue/backpressure do
-            // not exist in this mode.
-            let window_us = (raw_elapsed * 1e6).round() as u64;
-            let provider_us =
-                ((ctx.ledger.total_latency_secs() - latency_before) * 1e6).round() as u64;
-            span.set_attr("prof_window_us", window_us.to_string());
-            span.set_attr("prof_provider_wait_us", provider_us.to_string());
-            span.set_attr(
-                "prof_retry_backoff_us",
-                retry_wait_us().saturating_sub(retry_before).to_string(),
-            );
-            if window_us > 0 {
-                let util = (time_secs * 1e6) / window_us as f64;
-                span.set_attr("prof_utilization", format!("{:.4}", util.clamp(0.0, 1.0)));
+        if self.policy.pipelined && self.profiling {
+            // No stage works while this one does: the ones upstream are
+            // held back by it, the ones downstream wait on it.
+            let closed = self.closed;
+            for (j, other) in self.stages.iter_mut().enumerate() {
+                // Live: yet to see end-of-stream, or still handing on.
+                if j == i || (j < closed && other.out.len() == 0) {
+                    continue;
+                }
+                other.prof.window_us += gauges.window_us;
+                if j < i {
+                    other.prof.backpressure_us += gauges.window_us;
+                } else {
+                    other.prof.queue_wait_us += gauges.window_us;
+                }
             }
         }
-        span.finish();
-        if let Some(ctrl) = self.adaptive {
-            ctrl.observe(i, op.model(), in_len, raw_elapsed, cost_usd);
+        let stage = &mut self.stages[i];
+        stage.applications += 1;
+        stage.row.accrue(&applied);
+        stage.prof.window_us += gauges.window_us;
+        stage.prof.provider_wait_us += gauges.provider_wait_us;
+        stage.prof.retry_backoff_us += gauges.retry_backoff_us;
+        if !out.is_empty() && stage.startup_secs.is_none() {
+            stage.startup_secs = Some(stage.row.time_secs);
+        }
+        if let (false, Some(ctrl)) = (self.policy.pipelined, &self.adaptive) {
+            ctrl.observe(i, op.model(), in_len, elapsed, applied.cost_usd);
         }
         Ok(out)
     }
+
+    /// Close the books: stats rows, plan totals under the policy's time
+    /// model, and (streaming) each stage's span.
+    fn finish(mut self, records: Vec<DataRecord>) -> (Vec<DataRecord>, ExecutionStats) {
+        let mut stats = self.stats;
+        let mut startup = Vec::with_capacity(self.stages.len());
+        for (stage, op) in self.stages.iter_mut().zip(&self.ops) {
+            // Failover decisions, in plan order.
+            stats.degraded.append(&mut stage.runner.degraded);
+            let mut row = std::mem::take(&mut stage.row);
+            if !self.policy.pipelined {
+                // Rows cover exactly the operators that ran.
+                if stage.applications > 0 {
+                    stats.operators.push(row);
+                }
+                continue;
+            }
+            let startup_secs = stage.startup_secs.unwrap_or(row.time_secs);
+            startup.push(startup_secs);
+            // Modelled overlap: a per-batch stage's calls spread over no
+            // more workers than the batches it saw, nor than its model's
+            // provider admits at once. Cost, calls and tokens never divide.
+            let workers = match stage.kind {
+                StageKind::PerBatch | StageKind::Probe => {
+                    let rate_cap = (op.model())
+                        .and_then(|m| self.ctx.catalog.get(m))
+                        .map_or(usize::MAX, |card| card.concurrency_cap());
+                    self.config
+                        .parallelism
+                        .min(rate_cap)
+                        .min(stage.applications)
+                        .max(1)
+                }
+                _ => 1,
+            };
+            row.time_secs /= workers as f64;
+            stats.parallelism = stats.parallelism.max(workers);
+            if let Some(span) = stage.span.take() {
+                if workers > 1 {
+                    span.set_attr("workers", workers.to_string());
+                }
+                report(&span, &row, self.profiling.then_some(&stage.prof));
+                if self.profiling {
+                    let p = &stage.prof;
+                    span.set_attr("prof_queue_wait_us", p.queue_wait_us.to_string());
+                    span.set_attr("prof_backpressure_us", p.backpressure_us.to_string());
+                    span.set_attr("prof_startup_secs", format!("{startup_secs:.6}"));
+                }
+                span.finish();
+            }
+            stats.operators.push(row);
+        }
+        if let Some(ctrl) = &self.adaptive {
+            stats.adaptive = ctrl.take_reports();
+        }
+        if self.policy.pipelined {
+            stats.finalize_pipelined(&startup);
+        } else {
+            stats.finalize();
+        }
+        stats.output_records = records.len();
+        let plan_span = self.plan_span;
+        plan_span.set_attr("output_records", stats.output_records.to_string());
+        plan_span.set_attr("llm_calls", stats.total_llm_calls.to_string());
+        plan_span.set_attr("cost_usd", format!("{:.6}", stats.total_cost_usd));
+        (records, stats)
+    }
 }
 
-fn snapshot(ctx: &PzContext) -> (usize, usize, usize, f64) {
+/// Write what one application (materializing) or one whole stage
+/// (streaming) did onto its `op:` span.
+fn report(span: &pz_obs::SpanGuard, row: &OperatorStats, gauges: Option<&Prof>) {
+    span.set_attr("in", row.input_records.to_string());
+    span.set_attr("out", row.output_records.to_string());
+    span.set_attr("llm_calls", row.llm_calls.to_string());
+    span.set_attr("cost_usd", format!("{:.6}", row.cost_usd));
+    span.set_attr("time_secs", format!("{:.6}", row.time_secs));
+    let Some(p) = gauges else { return };
+    span.set_attr("prof_window_us", p.window_us.to_string());
+    span.set_attr("prof_provider_wait_us", p.provider_wait_us.to_string());
+    span.set_attr("prof_retry_backoff_us", p.retry_backoff_us.to_string());
+    if p.window_us > 0 {
+        let util = (row.time_secs * 1e6) / p.window_us as f64;
+        span.set_attr("prof_utilization", format!("{:.4}", util.clamp(0.0, 1.0)));
+    }
+}
+
+/// The ledger's running totals: requests, input tokens, output tokens,
+/// dollars, modelled latency.
+fn snapshot(ctx: &PzContext) -> (usize, usize, usize, f64, f64) {
     let usage = ctx.ledger.total_usage();
     (
         ctx.ledger.total_requests(),
         usage.input_tokens,
         usage.output_tokens,
         ctx.ledger.total_cost_usd(),
+        ctx.ledger.total_latency_secs(),
     )
 }
 
@@ -713,20 +1039,8 @@ mod tests {
             ExecutionConfig::sequential().with_parallelism(4),
         )
         .unwrap();
-        // Same outputs (determinism is per record content, not thread order
-        // within chunks — chunk order preserves input order).
-        assert_eq!(rec_seq.len(), rec_par.len());
-        let mut names_seq: Vec<String> = rec_seq
-            .iter()
-            .map(|r| r.get("name").unwrap().as_display())
-            .collect();
-        let mut names_par: Vec<String> = rec_par
-            .iter()
-            .map(|r| r.get("name").unwrap().as_display())
-            .collect();
-        names_seq.sort();
-        names_par.sort();
-        assert_eq!(names_seq, names_par);
+        // Parallelism is modelled: the same records, ids included.
+        assert_eq!(rec_seq, rec_par);
         // Cost identical, attributed time smaller.
         assert!((stats_seq.total_cost_usd - stats_par.total_cost_usd).abs() < 1e-9);
         assert!(
@@ -815,14 +1129,14 @@ mod tests {
 
     #[test]
     fn parallel_streaming_same_records_cost_less_attributed_time() {
-        let base = ExecutionConfig::streaming_with(2, 1);
+        let base = ExecutionConfig::streaming_with(1);
         let ctx_1 = science_ctx();
         let (rec_1, stats_1) = execute_plan(&ctx_1, &demo_plan(), base).unwrap();
         let ctx_8 = science_ctx();
         let (rec_8, stats_8) =
             execute_plan(&ctx_8, &demo_plan(), base.with_parallelism(8)).unwrap();
 
-        // The worker pool is attribution-only: identical records…
+        // Parallelism is attribution-only: identical records…
         let names = |recs: &[DataRecord]| {
             let mut v: Vec<String> = recs
                 .iter()
@@ -836,8 +1150,8 @@ mod tests {
         assert!((ctx_1.ledger.total_cost_usd() - ctx_8.ledger.total_cost_usd()).abs() < 1e-9);
         assert_eq!(ctx_1.ledger.total_requests(), ctx_8.ledger.total_requests());
         assert!((stats_1.total_cost_usd - stats_8.total_cost_usd).abs() < 1e-9);
-        // …but at least 2x less attributed plan time, and the pool size is
-        // recorded on the stats.
+        // …but at least 2x less attributed plan time, and the worker count
+        // is recorded on the stats.
         assert!(
             stats_8.total_time_secs * 2.0 < stats_1.total_time_secs,
             "parallel 8 {} vs serial {}",
@@ -854,8 +1168,8 @@ mod tests {
     #[test]
     fn parallel_streaming_pool_clamped_by_model_rate_limit() {
         // gpt-4o publishes max_concurrency 8: a 32-worker request clamps to
-        // the same effective pool, so attribution is identical.
-        let base = ExecutionConfig::streaming_with(2, 1);
+        // the same effective worker count, so attribution is identical.
+        let base = ExecutionConfig::streaming_with(1);
         let ctx_8 = science_ctx();
         let (_, stats_8) = execute_plan(&ctx_8, &demo_plan(), base.with_parallelism(8)).unwrap();
         let ctx_32 = science_ctx();
@@ -866,11 +1180,11 @@ mod tests {
 
     #[test]
     fn parallel_streaming_failover_matches_serial_decisions() {
-        // PR 4 semantics must hold per worker: one worker tripping the
-        // breaker fails the whole stage over exactly once, and the pooled
-        // run lands on the same substitute model as the serial run.
+        // Failover is sticky per stage whatever the modelled parallelism:
+        // the breaker trips once, the stage fails over exactly once, and
+        // the run lands on the same substitute model as the serial run.
         let outage = pz_llm::FaultPlan::none().outage("gpt-4o", 0.0, 1e9);
-        let base = ExecutionConfig::streaming_with(2, 1);
+        let base = ExecutionConfig::streaming_with(1);
         let ctx_1 = science_ctx();
         ctx_1.faults.set(outage.clone());
         let (rec_1, stats_1) = execute_plan(&ctx_1, &demo_plan(), base).unwrap();
@@ -924,17 +1238,12 @@ mod tests {
         let (rec_m, _) = execute_plan(&ctx_m, &plan, ExecutionConfig::sequential()).unwrap();
         let ctx_s = science_ctx();
         // batch 1 so cancellation lands at record granularity.
-        let (rec_s, _) =
-            execute_plan(&ctx_s, &plan, ExecutionConfig::streaming_with(1, 1)).unwrap();
+        let (rec_s, _) = execute_plan(&ctx_s, &plan, ExecutionConfig::streaming_with(1)).unwrap();
         assert_eq!(rec_m.len(), 2);
         assert_eq!(rec_s.len(), 2);
         assert_eq!(ctx_m.ledger.total_requests(), 11);
-        assert!(
-            ctx_s.ledger.total_requests() < ctx_m.ledger.total_requests(),
-            "streaming made {} calls, materializing {}",
-            ctx_s.ledger.total_requests(),
-            ctx_m.ledger.total_requests()
-        );
+        // The first two papers both pass: the source stops right there.
+        assert_eq!(ctx_s.ledger.total_requests(), 2);
     }
 
     #[test]
@@ -982,7 +1291,7 @@ mod tests {
                 PhysicalOp::Limit { n: 3 },
             ],
         };
-        let err = execute_plan(&ctx, &plan, ExecutionConfig::streaming_with(1, 2)).unwrap_err();
+        let err = execute_plan(&ctx, &plan, ExecutionConfig::streaming_with(2)).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("UDFFilter[not-registered]"), "{msg}");
         assert!(msg.contains("unknown UDF"), "{msg}");
@@ -1212,16 +1521,11 @@ mod tests {
 
     #[test]
     fn chunked_scan_parallel_same_multiset_and_cost() {
-        // With thread fan-out the interleaving may reassign derived ids, so
-        // compare the field multiset plus the accounted totals.
-        let multiset = |records: &[DataRecord]| {
-            let mut keys: Vec<String> = records.iter().map(|r| format!("{:?}", r.fields)).collect();
-            keys.sort();
-            keys
-        };
+        // Parallelism is modelled, so "same multiset" is the same bytes:
+        // ids, order and every counted stats field match the reference.
         let n = SCAN_CHUNK * 5 / 2;
-        let (ref_records, ref_rows) = whole_corpus_reference(&big_ctx(n), &big_plan());
-        let (records, stats) = execute_plan(
+        let reference = whole_corpus_reference(&big_ctx(n), &big_plan());
+        let run = execute_plan(
             &big_ctx(n),
             &big_plan(),
             ExecutionConfig::sequential().with_parallelism(4),
@@ -1229,16 +1533,10 @@ mod tests {
         .unwrap();
         let (_, serial) =
             execute_plan(&big_ctx(n), &big_plan(), ExecutionConfig::sequential()).unwrap();
-        assert_eq!(multiset(&records), multiset(&ref_records));
-        assert_eq!(
-            stats.total_llm_calls,
-            ref_rows.iter().map(|r| r.2).sum::<usize>()
-        );
-        let ref_cost: f64 = ref_rows.iter().map(|r| r.3).sum();
-        assert!((stats.total_cost_usd - ref_cost).abs() < 1e-9);
+        assert_matches_reference(&run, &reference, "parallelism 4");
         // Every chunk hands the LLM operators >= 4 records, so the whole
         // run's attributed time divides by the fan-out.
-        assert!((stats.total_time_secs * 4.0 - serial.total_time_secs).abs() < 1e-6);
+        assert!((run.1.total_time_secs * 4.0 - serial.total_time_secs).abs() < 1e-6);
     }
 
     #[test]
@@ -1388,7 +1686,7 @@ mod tests {
     fn streaming_parallelism_changes_time_attribution_only() {
         let run = |p: usize| {
             let ctx = science_ctx();
-            let config = ExecutionConfig::streaming_with(2, 1).with_parallelism(p);
+            let config = ExecutionConfig::streaming_with(1).with_parallelism(p);
             let (records, stats) = execute_plan(&ctx, &demo_plan(), config).unwrap();
             (ctx, records, stats)
         };
@@ -1402,22 +1700,16 @@ mod tests {
             assert_eq!(stats_p.parallelism, p);
             let snap = ctx_p.tracer.snapshot();
             for (serial, row) in stats_1.operators.iter().zip(&stats_p.operators) {
-                // The scan has no input channel and stays serial; an LLM
-                // stage's busy time divides by `p`, capped by the
-                // single-record batches it saw.
+                // The scan stays serial; an LLM stage's busy time divides
+                // by `p`, capped by the single-record batches it saw.
                 let workers = if row.model.is_some() {
                     p.min(row.input_records)
                 } else {
                     1
                 };
-                // Stage threads interleave, so a stage's dollars are summed
-                // from ledger deltas taken at different totals: equal to
-                // the last bit or two, not bitwise.
                 let mut expect = serial.clone();
                 expect.time_secs = serial.time_secs / workers as f64;
-                expect.cost_usd = row.cost_usd;
                 assert_eq!(&expect, row, "p={p}");
-                assert!((serial.cost_usd - row.cost_usd).abs() < 1e-12, "p={p}");
                 let span = snap
                     .spans
                     .iter()
@@ -1433,27 +1725,119 @@ mod tests {
         }
     }
 
+    #[test]
+    fn materializing_parallelism_changes_time_attribution_only() {
+        let run = |p: usize| {
+            let ctx = science_ctx();
+            let config = ExecutionConfig::sequential().with_parallelism(p);
+            let (records, stats) = execute_plan(&ctx, &demo_plan(), config).unwrap();
+            (ctx, records, stats)
+        };
+        // The trace with attributed time and the `workers` attribute masked.
+        let masked_trace = |ctx: &PzContext| {
+            let mut snap = ctx.tracer.snapshot();
+            for span in &mut snap.spans {
+                span.attrs.remove("time_secs");
+                span.attrs.remove("workers");
+            }
+            snap.to_jsonl()
+        };
+        let (ctx_1, rec_1, stats_1) = run(1);
+        for p in [2usize, 8] {
+            let (ctx_p, rec_p, stats_p) = run(p);
+            assert_eq!(rec_1, rec_p, "p={p}: records (ids included)");
+            assert_eq!(ctx_1.ledger.total_requests(), ctx_p.ledger.total_requests());
+            assert_eq!(ctx_1.ledger.total_cost_usd(), ctx_p.ledger.total_cost_usd());
+            assert_eq!(ctx_1.clock.now_secs(), ctx_p.clock.now_secs());
+            assert_eq!(masked_trace(&ctx_1), masked_trace(&ctx_p), "p={p}: trace");
+            for (serial, row) in stats_1.operators.iter().zip(&stats_p.operators) {
+                // An LLM operator's elapsed time divides by the fan-out,
+                // capped by the records it was handed.
+                let fanout = if row.model.is_some() {
+                    p.min(row.input_records)
+                } else {
+                    1
+                };
+                let mut expect = serial.clone();
+                expect.time_secs = serial.time_secs / fanout as f64;
+                assert_eq!(&expect, row, "p={p}");
+            }
+        }
+    }
+
+    // -- residency ---------------------------------------------------------
+
+    #[test]
+    fn streaming_residency_is_bounded_by_batches_not_corpus() {
+        // Streaming reports the peak too, and it does not grow with the
+        // corpus: at most one batch per stage plus the output so far.
+        let mut plan = big_plan();
+        let stages = plan.ops.len();
+        let batch = 4;
+        let mut peaks = Vec::new();
+        for n in [2_000usize, 6_000] {
+            let (records, stats) =
+                execute_plan(&big_ctx(n), &plan, ExecutionConfig::streaming_with(batch)).unwrap();
+            assert!(stats.peak_resident_records > 0);
+            assert!(
+                stats.peak_resident_records <= stages * batch + records.len(),
+                "n={n}: peak {} for {stages} stages x batch {batch} + output {}",
+                stats.peak_resident_records,
+                records.len()
+            );
+            peaks.push(stats.peak_resident_records - records.len());
+        }
+        assert_eq!(peaks[0], peaks[1], "residency beyond the output grew");
+        // A barrier holds its whole input by definition.
+        plan.ops.push(PhysicalOp::Sort {
+            field: "filename".into(),
+            descending: false,
+        });
+        let (records, stats) = execute_plan(
+            &big_ctx(2_000),
+            &plan,
+            ExecutionConfig::streaming_with(batch),
+        )
+        .unwrap();
+        assert!(stats.peak_resident_records <= stages * batch + 2 * records.len());
+    }
+
     // -- panics and odd plan shapes ------------------------------------------
 
     #[test]
     fn panicking_udf_is_an_execution_error_in_both_modes() {
-        for config in [
-            ExecutionConfig::streaming(),
-            ExecutionConfig::sequential().with_parallelism(2),
-        ] {
+        // Before a Limit, and after a UnionAll — so the panic also fires on
+        // the records the union appends at end-of-stream.
+        let plans = [
+            vec![
+                PhysicalOp::UdfFilter { udf: "boom".into() },
+                PhysicalOp::Limit { n: 3 },
+            ],
+            vec![
+                PhysicalOp::UdfFilter { udf: "calm".into() },
+                PhysicalOp::UnionAll {
+                    dataset: "sigmod-demo".into(),
+                },
+                PhysicalOp::UdfFilter { udf: "boom".into() },
+            ],
+        ];
+        for (tail, config) in plans.iter().flat_map(|tail| {
+            [
+                ExecutionConfig::streaming(),
+                ExecutionConfig::sequential().with_parallelism(2),
+            ]
+            .map(|config| (tail, config))
+        }) {
             let ctx = science_ctx();
             ctx.udfs
                 .register_filter("boom", |_: &DataRecord| panic!("tenant bug"));
-            let plan = PhysicalPlan {
-                ops: vec![
-                    PhysicalOp::Scan {
-                        dataset: "sigmod-demo".into(),
-                    },
-                    PhysicalOp::UdfFilter { udf: "boom".into() },
-                    PhysicalOp::Limit { n: 3 },
-                ],
-            };
-            let err = execute_plan(&ctx, &plan, config).unwrap_err();
+            // Drops everything: only the union's own records reach `boom`.
+            ctx.udfs.register_filter("calm", |_: &DataRecord| false);
+            let mut ops = vec![PhysicalOp::Scan {
+                dataset: "sigmod-demo".into(),
+            }];
+            ops.extend(tail.iter().cloned());
+            let err = execute_plan(&ctx, &PhysicalPlan { ops }, config).unwrap_err();
             let msg = err.to_string();
             assert!(
                 matches!(err, PzError::Execution(_)),
@@ -1463,6 +1847,48 @@ mod tests {
             assert!(msg.contains("operator UDFFilter[boom]"), "{msg}");
             assert!(msg.contains("panicked: tenant bug"), "{msg}");
         }
+    }
+
+    #[test]
+    fn deadline_is_checked_before_every_step_limit_included() {
+        // scan -> sort -> limit -> filter, one record per batch: the sort
+        // hands its output on a record at a time, the deadline passes while
+        // the filter works on the third, and it is the Limit's own check,
+        // on the fourth, that stops the run.
+        let plan = PhysicalPlan {
+            ops: vec![
+                PhysicalOp::Scan {
+                    dataset: "sigmod-demo".into(),
+                },
+                PhysicalOp::Sort {
+                    field: "filename".into(),
+                    descending: false,
+                },
+                PhysicalOp::Limit { n: 8 },
+                PhysicalOp::LlmFilter {
+                    predicate: "The papers are about colorectal cancer".into(),
+                    model: "gpt-4o".into(),
+                    effort: Effort::Standard,
+                },
+            ],
+        };
+        let ctx = science_ctx();
+        let (_, full) = execute_plan(&ctx, &plan, ExecutionConfig::streaming_with(1)).unwrap();
+        assert_eq!(ctx.ledger.total_requests(), 8);
+        let ctx = science_ctx();
+        let config = ExecutionConfig::streaming_with(1).with_deadline(full.total_time_secs * 0.3);
+        let (_, stats) = execute_plan(&ctx, &plan, config).unwrap();
+        assert!(stats.deadline_exceeded);
+        assert_eq!(ctx.ledger.total_requests(), 3);
+        // The Limit passed exactly the records the filter was billed for.
+        assert_eq!(stats.operators[2].output_records, 3);
+        let events = ctx.tracer.snapshot().events;
+        let at_op = &events
+            .iter()
+            .find(|e| e.name == "deadline_exceeded")
+            .unwrap()
+            .attrs["at_op"];
+        assert_eq!(at_op, "Limit[8]");
     }
 
     #[test]

@@ -1,20 +1,18 @@
 //! The operator runner: the one place a physical operator is applied to a
-//! batch of records, driven by both executors.
+//! batch of records, on the calling thread.
 //!
 //! Layers, outermost first: **memo split** (incremental re-execution —
 //! memoized records replay, only the dirty subset goes further) →
 //! **adaptive challenge** (champion/challenger swap off a degraded model)
 //! → **sticky failover loop** (swap models on provider faults / open
-//! breakers and stay swapped) → `PhysicalOp::execute`, fanned out over
-//! scoped threads when the caller asks for it.
+//! breakers and stay swapped) → `PhysicalOp::execute` under a
+//! `catch_unwind`.
 //!
-//! A runner lives as long as its operator does in the drive: the streaming
-//! executor keeps one per stage, the materializing executor one per
-//! operator across all scan chunks. A swap is therefore *sticky* — later
+//! A runner lives as long as its stage does in the executor's loop, across
+//! every batch the stage sees. A swap is therefore *sticky* — later
 //! batches stay on the substitute — and only the in-flight batch is re-run
-//! on a swap. Fed an operator's whole input as one batch (every
-//! materializing run whose corpus fits one scan chunk) that is exactly
-//! "re-run the whole input on the substitute".
+//! on a swap. Fed an operator's whole input as one batch (a barrier stage)
+//! that is exactly "re-run the whole input on the substitute".
 
 use crate::context::PzContext;
 use crate::error::{PzError, PzResult};
@@ -36,8 +34,8 @@ pub(crate) struct OpRunner {
     op_index: usize,
     enabled: bool,
     rank: FailoverRank,
-    /// Adaptive controller shared by all streaming stages; `None` unless
-    /// enabled (the materializing executor repairs *between* operators
+    /// Adaptive controller shared by all stages of a streaming run; `None`
+    /// unless enabled (a materializing run repairs *between* operators
     /// instead and never attaches one).
     adaptive: Option<Arc<AdaptiveController>>,
     /// Incremental re-execution armed (`ExecutionConfig::with_incremental`
@@ -71,17 +69,20 @@ impl OpRunner {
         }
     }
 
-    /// Run one batch through the active operator. `fanout > 1` spreads a
-    /// parallelizable operator's records over that many threads;
-    /// `own_busy` reads the caller's billed latency so far (streaming: the
-    /// stage meter) for adaptive attribution. Errors come back unwrapped —
-    /// the caller adds operator context.
+    /// Put the runner on `op` as if it had been planned that way: later
+    /// failover entries and `records_affected` accrual are relative to it.
+    pub(crate) fn replan(&mut self, op: PhysicalOp) {
+        self.planned_model = op.model().cloned();
+        self.planned_desc = op.describe();
+        self.active = op;
+    }
+
+    /// Run one batch through the active operator. Errors come back
+    /// unwrapped — the caller adds operator context.
     pub(crate) fn execute(
         &mut self,
         ctx: &PzContext,
         input: Vec<DataRecord>,
-        fanout: usize,
-        own_busy: &dyn Fn() -> f64,
     ) -> PzResult<Vec<DataRecord>> {
         // The memo fingerprint follows the *active* operator: a sticky
         // model swap changes the memo namespace along with the outputs.
@@ -93,66 +94,46 @@ impl OpRunner {
                     &snap,
                     &op,
                     input,
-                    &mut |dirty| self.execute_direct(ctx, dirty, fanout, own_busy),
+                    &mut |dirty| self.execute_direct(ctx, dirty),
                 );
             }
         }
-        self.execute_direct(ctx, input, fanout, own_busy)
+        self.execute_direct(ctx, input)
     }
 
     /// With an adaptive controller attached, each batch is preceded by a
     /// champion/challenger check and followed by an observation: the
-    /// batch's clock delta minus *other* stages' billed latency — the only
-    /// attribution that sees fault stalls and retry backoff, which never
-    /// reach the ledger.
+    /// batch's clock delta — nothing else runs meanwhile, and it is the
+    /// only attribution that sees fault stalls and retry backoff, which
+    /// never reach the ledger.
     fn execute_direct(
         &mut self,
         ctx: &PzContext,
         input: Vec<DataRecord>,
-        fanout: usize,
-        own_busy: &dyn Fn() -> f64,
     ) -> PzResult<Vec<DataRecord>> {
         if !self.enabled {
-            return apply(ctx, &self.active, input, fanout);
+            return apply(ctx, &self.active, input);
         }
-        if let Some(to) = self
-            .adaptive
-            .as_ref()
-            .and_then(|ctrl| ctrl.challenge(ctx, &self.active, self.op_index))
-        {
-            self.active = failover::with_model(&self.active, to).expect("swappable operator");
-            // The substitution is sticky: later failover entries and
-            // records_affected accrual are relative to the adaptively
-            // chosen model, not the originally planned one.
-            self.planned_model = self.active.model().cloned();
-            self.planned_desc = self.active.describe();
+        let Some(ctrl) = self.adaptive.clone() else {
+            return self.execute_with_failover(ctx, input);
+        };
+        if let Some(to) = ctrl.challenge(ctx, &self.active, self.op_index) {
+            // The substitution is sticky, and the adaptively chosen model
+            // is the planned one from here on.
+            self.replan(failover::with_model(&self.active, to).expect("swappable operator"));
         }
-        let batch_len = input.len();
-        let obs = self.adaptive.as_ref().map(|_| {
-            (
-                self.active.model().cloned(),
-                ctx.clock.now_secs(),
-                ctx.ledger.total_latency_secs(),
-                own_busy(),
-            )
-        });
-        let out = self.execute_with_failover(ctx, input, fanout);
-        if let (Some(ctrl), Some((model, clock0, lat0, busy0))) = (&self.adaptive, obs) {
-            if out.is_ok() {
-                let clock_delta = ctx.clock.now_secs() - clock0;
-                let others = (ctx.ledger.total_latency_secs() - lat0) - (own_busy() - busy0);
-                let attributed = (clock_delta - others).max(0.0);
-                ctrl.observe(self.op_index, model.as_ref(), batch_len, attributed, 0.0);
-            }
-        }
-        out
+        let (batch_len, model) = (input.len(), self.active.model().cloned());
+        let clock_before = ctx.clock.now_secs();
+        let out = self.execute_with_failover(ctx, input)?;
+        let elapsed = ctx.clock.now_secs() - clock_before;
+        ctrl.observe(self.op_index, model.as_ref(), batch_len, elapsed, 0.0);
+        Ok(out)
     }
 
     fn execute_with_failover(
         &mut self,
         ctx: &PzContext,
         input: Vec<DataRecord>,
-        fanout: usize,
     ) -> PzResult<Vec<DataRecord>> {
         let mut tried: Vec<ModelId> = self.active.model().cloned().into_iter().collect();
         let mut first_err: Option<PzError> = None;
@@ -168,7 +149,7 @@ impl OpRunner {
             let (reason, err) = if ctx.health.is_open(&model, now) {
                 ("breaker open", None)
             } else {
-                match apply(ctx, &self.active, input.clone(), fanout) {
+                match apply(ctx, &self.active, input.clone()) {
                     Ok(out) => {
                         if self.active.model() != self.planned_model.as_ref() {
                             if let Some(entry) = self.degraded.last_mut() {
@@ -226,63 +207,14 @@ fn is_provider_fault(e: &PzError) -> bool {
 /// Apply `op` to `input`. A panic inside the operator (a tenant's UDF, a
 /// custom client) becomes an execution error instead of unwinding through
 /// the executor and killing its host.
-fn apply(
-    ctx: &PzContext,
-    op: &PhysicalOp,
-    input: Vec<DataRecord>,
-    fanout: usize,
-) -> PzResult<Vec<DataRecord>> {
-    let run = || {
-        if fanout > 1 && op.is_parallelizable() {
-            execute_parallel(ctx, op, input, fanout)
-        } else {
-            op.execute(ctx, input)
-        }
-    };
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
-        .unwrap_or_else(|payload| Err(panicked(payload)))
-}
-
-/// The execution error a caught panic (or a failed thread join) maps to.
-pub(crate) fn panicked(payload: Box<dyn std::any::Any + Send>) -> PzError {
-    let msg = payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".into());
-    PzError::Execution(format!("panicked: {msg}"))
-}
-
-/// Fan records out over `workers` threads, preserving input order.
-fn execute_parallel(
-    ctx: &PzContext,
-    op: &PhysicalOp,
-    input: Vec<DataRecord>,
-    workers: usize,
-) -> PzResult<Vec<DataRecord>> {
-    let chunk_size = input.len().div_ceil(workers);
-    let chunks: Vec<Vec<DataRecord>> = input
-        .chunks(chunk_size.max(1))
-        .map(|c| c.to_vec())
-        .collect();
-    let mut results: Vec<PzResult<Vec<DataRecord>>> = Vec::with_capacity(chunks.len());
-    crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| {
-                let ctx = ctx.clone();
-                let op = op.clone();
-                s.spawn(move |_| op.execute(&ctx, chunk))
-            })
-            .collect();
-        for h in handles {
-            results.push(h.join().unwrap_or_else(|payload| Err(panicked(payload))));
-        }
-    })
-    .expect("crossbeam scope");
-    let mut out = Vec::new();
-    for r in results {
-        out.extend(r?);
-    }
-    Ok(out)
+fn apply(ctx: &PzContext, op: &PhysicalOp, input: Vec<DataRecord>) -> PzResult<Vec<DataRecord>> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| op.execute(ctx, input)))
+        .unwrap_or_else(|payload| {
+            let msg = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".into());
+            Err(PzError::Execution(format!("panicked: {msg}")))
+        })
 }

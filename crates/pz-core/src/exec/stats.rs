@@ -29,6 +29,17 @@ pub struct OperatorStats {
 }
 
 impl OperatorStats {
+    /// Add one application's counts onto this row.
+    pub(crate) fn accrue(&mut self, applied: &OperatorStats) {
+        self.input_records += applied.input_records;
+        self.output_records += applied.output_records;
+        self.llm_calls += applied.llm_calls;
+        self.input_tokens += applied.input_tokens;
+        self.output_tokens += applied.output_tokens;
+        self.cost_usd += applied.cost_usd;
+        self.time_secs += applied.time_secs;
+    }
+
     /// Observed selectivity (output/input); 1.0 for empty input.
     pub fn selectivity(&self) -> f64 {
         if self.input_records == 0 {
@@ -93,8 +104,8 @@ pub struct ExecutionStats {
     #[serde(default, skip_serializing_if = "std::ops::Not::not")]
     pub quota_exhausted: bool,
     /// Largest effective parallelism any streaming stage's time was
-    /// divided by. `0`/`1` (serial) keeps serialized stats byte-identical to
-    /// pre-parallelism runs.
+    /// divided by. `0`/`1` (serial, and every materializing run) omits the
+    /// field.
     #[serde(default, skip_serializing_if = "serial_workers")]
     pub parallelism: usize,
     /// Incremental re-execution: operator verdicts replayed from the memo
@@ -103,12 +114,12 @@ pub struct ExecutionStats {
     /// pre-incremental runs.
     #[serde(default, skip_serializing_if = "zero_hits")]
     pub memo_hits: usize,
-    /// High-water mark of leaf records resident in the materializing
-    /// executor at once (carried output plus the in-flight scan chunk).
-    /// The out-of-core scan keeps this at O(chunk + output) however large
-    /// the corpus; the scaling gate asserts exactly that. `0` (streaming
-    /// mode, which bounds memory by channel capacity instead and does not
-    /// track this) omits the field so serialized stats stay comparable.
+    /// High-water mark of records resident in the executor at once: what
+    /// the stages and the output hold plus the batch in flight. Chunked
+    /// pulls keep this at O(batch + output) however large the corpus (a
+    /// barrier holds its whole input by definition); the scaling gate
+    /// asserts exactly that. `0` (a run that applied nothing) omits the
+    /// field.
     #[serde(default, skip_serializing_if = "zero_hits")]
     pub peak_resident_records: usize,
 }

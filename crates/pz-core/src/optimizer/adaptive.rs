@@ -160,7 +160,7 @@ fn capped_ratio(obs: f64, est: f64) -> f64 {
 }
 
 /// The runtime adaptation layer. Constructed per run (only when enabled),
-/// shared by all stage threads in streaming mode.
+/// shared by all stages in streaming mode.
 pub struct AdaptiveController {
     config: AdaptiveConfig,
     rank: FailoverRank,

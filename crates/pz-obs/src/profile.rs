@@ -7,16 +7,17 @@
 //! attribution buckets:
 //!
 //! - **compute** — virtual time the stage was busy itself (residual);
-//! - **queue-wait** — blocked on an empty input channel;
-//! - **provider-wait** — waiting for the provider gate plus the modelled
-//!   provider latency of its own calls;
-//! - **backpressure** — blocked on a full output channel;
+//! - **queue-wait** — a stage upstream was working, so no input came;
+//! - **provider-wait** — the modelled provider latency of its own calls;
+//! - **backpressure** — a stage downstream was working, so output had
+//!   nowhere to go;
 //! - **retry/backoff** — exponential-backoff sleeps between attempts.
 //!
-//! Buckets are normalized so they always sum to the stage's observed
-//! window: if a trace's raw wait sum exceeds it (gauges are sampled
-//! around overlapping blocking regions), waits are scaled down
-//! proportionally and compute is 0. All quantities are *virtual-clock*
+//! The executor runs one stage at a time and derives the two waits from
+//! that schedule, so the buckets of its traces partition each window
+//! exactly. Buckets are normalized all the same, so they sum to the
+//! window for any trace: if a raw wait sum exceeds it, waits are scaled
+//! down proportionally and compute is 0. All quantities are *virtual-clock*
 //! microseconds: real compute takes zero virtual time, so a simulated
 //! run attributes nearly everything to waits by design.
 
@@ -53,7 +54,7 @@ pub struct StageProfile {
     /// Span name without the `op:` prefix.
     pub name: String,
     pub span_id: SpanId,
-    /// Virtual time from stage start to the stage thread finishing.
+    /// Virtual time from plan start to the stage finishing.
     pub window_us: u64,
     pub buckets: StageBuckets,
     /// Utilization (attributed busy time / window), if recorded.

@@ -75,12 +75,9 @@ fn adaptive_off_leaves_no_trace_under_faults() {
 }
 
 /// While every model stays healthy and on-estimate, an adaptive-enabled
-/// run is indistinguishable from a disabled one: same records, cost,
-/// request count, virtual clock, and stats. Sequential execution is
-/// exactly deterministic, so there the whole serialized stats must match
-/// byte for byte; streaming stages accumulate f64 time across threads,
-/// which wobbles in the last ulp between any two runs (adaptive or not),
-/// so the streaming comparison allows that pre-existing noise.
+/// run is indistinguishable from a disabled one under either policy: same
+/// records, request count, cost, virtual clock, and serialized stats,
+/// byte for byte.
 #[test]
 fn healthy_adaptive_run_is_byte_identical_to_off() {
     for config in [ExecutionConfig::sequential(), ExecutionConfig::streaming()] {
@@ -96,29 +93,24 @@ fn healthy_adaptive_run_is_byte_identical_to_off() {
         )
         .unwrap();
 
-        assert_eq!(
-            sorted_names(&out_off.records),
-            sorted_names(&out_on.records)
-        );
+        assert_eq!(out_off.records, out_on.records, "{:?}", config.mode);
         assert_eq!(
             ctx_off.ledger.total_requests(),
             ctx_on.ledger.total_requests()
         );
-        assert!((ctx_off.ledger.total_cost_usd() - ctx_on.ledger.total_cost_usd()).abs() < 1e-9);
-        assert!((ctx_off.clock.now_secs() - ctx_on.clock.now_secs()).abs() < 1e-9);
+        assert_eq!(
+            ctx_off.ledger.total_cost_usd(),
+            ctx_on.ledger.total_cost_usd()
+        );
+        assert_eq!(ctx_off.clock.now_secs(), ctx_on.clock.now_secs());
         assert!(out_on.stats.adaptive.is_empty());
         assert_eq!(ctx_on.tracer.counter("exec.replan"), 0);
-        if config.mode == ExecMode::Materializing {
-            assert_eq!(
-                ctx_off.ledger.total_cost_usd(),
-                ctx_on.ledger.total_cost_usd()
-            );
-            assert_eq!(ctx_off.clock.now_secs(), ctx_on.clock.now_secs());
-            assert_eq!(
-                serde_json::to_string(&out_off.stats).unwrap(),
-                serde_json::to_string(&out_on.stats).unwrap()
-            );
-        }
+        assert_eq!(
+            serde_json::to_string(&out_off.stats).unwrap(),
+            serde_json::to_string(&out_on.stats).unwrap(),
+            "{:?}",
+            config.mode
+        );
     }
 }
 

@@ -77,13 +77,13 @@ fn overwhelming_failure_rate_surfaces_an_error() {
 
 #[test]
 fn streaming_pipeline_recovers_from_transient_failures_mid_stream() {
-    // Same 20% transient rate, but with stages running concurrently:
-    // every mid-stream failure must still route through RetryPolicy, and
-    // the billed work must match a materializing run (failed attempts are
-    // never billed, successful calls are content-keyed). The failure draw
-    // is keyed on a global call counter, which thread interleaving
-    // reorders — 8 attempts make retry exhaustion vanishingly unlikely
-    // under any schedule (0.2^8 per call).
+    // Same 20% transient rate, but with the stages interleaved batch by
+    // batch: every mid-stream failure must still route through
+    // RetryPolicy, and the billed work must match a materializing run
+    // (failed attempts are never billed, successful calls are
+    // content-keyed). The failure draw is keyed on a global call counter,
+    // which the streaming schedule orders differently — 8 attempts make
+    // retry exhaustion vanishingly unlikely either way (0.2^8 per call).
     let mk = || {
         let mut ctx = ctx_with_failures(0.2);
         ctx.retry = pz_llm::RetryPolicy {

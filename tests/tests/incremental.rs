@@ -82,7 +82,7 @@ fn apply_batch(src: &VersionedSource, items: &mut Vec<(String, String)>, batch: 
 fn base_config(mode_idx: usize) -> ExecutionConfig {
     match mode_idx {
         0 => ExecutionConfig::sequential(),
-        _ => ExecutionConfig::streaming_with(2, 3),
+        _ => ExecutionConfig::streaming_with(3),
     }
 }
 

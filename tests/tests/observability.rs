@@ -143,9 +143,9 @@ fn trace_totals_reconcile_with_stats_and_ledger() {
 
 #[test]
 fn streaming_trace_reconciles_with_stats_and_ledger() {
-    // Same reconciliation contract as materializing mode, but with every
-    // operator running as a concurrent stage: per-stage meters must
-    // attribute exactly the ledger's calls/dollars, and all spans must
+    // Same reconciliation contract as materializing mode, but with the
+    // stages interleaved batch by batch: each stage's row must attribute
+    // exactly the ledger's calls/dollars it caused, and all spans must
     // stay under the plan span on the shared virtual clock.
     let ctx = PzContext::simulated();
     let (docs, _) = pz_datagen::science::demo_corpus();
@@ -179,8 +179,7 @@ fn streaming_trace_reconciles_with_stats_and_ledger() {
     let snap = ctx.tracer.snapshot();
     let stats = &outcome.stats;
 
-    // Every billed request has exactly one LLM span, even though the
-    // calls came from concurrent stage threads.
+    // Every billed request has exactly one LLM span.
     let llm_spans = snap.spans_in_layer(Layer::Llm);
     assert_eq!(llm_spans.len(), ctx.ledger.total_requests());
     let span_cost = snap.attr_sum(Layer::Llm, "cost_usd");

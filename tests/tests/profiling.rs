@@ -46,12 +46,7 @@ fn demo_plan() -> LogicalPlan {
 /// Streaming config matching the E16/E17 experiments: batch size 1 so every
 /// record is its own unit of overlap.
 fn streaming_cfg(parallelism: usize) -> ExecutionConfig {
-    ExecutionConfig::sequential()
-        .with_mode(ExecMode::Streaming {
-            channel_capacity: 2,
-            batch_size: 1,
-        })
-        .with_parallelism(parallelism)
+    ExecutionConfig::streaming_with(1).with_parallelism(parallelism)
 }
 
 fn record_keys(records: &[DataRecord]) -> Vec<String> {
@@ -64,44 +59,28 @@ fn record_keys(records: &[DataRecord]) -> Vec<String> {
 }
 
 /// With the profiler disarmed (the default), the trace is byte-identical
-/// across runs and contains none of the profiler's artifacts — the gauges
-/// are invisible, not merely empty. Byte-identity is asserted on the
-/// materializing executor (strictly sequential); streaming stage threads
-/// race for the clock gate, so their per-call span interleaving is
-/// scheduler-dependent even at parallelism 1 and only the streaming
-/// artifact-absence half applies there.
+/// across runs under either policy and contains none of the profiler's
+/// artifacts — the gauges are invisible, not merely empty.
 #[test]
 fn profiling_off_trace_is_byte_identical_and_artifact_free() {
-    let mut traces = Vec::new();
-    for _ in 0..2 {
-        let ctx = science_ctx();
-        assert!(!ctx.tracer.profiling_enabled(), "profiler must default off");
-        execute(
-            &ctx,
-            &demo_plan(),
-            &Policy::MaxQuality,
-            ExecutionConfig::sequential(),
-        )
-        .unwrap();
-        traces.push(ctx.tracer.snapshot().to_jsonl());
-    }
-    assert_eq!(
-        traces[0], traces[1],
-        "disarmed runs must produce bit-identical traces"
-    );
-    let streaming_trace = {
-        let ctx = science_ctx();
-        execute(&ctx, &demo_plan(), &Policy::MaxQuality, streaming_cfg(1)).unwrap();
-        ctx.tracer.snapshot().to_jsonl()
-    };
-    for trace in [&traces[0], &streaming_trace] {
-        assert!(
-            !trace.contains("prof_"),
-            "disarmed trace leaked prof_* span attrs"
+    for config in [ExecutionConfig::sequential(), streaming_cfg(1)] {
+        let traces: Vec<String> = (0..2)
+            .map(|_| {
+                let ctx = science_ctx();
+                assert!(!ctx.tracer.profiling_enabled(), "profiler must default off");
+                execute(&ctx, &demo_plan(), &Policy::MaxQuality, config).unwrap();
+                ctx.tracer.snapshot().to_jsonl()
+            })
+            .collect();
+        assert_eq!(
+            traces[0], traces[1],
+            "{:?}: disarmed runs must produce bit-identical traces",
+            config.mode
         );
         assert!(
-            !trace.contains("queue_depth"),
-            "disarmed trace leaked queue-depth gauges"
+            !traces[0].contains("prof_"),
+            "{:?}: disarmed trace leaked prof_* span attrs",
+            config.mode
         );
     }
 }
@@ -133,20 +112,21 @@ fn armed_profiler_does_not_perturb_execution() {
     let profile = pz_obs::profile_plan(&snap_on).expect("armed run yields a profile");
     assert_eq!(profile.stages.len(), 3);
     assert!(profile.stages.iter().all(|s| s.window_us > 0));
-    assert!(
-        !snap_off
-            .histograms
-            .iter()
-            .any(|(name, _)| name.contains("queue_depth")),
-        "disarmed run must record no queue-depth gauges"
-    );
-    assert!(
-        snap_on
-            .histograms
-            .iter()
-            .any(|(name, _)| name.contains("queue_depth")),
-        "armed run records queue-depth gauges"
-    );
+    // The schedule-derived gauges have E17's shape: the scan is held back
+    // by the stages below it, the convert waits on filtered input.
+    let gauge = |stage: usize, key: &str| -> u64 {
+        let id = &profile.stages[stage].span_id;
+        let span = snap_on.spans.iter().find(|s| &s.id == id).unwrap();
+        span.attrs[key].parse().unwrap()
+    };
+    assert!(gauge(0, "prof_backpressure_us") > 0);
+    assert_eq!(gauge(0, "prof_queue_wait_us"), 0);
+    assert!(gauge(2, "prof_queue_wait_us") > 0);
+    assert_eq!(gauge(2, "prof_backpressure_us"), 0);
+    assert!(snap_off
+        .spans
+        .iter()
+        .all(|s| !s.attrs.keys().any(|k| k.starts_with("prof_"))));
 }
 
 /// The drift report's per-stage estimate rows are produced by the same

@@ -138,7 +138,6 @@ mod differential {
         fn streaming_equals_materializing_records_and_cost(
             corpus in arb_corpus(),
             steps in arb_steps(),
-            capacity in 1usize..4,
             batch in 1usize..6,
         ) {
             let plan = build_plan("diff", &steps);
@@ -152,7 +151,7 @@ mod differential {
                 execute_plan(&ctx_m, &plan, ExecutionConfig::sequential()).unwrap();
             let ctx_s = fresh_ctx("diff", &corpus);
             let (rec_s, stats_s) =
-                execute_plan(&ctx_s, &plan, ExecutionConfig::streaming_with(capacity, batch))
+                execute_plan(&ctx_s, &plan, ExecutionConfig::streaming_with(batch))
                     .unwrap();
 
             prop_assert_eq!(multiset(&rec_m), multiset(&rec_s));
@@ -175,11 +174,44 @@ mod differential {
             prop_assert!(stats_s.total_time_secs <= stats_m.total_time_secs + 1e-9);
         }
 
-        /// Intra-operator worker pools are an attribution-only change: for
-        /// any plan and any parallelism degree, the pooled streaming run
-        /// must agree with the serial streaming run on the output multiset
-        /// and (absent early exit) the ledger, and its per-operator stats
-        /// must still reconcile exactly against the ledger.
+        /// Same seed, same bytes: for any plan, under either policy and at
+        /// any parallelism, two runs agree on the records (ids included),
+        /// the serialized stats, the ledger, the clock and the trace.
+        #[test]
+        fn reruns_are_byte_identical(
+            corpus in arb_corpus(),
+            steps in arb_steps(),
+            config_idx in 0usize..5,
+            batch in 1usize..6,
+        ) {
+            let config = match config_idx {
+                0 => ExecutionConfig::streaming_with(batch),
+                1 => ExecutionConfig::streaming_with(batch).with_parallelism(2),
+                2 => ExecutionConfig::streaming_with(batch).with_parallelism(8),
+                3 => ExecutionConfig::sequential().with_parallelism(2),
+                _ => ExecutionConfig::sequential().with_parallelism(8),
+            };
+            let plan = build_plan("diff", &steps);
+            let run = || {
+                let ctx = fresh_ctx("diff", &corpus);
+                let (records, stats) = execute_plan(&ctx, &plan, config).unwrap();
+                (
+                    records,
+                    serde_json::to_string(&stats).unwrap(),
+                    ctx.ledger.total_requests(),
+                    ctx.ledger.total_cost_usd(),
+                    ctx.clock.now_secs(),
+                    ctx.tracer.snapshot().to_jsonl(),
+                )
+            };
+            prop_assert_eq!(run(), run());
+        }
+
+        /// Parallelism is an attribution-only change: for any plan and any
+        /// degree, the streaming run must agree with the serial streaming
+        /// run on the output multiset and (absent early exit) the ledger,
+        /// and its per-operator stats must still reconcile exactly against
+        /// the ledger.
         #[test]
         fn parallel_streaming_equals_serial_streaming(
             corpus in arb_corpus(),
@@ -193,12 +225,12 @@ mod differential {
 
             let ctx_1 = fresh_ctx("diff", &corpus);
             let (rec_1, stats_1) =
-                execute_plan(&ctx_1, &plan, ExecutionConfig::streaming_with(2, batch)).unwrap();
+                execute_plan(&ctx_1, &plan, ExecutionConfig::streaming_with(batch)).unwrap();
             let ctx_p = fresh_ctx("diff", &corpus);
             let (rec_p, stats_p) = execute_plan(
                 &ctx_p,
                 &plan,
-                ExecutionConfig::streaming_with(2, batch).with_parallelism(parallelism),
+                ExecutionConfig::streaming_with(batch).with_parallelism(parallelism),
             )
             .unwrap();
 
@@ -213,10 +245,9 @@ mod differential {
                 );
                 prop_assert_eq!(ctx_1.ledger.total_requests(), ctx_p.ledger.total_requests());
             }
-            // Pools divide attributed busy time; they never add any.
+            // Workers divide attributed busy time; they never add any.
             prop_assert!(stats_p.total_time_secs <= stats_1.total_time_secs + 1e-9);
-            // OperatorStats reconciliation must survive concurrent workers:
-            // every dollar and every call the ledger saw is attributed to
+            // Every dollar and every call the ledger saw is attributed to
             // exactly one operator.
             let op_cost: f64 = stats_p.operators.iter().map(|o| o.cost_usd).sum();
             let op_calls: usize = stats_p.operators.iter().map(|o| o.llm_calls).sum();

@@ -214,7 +214,7 @@ fn chunk_matrix_agrees_with_streaming() {
     for batch in [1usize, 7, 64] {
         for workers in [1usize, 4] {
             let ctx = generated_ctx(n, 16);
-            let config = ExecutionConfig::streaming_with(2, batch).with_parallelism(workers);
+            let config = ExecutionConfig::streaming_with(batch).with_parallelism(workers);
             let (records, _) = execute_plan(&ctx, &plan, config).unwrap();
             assert_eq!(
                 multiset(&records),
