@@ -1,15 +1,16 @@
 //! Retrieve — semantic top-k over the operator's own input.
 //!
 //! The intro's "vector databases" leg: embed every input record and the
-//! natural-language query, index the records in the vector store, and keep
-//! the `k` most similar. Used for RAG-style narrowing before expensive
-//! LLM operators.
+//! natural-language query, load the vectors into a transient collection of
+//! the vector store, and keep the `k` most similar — one query per
+//! collection, which the store answers with an exact scan. Used for
+//! RAG-style narrowing before expensive LLM operators.
 
 use crate::context::PzContext;
-use crate::error::PzResult;
+use crate::error::{PzError, PzResult};
 use crate::record::DataRecord;
 use pz_llm::{EmbeddingRequest, ModelId};
-use pz_vector::Metric;
+use pz_vector::{Metric, VecId, VectorStoreError};
 
 /// Keep the `k` records most similar to `query`.
 pub fn retrieve(
@@ -37,29 +38,51 @@ pub fn retrieve(
         &ctx.retry_ctx(),
         pz_llm::DEFAULT_EMBED_BATCH,
     )?;
-    let dim = resp.vectors[0].len();
+    // The provider is outside the program: without one vector per input
+    // the tail of the input would silently be unretrievable.
+    if resp.vectors.len() != input.len() + 1 {
+        return Err(PzError::Execution(format!(
+            "retrieve: embedding provider returned {} vector(s) for {} input(s)",
+            resp.vectors.len(),
+            input.len() + 1
+        )));
+    }
+    let (query_vec, doc_vecs) = (&resp.vectors[0], &resp.vectors[1..]);
 
     // A transient per-op collection: retrieval is over the operator input,
-    // not a persistent corpus. Unique name avoids cross-run clashes.
+    // not a persistent corpus. Unique name avoids cross-run clashes. It is
+    // dropped on every path, so a store error cannot leak it.
     let coll = format!("__retrieve_{}", ctx.next_id());
-    ctx.vectors.ensure_collection(&coll, dim, Metric::Cosine);
-    for (i, v) in resp.vectors[1..].iter().enumerate() {
-        ctx.vectors.add(&coll, v, i.to_string())?;
-    }
-    let hits = ctx.vectors.search(&coll, &resp.vectors[0], k)?;
+    ctx.vectors
+        .ensure_collection(&coll, query_vec.len(), Metric::Cosine);
+    let picked = top_k_ids(ctx, &coll, query_vec, doc_vecs, k);
     ctx.vectors.drop_collection(&coll);
+    let picked = picked?;
 
-    let mut picked: Vec<usize> = hits
-        .iter()
-        .map(|h| h.payload.parse().unwrap_or(0))
-        .collect();
-    picked.sort_unstable();
     Ok(input
         .into_iter()
         .enumerate()
-        .filter(|(i, _)| picked.binary_search(i).is_ok())
+        .filter(|(i, _)| picked.binary_search(&(*i as VecId)).is_ok())
         .map(|(_, r)| r)
         .collect())
+}
+
+/// Load `docs` into `coll` and return the sorted ids — insert positions,
+/// so input positions — of the `k` nearest to `query`.
+fn top_k_ids(
+    ctx: &PzContext,
+    coll: &str,
+    query: &[f32],
+    docs: &[Vec<f32>],
+    k: usize,
+) -> Result<Vec<VecId>, VectorStoreError> {
+    for v in docs {
+        ctx.vectors.add(coll, v, "")?;
+    }
+    let hits = ctx.vectors.search(coll, query, k)?;
+    let mut ids: Vec<VecId> = hits.iter().map(|h| h.id).collect();
+    ids.sort_unstable();
+    Ok(ids)
 }
 
 #[cfg(test)]
@@ -142,6 +165,48 @@ mod tests {
         assert!(ctx.ledger.total_cost_usd() > 0.0);
         let by_model = ctx.ledger.by_model();
         assert_eq!(by_model[0].0.as_str(), "text-embedding-3-small");
+    }
+
+    /// Embeds input `i` as `dims[i]` ones, and nothing past `dims`.
+    struct StubEmbedder {
+        dims: Vec<usize>,
+    }
+
+    impl pz_llm::LlmClient for StubEmbedder {
+        fn complete(
+            &self,
+            _: &pz_llm::CompletionRequest,
+        ) -> Result<pz_llm::CompletionResponse, pz_llm::LlmError> {
+            Err(pz_llm::LlmError::Rejected("embeddings only".into()))
+        }
+
+        fn embed(
+            &self,
+            _: &EmbeddingRequest,
+        ) -> Result<pz_llm::EmbeddingResponse, pz_llm::LlmError> {
+            Ok(pz_llm::EmbeddingResponse {
+                vectors: self.dims.iter().map(|&d| vec![1.0; d]).collect(),
+                usage: pz_llm::Usage::new(0, 0),
+                latency_secs: 0.0,
+                cost_usd: 0.0,
+            })
+        }
+    }
+
+    #[test]
+    fn bad_embedding_response_is_an_error_and_leaks_nothing() {
+        // Query + three documents; the provider answers short, then ragged.
+        for (dims, want) in [
+            (vec![4, 4, 4], "returned 3 vector(s) for 4 input(s)"),
+            (vec![4, 4, 4, 2], "dimension mismatch: expected 4, got 2"),
+        ] {
+            let ctx =
+                PzContext::simulated().with_client(std::sync::Arc::new(StubEmbedder { dims }));
+            let input = vec![rec(&ctx, "a"), rec(&ctx, "b"), rec(&ctx, "c")];
+            let err = retrieve(&ctx, input, "q", 2, &ctx.embed_model.clone()).unwrap_err();
+            assert!(err.to_string().contains(want), "{err}");
+            assert!(ctx.vectors.collection_names().is_empty(), "{err}");
+        }
     }
 
     #[test]

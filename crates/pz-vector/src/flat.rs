@@ -1,8 +1,9 @@
 //! Exact (brute-force) index.
 //!
 //! Scans every stored vector. O(n·d) per query, but exact — it doubles as
-//! the ground truth against which [`crate::ivf::IvfIndex`] recall is
-//! measured (experiment E10).
+//! the ground truth against which [`crate::hnsw::HnswIndex`] recall is
+//! measured (experiments E10 and E21). Append-only: nothing is ever
+//! removed, so a vector's id is its position.
 
 use crate::metric::Metric;
 use crate::VecId;
@@ -62,9 +63,7 @@ pub(crate) fn top_k(items: impl Iterator<Item = Scored>, k: usize) -> Vec<Scored
 pub struct FlatIndex {
     dim: usize,
     metric: Metric,
-    ids: Vec<VecId>,
-    data: Vec<f32>, // row-major, len = ids.len() * dim
-    next_id: VecId,
+    data: Vec<f32>, // row-major, len = len() * dim
 }
 
 impl FlatIndex {
@@ -74,9 +73,7 @@ impl FlatIndex {
         Self {
             dim,
             metric,
-            ids: Vec::new(),
             data: Vec::new(),
-            next_id: 0,
         }
     }
 
@@ -89,11 +86,11 @@ impl FlatIndex {
     }
 
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.data.len() / self.dim
     }
 
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.data.is_empty()
     }
 
     /// Add a vector, returning its assigned id.
@@ -102,18 +99,15 @@ impl FlatIndex {
     /// Panics if `v.len() != dim`.
     pub fn add(&mut self, v: &[f32]) -> VecId {
         assert_eq!(v.len(), self.dim, "dimension mismatch");
-        let id = self.next_id;
-        self.next_id += 1;
-        self.ids.push(id);
+        let id = self.len() as VecId;
         self.data.extend_from_slice(v);
         id
     }
 
-    /// Fetch a stored vector by id (linear scan; ids are append-ordered so
-    /// this is a direct offset when nothing was removed).
+    /// Fetch a stored vector by id; `None` past the end.
     pub fn get(&self, id: VecId) -> Option<&[f32]> {
-        let pos = self.ids.iter().position(|&i| i == id)?;
-        Some(&self.data[pos * self.dim..(pos + 1) * self.dim])
+        let start = usize::try_from(id).ok()?.checked_mul(self.dim)?;
+        self.data.get(start..start.checked_add(self.dim)?)
     }
 
     /// Exact top-k search.
@@ -121,10 +115,13 @@ impl FlatIndex {
         assert_eq!(query.len(), self.dim, "dimension mismatch");
         let metric = self.metric;
         top_k(
-            self.ids.iter().enumerate().map(|(pos, &id)| Scored {
-                id,
-                score: metric.score(query, &self.data[pos * self.dim..(pos + 1) * self.dim]),
-            }),
+            self.data
+                .chunks_exact(self.dim)
+                .enumerate()
+                .map(|(pos, v)| Scored {
+                    id: pos as VecId,
+                    score: metric.score(query, v),
+                }),
             k,
         )
     }
@@ -176,7 +173,9 @@ mod tests {
         assert_eq!(idx.add(&[1.0]), 0);
         assert_eq!(idx.add(&[2.0]), 1);
         assert_eq!(idx.get(1), Some(&[2.0][..]));
+        assert_eq!(idx.get(2), None, "one past the end");
         assert_eq!(idx.get(99), None);
+        assert_eq!(idx.get(VecId::MAX), None, "offset overflow");
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! HNSW (hierarchical navigable small world) graph index.
 //!
-//! The third rung of the store's routing ladder (flat → IVF → HNSW):
-//! a layered proximity graph searched greedily from a single entry point.
-//! Query cost grows ~logarithmically with collection size — the property
-//! the 1M-vector scaling gate asserts — versus IVF's O(n/√n·nprobe) probe
-//! scans and flat's O(n).
+//! The approximate rung of the store's two-rung ladder (exact scan →
+//! HNSW): a layered proximity graph searched greedily from a single entry
+//! point. Query cost grows ~logarithmically with collection size — the
+//! property the 1M-vector scaling gate asserts — versus the exact scan's
+//! O(n).
 //!
 //! Determinism: level assignment is seeded (splitmix64 over
 //! `(seed, node id)`), inserts are order-dependent but the store only ever
@@ -12,9 +12,11 @@
 //! ascending id. Same seed + same insert sequence → identical graph →
 //! identical top-k, which the recall/determinism suite pins.
 //!
-//! Unlike [`IvfIndex`](crate::ivf::IvfIndex) (batch-built, stale between
-//! rebuilds) the graph is *incremental*: every insert is indexed before
-//! `add` returns, so there is no unindexed window at all.
+//! The graph is *incremental*: [`HnswIndex::add`] indexes a vector before
+//! it returns. The store leans on that twice — it builds a collection's
+//! graph by inserting the rows it already holds, and it brings a built
+//! graph up to date by inserting the rows appended since — so there is no
+//! batch-build entry point and no stale window.
 
 use crate::flat::{top_k, Scored};
 use crate::metric::Metric;
@@ -91,7 +93,7 @@ impl PartialOrd for MinEntry {
 
 /// Incremental HNSW index. Ids are assigned sequentially by insertion
 /// order (matching [`FlatIndex`](crate::flat::FlatIndex)), so the store
-/// can keep one payload table for every index tier.
+/// can keep one payload table for both rungs.
 pub struct HnswIndex {
     dim: usize,
     metric: Metric,
@@ -117,22 +119,6 @@ impl HnswIndex {
             links: Vec::new(),
             entry: None,
         }
-    }
-
-    /// Build over `(id, vector)` pairs whose ids must be `0..n` in order —
-    /// the store's append-only id discipline.
-    pub fn build(
-        dim: usize,
-        metric: Metric,
-        config: HnswConfig,
-        items: &[(VecId, Vec<f32>)],
-    ) -> Self {
-        let mut idx = Self::new(dim, metric, config);
-        for (expected, (id, v)) in items.iter().enumerate() {
-            assert_eq!(*id, expected as VecId, "ids must be sequential from 0");
-            idx.add(v);
-        }
-        idx
     }
 
     pub fn len(&self) -> usize {
@@ -339,26 +325,31 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn random_corpus(n: usize, dim: usize, seed: u64) -> Vec<(VecId, Vec<f32>)> {
+    fn random_corpus(n: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..n)
-            .map(|i| {
-                let v: Vec<f32> = (0..dim).map(|_| rng.random_range(-1.0..1.0)).collect();
-                (i as VecId, v)
-            })
+            .map(|_| (0..dim).map(|_| rng.random_range(-1.0..1.0)).collect())
             .collect()
     }
 
-    fn recall_vs_flat(corpus: &[(VecId, Vec<f32>)], dim: usize, metric: Metric) -> f64 {
-        let idx = HnswIndex::build(dim, metric, HnswConfig::default(), corpus);
+    fn indexed(dim: usize, metric: Metric, config: HnswConfig, corpus: &[Vec<f32>]) -> HnswIndex {
+        let mut idx = HnswIndex::new(dim, metric, config);
+        for v in corpus {
+            idx.add(v);
+        }
+        idx
+    }
+
+    fn recall_vs_flat(corpus: &[Vec<f32>], dim: usize, metric: Metric) -> f64 {
+        let idx = indexed(dim, metric, HnswConfig::default(), corpus);
         let mut flat = FlatIndex::new(dim, metric);
-        for (_, v) in corpus {
+        for v in corpus {
             flat.add(v);
         }
         let mut hit = 0usize;
         let mut total = 0usize;
         for qi in (0..corpus.len()).step_by(corpus.len() / 20) {
-            let q = &corpus[qi].1;
+            let q = &corpus[qi];
             let truth: Vec<VecId> = flat.search(q, 10).iter().map(|h| h.id).collect();
             let approx: Vec<VecId> = idx.search(q, 10).iter().map(|h| h.id).collect();
             hit += truth.iter().filter(|t| approx.contains(t)).count();
@@ -406,12 +397,12 @@ mod tests {
     #[test]
     fn deterministic_same_seed_same_graph_same_topk() {
         let corpus = random_corpus(800, 8, 4);
-        let a = HnswIndex::build(8, Metric::Euclidean, HnswConfig::default(), &corpus);
-        let b = HnswIndex::build(8, Metric::Euclidean, HnswConfig::default(), &corpus);
+        let a = indexed(8, Metric::Euclidean, HnswConfig::default(), &corpus);
+        let b = indexed(8, Metric::Euclidean, HnswConfig::default(), &corpus);
         assert_eq!(a.links, b.links, "same seed must build the same graph");
         assert_eq!(a.entry, b.entry);
         for qi in [0usize, 123, 799] {
-            let q = &corpus[qi].1;
+            let q = &corpus[qi];
             assert_eq!(a.search(q, 10), b.search(q, 10), "query {qi}");
         }
     }
@@ -419,39 +410,28 @@ mod tests {
     #[test]
     fn different_seed_different_graph() {
         let corpus = random_corpus(500, 8, 5);
-        let a = HnswIndex::build(8, Metric::Euclidean, HnswConfig::default(), &corpus);
+        let a = indexed(8, Metric::Euclidean, HnswConfig::default(), &corpus);
         let other = HnswConfig {
             seed: 99,
             ..Default::default()
         };
-        let b = HnswIndex::build(8, Metric::Euclidean, other, &corpus);
+        let b = indexed(8, Metric::Euclidean, other, &corpus);
         assert_ne!(a.links, b.links);
-    }
-
-    #[test]
-    fn incremental_insert_matches_batch_build() {
-        let corpus = random_corpus(400, 4, 6);
-        let batch = HnswIndex::build(4, Metric::Euclidean, HnswConfig::default(), &corpus);
-        let mut inc = HnswIndex::new(4, Metric::Euclidean, HnswConfig::default());
-        for (_, v) in &corpus {
-            inc.add(v);
-        }
-        assert_eq!(batch.links, inc.links);
     }
 
     #[test]
     fn recall_improves_with_ef() {
         let corpus = random_corpus(2000, 8, 7);
-        let idx = HnswIndex::build(8, Metric::Euclidean, HnswConfig::default(), &corpus);
+        let idx = indexed(8, Metric::Euclidean, HnswConfig::default(), &corpus);
         let mut flat = FlatIndex::new(8, Metric::Euclidean);
-        for (_, v) in &corpus {
+        for v in &corpus {
             flat.add(v);
         }
         let recall_at = |ef: usize| -> f64 {
             let mut hit = 0;
             let mut total = 0;
             for qi in (0..2000).step_by(100) {
-                let q = &corpus[qi].1;
+                let q = &corpus[qi];
                 let truth: Vec<VecId> = flat.search(q, 10).iter().map(|h| h.id).collect();
                 let approx: Vec<VecId> =
                     idx.search_with_ef(q, 10, ef).iter().map(|h| h.id).collect();
@@ -469,8 +449,8 @@ mod tests {
     #[test]
     fn search_batch_matches_single() {
         let corpus = random_corpus(300, 4, 8);
-        let idx = HnswIndex::build(4, Metric::Cosine, HnswConfig::default(), &corpus);
-        let queries: Vec<Vec<f32>> = corpus.iter().take(5).map(|(_, v)| v.clone()).collect();
+        let idx = indexed(4, Metric::Cosine, HnswConfig::default(), &corpus);
+        let queries: Vec<Vec<f32>> = corpus[..5].to_vec();
         let batched = idx.search_batch(&queries, 3);
         for (q, hits) in queries.iter().zip(&batched) {
             assert_eq!(hits, &idx.search(q, 3));
@@ -480,25 +460,14 @@ mod tests {
     #[test]
     fn self_query_finds_self() {
         let corpus = random_corpus(1000, 8, 9);
-        let idx = HnswIndex::build(8, Metric::Euclidean, HnswConfig::default(), &corpus);
+        let idx = indexed(8, Metric::Euclidean, HnswConfig::default(), &corpus);
         let mut found = 0;
         for qi in (0..1000).step_by(50) {
-            let hits = idx.search(&corpus[qi].1, 1);
+            let hits = idx.search(&corpus[qi], 1);
             if hits.first().map(|h| h.id) == Some(qi as VecId) {
                 found += 1;
             }
         }
         assert!(found >= 18, "self-hit {found}/20");
-    }
-
-    #[test]
-    #[should_panic(expected = "ids must be sequential")]
-    fn build_rejects_gapped_ids() {
-        HnswIndex::build(
-            2,
-            Metric::Dot,
-            HnswConfig::default(),
-            &[(5, vec![1.0, 2.0])],
-        );
     }
 }

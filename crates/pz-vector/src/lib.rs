@@ -5,25 +5,24 @@
 //! databases, relational operators, and novel programming practices". This
 //! crate is the vector-database leg of that stack for the reproduction: an
 //! in-process store with exact ([`FlatIndex`]) and approximate
-//! ([`IvfIndex`], inverted-file with k-means centroids; [`HnswIndex`],
-//! layered navigable-small-world graph) top-k search, used by Palimpzest's
-//! `Retrieve` operator and by embedding-based physical filter
-//! implementations. [`Collection`] routes queries flat → IVF → HNSW as a
-//! collection grows, keeping search sub-linear at a million vectors.
+//! ([`HnswIndex`], layered navigable-small-world graph) top-k search, used
+//! by Palimpzest's `Retrieve` operator. A [`Collection`] has two rungs:
+//! writes only append, queries are answered by exact scan, and the graph
+//! is built at query time only for a collection that is both large and
+//! queried often enough to have paid for it (see [`store`]) — so one-shot
+//! retrieval never builds an index and search stays sub-linear at a
+//! million vectors for collections that keep being asked.
 //!
-//! Everything is deterministic: k-means and HNSW level assignment use
-//! caller-supplied seeds and the tie-breaking rules are fixed, so index
-//! builds are reproducible.
+//! Everything is deterministic: HNSW level assignment is seeded and the
+//! tie-breaking rules are fixed, so index builds are reproducible.
 
 pub mod flat;
 pub mod hnsw;
-pub mod ivf;
 pub mod metric;
 pub mod store;
 
 pub use flat::FlatIndex;
 pub use hnsw::{HnswConfig, HnswIndex};
-pub use ivf::{IvfConfig, IvfIndex};
 pub use metric::Metric;
 pub use store::{Collection, SearchHit, VectorStore, VectorStoreError};
 

@@ -1,23 +1,24 @@
 //! Collection-oriented store facade.
 //!
 //! What the `Retrieve` operator actually talks to: named collections of
-//! `(vector, payload)` pairs with metric-aware top-k search. Routing is a
-//! three-rung ladder keyed on collection size: small collections are
-//! scanned exactly; past [`Collection::IVF_THRESHOLD`] the store builds an
-//! IVF index and routes queries through it (rebuilding lazily after enough
-//! inserts, with the exact scan authoritative during the unindexed
-//! window); past [`Collection::HNSW_THRESHOLD`] it switches to an
-//! incremental HNSW graph — indexed on every insert, no stale window —
-//! so top-k stays sub-linear at a million vectors.
+//! `(vector, payload)` pairs with metric-aware top-k search. Writes append
+//! and never index, so `add` is O(1) at every size. Reads pick one of two
+//! rungs from what the collection observes about itself: an exact scan
+//! below [`Collection::HNSW_THRESHOLD`] rows, and past it too until the
+//! scans served there have cost about what an HNSW graph costs to build.
+//! Only then does `search` build the graph, and it inserts any rows
+//! appended since before every answer, so there is no stale window. A
+//! collection that is loaded, queried once and dropped — every `Retrieve`
+//! — builds nothing and gets the exact top-k.
 
 use crate::flat::FlatIndex;
 use crate::hnsw::{HnswConfig, HnswIndex};
-use crate::ivf::{IvfConfig, IvfIndex};
 use crate::metric::Metric;
 use crate::VecId;
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use thiserror::Error;
 
@@ -42,12 +43,15 @@ pub struct SearchHit {
     pub payload: String,
 }
 
-/// Which index tier an insert caused to be (re)built, for tracing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum IndexBuild {
-    Ivf,
-    Hnsw,
-}
+/// Exact scans a collection at or past [`Collection::HNSW_THRESHOLD`]
+/// serves before `search` builds its graph: the measured break-even, not
+/// an option. A graph insert costs ~99 µs a row at 8.4k rows (pzbench
+/// `retrieve`) and 155–169 µs at 1M (E21); an exact scan ~0.06–0.09 µs a
+/// row (`vector.search_flat_us`, E10): a graph pays for itself after
+/// 99/0.09 ≈ 1,100 to 169/0.06 ≈ 2,800 queries. Buying once the rent paid
+/// equals the price keeps the store within about twice the cost of the
+/// best choice in hindsight on any traffic.
+const GRAPH_BREAK_EVEN_SCANS: usize = 1_500;
 
 /// One named collection.
 pub struct Collection {
@@ -55,21 +59,17 @@ pub struct Collection {
     metric: Metric,
     flat: FlatIndex,
     payloads: Vec<String>,
-    ivf: Option<IvfIndex>,
+    /// Approximate rung over rows `0..hnsw.len()`, inserted in id order.
+    /// Built and extended by `search` only; `add` never touches it.
     hnsw: Option<HnswIndex>,
-    inserts_since_build: usize,
+    /// Exact scans served at or past [`Self::HNSW_THRESHOLD`] rows.
+    exact_scans: AtomicUsize,
 }
 
 impl Collection {
-    /// Below this size, exact scan; above, IVF.
-    pub const IVF_THRESHOLD: usize = 1024;
-    /// Past this size, the incremental HNSW graph takes over from IVF:
-    /// batch IVF rebuilds are O(n·√n) each and the rebuild cadence makes
-    /// growth quadratic-ish, while HNSW amortizes indexing into every
-    /// insert and keeps queries ~logarithmic.
+    /// Below this size every query is an exact scan; at or past it a
+    /// collection that keeps being queried earns an HNSW graph.
     pub const HNSW_THRESHOLD: usize = 8192;
-    /// Rebuild the IVF index after this many unindexed inserts.
-    const REBUILD_SLACK: usize = 256;
 
     fn new(dim: usize, metric: Metric) -> Self {
         Self {
@@ -77,9 +77,8 @@ impl Collection {
             metric,
             flat: FlatIndex::new(dim, metric),
             payloads: Vec::new(),
-            ivf: None,
             hnsw: None,
-            inserts_since_build: 0,
+            exact_scans: AtomicUsize::new(0),
         }
     }
 
@@ -95,105 +94,63 @@ impl Collection {
         self.dim
     }
 
-    /// Returns the new id and whether the insert triggered an index build.
-    fn add(
-        &mut self,
-        v: &[f32],
-        payload: String,
-    ) -> Result<(VecId, Option<IndexBuild>), VectorStoreError> {
-        if v.len() != self.dim {
-            return Err(VectorStoreError::DimensionMismatch {
-                expected: self.dim,
-                got: v.len(),
-            });
+    fn check_dim(&self, got: usize) -> Result<(), VectorStoreError> {
+        let expected = self.dim;
+        if got == expected {
+            return Ok(());
         }
-        let id = self.flat.add(v);
+        Err(VectorStoreError::DimensionMismatch { expected, got })
+    }
+
+    /// Append and return: no index is built, rebuilt or inserted into.
+    fn add(&mut self, v: &[f32], payload: String) -> Result<VecId, VectorStoreError> {
+        self.check_dim(v.len())?;
         self.payloads.push(payload);
-        if let Some(hnsw) = &mut self.hnsw {
-            // HNSW is incremental: the insert is indexed before we return,
-            // so there is never an unindexed window on this tier.
-            hnsw.add(v);
-            return Ok((id, None));
-        }
-        self.inserts_since_build += 1;
-        if self.flat.len() >= Self::HNSW_THRESHOLD {
-            self.build_hnsw();
-            return Ok((id, Some(IndexBuild::Hnsw)));
-        }
-        let rebuild = self.flat.len() >= Self::IVF_THRESHOLD
-            && self.inserts_since_build >= Self::REBUILD_SLACK;
-        if rebuild {
-            self.rebuild_ivf();
-        }
-        Ok((id, rebuild.then_some(IndexBuild::Ivf)))
+        Ok(self.flat.add(v))
     }
 
-    fn rebuild_ivf(&mut self) {
-        let items: Vec<(VecId, Vec<f32>)> = (0..self.flat.len() as VecId)
-            .map(|id| (id, self.flat.get(id).expect("sequential ids").to_vec()))
-            .collect();
-        let nlist = (items.len() as f64).sqrt().ceil() as usize;
-        let cfg = IvfConfig {
-            nlist,
-            nprobe: (nlist / 4).max(4),
-            ..Default::default()
+    /// Top-k from whichever rung is due, as far as a read lock allows:
+    /// `None` means the graph is due but missing or behind the rows, and
+    /// the caller must [`Self::catch_up`] under the write lock first.
+    fn search(&self, query: &[f32], k: usize) -> Option<Vec<SearchHit>> {
+        // The routing decision, all of it. Both inputs only ever grow, so
+        // once the graph rung answers it answers for good.
+        let scored = if self.len() < Self::HNSW_THRESHOLD {
+            self.flat.search(query, k)
+        } else if self.exact_scans.load(Ordering::Relaxed) < GRAPH_BREAK_EVEN_SCANS {
+            // A statistic that publishes no data: Relaxed is enough, and
+            // racing searchers overshooting by a scan or two is harmless.
+            self.exact_scans.fetch_add(1, Ordering::Relaxed);
+            self.flat.search(query, k)
+        } else {
+            let graph = self.hnsw.as_ref().filter(|g| g.len() == self.len())?;
+            graph.search(query, k)
         };
-        self.ivf = Some(IvfIndex::build(self.dim, self.metric, cfg, &items));
-        self.inserts_since_build = 0;
+        let hit = |s: crate::flat::Scored| SearchHit {
+            id: s.id,
+            score: s.score,
+            payload: self.payloads[s.id as usize].clone(),
+        };
+        Some(scored.into_iter().map(hit).collect())
     }
 
-    /// One-time promotion to the HNSW tier: index everything stored so
-    /// far; subsequent inserts go straight into the graph. The IVF index
-    /// is dropped — it would only go stale.
-    fn build_hnsw(&mut self) {
-        let mut hnsw = HnswIndex::new(self.dim, self.metric, HnswConfig::default());
-        for id in 0..self.flat.len() as VecId {
-            hnsw.add(self.flat.get(id).expect("sequential ids"));
+    /// Bring the graph level with the rows, in id order (so it is the
+    /// graph a standalone [`HnswIndex`] fed the same rows would be); a
+    /// no-op if another searcher got here first. True if it was created.
+    fn catch_up(&mut self) -> bool {
+        let created = self.hnsw.is_none();
+        let graph = self
+            .hnsw
+            .get_or_insert_with(|| HnswIndex::new(self.dim, self.metric, HnswConfig::default()));
+        for id in graph.len()..self.flat.len() {
+            graph.add(self.flat.get(id as VecId).expect("id below len"));
         }
-        self.hnsw = Some(hnsw);
-        self.ivf = None;
-        self.inserts_since_build = 0;
-    }
-
-    fn scored(
-        &self,
-        query: &[f32],
-        k: usize,
-    ) -> Result<Vec<crate::flat::Scored>, VectorStoreError> {
-        if query.len() != self.dim {
-            return Err(VectorStoreError::DimensionMismatch {
-                expected: self.dim,
-                got: query.len(),
-            });
-        }
-        if let Some(hnsw) = &self.hnsw {
-            return Ok(hnsw.search(query, k));
-        }
-        // The IVF index may be stale by up to REBUILD_SLACK inserts; exact
-        // scan remains authoritative until the collection is large enough
-        // that the approximation matters.
-        Ok(match (&self.ivf, self.flat.len() >= Self::IVF_THRESHOLD) {
-            (Some(ivf), true) if self.inserts_since_build == 0 => ivf.search(query, k),
-            _ => self.flat.search(query, k),
-        })
-    }
-
-    fn search(&self, query: &[f32], k: usize) -> Result<Vec<SearchHit>, VectorStoreError> {
-        Ok(self
-            .scored(query, k)?
-            .into_iter()
-            .map(|s| SearchHit {
-                id: s.id,
-                score: s.score,
-                payload: self.payloads[s.id as usize].clone(),
-            })
-            .collect())
+        created
     }
 }
 
-/// Serializable snapshot of one collection (vectors + payloads). The IVF
-/// index is not persisted — it is derived state, rebuilt on demand after
-/// restore.
+/// Serializable snapshot of one collection (vectors + payloads). The
+/// graph is derived state and is not persisted.
 #[derive(Serialize, Deserialize)]
 struct CollectionSnapshot {
     dim: usize,
@@ -276,23 +233,9 @@ impl VectorStore {
         payload: impl Into<String>,
     ) -> Result<VecId, VectorStoreError> {
         let coll = self.get_collection(collection)?;
-        let (id, built) = coll.write().add(vector, payload.into())?;
+        let id = coll.write().add(vector, payload.into())?;
         if let Some(t) = &self.tracer {
             t.incr("vector.inserts", 1);
-            if let Some(tier) = built {
-                t.incr("vector.index_builds", 1);
-                t.event(
-                    pz_obs::Layer::Vector,
-                    match tier {
-                        IndexBuild::Ivf => "ivf_build",
-                        IndexBuild::Hnsw => "hnsw_build",
-                    },
-                    &[
-                        ("collection", collection.to_string()),
-                        ("len", coll.read().len().to_string()),
-                    ],
-                );
-            }
         }
         Ok(id)
     }
@@ -305,32 +248,28 @@ impl VectorStore {
         k: usize,
     ) -> Result<Vec<SearchHit>, VectorStoreError> {
         let coll = self.get_collection(collection)?;
-        let hits = coll.read().search(query, k)?;
+        let read = coll.read();
+        read.check_dim(query.len())?;
+        let mut built_len = None;
+        let hits = match read.search(query, k) {
+            Some(hits) => hits,
+            None => {
+                drop(read);
+                let mut write = coll.write();
+                built_len = write.catch_up().then(|| write.len());
+                let hits = write.search(query, k);
+                hits.expect("graph is level under the write lock")
+            }
+        };
         if let Some(t) = &self.tracer {
             t.incr("vector.probes", 1);
+            if let Some(len) = built_len {
+                t.incr("vector.index_builds", 1);
+                let attrs = [("collection", collection.into()), ("len", len.to_string())];
+                t.event(pz_obs::Layer::Vector, "hnsw_build", &attrs);
+            }
         }
         Ok(hits)
-    }
-
-    /// Batched top-k: one lock acquisition for the whole query set,
-    /// results in query order. The hot path for embedding filters, which
-    /// score every record against the same collection.
-    pub fn search_batch(
-        &self,
-        collection: &str,
-        queries: &[Vec<f32>],
-        k: usize,
-    ) -> Result<Vec<Vec<SearchHit>>, VectorStoreError> {
-        let coll = self.get_collection(collection)?;
-        let guard = coll.read();
-        let out = queries
-            .iter()
-            .map(|q| guard.search(q, k))
-            .collect::<Result<Vec<_>, _>>()?;
-        if let Some(t) = &self.tracer {
-            t.incr("vector.probes", queries.len() as u64);
-        }
-        Ok(out)
     }
 
     /// Drop a collection; `Ok` even if it did not exist.
@@ -338,8 +277,7 @@ impl VectorStore {
         self.collections.write().remove(name);
     }
 
-    /// Serialize the whole store (vectors + payloads; indexes are derived
-    /// state and are rebuilt after restore).
+    /// Serialize the whole store (vectors + payloads).
     pub fn to_json(&self) -> Result<String, VectorStoreError> {
         let mut snap = StoreSnapshot {
             collections: BTreeMap::new(),
@@ -457,31 +395,6 @@ mod tests {
     }
 
     #[test]
-    fn large_collection_switches_to_ivf_and_stays_searchable() {
-        let store = VectorStore::new();
-        store
-            .create_collection("big", 4, Metric::Euclidean)
-            .unwrap();
-        // Push past the IVF threshold plus the rebuild slack.
-        for i in 0..(Collection::IVF_THRESHOLD + 300) {
-            let f = i as f32;
-            store
-                .add(
-                    "big",
-                    &[f.sin(), f.cos(), (f * 0.1).sin(), (f * 0.1).cos()],
-                    format!("p{i}"),
-                )
-                .unwrap();
-        }
-        let n = store.collection_len("big").unwrap();
-        assert_eq!(n, Collection::IVF_THRESHOLD + 300);
-        let hits = store.search("big", &[0.0, 1.0, 0.0, 1.0], 5).unwrap();
-        assert_eq!(hits.len(), 5);
-        // Best hit should be very close to the query.
-        assert!(hits[0].score > -0.5, "score {}", hits[0].score);
-    }
-
-    #[test]
     fn payloads_follow_ids() {
         let store = VectorStore::new();
         store.create_collection("c", 1, Metric::Dot).unwrap();
@@ -532,148 +445,128 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn tracer_counts_inserts_probes_and_builds() {
+    fn point(i: usize) -> [f32; 2] {
+        let f = i as f32;
+        [f.sin() * 10.0, f.cos() * 10.0]
+    }
+
+    /// A traced store whose collection "c" holds `point(0..n)`, loaded
+    /// through the public `add`.
+    fn loaded(n: usize) -> (VectorStore, pz_obs::Tracer) {
         let tracer = pz_obs::Tracer::new(Arc::new(pz_obs::FrozenClock(0)));
         let store = VectorStore::new().with_tracer(tracer.clone());
-        store.create_collection("c", 2, Metric::Cosine).unwrap();
-        for i in 0..(Collection::IVF_THRESHOLD + 300) {
-            store.add("c", &[i as f32, 1.0], format!("p{i}")).unwrap();
-        }
-        store.search("c", &[1.0, 1.0], 3).unwrap();
-        store.search("c", &[2.0, 1.0], 3).unwrap();
-        let snap = tracer.snapshot();
-        assert_eq!(
-            snap.counters["vector.inserts"],
-            (Collection::IVF_THRESHOLD + 300) as u64
-        );
-        assert_eq!(snap.counters["vector.probes"], 2);
-        assert!(snap.counters["vector.index_builds"] >= 1);
-        assert!(snap.events.iter().any(|e| e.name == "ivf_build"));
-    }
-
-    /// Regression pin for the IVF rebuild-after-inserts audit: between an
-    /// IVF build and the next REBUILD_SLACK-triggered rebuild, inserts are
-    /// absent from the IVF index. The router must treat the exact scan as
-    /// authoritative during that window — a stale-index read would make a
-    /// just-inserted vector unfindable until up to 256 inserts later.
-    #[test]
-    fn ivf_unindexed_window_finds_fresh_inserts() {
-        let store = VectorStore::new();
-        store.create_collection("c", 4, Metric::Euclidean).unwrap();
-        // Fill to exactly one IVF build (len = threshold + slack).
-        for i in 0..(Collection::IVF_THRESHOLD + 300) {
-            let f = i as f32 * 0.01;
-            store
-                .add("c", &[f.sin(), f.cos(), f, 1.0], format!("p{i}"))
-                .unwrap();
-        }
-        {
-            let coll = store.get_collection("c").unwrap();
-            let c = coll.read();
-            assert!(c.ivf.is_some(), "IVF must have been built");
-            assert!(
-                c.inserts_since_build > 0,
-                "test needs a non-empty unindexed window"
-            );
-        }
-        // Insert an outlier the stale IVF index has never seen.
-        store
-            .add("c", &[900.0, 900.0, 900.0, 900.0], "fresh")
-            .unwrap();
-        let hits = store.search("c", &[900.0, 900.0, 900.0, 900.0], 1).unwrap();
-        assert_eq!(
-            hits[0].payload, "fresh",
-            "fresh insert must be findable during the unindexed window"
-        );
-    }
-
-    /// Companion pin: with zero unindexed inserts the router *does* serve
-    /// from IVF (so the window check can't silently pin us to flat scans
-    /// forever).
-    #[test]
-    fn ivf_serves_queries_when_index_is_fresh() {
-        let store = VectorStore::new();
-        store.create_collection("c", 4, Metric::Euclidean).unwrap();
-        let n = Collection::IVF_THRESHOLD + 256; // lands exactly on a rebuild
+        store.create_collection("c", 2, Metric::Euclidean).unwrap();
         for i in 0..n {
-            let f = i as f32 * 0.01;
-            store
-                .add("c", &[f.sin(), f.cos(), f, 1.0], format!("p{i}"))
-                .unwrap();
+            store.add("c", &point(i), format!("p{i}")).unwrap();
         }
+        (store, tracer)
+    }
+
+    /// (`vector.index_builds`, `hnsw_build` events) recorded so far.
+    fn builds(tracer: &pz_obs::Tracer) -> (u64, usize) {
+        let events = tracer.snapshot().events;
+        (
+            tracer.counter("vector.index_builds"),
+            events.iter().filter(|e| e.name == "hnsw_build").count(),
+        )
+    }
+
+    fn scored(hits: &[SearchHit]) -> Vec<(VecId, f32)> {
+        hits.iter().map(|h| (h.id, h.score)).collect()
+    }
+
+    fn key(scan: Vec<crate::flat::Scored>) -> Vec<(VecId, f32)> {
+        scan.iter().map(|s| (s.id, s.score)).collect()
+    }
+
+    /// The `Retrieve` shape: load past the threshold, query once. Nothing
+    /// is built on either side of the query and the answer is the exact
+    /// scan's; a later insert is findable by the very next search.
+    #[test]
+    fn one_shot_load_builds_nothing_and_answers_exactly() {
+        let n = Collection::HNSW_THRESHOLD + 64;
+        let (store, tracer) = loaded(n);
+        assert_eq!(builds(&tracer), (0, 0), "add must never index");
+        let mut flat = FlatIndex::new(2, Metric::Euclidean);
+        for i in 0..n {
+            flat.add(&point(i));
+        }
+        let q = [3.0, -4.0];
+        let got = scored(&store.search("c", &q, 10).unwrap());
+        assert_eq!(got, key(flat.search(&q, 10)));
+        store.add("c", &[500.0, 500.0], "fresh").unwrap();
+        assert_eq!(
+            store.search("c", &[500.0, 500.0], 1).unwrap()[0].payload,
+            "fresh"
+        );
+        assert_eq!(builds(&tracer), (0, 0));
+    }
+
+    /// Test seam: pretend collection "c" has already served `n` exact scans
+    /// past the threshold (the real count takes seconds in a debug build).
+    fn set_scans_served(store: &VectorStore, n: usize) {
         let coll = store.get_collection("c").unwrap();
-        let c = coll.read();
-        assert!(c.ivf.is_some());
-        assert_eq!(c.inserts_since_build, 0, "index should be fresh");
-        assert!(!c.search(&[0.5, 0.5, 2.0, 1.0], 5).unwrap().is_empty());
+        coll.read().exact_scans.store(n, Ordering::Relaxed);
     }
 
+    /// A large collection that keeps being queried: exact until it has
+    /// served `GRAPH_BREAK_EVEN_SCANS` scans, then exactly one graph, equal
+    /// to a standalone `HnswIndex` fed the same rows in the same order,
+    /// and kept level with every later `add`.
     #[test]
-    fn hnsw_promotion_at_threshold() {
-        let store = VectorStore::new();
-        let tracer = pz_obs::Tracer::new(Arc::new(pz_obs::FrozenClock(0)));
-        let store = store.with_tracer(tracer.clone());
-        // Pre-fill storage to one short of the threshold directly (the
-        // IVF-era rebuild cadence is covered by the tests above; paying
-        // ~30 debug-mode k-means builds here would add nothing).
-        let mut pre = Collection::new(2, Metric::Euclidean);
-        for i in 0..(Collection::HNSW_THRESHOLD - 1) {
-            let f = i as f32;
-            pre.flat.add(&[f.sin() * 10.0, f.cos() * 10.0]);
-            pre.payloads.push(format!("p{i}"));
+    fn queried_collection_builds_one_graph_at_break_even() {
+        let n = Collection::HNSW_THRESHOLD + 64;
+        let (store, tracer) = loaded(n);
+        let mut flat = FlatIndex::new(2, Metric::Euclidean);
+        let mut twin = HnswIndex::new(2, Metric::Euclidean, HnswConfig::default());
+        for i in 0..n {
+            flat.add(&point(i));
+            twin.add(&point(i));
         }
-        store
-            .collections
-            .write()
-            .insert("big".to_string(), Arc::new(RwLock::new(pre)));
-        // These go through the real add() path: the first crosses the
-        // threshold and promotes, the rest insert incrementally.
-        for i in (Collection::HNSW_THRESHOLD - 1)..(Collection::HNSW_THRESHOLD + 50) {
-            let f = i as f32;
-            store
-                .add("big", &[f.sin() * 10.0, f.cos() * 10.0], format!("p{i}"))
-                .unwrap();
+        let query = |i: usize| [(i as f32 * 0.37).sin() * 9.0, (i as f32 * 0.37).cos() * 9.0];
+        set_scans_served(&store, GRAPH_BREAK_EVEN_SCANS - 3);
+        for i in 0..3 {
+            let got = scored(&store.search("c", &query(i), 5).unwrap());
+            assert_eq!(got, key(flat.search(&query(i), 5)), "scan {i}");
         }
-        {
-            let coll = store.get_collection("big").unwrap();
-            let c = coll.read();
-            assert!(c.hnsw.is_some(), "collection must promote to HNSW");
-            assert!(c.ivf.is_none(), "IVF is dropped after promotion");
-            assert_eq!(
-                c.hnsw.as_ref().unwrap().len(),
-                c.len(),
-                "post-promotion inserts must be indexed incrementally"
-            );
+        assert_eq!(builds(&tracer), (0, 0), "the graph is not yet paid for");
+        for i in 0..20 {
+            let got = scored(&store.search("c", &query(i), 5).unwrap());
+            assert_eq!(got, key(twin.search(&query(i), 5)), "graph query {i}");
+            assert_eq!(builds(&tracer), (1, 1));
         }
-        // Fresh inserts are immediately searchable on the HNSW tier.
-        store.add("big", &[500.0, 500.0], "fresh").unwrap();
-        let hits = store.search("big", &[500.0, 500.0], 1).unwrap();
+        // Appended after the build: indexed by the very next search.
+        store.add("c", &[500.0, 500.0], "fresh").unwrap();
+        twin.add(&[500.0, 500.0]);
+        let hits = store.search("c", &[500.0, 500.0], 5).unwrap();
         assert_eq!(hits[0].payload, "fresh");
-        let snap = tracer.snapshot();
-        assert!(snap.events.iter().any(|e| e.name == "hnsw_build"));
+        assert_eq!(scored(&hits), key(twin.search(&[500.0, 500.0], 5)));
+        assert_eq!(builds(&tracer), (1, 1), "catching up is not a build");
     }
 
     #[test]
-    fn search_batch_matches_single_queries() {
-        let store = VectorStore::new();
-        store.create_collection("c", 2, Metric::Cosine).unwrap();
-        for i in 0..50 {
-            let f = i as f32 * 0.3;
-            store
-                .add("c", &[f.sin(), f.cos()], format!("p{i}"))
-                .unwrap();
-        }
-        let queries: Vec<Vec<f32>> = (0..5).map(|i| vec![i as f32, 1.0]).collect();
-        let batched = store.search_batch("c", &queries, 3).unwrap();
-        assert_eq!(batched.len(), 5);
-        for (q, hits) in queries.iter().zip(&batched) {
-            assert_eq!(hits, &store.search("c", q, 3).unwrap());
-        }
-        assert!(matches!(
-            store.search_batch("nope", &queries, 3),
-            Err(VectorStoreError::CollectionNotFound(_))
-        ));
+    fn tracer_counts_inserts_probes_and_builds() {
+        let n = Collection::HNSW_THRESHOLD;
+        let (store, tracer) = loaded(n);
+        set_scans_served(&store, GRAPH_BREAK_EVEN_SCANS);
+        // Three searchers find the graph due at once: all take the write
+        // lock in turn, and the re-check under it lets only one build.
+        let start = std::sync::Barrier::new(3);
+        std::thread::scope(|s| {
+            for q in [[1.0, 1.0], [2.0, 1.0], [3.0, 1.0]] {
+                let (store, start) = (&store, &start);
+                s.spawn(move || {
+                    start.wait();
+                    store.search("c", &q, 3).unwrap();
+                });
+            }
+        });
+        let snap = tracer.snapshot();
+        assert_eq!(snap.counters["vector.inserts"], n as u64);
+        assert_eq!(snap.counters["vector.probes"], 3);
+        assert_eq!(builds(&tracer), (1, 1));
+        let event = snap.events.iter().find(|e| e.name == "hnsw_build").unwrap();
+        assert_eq!(event.attrs["len"], n.to_string());
     }
 
     #[test]

@@ -88,6 +88,64 @@ fn retrieve_is_cheaper_than_filtering_everything() {
     );
 }
 
+/// One `Retrieve` over more than `HNSW_THRESHOLD` records — the store's
+/// one-shot traffic: load, query once, drop. The output is exactly the
+/// exact top-k and the run builds no index.
+#[test]
+fn retrieve_past_hnsw_threshold_is_exact_and_builds_nothing() {
+    use pz_llm::EmbeddingRequest;
+    use pz_vector::{Collection, FlatIndex, Metric};
+    const K: usize = 25;
+    let topics = ["colorectal tumor", "galaxy redshift", "battery cathode"];
+    let docs: Vec<(String, String)> = (0..Collection::HNSW_THRESHOLD + 100)
+        .map(|i| {
+            let text = format!("{} note {i} batch {}", topics[i % 3], i * 7);
+            (format!("note-{i}.pdf"), text)
+        })
+        .collect();
+    let ctx = PzContext::simulated();
+    ctx.registry.register(Arc::new(MemorySource::new(
+        "notes",
+        Schema::pdf_file(),
+        docs.clone(),
+    )));
+    let query = "colorectal tumor note 4242";
+    let plan = Dataset::source("notes").retrieve(query, K).build().unwrap();
+    let outcome = execute(
+        &ctx,
+        &plan,
+        &Policy::MaxQuality,
+        ExecutionConfig::sequential(),
+    )
+    .unwrap();
+
+    let mut inputs = vec![query.to_string()];
+    inputs.extend(docs.iter().map(|(_, text)| text.clone()));
+    let req = EmbeddingRequest {
+        model: ctx.embed_model.clone(),
+        inputs,
+    };
+    let vectors = ctx.llm.embed(&req).unwrap().vectors;
+    let mut flat = FlatIndex::new(vectors[0].len(), Metric::Cosine);
+    for v in &vectors[1..] {
+        flat.add(v);
+    }
+    let mut nearest: Vec<u64> = flat.search(&vectors[0], K).iter().map(|s| s.id).collect();
+    nearest.sort_unstable();
+    let want: Vec<&str> = nearest
+        .iter()
+        .map(|&i| docs[i as usize].0.as_str())
+        .collect();
+    let got: Vec<&str> = outcome
+        .records
+        .iter()
+        .map(|r| r.get("filename").and_then(|v| v.as_text()).unwrap())
+        .collect();
+    assert_eq!(got, want);
+    assert_eq!(ctx.tracer.counter("vector.index_builds"), 0);
+    assert!(ctx.vectors.collection_names().is_empty());
+}
+
 #[test]
 fn vector_store_shared_through_context() {
     use pz_vector::Metric;

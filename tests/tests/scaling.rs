@@ -359,14 +359,16 @@ fn hnsw_is_deterministic_under_fixed_seed() {
     }
 }
 
-/// Past `Collection::HNSW_THRESHOLD` the store answers from the HNSW
-/// graph; results must still agree with an exact scan at recall >= 0.9.
+/// Past `Collection::HNSW_THRESHOLD` the store answers exactly until the
+/// collection has been queried enough to pay for a graph, then from the
+/// HNSW graph: recall is 1.0 before the switch and must stay >= 0.9 after.
 #[test]
 fn vector_store_routes_large_collections_to_hnsw() {
     const DIM: usize = 8;
     const K: usize = 10;
     let n = pz_vector::Collection::HNSW_THRESHOLD + 64;
-    let store = VectorStore::new();
+    let tracer = pz_obs::Tracer::new(std::sync::Arc::new(pz_obs::FrozenClock(0)));
+    let store = VectorStore::new().with_tracer(tracer.clone());
     store.ensure_collection("big", DIM, Metric::Cosine);
     let mut flat = FlatIndex::new(DIM, Metric::Cosine);
     for i in 0..n {
@@ -374,22 +376,42 @@ fn vector_store_routes_large_collections_to_hnsw() {
         store.add("big", &v, format!("p{i}")).unwrap();
         flat.add(&v);
     }
-    let mut overlap = 0usize;
-    let queries = 32;
-    for q in 0..queries {
+    let ids = |q: usize| -> (Vec<pz_vector::VecId>, Vec<pz_vector::VecId>) {
         let query = vec_at(13, q, DIM);
-        let truth: std::collections::HashSet<_> =
-            flat.search(&query, K).into_iter().map(|s| s.id).collect();
-        overlap += store
-            .search("big", &query, K)
-            .unwrap()
-            .iter()
-            .filter(|h| truth.contains(&h.id))
-            .count();
+        let got = store.search("big", &query, K).unwrap();
+        let truth = flat.search(&query, K);
+        (
+            got.iter().map(|h| h.id).collect(),
+            truth.iter().map(|s| s.id).collect(),
+        )
+    };
+    // The switch is the store's own decision; watch for it from outside.
+    let built = || tracer.counter("vector.index_builds");
+    let mut exact = 0usize;
+    loop {
+        assert!(exact < 10_000, "store never built a graph");
+        let (got, truth) = ids(exact);
+        if built() > 0 {
+            break;
+        }
+        assert_eq!(
+            got, truth,
+            "query {exact} precedes the graph: must be exact"
+        );
+        exact += 1;
     }
+    assert!(exact > 1, "a one-shot query must not build a graph");
+    let queries = 32;
+    let overlap: usize = (0..queries)
+        .map(|q| {
+            let (got, truth) = ids(q);
+            got.iter().filter(|id| truth.contains(id)).count()
+        })
+        .sum();
     let recall = overlap as f64 / (queries * K) as f64;
     assert!(
         recall >= 0.9,
         "store recall@{K} past HNSW threshold = {recall:.3} < 0.9"
     );
+    assert_eq!(built(), 1);
 }
