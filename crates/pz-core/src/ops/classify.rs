@@ -36,7 +36,8 @@ pub fn llm_classify(
     let budget = window.saturating_sub(label_tokens + 64);
     let mut out = Vec::with_capacity(input.len());
     for mut rec in input {
-        let text = truncate_to_tokens(&rec.prompt_text(), budget);
+        let text = rec.prompt_text();
+        let text = truncate_to_tokens(&text, budget);
         let prompt = protocol::classify_prompt_with_effort(labels, &text, effort);
         let req = CompletionRequest::new(model.clone(), prompt).with_max_output_tokens(16);
         let resp = ctx

@@ -54,7 +54,8 @@ pub fn llm_convert(
                 .map(|f| f.name.len() / 3 + f.description.len() / 3)
                 .sum();
             let budget = window.saturating_sub(overhead + 128);
-            let text = truncate_to_tokens(&rec.prompt_text(), budget);
+            let text = rec.prompt_text();
+            let text = truncate_to_tokens(&text, budget);
             let prompt = protocol::extract_prompt_with_effort(
                 &missing,
                 map_cardinality(cardinality),
@@ -137,7 +138,8 @@ pub fn llm_convert_fieldwise(
         for f in &missing {
             let spec = vec![FieldSpec::new(f.name.clone(), f.description.clone())];
             let budget = window.saturating_sub(f.name.len() / 3 + f.description.len() / 3 + 128);
-            let text = truncate_to_tokens(&rec.prompt_text(), budget);
+            let text = rec.prompt_text();
+            let text = truncate_to_tokens(&text, budget);
             let prompt = protocol::extract_prompt_with_effort(
                 &spec,
                 map_cardinality(cardinality),

@@ -34,7 +34,8 @@ pub fn llm_filter(
     let budget = window.saturating_sub(count_tokens(predicate) + 64);
     let mut out = Vec::with_capacity(input.len());
     for rec in input {
-        let text = truncate_to_tokens(&rec.prompt_text(), budget);
+        let text = rec.prompt_text();
+        let text = truncate_to_tokens(&text, budget);
         let prompt = protocol::filter_prompt_with_effort(predicate, &text, effort);
         let req = CompletionRequest::new(model.clone(), prompt).with_max_output_tokens(4);
         let resp = ctx
@@ -65,7 +66,7 @@ pub fn embedding_filter(
     }
     let mut texts: Vec<String> = Vec::with_capacity(input.len() + 1);
     texts.push(predicate.to_string());
-    texts.extend(input.iter().map(|r| r.prompt_text()));
+    texts.extend(input.iter().map(|r| r.prompt_text().into_owned()));
     let req = EmbeddingRequest {
         model: model.clone(),
         inputs: texts,
@@ -116,7 +117,8 @@ pub fn ensemble_filter(
                 .map(|m| m.context_window)
                 .unwrap_or(usize::MAX);
             let budget = window.saturating_sub(count_tokens(predicate) + 64);
-            let text = truncate_to_tokens(&rec.prompt_text(), budget);
+            let text = rec.prompt_text();
+            let text = truncate_to_tokens(&text, budget);
             let prompt = protocol::filter_prompt_with_effort(predicate, &text, effort);
             let req = CompletionRequest::new(model.clone(), prompt).with_max_output_tokens(4);
             let resp = ctx

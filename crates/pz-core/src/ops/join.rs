@@ -143,9 +143,11 @@ pub fn llm_join(
     let budget = window.saturating_sub(count_tokens(criterion) + 96) / 2;
     let mut out = Vec::new();
     for l in &input {
-        let left_text = truncate_to_tokens(&l.prompt_text(), budget);
+        let left_text = l.prompt_text();
+        let left_text = truncate_to_tokens(&left_text, budget);
         for r in &right {
-            let right_text = truncate_to_tokens(&r.prompt_text(), budget);
+            let right_text = r.prompt_text();
+            let right_text = truncate_to_tokens(&right_text, budget);
             let prompt = protocol::match_prompt(criterion, &left_text, &right_text, effort);
             let req = CompletionRequest::new(model.clone(), prompt).with_max_output_tokens(4);
             let resp = ctx

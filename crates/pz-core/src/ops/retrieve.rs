@@ -25,7 +25,7 @@ pub fn retrieve(
     }
     let mut texts: Vec<String> = Vec::with_capacity(input.len() + 1);
     texts.push(query.to_string());
-    texts.extend(input.iter().map(|r| r.prompt_text()));
+    texts.extend(input.iter().map(|r| r.prompt_text().into_owned()));
     let req = EmbeddingRequest {
         model: model.clone(),
         inputs: texts,

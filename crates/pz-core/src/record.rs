@@ -8,6 +8,7 @@ use crate::error::{PzError, PzResult};
 use crate::field::FieldType;
 use crate::schema::Schema;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -189,19 +190,23 @@ impl DataRecord {
     }
 
     /// The record's "text" for LLM prompts: the conventional content field
-    /// if present, otherwise all fields rendered as `name: value` lines.
-    pub fn prompt_text(&self) -> String {
+    /// if present (borrowed — the prompt an operator builds from it is the
+    /// document's only copy), otherwise all fields rendered as
+    /// `name: value` lines.
+    pub fn prompt_text(&self) -> Cow<'_, str> {
         for key in ["contents", "content", "text", "body"] {
             if let Some(Value::Text(s)) = self.fields.get(key) {
-                return s.clone();
+                return Cow::Borrowed(s);
             }
         }
-        self.fields
-            .iter()
-            .filter(|(_, v)| !v.is_null())
-            .map(|(k, v)| format!("{k}: {v}"))
-            .collect::<Vec<_>>()
-            .join("\n")
+        Cow::Owned(
+            self.fields
+                .iter()
+                .filter(|(_, v)| !v.is_null())
+                .map(|(k, v)| format!("{k}: {v}"))
+                .collect::<Vec<_>>()
+                .join("\n"),
+        )
     }
 
     /// Validate against a schema: required fields present and non-null,

@@ -4,6 +4,11 @@
 //! deterministic [`crate::sim::SimulatedLlm`], but any hosted client could
 //! implement the same trait. The trait is object-safe so executors can hold
 //! `Arc<dyn LlmClient>`.
+//!
+//! [`RetryPolicy`] wraps every call the operators make. On the path every
+//! successful call takes it costs a breaker check and nothing else: it does
+//! not read the prompt. The one thing it derives from the payload — the
+//! jitter salt — is computed inside the retry branch (see `RetryPolicy::run`).
 
 use crate::catalog::ModelId;
 use crate::usage::Usage;
@@ -288,8 +293,8 @@ impl RetryPolicy {
         req: &CompletionRequest,
         rc: &RetryContext<'_>,
     ) -> Result<CompletionResponse, LlmError> {
-        let salt = crate::stable_hash(&[&req.prompt]).to_string();
-        self.run(&req.model, &salt, rc, || client.complete(req))
+        let salt = || crate::stable_hash(&[&req.prompt]);
+        self.run(&req.model, salt, rc, || client.complete(req))
     }
 
     /// Embedding with full resilience context.
@@ -307,9 +312,16 @@ impl RetryPolicy {
         req: &EmbeddingRequest,
         rc: &RetryContext<'_>,
     ) -> Result<EmbeddingResponse, LlmError> {
-        let joined = req.inputs.join("\u{1}");
-        let salt = crate::stable_hash(&[&joined]).to_string();
-        self.run(&req.model, &salt, rc, || client.embed(req))
+        // The hash of the batch joined by U+0001, without building the join.
+        let salt = || {
+            let mut h = crate::StableHasher::new();
+            for (i, input) in req.inputs.iter().enumerate() {
+                let separator: &[u8] = if i > 0 { &[1] } else { &[] };
+                h = h.bytes(separator).bytes(input.as_bytes());
+            }
+            h.end_part().finish()
+        };
+        self.run(&req.model, salt, rc, || client.embed(req))
     }
 
     /// Embedding with full resilience context, splitting oversized input
@@ -351,10 +363,14 @@ impl RetryPolicy {
         Ok(merged)
     }
 
+    /// `salt` keys the jitter draw to the request. It is a hash of the whole
+    /// prompt (or embedding batch), so it is computed only where it is used:
+    /// inside the retry branch, when jitter is on. A call that succeeds
+    /// first time never reads its payload here.
     fn run<T>(
         &self,
         model: &ModelId,
-        salt: &str,
+        salt: impl Fn() -> u64,
         rc: &RetryContext<'_>,
         mut call: impl FnMut() -> Result<T, LlmError>,
     ) -> Result<T, LlmError> {
@@ -393,7 +409,7 @@ impl RetryPolicy {
                             &self.seed.to_string(),
                             "retry-jitter",
                             model.as_str(),
-                            salt,
+                            &salt().to_string(),
                             &attempt.to_string(),
                         ]);
                         wait *= 1.0 + self.jitter * (2.0 * u - 1.0);
@@ -683,6 +699,55 @@ mod tests {
         let plain = run(0.0);
         assert!((plain - 3.5).abs() < 1e-9);
         assert!(a != plain && (a - plain).abs() <= 0.25 * plain + 1e-9);
+    }
+
+    /// The salt is computed on demand, not up front; it is still the hash of
+    /// the whole prompt (or of the batch joined by U+0001), so a retry waits
+    /// exactly as long as it always did.
+    #[test]
+    fn jitter_salt_is_the_payload_hash() {
+        let policy = RetryPolicy {
+            jitter: 0.25,
+            seed: 7,
+            ..Default::default()
+        };
+        let expected_micros = |salt: u64| -> u64 {
+            let mut total = 0u64;
+            let mut backoff = policy.initial_backoff_secs;
+            for attempt in 0..policy.max_attempts {
+                let u = crate::hash_unit(&[
+                    "7",
+                    "retry-jitter",
+                    "m",
+                    &salt.to_string(),
+                    &attempt.to_string(),
+                ]);
+                let wait = backoff * (1.0 + policy.jitter * (2.0 * u - 1.0));
+                total += (wait * 1e6).round() as u64;
+                backoff *= policy.backoff_multiplier;
+            }
+            total
+        };
+        let c = AlwaysErr(transient());
+
+        let clock = VirtualClock::new();
+        let req = CompletionRequest::new("m", "a prompt\nwith a body");
+        policy
+            .complete_with(&c, &req, &RetryContext::new(&clock))
+            .unwrap_err();
+        let want = expected_micros(crate::stable_hash(&["a prompt\nwith a body"]));
+        assert_eq!(clock.now_micros(), want);
+
+        let clock = VirtualClock::new();
+        let req = EmbeddingRequest {
+            model: "m".into(),
+            inputs: vec!["first doc".into(), String::new(), "third".into()],
+        };
+        policy
+            .embed_with(&c, &req, &RetryContext::new(&clock))
+            .unwrap_err();
+        let want = expected_micros(crate::stable_hash(&["first doc\u{1}\u{1}third"]));
+        assert_eq!(clock.now_micros(), want);
     }
 
     #[test]

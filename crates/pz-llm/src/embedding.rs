@@ -8,8 +8,13 @@
 //! depends only on its own text, chunking a batch across provider requests
 //! ([`crate::client::RetryPolicy::embed_batched`]) yields bit-identical
 //! vectors to one monolithic request.
+//!
+//! Tokens come from the same text kernel the simulator reads documents with
+//! ([`crate::text`]): an embedding is one read of its text and one
+//! allocation, the vector.
 
-use crate::stable_hash;
+use crate::text::{lower, words};
+use crate::StableHasher;
 
 /// Deterministic embedder with a configurable dimensionality.
 #[derive(Clone, Debug)]
@@ -38,14 +43,21 @@ impl Embedder {
     /// Each lowercased alphanumeric token is hashed into three coordinates
     /// with signed weights (a sparse random projection), weighted by a
     /// sublinear term frequency. The zero text embeds to the zero vector.
+    ///
+    /// One read of the text and one allocation (the vector): tokens are
+    /// borrowed from the shared text kernel, and each is hashed once — the
+    /// three probes continue that state (`stable_hash(&[token, "0"])`, …)
+    /// instead of re-hashing the token.
     pub fn embed(&self, text: &str) -> Vec<f32> {
         let mut v = vec![0.0f32; self.dim];
-        for token in tokenize(text) {
+        let mut buf = String::new();
+        for word in words(text) {
+            let token = StableHasher::new().part(lower(word, &mut buf));
             // Sublinear tf: repeated occurrences add with damping via the
             // natural accumulation then final normalization; per-token we
             // add a fixed contribution.
-            for probe in 0..3u32 {
-                let h = stable_hash(&[&token, &probe.to_string()]);
+            for probe in ["0", "1", "2"] {
+                let h = token.part(probe).finish();
                 let idx = (h % self.dim as u64) as usize;
                 let sign = if (h >> 32) & 1 == 0 { 1.0 } else { -1.0 };
                 v[idx] += sign;
@@ -54,12 +66,6 @@ impl Embedder {
         l2_normalize(&mut v);
         v
     }
-}
-
-fn tokenize(text: &str) -> impl Iterator<Item = String> + '_ {
-    text.split(|c: char| !c.is_alphanumeric())
-        .filter(|t| t.len() > 1)
-        .map(|t| t.to_ascii_lowercase())
 }
 
 fn l2_normalize(v: &mut [f32]) {
@@ -87,6 +93,43 @@ pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stable_hash;
+    use crate::text::reference::odd_text;
+    use proptest::prelude::*;
+
+    /// The embedder this one replaced: a lower-cased `String` per token, a
+    /// rendered probe number and a full re-hash of the token per probe.
+    fn reference_embed(dim: usize, text: &str) -> Vec<f32> {
+        let mut v = vec![0.0f32; dim];
+        let tokens = text
+            .split(|c: char| !c.is_alphanumeric())
+            .filter(|t| t.len() > 1)
+            .map(|t| t.to_ascii_lowercase());
+        for token in tokens {
+            for probe in 0..3u32 {
+                let h = stable_hash(&[&token, &probe.to_string()]);
+                let idx = (h % dim as u64) as usize;
+                let sign = if (h >> 32) & 1 == 0 { 1.0 } else { -1.0 };
+                v[idx] += sign;
+            }
+        }
+        l2_normalize(&mut v);
+        v
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #[test]
+        fn embedding_is_bit_identical_to_reference(text in odd_text(), dim in 4usize..130) {
+            prop_assert_eq!(
+                bits(&Embedder::new(dim).embed(&text)),
+                bits(&reference_embed(dim, &text))
+            );
+        }
+    }
 
     #[test]
     fn deterministic() {

@@ -33,6 +33,7 @@ pub mod embedding;
 pub mod fault;
 pub mod protocol;
 pub mod sim;
+mod text;
 pub mod tokenizer;
 pub mod traced;
 pub mod usage;
@@ -57,32 +58,92 @@ pub use usage::{ModelUsage, Quota, QuotaExceeded, Usage, UsageLedger};
 /// jitter). Not cryptographic; chosen for determinism across platforms.
 #[inline]
 pub fn stable_hash(parts: &[&str]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for part in parts {
-        for b in part.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        // Separator so ["ab","c"] != ["a","bc"].
-        h ^= 0x1f;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    // FNV-1a's low bits are a weak 7-bit state machine (multiplication by an
-    // odd constant never lets high bits influence low bits), so finish with
-    // a splitmix64-style avalanche before anyone takes `h % n`.
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    h ^= h >> 33;
-    h
+    parts
+        .iter()
+        .fold(StableHasher::new(), |h, part| h.part(part))
+        .finish()
 }
 
 /// Map a stable hash to a uniform f64 in [0, 1).
 #[inline]
 pub fn hash_unit(parts: &[&str]) -> f64 {
-    // Use the top 53 bits for a full-precision mantissa.
-    (stable_hash(parts) >> 11) as f64 / (1u64 << 53) as f64
+    unit(stable_hash(parts))
+}
+
+/// The top 53 bits as a full-precision mantissa.
+#[inline]
+fn unit(h: u64) -> f64 {
+    (h >> 11) as f64 / (1u64 << 53) as f64
+}
+
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// The running state of [`stable_hash`], for callers that hash a shared
+/// prefix or a long part once instead of once per draw: `Copy`, so a prefix
+/// forks, and [`part_both`](Self::part_both) feeds one part to two states in
+/// a single read (FNV is one dependent multiply per byte, so two chains
+/// over the same bytes cost what one does). `new().part(a).part(b).finish()`
+/// is `stable_hash(&[a, b])` bit for bit.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct StableHasher(u64);
+
+impl StableHasher {
+    #[inline]
+    pub(crate) fn new() -> Self {
+        StableHasher(0xcbf2_9ce4_8422_2325)
+    }
+
+    #[inline]
+    fn byte(self, b: u8) -> Self {
+        StableHasher((self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+    }
+
+    /// Absorb bytes of the current part without closing it.
+    #[inline]
+    pub(crate) fn bytes(self, bytes: &[u8]) -> Self {
+        bytes.iter().fold(self, |h, b| h.byte(*b))
+    }
+
+    /// Close the current part: a separator so ["ab","c"] != ["a","bc"].
+    #[inline]
+    pub(crate) fn end_part(self) -> Self {
+        self.byte(0x1f)
+    }
+
+    #[inline]
+    pub(crate) fn part(self, part: &str) -> Self {
+        self.bytes(part.as_bytes()).end_part()
+    }
+
+    /// `(a.part(part), b.part(part))` in one pass over `part`.
+    #[inline]
+    pub(crate) fn part_both(a: Self, b: Self, part: &str) -> (Self, Self) {
+        let (a, b) = part
+            .bytes()
+            .fold((a, b), |(a, b), byte| (a.byte(byte), b.byte(byte)));
+        (a.end_part(), b.end_part())
+    }
+
+    #[inline]
+    pub(crate) fn finish(self) -> u64 {
+        // FNV-1a's low bits are a weak 7-bit state machine (multiplication
+        // by an odd constant never lets high bits influence low bits), so
+        // finish with a splitmix64-style avalanche before anyone takes
+        // `h % n`.
+        let mut h = self.0;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^= h >> 33;
+        h
+    }
+
+    /// [`finish`](Self::finish) mapped to [0, 1) the way [`hash_unit`] does.
+    #[inline]
+    pub(crate) fn unit(self) -> f64 {
+        unit(self.finish())
+    }
 }
 
 #[cfg(test)]

@@ -21,6 +21,11 @@
 //! This module owns both directions: building prompts (used by `pz-core`)
 //! and parsing them (used by [`crate::sim`]), plus response parsing. Keeping
 //! both sides in one place makes round-trip property tests possible.
+//!
+//! Building a prompt is the one place a document is copied. Parsing copies
+//! nothing: a [`Task`] is slices of the prompt it came from, and the input
+//! is found by position — what follows the `#INPUT` line — whether header
+//! lines end in `\n` or `\r\n`.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -67,49 +72,44 @@ pub enum Effort {
 /// Separator between the two sides of a `match` task's input.
 pub const MATCH_SEPARATOR: &str = "\n#===RIGHT===#\n";
 
-/// A parsed structured prompt.
+/// A field of a parsed `extract` task: [`FieldSpec`] borrowed from the prompt.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FieldRef<'a> {
+    pub name: &'a str,
+    pub description: &'a str,
+}
+
+/// A parsed structured prompt. Every string is a slice of the prompt it was
+/// parsed from — the document in particular is not copied out again.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Task {
+pub enum Task<'a> {
     Filter {
-        predicate: String,
-        input: String,
+        predicate: &'a str,
+        input: &'a str,
         effort: Effort,
     },
     Extract {
-        fields: Vec<FieldSpec>,
+        fields: Vec<FieldRef<'a>>,
         cardinality: Cardinality,
-        input: String,
+        input: &'a str,
         effort: Effort,
     },
     Classify {
-        labels: Vec<String>,
-        input: String,
+        labels: Vec<&'a str>,
+        input: &'a str,
     },
     Generate {
-        instruction: String,
-        input: String,
+        instruction: &'a str,
+        input: &'a str,
     },
     /// Judge whether two records match under a natural-language criterion
     /// (semantic join).
     Match {
-        criterion: String,
-        left: String,
-        right: String,
+        criterion: &'a str,
+        left: &'a str,
+        right: &'a str,
         effort: Effort,
     },
-}
-
-impl Task {
-    /// The free-text payload of the task (the left side for `Match`).
-    pub fn input(&self) -> &str {
-        match self {
-            Task::Filter { input, .. }
-            | Task::Extract { input, .. }
-            | Task::Classify { input, .. }
-            | Task::Generate { input, .. } => input,
-            Task::Match { left, .. } => left,
-        }
-    }
 }
 
 fn sanitize_line(s: &str) -> String {
@@ -214,73 +214,67 @@ pub fn generate_prompt(instruction: &str, input: &str) -> String {
 
 /// Parse a structured prompt. Returns `None` for free-form prompts that do
 /// not follow the dialect (the simulator falls back to echo behaviour).
-pub fn parse_prompt(prompt: &str) -> Option<Task> {
+///
+/// Header lines may end in `\n` or `\r\n`. The input is whatever follows the
+/// `#INPUT` line, found by splitting there — never by adding up line
+/// lengths, which goes wrong (and can land inside a character) as soon as a
+/// line end is two bytes.
+pub fn parse_prompt(prompt: &str) -> Option<Task<'_>> {
     let rest = prompt.strip_prefix("#TASK ")?;
     let (task_name, rest) = rest.split_once('\n')?;
-    let mut headers: Vec<(String, String)> = Vec::new();
-    let mut lines = rest.lines();
-    let mut input = String::new();
-    let mut remainder_offset = 0usize;
+    let mut headers: Vec<(&str, &str)> = Vec::new();
+    let mut input = "";
     // Walk header lines until #INPUT; everything after is verbatim input.
-    loop {
-        let line_start = remainder_offset;
-        let line = match lines.next() {
-            Some(l) => l,
-            None => break,
+    let mut tail = rest;
+    while !tail.is_empty() {
+        let (line, after) = match tail.split_once('\n') {
+            Some((line, after)) => (line.strip_suffix('\r').unwrap_or(line), after),
+            None => (tail, ""),
         };
-        remainder_offset = line_start + line.len() + 1; // +1 for '\n'
         if line == "#INPUT" {
-            if remainder_offset <= rest.len() {
-                input = rest[remainder_offset..].to_string();
-            }
+            input = after;
             break;
         }
         if let Some(h) = line.strip_prefix('#') {
-            if let Some((k, v)) = h.split_once(' ') {
-                headers.push((k.to_string(), v.to_string()));
-            } else {
-                headers.push((h.to_string(), String::new()));
-            }
+            headers.push(h.split_once(' ').unwrap_or((h, "")));
         }
+        tail = after;
     }
-    let header = |key: &str| -> Option<&str> {
-        headers
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    };
+    let header =
+        |key: &str| -> Option<&str> { headers.iter().find(|(k, _)| *k == key).map(|(_, v)| *v) };
     let effort = match header("EFFORT") {
         Some("high") => Effort::High,
         _ => Effort::Standard,
     };
+    fn list(values: &str) -> Vec<&str> {
+        values
+            .split('|')
+            .map(str::trim)
+            .filter(|s| !s.is_empty())
+            .collect()
+    }
     match task_name.trim() {
         "filter" => Some(Task::Filter {
-            predicate: header("PREDICATE")?.to_string(),
+            predicate: header("PREDICATE")?,
             input,
             effort,
         }),
         "extract" => {
-            let names: Vec<String> = header("FIELDS")?
-                .split('|')
-                .map(|s| s.trim().to_string())
-                .filter(|s| !s.is_empty())
-                .collect();
-            let mut descs: BTreeMap<String, String> = BTreeMap::new();
-            for (k, v) in &headers {
-                if k == "DESC" {
-                    if let Some((name, d)) = v.split_once(':') {
-                        descs.insert(name.trim().to_string(), d.trim().to_string());
-                    }
-                }
-            }
-            let fields = names
+            // A field's description is its last `#DESC name: …` header.
+            let description = |name: &str| {
+                headers
+                    .iter()
+                    .rev()
+                    .filter(|(k, _)| *k == "DESC")
+                    .filter_map(|(_, v)| v.split_once(':'))
+                    .find(|(n, _)| n.trim() == name)
+                    .map_or("", |(_, d)| d.trim())
+            };
+            let fields = list(header("FIELDS")?)
                 .into_iter()
-                .map(|n| {
-                    let d = descs.get(&n).cloned().unwrap_or_default();
-                    FieldSpec {
-                        name: n,
-                        description: d,
-                    }
+                .map(|name| FieldRef {
+                    name,
+                    description: description(name),
                 })
                 .collect();
             let cardinality = match header("CARDINALITY") {
@@ -295,23 +289,19 @@ pub fn parse_prompt(prompt: &str) -> Option<Task> {
             })
         }
         "classify" => Some(Task::Classify {
-            labels: header("LABELS")?
-                .split('|')
-                .map(|s| s.trim().to_string())
-                .filter(|s| !s.is_empty())
-                .collect(),
+            labels: list(header("LABELS")?),
             input,
         }),
         "generate" => Some(Task::Generate {
-            instruction: header("INSTRUCTION")?.to_string(),
+            instruction: header("INSTRUCTION")?,
             input,
         }),
         "match" => {
             let (left, right) = input.split_once(MATCH_SEPARATOR)?;
             Some(Task::Match {
-                criterion: header("CRITERION")?.to_string(),
-                left: left.to_string(),
-                right: right.to_string(),
+                criterion: header("CRITERION")?,
+                left,
+                right,
                 effort,
             })
         }
@@ -354,6 +344,13 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    fn owned(fields: &[FieldRef<'_>]) -> Vec<FieldSpec> {
+        fields
+            .iter()
+            .map(|f| FieldSpec::new(f.name, f.description))
+            .collect()
+    }
+
     #[test]
     fn filter_round_trip() {
         let p = filter_prompt("about colorectal cancer", "Title: X\nBody text.");
@@ -382,7 +379,7 @@ mod tests {
                 input,
                 ..
             }) => {
-                assert_eq!(f2, fields);
+                assert_eq!(owned(&f2), fields);
                 assert_eq!(cardinality, Cardinality::OneToMany);
                 assert_eq!(input, "doc body");
             }
@@ -509,6 +506,89 @@ mod tests {
     }
 
     #[test]
+    fn crlf_headers_do_not_shift_the_input() {
+        let p = "#TASK filter\r\n#PREDICATE about cancer\r\n#INPUT\r\nhello world";
+        assert_eq!(
+            parse_prompt(p),
+            Some(Task::Filter {
+                predicate: "about cancer",
+                input: "hello world",
+                effort: Effort::Standard,
+            })
+        );
+        // Mixed line ends, and CRLF *inside* the input is the input's own.
+        let p = "#TASK extract\r\n#EFFORT high\n#FIELDS a|b\r\n#DESC a: first\r\n#CARDINALITY many\r\n#INPUT\nline one\r\nline two\r\n";
+        match parse_prompt(p) {
+            Some(Task::Extract {
+                fields,
+                cardinality,
+                input,
+                effort,
+            }) => {
+                assert_eq!(
+                    owned(&fields),
+                    vec![FieldSpec::new("a", "first"), FieldSpec::new("b", "")]
+                );
+                assert_eq!(cardinality, Cardinality::OneToMany);
+                assert_eq!(effort, Effort::High);
+                assert_eq!(input, "line one\r\nline two\r\n");
+            }
+            other => panic!("bad parse: {other:?}"),
+        }
+    }
+
+    /// Summing `line.len() + 1` over CRLF lines drifts one byte early per
+    /// line; enough of them in front of a multi-byte character used to put
+    /// the computed input offset inside it and panic.
+    #[test]
+    fn crlf_headers_before_non_ascii_do_not_panic() {
+        let mut p = String::from("#TASK filter\r\n#PREDICATE about cancer\r\n");
+        for i in 0..12 {
+            p.push_str(&format!("#X{i} padding\r\n"));
+        }
+        p.push_str("#NOTE ééééééééééééééééééééééééééééééééé\r\n#INPUT\r\nétude");
+        match parse_prompt(&p) {
+            Some(Task::Filter { input, .. }) => assert_eq!(input, "étude"),
+            other => panic!("bad parse: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn input_marker_edge_cases() {
+        // No #INPUT line at all: headers still parse, the input is empty.
+        assert_eq!(
+            parse_prompt("#TASK generate\n#INSTRUCTION summarize"),
+            Some(Task::Generate {
+                instruction: "summarize",
+                input: "",
+            })
+        );
+        // #INPUT as the last line, with and without its newline.
+        for p in [
+            "#TASK generate\n#INSTRUCTION x\n#INPUT",
+            "#TASK generate\n#INSTRUCTION x\n#INPUT\n",
+        ] {
+            assert_eq!(
+                parse_prompt(p),
+                Some(Task::Generate {
+                    instruction: "x",
+                    input: "",
+                })
+            );
+        }
+        // Only the first #INPUT line is the marker.
+        match parse_prompt("#TASK filter\n#PREDICATE p\n#INPUT\n#INPUT\n#PREDICATE q") {
+            Some(Task::Filter {
+                predicate, input, ..
+            }) => {
+                assert_eq!(predicate, "p");
+                assert_eq!(input, "#INPUT\n#PREDICATE q");
+            }
+            other => panic!("bad parse: {other:?}"),
+        }
+    }
+
+    #[test]
     fn empty_input_allowed() {
         let p = filter_prompt("pred", "");
         match parse_prompt(&p).unwrap() {
@@ -546,7 +626,7 @@ mod tests {
             let p = extract_prompt(&fields, Cardinality::OneToOne, &input);
             match parse_prompt(&p).expect("parse") {
                 Task::Extract { fields: f2, input: i2, .. } => {
-                    prop_assert_eq!(f2, fields);
+                    prop_assert_eq!(owned(&f2), fields);
                     prop_assert_eq!(i2, input);
                 }
                 _ => prop_assert!(false, "wrong task kind"),

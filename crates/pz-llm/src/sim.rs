@@ -11,6 +11,37 @@
 //! stable hash, so a given record is always judged the same way by a given
 //! model: reruns are bit-identical, yet aggregate error rates match the
 //! model card's quality factor.
+//!
+//! ## Read budget
+//!
+//! The simulator stands in for a network call, so its wall cost should be a
+//! few passes over the prompt and nothing that grows with it on the heap. A
+//! completion reads its document three times and copies it never:
+//!
+//! 1. **one token count** of the prompt — the bill ([`count_tokens`]);
+//! 2. **one word scan** — [`find_stems`] walks the document's words through
+//!    the shared text kernel ([`crate::text`]), compares each word's stem
+//!    against the handful of predicate stems without building either, and
+//!    stops once every predicate word is found. The stopword test runs only
+//!    on a word whose stem matched: a stopword is dropped from the
+//!    document's vocabulary, so it can only *withhold* a hit, and a word
+//!    that matches nothing has no hit to withhold;
+//! 3. **one hash pass** — the shared-difficulty draw and the per-model draw
+//!    end in the same long part (the document), so both hash states are
+//!    fed from a single read ([`StableHasher::part_both`]).
+//!
+//! [`protocol::parse_prompt`] hands out slices of the prompt, the model card
+//! is borrowed from the catalog, and the seed is rendered once at
+//! construction. What a call allocates is its answer and a few small
+//! vectors sized by the predicate or the schema, not by the document.
+//! `extract` reads its document once more, line by line, to find
+//! `label: value` pairs; it derives each pair's and each field's matching
+//! keys once per call and builds strings only for the values it returns.
+//! `match` needs both sides' vocabularies at once, so it folds each side
+//! into one lower-cased copy and sorts borrowed stems. `classify` keeps the
+//! parent's probe of the whole prompt for `#EFFORT high` (one substring
+//! search): honouring only the header would change what a document that
+//! happens to contain the string is billed.
 
 use crate::catalog::{Catalog, ModelKind};
 use crate::client::{
@@ -19,10 +50,11 @@ use crate::client::{
 use crate::clock::VirtualClock;
 use crate::embedding::Embedder;
 use crate::fault::{FaultInjector, FaultPlan};
-use crate::protocol::{self, Cardinality, Effort, FieldSpec, Task};
+use crate::protocol::{self, Cardinality, Effort, FieldRef, Task};
+use crate::text::{content_stems, is_stopword, lower, stem, words, Stem};
 use crate::tokenizer::{count_output_tokens, count_tokens};
 use crate::usage::{Usage, UsageLedger};
-use crate::{hash_unit, stable_hash};
+use crate::{stable_hash, StableHasher};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -59,6 +91,8 @@ impl Default for SimConfig {
 pub struct SimulatedLlm {
     catalog: Catalog,
     config: SimConfig,
+    /// Hash state after the seed, the first part of every draw.
+    seeded: StableHasher,
     clock: VirtualClock,
     ledger: UsageLedger,
     embedder: Embedder,
@@ -75,9 +109,11 @@ impl SimulatedLlm {
     ) -> Self {
         let embedder = Embedder::new(config.embedding_dim);
         let faults = FaultInjector::new(config.fault_plan.clone());
+        let seeded = StableHasher::new().part(&config.seed.to_string());
         Self {
             catalog,
             config,
+            seeded,
             clock,
             ledger,
             embedder,
@@ -133,10 +169,6 @@ impl SimulatedLlm {
         }
     }
 
-    fn seed_str(&self) -> String {
-        self.config.seed.to_string()
-    }
-
     /// Decide whether this call transiently fails (deterministic in the call
     /// counter, so a retry of the "same" request is a *different* call and
     /// can succeed).
@@ -145,7 +177,7 @@ impl SimulatedLlm {
             return Ok(());
         }
         let n = self.call_counter.fetch_add(1, Ordering::Relaxed);
-        let u = hash_unit(&[&self.seed_str(), "transient", &n.to_string()]);
+        let u = self.seeded.part("transient").part(&n.to_string()).unit();
         if u < self.config.transient_failure_rate {
             Err(LlmError::Transient {
                 attempt: n as usize,
@@ -155,178 +187,91 @@ impl SimulatedLlm {
             Ok(())
         }
     }
-}
 
-// ---------------------------------------------------------------------------
-// Text analysis helpers (shared by the task implementations)
-// ---------------------------------------------------------------------------
-
-const STOPWORDS: &[&str] = &[
-    "a",
-    "an",
-    "the",
-    "is",
-    "are",
-    "was",
-    "were",
-    "be",
-    "been",
-    "being",
-    "do",
-    "does",
-    "did",
-    "have",
-    "has",
-    "had",
-    "of",
-    "in",
-    "on",
-    "at",
-    "to",
-    "for",
-    "with",
-    "by",
-    "from",
-    "as",
-    "about",
-    "into",
-    "that",
-    "this",
-    "these",
-    "those",
-    "it",
-    "its",
-    "and",
-    "or",
-    "not",
-    "no",
-    "paper",
-    "papers",
-    "document",
-    "documents",
-    "record",
-    "records",
-    "item",
-    "items",
-    "all",
-    "any",
-    "which",
-    "who",
-    "whom",
-    "whose",
-    "what",
-    "where",
-    "when",
-    "how",
-    "should",
-    "would",
-    "must",
-    "can",
-    "could",
-    "may",
-    "might",
-    "will",
-    "shall",
-    "than",
-    "then",
-    "there",
-    "their",
-    "they",
-    "them",
-    "we",
-    "you",
-    "i",
-    "he",
-    "she",
-    "his",
-    "her",
-    "our",
-    "your",
-    // Conversational filler around predicates: container nouns and speech
-    // verbs that carry no topical signal.
-    "listing",
-    "listings",
-    "email",
-    "emails",
-    "mail",
-    "mails",
-    "message",
-    "messages",
-    "describe",
-    "describes",
-    "describing",
-    "discuss",
-    "discusses",
-    "discussing",
-    "mention",
-    "mentions",
-    "mentioning",
-    "keep",
-    "only",
-    "interested",
-    "want",
-    "wants",
-    "like",
-    "please",
-    "study",
-    "studies",
-];
-
-fn is_stopword(w: &str) -> bool {
-    STOPWORDS.contains(&w)
-}
-
-/// Lowercased alphanumeric content words (stopwords removed).
-pub(crate) fn content_words(text: &str) -> Vec<String> {
-    text.split(|c: char| !c.is_alphanumeric())
-        .filter(|t| t.len() > 1)
-        .map(|t| t.to_ascii_lowercase())
-        .filter(|t| !is_stopword(t))
-        .collect()
-}
-
-/// Crude stemmer: normalizes common English inflections so "mutations"
-/// matches "mutation", "homes" matches "home", "studies" matches "study".
-fn stem(w: &str) -> String {
-    if w.len() > 4 {
-        if let Some(st) = w.strip_suffix("ies") {
-            return format!("{st}y");
+    /// The two draws that decide whether a judgement errs, hashed over
+    /// `[seed, "<task>-difficulty", parts…]` and `[seed, model, task,
+    /// parts…]` in one pass over the parts.
+    ///
+    /// Deterministic quality-dependent errors, correlated across models: a
+    /// shared "record difficulty" draw trips every model whose shared error
+    /// budget covers it (weaker models err on a superset of hard records),
+    /// plus an independent per-model draw.
+    fn errs(
+        &self,
+        model_q: f64,
+        model: &str,
+        task: &str,
+        difficulty: &str,
+        parts: &[&str],
+    ) -> bool {
+        let mut shared = self.seeded.part(difficulty);
+        let mut own = self.seeded.part(model).part(task);
+        for part in parts {
+            (shared, own) = StableHasher::part_both(shared, own, part);
         }
-        if let Some(st) = w.strip_suffix("sses") {
-            return format!("{st}ss");
+        let e = 1.0 - model_q;
+        shared.unit() < ERROR_CORRELATION * e || own.unit() < (1.0 - ERROR_CORRELATION) * e
+    }
+}
+
+/// Which of `needles` are the stem of some content word (a word that is not
+/// a stopword) of `haystack`. One walk over the haystack, stopped as soon as
+/// every needle is found; see the module docs for why the stopword test can
+/// wait for a stem match.
+fn find_stems(needles: &[Stem<'_>], haystack: &str) -> Vec<bool> {
+    let mut found = vec![false; needles.len()];
+    let mut missing = needles.len();
+    let mut buf = String::new();
+    for word in words(haystack) {
+        if missing == 0 {
+            break;
         }
-        // boxes -> box, churches -> church
-        for pre in ["xes", "zes", "ches", "shes"] {
-            if w.ends_with(pre) {
-                return w[..w.len() - 2].to_string();
+        // A stem keeps its word's first byte, so most words are ruled out
+        // on that byte alone, before any folding or stemming.
+        let first = word.as_bytes()[0].to_ascii_lowercase();
+        if !needles
+            .iter()
+            .any(|needle| needle.first_byte() == Some(first))
+        {
+            continue;
+        }
+        let word = lower(word, &mut buf);
+        let stemmed = stem(word);
+        for (needle, found) in needles.iter().zip(found.iter_mut()) {
+            if !*found && *needle == stemmed {
+                if is_stopword(word) {
+                    break;
+                }
+                *found = true;
+                missing -= 1;
             }
         }
-        if let Some(st) = w.strip_suffix("ing") {
-            return st.to_string();
-        }
-        if let Some(st) = w.strip_suffix("ed") {
-            return st.to_string();
-        }
     }
-    if w.len() > 3 && w.ends_with('s') && !w.ends_with("ss") {
-        return w[..w.len() - 1].to_string();
-    }
-    w.to_string()
+    found
 }
 
-fn relevance(predicate_words: &[String], haystack: &str) -> f64 {
-    if predicate_words.is_empty() {
+/// Fraction of `needles` found in `haystack`; the empty set is fully found.
+fn relevance(needles: &[Stem<'_>], haystack: &str) -> f64 {
+    hit_ratio(&find_stems(needles, haystack))
+}
+
+fn hit_ratio(found: &[bool]) -> f64 {
+    if found.is_empty() {
         return 1.0;
     }
-    let hay: Vec<String> = content_words(haystack).iter().map(|w| stem(w)).collect();
-    let mut hits = 0usize;
-    for w in predicate_words {
-        let sw = stem(w);
-        if hay.contains(&sw) {
-            hits += 1;
-        }
-    }
-    hits as f64 / predicate_words.len() as f64
+    found.iter().filter(|f| **f).count() as f64 / found.len() as f64
+}
+
+/// The distinct content-word stems of lower-cased text, sorted.
+fn stem_set(lowered: &str) -> Vec<Stem<'_>> {
+    let mut stems: Vec<Stem<'_>> = content_stems(lowered).collect();
+    stems.sort_unstable();
+    stems.dedup();
+    stems
+}
+
+fn verdict(answer: bool) -> String {
+    if answer { "TRUE" } else { "FALSE" }.into()
 }
 
 // ---------------------------------------------------------------------------
@@ -348,109 +293,133 @@ impl SimulatedLlm {
         // scores 0.5 and is rejected; with a three-word conjunctive
         // predicate ("modern homes garden") all three words must appear,
         // giving conjunctions their intended semantics.
-        let words = content_words(predicate);
-        let base = relevance(&words, input) >= 0.7;
-        // Deterministic quality-dependent flip with correlated errors:
-        // a shared "record difficulty" draw trips every model whose shared
-        // error budget covers it (weaker models err on a superset of hard
-        // records), plus an independent per-model draw.
-        let e = 1.0 - model_q;
-        let u_shared = hash_unit(&[&self.seed_str(), "filter-difficulty", predicate, input]);
-        let u_model = hash_unit(&[&self.seed_str(), model, "filter", predicate, input]);
-        let flipped = u_shared < ERROR_CORRELATION * e || u_model < (1.0 - ERROR_CORRELATION) * e;
-        let answer = if flipped { !base } else { base };
-        if answer {
-            "TRUE".into()
-        } else {
-            "FALSE".into()
-        }
+        let lowered = predicate.to_ascii_lowercase();
+        let needles: Vec<Stem<'_>> = content_stems(&lowered).collect();
+        let base = relevance(&needles, input) >= 0.7;
+        let flipped = self.errs(
+            model_q,
+            model,
+            "filter",
+            "filter-difficulty",
+            &[predicate, input],
+        );
+        verdict(base != flipped)
     }
 
-    fn answer_classify(&self, model_q: f64, model: &str, labels: &[String], input: &str) -> String {
+    fn answer_classify(&self, model_q: f64, model: &str, labels: &[&str], input: &str) -> String {
         if labels.is_empty() {
             return String::new();
         }
+        // Every label's words are looked for in one walk over the input;
+        // `ends[i]` is where label i's needles stop.
+        let lowered: Vec<String> = labels.iter().map(|l| l.to_ascii_lowercase()).collect();
+        let mut needles: Vec<Stem<'_>> = Vec::new();
+        let mut ends = Vec::with_capacity(labels.len());
+        for label in &lowered {
+            needles.extend(content_stems(label));
+            ends.push(needles.len());
+        }
+        let found = find_stems(&needles, input);
         let mut best = 0usize;
         let mut best_score = -1.0f64;
-        for (i, l) in labels.iter().enumerate() {
-            let score = relevance(&content_words(l), input);
+        let mut start = 0usize;
+        for (i, end) in ends.into_iter().enumerate() {
+            let score = hit_ratio(&found[start..end]);
             if score > best_score {
                 best_score = score;
                 best = i;
             }
+            start = end;
         }
-        let e = 1.0 - model_q;
-        let u_shared = hash_unit(&[&self.seed_str(), "classify-difficulty", input]);
-        let u_model = hash_unit(&[&self.seed_str(), model, "classify", input]);
-        let wrong = u_shared < ERROR_CORRELATION * e || u_model < (1.0 - ERROR_CORRELATION) * e;
+        let wrong = self.errs(model_q, model, "classify", "classify-difficulty", &[input]);
         let pick = if !wrong || labels.len() == 1 {
             best
         } else {
             // Error: deterministic wrong label.
             (best + 1 + (stable_hash(&[input]) as usize % (labels.len() - 1))) % labels.len()
         };
-        labels[pick].clone()
+        labels[pick].to_string()
     }
 
     fn answer_extract(
         &self,
         model_q: f64,
         model: &str,
-        fields: &[FieldSpec],
+        fields: &[FieldRef<'_>],
         cardinality: Cardinality,
         input: &str,
     ) -> String {
+        // Matching keys, once per call: each field's and each pair's.
+        let field_text: Vec<(String, String)> = fields
+            .iter()
+            .map(|f| {
+                (
+                    f.name.to_ascii_lowercase(),
+                    f.description.to_ascii_lowercase(),
+                )
+            })
+            .collect();
+        let field_keys: Vec<FieldKeys<'_>> = field_text
+            .iter()
+            .map(|(name, description)| FieldKeys::new(name, description))
+            .collect();
         let pairs = label_value_pairs(input);
-        let blocks = group_into_blocks(&pairs);
-        let mut objects: Vec<BTreeMap<String, Option<String>>> = Vec::new();
-        for block in &blocks {
-            let mut obj = BTreeMap::new();
-            let mut any = false;
-            for f in fields {
-                let v = match_field(f, block, input);
-                if v.is_some() {
-                    any = true;
-                }
-                obj.insert(f.name.clone(), v);
-            }
-            if any {
-                objects.push(obj);
+        let label_keys: Vec<LabelKeys<'_>> =
+            pairs.iter().map(|p| LabelKeys::new(&p.label)).collect();
+
+        // One candidate object per block: the value found for each field,
+        // borrowed from the input.
+        let mut objects: Vec<Vec<Option<&str>>> = Vec::new();
+        for block in group_into_blocks(&label_keys) {
+            let values: Vec<Option<&str>> = field_keys
+                .iter()
+                .map(|f| match_field(f, &pairs[block.clone()], &label_keys[block.clone()], input))
+                .collect();
+            if values.iter().any(Option::is_some) {
+                objects.push(values);
             }
         }
         if objects.is_empty() && cardinality == Cardinality::OneToOne {
             // OneToOne always yields exactly one object, even if all null.
-            let mut obj = BTreeMap::new();
-            for f in fields {
-                obj.insert(f.name.clone(), match_field(f, &[], input));
-            }
-            objects.push(obj);
+            objects.push(
+                field_keys
+                    .iter()
+                    .map(|f| match_field(f, &[], &[], input))
+                    .collect(),
+            );
         }
-        if cardinality == Cardinality::OneToOne && objects.len() > 1 {
+        if cardinality == Cardinality::OneToOne {
             objects.truncate(1);
         }
 
         // Quality-dependent degradation: per extracted object, possibly drop
         // it entirely (recall loss); per field, possibly null it out or
         // corrupt the value (precision loss).
+        let seeded = self.seeded.part(model);
         let mut degraded: Vec<BTreeMap<String, Option<String>>> = Vec::new();
-        for (i, mut obj) in objects.into_iter().enumerate() {
+        for (i, values) in objects.into_iter().enumerate() {
+            let mut obj: BTreeMap<String, Option<String>> = fields
+                .iter()
+                .zip(values)
+                .map(|(f, v)| (f.name.to_string(), v.map(str::to_string)))
+                .collect();
             let key = format!("{i}:{}", obj_signature(&obj));
-            let u_drop = hash_unit(&[&self.seed_str(), model, "extract-drop", &key]);
+            let u_drop = seeded.part("extract-drop").part(&key).unit();
             // Whole-object misses are rarer than field-level mistakes.
             let drop_p = (1.0 - model_q) * 0.5;
             if cardinality == Cardinality::OneToMany && u_drop < drop_p {
                 continue;
             }
             for f in fields {
-                if let Some(Some(v)) = obj.get(&f.name).cloned() {
-                    let u = hash_unit(&[&self.seed_str(), model, "extract-field", &f.name, &v]);
+                if let Some(slot @ Some(_)) = obj.get_mut(f.name) {
+                    let v = slot.as_deref().unwrap_or_default();
+                    let u = seeded.part("extract-field").part(f.name).part(v).unit();
                     if u > model_q {
-                        let corrupted = if u > model_q + (1.0 - model_q) * 0.5 {
+                        *slot = if u > model_q + (1.0 - model_q) * 0.5 {
                             None
                         } else {
-                            Some(corrupt_value(&v))
+                            Some(corrupt_value(v))
                         };
-                        obj.insert(f.name.clone(), corrupted);
                     }
                 }
             }
@@ -471,23 +440,19 @@ impl SimulatedLlm {
         left: &str,
         right: &str,
     ) -> String {
-        let lw: std::collections::BTreeSet<String> =
-            content_words(left).iter().map(|w| stem(w)).collect();
-        let rw: std::collections::BTreeSet<String> =
-            content_words(right).iter().map(|w| stem(w)).collect();
-        let inter = lw.intersection(&rw).count();
+        let (left_lowered, right_lowered) = (left.to_ascii_lowercase(), right.to_ascii_lowercase());
+        let (lw, rw) = (stem_set(&left_lowered), stem_set(&right_lowered));
+        let inter = lw.iter().filter(|s| rw.binary_search(s).is_ok()).count();
         let smaller = lw.len().min(rw.len()).max(1);
         let base = inter as f64 / smaller as f64 >= 0.4 && inter > 0;
-        let e = 1.0 - model_q;
-        let u_shared = hash_unit(&[&self.seed_str(), "match-difficulty", criterion, left, right]);
-        let u_model = hash_unit(&[&self.seed_str(), model, "match", criterion, left, right]);
-        let flipped = u_shared < ERROR_CORRELATION * e || u_model < (1.0 - ERROR_CORRELATION) * e;
-        let answer = if flipped { !base } else { base };
-        if answer {
-            "TRUE".into()
-        } else {
-            "FALSE".into()
-        }
+        let flipped = self.errs(
+            model_q,
+            model,
+            "match",
+            "match-difficulty",
+            &[criterion, left, right],
+        );
+        verdict(base != flipped)
     }
 
     fn answer_generate(&self, instruction: &str, input: &str) -> String {
@@ -500,16 +465,16 @@ impl SimulatedLlm {
     }
 }
 
-/// A `label: value` pair found in the input text.
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) struct Pair {
+/// A `label: value` pair found in the input text. Only the lower-cased
+/// label is ever consulted, so that is what is kept.
+struct Pair<'a> {
     label: String,
-    value: String,
+    value: &'a str,
 }
 
 /// Extract `Label: value` pairs line by line. The label must be short (at
 /// most four words) so prose containing colons is not misread.
-pub(crate) fn label_value_pairs(input: &str) -> Vec<Pair> {
+fn label_value_pairs(input: &str) -> Vec<Pair<'_>> {
     let mut out = Vec::new();
     for line in input.lines() {
         let line = line.trim();
@@ -525,8 +490,8 @@ pub(crate) fn label_value_pairs(input: &str) -> Vec<Pair> {
             }
             if label.split_whitespace().count() <= 4 {
                 out.push(Pair {
-                    label: label.to_string(),
-                    value: value.to_string(),
+                    label: label.to_ascii_lowercase(),
+                    value,
                 });
             }
         }
@@ -534,32 +499,56 @@ pub(crate) fn label_value_pairs(input: &str) -> Vec<Pair> {
     out
 }
 
-/// Group a flat pair list into record blocks: a block ends when a label seen
-/// in the current block repeats.
-pub(crate) fn group_into_blocks(pairs: &[Pair]) -> Vec<Vec<Pair>> {
-    let mut blocks: Vec<Vec<Pair>> = Vec::new();
-    let mut current: Vec<Pair> = Vec::new();
-    for p in pairs {
-        let norm = normalize_label(&p.label);
-        if current.iter().any(|q| normalize_label(&q.label) == norm) {
-            blocks.push(std::mem::take(&mut current));
-        }
-        current.push(p.clone());
-    }
-    if !current.is_empty() {
-        blocks.push(current);
-    }
-    blocks
+/// What grouping and matching ask of a pair's label, derived once.
+struct LabelKeys<'a> {
+    /// The label's identity for grouping: its content words — or, for a
+    /// label made only of stopwords and single characters ("From", "To",
+    /// "X"), the label itself.
+    identity: Vec<&'a str>,
+    /// What field names and descriptions are matched against: the stems of
+    /// the content words, or for an all-stopword label its raw tokens, so
+    /// "From" stays matchable through synonyms.
+    match_words: Vec<Stem<'a>>,
 }
 
-fn normalize_label(l: &str) -> String {
-    let words = content_words(l).join(" ");
-    if words.is_empty() {
-        // Single-character or all-stopword labels still need an identity.
-        l.trim().to_ascii_lowercase()
-    } else {
-        words
+impl<'a> LabelKeys<'a> {
+    fn new(lowered_label: &'a str) -> Self {
+        let content: Vec<&str> = words(lowered_label).filter(|w| !is_stopword(w)).collect();
+        if content.is_empty() {
+            LabelKeys {
+                identity: vec![lowered_label],
+                match_words: lowered_label
+                    .split_whitespace()
+                    .map(Stem::verbatim)
+                    .collect(),
+            }
+        } else {
+            LabelKeys {
+                match_words: content.iter().map(|w| stem(w)).collect(),
+                identity: content,
+            }
+        }
     }
+}
+
+/// Group a flat pair list into record blocks (index ranges): a block ends
+/// when a label seen in the current block repeats.
+fn group_into_blocks(labels: &[LabelKeys<'_>]) -> Vec<std::ops::Range<usize>> {
+    let mut blocks = Vec::new();
+    let mut start = 0usize;
+    for (i, label) in labels.iter().enumerate() {
+        if labels[start..i]
+            .iter()
+            .any(|seen| seen.identity == label.identity)
+        {
+            blocks.push(start..i);
+            start = i;
+        }
+    }
+    if start < labels.len() {
+        blocks.push(start..labels.len());
+    }
+    blocks
 }
 
 fn obj_signature(obj: &BTreeMap<String, Option<String>>) -> String {
@@ -569,17 +558,15 @@ fn obj_signature(obj: &BTreeMap<String, Option<String>>) -> String {
         .join("\u{1}")
 }
 
-fn wants_url(f: &FieldSpec) -> bool {
-    let hay = format!("{} {}", f.name, f.description).to_ascii_lowercase();
-    hay.contains("url") || hay.contains("link") || hay.contains("website")
-}
-
-fn find_url(text: &str) -> Option<String> {
+fn find_url(text: &str) -> Option<&str> {
+    // Most text has no URL at all: one substring search instead of two per
+    // token.
+    if !text.contains("://") {
+        return None;
+    }
     for tok in text.split_whitespace() {
         if let Some(start) = tok.find("http://").or_else(|| tok.find("https://")) {
-            let url: String = tok[start..]
-                .trim_end_matches(['.', ',', ';', ')', ']'])
-                .to_string();
+            let url = tok[start..].trim_end_matches(['.', ',', ';', ')', ']']);
             if url.len() > 10 {
                 return Some(url);
             }
@@ -588,8 +575,6 @@ fn find_url(text: &str) -> Option<String> {
     None
 }
 
-/// Find the value for a requested field inside one record block, falling
-/// back to the whole input for URL-like fields.
 /// Header-style synonyms the extractor understands: a field named
 /// `sender` matches a `From:` header the way a real LLM would.
 fn field_synonyms(word: &str) -> &'static [&'static str] {
@@ -604,72 +589,73 @@ fn field_synonyms(word: &str) -> &'static [&'static str] {
     }
 }
 
-fn match_field(f: &FieldSpec, block: &[Pair], whole_input: &str) -> Option<String> {
-    // Words from the field name carry much more weight than words from its
-    // description: "url" in the name must beat "dataset" in the description.
-    let mut name_stems: Vec<String> = f
-        .name
-        .split(['_', '-'])
-        .map(|w| w.to_ascii_lowercase())
-        .filter(|w| w.len() > 1 && !is_stopword(w))
-        .map(|w| stem(&w))
-        .collect();
-    for w in name_stems.clone() {
-        for syn in field_synonyms(&w) {
-            name_stems.push((*syn).to_string());
+/// What a requested field is matched by, derived once per call from its
+/// lower-cased name and description.
+struct FieldKeys<'a> {
+    name_stems: Vec<Stem<'a>>,
+    desc_stems: Vec<Stem<'a>>,
+    wants_url: bool,
+}
+
+impl<'a> FieldKeys<'a> {
+    fn new(name: &'a str, description: &'a str) -> Self {
+        let mut name_stems: Vec<Stem<'a>> = name
+            .split(['_', '-'])
+            .filter(|w| w.len() > 1 && !is_stopword(w))
+            .map(stem)
+            .collect();
+        for i in 0..name_stems.len() {
+            let synonyms = name_stems[i].as_prefix().map_or(&[][..], field_synonyms);
+            name_stems.extend(synonyms.iter().copied().map(Stem::verbatim));
+        }
+        FieldKeys {
+            name_stems,
+            desc_stems: content_stems(description).collect(),
+            wants_url: [name, description]
+                .iter()
+                .any(|s| s.contains("url") || s.contains("link") || s.contains("website")),
         }
     }
-    let desc_stems: Vec<String> = content_words(&f.description)
-        .iter()
-        .map(|w| stem(w))
-        .collect();
+}
 
-    let mut best: Option<(&Pair, usize)> = None;
-    for p in block {
-        // Labels made entirely of stopwords ("From", "To") still need to
-        // be matchable via synonyms: fall back to the raw tokens.
-        let mut label_words: Vec<String> =
-            content_words(&p.label).iter().map(|w| stem(w)).collect();
-        if label_words.is_empty() {
-            label_words = p
-                .label
-                .split_whitespace()
-                .map(|w| w.to_ascii_lowercase())
-                .collect();
-        }
-        let score = label_words
-            .iter()
-            .filter(|w| name_stems.contains(w))
-            .count()
-            * 10
-            + label_words
+/// Find the value for a requested field inside one record block, falling
+/// back to the whole input for URL-like fields.
+fn match_field<'a>(
+    field: &FieldKeys<'_>,
+    block: &[Pair<'a>],
+    labels: &[LabelKeys<'_>],
+    whole_input: &'a str,
+) -> Option<&'a str> {
+    // Words from the field name carry much more weight than words from its
+    // description: "url" in the name must beat "dataset" in the description.
+    let mut best: Option<(&Pair<'a>, usize)> = None;
+    for (p, label) in block.iter().zip(labels) {
+        let count = |stems: &[Stem<'_>]| {
+            label
+                .match_words
                 .iter()
-                .filter(|w| desc_stems.contains(w))
-                .count();
-        if score > 0 {
-            match best {
-                Some((_, b)) if b >= score => {}
-                _ => best = Some((p, score)),
-            }
+                .filter(|w| stems.contains(w))
+                .count()
+        };
+        let score = count(&field.name_stems) * 10 + count(&field.desc_stems);
+        if score > best.map_or(0, |(_, b)| b) {
+            best = Some((p, score));
         }
     }
     if let Some((p, _)) = best {
         // URL fields: extract the URL token even if buried in prose.
-        if wants_url(f) {
-            if let Some(u) = find_url(&p.value) {
-                return Some(u);
-            }
-        }
-        return Some(p.value.clone());
+        return field
+            .wants_url
+            .then(|| find_url(p.value))
+            .flatten()
+            .or(Some(p.value));
     }
-    if wants_url(f) {
+    if field.wants_url {
         // No matching label: scan the block values, then the whole input.
-        for p in block {
-            if let Some(u) = find_url(&p.value) {
-                return Some(u);
-            }
-        }
-        return find_url(whole_input);
+        return block
+            .iter()
+            .find_map(|p| find_url(p.value))
+            .or_else(|| find_url(whole_input));
     }
     None
 }
@@ -696,8 +682,7 @@ impl LlmClient for SimulatedLlm {
         let card = self
             .catalog
             .get(&req.model)
-            .ok_or_else(|| LlmError::UnknownModel(req.model.clone()))?
-            .clone();
+            .ok_or_else(|| LlmError::UnknownModel(req.model.clone()))?;
         if card.kind != ModelKind::Chat {
             return Err(LlmError::WrongKind {
                 model: req.model.clone(),
@@ -717,76 +702,58 @@ impl LlmClient for SimulatedLlm {
         self.maybe_transient()?;
 
         let model = card.id.as_str();
-        let q = card.quality;
-        // High effort models self-critique prompting: the error rate is
-        // roughly halved, at about double the token/latency budget (applied
-        // below via `effort_multiplier`).
-        let boosted = |q: f64, e: Effort| match e {
-            Effort::Standard => q,
-            Effort::High => q + (1.0 - q) * 0.5,
+        let task = protocol::parse_prompt(&req.prompt);
+        let effort = match &task {
+            Some(
+                Task::Filter { effort, .. }
+                | Task::Extract { effort, .. }
+                | Task::Match { effort, .. },
+            ) => *effort,
+            // The Effort header is honoured for classification too.
+            Some(Task::Classify { .. }) if req.prompt.contains("#EFFORT high") => Effort::High,
+            _ => Effort::Standard,
         };
-        let mut effort_multiplier = 1.0f64;
-        let mut text = match protocol::parse_prompt(&req.prompt) {
+        // High effort models self-critique prompting: the error rate is
+        // roughly halved, at about double the token/latency budget.
+        let (q, effort_multiplier) = match effort {
+            Effort::Standard => (card.quality, 1.0f64),
+            Effort::High => (card.quality + (1.0 - card.quality) * 0.5, 2.0),
+        };
+        let mut text = match task {
             Some(Task::Filter {
-                predicate,
-                input,
-                effort,
-            }) => {
-                if effort == Effort::High {
-                    effort_multiplier = 2.0;
-                }
-                self.answer_filter(boosted(q, effort), model, &predicate, &input)
-            }
+                predicate, input, ..
+            }) => self.answer_filter(q, model, predicate, input),
             Some(Task::Extract {
                 fields,
                 cardinality,
                 input,
-                effort,
-            }) => {
-                if effort == Effort::High {
-                    effort_multiplier = 2.0;
-                }
-                self.answer_extract(boosted(q, effort), model, &fields, cardinality, &input)
-            }
+                ..
+            }) => self.answer_extract(q, model, &fields, cardinality, input),
             Some(Task::Classify { labels, input }) => {
-                // The Effort header is honoured for classification too.
-                let effort = if req.prompt.contains("#EFFORT high") {
-                    Effort::High
-                } else {
-                    Effort::Standard
-                };
-                if effort == Effort::High {
-                    effort_multiplier = 2.0;
-                }
-                self.answer_classify(boosted(q, effort), model, &labels, &input)
+                self.answer_classify(q, model, &labels, input)
             }
-            Some(Task::Generate { instruction, input }) => {
-                self.answer_generate(&instruction, &input)
-            }
+            Some(Task::Generate { instruction, input }) => self.answer_generate(instruction, input),
             Some(Task::Match {
                 criterion,
                 left,
                 right,
-                effort,
-            }) => {
-                if effort == Effort::High {
-                    effort_multiplier = 2.0;
-                }
-                self.answer_match(boosted(q, effort), model, &criterion, &left, &right)
-            }
+                ..
+            }) => self.answer_match(q, model, criterion, left, right),
             None => self.answer_generate("echo", &req.prompt),
         };
 
-        // Enforce the output budget by word-truncation.
+        // Enforce the output budget by word-truncation: whole
+        // whitespace-terminated words while their running count fits.
         if count_output_tokens(&text) > req.max_output_tokens {
-            let mut acc = String::new();
-            for w in text.split_inclusive(char::is_whitespace) {
-                if count_output_tokens(&acc) + count_output_tokens(w) > req.max_output_tokens {
+            let (mut kept, mut used) = (0usize, 0usize);
+            for word in text.split_inclusive(char::is_whitespace) {
+                used += count_output_tokens(word);
+                if used > req.max_output_tokens {
                     break;
                 }
-                acc.push_str(w);
+                kept += word.len();
             }
-            text = acc.trim_end().to_string();
+            text.truncate(text[..kept].trim_end().len());
         }
 
         let output_tokens = count_output_tokens(&text);
@@ -818,8 +785,7 @@ impl LlmClient for SimulatedLlm {
         let card = self
             .catalog
             .get(&req.model)
-            .ok_or_else(|| LlmError::UnknownModel(req.model.clone()))?
-            .clone();
+            .ok_or_else(|| LlmError::UnknownModel(req.model.clone()))?;
         if card.kind != ModelKind::Embedding {
             return Err(LlmError::WrongKind {
                 model: req.model.clone(),
@@ -852,7 +818,9 @@ impl LlmClient for SimulatedLlm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{extract_prompt, filter_prompt};
+    use crate::protocol::{extract_prompt, filter_prompt, FieldSpec};
+    use crate::text::reference;
+    use proptest::prelude::*;
 
     fn sim() -> SimulatedLlm {
         SimulatedLlm::with_defaults()
@@ -1371,16 +1339,95 @@ mod tests {
             "Name: X\nhttps://foo.bar/baz\nThis sentence mentions time 12:30 in prose but the label is way too long to count: nope\nB: y\n",
         );
         let labels: Vec<&str> = pairs.iter().map(|p| p.label.as_str()).collect();
-        assert_eq!(labels, vec!["Name", "B"]);
+        assert_eq!(labels, vec!["name", "b"]);
+    }
+
+    fn blocks_of(input: &str) -> Vec<std::ops::Range<usize>> {
+        let pairs = label_value_pairs(input);
+        let labels: Vec<LabelKeys<'_>> = pairs.iter().map(|p| LabelKeys::new(&p.label)).collect();
+        group_into_blocks(&labels)
     }
 
     #[test]
     fn block_grouping_on_repeated_label() {
-        let pairs = label_value_pairs("A: 1\nB: 2\nA: 3\nB: 4\n");
-        let blocks = group_into_blocks(&pairs);
-        assert_eq!(blocks.len(), 2);
-        assert_eq!(blocks[0].len(), 2);
-        assert_eq!(blocks[1].len(), 2);
+        assert_eq!(blocks_of("A: 1\nB: 2\nA: 3\nB: 4\n"), vec![0..2, 2..4]);
+        // Labels are told apart by their content words, case folded; a
+        // label with none (all stopwords, single letters) by itself.
+        assert_eq!(
+            blocks_of("The Dataset: 1\nFrom: 2\nTo: 3\ndataset of: 4\nFROM: 5\nfrom: 6\n"),
+            vec![0..3, 3..5, 5..6]
+        );
+        assert_eq!(blocks_of("no pairs here"), vec![]);
+    }
+
+    /// What the streaming scan must reproduce: the reference builds every
+    /// lower-cased content word and every stem of the haystack.
+    fn reference_relevance(predicate: &str, haystack: &str) -> f64 {
+        reference::relevance(&reference::content_words(predicate), haystack)
+    }
+
+    fn streamed_relevance(predicate: &str, haystack: &str) -> f64 {
+        let lowered = predicate.to_ascii_lowercase();
+        let needles: Vec<Stem<'_>> = content_stems(&lowered).collect();
+        relevance(&needles, haystack)
+    }
+
+    #[test]
+    fn relevance_edge_cases_match_reference() {
+        for (predicate, haystack) in [
+            // The empty predicate is fully satisfied, by anything.
+            ("", "anything"),
+            ("the of", ""),
+            // A stopword whose stem equals a predicate stem is still dropped
+            // from the haystack: "does" stems to "doe" but never counts.
+            ("doe", "does"),
+            ("doe", "does doe"),
+            ("doe does", "a doe"),
+            // Duplicate predicate words each count.
+            ("cancer cancer tumor", "cancers"),
+            ("cancer Cancer", "no match here"),
+            // Stems meet from both sides; one-byte tokens are not words.
+            ("studies", "a study x y"),
+            ("study", "STUDIES,studi"),
+            ("classes boxes", "class box"),
+            // Non-ASCII letters are word characters and are not case folded.
+            ("étude", "Étude étude"),
+            ("数据集", "数据集s 数据"),
+            ("colorectal cancer", "colorectal\r\ncancer"),
+            ("modern homes garden", "a modern home; gardens."),
+        ] {
+            assert_eq!(
+                streamed_relevance(predicate, haystack).to_bits(),
+                reference_relevance(predicate, haystack).to_bits(),
+                "{predicate:?} in {haystack:?}"
+            );
+        }
+        assert_eq!(streamed_relevance("doe", "does"), 0.0);
+        assert_eq!(streamed_relevance("", "anything"), 1.0);
+    }
+
+    proptest! {
+        #[test]
+        fn relevance_matches_reference(
+            predicate in reference::odd_text(),
+            haystack in reference::odd_text(),
+        ) {
+            prop_assert_eq!(
+                streamed_relevance(&predicate, &haystack).to_bits(),
+                reference_relevance(&predicate, &haystack).to_bits()
+            );
+        }
+
+        #[test]
+        fn stem_sets_match_reference(text in reference::odd_text()) {
+            let want: std::collections::BTreeSet<String> = reference::content_words(&text)
+                .iter()
+                .map(|w| reference::stem(w))
+                .collect();
+            let lowered = text.to_ascii_lowercase();
+            let got: Vec<String> = stem_set(&lowered).iter().map(Stem::built).collect();
+            prop_assert_eq!(got, want.into_iter().collect::<Vec<_>>());
+        }
     }
 
     #[test]

@@ -5,6 +5,15 @@
 //! common heuristic that one token covers ~4 characters of English text,
 //! refined to count word and punctuation boundaries so that token counts
 //! respond to structure the way BPE counts do.
+//!
+//! A provider call counts its prompt exactly once — in the simulator, where
+//! the count is the bill. The operator side only has to know whether a
+//! document *fits*, and [`truncate_to_tokens`] answers that without
+//! counting whenever it can: every token covers at least one byte, so a text
+//! of at most `max_tokens` bytes has at most `max_tokens` tokens.
+
+use crate::text::{class_at, ALPHANUMERIC, PUNCTUATION};
+use std::borrow::Cow;
 
 /// Count tokens in `text`.
 ///
@@ -13,28 +22,27 @@
 /// every non-space punctuation character contributes one token, and
 /// whitespace is free. The empty string is zero tokens.
 ///
+/// ASCII is classified by table lookup, without a branch per character; a
+/// non-ASCII character is decoded and classified by the Unicode rule.
+///
 /// Properties relied on elsewhere (and checked by property tests):
 /// * `count_tokens("") == 0`
 /// * monotone under concatenation: `count(a + b) >= max(count(a), count(b))`
 /// * subadditive-ish: `count(a + b) <= count(a) + count(b) + 1`
+/// * `count(a) <= a.len()`
 pub fn count_tokens(text: &str) -> usize {
     let mut tokens = 0usize;
-    let mut run_len = 0usize;
-    for ch in text.chars() {
-        if ch.is_alphanumeric() {
-            run_len += 1;
-        } else {
-            if run_len > 0 {
-                tokens += run_len.div_ceil(4);
-                run_len = 0;
-            }
-            if !ch.is_whitespace() {
-                tokens += 1;
-            }
-        }
-    }
-    if run_len > 0 {
-        tokens += run_len.div_ceil(4);
+    // Alphanumerics so far in the current run. A run of n is ceil(n / 4)
+    // tokens: one at its 1st, 5th, 9th … character.
+    let mut run = 0usize;
+    let mut i = 0usize;
+    while i < text.len() {
+        let (class, width) = class_at(text, i);
+        // Branch-free on the class (the flags are 0, 1 and 2): `run` resets
+        // unless alphanumeric, and `class / PUNCTUATION` is 1 only for it.
+        run = (run + 1) & usize::from(class & ALPHANUMERIC).wrapping_neg();
+        tokens += usize::from(run & 3 == 1) + usize::from(class / PUNCTUATION);
+        i += width;
     }
     tokens
 }
@@ -51,52 +59,159 @@ pub fn count_output_tokens(text: &str) -> usize {
 /// Truncate `text` to at most `max_tokens`, keeping the head and the tail
 /// (documents often carry key content — titles up front, data-availability
 /// sections at the end — so head+tail beats plain prefix truncation).
-/// Returns the input unchanged when it already fits.
-pub fn truncate_to_tokens(text: &str, max_tokens: usize) -> String {
-    if count_tokens(text) <= max_tokens {
-        return text.to_string();
+/// Borrows the input unchanged when it already fits, and decides that from
+/// its byte length alone when that is enough (see the module docs), so a
+/// document nowhere near the window is neither counted nor copied here.
+pub fn truncate_to_tokens(text: &str, max_tokens: usize) -> Cow<'_, str> {
+    if text.len() <= max_tokens || count_tokens(text) <= max_tokens {
+        return Cow::Borrowed(text);
     }
-    let words: Vec<&str> = text.split_inclusive(char::is_whitespace).collect();
+    // Whole whitespace-terminated words from each end, found as byte
+    // offsets: the head is `text[..head_end]`, the tail `text[tail_start..]`.
     let half_budget = max_tokens.saturating_sub(4) / 2;
-    let mut head = String::new();
-    let mut used = 0usize;
     let mut head_end = 0usize;
-    for (i, w) in words.iter().enumerate() {
-        let t = count_tokens(w);
+    let mut used = 0usize;
+    for word in text.split_inclusive(char::is_whitespace) {
+        let t = count_tokens(word);
         if used + t > half_budget {
-            head_end = i;
             break;
         }
-        head.push_str(w);
         used += t;
-        head_end = i + 1;
+        head_end += word.len();
     }
-    let mut tail = String::new();
+    let mut tail_start = text.len();
     used = 0;
-    let mut tail_start = words.len();
-    for (i, w) in words.iter().enumerate().rev() {
-        if i < head_end {
-            break;
-        }
-        let t = count_tokens(w);
+    for word in text[head_end..].split_inclusive(char::is_whitespace).rev() {
+        let t = count_tokens(word);
         if used + t > half_budget {
             break;
         }
-        tail.insert_str(0, w);
         used += t;
-        tail_start = i;
+        tail_start -= word.len();
     }
-    if tail_start <= head_end {
+    let (head, tail) = (&text[..head_end], &text[tail_start..]);
+    Cow::Owned(if tail_start <= head_end {
         format!("{head}{tail}")
     } else {
         format!("{head}\n…\n{tail}")
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::text::reference::odd_text;
     use proptest::prelude::*;
+
+    /// The per-`char` counter and the `String`-building truncation this
+    /// module used to have, kept as the reference for the differentials.
+    mod reference {
+        pub fn count_tokens(text: &str) -> usize {
+            let mut tokens = 0usize;
+            let mut run_len = 0usize;
+            for ch in text.chars() {
+                if ch.is_alphanumeric() {
+                    run_len += 1;
+                } else {
+                    if run_len > 0 {
+                        tokens += run_len.div_ceil(4);
+                        run_len = 0;
+                    }
+                    if !ch.is_whitespace() {
+                        tokens += 1;
+                    }
+                }
+            }
+            if run_len > 0 {
+                tokens += run_len.div_ceil(4);
+            }
+            tokens
+        }
+
+        pub fn truncate_to_tokens(text: &str, max_tokens: usize) -> String {
+            if count_tokens(text) <= max_tokens {
+                return text.to_string();
+            }
+            let words: Vec<&str> = text.split_inclusive(char::is_whitespace).collect();
+            let half_budget = max_tokens.saturating_sub(4) / 2;
+            let mut head = String::new();
+            let mut used = 0usize;
+            let mut head_end = 0usize;
+            for (i, w) in words.iter().enumerate() {
+                let t = count_tokens(w);
+                if used + t > half_budget {
+                    head_end = i;
+                    break;
+                }
+                head.push_str(w);
+                used += t;
+                head_end = i + 1;
+            }
+            let mut tail = String::new();
+            used = 0;
+            let mut tail_start = words.len();
+            for (i, w) in words.iter().enumerate().rev() {
+                if i < head_end {
+                    break;
+                }
+                let t = count_tokens(w);
+                if used + t > half_budget {
+                    break;
+                }
+                tail.insert_str(0, w);
+                used += t;
+                tail_start = i;
+            }
+            if tail_start <= head_end {
+                format!("{head}{tail}")
+            } else {
+                format!("{head}\n…\n{tail}")
+            }
+        }
+    }
+
+    #[test]
+    fn whitespace_classes_match_char_rule() {
+        for b in 0u8..128 {
+            let s = (b as char).to_string();
+            assert_eq!(count_tokens(&s), reference::count_tokens(&s), "byte {b:#x}");
+            let around = format!("ab{s}cd");
+            assert_eq!(
+                count_tokens(&around),
+                reference::count_tokens(&around),
+                "byte {b:#x}"
+            );
+        }
+    }
+
+    #[test]
+    fn truncate_borrows_what_fits() {
+        assert!(matches!(
+            truncate_to_tokens("short text", 100),
+            Cow::Borrowed(_)
+        ));
+        // Longer than the budget in bytes, shorter in tokens: still borrowed.
+        assert!(matches!(
+            truncate_to_tokens("internationalization", 5),
+            Cow::Borrowed(_)
+        ));
+        assert!(matches!(
+            truncate_to_tokens("internationalization", 4),
+            Cow::Owned(_)
+        ));
+    }
+
+    #[test]
+    fn truncate_large_document_matches_reference() {
+        let text = "Lorem ipsum dolor sit amet, consectetur adipiscing elit. ".repeat(3000);
+        for budget in [0, 3, 9, 1000, 20_000] {
+            assert_eq!(
+                truncate_to_tokens(&text, budget),
+                reference::truncate_to_tokens(&text, budget),
+                "budget {budget}"
+            );
+        }
+    }
 
     #[test]
     fn empty_is_zero() {
@@ -159,6 +274,18 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn count_matches_reference(text in odd_text()) {
+            prop_assert_eq!(count_tokens(&text), reference::count_tokens(&text));
+            prop_assert!(count_tokens(&text) <= text.len());
+        }
+
+        #[test]
+        fn truncate_matches_reference(text in odd_text(), budget in 0usize..80) {
+            let want = reference::truncate_to_tokens(&text, budget);
+            prop_assert_eq!(truncate_to_tokens(&text, budget), want);
+        }
+
         #[test]
         fn truncate_never_exceeds_budget_much(
             text in "[a-z ]{0,400}", budget in 8usize..64

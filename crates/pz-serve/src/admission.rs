@@ -64,6 +64,18 @@ struct AdmState {
     next_ticket: u64,
     ewma_run_secs: f64,
     stats: AdmissionStats,
+    /// Members of an announced batch that have not reached the gate yet
+    /// (see [`AdmissionController::expect_batch`]).
+    batch_pending: usize,
+}
+
+impl AdmState {
+    /// One batch member is accounted for; true when it was the last.
+    fn batch_member_arrived(&mut self) -> bool {
+        let was_pending = self.batch_pending > 0;
+        self.batch_pending = self.batch_pending.saturating_sub(1);
+        was_pending && self.batch_pending == 0
+    }
 }
 
 /// Bounded-queue admission controller with deadline-aware shedding.
@@ -94,6 +106,7 @@ impl AdmissionController {
                 next_ticket: 1,
                 ewma_run_secs: config.expected_run_secs,
                 stats: AdmissionStats::default(),
+                batch_pending: 0,
             })),
             cond: Arc::new(Condvar::new()),
         }
@@ -103,6 +116,25 @@ impl AdmissionController {
     /// turns over one queued run per `ewma` seconds on average.
     fn predicted_wait_secs(&self, ewma: f64, depth: usize) -> f64 {
         ewma * (depth as f64 + 1.0) / self.config.max_concurrent_runs as f64
+    }
+
+    /// Announce `n` submissions that arrive *together*. Until every one of
+    /// them has reached the gate (or been written off with
+    /// [`Self::batch_member_gone`]) admitted runs are held at it, so the
+    /// batch is admitted, queued and shed as the one burst it is — however
+    /// fast its first runs are and however the OS staggers its threads.
+    /// Without this, how much a host sheds under overload is a race
+    /// between run length and thread wake-up.
+    pub fn expect_batch(&self, n: usize) {
+        self.state.lock().unwrap().batch_pending += n;
+    }
+
+    /// A batch member ended without ever reaching the gate (its plan failed
+    /// to optimize, its thread panicked): stop holding the batch for it.
+    pub fn batch_member_gone(&self) {
+        if self.state.lock().unwrap().batch_member_arrived() {
+            self.cond.notify_all();
+        }
     }
 
     /// Snapshot of admission counters.
@@ -123,6 +155,9 @@ impl AdmissionController {
 impl AdmissionGate for AdmissionController {
     fn begin(&self, now_secs: f64, deadline_at_secs: Option<f64>) -> PzResult<u64> {
         let mut st = self.state.lock().unwrap();
+        if st.batch_member_arrived() {
+            self.cond.notify_all();
+        }
         // Fast path: a free slot and nobody queued ahead.
         if st.running < self.config.max_concurrent_runs && st.queue.is_empty() {
             let ticket = st.next_ticket;
@@ -130,6 +165,8 @@ impl AdmissionGate for AdmissionController {
             st.running += 1;
             st.started_at.insert(ticket, now_secs);
             st.stats.admitted += 1;
+            // Hold the slot, not the run, until the rest of the batch is in.
+            drop(self.cond.wait_while(st, |st| st.batch_pending > 0).unwrap());
             return Ok(ticket);
         }
         // Shed: bounded queue.
@@ -244,6 +281,50 @@ mod tests {
         assert_eq!(g.running(), 0);
         // EWMA moved off the 10s seed after three completions.
         assert!(s.ewma_run_secs > 10.0, "{}", s.ewma_run_secs);
+    }
+
+    /// An announced batch splits into slots, queue and sheds by capacity
+    /// alone — even when a run takes no time at all, so the first ones
+    /// would otherwise be long gone before the last submission arrives.
+    #[test]
+    fn announced_batch_is_admitted_as_one_burst() {
+        for _ in 0..20 {
+            let g = gate(2, 2);
+            g.expect_batch(8);
+            std::thread::scope(|s| {
+                for _ in 0..8 {
+                    s.spawn(|| {
+                        if let Ok(ticket) = g.begin(0.0, None) {
+                            g.end(ticket, 1.0);
+                        }
+                    });
+                }
+            });
+            let stats = g.stats();
+            assert_eq!((stats.admitted, stats.shed_queue_full), (4, 4));
+            assert_eq!(stats.max_queue_depth, 2);
+            assert_eq!(g.running(), 0);
+        }
+    }
+
+    #[test]
+    fn batch_member_that_never_arrives_is_written_off() {
+        let g = gate(2, 2);
+        g.expect_batch(2);
+        let g2 = g.clone();
+        let held = std::thread::spawn(move || g2.begin(0.0, None));
+        while g.running() == 0 {
+            std::thread::yield_now();
+        }
+        // The slot is taken but the run is held for the second member…
+        assert!(!held.is_finished());
+        // …until that member is known not to be coming.
+        g.batch_member_gone();
+        let ticket = held.join().unwrap().unwrap();
+        g.end(ticket, 1.0);
+        // With no batch announced, nothing is ever held.
+        let ticket = g.begin(1.0, None).unwrap();
+        g.end(ticket, 2.0);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::admission::{AdmissionConfig, AdmissionController, AdmissionStats};
 use crate::metrics::{jain_fairness, percentile, ServeMetrics, TenantMetrics};
 use crate::scheduler::{GlobalScheduler, ScheduledClient, SchedulerStats};
 use crate::tenant::{Tenant, TenantSpec};
-use pz_core::context::PzContext;
+use pz_core::context::{AdmissionGate, PzContext};
 use pz_core::error::{PzError, PzResult};
 use pz_core::exec::ExecutionConfig;
 use pz_core::ops::logical::LogicalPlan;
@@ -32,6 +32,7 @@ use pz_core::optimizer::policy::Policy;
 use pz_core::ExecutionOutcome;
 use pz_llm::{CachingClient, Catalog, LlmClient, VirtualClock};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
 /// Host-level configuration.
@@ -239,18 +240,26 @@ impl ServeHost {
     /// Drive a batch of sessions concurrently — one thread per job, all
     /// submitting together — and aggregate the outcome into serving
     /// metrics. Admission decides who runs, queues, or is shed; the
-    /// scheduler arbitrates model slots among the admitted.
+    /// scheduler arbitrates model slots among the admitted. "Together" is
+    /// enforced at the gate ([`AdmissionController::expect_batch`]): no
+    /// admitted run starts before every job has been admitted, queued or
+    /// shed, so the split does not depend on how long a run takes.
     pub fn serve(&self, jobs: Vec<SessionJob>) -> ServeReport {
         let t_start = self.clock.now_secs();
         let submitted = jobs.len();
         let barrier = Arc::new(Barrier::new(jobs.len()));
         let outcomes: Arc<Mutex<Vec<SessionOutcome>>> =
             Arc::new(Mutex::new(Vec::with_capacity(jobs.len())));
+        self.admission.expect_batch(jobs.len());
         std::thread::scope(|s| {
             for job in jobs {
                 let ctx = self
                     .session_ctx(&job.tenant)
-                    .expect("unknown tenant in SessionJob");
+                    .expect("unknown tenant in SessionJob")
+                    .with_admission(Arc::new(BatchMember {
+                        gate: self.admission.clone(),
+                        reached_gate: AtomicBool::new(false),
+                    }));
                 let barrier = barrier.clone();
                 let outcomes = outcomes.clone();
                 s.spawn(move || {
@@ -318,6 +327,34 @@ impl ServeHost {
             },
             fairness_jain: jain_fairness(&shares),
             per_tenant,
+        }
+    }
+}
+
+/// One job of a [`ServeHost::serve`] batch at the admission gate. The gate
+/// holds the batch until every member has reached it; a member that never
+/// will — its plan failed to optimize, its thread panicked — is written off
+/// when its context drops, so the others are not held for it.
+struct BatchMember {
+    gate: AdmissionController,
+    reached_gate: AtomicBool,
+}
+
+impl AdmissionGate for BatchMember {
+    fn begin(&self, now_secs: f64, deadline_at_secs: Option<f64>) -> PzResult<u64> {
+        self.reached_gate.store(true, Ordering::Relaxed);
+        self.gate.begin(now_secs, deadline_at_secs)
+    }
+
+    fn end(&self, ticket: u64, now_secs: f64) {
+        self.gate.end(ticket, now_secs);
+    }
+}
+
+impl Drop for BatchMember {
+    fn drop(&mut self) {
+        if !*self.reached_gate.get_mut() {
+            self.gate.batch_member_gone();
         }
     }
 }
