@@ -16,9 +16,6 @@
 //! `--parallelism N` (0 = one per core) sets every experiment's
 //! intra-operator parallelism: thread fan-out per LLM operator when
 //! materializing, modelled per-stage overlap when streaming.
-//! `--adaptive` arms runtime adaptive re-optimization in every experiment's
-//! executor (E18 scripts its own adaptive-vs-static brownout comparison
-//! regardless of the flag).
 //! `--incremental` arms delta-driven re-execution: the E1 context and the
 //! trace-export chat session carry a memo snapshot, and every experiment's
 //! executor replays memoized operator verdicts instead of re-billing them
@@ -55,11 +52,6 @@ static FAULT_PLAN: std::sync::OnceLock<pz_llm::FaultPlan> = std::sync::OnceLock:
 /// overlap in streaming runs.
 static PARALLELISM: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
 
-/// Runtime adaptive re-optimization (`--adaptive`): every experiment's
-/// executor re-costs the remaining plan suffix mid-run and swaps degraded
-/// models. E18 scripts its own adaptive-vs-static comparison regardless.
-static ADAPTIVE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-
 /// Incremental execution (`--incremental`): arm a memo snapshot on the E1
 /// context and the trace-export chat session, and raise the config flag in
 /// every experiment's executor. E19 scripts its own incremental-vs-scratch
@@ -72,14 +64,6 @@ fn exec_mode() -> ExecMode {
 
 fn parallelism() -> usize {
     PARALLELISM.get().copied().unwrap_or(1).max(1)
-}
-
-fn adaptive_cfg() -> AdaptiveConfig {
-    if ADAPTIVE.get().copied().unwrap_or(false) {
-        AdaptiveConfig::on()
-    } else {
-        AdaptiveConfig::default()
-    }
 }
 
 fn scripted_faults(ctx: &PzContext) {
@@ -111,8 +95,7 @@ fn cfg_seq() -> ExecutionConfig {
 fn cfg_par(workers: usize) -> ExecutionConfig {
     let cfg = ExecutionConfig::sequential()
         .with_mode(exec_mode())
-        .with_parallelism(workers.max(1))
-        .with_adaptive(adaptive_cfg());
+        .with_parallelism(workers.max(1));
     if incremental() {
         cfg.with_incremental()
     } else {
@@ -201,11 +184,6 @@ fn main() {
                 std::process::exit(2);
             }
         }
-    }
-    if let Some(i) = args.iter().position(|a| a == "--adaptive") {
-        args.remove(i);
-        let _ = ADAPTIVE.set(true);
-        println!("adaptive replanning: on (suffix re-costing + champion/challenger swaps)");
     }
     if let Some(i) = args.iter().position(|a| a == "--incremental") {
         args.remove(i);
@@ -326,10 +304,7 @@ fn export_trace(path: &str) {
     let mut chat = PalimpChat::new();
     {
         let mut session = chat.session().lock();
-        session.exec = session
-            .exec
-            .with_mode(exec_mode())
-            .with_adaptive(adaptive_cfg());
+        session.exec = session.exec.with_mode(exec_mode());
         scripted_incremental(&mut session.ctx);
     }
     scripted_faults(&chat.session().lock().ctx);
@@ -973,7 +948,7 @@ fn e10_vector_index() {
 
 /// E15 — resilience: a scripted full outage of the headline model must be
 /// absorbed by circuit breakers + mid-plan failover in both executors,
-/// and an empty fault plan must cost nothing over a failover-less run.
+/// and an empty fault plan must leave no trace of either.
 fn e15_resilience() {
     banner(
         "E15",
@@ -1030,8 +1005,8 @@ fn e15_resilience() {
         );
     }
     println!("\nexpected shape: outage runs finish with the same record multiset on the");
-    println!("substitute model at slightly lower quality; healthy runs show zero swaps,");
-    println!("zero trips, and identical cost with failover enabled or disabled.");
+    println!("substitute model at slightly lower quality; healthy runs show zero swaps");
+    println!("and zero trips.");
 }
 
 /// Field-content multiset key for cross-mode output comparison (record ids
@@ -1200,14 +1175,33 @@ fn e17_profiling(chrome_out: Option<&str>, prom_out: Option<&str>, drift_out: Op
     println!("(the simulator is the cost model's own ground truth).");
 }
 
+/// `ctx` with a catalog in which `model` is the only chat model, so
+/// nothing can stand in for it: a brownout on it is ridden out.
+fn offering_no_substitute(mut ctx: PzContext, model: &str) -> PzContext {
+    let mut catalog = pz_llm::Catalog::new();
+    for card in ctx.catalog.iter() {
+        if card.id.as_str() == model || card.kind == pz_llm::ModelKind::Embedding {
+            catalog.insert(card.clone());
+        }
+    }
+    ctx.catalog = catalog;
+    ctx
+}
+
 /// One brownout run for E18: the demo plan with the filter pinned on
 /// gpt-4o (browning out: 25 s stalls on ~35% of calls — under the
-/// breaker's trip rate, so static execution just keeps paying) and the
-/// convert on healthy llama-3-70b. Returns (virtual time, ledger cost,
-/// output multiset, replan reports).
+/// breaker's trip rate) and the convert on healthy llama-3-70b. The
+/// static run's context offers no substitute for gpt-4o, so it pays every
+/// stall. Returns (virtual time, ledger cost, output multiset, replan
+/// reports).
 fn e18_brownout_run(adaptive: bool) -> (f64, f64, Vec<String>, Vec<AdaptiveReport>) {
     use pz_llm::protocol::Effort;
     let (ctx, _truth) = demo_context();
+    let ctx = if adaptive {
+        ctx
+    } else {
+        offering_no_substitute(ctx, "gpt-4o")
+    };
     ctx.faults.set(
         pz_llm::FaultPlan::parse("gpt-4o:timeout@0..1e9:p=0.35:stall=25", 11).expect("fault spec"),
     );
@@ -1230,12 +1224,8 @@ fn e18_brownout_run(adaptive: bool) -> (f64, f64, Vec<String>, Vec<AdaptiveRepor
             },
         ],
     };
-    let config = if adaptive {
-        ExecutionConfig::streaming().with_adaptive(AdaptiveConfig::on())
-    } else {
-        ExecutionConfig::streaming()
-    };
-    let (records, stats) = pz_core::exec::execute_plan(&ctx, &plan, config).expect("brownout run");
+    let (records, stats) = pz_core::exec::execute_plan(&ctx, &plan, ExecutionConfig::streaming())
+        .expect("brownout run");
     (
         ctx.clock.now_secs(),
         ctx.ledger.total_cost_usd(),
@@ -1244,11 +1234,11 @@ fn e18_brownout_run(adaptive: bool) -> (f64, f64, Vec<String>, Vec<AdaptiveRepor
     )
 }
 
-/// E18 — runtime adaptive re-optimization under a brownout: the static
-/// plan keeps paying 25-second stalls on the degraded champion; the
-/// adaptive executor detects the drift, re-costs the remaining suffix and
-/// sticky-swaps the filter onto a healthy model mid-stream. Same output
-/// multiset, near-healthy runtime.
+/// E18 — runtime model substitution under a brownout: with no substitute
+/// on offer the plan keeps paying 25-second stalls on the degraded
+/// champion; otherwise the executor sees the filter's stall ratio cross
+/// its threshold and sticky-swaps it onto a healthy model mid-stream. Same
+/// output multiset, near-healthy runtime.
 fn e18_adaptive() {
     banner("E18", "adaptive replanning under a model brownout");
     let (healthy_time, healthy_cost, _, _) = {

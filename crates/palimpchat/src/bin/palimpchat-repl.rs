@@ -11,10 +11,9 @@
 //! as JSONL, `:exec streaming|materializing` to switch the execution mode,
 //! `:parallelism <n>|auto` to set intra-operator parallelism (modelled in
 //! both modes: it divides attributed time, never what runs),
-//! `:adaptive [on|off|thresholds <time> <cost> <health>]` to arm runtime
-//! plan repair (re-cost the remaining suffix mid-run, swap degraded
-//! models), `:faults <spec>|off` to script provider faults into the
-//! simulator, `:watch <dataset>|off` to arm incremental execution (the
+//! `:faults <spec>|off` to script provider faults into the simulator (an
+//! outage or a brownout moves the afflicted operators onto substitute
+//! models mid-run), `:watch <dataset>|off` to arm incremental execution (the
 //! dataset becomes editable and re-runs replay memoized operator verdicts,
 //! re-billing only changed records), `:append <dataset> <filename>
 //! <content...>` to stream a new record into a watched dataset,
@@ -43,7 +42,6 @@ fn main() {
          (:trace toggles traces, :spans shows the span tree, :export <path> writes JSONL, \
          :exec streaming|materializing switches the executor, \
          :parallelism <n>|auto sets intra-operator parallelism, \
-         :adaptive [on|off|thresholds t c h] arms runtime plan repair, \
          :faults <spec>|off scripts provider faults, \
          :watch <dataset>|off arms incremental re-runs, \
          :append <dataset> <file> <text> streams in a record, \
@@ -117,37 +115,6 @@ fn main() {
                 }
                 continue;
             }
-            ":adaptive" => {
-                let a = chat.session().lock().exec.adaptive;
-                if a.enabled {
-                    println!(
-                        "adaptive replanning: on (time drift >= {:.1}x, cost drift >= {:.1}x, \
-                         failure rate >= {:.2}, min {} records, max {} repairs/run)",
-                        a.time_drift_threshold,
-                        a.cost_drift_threshold,
-                        a.health_failure_rate,
-                        a.min_records,
-                        a.max_repairs
-                    );
-                } else {
-                    println!("adaptive replanning: off (arm with :adaptive on)");
-                }
-                continue;
-            }
-            ":adaptive on" => {
-                let mut s = chat.session().lock();
-                s.exec.adaptive.enabled = true;
-                println!(
-                    "adaptive replanning: on — degraded models are re-costed and swapped mid-run \
-                     (rides on failover; see :faults to script a brownout)"
-                );
-                continue;
-            }
-            ":adaptive off" => {
-                chat.session().lock().exec.adaptive.enabled = false;
-                println!("adaptive replanning: off");
-                continue;
-            }
             ":watch" => {
                 let s = chat.session().lock();
                 match &s.ctx.incremental {
@@ -207,34 +174,6 @@ fn main() {
                     println!("execution mode: materializing (operator-at-a-time)");
                 }
                 other => println!("unknown mode {other:?} — try :exec streaming | materializing"),
-            }
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix(":adaptive thresholds ") {
-            let parts: Vec<&str> = rest.split_whitespace().collect();
-            let parsed: Option<(f64, f64, f64)> = match parts.as_slice() {
-                [t, c, h] => match (t.parse(), c.parse(), h.parse()) {
-                    (Ok(t), Ok(c), Ok(h)) => Some((t, c, h)),
-                    _ => None,
-                },
-                _ => None,
-            };
-            match parsed {
-                Some((t, c, h)) if t >= 1.0 && c >= 1.0 && (0.0..=1.0).contains(&h) => {
-                    let mut s = chat.session().lock();
-                    s.exec.adaptive.time_drift_threshold = t;
-                    s.exec.adaptive.cost_drift_threshold = c;
-                    s.exec.adaptive.health_failure_rate = h;
-                    s.exec.adaptive.enabled = true;
-                    println!(
-                        "adaptive replanning: on (time drift >= {t:.1}x, cost drift >= {c:.1}x, \
-                         failure rate >= {h:.2})"
-                    );
-                }
-                _ => println!(
-                    "usage: :adaptive thresholds <time>=1.0 <cost>=1.0 <health 0..1> \
-                     (e.g. :adaptive thresholds 3 3 0.34)"
-                ),
             }
             continue;
         }

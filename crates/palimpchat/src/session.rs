@@ -18,9 +18,9 @@ pub struct SessionState {
     pub pending_ops: Vec<LogicalOp>,
     /// Optimization preference for the next execution.
     pub policy: Policy,
-    /// How `execute_pipeline` drives the plan: executor mode, parallelism
-    /// and adaptive re-planning (the REPL's `:exec` / `:parallelism` /
-    /// `:adaptive` switches edit this).
+    /// How `execute_pipeline` drives the plan: executor mode and
+    /// parallelism (the REPL's `:exec` / `:parallelism` switches edit
+    /// this).
     pub exec: ExecutionConfig,
     /// Outcome of the most recent execution.
     pub last_outcome: Option<ExecutionOutcome>,

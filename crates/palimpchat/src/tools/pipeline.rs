@@ -291,8 +291,8 @@ pub fn execute_pipeline_tool(session: SessionHandle) -> Arc<dyn Tool> {
             .current_plan()
             .map_err(|e| tool_err("execute_pipeline", e))?;
         let policy = state.policy.clone();
-        // The session's execution defaults (`:exec`, `:parallelism`,
-        // `:adaptive`) drive the run; the `parallelism` argument overrides
+        // The session's execution defaults (`:exec`, `:parallelism`) drive
+        // the run; the `parallelism` argument overrides
         // one of them for this call. `:watch` arms the incremental memo so
         // re-runs re-bill only changed records.
         let mut config = state.exec;

@@ -1,8 +1,7 @@
 //! Plan executor: one single-threaded loop over the plan's stages.
 //!
-//! A *stage* is one physical operator: its [`OpRunner`] (memo, adaptive
-//! challenge, sticky failover, `catch_unwind`) plus the state its
-//! [`StageKind`] needs — a barrier's input buffer, a `Limit`'s remaining
+//! A *stage* is one physical operator plus the state its [`StageKind`]
+//! needs — a barrier's input buffer, a `Limit`'s remaining
 //! count. The loop schedules **downstream-first**: a batch a stage emits is
 //! carried through every following stage (until one buffers it or it
 //! reaches the output) before anything upstream moves, so nothing queues
@@ -11,11 +10,16 @@
 //! in plan order — which is when a barrier applies its operator.
 //!
 //! Every operator application, whatever asked for it, is one
-//! [`Drive::step`]: deadline check by the caller, ledger snapshot, `op:`
-//! span, operator, stats row, `prof_*` gauges, adaptive observation. No
-//! operator ever runs on a second thread, so a run is a pure function of
-//! its inputs: same seed, same records, ids, stats, ledger, clock and
-//! trace, at every parallelism and in either mode.
+//! [`Drive::step`]: deadline check by the caller, the substitution
+//! controller's consult (`exec/failover.rs`), ledger snapshot, `op:` span,
+//! the operator (`exec/runner.rs`: memo split, failover loop,
+//! `catch_unwind`), stats row, `prof_*` gauges, and the clock and ledger
+//! deltas handed back to the controller. Those deltas are all it observes,
+//! and all it needs: a healthy model's clock time equals its billed
+//! latency, so a stall shows as the difference, with no estimate to judge
+//! it against. No operator ever runs on a second thread, so a run is a
+//! pure function of its inputs: same seed, same records, ids, stats,
+//! ledger, clock and trace, at every parallelism and in either mode.
 //!
 //! ## Two policies
 //!
@@ -29,9 +33,10 @@
 //!   resident. Empty batches still flow (an operator over nothing is still
 //!   an application), each application gets its own `op:` span, a `Limit`
 //!   bills its whole input, and plan time is the sum of the stages. Under a
-//!   tenant quota or the adaptive controller every operator is a barrier:
-//!   both act *between* operators (restore the input of the one the budget
-//!   refused; re-cost the unexecuted suffix).
+//!   tenant quota every operator is a barrier, so a refusal can restore
+//!   the input of the operator the budget refused. Model swaps need no
+//!   barrier: the controller acts at the top of any step, which here is a
+//!   chunk boundary.
 //! - **Streaming** pulls `batch_size`-record batches and classifies stages
 //!   by [`stage_kind`]: joins probe per batch, `UnionAll` passes through
 //!   and appends the other dataset at end-of-stream, a satisfied `Limit`
@@ -67,11 +72,10 @@
 use crate::context::PzContext;
 use crate::datasource::RecordBatchIter;
 use crate::error::{PzError, PzResult};
-use crate::exec::failover::FailoverRank;
-use crate::exec::runner::OpRunner;
+use crate::exec::failover::{Rank, Substitution};
+use crate::exec::runner;
 use crate::exec::stats::{ExecutionStats, OperatorStats};
 use crate::ops::physical::{PhysicalOp, PhysicalPlan};
-use crate::optimizer::adaptive::{AdaptiveConfig, AdaptiveController};
 use crate::record::DataRecord;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -120,23 +124,10 @@ pub struct ExecutionConfig {
     /// streaming, by the model's provider rate limit). Records, ledger and
     /// trace are identical at every value; only attributed time changes.
     pub parallelism: usize,
-    /// Mid-plan model failover: when an operator's model goes unhealthy
-    /// (circuit breaker open, or a provider fault survives retries), swap
-    /// the operator to the next-best healthy model instead of aborting.
-    /// On by default; a no-op while all models stay healthy.
-    pub failover: bool,
-    /// How failover ranks substitute models — the active policy's primary
-    /// dimension ([`crate::execute`] sets this from the policy).
-    pub rank: FailoverRank,
     /// Execution deadline in virtual seconds, relative to plan start.
-    /// Retries, backoff, and failover all respect it; exceeding it yields
-    /// partial results flagged `deadline_exceeded`, never a hang.
+    /// Retries, backoff, and model substitution all respect it; exceeding
+    /// it yields partial results flagged `deadline_exceeded`, never a hang.
     pub deadline_secs: Option<f64>,
-    /// Runtime adaptive re-optimization: re-cost the remaining plan suffix
-    /// during execution and swap degraded models out before they fail
-    /// outright. Requires `failover` (it reuses the same substitution
-    /// machinery); disabled by default and byte-invisible while off.
-    pub adaptive: AdaptiveConfig,
     /// Incremental re-execution: replay memoized operator verdicts for
     /// unchanged records from the context's `ExecutionSnapshot` and
     /// re-bill only the dirty delta. Requires a snapshot installed via
@@ -156,10 +147,7 @@ impl Default for ExecutionConfig {
         Self {
             mode: ExecMode::default(),
             parallelism: 1,
-            failover: true,
-            rank: FailoverRank::default(),
             deadline_secs: None,
-            adaptive: AdaptiveConfig::default(),
             incremental: false,
             spill_budget_records: None,
         }
@@ -196,18 +184,6 @@ impl ExecutionConfig {
         self
     }
 
-    /// Set the failover ranking dimension.
-    pub fn with_rank(mut self, rank: FailoverRank) -> Self {
-        self.rank = rank;
-        self
-    }
-
-    /// Disable mid-plan model failover (provider faults abort the plan).
-    pub fn without_failover(mut self) -> Self {
-        self.failover = false;
-        self
-    }
-
     /// Set the intra-operator parallelism. `0` means auto (one worker per
     /// available core).
     pub fn with_parallelism(mut self, workers: usize) -> Self {
@@ -216,12 +192,6 @@ impl ExecutionConfig {
         } else {
             workers
         };
-        self
-    }
-
-    /// Set the adaptive re-optimization configuration.
-    pub fn with_adaptive(mut self, adaptive: AdaptiveConfig) -> Self {
-        self.adaptive = adaptive;
         self
     }
 
@@ -263,10 +233,22 @@ fn is_quota_exhausted(e: &PzError) -> bool {
 }
 
 /// Execute a physical plan, returning output records and statistics.
+/// Substitute models, should one be needed, are ranked by quality.
 pub fn execute_plan(
     ctx: &PzContext,
     plan: &PhysicalPlan,
     config: ExecutionConfig,
+) -> PzResult<(Vec<DataRecord>, ExecutionStats)> {
+    execute_ranked(ctx, plan, config, Rank::Quality)
+}
+
+/// [`execute_plan`], ranking substitute models along `rank` — the primary
+/// dimension of the policy that chose the plan.
+pub(crate) fn execute_ranked(
+    ctx: &PzContext,
+    plan: &PhysicalPlan,
+    config: ExecutionConfig,
+    rank: Rank,
 ) -> PzResult<(Vec<DataRecord>, ExecutionStats)> {
     // The deadline is absolute on the virtual clock; retries see it via
     // the cloned context so backoff never sleeps past it.
@@ -302,14 +284,6 @@ pub fn execute_plan(
             .then(|| Arc::new(AtomicU64::new(0)));
         c
     };
-    // Adaptive re-optimization rides on the failover machinery; the
-    // controller is only constructed when both are on, so disabled runs
-    // stay byte-identical.
-    let adaptive = if config.adaptive.enabled && config.failover {
-        AdaptiveController::from_plan(ctx, plan, config.adaptive, config.rank).map(Arc::new)
-    } else {
-        None
-    };
     // Incremental re-execution is armed only when both the config flag and
     // a context snapshot are present; the per-run replay count is the
     // delta on the (shared, cumulative) snapshot counter.
@@ -319,7 +293,7 @@ pub fn execute_plan(
         None
     };
     let memo_hits_before = memo.as_ref().map_or(0, |s| s.hits());
-    let (records, mut stats) = Drive::new(ctx, plan, &config, adaptive).run()?;
+    let (records, mut stats) = Drive::new(ctx, plan, &config, rank).run()?;
     if let Some(s) = &memo {
         stats.memo_hits = s.hits() - memo_hits_before;
     }
@@ -397,7 +371,6 @@ struct Prof {
 
 /// One operator of the plan in the loop.
 struct Stage {
-    runner: OpRunner,
     kind: StageKind,
     /// Input a `Blocking` stage has collected so far.
     buf: Vec<DataRecord>,
@@ -433,8 +406,8 @@ struct Drive<'a> {
     ctx: &'a PzContext,
     config: &'a ExecutionConfig,
     policy: Policy,
-    /// Working copy of the plan: the materializing adaptive repair rewrites
-    /// operators that have not run yet.
+    /// The plan's operators, as planned: a replan before a stage's first
+    /// application re-plans its entry (a failover does not).
     ops: Vec<PhysicalOp>,
     stages: Vec<Stage>,
     /// `None` once exhausted or cancelled.
@@ -443,10 +416,8 @@ struct Drive<'a> {
     closed: usize,
     /// What the last stage emitted.
     sink: Vec<DataRecord>,
-    /// The adaptive controller, if armed. Materializing actuates it here,
-    /// between operators (`close`); streaming hands it to the runners, which
-    /// challenge before each batch.
-    adaptive: Option<Arc<AdaptiveController>>,
+    /// Which model each swappable operator runs on (`exec/failover.rs`).
+    subst: Substitution,
     quota_armed: bool,
     profiling: bool,
     plan_span: pz_obs::SpanGuard,
@@ -458,7 +429,7 @@ impl<'a> Drive<'a> {
         ctx: &'a PzContext,
         plan: &PhysicalPlan,
         config: &'a ExecutionConfig,
-        adaptive: Option<Arc<AdaptiveController>>,
+        rank: Rank,
     ) -> Self {
         let policy = match config.mode {
             ExecMode::Materializing => Policy {
@@ -482,7 +453,7 @@ impl<'a> Drive<'a> {
         // surfaces the refusal), armed only when the tenant ledger carries
         // a budget.
         let quota_armed = !policy.pipelined && ctx.ledger.quota().is_limited();
-        let barriers_only = !policy.pipelined && (quota_armed || adaptive.is_some());
+        let barriers_only = !policy.pipelined && quota_armed;
         let source = plan.ops.first().map(|first| match first {
             // An unopenable source fails inside the first scan step, under
             // its `op:` span like any other operator failure.
@@ -503,9 +474,7 @@ impl<'a> Drive<'a> {
                     StageKind::PerBatch if !barriers_only => StageKind::PerBatch,
                     _ => StageKind::Blocking,
                 };
-                let per_batch_adaptive = adaptive.clone().filter(|_| policy.pipelined);
                 Stage {
-                    runner: OpRunner::new(op.clone(), i, config, per_batch_adaptive),
                     kind,
                     buf: Vec::new(),
                     out: Default::default(),
@@ -529,7 +498,7 @@ impl<'a> Drive<'a> {
             source,
             closed: 0,
             sink: Vec::new(),
-            adaptive,
+            subst: Substitution::new(plan, rank),
             quota_armed,
             profiling: ctx.tracer.profiling_enabled(),
             plan_span,
@@ -559,7 +528,7 @@ impl<'a> Drive<'a> {
                 if self.past_deadline(0) {
                     Some(self.partial(0, Vec::new()))
                 } else if matches!(self.stages[0].kind, StageKind::Source) {
-                    let chunk = self.step(0, Vec::new(), |_, _| pulled)?;
+                    let chunk = self.step(0, Vec::new(), |_, _, _| pulled)?;
                     self.push(1, chunk)?
                 } else {
                     self.push(0, pulled?)?
@@ -599,7 +568,7 @@ impl<'a> Drive<'a> {
             }
             batch = match self.stages[i].kind {
                 StageKind::Limit(remaining) => {
-                    let kept = self.step(i, batch, |_, mut b| {
+                    let kept = self.step(i, batch, |_, _, mut b| {
                         b.truncate(remaining);
                         Ok(b)
                     })?;
@@ -609,11 +578,8 @@ impl<'a> Drive<'a> {
                     }
                     kept
                 }
-                StageKind::Union => self.step(i, batch, |_, b| Ok(b))?,
-                _ => {
-                    let ctx = self.ctx;
-                    self.step(i, batch, |runner, b| runner.execute(ctx, b))?
-                }
+                StageKind::Union => self.step(i, batch, |_, _, b| Ok(b))?,
+                _ => self.apply(i, batch)?,
             };
             i += 1;
         }
@@ -622,20 +588,8 @@ impl<'a> Drive<'a> {
     /// End-of-stream reaches stage `i`: a barrier applies its operator to
     /// everything it collected, a union appends the other dataset.
     fn close(&mut self, i: usize) -> PzResult<Halt> {
-        let ctx = self.ctx;
         let input = match self.stages[i].kind {
-            StageKind::Blocking => {
-                if let (false, Some(ctrl)) = (self.policy.pipelined, &self.adaptive) {
-                    // Every operator before `i` has run and fed the
-                    // controller; let it move the rest off a drifted model.
-                    ctrl.repair_suffix(ctx, &mut self.ops, i, self.stages[i].buf.len());
-                    for (stage, op) in self.stages[i..].iter_mut().zip(&self.ops[i..]) {
-                        stage.runner.replan(op.clone());
-                        stage.row = row_for(op);
-                    }
-                }
-                std::mem::take(&mut self.stages[i].buf)
-            }
+            StageKind::Blocking => std::mem::take(&mut self.stages[i].buf),
             StageKind::Union => Vec::new(),
             _ => return Ok(None),
         };
@@ -645,7 +599,7 @@ impl<'a> Drive<'a> {
         // Under a budget, keep the input so a mid-operator quota refusal
         // can return results through the last *completed* operator.
         let saved = self.quota_armed.then(|| input.clone());
-        let out = match self.step(i, input, |runner, b| runner.execute(ctx, b)) {
+        let out = match self.apply(i, input) {
             Ok(out) => out,
             // The tenant's own budget refused the next call (the step
             // flagged it). Calls made before the refusal are billed — they
@@ -704,17 +658,34 @@ impl<'a> Drive<'a> {
             .map_or(interrupted, std::mem::take)
     }
 
+    /// A step of stage `i` that applies its operator through the runner.
+    fn apply(&mut self, i: usize, input: Vec<DataRecord>) -> PzResult<Vec<DataRecord>> {
+        let (ctx, incremental) = (self.ctx, self.config.incremental);
+        self.step(i, input, |subst, op, b| {
+            runner::execute(ctx, subst, i, op, incremental, b)
+        })
+    }
+
     /// One application of stage `i`'s operator to one batch — the only
-    /// place the executor snapshots the ledger, opens an `op:` span, writes
-    /// `prof_*` attributes and accrues a stats row. `run` does the work
-    /// (the runner, or the loop's own pull / truncate / pass-through).
+    /// place the executor consults the substitution controller, snapshots
+    /// the ledger, opens an `op:` span, writes `prof_*` attributes and
+    /// accrues a stats row. `run` does the work (the runner, or the loop's
+    /// own pull / truncate / pass-through).
     fn step(
         &mut self,
         i: usize,
         input: Vec<DataRecord>,
-        run: impl FnOnce(&mut OpRunner, Vec<DataRecord>) -> PzResult<Vec<DataRecord>>,
+        run: impl FnOnce(&mut Substitution, &PhysicalOp, Vec<DataRecord>) -> PzResult<Vec<DataRecord>>,
     ) -> PzResult<Vec<DataRecord>> {
         let ctx = self.ctx;
+        // The controller decides the model before anything is measured. A
+        // replan before the stage's first application re-plans it: its
+        // row (and, materializing, its spans) name the substitute.
+        let consulted = self.subst.consult(ctx, i, input.len());
+        if let (Ok(Some(op)), 0) = (&consulted, self.stages[i].applications) {
+            self.stages[i].row = row_for(op);
+            self.ops[i] = op.clone();
+        }
         let op = &self.ops[i];
         // A Scan ignores whatever it is handed.
         let in_len = if matches!(op, PhysicalOp::Scan { .. }) {
@@ -743,7 +714,7 @@ impl<'a> Drive<'a> {
                 .span(pz_obs::Layer::Executor, &format!("op:{}", op.describe()))
         });
 
-        let out = match run(&mut self.stages[i].runner, input) {
+        let out = match consulted.and_then(|_| run(&mut self.subst, op, input)) {
             Ok(out) => out,
             Err(e) => {
                 if self.quota_armed && is_quota_exhausted(&e) {
@@ -823,9 +794,7 @@ impl<'a> Drive<'a> {
         if !out.is_empty() && stage.startup_secs.is_none() {
             stage.startup_secs = Some(stage.row.time_secs);
         }
-        if let (false, Some(ctrl)) = (self.policy.pipelined, &self.adaptive) {
-            ctrl.observe(i, op.model(), in_len, elapsed, applied.cost_usd);
-        }
+        self.subst.observe(i, in_len, elapsed, latency, &applied);
         Ok(out)
     }
 
@@ -834,9 +803,9 @@ impl<'a> Drive<'a> {
     fn finish(mut self, records: Vec<DataRecord>) -> (Vec<DataRecord>, ExecutionStats) {
         let mut stats = self.stats;
         let mut startup = Vec::with_capacity(self.stages.len());
-        for (stage, op) in self.stages.iter_mut().zip(&self.ops) {
+        for (i, (stage, op)) in self.stages.iter_mut().zip(&self.ops).enumerate() {
             // Failover decisions, in plan order.
-            stats.degraded.append(&mut stage.runner.degraded);
+            stats.degraded.append(&mut self.subst.take_degraded(i));
             let mut row = std::mem::take(&mut stage.row);
             if !self.policy.pipelined {
                 // Rows cover exactly the operators that ran.
@@ -880,9 +849,7 @@ impl<'a> Drive<'a> {
             }
             stats.operators.push(row);
         }
-        if let Some(ctrl) = &self.adaptive {
-            stats.adaptive = ctrl.take_reports();
-        }
+        stats.adaptive = self.subst.take_reports();
         if self.policy.pipelined {
             stats.finalize_pipelined(&startup);
         } else {
@@ -1609,9 +1576,9 @@ mod tests {
 
     #[test]
     fn quota_and_adaptive_runs_are_chunk_invariant() {
-        // Quota-armed and adaptive runs take a scan-only prefix, so a
-        // corpus pulled in several chunks must behave exactly like the
-        // same corpus reported as one chunk.
+        // A quota-armed run makes every operator a barrier, so a corpus
+        // pulled in several chunks must behave exactly like the same corpus
+        // reported as one chunk.
         let n = SCAN_CHUNK * 5 / 2;
         // Runs the plan over the chunked and the single-chunk source after
         // `arm` prepared each context; returns the (shared) stats.
@@ -1646,14 +1613,65 @@ mod tests {
         );
         assert!(stats.quota_exhausted);
 
-        let brownout =
-            pz_llm::FaultPlan::parse("gpt-4o:timeout@0..1000000:p=0.35:stall=25", 42).unwrap();
-        let stats = differential(
-            "adaptive",
-            &|ctx| ctx.faults.set(brownout.clone()),
-            ExecutionConfig::sequential().with_adaptive(AdaptiveConfig::on()),
+        // A brownout needs no barrier: the filter browns out over the first
+        // chunk and is replanned at the top of its step over the second —
+        // a chunk boundary — and stays replanned for the third.
+        // Every 256th document reaches the LLM operators, and only the
+        // filter's model browns out.
+        let mut plan = big_plan();
+        plan.ops[1] = PhysicalOp::UdfFilter {
+            udf: "sparse".into(),
+        };
+        if let PhysicalOp::LlmClassify { model, .. } = &mut plan.ops[3] {
+            *model = "llama-3-70b".into();
+        }
+        let run = || {
+            let ctx = big_ctx(n);
+            ctx.udfs.register_filter("sparse", |r: &DataRecord| {
+                r.get("filename")
+                    .and_then(|v| v.as_display()[4..9].parse::<usize>().ok())
+                    .is_some_and(|i| i % 256 == 0)
+            });
+            ctx.faults.set(
+                pz_llm::FaultPlan::parse("gpt-4o:timeout@0..1000000:p=0.2:stall=25", 42).unwrap(),
+            );
+            let (records, stats) =
+                execute_plan(&ctx, &plan, ExecutionConfig::sequential()).unwrap();
+            (ctx, records, stats)
+        };
+        let (ctx, records, stats) = run();
+        let chunk_survivors = SCAN_CHUNK / 256;
+        assert_eq!(stats.adaptive.len(), 1, "one report per demoted model");
+        let r = &stats.adaptive[0];
+        assert_eq!((r.operator_index, r.from_model.as_str()), (2, "gpt-4o"));
+        assert_eq!(
+            r.records_remaining, chunk_survivors,
+            "not at a chunk boundary"
         );
-        assert!(!stats.adaptive.is_empty(), "no adaptive repair fired");
+        // Sticky: gpt-4o served the first chunk and nothing after it.
+        let gpt4o_calls = ctx
+            .ledger
+            .by_model()
+            .into_iter()
+            .find(|(m, _)| m.as_str() == "gpt-4o")
+            .map(|(_, u)| u.requests);
+        assert_eq!(gpt4o_calls, Some(chunk_survivors));
+        assert!(stats.degraded.is_empty());
+        // Ledger == stats, and the run replays byte for byte.
+        let op_calls: usize = stats.operators.iter().map(|o| o.llm_calls).sum();
+        assert_eq!(op_calls, ctx.ledger.total_requests());
+        let op_cost: f64 = stats.operators.iter().map(|o| o.cost_usd).sum();
+        assert!((op_cost - ctx.ledger.total_cost_usd()).abs() < 1e-9);
+        let (ctx_again, records_again, stats_again) = run();
+        assert_eq!(records, records_again);
+        assert_eq!(
+            serde_json::to_string(&stats).unwrap(),
+            serde_json::to_string(&stats_again).unwrap()
+        );
+        assert_eq!(
+            ctx.tracer.snapshot().to_jsonl(),
+            ctx_again.tracer.snapshot().to_jsonl()
+        );
     }
 
     #[test]

@@ -3,7 +3,6 @@
 //! about the plan execution such as the operators chosen and the total
 //! pipeline cost and runtime."
 
-use crate::optimizer::adaptive::AdaptiveReport;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
@@ -73,6 +72,34 @@ pub struct DegradedExecution {
     pub reason: String,
 }
 
+/// One replan: a browning-out model's operator moved onto a substitute
+/// before a step, recorded in `ExecutionStats::adaptive` and mirrored by an
+/// `exec.replan` event.
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+pub struct AdaptiveReport {
+    /// Index of the replanned operator in the physical plan.
+    pub operator_index: usize,
+    pub operator: String,
+    pub from_model: String,
+    pub to_model: String,
+    /// Which threshold fired: `stall ratio` or `provider health`.
+    pub trigger: String,
+    /// The observed ratio or failure rate that reached it (capped finite).
+    pub observed_ratio: f64,
+    /// The threshold it reached.
+    pub threshold: f64,
+    /// Estimated seconds for the records in hand had the degraded model
+    /// kept them, its stalls priced in.
+    pub est_suffix_secs_before: f64,
+    /// Estimated seconds for the same records on the substitute.
+    pub est_suffix_secs_after: f64,
+    /// Records in the batch the swap was decided before: the least it
+    /// still applies to.
+    pub records_remaining: usize,
+    /// Virtual-clock time of the decision.
+    pub at_secs: f64,
+}
+
 /// Whole-pipeline measurements.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ExecutionStats {
@@ -89,9 +116,8 @@ pub struct ExecutionStats {
     /// healthy runs.
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub degraded: Vec<DegradedExecution>,
-    /// Adaptive plan repairs (champion/challenger switches), in the order
-    /// they were made. Empty unless the adaptive controller is enabled
-    /// *and* fired, so serialized stats stay byte-identical otherwise.
+    /// Replans (brownout swaps), in the order they were made. Empty on
+    /// healthy runs.
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub adaptive: Vec<AdaptiveReport>,
     /// The execution deadline elapsed and the run returned partial results.
@@ -436,7 +462,7 @@ mod tests {
             operator: "LLMFilter[gpt-4o]".into(),
             from_model: "gpt-4o".into(),
             to_model: "llama-3-70b".into(),
-            trigger: "time drift".into(),
+            trigger: "stall ratio".into(),
             observed_ratio: 4.21,
             threshold: 3.0,
             est_suffix_secs_before: 120.0,
@@ -449,7 +475,7 @@ mod tests {
             t.contains("REPLANNED: op#1 LLMFilter[gpt-4o] switched gpt-4o -> llama-3-70b"),
             "{t}"
         );
-        assert!(t.contains("time drift"), "{t}");
+        assert!(t.contains("stall ratio"), "{t}");
         assert!(t.contains("4.21"), "{t}");
     }
 

@@ -56,7 +56,7 @@ pub mod optimizer;
 pub mod record;
 pub mod schema;
 
-use crate::exec::{execute_plan, ExecMode, ExecutionConfig, ExecutionStats};
+use crate::exec::{ExecMode, ExecutionConfig, ExecutionStats};
 use crate::ops::logical::LogicalPlan;
 use crate::ops::physical::PhysicalPlan;
 use crate::optimizer::cost::PlanEstimate;
@@ -151,11 +151,10 @@ pub fn execute_with_optimizer(
         optimizer.parallel_workers = config.parallelism.max(1);
     }
     let (chosen_plan, estimate, report) = optimizer.optimize(ctx, plan, policy)?;
-    // Failover picks substitutes along the same dimension the policy
+    // Substitute models are ranked along the dimension the policy
     // optimized for (quality-seeking policy -> next-best-quality model).
-    let mut config = config;
-    config.rank = crate::exec::FailoverRank::from(policy);
-    let (records, mut stats) = execute_plan(ctx, &chosen_plan, config)?;
+    let rank = crate::exec::failover::Rank::from(policy);
+    let (records, mut stats) = crate::exec::run::execute_ranked(ctx, &chosen_plan, config, rank)?;
     stats.policy = policy.name();
     Ok(ExecutionOutcome {
         records,
@@ -176,8 +175,8 @@ pub mod prelude {
     };
     pub use crate::error::{PzError, PzResult};
     pub use crate::exec::{
-        DegradedExecution, ExecMode, ExecutionConfig, ExecutionSnapshot, ExecutionStats,
-        FailoverRank, OperatorStats,
+        AdaptiveReport, DegradedExecution, ExecMode, ExecutionConfig, ExecutionSnapshot,
+        ExecutionStats, OperatorStats,
     };
     pub use crate::execute;
     pub use crate::execute_with_optimizer;
@@ -186,7 +185,6 @@ pub mod prelude {
         AggExpr, AggFunc, Cardinality, FilterPredicate, LogicalOp, LogicalPlan,
     };
     pub use crate::ops::physical::{PhysicalOp, PhysicalPlan};
-    pub use crate::optimizer::adaptive::{AdaptiveConfig, AdaptiveReport};
     pub use crate::optimizer::cost::{OperatorEstimate, PlanEstimate};
     pub use crate::optimizer::drift::{DriftReport, StageDrift};
     pub use crate::optimizer::policy::Policy;

@@ -109,60 +109,6 @@ impl CostContext {
         })
     }
 
-    /// Build from a runtime context and a *physical* plan: same sampling as
-    /// [`CostContext::from_context`], reading the scan dataset and the
-    /// join/union build sides off physical operators instead of logical
-    /// ones. Used by the adaptive controller, which re-costs plan suffixes
-    /// mid-execution where only the physical plan exists.
-    pub fn from_physical_plan(ctx: &PzContext, plan: &PhysicalPlan) -> PzResult<Self> {
-        let dataset = plan
-            .ops
-            .iter()
-            .find_map(|op| match op {
-                PhysicalOp::Scan { dataset } => Some(dataset.as_str()),
-                _ => None,
-            })
-            .ok_or_else(|| PzError::Optimizer("plan has no scan to sample for costing".into()))?;
-        let src = ctx.registry.get(dataset)?;
-        let records = src
-            .records(0)
-            .map_err(|e| PzError::Optimizer(format!("cannot sample source for costing: {e}")))?;
-        let n = records.len();
-        let sample: Vec<usize> = records
-            .iter()
-            .take(5)
-            .map(|r| count_tokens(&r.prompt_text()))
-            .collect();
-        let avg = if sample.is_empty() {
-            200.0
-        } else {
-            sample.iter().sum::<usize>() as f64 / sample.len() as f64
-        };
-        let mut build_cardinality = BTreeMap::new();
-        for op in &plan.ops {
-            if let PhysicalOp::HashJoin { dataset, .. }
-            | PhysicalOp::LlmJoin { dataset, .. }
-            | PhysicalOp::UnionAll { dataset } = op
-            {
-                if let Ok(src) = ctx.registry.get(dataset) {
-                    let n = src
-                        .cardinality_hint()
-                        .or_else(|| src.records(0).ok().map(|r| r.len()))
-                        .unwrap_or(DEFAULT_BUILD_CARDINALITY as usize);
-                    build_cardinality.insert(dataset.clone(), n as f64);
-                }
-            }
-        }
-        Ok(Self {
-            catalog: ctx.catalog.clone(),
-            input_cardinality: n as f64,
-            avg_record_tokens: avg,
-            build_cardinality,
-            calibration: None,
-            workers: 1,
-        })
-    }
-
     fn build_side(&self, dataset: &str) -> f64 {
         self.build_cardinality
             .get(dataset)

@@ -14,7 +14,6 @@
 //! optionally calibrates the estimates by running candidates on a data
 //! sample first.
 
-pub mod adaptive;
 pub mod cost;
 pub mod drift;
 pub mod enumerate;

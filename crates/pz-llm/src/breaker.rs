@@ -257,6 +257,17 @@ impl HealthTracker {
             .unwrap_or(BreakerState::Closed)
     }
 
+    /// One model's failure evidence, without a snapshot: failed attempts
+    /// seen in total and the failure rate over the current window (zeros
+    /// for a model never called).
+    pub fn failures(&self, model: &ModelId) -> (u64, f64) {
+        let inner = self.inner.lock();
+        inner
+            .models
+            .get(model)
+            .map_or((0, 0.0), |h| (h.failures_total, window_rate(h)))
+    }
+
     /// All tracked models, for `:breaker`-style display.
     pub fn snapshot(&self) -> Vec<BreakerSnapshot> {
         let inner = self.inner.lock();
@@ -269,8 +280,7 @@ impl HealthTracker {
                 failures_total: h.failures_total,
                 successes_total: h.successes_total,
                 trips: h.trips,
-                window_failure_rate: h.window.iter().filter(|f| **f).count() as f64
-                    / h.window.len().max(1) as f64,
+                window_failure_rate: window_rate(h),
             })
             .collect()
     }
@@ -279,6 +289,11 @@ impl HealthTracker {
     pub fn reset(&self) {
         self.inner.lock().models.clear();
     }
+}
+
+/// Failure rate over a model's sliding window (0 while it is empty).
+fn window_rate(health: &ModelHealth) -> f64 {
+    health.window.iter().filter(|f| **f).count() as f64 / health.window.len().max(1) as f64
 }
 
 fn push_outcome(health: &mut ModelHealth, failed: bool, window: usize) {

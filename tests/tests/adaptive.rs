@@ -1,34 +1,23 @@
-//! Integration: runtime adaptive re-optimization (`optimizer/adaptive.rs`).
+//! Integration: model substitution under a brownout (`exec/failover.rs`).
 //!
 //! The brownout scenario the breaker cannot see: a model answers, slowly
-//! and through stalls, at a failure rate below the trip threshold. Static
-//! execution grinds through it; adaptive execution re-costs the remaining
-//! suffix and swaps the degraded model for a healthy substitute, producing
-//! the same output multiset in less virtual time. Off (the default), the
-//! layer must be byte-invisible.
+//! and through stalls, at a failure rate below the trip threshold. A run
+//! whose context offers no substitute grinds through it; an ordinary run
+//! sees the model's stall ratio cross its threshold and swaps it for a
+//! healthy substitute, producing the same output multiset in less virtual
+//! time. On a healthy run the controller is invisible.
 
 mod common;
 
-use common::{assert_reconciled, clinical_schema, ctx_with, sorted_names};
+use common::{assert_reconciled, clinical_schema, ctx_with, offering_no_substitute, sorted_names};
 use pz_core::prelude::*;
 use pz_datagen::science;
 use pz_llm::FaultPlan;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-fn demo_plan() -> LogicalPlan {
-    Dataset::source("sigmod-demo")
-        .filter(science::FILTER_PREDICATE)
-        .convert(clinical_schema(), Cardinality::OneToMany, "extract")
-        .build()
-        .unwrap()
-}
-
-/// The E18 physical plan, written out explicitly so both runs execute the
-/// *identical* operators: the filter sits on the (faulted) champion, the
-/// convert on the healthy substitute — so a mid-stream filter swap is the
-/// only difference adaptation can introduce.
-fn brownout_plan() -> PhysicalPlan {
+/// Scan → LLMFilter → LLMConvert over the demo corpus.
+fn plan(filter_model: &str, convert_model: &str) -> PhysicalPlan {
     PhysicalPlan {
         ops: vec![
             PhysicalOp::Scan {
@@ -36,64 +25,49 @@ fn brownout_plan() -> PhysicalPlan {
             },
             PhysicalOp::LlmFilter {
                 predicate: science::FILTER_PREDICATE.into(),
-                model: "gpt-4o".into(),
+                model: filter_model.into(),
                 effort: Default::default(),
             },
             PhysicalOp::LlmConvert {
                 target: clinical_schema(),
                 cardinality: Cardinality::OneToMany,
                 description: "extract".into(),
-                model: "llama-3-70b".into(),
+                model: convert_model.into(),
                 effort: Default::default(),
             },
         ],
     }
 }
 
+/// The E18 physical plan, written out explicitly so both runs execute the
+/// *identical* operators: the filter sits on the (faulted) champion, the
+/// convert on the healthy substitute — so a mid-stream filter swap is the
+/// only difference substitution can introduce.
+fn brownout_plan() -> PhysicalPlan {
+    plan("gpt-4o", "llama-3-70b")
+}
+
 /// The scripted brownout: gpt-4o stalls 25 virtual seconds on ~35% of
-/// calls — enough pressure to cross the adaptive health threshold (0.34),
-/// far below the breaker's trip rate (0.75 over a 12-failure window).
+/// calls — a stall ratio far past 3, at a failure rate far below the
+/// breaker's trip rate (0.75 over a 12-failure window).
 fn brownout() -> FaultPlan {
     FaultPlan::parse("gpt-4o:timeout@0..1e9:p=0.35:stall=25", 11).unwrap()
 }
 
-/// Off by default: a faulted run with adaptation disabled must leave zero
-/// adaptive fingerprints anywhere — no replan counter, no trace events, no
-/// `adaptive` key in the serialized stats.
-#[test]
-fn adaptive_off_leaves_no_trace_under_faults() {
-    for config in [ExecutionConfig::sequential(), ExecutionConfig::streaming()] {
-        let ctx = ctx_with(brownout(), 0);
-        let (records, stats) = pz_core::exec::execute_plan(&ctx, &brownout_plan(), config).unwrap();
-        assert!(!records.is_empty());
-        assert!(stats.adaptive.is_empty());
-        assert_eq!(ctx.tracer.counter("exec.replan"), 0);
-        let json = serde_json::to_string(&stats).unwrap();
-        assert!(!json.contains("adaptive"), "empty adaptive vec serialized");
-        assert!(!ctx.tracer.snapshot().to_jsonl().contains("replan"));
-    }
-}
-
-/// While every model stays healthy and on-estimate, an adaptive-enabled
-/// run is indistinguishable from a disabled one under either policy: same
-/// records, request count, cost, virtual clock, and serialized stats,
-/// byte for byte.
+/// While every model stays healthy, a run is indistinguishable from one
+/// whose context offers no substitute at all, in either mode: same
+/// records, request count, cost, virtual clock, serialized stats and
+/// trace, byte for byte.
 #[test]
 fn healthy_adaptive_run_is_byte_identical_to_off() {
+    let demo = plan("gpt-4o", "gpt-4o");
     for config in [ExecutionConfig::sequential(), ExecutionConfig::streaming()] {
-        let ctx_off = ctx_with(FaultPlan::none(), 0);
-        let out_off = execute(&ctx_off, &demo_plan(), &Policy::MaxQuality, config).unwrap();
-
+        let ctx_off = offering_no_substitute(ctx_with(FaultPlan::none(), 0), "gpt-4o");
+        let (rec_off, stats_off) = pz_core::exec::execute_plan(&ctx_off, &demo, config).unwrap();
         let ctx_on = ctx_with(FaultPlan::none(), 0);
-        let out_on = execute(
-            &ctx_on,
-            &demo_plan(),
-            &Policy::MaxQuality,
-            config.with_adaptive(AdaptiveConfig::on()),
-        )
-        .unwrap();
+        let (rec_on, stats_on) = pz_core::exec::execute_plan(&ctx_on, &demo, config).unwrap();
 
-        assert_eq!(out_off.records, out_on.records, "{:?}", config.mode);
+        assert_eq!(rec_off, rec_on, "{:?}", config.mode);
         assert_eq!(
             ctx_off.ledger.total_requests(),
             ctx_on.ledger.total_requests()
@@ -103,45 +77,34 @@ fn healthy_adaptive_run_is_byte_identical_to_off() {
             ctx_on.ledger.total_cost_usd()
         );
         assert_eq!(ctx_off.clock.now_secs(), ctx_on.clock.now_secs());
-        assert!(out_on.stats.adaptive.is_empty());
+        assert!(stats_on.adaptive.is_empty());
         assert_eq!(ctx_on.tracer.counter("exec.replan"), 0);
         assert_eq!(
-            serde_json::to_string(&out_off.stats).unwrap(),
-            serde_json::to_string(&out_on.stats).unwrap(),
+            serde_json::to_string(&stats_off).unwrap(),
+            serde_json::to_string(&stats_on).unwrap(),
             "{:?}",
             config.mode
+        );
+        assert_eq!(
+            ctx_off.tracer.snapshot().to_jsonl(),
+            ctx_on.tracer.snapshot().to_jsonl()
         );
     }
 }
 
-/// Materializing actuation: the filter browns out while it runs; once it
-/// completes, the controller re-costs the suffix and moves the *convert*
-/// (still planned on the same degraded model) to a healthy substitute
-/// before it starts.
+/// Materializing actuation: the filter browns out while it runs; at the
+/// top of the convert's first step the controller sees gpt-4o's stall
+/// ratio and moves the *convert* (still planned on the same degraded
+/// model) to a healthy substitute before it starts.
 #[test]
 fn materializing_brownout_repairs_unexecuted_suffix() {
-    let plan = PhysicalPlan {
-        ops: vec![
-            PhysicalOp::Scan {
-                dataset: "sigmod-demo".into(),
-            },
-            PhysicalOp::LlmFilter {
-                predicate: science::FILTER_PREDICATE.into(),
-                model: "gpt-4o".into(),
-                effort: Default::default(),
-            },
-            PhysicalOp::LlmConvert {
-                target: clinical_schema(),
-                cardinality: Cardinality::OneToMany,
-                description: "extract".into(),
-                model: "gpt-4o".into(),
-                effort: Default::default(),
-            },
-        ],
-    };
     let ctx = ctx_with(brownout(), 0);
-    let config = ExecutionConfig::sequential().with_adaptive(AdaptiveConfig::on());
-    let (records, stats) = pz_core::exec::execute_plan(&ctx, &plan, config).unwrap();
+    let (records, stats) = pz_core::exec::execute_plan(
+        &ctx,
+        &plan("gpt-4o", "gpt-4o"),
+        ExecutionConfig::sequential(),
+    )
+    .unwrap();
     assert!(!records.is_empty());
     assert!(
         !stats.adaptive.is_empty(),
@@ -165,29 +128,26 @@ fn materializing_brownout_repairs_unexecuted_suffix() {
     assert!(stats.render_table().contains("REPLANNED"));
 }
 
-/// E18, the acceptance scenario: under the brownout the static pipeline
-/// keeps paying 25-second stalls on every third call; the adaptive one
-/// sticky-swaps the filter onto a healthy model mid-stream. Both produce
-/// the same output multiset; adaptive finishes in strictly less virtual
-/// time; every switch is visible as an `exec.replan` event reconciling
-/// with the recorded reports.
+/// E18, the acceptance scenario: under the brownout a run with no
+/// substitute on offer keeps paying 25-second stalls on every third call;
+/// an ordinary one sticky-swaps the filter onto a healthy model
+/// mid-stream. Both produce the same output multiset; the swapping run
+/// finishes in strictly less virtual time; every switch is visible as an
+/// `exec.replan` event reconciling with the recorded reports.
 #[test]
 fn e18_streaming_brownout_static_vs_adaptive() {
-    let ctx_s = ctx_with(brownout(), 0);
+    let ctx_s = offering_no_substitute(ctx_with(brownout(), 0), "gpt-4o");
     let (rec_s, stats_s) =
         pz_core::exec::execute_plan(&ctx_s, &brownout_plan(), ExecutionConfig::streaming())
             .unwrap();
 
     let ctx_a = ctx_with(brownout(), 0);
-    let (rec_a, stats_a) = pz_core::exec::execute_plan(
-        &ctx_a,
-        &brownout_plan(),
-        ExecutionConfig::streaming().with_adaptive(AdaptiveConfig::on()),
-    )
-    .unwrap();
+    let (rec_a, stats_a) =
+        pz_core::exec::execute_plan(&ctx_a, &brownout_plan(), ExecutionConfig::streaming())
+            .unwrap();
 
     // The static run rode the brownout without tripping anything: no
-    // breaker, no failover — the regime adaptation exists for.
+    // breaker, no failover — the regime replanning exists for.
     assert!(stats_s.adaptive.is_empty());
     assert!(
         stats_s.degraded.is_empty(),
@@ -250,4 +210,94 @@ fn non_profiled_run_does_not_feed_stale_retry_sink() {
         0,
         "non-profiled run wrote retry backoff into a stale sink"
     );
+}
+
+/// Records per materializing scan chunk (the executor's `SCAN_CHUNK`).
+const SCAN_CHUNK: usize = 4096;
+
+/// A generated corpus that counts whole-corpus reads: `records()` is what
+/// materializes every record at once; the executor's scans go through
+/// `batches()`.
+struct CountingSource {
+    inner: GeneratedSource,
+    whole_reads: Arc<AtomicUsize>,
+}
+
+impl pz_core::datasource::DataSource for CountingSource {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn schema(&self) -> Schema {
+        self.inner.schema()
+    }
+    fn records(&self, base_id: u64) -> PzResult<Vec<DataRecord>> {
+        self.whole_reads.fetch_add(1, Ordering::Relaxed);
+        self.inner.records(base_id)
+    }
+    fn batches(&self, base_id: u64, chunk_size: usize) -> PzResult<RecordBatchIter> {
+        self.inner.batches(base_id, chunk_size)
+    }
+    fn cardinality_hint(&self) -> Option<usize> {
+        self.inner.cardinality_hint()
+    }
+}
+
+/// Bugfix: arming substitution used to cost the whole corpus — the
+/// controller sampled the source (`records()`) to price its estimates, and
+/// turned every materializing operator into a barrier. Under a brownout,
+/// over two and a half scan chunks, neither mode may read the corpus whole
+/// or hold more than two chunks at once.
+#[test]
+fn brownout_run_never_materializes_the_corpus() {
+    let n = SCAN_CHUNK * 5 / 2;
+    for config in [ExecutionConfig::sequential(), ExecutionConfig::streaming()] {
+        let ctx = ctx_with(brownout(), 0);
+        let whole_reads = Arc::new(AtomicUsize::new(0));
+        ctx.registry.register(Arc::new(CountingSource {
+            inner: GeneratedSource::new("big", Schema::text_file(), n, |i| {
+                let topic = if i % 2 == 0 {
+                    "colorectal cancer cohort"
+                } else {
+                    "modern home"
+                };
+                (format!("doc-{i:05}.txt"), format!("Document {i}: {topic}."))
+            }),
+            whole_reads: whole_reads.clone(),
+        }));
+        // Every 256th document reaches the browning-out model.
+        ctx.udfs.register_filter("sparse", |r: &DataRecord| {
+            r.get("filename")
+                .and_then(|v| v.as_display()[4..9].parse::<usize>().ok())
+                .is_some_and(|i| i % 256 == 0)
+        });
+        let plan = PhysicalPlan {
+            ops: vec![
+                PhysicalOp::Scan {
+                    dataset: "big".into(),
+                },
+                PhysicalOp::UdfFilter {
+                    udf: "sparse".into(),
+                },
+                PhysicalOp::LlmFilter {
+                    predicate: science::FILTER_PREDICATE.into(),
+                    model: "gpt-4o".into(),
+                    effort: Default::default(),
+                },
+            ],
+        };
+        let (_, stats) = pz_core::exec::execute_plan(&ctx, &plan, config).unwrap();
+        assert_eq!(
+            whole_reads.load(Ordering::Relaxed),
+            0,
+            "{:?}: the corpus was read whole",
+            config.mode
+        );
+        assert!(
+            stats.peak_resident_records <= 2 * SCAN_CHUNK,
+            "{:?}: peak {} resident records",
+            config.mode,
+            stats.peak_resident_records
+        );
+        assert!(!stats.adaptive.is_empty(), "{:?}: no replan", config.mode);
+    }
 }

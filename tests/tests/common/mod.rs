@@ -1,8 +1,8 @@
 //! Shared fixtures for the integration-test suites.
 //!
-//! `properties.rs`, `adaptive.rs`, and `incremental.rs` all need the same
-//! things: a simulated context over a registered corpus, randomized
-//! operator chains, and multiset/reconciliation assertions. They live here
+//! `properties.rs`, `adaptive.rs`, `resilience.rs` and `incremental.rs`
+//! need the same things: a simulated context over a registered corpus,
+//! randomized operator chains, and multiset/reconciliation assertions. They live here
 //! once so a new suite cannot fork its own slightly-different generator —
 //! and so seeds stay private to each proptest run (the suites share
 //! *generators*, never RNG state; proptest owns the seeds).
@@ -81,6 +81,20 @@ pub fn ctx_with(plan: FaultPlan, seed: u64) -> PzContext {
         Schema::pdf_file(),
         items,
     )));
+    ctx
+}
+
+/// `ctx` with a catalog in which `model` is the only chat model: nothing
+/// can stand in for it, so a run on it is what a run without model
+/// substitution would be.
+pub fn offering_no_substitute(mut ctx: PzContext, model: &str) -> PzContext {
+    let mut catalog = pz_llm::Catalog::new();
+    for card in ctx.catalog.iter() {
+        if card.id.as_str() == model || card.kind == pz_llm::ModelKind::Embedding {
+            catalog.insert(card.clone());
+        }
+    }
+    ctx.catalog = catalog;
     ctx
 }
 

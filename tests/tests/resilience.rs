@@ -2,8 +2,12 @@
 //! model failover. A scripted `FaultPlan` takes models down on the
 //! virtual clock; the executor must route around the outage via the
 //! next-best healthy model, keep the ledger exactly reconciled, and — on
-//! an empty fault plan — behave byte-identically to a failover-less run.
+//! an empty fault plan — behave byte-identically to a run whose context
+//! offers no substitute model at all.
 
+mod common;
+
+use common::offering_no_substitute;
 use pz_core::prelude::*;
 use pz_datagen::science;
 use pz_llm::{FaultPlan, SimConfig};
@@ -162,7 +166,9 @@ fn mid_run_outage_recovers_in_each_mode() {
 #[test]
 fn empty_fault_plan_matches_failover_less_run_exactly() {
     // With no faults the resilience layer must be invisible: same records,
-    // same cost, same clock, no degraded entries, no breaker activity.
+    // same cost, same clock, no degraded entries, no breaker activity —
+    // the same bytes as a run that has no substitute to fail over to.
+    // (`exec_golden.rs` pins these bytes against the engine's history.)
     let ctx_a = ctx_with_faults(FaultPlan::none());
     let out_a = execute(
         &ctx_a,
@@ -172,16 +178,12 @@ fn empty_fault_plan_matches_failover_less_run_exactly() {
     )
     .unwrap();
 
-    let ctx_b = ctx_with_faults(FaultPlan::none());
-    let out_b = execute(
-        &ctx_b,
-        &demo_plan(),
-        &Policy::MaxQuality,
-        ExecutionConfig::sequential().without_failover(),
-    )
-    .unwrap();
+    let ctx_b = offering_no_substitute(ctx_with_faults(FaultPlan::none()), "gpt-4o");
+    let (records_b, stats_b) =
+        pz_core::exec::execute_plan(&ctx_b, &out_a.chosen_plan, ExecutionConfig::sequential())
+            .unwrap();
 
-    assert_eq!(sorted_names(&out_a.records), sorted_names(&out_b.records));
+    assert_eq!(out_a.records, records_b);
     assert_eq!(ctx_a.ledger.total_cost_usd(), ctx_b.ledger.total_cost_usd());
     assert_eq!(ctx_a.ledger.total_requests(), ctx_b.ledger.total_requests());
     assert_eq!(ctx_a.clock.now_secs(), ctx_b.clock.now_secs());
@@ -189,10 +191,16 @@ fn empty_fault_plan_matches_failover_less_run_exactly() {
     assert!(!out_a.stats.deadline_exceeded);
     assert_eq!(ctx_a.tracer.counter("llm.breaker_opened"), 0);
     assert_eq!(ctx_a.tracer.counter("exec.failover"), 0);
-    // Stats serialize identically (no resilience fields on healthy runs).
+    assert_eq!(ctx_a.tracer.counter("exec.replan"), 0);
+    // Stats serialize identically (no resilience fields on healthy runs);
+    // only the policy label, which `execute` adds, tells them apart.
+    let stats_a = ExecutionStats {
+        policy: String::new(),
+        ..out_a.stats.clone()
+    };
     assert_eq!(
-        serde_json::to_string(&out_a.stats).unwrap(),
-        serde_json::to_string(&out_b.stats).unwrap()
+        serde_json::to_string(&stats_a).unwrap(),
+        serde_json::to_string(&stats_b).unwrap()
     );
 }
 
