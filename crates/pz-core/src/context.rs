@@ -79,9 +79,9 @@ pub struct PzContext {
     pub spill_budget_records: Option<usize>,
     /// Default embedding model.
     pub embed_model: ModelId,
-    /// Profiler sink for retry-backoff time (virtual µs). The executor
-    /// points this at a per-stage accumulator on its cloned stage
-    /// contexts when profiling is enabled; `None` records nothing.
+    /// Sink for the virtual µs calls lose to failures (fault stalls, retry
+    /// backoff). The executor gives every run its own on its cloned
+    /// context and reads it around each step; `None` records nothing.
     pub retry_wait_us: Option<Arc<AtomicU64>>,
     /// Per-operator memo store for incremental re-execution, installed via
     /// [`Self::with_incremental`] (the REPL's `:watch` switch and the

@@ -9,36 +9,44 @@
 //!   retries): a *failover*, a [`DegradedExecution`] and an `exec.failover`
 //!   event; the batch in flight re-runs on the substitute.
 //! - **A brownout** (a stall ratio of 3 over 2 records or more, or a
-//!   breaker-window failure rate of 0.34, under the breaker's trip rate): a
+//!   failure rate of 0.34 in the breaker window, under its trip rate): a
 //!   *replan* before the step, an [`AdaptiveReport`] and an `exec.replan`
 //!   event — if a substitute, priced from its catalog card at the request
 //!   shape this operator was billed for, comes out faster.
 //!
-//! The stall ratio, clock seconds per billed second, needs no estimate: the
-//! virtual clock advances only by billed latency, fault stalls and retry
-//! backoff, and failed calls bill nothing, so a healthy model reads exactly
-//! 1 however long its documents are. Nothing samples the source.
+//! The stall ratio, (billed + stalled) seconds per billed second, needs no
+//! estimate: stalled seconds are what calls lost to failures (fault
+//! stalls, retry backoff) in the run's own books (`exec/observed.rs`). A
+//! healthy model loses nothing, so it reads exactly 1 however long its
+//! documents are, and no other run on a shared clock can add to it.
+//! Nothing samples the source.
 //!
-//! Swaps are sticky: an operator never returns to a model it left. Its
-//! substitutes are same-kind models with a closed breaker and no brownout,
-//! best first along the policy's primary dimension. Decisions read only the
-//! clock, ledger and breakers, so runs replay byte-identically; a healthy
-//! run makes none and allocates nothing.
+//! All evidence is the run's own: the failure rate reads only the window
+//! outcomes that came after the run first saw the model, and a memoized
+//! record replays what it cost the run that computed it, so a re-run makes
+//! that run's decisions. Swaps are sticky: an operator never returns to a
+//! model it left. Substitutes are same-kind models with a closed breaker
+//! and no brownout, best first along the policy's primary dimension. Runs
+//! replay byte-identically; a healthy run decides nothing and allocates
+//! nothing.
 
 use crate::context::PzContext;
 use crate::error::{PzError, PzResult};
-use crate::exec::stats::{AdaptiveReport, DegradedExecution, OperatorStats};
+use crate::exec::observed::Observed;
+use crate::exec::stats::{AdaptiveReport, DegradedExecution};
 use crate::ops::physical::{PhysicalOp, PhysicalPlan};
 use crate::optimizer::policy::Policy;
-use pz_llm::{ModelCard, ModelId, ModelKind};
+use pz_llm::{HealthTracker, ModelCard, ModelId, ModelKind};
 
-/// Clock seconds per billed second at which a model is browning out.
+/// Billed plus stalled seconds per billed second at which a model is
+/// browning out.
 const STALL_RATIO: f64 = 3.0;
 /// Records a model must have served before its stall ratio counts.
-const MIN_RECORDS: usize = 2;
-/// Breaker-window failure rate at which a model is browning out.
+const MIN_RECORDS: f64 = 2.0;
+/// Failure rate over the run's outcomes in the breaker window at which a
+/// model is browning out.
 const FAILURE_RATE: f64 = 0.34;
-/// Failed attempts a model must have had before its failure rate counts.
+/// Failed attempts in the run before a model's failure rate counts.
 const MIN_FAILURES: u64 = 2;
 /// Ratio ceiling, finite so reports survive JSON round-trips.
 const RATIO_CAP: f64 = 1e6;
@@ -90,30 +98,9 @@ fn quality_delta(ctx: &PzContext, from: &ModelId, to: &ModelId) -> f64 {
     q(to) - q(from)
 }
 
-/// What steps measured of one model, or billed for one operator: billed
-/// latency, and the clock time beyond it (fault stalls, retry backoff).
-#[derive(Clone, Copy, Default)]
-struct Observed {
-    records: usize,
-    calls: usize,
-    input_tokens: usize,
-    output_tokens: usize,
-    billed_secs: f64,
-    stalled_secs: f64,
-}
-
 impl Observed {
-    fn add(&mut self, records: usize, billed_secs: f64, stalled_secs: f64, calls: &OperatorStats) {
-        self.records += records;
-        self.calls += calls.llm_calls;
-        self.input_tokens += calls.input_tokens;
-        self.output_tokens += calls.output_tokens;
-        self.billed_secs += billed_secs;
-        self.stalled_secs += stalled_secs;
-    }
-
-    /// Clock seconds per billed second: exactly 1 without a stall, capped
-    /// (finite) when nothing was billed at all.
+    /// Billed plus stalled seconds per billed second: exactly 1 without a
+    /// stall, capped (finite) when nothing was billed at all.
     fn stall_ratio(&self) -> f64 {
         if self.stalled_secs <= 0.0 {
             1.0
@@ -128,11 +115,23 @@ impl Observed {
     fn secs_per_record(&self, card: Option<&ModelCard>) -> f64 {
         let Some(card) = card else { return 0.0 };
         let (input, output) = match self.calls {
-            0 => UNBILLED_SHAPE,
-            n => (self.input_tokens / n, self.output_tokens / n),
+            n if n < 1.0 => UNBILLED_SHAPE,
+            n => (
+                (self.input_tokens / n) as usize,
+                (self.output_tokens / n) as usize,
+            ),
         };
-        card.latency_secs(input, output) * self.calls.max(1) as f64 / self.records.max(1) as f64
+        card.latency_secs(input, output) * self.calls.max(1.0) / self.records.max(1.0)
     }
+}
+
+/// What the run saw of one model.
+struct Seen {
+    model: ModelId,
+    observed: Observed,
+    /// The breaker's (failed, succeeded) attempt counts when the run first
+    /// saw the model: its failure rate counts only what came after.
+    outcomes_before: (u64, u64),
 }
 
 /// One swappable operator.
@@ -161,13 +160,13 @@ pub(crate) struct Substitution {
     rank: Rank,
     /// Per plan stage: `Some` for a swappable operator.
     slots: Vec<Option<Slot>>,
-    /// Per model, what its steps measured.
-    models: Vec<(ModelId, Observed)>,
+    /// Per model the run has run, or moved an operator onto.
+    models: Vec<Seen>,
     reports: Vec<AdaptiveReport>,
 }
 
 impl Substitution {
-    pub(crate) fn new(plan: &PhysicalPlan, rank: Rank) -> Self {
+    pub(crate) fn new(plan: &PhysicalPlan, rank: Rank, health: &HealthTracker) -> Self {
         let mut this = Self {
             rank,
             slots: Vec::with_capacity(plan.ops.len()),
@@ -178,7 +177,7 @@ impl Substitution {
             let mut op = op.clone();
             let slot = model_of(&mut op).map(|(model, kind)| (model.clone(), kind));
             let slot = slot.map(|(model, kind)| Slot {
-                row: this.row_of(&model),
+                row: this.row_of(health, &model),
                 planned: op.clone(),
                 op,
                 model,
@@ -194,11 +193,15 @@ impl Substitution {
     }
 
     /// Index of `model`'s row, added on first sight.
-    fn row_of(&mut self, model: &ModelId) -> usize {
-        if let Some(row) = self.models.iter().position(|(m, _)| m == model) {
+    fn row_of(&mut self, health: &HealthTracker, model: &ModelId) -> usize {
+        if let Some(row) = self.models.iter().position(|m| m.model == *model) {
             return row;
         }
-        self.models.push((model.clone(), Observed::default()));
+        self.models.push(Seen {
+            model: model.clone(),
+            observed: Observed::default(),
+            outcomes_before: health.outcomes(model),
+        });
         self.models.len() - 1
     }
 
@@ -211,46 +214,46 @@ impl Substitution {
         self.slot(i).map(|s| &s.op)
     }
 
+    /// Stage `i`'s operator as (re-)planned, which its stats row and spans
+    /// name; `None` unless swappable.
+    pub(crate) fn planned(&self, i: usize) -> Option<&PhysicalOp> {
+        self.slot(i).map(|s| &s.planned)
+    }
+
     /// The top of a step of stage `i`, about to consume `records` records:
     /// an open breaker fails the operator over; a brownout replans it when
-    /// a substitute prices out faster. Returns the operator a replan put
-    /// the stage on. Errs when the breaker is open and nothing stands in.
-    pub(crate) fn consult(
-        &mut self,
-        ctx: &PzContext,
-        i: usize,
-        records: usize,
-    ) -> PzResult<Option<PhysicalOp>> {
+    /// a substitute prices out faster. `true` when a replan moved it. Errs
+    /// when the breaker is open and nothing stands in.
+    pub(crate) fn consult(&mut self, ctx: &PzContext, i: usize, records: usize) -> PzResult<bool> {
         let now = ctx.clock.now_secs();
         let Some(slot) = self.slots.get_mut(i).and_then(Option::as_mut) else {
-            return Ok(None);
+            return Ok(false);
         };
         slot.failed_over = false;
-        if ctx.health.is_open(&slot.model, now) {
-            let model = slot.model.clone();
-            return if self.fail_over(ctx, i, "breaker open", records) {
-                Ok(None)
-            } else {
-                Err(PzError::Execution(format!(
-                    "circuit breaker open for {model} and no healthy substitute model"
-                )))
-            };
+        if !ctx.health.is_open(&slot.model, now) {
+            return Ok(self.replan(ctx, i, records, now).is_some());
         }
-        Ok(self.replan(ctx, i, records, now))
+        let model = slot.model.clone();
+        if self.fail_over(ctx, i, "breaker open", records) {
+            return Ok(false);
+        }
+        Err(PzError::Execution(format!(
+            "circuit breaker open for {model} and no healthy substitute model"
+        )))
     }
 
     /// A brownout replan of stage `i`, if its model is browning out and a
     /// substitute prices out faster for the `n` records in hand.
-    fn replan(&mut self, ctx: &PzContext, i: usize, n: usize, now: f64) -> Option<PhysicalOp> {
+    fn replan(&mut self, ctx: &PzContext, i: usize, n: usize, now: f64) -> Option<()> {
         let slot = self.slot(i)?;
-        let (trigger, ratio, threshold) = self.brownout(ctx, &slot.model, Some(slot.row))?;
+        let (trigger, ratio, threshold) = self.brownout(ctx, Some(slot.row))?;
         let to = self.substitute(ctx, slot, now)?;
         // Both priced at this operator's billed request shape: the degraded
         // model stalling at no less than the threshold, the substitute as
         // it has so far.
         let stall = |m: &ModelId| {
-            let seen = self.models.iter().find(|(seen, _)| seen == m);
-            seen.map_or(1.0, |(_, o)| o.stall_ratio())
+            let seen = self.models.iter().find(|seen| seen.model == *m);
+            seen.map_or(1.0, |seen| seen.observed.stall_ratio())
         };
         let secs = |m: &ModelId| n as f64 * slot.billed.secs_per_record(ctx.catalog.get(m));
         let before = secs(&slot.model) * stall(&slot.model).max(STALL_RATIO);
@@ -286,28 +289,21 @@ impl Substitution {
         );
         ctx.tracer.incr("exec.replan", 1);
         self.reports.push(report);
-        self.swap(i, to).map(|s| {
-            s.planned = s.op.clone();
-            s.op.clone()
-        })
+        let slot = self.swap(&ctx.health, i, to)?;
+        slot.planned = slot.op.clone();
+        Some(())
     }
 
-    /// Whether `model` (whose row is `row`, if it has one) is browning
+    /// Whether the model in row `row` (if the run has seen it) is browning
     /// out: the trigger, the observed ratio or rate, and the threshold.
-    fn brownout(
-        &self,
-        ctx: &PzContext,
-        model: &ModelId,
-        row: Option<usize>,
-    ) -> Option<(&'static str, f64, f64)> {
-        if let Some((_, seen)) = row.and_then(|r| self.models.get(r)) {
-            let ratio = seen.stall_ratio();
-            if seen.records >= MIN_RECORDS && ratio >= STALL_RATIO {
-                return Some(("stall ratio", ratio, STALL_RATIO));
-            }
+    fn brownout(&self, ctx: &PzContext, row: Option<usize>) -> Option<(&'static str, f64, f64)> {
+        let seen = self.models.get(row?)?;
+        let ratio = seen.observed.stall_ratio();
+        if seen.observed.records >= MIN_RECORDS && ratio >= STALL_RATIO {
+            return Some(("stall ratio", ratio, STALL_RATIO));
         }
-        let (failures, rate) = ctx.health.failures(model);
-        let failing = failures >= MIN_FAILURES && rate >= FAILURE_RATE;
+        let (failed, rate) = ctx.health.failures_since(&seen.model, seen.outcomes_before);
+        let failing = failed >= MIN_FAILURES && rate >= FAILURE_RATE;
         failing.then_some(("provider health", rate, FAILURE_RATE))
     }
 
@@ -320,8 +316,8 @@ impl Substitution {
             Rank::Time => card.latency_secs(UNBILLED_SHAPE.0, UNBILLED_SHAPE.1),
         };
         let healthy = |id: &ModelId| {
-            let row = self.models.iter().position(|(m, _)| m == id);
-            !ctx.health.is_open(id, now) && self.brownout(ctx, id, row).is_none()
+            let row = self.models.iter().position(|m| m.model == *id);
+            !ctx.health.is_open(id, now) && self.brownout(ctx, row).is_none()
         };
         (ctx.catalog.of_kind(slot.kind))
             .filter(|card| card.id != slot.model && !slot.left.contains(&card.id))
@@ -336,8 +332,8 @@ impl Substitution {
 
     /// Move stage `i` onto `to` for good: it never returns to the model it
     /// leaves.
-    fn swap(&mut self, i: usize, to: ModelId) -> Option<&mut Slot> {
-        let row = self.row_of(&to);
+    fn swap(&mut self, health: &HealthTracker, i: usize, to: ModelId) -> Option<&mut Slot> {
+        let row = self.row_of(health, &to);
         let slot = self.slots.get_mut(i).and_then(Option::as_mut)?;
         if let Some((model, _)) = model_of(&mut slot.op) {
             *model = to.clone();
@@ -389,46 +385,30 @@ impl Substitution {
             ],
         );
         ctx.tracer.incr("exec.failover", 1);
-        let swapped = self.swap(i, to).map(|slot| {
+        let swapped = self.swap(&ctx.health, i, to).map(|slot| {
             slot.degraded.push(entry);
             slot.failed_over = true;
         });
         swapped.is_some()
     }
 
-    /// What a step of stage `i` measured: `records` in, `elapsed` clock
-    /// seconds, `billed_secs` of ledger latency, and the calls and tokens
-    /// on `applied`.
-    pub(crate) fn observe(
-        &mut self,
-        i: usize,
-        records: usize,
-        elapsed: f64,
-        billed_secs: f64,
-        applied: &OperatorStats,
-    ) {
+    /// What a step of stage `i` measured, or what the memoized records it
+    /// replayed cost the run that computed them.
+    pub(crate) fn observe(&mut self, i: usize, seen: &Observed) {
         let Some(slot) = self.slots.get_mut(i).and_then(Option::as_mut) else {
             return;
         };
         if slot.planned.model() != Some(&slot.model) {
             if let Some(entry) = slot.degraded.last_mut() {
-                entry.records_affected += records;
+                entry.records_affected += seen.records as usize;
             }
         }
         if slot.failed_over {
             return;
         }
-        // The clock counts whole microseconds per call: a difference below
-        // that is rounding, not a stall.
-        let excess = elapsed - billed_secs;
-        let stalled = if excess > applied.llm_calls.max(1) as f64 * 1e-6 {
-            excess
-        } else {
-            0.0
-        };
-        slot.billed.add(records, billed_secs, 0.0, applied);
-        if let Some((_, seen)) = self.models.get_mut(slot.row) {
-            seen.add(records, billed_secs, stalled, applied);
+        slot.billed.add(seen);
+        if let Some(model) = self.models.get_mut(slot.row) {
+            model.observed.add(seen);
         }
     }
 
@@ -450,6 +430,7 @@ mod tests {
     use crate::datasource::MemorySource;
     use crate::schema::Schema;
     use pz_llm::protocol::Effort;
+    use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
 
     fn filter_op(model: &str) -> PhysicalOp {
@@ -466,11 +447,12 @@ mod tests {
         }
     }
 
-    /// A controller over `ops`, behind a scan at stage 0.
-    fn subst(ops: Vec<PhysicalOp>, rank: Rank) -> Substitution {
+    /// A controller over `ops`, behind a scan at stage 0, for a run on
+    /// `ctx`.
+    fn subst(ctx: &PzContext, ops: Vec<PhysicalOp>, rank: Rank) -> Substitution {
         let mut all = vec![scan()];
         all.extend(ops);
-        Substitution::new(&PhysicalPlan { ops: all }, rank)
+        Substitution::new(&PhysicalPlan { ops: all }, rank, &ctx.health)
     }
 
     /// The substitute the controller would pick for stage `i` right now.
@@ -495,13 +477,25 @@ mod tests {
         ctx
     }
 
-    /// The calls and tokens a step over `records` one-call records bills.
-    fn calls(records: usize) -> OperatorStats {
-        OperatorStats {
-            llm_calls: records,
-            input_tokens: 400 * records,
-            output_tokens: 2 * records,
-            ..Default::default()
+    /// What a step over `records` one-call records measured: `billed`
+    /// seconds of latency and `stalled` seconds lost to failures.
+    fn step(records: usize, billed: f64, stalled: f64) -> Observed {
+        let records = records as f64;
+        Observed {
+            records,
+            calls: records,
+            input_tokens: 400.0 * records,
+            output_tokens: 2.0 * records,
+            billed_secs: billed,
+            stalled_secs: stalled,
+            ..Observed::default()
+        }
+    }
+
+    fn transient(reason: &str) -> pz_llm::LlmError {
+        pz_llm::LlmError::Transient {
+            attempt: 0,
+            reason: reason.into(),
         }
     }
 
@@ -517,7 +511,7 @@ mod tests {
     #[test]
     fn quality_rank_prefers_next_best_model() {
         let ctx = PzContext::simulated();
-        let s = subst(vec![filter_op("gpt-4o")], Rank::Quality);
+        let s = subst(&ctx, vec![filter_op("gpt-4o")], Rank::Quality);
         // gpt-4o (0.96) is the operator's own; llama-3-70b (0.92) is next,
         // and only chat models qualify for a chat operator.
         assert_eq!(best(&s, &ctx, 1).as_deref(), Some("llama-3-70b"));
@@ -526,7 +520,7 @@ mod tests {
     #[test]
     fn cost_rank_prefers_cheapest_model() {
         let ctx = PzContext::simulated();
-        let s = subst(vec![filter_op("gpt-4o")], Rank::Cost);
+        let s = subst(&ctx, vec![filter_op("gpt-4o")], Rank::Cost);
         let cheapest = ctx
             .catalog
             .of_kind(ModelKind::Chat)
@@ -545,10 +539,10 @@ mod tests {
         // from the current model.
         let ctx = PzContext::simulated();
         for rank in [Rank::Quality, Rank::Cost, Rank::Time] {
-            let s = subst(vec![filter_op("retired-model-v0")], rank);
+            let s = subst(&ctx, vec![filter_op("retired-model-v0")], rank);
             assert!(best(&s, &ctx, 1).is_some(), "{rank:?}");
         }
-        let s = subst(vec![filter_op("retired-model-v0")], Rank::Quality);
+        let s = subst(&ctx, vec![filter_op("retired-model-v0")], Rank::Quality);
         assert_eq!(best(&s, &ctx, 1).as_deref(), Some("gpt-4o"));
         // The quality delta against an unknown model stays finite (read as
         // an upgrade from quality 0, never a panic).
@@ -559,20 +553,18 @@ mod tests {
     #[test]
     fn open_breakers_are_excluded() {
         let ctx = PzContext::simulated();
-        let err = pz_llm::LlmError::Transient {
-            attempt: 0,
-            reason: "down".into(),
-        };
-        ctx.health.trip(&"llama-3-70b".into(), &err, 0.0);
+        ctx.health
+            .trip(&"llama-3-70b".into(), &transient("down"), 0.0);
         ctx.clock.advance_secs(1.0);
-        let s = subst(vec![filter_op("gpt-4o")], Rank::Quality);
+        let s = subst(&ctx, vec![filter_op("gpt-4o")], Rank::Quality);
         assert_eq!(best(&s, &ctx, 1).as_deref(), Some("gpt-4o-mini"));
     }
 
     #[test]
     fn swap_preserves_everything_but_the_model() {
-        let mut s = subst(vec![filter_op("gpt-4o")], Rank::Quality);
-        s.swap(1, "gpt-4o-mini".into());
+        let ctx = PzContext::simulated();
+        let mut s = subst(&ctx, vec![filter_op("gpt-4o")], Rank::Quality);
+        s.swap(&ctx.health, 1, "gpt-4o-mini".into());
         match s.active(1).cloned() {
             Some(PhysicalOp::LlmFilter {
                 predicate, model, ..
@@ -586,14 +578,15 @@ mod tests {
 
     #[test]
     fn ensemble_and_conventional_ops_are_not_swappable() {
+        let ctx = PzContext::simulated();
         let ensemble = PhysicalOp::EnsembleFilter {
             predicate: "x".into(),
             models: vec!["gpt-4o".into(), "gpt-4o-mini".into(), "llama-3-70b".into()],
             effort: Effort::Standard,
         };
         let limit = PhysicalOp::Limit { n: 3 };
-        let s = subst(vec![ensemble, limit], Rank::Quality);
-        assert!((0..3).all(|i| s.active(i).is_none()));
+        let s = subst(&ctx, vec![ensemble, limit], Rank::Quality);
+        assert!((0..3).all(|i| s.active(i).is_none() && s.planned(i).is_none()));
     }
 
     #[test]
@@ -606,7 +599,7 @@ mod tests {
             k: 3,
             model: "text-embedding-3-small".into(),
         };
-        let s = subst(vec![op], Rank::Quality);
+        let s = subst(&ctx, vec![op], Rank::Quality);
         assert!(s.active(1).is_some());
         assert_eq!(best(&s, &ctx, 1), None);
     }
@@ -620,11 +613,7 @@ mod tests {
 
     #[test]
     fn capped_ratio_is_always_finite() {
-        let seen = |billed_secs, stalled_secs| Observed {
-            billed_secs,
-            stalled_secs,
-            ..Default::default()
-        };
+        let seen = |billed, stalled| step(0, billed, stalled);
         assert_eq!(seen(0.0, 0.0).stall_ratio(), 1.0);
         assert_eq!(seen(0.0, 5.0).stall_ratio(), RATIO_CAP);
         assert_eq!(seen(2.0, 4.0).stall_ratio(), 3.0);
@@ -634,10 +623,10 @@ mod tests {
     #[test]
     fn healthy_model_never_triggers() {
         let ctx = PzContext::simulated();
-        let mut s = subst(vec![filter_op("gpt-4o")], Rank::Quality);
-        // Clock time equal to billed latency: nothing to act on.
-        s.observe(1, 4, 8.0, 8.0, &calls(4));
-        assert_eq!(s.consult(&ctx, 1, 4).ok(), Some(None));
+        let mut s = subst(&ctx, vec![filter_op("gpt-4o")], Rank::Quality);
+        // Nothing lost to failures: nothing to act on.
+        s.observe(1, &step(4, 8.0, 0.0));
+        assert_eq!(s.consult(&ctx, 1, 4).ok(), Some(false));
         assert!(s.take_reports().is_empty());
         assert_eq!(ctx.tracer.counter("exec.replan"), 0);
     }
@@ -645,15 +634,16 @@ mod tests {
     #[test]
     fn stall_ratio_triggers_replan_and_reports() {
         let ctx = PzContext::simulated();
-        let mut s = subst(vec![filter_op("gpt-4o")], Rank::Quality);
-        // Ten clock seconds per billed second over four records.
-        s.observe(1, 4, 80.0, 8.0, &calls(4));
-        let swapped = s.consult(&ctx, 1, 5).ok().flatten();
-        let to = swapped.as_ref().and_then(|op| op.model()).cloned();
+        let mut s = subst(&ctx, vec![filter_op("gpt-4o")], Rank::Quality);
+        // Nine stalled seconds per billed second over four records.
+        s.observe(1, &step(4, 8.0, 72.0));
+        assert_eq!(s.consult(&ctx, 1, 5).ok(), Some(true));
+        let to = s.active(1).and_then(|op| op.model()).cloned();
         assert!(
             to.as_ref().is_some_and(|m| m.as_str() != "gpt-4o"),
             "{to:?}"
         );
+        assert_eq!(s.planned(1), s.active(1));
         let reports = s.take_reports();
         assert_eq!(reports.len(), 1);
         let r = &reports[0];
@@ -665,9 +655,7 @@ mod tests {
         assert!(r.est_suffix_secs_after < r.est_suffix_secs_before);
         assert_eq!(r.records_remaining, 5);
         assert_eq!(ctx.tracer.counter("exec.replan"), 1);
-        // Sticky: the stage now runs on the substitute, and the model it
-        // left is never offered to it again.
-        assert_eq!(s.active(1).and_then(|op| op.model()), to.as_ref());
+        // Sticky: the model it left is never offered to it again.
         assert!(s
             .slot(1)
             .is_some_and(|slot| slot.left.iter().any(|m| m.as_str() == "gpt-4o")));
@@ -678,13 +666,14 @@ mod tests {
     fn drifted_model_is_swapped_out_of_a_later_operator() {
         let ctx = PzContext::simulated();
         let mut s = subst(
+            &ctx,
             vec![filter_op("gpt-4o"), filter_op("gpt-4o")],
             Rank::Quality,
         );
         // Stage 1 stalled 8x; stage 2, on the same model, is moved off it
         // at the top of its first step. Stage 1 is left as it ran.
-        s.observe(1, 6, 48.0, 6.0, &calls(6));
-        assert!(s.consult(&ctx, 2, 6).ok().flatten().is_some());
+        s.observe(1, &step(6, 6.0, 42.0));
+        assert_eq!(s.consult(&ctx, 2, 6).ok(), Some(true));
         assert_ne!(
             s.active(2).and_then(|op| op.model()),
             Some(&"gpt-4o".into())
@@ -702,20 +691,23 @@ mod tests {
     #[test]
     fn breaker_window_failure_rate_triggers_provider_health() {
         let ctx = PzContext::simulated();
-        let err = pz_llm::LlmError::Transient {
-            attempt: 0,
-            reason: "flaky".into(),
-        };
         let gpt4o: ModelId = "gpt-4o".into();
-        // Half the attempts fail: under the breaker's 0.75 trip rate, over
-        // the controller's 0.34.
-        for t in 0..4 {
-            ctx.health.record_success(&gpt4o, t as f64);
-            ctx.health.record_failure(&gpt4o, &err, t as f64);
-        }
-        assert_eq!(ctx.health.failures(&gpt4o), (4, 0.5));
-        let mut s = subst(vec![filter_op("gpt-4o")], Rank::Quality);
-        assert!(s.consult(&ctx, 1, 4).ok().flatten().is_some());
+        let flaky = |ctx: &PzContext| {
+            // Half the attempts fail: under the breaker's 0.75 trip rate,
+            // over the controller's 0.34.
+            for t in 0..4 {
+                ctx.health.record_success(&gpt4o, t as f64);
+                ctx.health
+                    .record_failure(&gpt4o, &transient("flaky"), t as f64);
+            }
+        };
+        // Failures from before the run are not this run's evidence.
+        flaky(&ctx);
+        let mut s = subst(&ctx, vec![filter_op("gpt-4o")], Rank::Quality);
+        assert_eq!(s.consult(&ctx, 1, 4).ok(), Some(false));
+        flaky(&ctx);
+        assert_eq!(ctx.health.outcomes(&gpt4o), (8, 8));
+        assert_eq!(s.consult(&ctx, 1, 4).ok(), Some(true));
         let reports = s.take_reports();
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].trigger, "provider health");
@@ -725,11 +717,7 @@ mod tests {
     #[test]
     fn reports_round_trip_json_finite() {
         let r = AdaptiveReport {
-            observed_ratio: Observed {
-                stalled_secs: 1.0,
-                ..Default::default()
-            }
-            .stall_ratio(),
+            observed_ratio: step(0, 0.0, 1.0).stall_ratio(),
             ..AdaptiveReport::default()
         };
         let json = serde_json::to_string(&r).unwrap();
@@ -740,14 +728,10 @@ mod tests {
     #[test]
     fn open_breaker_fails_over_before_the_step() {
         let ctx = PzContext::simulated();
-        let err = pz_llm::LlmError::Transient {
-            attempt: 0,
-            reason: "down".into(),
-        };
-        ctx.health.trip(&"gpt-4o".into(), &err, 0.0);
-        let mut s = subst(vec![filter_op("gpt-4o")], Rank::Quality);
-        assert_eq!(s.consult(&ctx, 1, 3).ok(), Some(None));
-        s.observe(1, 3, 1.0, 1.0, &calls(3));
+        ctx.health.trip(&"gpt-4o".into(), &transient("down"), 0.0);
+        let mut s = subst(&ctx, vec![filter_op("gpt-4o")], Rank::Quality);
+        assert_eq!(s.consult(&ctx, 1, 3).ok(), Some(false));
+        s.observe(1, &step(3, 1.0, 0.0));
         let degraded = s.take_degraded(1);
         assert_eq!(degraded.len(), 1);
         let d = &degraded[0];
@@ -757,6 +741,11 @@ mod tests {
         );
         assert_eq!((d.reason.as_str(), d.records_affected), ("breaker open", 3));
         assert!(s.take_reports().is_empty());
+        // A failover is not a replan: the operator stays planned as it was.
+        assert_eq!(
+            s.planned(1).and_then(|op| op.model()),
+            Some(&"gpt-4o".into())
+        );
         // With nothing to fail over to, the open breaker is the error.
         let mut ctx = ctx;
         let mut only = pz_llm::Catalog::new();
@@ -764,42 +753,34 @@ mod tests {
             only.insert(card.clone());
         }
         ctx.catalog = only;
-        let mut s = subst(vec![filter_op("gpt-4o")], Rank::Quality);
+        let mut s = subst(&ctx, vec![filter_op("gpt-4o")], Rank::Quality);
         let e = s.consult(&ctx, 1, 3).err().map(|e| e.to_string());
         assert!(e.is_some_and(|e| e.contains("circuit breaker open for gpt-4o")));
     }
 
-    /// Run the demo corpus through `op` in batches of four, handing each
-    /// batch's clock and ledger deltas to the controller as a step does;
-    /// returns the stall ratio the controller then holds for gpt-4o.
+    /// Run the demo corpus through `op` in batches of four on a context
+    /// with its own failure sink, handing each batch's metered cost to the
+    /// controller as a step does; returns the stall ratio the controller
+    /// then holds for gpt-4o.
     fn stall_ratio_over_demo(faults: &str) -> f64 {
-        let ctx = demo_ctx(pz_llm::FaultPlan::parse(faults, 11).unwrap());
+        let mut ctx = demo_ctx(pz_llm::FaultPlan::parse(faults, 11).unwrap());
+        ctx.retry_wait_us = Some(Arc::new(AtomicU64::new(0)));
         let op = filter_op("gpt-4o");
-        let mut s = subst(vec![op.clone()], Rank::Quality);
+        let mut s = subst(&ctx, vec![op.clone()], Rank::Quality);
         let corpus = ctx.open_scan("sigmod-demo", 4).unwrap();
         for batch in corpus {
             let batch = batch.unwrap();
-            let n = batch.len();
-            let (clock, billed, requests) = (
-                ctx.clock.now_secs(),
-                ctx.ledger.total_latency_secs(),
-                ctx.ledger.total_requests(),
-            );
+            let records = batch.len() as f64;
+            let before = Observed::meter(&ctx);
             op.execute(&ctx, batch).unwrap();
-            let applied = OperatorStats {
-                llm_calls: ctx.ledger.total_requests() - requests,
-                ..Default::default()
+            let seen = Observed {
+                records,
+                ..Observed::meter(&ctx).since(before)
             };
-            s.observe(
-                1,
-                n,
-                ctx.clock.now_secs() - clock,
-                ctx.ledger.total_latency_secs() - billed,
-                &applied,
-            );
+            s.observe(1, &seen);
         }
         s.models[s.slot(1).map_or(0, |slot| slot.row)]
-            .1
+            .observed
             .stall_ratio()
     }
 

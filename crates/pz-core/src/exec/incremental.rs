@@ -44,6 +44,7 @@
 
 use crate::context::PzContext;
 use crate::error::PzResult;
+use crate::exec::observed::Observed;
 use crate::ops::physical::PhysicalOp;
 use crate::record::{DataRecord, Value};
 use parking_lot::RwLock;
@@ -76,7 +77,7 @@ enum MemoEntry {
 /// looked up again; the store is append-only within a session.
 #[derive(Clone, Default)]
 pub struct ExecutionSnapshot {
-    entries: Arc<RwLock<HashMap<MemoKey, MemoEntry>>>,
+    entries: Arc<RwLock<HashMap<MemoKey, (MemoEntry, Observed)>>>,
     hits: Arc<AtomicUsize>,
 }
 
@@ -180,9 +181,13 @@ pub fn memoizable(op: &PhysicalOp) -> bool {
 
 /// Run one operator with memoization: split the input into memoized
 /// (clean) and unseen (dirty) records, route only the dirty subset through
-/// `run` (the caller's normal execution path — failover and adaptive
-/// checks included), replay memoized verdicts for the rest, and merge
-/// in input order so the output is identical to a from-scratch run.
+/// `run` (the caller's normal execution path — model substitution
+/// included), replay memoized verdicts for the rest, and merge in input
+/// order so the output is identical to a from-scratch run.
+///
+/// Each verdict keeps an even share of what its dirty subset cost; the
+/// replayed shares come back with the output, for the substitution
+/// controller to observe as if those records had run again.
 ///
 /// Non-memoizable operators pass straight through to `run` with the full
 /// input — the fallback path.
@@ -191,16 +196,16 @@ pub(crate) fn execute_memoized(
     snap: &ExecutionSnapshot,
     op: &PhysicalOp,
     input: Vec<DataRecord>,
-    run: &mut dyn FnMut(Vec<DataRecord>) -> PzResult<Vec<DataRecord>>,
-) -> PzResult<Vec<DataRecord>> {
+    run: &mut dyn FnMut(Vec<DataRecord>) -> PzResult<(Vec<DataRecord>, Observed)>,
+) -> PzResult<(Vec<DataRecord>, Observed)> {
     let Some(fp) = op_fingerprint(ctx, op) else {
-        return run(input);
+        return Ok((run(input)?.0, Observed::default()));
     };
     let keys: Vec<MemoKey> = input
         .iter()
         .map(|r| (record_identity(r), fp, prompt_hash(r)))
         .collect();
-    let cached: Vec<Option<MemoEntry>> = {
+    let cached: Vec<Option<(MemoEntry, Observed)>> = {
         let entries = snap.entries.read();
         keys.iter().map(|k| entries.get(k).cloned()).collect()
     };
@@ -210,8 +215,8 @@ pub(crate) fn execute_memoized(
         .filter(|(_, c)| c.is_none())
         .map(|(r, _)| r.clone())
         .collect();
-    let fresh = if dirty.is_empty() {
-        Vec::new()
+    let (fresh, cost) = if dirty.is_empty() {
+        (Vec::new(), Observed::default())
     } else {
         run(dirty.clone())?
     };
@@ -288,17 +293,20 @@ pub(crate) fn execute_memoized(
     // outputs just attributed to them. Store new entries as we go.
     let mut out: Vec<DataRecord> = Vec::with_capacity(input.len());
     let mut replays = 0usize;
+    let mut replayed = Observed::default();
     {
         let mut store = snap.entries.write();
+        let share = cost.share(dirty.len());
         for (i, rec) in input.into_iter().enumerate() {
             match &cached[i] {
-                Some(entry) => {
+                Some((entry, seen)) => {
                     replays += 1;
+                    replayed.add(seen);
                     replay_entry(ctx, rec, entry, &mut out);
                 }
                 None => {
                     if let Some(e) = fresh_entries.get(&rec.id) {
-                        store.insert(keys[i], e.clone());
+                        store.insert(keys[i], (e.clone(), share));
                     }
                     out.extend(fresh_outputs.remove(&rec.id).unwrap_or_default());
                 }
@@ -317,7 +325,7 @@ pub(crate) fn execute_memoized(
             ],
         );
     }
-    Ok(out)
+    Ok((out, replayed))
 }
 
 /// Reconstruct the output(s) a memoized input record produced. Replayed

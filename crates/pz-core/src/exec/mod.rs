@@ -4,6 +4,7 @@
 
 pub(crate) mod failover;
 pub mod incremental;
+mod observed;
 pub mod run;
 mod runner;
 pub mod stats;

@@ -73,11 +73,12 @@ use crate::context::PzContext;
 use crate::datasource::RecordBatchIter;
 use crate::error::{PzError, PzResult};
 use crate::exec::failover::{Rank, Substitution};
+use crate::exec::observed::Observed;
 use crate::exec::runner;
 use crate::exec::stats::{ExecutionStats, OperatorStats};
 use crate::ops::physical::{PhysicalOp, PhysicalPlan};
 use crate::record::DataRecord;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 /// Records per pull of the leading `Scan` in a materializing run — the
@@ -274,14 +275,10 @@ pub(crate) fn execute_ranked(
         // Blocking operators consult the budget straight off the context,
         // so it rides the same clone the deadline does.
         c.spill_budget_records = config.spill_budget_records;
-        // Profiling collects retry-backoff time in a sink the retry layer
-        // writes; steps attribute its deltas. Otherwise clear whatever sink
-        // a previous (e.g. deadline-aborted, profiled) run left on the
-        // caller's context, so this run's retries never leak into it.
-        c.retry_wait_us = ctx
-            .tracer
-            .profiling_enabled()
-            .then(|| Arc::new(AtomicU64::new(0)));
+        // The run's own sink for the time its calls lose to failures, which
+        // steps read (`Observed`): no other run, and no sink a previous run
+        // left on the caller's context, ever mixes in.
+        c.retry_wait_us = Some(Arc::new(AtomicU64::new(0)));
         c
     };
     // Incremental re-execution is armed only when both the config flag and
@@ -406,8 +403,8 @@ struct Drive<'a> {
     ctx: &'a PzContext,
     config: &'a ExecutionConfig,
     policy: Policy,
-    /// The plan's operators, as planned: a replan before a stage's first
-    /// application re-plans its entry (a failover does not).
+    /// The plan's operators. A swappable one's re-planned form is the
+    /// controller's (`Substitution::planned`).
     ops: Vec<PhysicalOp>,
     stages: Vec<Stage>,
     /// `None` once exhausted or cancelled.
@@ -498,7 +495,7 @@ impl<'a> Drive<'a> {
             source,
             closed: 0,
             sink: Vec::new(),
-            subst: Substitution::new(plan, rank),
+            subst: Substitution::new(plan, rank, &ctx.health),
             quota_armed,
             profiling: ctx.tracer.profiling_enabled(),
             plan_span,
@@ -637,7 +634,7 @@ impl<'a> Drive<'a> {
                 pz_obs::Layer::Executor,
                 "deadline_exceeded",
                 &[
-                    ("at_op", self.ops[i].describe()),
+                    ("at_op", self.planned(i).describe()),
                     ("at_secs", format!("{now:.3}")),
                 ],
             );
@@ -656,6 +653,11 @@ impl<'a> Drive<'a> {
             .chain([&mut self.sink])
             .find(|held| !held.is_empty())
             .map_or(interrupted, std::mem::take)
+    }
+
+    /// Stage `i`'s operator as (re-)planned: what its row and spans name.
+    fn planned(&self, i: usize) -> &PhysicalOp {
+        self.subst.planned(i).unwrap_or(&self.ops[i])
     }
 
     /// A step of stage `i` that applies its operator through the runner.
@@ -679,78 +681,72 @@ impl<'a> Drive<'a> {
     ) -> PzResult<Vec<DataRecord>> {
         let ctx = self.ctx;
         // The controller decides the model before anything is measured. A
-        // replan before the stage's first application re-plans it: its
-        // row (and, materializing, its spans) name the substitute.
+        // replan before the stage's first application relabels its row;
+        // spans always name the operator as (re-)planned.
         let consulted = self.subst.consult(ctx, i, input.len());
-        if let (Ok(Some(op)), 0) = (&consulted, self.stages[i].applications) {
-            self.stages[i].row = row_for(op);
-            self.ops[i] = op.clone();
+        let planned = self.subst.planned(i).unwrap_or(&self.ops[i]);
+        if matches!(consulted, Ok(true)) && self.stages[i].applications == 0 {
+            self.stages[i].row = row_for(planned);
         }
-        let op = &self.ops[i];
         // A Scan ignores whatever it is handed.
-        let in_len = if matches!(op, PhysicalOp::Scan { .. }) {
+        let in_len = if matches!(planned, PhysicalOp::Scan { .. }) {
             0
         } else {
             input.len()
         };
+        let parallelizable = planned.is_parallelizable();
         let fanout = self.config.parallelism.min(input.len().max(1));
         // Records resident besides this batch.
         let held = self.sink.len()
             + (self.stages.iter())
                 .map(|s| s.buf.len() + s.out.len())
                 .sum::<usize>();
-        let retry_wait_us = || {
-            ctx.retry_wait_us
-                .as_ref()
-                .map_or(0, |s| s.load(Ordering::Relaxed))
-        };
-        let ledger_before = snapshot(ctx);
+        let before = Observed::meter(ctx);
         let clock_before = ctx.clock.now_secs();
-        let retry_before = retry_wait_us();
         // Materializing: a structural span per application, so the LLM leaf
         // spans it makes nest under it.
         let span = (!self.policy.pipelined).then(|| {
-            ctx.tracer
-                .span(pz_obs::Layer::Executor, &format!("op:{}", op.describe()))
+            ctx.tracer.span(
+                pz_obs::Layer::Executor,
+                &format!("op:{}", planned.describe()),
+            )
         });
 
-        let out = match consulted.and_then(|_| run(&mut self.subst, op, input)) {
+        let out = match consulted.and_then(|_| run(&mut self.subst, &self.ops[i], input)) {
             Ok(out) => out,
             Err(e) => {
+                let op = self.planned(i).describe();
                 if self.quota_armed && is_quota_exhausted(&e) {
                     self.stats.quota_exhausted = true;
                     ctx.tracer.event(
                         pz_obs::Layer::Executor,
                         "quota_exhausted",
                         &[
-                            ("at_op", op.describe()),
+                            ("at_op", op.clone()),
                             ("at_secs", format!("{:.3}", ctx.clock.now_secs())),
                         ],
                     );
                 }
-                return Err(PzError::Execution(format!(
-                    "operator {}: {e}",
-                    op.describe()
-                )));
+                return Err(PzError::Execution(format!("operator {op}: {e}")));
             }
         };
 
-        let ledger_after = snapshot(ctx);
+        let mut seen = Observed::meter(ctx).since(before);
+        seen.records = in_len as f64;
         let elapsed = ctx.clock.now_secs() - clock_before;
-        let latency = ledger_after.4 - ledger_before.4;
         let applied = OperatorStats {
             input_records: in_len,
             output_records: out.len(),
-            llm_calls: ledger_after.0 - ledger_before.0,
-            input_tokens: ledger_after.1 - ledger_before.1,
-            output_tokens: ledger_after.2 - ledger_before.2,
-            cost_usd: ledger_after.3 - ledger_before.3,
+            llm_calls: seen.calls as usize,
+            input_tokens: seen.input_tokens as usize,
+            output_tokens: seen.output_tokens as usize,
+            cost_usd: seen.cost_usd,
             // Streaming bills a stage its calls' modelled latency and
             // divides by the stage's workers once they are known (`finish`);
             // materializing bills the clock, overlapped across the fan-out.
             time_secs: if self.policy.pipelined {
-                latency
-            } else if fanout > 1 && op.is_parallelizable() {
+                seen.billed_secs
+            } else if fanout > 1 && parallelizable {
                 elapsed / fanout as f64
             } else {
                 elapsed
@@ -759,8 +755,8 @@ impl<'a> Drive<'a> {
         };
         let gauges = Prof {
             window_us: (elapsed * 1e6).round() as u64,
-            provider_wait_us: (latency * 1e6).round() as u64,
-            retry_backoff_us: retry_wait_us().saturating_sub(retry_before),
+            provider_wait_us: (seen.billed_secs * 1e6).round() as u64,
+            retry_backoff_us: (seen.stalled_secs * 1e6).round() as u64,
             ..Default::default()
         };
         self.stats.peak_resident_records = self.stats.peak_resident_records.max(held + out.len());
@@ -794,7 +790,7 @@ impl<'a> Drive<'a> {
         if !out.is_empty() && stage.startup_secs.is_none() {
             stage.startup_secs = Some(stage.row.time_secs);
         }
-        self.subst.observe(i, in_len, elapsed, latency, &applied);
+        self.subst.observe(i, &seen);
         Ok(out)
     }
 
@@ -821,7 +817,8 @@ impl<'a> Drive<'a> {
             // provider admits at once. Cost, calls and tokens never divide.
             let workers = match stage.kind {
                 StageKind::PerBatch | StageKind::Probe => {
-                    let rate_cap = (op.model())
+                    let planned = self.subst.planned(i).unwrap_or(op);
+                    let rate_cap = (planned.model())
                         .and_then(|m| self.ctx.catalog.get(m))
                         .map_or(usize::MAX, |card| card.concurrency_cap());
                     self.config
@@ -880,19 +877,6 @@ fn report(span: &pz_obs::SpanGuard, row: &OperatorStats, gauges: Option<&Prof>) 
         let util = (row.time_secs * 1e6) / p.window_us as f64;
         span.set_attr("prof_utilization", format!("{:.4}", util.clamp(0.0, 1.0)));
     }
-}
-
-/// The ledger's running totals: requests, input tokens, output tokens,
-/// dollars, modelled latency.
-fn snapshot(ctx: &PzContext) -> (usize, usize, usize, f64, f64) {
-    let usage = ctx.ledger.total_usage();
-    (
-        ctx.ledger.total_requests(),
-        usage.input_tokens,
-        usage.output_tokens,
-        ctx.ledger.total_cost_usd(),
-        ctx.ledger.total_latency_secs(),
-    )
 }
 
 #[cfg(test)]
@@ -1375,15 +1359,10 @@ mod tests {
         let mut records = Vec::new();
         let mut rows = Vec::new();
         for op in &plan.ops {
-            let (in_len, before) = (records.len(), snapshot(ctx));
+            let (in_len, before) = (records.len(), Observed::meter(ctx));
             records = op.execute(ctx, records).unwrap();
-            let after = snapshot(ctx);
-            rows.push((
-                in_len,
-                records.len(),
-                after.0 - before.0,
-                after.3 - before.3,
-            ));
+            let ran = Observed::meter(ctx).since(before);
+            rows.push((in_len, records.len(), ran.calls as usize, ran.cost_usd));
         }
         (records, rows)
     }

@@ -7,19 +7,19 @@
 //! operator to the substitution controller, and the batch re-runs on
 //! whatever stands in) → `PhysicalOp::execute` under a `catch_unwind`.
 //!
-//! The runner decides nothing and measures nothing. Which model an
-//! operator runs on is the controller's call (`exec/failover.rs`), made at
-//! the top of every step; the step's clock and ledger deltas are the
-//! controller's only observations. They need no estimate to judge against
-//! — a healthy model's clock time is exactly its billed latency — so
-//! nothing here reads the clock. The controller's swaps are sticky, so a
-//! swap lasts for every later batch of the stage, and only the batch in
-//! flight re-runs. Fed an operator's whole input as one batch (a barrier
-//! stage), that is "re-run the whole input on the substitute".
+//! The runner decides nothing. Which model an operator runs on is the
+//! controller's call (`exec/failover.rs`), made at the top of every step
+//! from what steps cost in the run's own books: a healthy model loses no
+//! time to failures, so its stall ratio is exactly 1 with no estimate to
+//! judge against, and nothing here reads the clock. A memoized step meters
+//! its dirty subset for the memo and hands the controller what the
+//! replayed records cost. Swaps are sticky, so only the batch in flight
+//! re-runs — for a barrier stage, its whole input.
 
 use crate::context::PzContext;
 use crate::error::{PzError, PzResult};
 use crate::exec::failover::Substitution;
+use crate::exec::observed::Observed;
 use crate::ops::physical::PhysicalOp;
 use crate::record::DataRecord;
 
@@ -38,17 +38,20 @@ pub(crate) fn execute(
     // swap changes the memo namespace along with the outputs.
     if incremental {
         if let Some(snap) = ctx.incremental.clone() {
-            let active = match subst.active(i) {
-                Some(active) => active.clone(),
-                None => op.clone(),
-            };
-            return crate::exec::incremental::execute_memoized(
+            let active = subst.active(i).unwrap_or(op).clone();
+            let (out, replayed) = crate::exec::incremental::execute_memoized(
                 ctx,
                 &snap,
                 &active,
                 input,
-                &mut |dirty| run(ctx, subst, i, op, dirty),
-            );
+                &mut |dirty| {
+                    let before = Observed::meter(ctx);
+                    let out = run(ctx, subst, i, op, dirty)?;
+                    Ok((out, Observed::meter(ctx).since(before)))
+                },
+            )?;
+            subst.observe(i, &replayed);
+            return Ok(out);
         }
     }
     run(ctx, subst, i, op, input)

@@ -257,15 +257,31 @@ impl HealthTracker {
             .unwrap_or(BreakerState::Closed)
     }
 
-    /// One model's failure evidence, without a snapshot: failed attempts
-    /// seen in total and the failure rate over the current window (zeros
-    /// for a model never called).
-    pub fn failures(&self, model: &ModelId) -> (u64, f64) {
+    /// One model's (failed, succeeded) attempt counts since the last reset,
+    /// without a snapshot.
+    pub fn outcomes(&self, model: &ModelId) -> (u64, u64) {
         let inner = self.inner.lock();
         inner
             .models
             .get(model)
-            .map_or((0, 0.0), |h| (h.failures_total, window_rate(h)))
+            .map_or((0, 0), |h| (h.failures_total, h.successes_total))
+    }
+
+    /// Failed attempts since `since` (an earlier [`Self::outcomes`]), and
+    /// the failure rate over the window outcomes from since then (0 if a
+    /// trip cleared them).
+    pub fn failures_since(&self, model: &ModelId, since: (u64, u64)) -> (u64, f64) {
+        let inner = self.inner.lock();
+        let Some(h) = inner.models.get(model) else {
+            return (0, 0.0);
+        };
+        let failed = h.failures_total.saturating_sub(since.0);
+        let attempts = failed + h.successes_total.saturating_sub(since.1);
+        let recent = h.window.iter().rev().take(attempts as usize);
+        let (n, bad) = recent.fold((0usize, 0usize), |(n, bad), f| {
+            (n + 1, bad + usize::from(*f))
+        });
+        (failed, bad as f64 / n.max(1) as f64)
     }
 
     /// All tracked models, for `:breaker`-style display.
@@ -280,7 +296,8 @@ impl HealthTracker {
                 failures_total: h.failures_total,
                 successes_total: h.successes_total,
                 trips: h.trips,
-                window_failure_rate: window_rate(h),
+                window_failure_rate: h.window.iter().filter(|f| **f).count() as f64
+                    / h.window.len().max(1) as f64,
             })
             .collect()
     }
@@ -289,11 +306,6 @@ impl HealthTracker {
     pub fn reset(&self) {
         self.inner.lock().models.clear();
     }
-}
-
-/// Failure rate over a model's sliding window (0 while it is empty).
-fn window_rate(health: &ModelHealth) -> f64 {
-    health.window.iter().filter(|f| **f).count() as f64 / health.window.len().max(1) as f64
 }
 
 fn push_outcome(health: &mut ModelHealth, failed: bool, window: usize) {

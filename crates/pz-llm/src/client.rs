@@ -216,10 +216,10 @@ pub struct RetryContext<'a> {
     pub clock: Option<&'a crate::clock::VirtualClock>,
     pub health: Option<&'a crate::breaker::HealthTracker>,
     pub deadline_at_secs: Option<f64>,
-    /// Profiler sink for backoff time: every virtual microsecond the
-    /// retry loop sleeps is added here, so the executor can attribute
-    /// retry/backoff time to the stage that incurred it. `None` (the
-    /// default) records nothing.
+    /// Sink for the time calls lose to failures: every virtual microsecond
+    /// a failed attempt stalled, and the retry loop then slept, is added
+    /// here, for the executor to attribute to the step that lost it.
+    /// `None` (the default) records nothing.
     pub wait_sink: Option<&'a std::sync::atomic::AtomicU64>,
 }
 
@@ -399,6 +399,18 @@ impl RetryPolicy {
                     if let Some(health) = rc.health {
                         health.record_failure(model, &e, rc.now_secs());
                     }
+                    let lost = |secs: f64| {
+                        if let Some(sink) = rc.wait_sink {
+                            sink.fetch_add(
+                                (secs * 1e6).round() as u64,
+                                std::sync::atomic::Ordering::Relaxed,
+                            );
+                        }
+                    };
+                    // A timed-out attempt stalled before it failed.
+                    if let LlmError::Timeout { after_secs, .. } = &e {
+                        lost(*after_secs);
+                    }
                     let mut wait = backoff;
                     if let Some(hint) = e.retry_after_secs() {
                         wait = wait.max(hint);
@@ -425,12 +437,7 @@ impl RetryPolicy {
                         c.advance_secs(wait);
                         // Attribute the backoff sleep (virtual time only:
                         // without a clock no virtual time passes).
-                        if let Some(sink) = rc.wait_sink {
-                            sink.fetch_add(
-                                (wait * 1e6).round() as u64,
-                                std::sync::atomic::Ordering::Relaxed,
-                            );
-                        }
+                        lost(wait);
                     }
                     backoff = (backoff * self.backoff_multiplier).min(self.max_backoff_secs);
                     last_err = Some(e);

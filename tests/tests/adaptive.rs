@@ -9,7 +9,9 @@
 
 mod common;
 
-use common::{assert_reconciled, clinical_schema, ctx_with, offering_no_substitute, sorted_names};
+use common::{
+    assert_reconciled, clinical_schema, ctx_with, multiset, offering_no_substitute, sorted_names,
+};
 use pz_core::prelude::*;
 use pz_datagen::science;
 use pz_llm::FaultPlan;
@@ -191,6 +193,37 @@ fn e18_streaming_brownout_static_vs_adaptive() {
 
     // The swap is priced: the report claims the repair was worth it.
     assert!(r.est_suffix_secs_after < r.est_suffix_secs_before);
+}
+
+/// Evidence belongs to the run that gathered it. After a brownout run on a
+/// context, clearing the faults and re-running on the same context is a
+/// healthy run — no replan, and the answer, bill and clock time of a fresh
+/// healthy context — although the breaker still counts the brownout's
+/// failures.
+#[test]
+fn a_cleared_brownout_is_not_held_against_the_next_run() {
+    let demo = plan("gpt-4o", "gpt-4o");
+    for config in [ExecutionConfig::sequential(), ExecutionConfig::streaming()] {
+        let ctx = ctx_with(brownout(), 0);
+        let (_, stats) = pz_core::exec::execute_plan(&ctx, &demo, config).unwrap();
+        assert!(!stats.adaptive.is_empty(), "{:?}: no replan", config.mode);
+        assert!(ctx.health.outcomes(&"gpt-4o".into()).0 >= 2);
+
+        ctx.faults.clear();
+        let calls = ctx.ledger.total_requests();
+        let (cost, clock) = (ctx.ledger.total_cost_usd(), ctx.clock.now_micros());
+        let (records, stats) = pz_core::exec::execute_plan(&ctx, &demo, config).unwrap();
+        assert!(stats.adaptive.is_empty(), "{:?}", stats.adaptive);
+        let fresh = ctx_with(FaultPlan::none(), 0);
+        let (fresh_records, _) = pz_core::exec::execute_plan(&fresh, &demo, config).unwrap();
+        assert_eq!(multiset(&records), multiset(&fresh_records));
+        assert_eq!(
+            ctx.ledger.total_requests() - calls,
+            fresh.ledger.total_requests()
+        );
+        assert!((ctx.ledger.total_cost_usd() - cost - fresh.ledger.total_cost_usd()).abs() < 1e-9);
+        assert_eq!(ctx.clock.now_micros() - clock, fresh.clock.now_micros());
+    }
 }
 
 /// Regression (PR 7 satellite): a non-profiled run must not leave a

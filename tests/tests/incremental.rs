@@ -12,7 +12,7 @@ mod common;
 
 use common::{
     arb_corpus, arb_steps_llm, assert_reconciled, build_plan, clinical_schema, has_early_exit,
-    multiset, offering_no_substitute, Step,
+    multiset, Step,
 };
 use proptest::prelude::*;
 use pz_core::exec::execute_plan;
@@ -574,12 +574,10 @@ fn incremental_off_is_byte_invisible() {
 /// after an append must still agree with a from-scratch run under the
 /// *same* fault plan, and still bill only the delta.
 ///
-/// Both contexts offer no substitute for gpt-4o, so every run rides the
-/// brownout out. With one on offer, which model serves the convert is the
-/// substitution controller's call from what *this* run observed — and a
-/// re-run that replays all but the delta observes almost nothing — so a
-/// re-run and a from-scratch run may legitimately answer on different
-/// models.
+/// The brownout moves operators off gpt-4o. A replayed record hands the
+/// substitution controller what it cost the cold run, so the re-run makes
+/// the cold run's swaps and finds every memoized verdict under the model
+/// that produced it.
 #[test]
 fn brownout_incremental_rerun_matches_from_scratch() {
     let brownout = || FaultPlan::parse("gpt-4o:timeout@0..1e9:p=0.35:stall=25", 11).unwrap();
@@ -587,15 +585,12 @@ fn brownout_incremental_rerun_matches_from_scratch() {
         ExecutionConfig::sequential().with_incremental(),
         ExecutionConfig::streaming().with_incremental(),
     ] {
-        let ctx = offering_no_substitute(
-            PzContext::simulated_with(SimConfig {
-                seed: 0,
-                fault_plan: brownout(),
-                ..Default::default()
-            })
-            .with_incremental(),
-            "gpt-4o",
-        );
+        let ctx = PzContext::simulated_with(SimConfig {
+            seed: 0,
+            fault_plan: brownout(),
+            ..Default::default()
+        })
+        .with_incremental();
         let mut items = demo_items();
         let src = Arc::new(VersionedSource::new(
             DATASET,
@@ -604,7 +599,8 @@ fn brownout_incremental_rerun_matches_from_scratch() {
         ));
         ctx.registry.register(src.clone());
 
-        execute_plan(&ctx, &filter_convert_plan(), config).unwrap();
+        let (_, cold) = execute_plan(&ctx, &filter_convert_plan(), config).unwrap();
+        assert!(!cold.adaptive.is_empty(), "the brownout moved nothing");
         src.append("delta-000.pdf", DELTA_DOC);
         items.push(("delta-000.pdf".into(), DELTA_DOC.into()));
         ctx.reset_accounting();
@@ -612,14 +608,11 @@ fn brownout_incremental_rerun_matches_from_scratch() {
         let delta_calls = ctx.ledger.total_requests();
         assert_reconciled(&ctx, &stats_i);
 
-        let scratch = offering_no_substitute(
-            PzContext::simulated_with(SimConfig {
-                seed: 0,
-                fault_plan: brownout(),
-                ..Default::default()
-            }),
-            "gpt-4o",
-        );
+        let scratch = PzContext::simulated_with(SimConfig {
+            seed: 0,
+            fault_plan: brownout(),
+            ..Default::default()
+        });
         scratch.registry.register(Arc::new(MemorySource::new(
             DATASET,
             Schema::pdf_file(),

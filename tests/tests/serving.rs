@@ -206,6 +206,70 @@ fn concurrent_serving_matches_solo_runs_per_tenant() {
     );
 }
 
+/// Model substitution judges a run by its own evidence only. Concurrent
+/// neighbours advance the shared clock during every step of a session,
+/// but a healthy session loses no time to failures, so nothing is ever
+/// replanned and concurrent serving still matches solo runs — here with
+/// two LLM operators per session and, streaming, several batches each.
+#[test]
+fn concurrent_multi_stage_sessions_never_replan_and_match_solo() {
+    let plan = traffic::generate(TrafficConfig {
+        tenants: 4,
+        sessions_per_tenant: 3,
+        interactive_fraction: 0.4,
+        docs_per_session: 16,
+        ..Default::default()
+    });
+    let n_jobs = plan.total_sessions();
+    let two_stage = |dataset: &str| {
+        Dataset::source(dataset)
+            .filter("the paper is about colorectal cancer research")
+            .convert(
+                common::clinical_schema(),
+                Cardinality::OneToMany,
+                "extract the datasets",
+            )
+            .build()
+            .unwrap()
+    };
+    for config in [
+        ExecutionConfig::sequential(),
+        ExecutionConfig::streaming_with(2),
+    ] {
+        let serve = |tenants: &[traffic::TenantTraffic]| {
+            let mut host = ServeHost::new(open_admission(n_jobs));
+            let mut jobs = Vec::new();
+            for t in tenants {
+                host.add_tenant(TenantSpec::new(&t.id).with_seed(tenant_seed(&t.id)));
+                let ctx = host.session_ctx(&t.id).unwrap();
+                for s in &t.sessions {
+                    register_corpus(&ctx, &s.session, s.corpus_seed, s.n_docs);
+                    let job = SessionJob::new(&t.id, &s.session, two_stage(&s.session));
+                    jobs.push(job.with_config(config));
+                }
+            }
+            let report = host.serve(jobs);
+            for t in tenants {
+                let ctx = &host.tenant(&t.id).unwrap().ctx;
+                assert_eq!(ctx.tracer.counter("exec.replan"), 0, "{}", t.id);
+            }
+            (host, outputs_by_session(&report))
+        };
+        let (host, concurrent) = serve(&plan.tenants);
+        for t in &plan.tenants {
+            let (solo, outputs) = serve(std::slice::from_ref(t));
+            assert!(outputs
+                .iter()
+                .all(|(s, out)| concurrent.get(s) == Some(out)));
+            assert_ledger_parity(
+                ledger_key(&host.tenant(&t.id).unwrap().ctx),
+                ledger_key(&solo.tenant(&t.id).unwrap().ctx),
+                &t.id,
+            );
+        }
+    }
+}
+
 /// Shared-cache audit, serving edition: two tenants running the
 /// *byte-identical* workload with the same sim seed. Run sequentially, the
 /// second tenant's calls all hit the first tenant's cached responses: its
