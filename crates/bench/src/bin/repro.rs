@@ -6,7 +6,7 @@
 //! cargo run -p bench --bin repro --release -- e1 --trace-out trace.jsonl
 //! ```
 //!
-//! Experiment ids follow DESIGN.md §4 (E1–E10). Output is plain text so it
+//! Experiment ids follow DESIGN.md §4 and EXPERIMENTS.md. Output is plain text so it
 //! can be diffed against EXPERIMENTS.md. `--trace-out <path>` additionally
 //! runs the §3 chat dialogue and exports its full pz-obs trace as JSONL.
 //! `--exec-mode streaming|materializing` selects the executor used by every
@@ -36,7 +36,6 @@ use palimpchat::PalimpChat;
 use pz_core::optimizer::cost::CostContext;
 use pz_core::optimizer::{enumerate, pareto, sentinel, Optimizer};
 use pz_core::prelude::*;
-use pz_vector::{FlatIndex, HnswConfig, HnswIndex, Metric};
 use std::time::Instant;
 
 /// Execution mode applied to every experiment (`--exec-mode`).
@@ -105,13 +104,13 @@ fn cfg_par(workers: usize) -> ExecutionConfig {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // Hidden cell runner for the E21 scaling curve: each (kind, n) cell
-    // runs in its own subprocess so `VmHWM` is a clean per-cell peak-RSS
+    // Hidden cell runner for the E21 scaling curve: each corpus size runs
+    // in its own subprocess so `VmHWM` is a clean per-cell peak-RSS
     // reading, and prints one JSON object on stdout for the parent.
     if args.first().map(String::as_str) == Some("scaling-cell") {
-        let kind = args.get(1).cloned().unwrap_or_default();
-        let n: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(0);
-        scaling_cell(&kind, n);
+        let n: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(0);
+        let doc = scaling_cell(n);
+        println!("{}", serde_json::to_string(&doc).expect("cell json"));
         return;
     }
     let take_path = |args: &mut Vec<String>, flag: &str| -> Option<String> {
@@ -254,9 +253,6 @@ fn main() {
     }
     if run("e9") {
         e9_sentinel();
-    }
-    if run("e10") {
-        e10_vector_index();
     }
     if run("e11") {
         e11_cache_ablation();
@@ -859,91 +855,6 @@ fn e13_convert_strategy_ablation() {
     println!("\nexpected shape: bonded extracts all fields for one input-token payment;");
     println!("field-wise pays the document once per field (~3x here) and loses alignment");
     println!("on one-to-many outputs — the finding that makes bonded Palimpzest's default.");
-}
-
-/// E10 — vector substrate: exact scan vs HNSW recall/latency.
-fn e10_vector_index() {
-    banner("E10", "vector index microbenchmark (flat vs HNSW)");
-    let dim = 64;
-    let n = 20_000usize;
-    // Deterministic synthetic corpus with mild cluster structure.
-    let embedder = pz_llm::Embedder::new(dim);
-    let corpus: Vec<Vec<f32>> = (0..n)
-        .map(|i| {
-            let topic = [
-                "cancer genomics",
-                "galaxy survey",
-                "real estate",
-                "merger law",
-            ][i % 4];
-            embedder.embed(&format!("{topic} document number {i} with words {}", i * 7))
-        })
-        .collect();
-    let mut flat = FlatIndex::new(dim, Metric::Cosine);
-    let mut hnsw = HnswIndex::new(dim, Metric::Cosine, HnswConfig::default());
-    for v in &corpus {
-        flat.add(v);
-    }
-    let t_build = Instant::now();
-    for v in &corpus {
-        hnsw.add(v);
-    }
-    let build_time = t_build.elapsed();
-    let queries: Vec<Vec<f32>> = (0..50)
-        .map(|i| embedder.embed(&format!("cancer genomics query {i}")))
-        .collect();
-
-    let t0 = Instant::now();
-    let truths: Vec<Vec<u64>> = queries
-        .iter()
-        .map(|q| flat.search(q, 10).iter().map(|h| h.id).collect())
-        .collect();
-    let flat_time = t0.elapsed();
-
-    println!(
-        "{:<10} {:>12} {:>12} {:>10}",
-        "index", "q/s", "us/query", "recall@10"
-    );
-    println!(
-        "{:<10} {:>12.0} {:>12.1} {:>10.3}",
-        "flat",
-        queries.len() as f64 / flat_time.as_secs_f64(),
-        flat_time.as_micros() as f64 / queries.len() as f64,
-        1.0
-    );
-    for ef in [10usize, 32, 64, 128, 512] {
-        let t1 = Instant::now();
-        let mut hit = 0usize;
-        let mut total = 0usize;
-        for (q, truth) in queries.iter().zip(&truths) {
-            let got: Vec<u64> = hnsw
-                .search_with_ef(q, 10, ef)
-                .iter()
-                .map(|h| h.id)
-                .collect();
-            hit += truth.iter().filter(|t| got.contains(t)).count();
-            total += truth.len();
-        }
-        let t = t1.elapsed();
-        println!(
-            "{:<10} {:>12.0} {:>12.1} {:>10.3}",
-            format!("hnsw@{ef}"),
-            queries.len() as f64 / t.as_secs_f64(),
-            t.as_micros() as f64 / queries.len() as f64,
-            hit as f64 / total as f64
-        );
-    }
-    println!(
-        "\nhnsw build: {:.2} s ({:.0} us/row)",
-        build_time.as_secs_f64(),
-        build_time.as_micros() as f64 / n as f64
-    );
-    println!("expected shape: HNSW throughput falls and recall rises with ef. At the");
-    println!("default ef (64) a graph query costs a fraction of an exact scan, but the");
-    println!("build costs as much as one to three thousand scans, so the store builds");
-    println!("a graph only for a collection that has already served that many.");
-    let _ = DEMO_DATASET;
-    let _ = clinical_schema();
 }
 
 /// E15 — resilience: a scripted full outage of the headline model must be
@@ -1724,24 +1635,6 @@ fn e20_serving() {
     println!("errors (reason + retry-after) while admitted sessions still complete.");
 }
 
-/// `repro bench-json [--out PATH]` — the CI perf gate. Re-measures the
-/// E1/E14 headline comparison plus the parallelism sweep and writes the
-/// numbers as machine-readable JSON. Floors are enforced *here* (nonzero
-/// exit) so the workflow needs no JSON parsing: streaming must beat
-/// materializing by >= 1.3x on virtual-clock time, and ledger cost must be
-/// identical across every mode and parallelism level.
-/// splitmix64 finalizer: decorrelated pseudo-random u64 per (stream, index)
-/// — the same construction pz-datagen's stream uses, kept local so cell
-/// vectors are a pure function of their coordinates.
-fn mix64(stream: u64, index: u64) -> u64 {
-    let mut z = stream
-        .wrapping_add(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(index.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Peak resident set size of this process in KiB, from Linux's `VmHWM`
 /// high-water mark. `0` where /proc is unavailable (the scaling gate then
 /// falls back to the deterministic resident-records gauge).
@@ -1757,10 +1650,10 @@ fn peak_rss_kb() -> u64 {
         .unwrap_or(0)
 }
 
-/// E21 scan cell: chunked out-of-core scan + sparse UDF filter over a
-/// streamed corpus of `n` documents. Runs in a subprocess (see
-/// `scaling-cell` in `main`) so peak RSS is attributable to this cell.
-fn scaling_cell_scan(n: usize) -> serde_json::Value {
+/// E21 cell: chunked out-of-core scan + sparse UDF filter over a streamed
+/// corpus of `n` documents. Runs in a subprocess (see `scaling-cell` in
+/// `main`) so peak RSS is attributable to this cell.
+fn scaling_cell(n: usize) -> serde_json::Value {
     let ctx = PzContext::simulated();
     let cfg = pz_datagen::stream::StreamConfig::sized(n, 11);
     ctx.registry
@@ -1794,7 +1687,6 @@ fn scaling_cell_scan(n: usize) -> serde_json::Value {
     let (records, stats) =
         pz_core::exec::execute_plan(&ctx, &plan, ExecutionConfig::sequential()).expect("scan cell");
     serde_json::json!({
-        "kind": "scan",
         "n": n,
         "elapsed_secs": t.elapsed().as_secs_f64(),
         "outputs": records.len(),
@@ -1803,88 +1695,18 @@ fn scaling_cell_scan(n: usize) -> serde_json::Value {
     })
 }
 
-/// E21 HNSW cell: build the graph index over `n` seeded vectors, then
-/// measure batched top-k query time and recall against a flat (exact)
-/// ground truth.
-fn scaling_cell_hnsw(n: usize) -> serde_json::Value {
-    const DIM: usize = 8;
-    const K: usize = 10;
-    const Q: usize = 32;
-    let vec_at = |stream: u64, i: usize| -> Vec<f32> {
-        (0..DIM)
-            .map(|d| {
-                let h = mix64(stream, (i * DIM + d) as u64);
-                ((h >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0) as f32
-            })
-            .collect()
-    };
-    let mut index =
-        pz_vector::HnswIndex::new(DIM, Metric::Euclidean, pz_vector::HnswConfig::default());
-    let build_t = Instant::now();
-    for i in 0..n {
-        index.add(&vec_at(0xC0FFEE, i));
-    }
-    let build_secs = build_t.elapsed().as_secs_f64();
-    let queries: Vec<Vec<f32>> = (0..Q).map(|q| vec_at(0xBEEF, q)).collect();
-    // Best-of-3 batched pass to shed scheduler noise.
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let t = Instant::now();
-        let _ = index.search_batch(&queries, K);
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    let query_avg_us = best / Q as f64 * 1e6;
-    // Exact ground truth from a flat scan over the same vectors.
-    let mut flat = FlatIndex::new(DIM, Metric::Euclidean);
-    for i in 0..n {
-        flat.add(&vec_at(0xC0FFEE, i));
-    }
-    let hits = index.search_batch(&queries, K);
-    let mut overlap = 0usize;
-    for (q, h) in queries.iter().zip(&hits) {
-        let truth: std::collections::HashSet<_> =
-            flat.search(q, K).into_iter().map(|s| s.id).collect();
-        overlap += h.iter().filter(|s| truth.contains(&s.id)).count();
-    }
-    let recall = overlap as f64 / (Q * K) as f64;
-    serde_json::json!({
-        "kind": "hnsw",
-        "n": n,
-        "dim": DIM,
-        "k": K,
-        "build_secs": build_secs,
-        "query_avg_us": query_avg_us,
-        "recall": recall,
-        "peak_rss_kb": peak_rss_kb(),
-    })
-}
-
-/// Subprocess entry point for one E21 cell (hidden `scaling-cell`
-/// subcommand): run the cell, print its JSON on stdout.
-fn scaling_cell(kind: &str, n: usize) {
-    let doc = match kind {
-        "scan" => scaling_cell_scan(n),
-        "hnsw" => scaling_cell_hnsw(n),
-        other => {
-            eprintln!("unknown scaling cell kind {other:?} (want scan | hnsw)");
-            std::process::exit(2);
-        }
-    };
-    println!("{}", serde_json::to_string(&doc).expect("cell json"));
-}
-
 /// Spawn one E21 cell in a subprocess and parse its JSON line. Subprocess
 /// isolation gives each cell a fresh address space, so `VmHWM` is the
 /// cell's own high-water mark, not the max over every cell run so far.
-fn run_scaling_cell(kind: &str, n: usize) -> serde_json::Value {
+fn run_scaling_cell(n: usize) -> serde_json::Value {
     let exe = std::env::current_exe().expect("current exe");
     let out = std::process::Command::new(exe)
-        .args(["scaling-cell", kind, &n.to_string()])
+        .args(["scaling-cell", &n.to_string()])
         .output()
         .expect("spawn scaling cell");
     assert!(
         out.status.success(),
-        "scaling cell {kind}/{n} failed: {}",
+        "scaling cell {n} failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     let text = String::from_utf8_lossy(&out.stdout);
@@ -1896,19 +1718,16 @@ fn run_scaling_cell(kind: &str, n: usize) -> serde_json::Value {
     serde_json::from_str(line).expect("parse scaling cell JSON")
 }
 
-/// E21 numbers: the records-vs-time/memory scaling curve.
-struct E21Numbers {
-    /// (n, elapsed secs, peak RSS KiB, peak resident records, outputs)
-    scan: Vec<(usize, f64, u64, u64, u64)>,
-    /// (n, build secs, avg query µs, recall)
-    hnsw: Vec<(usize, f64, f64, f64)>,
-}
+/// One point of the E21 curve: (n, elapsed secs, peak RSS KiB, peak
+/// resident records, outputs).
+type ScanCell = (usize, f64, u64, u64, u64);
 
-fn e21_measure(scan_sizes: &[usize], hnsw_sizes: &[usize]) -> E21Numbers {
-    let scan = scan_sizes
+/// E21's records-vs-time/memory curve, one subprocess per corpus size.
+fn e21_measure(sizes: &[usize]) -> Vec<ScanCell> {
+    sizes
         .iter()
         .map(|&n| {
-            let v = run_scaling_cell("scan", n);
+            let v = run_scaling_cell(n);
             (
                 n,
                 v.get("elapsed_secs")
@@ -1921,155 +1740,100 @@ fn e21_measure(scan_sizes: &[usize], hnsw_sizes: &[usize]) -> E21Numbers {
                 v.get("outputs").and_then(|x| x.as_u64()).unwrap_or(0),
             )
         })
-        .collect();
-    let hnsw = hnsw_sizes
-        .iter()
-        .map(|&n| {
-            let v = run_scaling_cell("hnsw", n);
-            (
-                n,
-                v.get("build_secs").and_then(|x| x.as_f64()).unwrap_or(0.0),
-                v.get("query_avg_us")
-                    .and_then(|x| x.as_f64())
-                    .unwrap_or(0.0),
-                v.get("recall").and_then(|x| x.as_f64()).unwrap_or(0.0),
-            )
-        })
-        .collect();
-    E21Numbers { scan, hnsw }
+        .collect()
 }
 
-/// The three E21 scaling gates, computed once and enforced by both the
-/// `e21` experiment (scaling-gate CI job) and `bench-json` (BENCH_5.json).
-struct E21Gates {
+/// The E21 scaling gate, computed once and enforced by both the `e21`
+/// experiment (scaling-gate CI job) and `bench-json` (BENCH_5.json).
+struct E21Gate {
     scan_memory_growth: f64,
     scan_memory_flat: bool,
-    hnsw_query_growth: f64,
-    hnsw_query_sublinear: bool,
-    hnsw_recall: f64,
     failures: Vec<String>,
 }
 
 const SCAN_MEMORY_GROWTH_CEILING: f64 = 1.5;
-const HNSW_QUERY_GROWTH_CEILING: f64 = 10.0;
-const HNSW_RECALL_FLOOR: f64 = 0.9;
 
-fn e21_gates(nums: &E21Numbers) -> E21Gates {
-    let mut failures = Vec::new();
-    let (scan_small, scan_big) = (nums.scan[0], nums.scan[nums.scan.len() - 1]);
+fn e21_gate(curve: &[ScanCell]) -> E21Gate {
+    let (small, big) = (curve[0], curve[curve.len() - 1]);
     // Prefer real RSS; where /proc is unavailable both cells report 0 and
     // we fall back to the executor's deterministic resident-records gauge.
-    let scan_memory_growth = if scan_small.2 > 0 && scan_big.2 > 0 {
-        scan_big.2 as f64 / scan_small.2 as f64
+    let scan_memory_growth = if small.2 > 0 && big.2 > 0 {
+        big.2 as f64 / small.2 as f64
     } else {
-        scan_big.3 as f64 / scan_small.3.max(1) as f64
+        big.3 as f64 / small.3.max(1) as f64
     };
     let scan_memory_flat = scan_memory_growth <= SCAN_MEMORY_GROWTH_CEILING;
+    let mut failures = Vec::new();
     if !scan_memory_flat {
         failures.push(format!(
             "peak scan memory grew {scan_memory_growth:.2}x from {} to {} records \
              (ceiling {SCAN_MEMORY_GROWTH_CEILING}x)",
-            scan_small.0, scan_big.0
+            small.0, big.0
         ));
     }
-    let (hnsw_small, hnsw_big) = (nums.hnsw[0], nums.hnsw[nums.hnsw.len() - 1]);
-    let hnsw_query_growth = hnsw_big.2 / hnsw_small.2.max(1e-9);
-    let hnsw_query_sublinear = hnsw_query_growth < HNSW_QUERY_GROWTH_CEILING;
-    if !hnsw_query_sublinear {
-        failures.push(format!(
-            "hnsw query time grew {hnsw_query_growth:.2}x for a {}x corpus \
-             (ceiling {HNSW_QUERY_GROWTH_CEILING}x)",
-            hnsw_big.0 / hnsw_small.0.max(1)
-        ));
-    }
-    let hnsw_recall = nums.hnsw.iter().map(|c| c.3).fold(f64::INFINITY, f64::min);
-    if hnsw_recall < HNSW_RECALL_FLOOR {
-        failures.push(format!(
-            "hnsw recall@10 {hnsw_recall:.3} is below the {HNSW_RECALL_FLOOR} floor"
-        ));
-    }
-    E21Gates {
+    E21Gate {
         scan_memory_growth,
         scan_memory_flat,
-        hnsw_query_growth,
-        hnsw_query_sublinear,
-        hnsw_recall,
         failures,
     }
 }
 
-/// Render the E21 curve + gate verdicts as a standalone JSON document
+/// The curve as JSON rows, for `--scaling-out` and BENCH_5.json.
+fn e21_curve_json(curve: &[ScanCell]) -> Vec<serde_json::Value> {
+    curve
+        .iter()
+        .map(|(n, secs, rss_kb, resident, outputs)| {
+            serde_json::json!({
+                "records": n,
+                "wall_secs": secs,
+                "peak_rss_kb": rss_kb,
+                "peak_resident_records": resident,
+                "outputs": outputs,
+            })
+        })
+        .collect()
+}
+
+/// Render the E21 curve + gate verdict as a standalone JSON document
 /// (`--scaling-out`; the scaling-gate CI job archives it).
-fn e21_json(nums: &E21Numbers, gates: &E21Gates) -> serde_json::Value {
+fn e21_json(curve: &[ScanCell], gate: &E21Gate) -> serde_json::Value {
     serde_json::json!({
-        "experiment": "E21 scaling curve (chunked scan + HNSW, 10k/100k/1M)",
-        "scan_memory_flat": gates.scan_memory_flat,
-        "scan_memory_growth": gates.scan_memory_growth,
+        "experiment": "E21 scaling curve (chunked scan, 10k/100k/1M)",
+        "scan_memory_flat": gate.scan_memory_flat,
+        "scan_memory_growth": gate.scan_memory_growth,
         "scan_memory_growth_ceiling": SCAN_MEMORY_GROWTH_CEILING,
-        "hnsw_query_sublinear": gates.hnsw_query_sublinear,
-        "hnsw_query_growth": gates.hnsw_query_growth,
-        "hnsw_query_growth_ceiling": HNSW_QUERY_GROWTH_CEILING,
-        "hnsw_recall": gates.hnsw_recall,
-        "hnsw_recall_floor": HNSW_RECALL_FLOOR,
-        "pass": gates.failures.is_empty(),
-        "failures": gates.failures,
-        "scan": nums.scan.iter().map(|(n, secs, rss_kb, resident, outputs)| serde_json::json!({
-            "records": n,
-            "wall_secs": secs,
-            "peak_rss_kb": rss_kb,
-            "peak_resident_records": resident,
-            "outputs": outputs,
-        })).collect::<Vec<_>>(),
-        "hnsw": nums.hnsw.iter().map(|(n, build, q_us, recall)| serde_json::json!({
-            "records": n,
-            "build_secs": build,
-            "query_avg_us": q_us,
-            "recall_at_10": recall,
-        })).collect::<Vec<_>>(),
+        "pass": gate.failures.is_empty(),
+        "failures": gate.failures,
+        "scan": e21_curve_json(curve),
     })
 }
 
 /// E21: the out-of-core data plane at 10k / 100k / 1M records.
 fn e21_scaling() {
-    banner(
-        "E21",
-        "scaling curve: chunked scan memory stays flat, HNSW query stays sub-linear",
-    );
-    let nums = e21_measure(&[10_000, 100_000, 1_000_000], &[10_000, 1_000_000]);
+    banner("E21", "scaling curve: chunked scan memory stays flat");
+    let curve = e21_measure(&[10_000, 100_000, 1_000_000]);
     println!("default materializing scan (sparse UDF filter):");
-    for (n, secs, rss, resident, outputs) in &nums.scan {
+    for (n, secs, rss, resident, outputs) in &curve {
         println!(
             "  n={n:>9}  wall={secs:>7.2}s  peak_rss={:>7.1}MiB  resident_records={resident:>5}  out={outputs}",
             *rss as f64 / 1024.0
         );
     }
-    println!("hnsw (dim=8, k=10, 32 queries, batched):");
-    for (n, build, q_us, recall) in &nums.hnsw {
-        println!("  n={n:>9}  build={build:>7.2}s  query={q_us:>8.1}us  recall@10={recall:.3}");
-    }
-    let gates = e21_gates(&nums);
+    let gate = e21_gate(&curve);
     println!(
         "scan peak-memory growth 10k -> 1M: {:.2}x (ceiling {SCAN_MEMORY_GROWTH_CEILING}x)",
-        gates.scan_memory_growth
-    );
-    println!(
-        "hnsw query-time growth 10k -> 1M: {:.2}x for a 100x corpus (ceiling {HNSW_QUERY_GROWTH_CEILING}x)",
-        gates.hnsw_query_growth
-    );
-    println!(
-        "hnsw recall@10 (min over cells): {:.3} (floor {HNSW_RECALL_FLOOR})",
-        gates.hnsw_recall
+        gate.scan_memory_growth
     );
     if let Some(out) = SCALING_OUT.get() {
         std::fs::write(
             out,
-            serde_json::to_string_pretty(&e21_json(&nums, &gates)).expect("render scaling json"),
+            serde_json::to_string_pretty(&e21_json(&curve, &gate)).expect("render scaling json"),
         )
         .expect("write scaling json");
         println!("wrote {out}");
     }
-    if !gates.failures.is_empty() {
-        for f in &gates.failures {
+    if !gate.failures.is_empty() {
+        for f in &gate.failures {
             eprintln!("SCALING GATE FAIL: {f}");
         }
         std::process::exit(1);
@@ -2077,6 +1841,12 @@ fn e21_scaling() {
     println!("scaling gate: PASS");
 }
 
+/// `repro bench-json [--out PATH]` — the CI perf gate. Re-measures the
+/// E1/E14 headline comparison plus the parallelism sweep and writes the
+/// numbers as machine-readable JSON. Floors are enforced *here* (nonzero
+/// exit) so the workflow needs no JSON parsing: streaming must beat
+/// materializing by >= 1.3x on virtual-clock time, and ledger cost must be
+/// identical across every mode and parallelism level.
 fn bench_json(out: &str) {
     banner("BENCH", "perf gate: E1/E14 times and ledger cost (JSON)");
     const SPEEDUP_FLOOR: f64 = 1.3;
@@ -2270,19 +2040,15 @@ fn bench_json(out: &str) {
         ));
     }
     // Scaling gate (E21): the data plane must hold at 1M records. Peak scan
-    // memory stays flat as the corpus grows 100x (chunked out-of-core scan),
-    // HNSW query time stays sub-linear in corpus size, and HNSW recall vs an
-    // exact flat scan stays >= 0.9. Each cell runs in a subprocess so its
-    // VmHWM high-water mark is its own.
-    let e21 = e21_measure(&[10_000, 100_000, 1_000_000], &[10_000, 1_000_000]);
-    let gates = e21_gates(&e21);
+    // memory stays flat as the corpus grows 100x (chunked out-of-core scan).
+    // Each cell runs in a subprocess so its VmHWM high-water mark is its own.
+    let curve = e21_measure(&[10_000, 100_000, 1_000_000]);
+    let gate = e21_gate(&curve);
     println!(
-        "scaling: scan peak-memory growth {:.2}x (ceiling {SCAN_MEMORY_GROWTH_CEILING}x), \
-         hnsw query growth {:.2}x (ceiling {HNSW_QUERY_GROWTH_CEILING}x), \
-         hnsw recall {:.3} (floor {HNSW_RECALL_FLOOR})",
-        gates.scan_memory_growth, gates.hnsw_query_growth, gates.hnsw_recall,
+        "scaling: scan peak-memory growth {:.2}x (ceiling {SCAN_MEMORY_GROWTH_CEILING}x)",
+        gate.scan_memory_growth
     );
-    failures.extend(gates.failures.iter().cloned());
+    failures.extend(gate.failures.iter().cloned());
     let doc = serde_json::json!({
         "experiment": "E1/E14 demo plan (Scan -> LLMFilter -> LLMConvert, MaxQuality)",
         "speedup_floor": SPEEDUP_FLOOR,
@@ -2306,29 +2072,10 @@ fn bench_json(out: &str) {
         "serve_overload_p99_secs": serve.overload.p99_latency_secs,
         "serve_overload_p99_ceiling_secs": SERVE_P99_CEILING_SECS,
         "serve_sheds_structured": serve.overload_sheds_structured && serve.overload_unstructured == 0,
-        "scan_memory_flat": gates.scan_memory_flat,
-        "scan_memory_growth": gates.scan_memory_growth,
+        "scan_memory_flat": gate.scan_memory_flat,
+        "scan_memory_growth": gate.scan_memory_growth,
         "scan_memory_growth_ceiling": SCAN_MEMORY_GROWTH_CEILING,
-        "hnsw_query_sublinear": gates.hnsw_query_sublinear,
-        "hnsw_query_growth": gates.hnsw_query_growth,
-        "hnsw_query_growth_ceiling": HNSW_QUERY_GROWTH_CEILING,
-        "hnsw_recall": gates.hnsw_recall,
-        "hnsw_recall_floor": HNSW_RECALL_FLOOR,
-        "scaling_curve": serde_json::json!({
-            "scan": e21.scan.iter().map(|(n, secs, rss_kb, resident, outputs)| serde_json::json!({
-                "records": n,
-                "wall_secs": secs,
-                "peak_rss_kb": rss_kb,
-                "peak_resident_records": resident,
-                "outputs": outputs,
-            })).collect::<Vec<_>>(),
-            "hnsw": e21.hnsw.iter().map(|(n, build, q_us, recall)| serde_json::json!({
-                "records": n,
-                "build_secs": build,
-                "query_avg_us": q_us,
-                "recall_at_10": recall,
-            })).collect::<Vec<_>>(),
-        }),
+        "scaling_curve": serde_json::json!({ "scan": e21_curve_json(&curve) }),
         "pass": failures.is_empty(),
         "failures": failures,
         "runs": runs.iter().map(|(name, p, time, cost, records, _)| serde_json::json!({

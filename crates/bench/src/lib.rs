@@ -1,8 +1,7 @@
 //! Shared harness for the experiments (see EXPERIMENTS.md).
 //!
-//! The `repro` binary and every criterion bench build on these helpers so
-//! all experiments run the exact same pipelines over the exact same
-//! corpora.
+//! The `repro` binary builds on these helpers so all experiments run the
+//! exact same pipelines over the exact same corpora.
 
 use pz_core::prelude::*;
 use pz_datagen::science::{self, ScienceConfig, ScienceTruth};

@@ -53,8 +53,6 @@ pub fn retrieve(
     // not a persistent corpus. Unique name avoids cross-run clashes. It is
     // dropped on every path, so a store error cannot leak it.
     let coll = format!("__retrieve_{}", ctx.next_id());
-    ctx.vectors
-        .ensure_collection(&coll, query_vec.len(), Metric::Cosine);
     let picked = top_k_ids(ctx, &coll, query_vec, doc_vecs, k);
     ctx.vectors.drop_collection(&coll);
     let picked = picked?;
@@ -67,8 +65,10 @@ pub fn retrieve(
         .collect())
 }
 
-/// Load `docs` into `coll` and return the sorted ids — insert positions,
-/// so input positions — of the `k` nearest to `query`.
+/// Create `coll`, load `docs` into it and return the sorted ids — insert
+/// positions, so input positions — of the `k` nearest to `query`. The
+/// store refuses an empty query vector and any document vector of another
+/// length, so a malformed provider response is an error here.
 fn top_k_ids(
     ctx: &PzContext,
     coll: &str,
@@ -76,6 +76,8 @@ fn top_k_ids(
     docs: &[Vec<f32>],
     k: usize,
 ) -> Result<Vec<VecId>, VectorStoreError> {
+    ctx.vectors
+        .create_collection(coll, query.len(), Metric::Cosine)?;
     for v in docs {
         ctx.vectors.add(coll, v, "")?;
     }
@@ -195,10 +197,12 @@ mod tests {
 
     #[test]
     fn bad_embedding_response_is_an_error_and_leaks_nothing() {
-        // Query + three documents; the provider answers short, then ragged.
+        // Query + three documents; the provider answers short, ragged, then
+        // with empty vectors.
         for (dims, want) in [
             (vec![4, 4, 4], "returned 3 vector(s) for 4 input(s)"),
             (vec![4, 4, 4, 2], "dimension mismatch: expected 4, got 2"),
+            (vec![0, 0, 0, 0], "vectors must have at least one dimension"),
         ] {
             let ctx =
                 PzContext::simulated().with_client(std::sync::Arc::new(StubEmbedder { dims }));

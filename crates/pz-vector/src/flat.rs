@@ -1,9 +1,8 @@
 //! Exact (brute-force) index.
 //!
-//! Scans every stored vector. O(n·d) per query, but exact — it doubles as
-//! the ground truth against which [`crate::hnsw::HnswIndex`] recall is
-//! measured (experiments E10 and E21). Append-only: nothing is ever
-//! removed, so a vector's id is its position.
+//! Scans every stored vector: O(n·d) per query, and exact. It is what
+//! every `VectorStore::search` runs. Append-only: nothing is ever removed,
+//! so a vector's id is its position.
 
 use crate::metric::Metric;
 use crate::VecId;
@@ -42,7 +41,7 @@ impl PartialOrd for HeapEntry {
 
 /// Select the `k` best-scored items from an iterator, sorted by descending
 /// score (ties broken by ascending id, so results are deterministic).
-pub(crate) fn top_k(items: impl Iterator<Item = Scored>, k: usize) -> Vec<Scored> {
+fn top_k(items: impl Iterator<Item = Scored>, k: usize) -> Vec<Scored> {
     if k == 0 {
         return Vec::new();
     }

@@ -4,27 +4,21 @@
 //! partly by the pain of "coordinating multiple software stacks — vector
 //! databases, relational operators, and novel programming practices". This
 //! crate is the vector-database leg of that stack for the reproduction: an
-//! in-process store with exact ([`FlatIndex`]) and approximate
-//! ([`HnswIndex`], layered navigable-small-world graph) top-k search, used
-//! by Palimpzest's `Retrieve` operator. A [`Collection`] has two rungs:
-//! writes only append, queries are answered by exact scan, and the graph
-//! is built at query time only for a collection that is both large and
-//! queried often enough to have paid for it (see [`store`]) — so one-shot
-//! retrieval never builds an index and search stays sub-linear at a
-//! million vectors for collections that keep being asked.
+//! in-process store of named collections with exact ([`FlatIndex`]) top-k
+//! search under a [`Metric`], used by Palimpzest's `Retrieve` operator.
+//! `Retrieve` loads a transient collection, queries it once and drops it,
+//! so the exact scan is the store's one rung (see [`store`]).
 //!
-//! Everything is deterministic: HNSW level assignment is seeded and the
-//! tie-breaking rules are fixed, so index builds are reproducible.
+//! Everything is deterministic: a vector's id is its insert position and
+//! score ties break by ascending id.
 
 pub mod flat;
-pub mod hnsw;
 pub mod metric;
 pub mod store;
 
 pub use flat::FlatIndex;
-pub use hnsw::{HnswConfig, HnswIndex};
 pub use metric::Metric;
-pub use store::{Collection, SearchHit, VectorStore, VectorStoreError};
+pub use store::{SearchHit, VectorStore, VectorStoreError};
 
 /// Identifier assigned to a vector when it is added to an index.
 pub type VecId = u64;

@@ -4,10 +4,8 @@
 //! that **greater is better** for every metric (Euclidean distance is
 //! negated), which lets the top-k machinery be metric-agnostic.
 
-use serde::{Deserialize, Serialize};
-
 /// Supported similarity metrics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Metric {
     /// Cosine similarity in [-1, 1]; zero vectors score 0.
     #[default]
