@@ -80,10 +80,6 @@ impl FlatIndex {
         self.dim
     }
 
-    pub fn metric(&self) -> Metric {
-        self.metric
-    }
-
     pub fn len(&self) -> usize {
         self.data.len() / self.dim
     }
@@ -101,12 +97,6 @@ impl FlatIndex {
         let id = self.len() as VecId;
         self.data.extend_from_slice(v);
         id
-    }
-
-    /// Fetch a stored vector by id; `None` past the end.
-    pub fn get(&self, id: VecId) -> Option<&[f32]> {
-        let start = usize::try_from(id).ok()?.checked_mul(self.dim)?;
-        self.data.get(start..start.checked_add(self.dim)?)
     }
 
     /// Exact top-k search.
@@ -171,10 +161,7 @@ mod tests {
         let mut idx = FlatIndex::new(1, Metric::Dot);
         assert_eq!(idx.add(&[1.0]), 0);
         assert_eq!(idx.add(&[2.0]), 1);
-        assert_eq!(idx.get(1), Some(&[2.0][..]));
-        assert_eq!(idx.get(2), None, "one past the end");
-        assert_eq!(idx.get(99), None);
-        assert_eq!(idx.get(VecId::MAX), None, "offset overflow");
+        assert_eq!(idx.len(), 2);
     }
 
     #[test]
