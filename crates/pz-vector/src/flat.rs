@@ -1,8 +1,9 @@
 //! Exact (brute-force) index.
 //!
 //! Scans every stored vector: O(n·d) per query, and exact. It is what
-//! every `VectorStore::search` runs. Append-only: nothing is ever removed,
-//! so a vector's id is its position.
+//! every `VectorStore::search` runs, and the ground truth against which
+//! [`crate::hnsw::HnswIndex`] recall is measured. Append-only: nothing is
+//! ever removed, so a vector's id is its position.
 
 use crate::metric::Metric;
 use crate::VecId;
@@ -41,7 +42,7 @@ impl PartialOrd for HeapEntry {
 
 /// Select the `k` best-scored items from an iterator, sorted by descending
 /// score (ties broken by ascending id, so results are deterministic).
-fn top_k(items: impl Iterator<Item = Scored>, k: usize) -> Vec<Scored> {
+pub(crate) fn top_k(items: impl Iterator<Item = Scored>, k: usize) -> Vec<Scored> {
     if k == 0 {
         return Vec::new();
     }
@@ -80,6 +81,10 @@ impl FlatIndex {
         self.dim
     }
 
+    pub fn metric(&self) -> Metric {
+        self.metric
+    }
+
     pub fn len(&self) -> usize {
         self.data.len() / self.dim
     }
@@ -97,6 +102,12 @@ impl FlatIndex {
         let id = self.len() as VecId;
         self.data.extend_from_slice(v);
         id
+    }
+
+    /// Fetch a stored vector by id; `None` past the end.
+    pub fn get(&self, id: VecId) -> Option<&[f32]> {
+        let start = usize::try_from(id).ok()?.checked_mul(self.dim)?;
+        self.data.get(start..start.checked_add(self.dim)?)
     }
 
     /// Exact top-k search.
@@ -162,6 +173,10 @@ mod tests {
         assert_eq!(idx.add(&[1.0]), 0);
         assert_eq!(idx.add(&[2.0]), 1);
         assert_eq!(idx.len(), 2);
+        assert_eq!(idx.get(1), Some(&[2.0][..]));
+        assert_eq!(idx.get(2), None, "one past the end");
+        assert_eq!(idx.get(99), None);
+        assert_eq!(idx.get(VecId::MAX), None, "offset overflow");
     }
 
     #[test]

@@ -1,22 +1,20 @@
 //! HNSW (hierarchical navigable small world) graph index.
 //!
-//! The approximate rung of the store's two-rung ladder (exact scan →
-//! HNSW): a layered proximity graph searched greedily from a single entry
-//! point. Query cost grows ~logarithmically with collection size — the
-//! property the 1M-vector scaling gate asserts — versus the exact scan's
-//! O(n).
+//! A standalone approximate top-k index: a layered proximity graph
+//! searched greedily from a single entry point, whose query cost grows
+//! ~logarithmically with collection size versus the exact scan's O(n).
+//! [`VectorStore`](crate::store::VectorStore) does not use it: the store's
+//! one caller queries each collection once, so a graph would be built for
+//! one query and dropped, and every store search is an exact scan.
 //!
 //! Determinism: level assignment is seeded (splitmix64 over
-//! `(seed, node id)`), inserts are order-dependent but the store only ever
-//! inserts in id order, and every candidate ordering breaks score ties by
-//! ascending id. Same seed + same insert sequence → identical graph →
-//! identical top-k, which the recall/determinism suite pins.
+//! `(seed, node id)`), inserts are order-dependent, and every candidate
+//! ordering breaks score ties by ascending id. Same seed + same insert
+//! sequence → identical graph → identical top-k, which the
+//! recall/determinism suite pins.
 //!
 //! The graph is *incremental*: [`HnswIndex::add`] indexes a vector before
-//! it returns. The store leans on that twice — it builds a collection's
-//! graph by inserting the rows it already holds, and it brings a built
-//! graph up to date by inserting the rows appended since — so there is no
-//! batch-build entry point and no stale window.
+//! it returns, so there is no batch-build entry point and no stale window.
 
 use crate::flat::{top_k, Scored};
 use crate::metric::Metric;
@@ -92,8 +90,8 @@ impl PartialOrd for MinEntry {
 }
 
 /// Incremental HNSW index. Ids are assigned sequentially by insertion
-/// order (matching [`FlatIndex`](crate::flat::FlatIndex)), so the store
-/// can keep one payload table for both rungs.
+/// order, matching [`FlatIndex`](crate::flat::FlatIndex), so the two
+/// answer in the same id space.
 pub struct HnswIndex {
     dim: usize,
     metric: Metric,
@@ -322,14 +320,19 @@ impl HnswIndex {
 mod tests {
     use super::*;
     use crate::flat::FlatIndex;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
 
+    /// `n` vectors uniform in [-1, 1)^dim from a seeded splitmix64 stream.
     fn random_corpus(n: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..n)
-            .map(|_| (0..dim).map(|_| rng.random_range(-1.0..1.0)).collect())
-            .collect()
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            ((z >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0) as f32
+        };
+        (0..n).map(|_| (0..dim).map(|_| next()).collect()).collect()
     }
 
     fn indexed(dim: usize, metric: Metric, config: HnswConfig, corpus: &[Vec<f32>]) -> HnswIndex {

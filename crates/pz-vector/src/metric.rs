@@ -4,8 +4,10 @@
 //! that **greater is better** for every metric (Euclidean distance is
 //! negated), which lets the top-k machinery be metric-agnostic.
 
+use serde::{Deserialize, Serialize};
+
 /// Supported similarity metrics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Metric {
     /// Cosine similarity in [-1, 1]; zero vectors score 0.
     #[default]

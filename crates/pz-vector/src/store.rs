@@ -6,12 +6,13 @@
 //! an exact scan, so every answer is the exact top-k and no write ever
 //! waits on index work. `Retrieve` loads a fresh collection, queries it
 //! once and drops it; an approximate index would be built for one query
-//! and thrown away.
+//! and thrown away. A store can be snapshotted to JSON and restored.
 
 use crate::flat::{FlatIndex, Scored};
 use crate::metric::Metric;
 use crate::VecId;
 use parking_lot::RwLock;
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use thiserror::Error;
@@ -27,6 +28,8 @@ pub enum VectorStoreError {
     ZeroDimension(String),
     #[error("dimension mismatch: expected {expected}, got {got}")]
     DimensionMismatch { expected: usize, got: usize },
+    #[error("snapshot error: {0}")]
+    Snapshot(String),
 }
 
 /// A search result: the payload attached at insert time plus the score.
@@ -69,6 +72,21 @@ impl Collection {
         };
         Ok(self.flat.search(query, k).into_iter().map(hit).collect())
     }
+}
+
+/// Serializable snapshot of one collection (vectors + payloads).
+#[derive(Serialize, Deserialize)]
+struct CollectionSnapshot {
+    dim: usize,
+    metric: Metric,
+    vectors: Vec<Vec<f32>>,
+    payloads: Vec<String>,
+}
+
+/// Serializable snapshot of a whole store.
+#[derive(Serialize, Deserialize)]
+struct StoreSnapshot {
+    collections: BTreeMap<String, CollectionSnapshot>,
 }
 
 /// Thread-safe store of named collections. Clones share state.
@@ -170,6 +188,52 @@ impl VectorStore {
     pub fn drop_collection(&self, name: &str) {
         self.collections.write().remove(name);
     }
+
+    /// Serialize the whole store (vectors + payloads).
+    pub fn to_json(&self) -> Result<String, VectorStoreError> {
+        let mut snap = StoreSnapshot {
+            collections: BTreeMap::new(),
+        };
+        for (name, coll) in self.collections.read().iter() {
+            let c = coll.read();
+            let vectors: Vec<Vec<f32>> = (0..c.flat.len() as VecId)
+                .filter_map(|id| c.flat.get(id).map(<[f32]>::to_vec))
+                .collect();
+            snap.collections.insert(
+                name.clone(),
+                CollectionSnapshot {
+                    dim: c.flat.dim(),
+                    metric: c.flat.metric(),
+                    vectors,
+                    payloads: c.payloads.clone(),
+                },
+            );
+        }
+        serde_json::to_string(&snap).map_err(|e| VectorStoreError::Snapshot(e.to_string()))
+    }
+
+    /// Restore a store from [`Self::to_json`] output. Returns a fresh
+    /// store; collection contents (ids, payloads, search results) match the
+    /// snapshotted store exactly.
+    pub fn from_json(json: &str) -> Result<Self, VectorStoreError> {
+        let snap: StoreSnapshot =
+            serde_json::from_str(json).map_err(|e| VectorStoreError::Snapshot(e.to_string()))?;
+        let store = Self::new();
+        for (name, c) in snap.collections {
+            if c.vectors.len() != c.payloads.len() {
+                return Err(VectorStoreError::Snapshot(format!(
+                    "collection {name:?}: {} vectors vs {} payloads",
+                    c.vectors.len(),
+                    c.payloads.len()
+                )));
+            }
+            store.create_collection(&name, c.dim, c.metric)?;
+            for (v, payload) in c.vectors.iter().zip(c.payloads) {
+                store.add(&name, v, payload)?;
+            }
+        }
+        Ok(store)
+    }
 }
 
 #[cfg(test)]
@@ -260,6 +324,45 @@ mod tests {
         assert_eq!(hits[1].payload, "payload-8");
     }
 
+    #[test]
+    fn snapshot_round_trips() {
+        let store = VectorStore::new();
+        store.create_collection("docs", 3, Metric::Cosine).unwrap();
+        for i in 0..20 {
+            let f = i as f32;
+            store
+                .add("docs", &[f.sin(), f.cos(), f * 0.1], format!("p{i}"))
+                .unwrap();
+        }
+        store
+            .create_collection("other", 2, Metric::Euclidean)
+            .unwrap();
+        store.add("other", &[1.0, 2.0], "x").unwrap();
+
+        let json = store.to_json().unwrap();
+        let restored = VectorStore::from_json(&json).unwrap();
+        assert_eq!(restored.collection_names(), store.collection_names());
+        assert_eq!(restored.collection_len("docs").unwrap(), 20);
+        // Search results identical.
+        let q = [0.3f32, 0.9, 0.5];
+        let a = store.search("docs", &q, 5).unwrap();
+        let b = restored.search("docs", &q, 5).unwrap();
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn corrupt_snapshot_rejected() {
+        assert!(matches!(
+            VectorStore::from_json("not json"),
+            Err(VectorStoreError::Snapshot(_))
+        ));
+        let bad = r#"{"collections":{"c":{"dim":2,"metric":"Cosine","vectors":[[1.0,2.0]],"payloads":[]}}}"#;
+        assert!(matches!(
+            VectorStore::from_json(bad),
+            Err(VectorStoreError::Snapshot(_))
+        ));
+    }
+
     fn point(i: usize) -> [f32; 2] {
         let f = i as f32;
         [f.sin() * 10.0, f.cos() * 10.0]
@@ -307,8 +410,10 @@ mod tests {
         );
     }
 
+    /// Inserts and probes are counted; a search builds nothing, so the
+    /// tracer holds no event.
     #[test]
-    fn tracer_counts_inserts_and_probes() {
+    fn tracer_counts_inserts_probes_and_builds() {
         let n = 100;
         let (store, tracer) = loaded(n);
         for q in [[1.0, 1.0], [2.0, 1.0], [3.0, 1.0]] {
@@ -319,6 +424,7 @@ mod tests {
         let snap = tracer.snapshot();
         assert_eq!(snap.counters["vector.inserts"], n as u64);
         assert_eq!(snap.counters["vector.probes"], 3);
+        assert!(snap.events.is_empty(), "a search built something");
     }
 
     #[test]

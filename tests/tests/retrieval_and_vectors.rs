@@ -88,11 +88,13 @@ fn retrieve_is_cheaper_than_filtering_everything() {
     );
 }
 
-/// One `Retrieve` over 8,292 records, about the size of pzbench
-/// `retrieve`'s load — the store's one-shot traffic: load, query once,
-/// drop. The output is exactly the exact top-k and no collection is left.
+/// One `Retrieve` over 8,292 records — past the 8,192 rows at which the
+/// store once started counting scans toward an HNSW graph, and about the
+/// size of pzbench `retrieve`'s load. It is the store's one-shot traffic:
+/// load, query once, drop. The output is exactly the exact top-k, the
+/// store records no index build, and no collection is left.
 #[test]
-fn retrieve_over_8k_records_is_exact_and_leaves_no_collection() {
+fn retrieve_past_hnsw_threshold_is_exact_and_builds_nothing() {
     use pz_llm::EmbeddingRequest;
     use pz_vector::{FlatIndex, Metric};
     const N: usize = 8_292;
@@ -143,6 +145,11 @@ fn retrieve_over_8k_records_is_exact_and_leaves_no_collection() {
         .map(|r| r.get("filename").and_then(|v| v.as_text()).unwrap())
         .collect();
     assert_eq!(got, want);
+    let events = ctx.tracer.snapshot().events;
+    assert!(
+        events.iter().all(|e| e.layer != pz_obs::Layer::Vector),
+        "the store recorded index work"
+    );
     assert!(ctx.vectors.collection_names().is_empty());
 }
 
