@@ -194,6 +194,28 @@ pub enum DatasetChange {
     Delete { filename: String },
 }
 
+/// One stored document, parsed once: its filename and its `contents`
+/// value. Every record scanned from it shares both.
+type Item = (Arc<str>, Value);
+
+fn parse_item(filename: &str, raw: &str) -> Item {
+    (filename.into(), parse_content(filename, raw))
+}
+
+/// Consumes `items` one at a time, so each raw document is freed as soon
+/// as its parsed copy exists.
+fn parse_items(items: Vec<(String, String)>) -> Vec<Item> {
+    items.into_iter().map(|(f, c)| parse_item(&f, &c)).collect()
+}
+
+/// The record for stored item `i`. Its text is two reference-count
+/// bumps; no document bytes are copied.
+fn item_record(base_id: u64, i: usize, (filename, contents): &Item) -> DataRecord {
+    DataRecord::new(base_id + i as u64)
+        .with_field("filename", Arc::clone(filename))
+        .with_field("contents", contents.clone())
+}
+
 /// A [`MemorySource`] that accepts append/update/delete change batches
 /// between runs: the change-stream view of a dataset the incremental
 /// executor re-runs against. Register once; edits apply in place through
@@ -202,7 +224,7 @@ pub enum DatasetChange {
 pub struct VersionedSource {
     name: String,
     schema: Schema,
-    items: RwLock<Vec<(String, String)>>,
+    items: RwLock<Vec<Item>>,
     version: std::sync::atomic::AtomicU64,
 }
 
@@ -211,7 +233,7 @@ impl VersionedSource {
         Self {
             name: name.into(),
             schema,
-            items: RwLock::new(items),
+            items: RwLock::new(parse_items(items)),
             version: std::sync::atomic::AtomicU64::new(0),
         }
     }
@@ -222,15 +244,15 @@ impl VersionedSource {
         for change in changes {
             match change {
                 DatasetChange::Append { filename, content } => {
-                    items.push((filename.clone(), content.clone()));
+                    items.push(parse_item(filename, content));
                 }
                 DatasetChange::Update { filename, content } => {
-                    if let Some(slot) = items.iter_mut().find(|(f, _)| f == filename) {
-                        slot.1 = content.clone();
+                    if let Some(slot) = items.iter_mut().find(|(f, _)| **f == **filename) {
+                        slot.1 = parse_content(filename, content);
                     }
                 }
                 DatasetChange::Delete { filename } => {
-                    items.retain(|(f, _)| f != filename);
+                    items.retain(|(f, _)| **f != **filename);
                 }
             }
         }
@@ -299,11 +321,7 @@ impl DataSource for VersionedSource {
             .read()
             .iter()
             .enumerate()
-            .map(|(i, (filename, content))| {
-                DataRecord::new(base_id + i as u64)
-                    .with_field("filename", filename.as_str())
-                    .with_field("contents", parse_content(filename, content))
-            })
+            .map(|(i, item)| item_record(base_id, i, item))
             .collect())
     }
 
@@ -317,10 +335,11 @@ impl DataSource for VersionedSource {
 }
 
 /// In-memory source: each `(filename, content)` item becomes one record.
+/// Items are parsed once, here; every scan hands out shared text.
 pub struct MemorySource {
     name: String,
     schema: Schema,
-    items: Vec<(String, String)>,
+    items: Vec<Item>,
 }
 
 impl MemorySource {
@@ -328,7 +347,7 @@ impl MemorySource {
         Self {
             name: name.into(),
             schema,
-            items,
+            items: parse_items(items),
         }
     }
 
@@ -357,11 +376,7 @@ impl DataSource for MemorySource {
             .items
             .iter()
             .enumerate()
-            .map(|(i, (filename, content))| {
-                DataRecord::new(base_id + i as u64)
-                    .with_field("filename", filename.as_str())
-                    .with_field("contents", parse_content(filename, content))
-            })
+            .map(|(i, item)| item_record(base_id, i, item))
             .collect())
     }
 
@@ -431,11 +446,10 @@ fn parse_content(filename: &str, raw: &str) -> Value {
         raw.strip_prefix("%PDF-SIM\n")
             .map(|s| s.strip_suffix("\n%%EOF").unwrap_or(s))
             .unwrap_or(raw)
-            .to_string()
     } else {
-        raw.to_string()
+        raw
     };
-    Value::Text(text)
+    Value::from(text)
 }
 
 /// Wrap plain text in the simulated-PDF envelope (used by tests and the
@@ -589,6 +603,55 @@ mod tests {
             recs[0].get("contents").unwrap().as_text(),
             Some("already text")
         );
+    }
+
+    /// Where a record's `contents` bytes live.
+    fn contents_ptr(r: &DataRecord) -> *const u8 {
+        r.get("contents").unwrap().as_text().unwrap().as_ptr()
+    }
+
+    #[test]
+    fn memory_source_scans_share_each_document() {
+        let src = MemorySource::new(
+            "m",
+            Schema::pdf_file(),
+            vec![
+                ("a.pdf".into(), wrap_pdf("alpha")),
+                ("b.txt".into(), "beta".into()),
+            ],
+        );
+        let first = src.records(0).unwrap();
+        let second = src.records(100).unwrap();
+        let batched: Vec<DataRecord> = collect_batches(&src, 0, 1).concat();
+        for ((a, b), c) in first.iter().zip(&second).zip(&batched) {
+            assert_eq!(contents_ptr(a), contents_ptr(b));
+            assert_eq!(contents_ptr(a), contents_ptr(c));
+            assert_eq!(contents_ptr(a), contents_ptr(&a.clone()));
+        }
+    }
+
+    #[test]
+    fn versioned_source_shares_text_across_an_unrelated_append() {
+        let src = VersionedSource::new(
+            "v",
+            Schema::pdf_file(),
+            vec![
+                ("a.pdf".into(), wrap_pdf("alpha")),
+                ("b.txt".into(), "beta".into()),
+            ],
+        );
+        let before = src.records(0).unwrap();
+        src.append("c.txt", "gamma");
+        let after = src.records(0).unwrap();
+        assert_eq!(after.len(), 3);
+        for (a, b) in before.iter().zip(&after) {
+            assert_eq!(contents_ptr(a), contents_ptr(b));
+        }
+        // An update re-parses only its own document, envelope included.
+        src.update("a.pdf", wrap_pdf("omega"));
+        let updated = src.records(0).unwrap();
+        assert_eq!(updated[0].get("contents").unwrap().as_text(), Some("omega"));
+        assert_eq!(contents_ptr(&before[1]), contents_ptr(&updated[1]));
     }
 
     #[test]

@@ -8,7 +8,11 @@ use crate::context::PzContext;
 use crate::error::{PzError, PzResult};
 use crate::ops::logical::{AggExpr, AggFunc};
 use crate::record::{DataRecord, Value};
-use std::collections::BTreeMap;
+use serde::{Deserialize, Serialize};
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BTreeMap, HashSet};
+use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Virtual CPU seconds charged per record by conventional operators.
 const CPU_SECS_PER_RECORD: f64 = 0.000_05;
@@ -41,20 +45,18 @@ pub fn limit(mut input: Vec<DataRecord>, n: usize) -> Vec<DataRecord> {
     input
 }
 
-/// Stable sort by one field. Records missing the field (or with null)
-/// sort last regardless of direction. Mixed types order by type name to
-/// stay total.
+/// Stable sort by one field. Records missing the field, or holding null
+/// or NaN, sort last ascending; descending reverses the whole order, so
+/// they come first there. Mixed types order numbers before text before
+/// lists to stay total.
+///
+/// Each record's key is computed once, not once per comparison.
 pub fn sort(mut input: Vec<DataRecord>, field: &str, descending: bool) -> Vec<DataRecord> {
-    input.sort_by(|a, b| {
-        let va = a.get(field);
-        let vb = b.get(field);
-        let ord = compare_values(va, vb);
-        if descending {
-            ord.reverse()
-        } else {
-            ord
-        }
-    });
+    if descending {
+        input.sort_by_cached_key(|r| Reverse(SortKey::of(r.get(field))));
+    } else {
+        input.sort_by_cached_key(|r| SortKey::of(r.get(field)));
+    }
     input
 }
 
@@ -82,10 +84,10 @@ static SPILL_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::n
 /// to a temp file as JSON lines, then k-way merge the runs back. The
 /// merge resolves ties by run index, and runs are consecutive input
 /// segments each sorted stably — so equal-key records come back in input
-/// order, exactly like the in-memory `sort_by`. The effective comparator
-/// (including the descending reversal and nulls-last placement) is shared
-/// with [`sort`], so the merged output is byte-identical to the in-memory
-/// path at every budget.
+/// order, exactly like the in-memory [`sort`]. Runs are sorted by [`sort`]
+/// itself and the merge compares the same keys in the same direction, so
+/// the merged output is byte-identical to the in-memory path at every
+/// budget.
 pub fn sort_external(
     input: Vec<DataRecord>,
     field: &str,
@@ -93,14 +95,6 @@ pub fn sort_external(
     budget: usize,
 ) -> PzResult<Vec<DataRecord>> {
     let spill_err = |e: std::io::Error| PzError::Execution(format!("sort spill: {e}"));
-    let eff = |a: &DataRecord, b: &DataRecord| {
-        let ord = compare_values(a.get(field), b.get(field));
-        if descending {
-            ord.reverse()
-        } else {
-            ord
-        }
-    };
     let dir = std::env::temp_dir().join(format!(
         "pz-spill-{}-{}",
         std::process::id(),
@@ -113,15 +107,14 @@ pub fn sort_external(
     let mut run_paths = Vec::new();
     let mut iter = input.into_iter();
     loop {
-        let mut run: Vec<DataRecord> = iter.by_ref().take(budget).collect();
+        let run: Vec<DataRecord> = iter.by_ref().take(budget).collect();
         if run.is_empty() {
             break;
         }
-        run.sort_by(eff);
         let mut lines = String::new();
-        for r in &run {
+        for r in sort(run, field, descending) {
             lines.push_str(
-                &serde_json::to_string(r)
+                &serde_json::to_string(&Spilled::from(r))
                     .map_err(|e| PzError::Execution(format!("sort spill: {e}")))?,
             );
             lines.push('\n');
@@ -130,42 +123,100 @@ pub fn sort_external(
         std::fs::write(&path, lines).map_err(spill_err)?;
         run_paths.push(path);
     }
-    // Phase 2: k-way merge. Heads are one record per run; ties keep the
-    // lowest run index (stability). Linear head scan per pop — run counts
-    // are total/budget, small against record work.
+    // Phase 2: k-way merge. Heads are one keyed record per run; ties keep
+    // the lowest run index (stability). Linear head scan per pop — run
+    // counts are total/budget, small against record work.
     let mut readers = Vec::new();
     for p in &run_paths {
         let f = std::fs::File::open(p).map_err(spill_err)?;
         readers.push(std::io::BufRead::lines(std::io::BufReader::new(f)));
     }
-    let mut heads: Vec<Option<DataRecord>> = Vec::with_capacity(readers.len());
+    let keyed = |r: DataRecord| (SortKey::of(r.get(field)), r);
+    let mut heads: Vec<Option<(SortKey, DataRecord)>> = Vec::with_capacity(readers.len());
     for r in readers.iter_mut() {
-        heads.push(next_spilled(r)?);
+        heads.push(next_spilled(r)?.map(keyed));
     }
     let mut out = Vec::with_capacity(total);
     loop {
         let mut best: Option<usize> = None;
         for (i, h) in heads.iter().enumerate() {
-            if let Some(rec) = h {
+            if let Some((key, _)) = h {
                 best = match best {
                     None => Some(i),
                     Some(j) => {
-                        let keep = heads[j].as_ref().expect("best head present");
-                        if eff(rec, keep) == std::cmp::Ordering::Less {
-                            Some(i)
-                        } else {
-                            Some(j)
-                        }
+                        let (keep, _) = heads[j].as_ref().expect("best head present");
+                        let ord = key.cmp(keep);
+                        let ord = if descending { ord.reverse() } else { ord };
+                        Some(if ord == Ordering::Less { i } else { j })
                     }
                 };
             }
         }
         let Some(i) = best else { break };
-        out.push(heads[i].take().expect("best head present"));
-        heads[i] = next_spilled(&mut readers[i])?;
+        let (_, rec) = heads[i].take().expect("best head present");
+        out.push(rec);
+        heads[i] = next_spilled(&mut readers[i])?.map(keyed);
     }
     let _ = std::fs::remove_dir_all(&dir);
     Ok(out)
+}
+
+/// One record as a spill line. `DataRecord`'s own JSON writes NaN and
+/// ±inf as `null` (JSON has neither), so here every float travels as its
+/// bit pattern and comes back exact.
+#[derive(Serialize, Deserialize)]
+struct Spilled {
+    id: u64,
+    lineage: Vec<u64>,
+    fields: BTreeMap<String, SpilledValue>,
+}
+
+#[derive(Serialize, Deserialize)]
+enum SpilledValue {
+    FloatBits(u64),
+    Value(Value),
+}
+
+impl From<DataRecord> for Spilled {
+    fn from(r: DataRecord) -> Self {
+        let fields = r
+            .fields
+            .into_iter()
+            .map(|(k, v)| {
+                let v = match v {
+                    Value::Float(f) => SpilledValue::FloatBits(f.to_bits()),
+                    other => SpilledValue::Value(other),
+                };
+                (k, v)
+            })
+            .collect();
+        Spilled {
+            id: r.id,
+            lineage: r.lineage,
+            fields,
+        }
+    }
+}
+
+impl From<Spilled> for DataRecord {
+    fn from(s: Spilled) -> Self {
+        let fields = s
+            .fields
+            .into_iter()
+            .map(|(k, v)| {
+                let v = match v {
+                    SpilledValue::FloatBits(bits) => Value::Float(f64::from_bits(bits)),
+                    SpilledValue::Value(v) => v,
+                };
+                (k, v)
+            })
+            .collect();
+        DataRecord {
+            id: s.id,
+            lineage: s.lineage,
+            fields,
+        }
+    }
 }
 
 /// Read the next spilled record off a run file, `None` at end of run.
@@ -176,41 +227,80 @@ fn next_spilled(
         None => Ok(None),
         Some(line) => {
             let line = line.map_err(|e| PzError::Execution(format!("sort spill: {e}")))?;
-            serde_json::from_str(&line)
-                .map(Some)
+            serde_json::from_str::<Spilled>(&line)
+                .map(|s| Some(s.into()))
                 .map_err(|e| PzError::Execution(format!("sort spill: {e}")))
         }
     }
 }
 
-fn compare_values(a: Option<&Value>, b: Option<&Value>) -> std::cmp::Ordering {
-    use std::cmp::Ordering;
-    match (value_key(a), value_key(b)) {
-        (None, None) => Ordering::Equal,
-        // Missing/null last in ascending; `sort` reverses for descending,
-        // which flips this too — acceptable and documented behaviour.
-        (None, Some(_)) => Ordering::Greater,
-        (Some(_), None) => Ordering::Less,
-        (Some(ka), Some(kb)) => ka.partial_cmp(&kb).unwrap_or(Ordering::Equal),
+/// A record's sort key: numbers (bools first) before text, then lists.
+/// `Missing` — no field, null or NaN — orders after everything.
+/// `Num` never holds NaN, which is what makes the order total; `-0.0` and
+/// `0.0` stay equal, so such ties keep input order.
+enum SortKey {
+    /// (type rank: 0 bool, 1 number; value).
+    Num(u8, f64),
+    Text(Arc<str>),
+    /// (length, items joined by `\u{1}`).
+    List(usize, String),
+    Missing,
+}
+
+impl SortKey {
+    fn of(v: Option<&Value>) -> Self {
+        match v {
+            None | Some(Value::Null) => SortKey::Missing,
+            Some(Value::Bool(b)) => SortKey::Num(0, f64::from(u8::from(*b))),
+            Some(Value::Int(i)) => SortKey::Num(1, *i as f64),
+            Some(Value::Float(f)) if f.is_nan() => SortKey::Missing,
+            Some(Value::Float(f)) => SortKey::Num(1, *f),
+            Some(Value::Text(s)) => SortKey::Text(Arc::clone(s)),
+            Some(Value::TextList(l)) => SortKey::List(l.len(), l.join("\u{1}")),
+        }
+    }
+
+    fn rank(&self) -> u8 {
+        match self {
+            SortKey::Num(rank, _) => *rank,
+            SortKey::Text(_) => 2,
+            SortKey::List(..) => 3,
+            SortKey::Missing => 4,
+        }
     }
 }
 
-/// Project a value to an orderable key: numbers before text, then lists.
-fn value_key(v: Option<&Value>) -> Option<(u8, f64, String)> {
-    match v? {
-        Value::Null => None,
-        Value::Bool(b) => Some((0, f64::from(u8::from(*b)), String::new())),
-        Value::Int(i) => Some((1, *i as f64, String::new())),
-        Value::Float(f) => Some((1, *f, String::new())),
-        Value::Text(s) => Some((2, 0.0, s.clone())),
-        Value::TextList(l) => Some((3, l.len() as f64, l.join("\u{1}"))),
+impl Ord for SortKey {
+    fn cmp(&self, other: &Self) -> Ordering {
+        match (self, other) {
+            (SortKey::Num(ra, a), SortKey::Num(rb, b)) => ra
+                .cmp(rb)
+                .then(a.partial_cmp(b).expect("sort keys hold no NaN")),
+            (SortKey::Text(a), SortKey::Text(b)) => a.cmp(b),
+            (SortKey::List(na, a), SortKey::List(nb, b)) => na.cmp(nb).then_with(|| a.cmp(b)),
+            _ => self.rank().cmp(&other.rank()),
+        }
     }
 }
+
+impl PartialOrd for SortKey {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for SortKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for SortKey {}
 
 /// Remove duplicates by the named fields (all fields when empty),
 /// preserving first occurrence.
 pub fn distinct(input: Vec<DataRecord>, fields: &[String]) -> Vec<DataRecord> {
-    let mut seen: Vec<String> = Vec::new();
+    let mut seen: HashSet<String> = HashSet::new();
     let mut out = Vec::new();
     for r in input {
         let key = if fields.is_empty() {
@@ -231,8 +321,7 @@ pub fn distinct(input: Vec<DataRecord>, fields: &[String]) -> Vec<DataRecord> {
                 .collect::<Vec<_>>()
                 .join("\u{1}")
         };
-        if !seen.contains(&key) {
-            seen.push(key);
+        if seen.insert(key) {
             out.push(r);
         }
     }
@@ -249,22 +338,31 @@ pub fn aggregate(
     aggs: &[AggExpr],
 ) -> PzResult<Vec<DataRecord>> {
     charge_cpu(ctx, input.len());
+    // Groups are keyed by their values' display forms joined by `\u{1}`.
+    // Each record renders its key into one reused buffer; only a new group
+    // allocates (its key and its values).
     let mut groups: BTreeMap<String, (Vec<Value>, Vec<DataRecord>)> = BTreeMap::new();
+    let mut key = String::new();
     for r in input {
-        let key_vals: Vec<Value> = group_by
-            .iter()
-            .map(|g| r.get(g).cloned().unwrap_or(Value::Null))
-            .collect();
-        let key = key_vals
-            .iter()
-            .map(|v| v.as_display())
-            .collect::<Vec<_>>()
-            .join("\u{1}");
-        groups
-            .entry(key)
-            .or_insert_with(|| (key_vals, Vec::new()))
-            .1
-            .push(r);
+        key.clear();
+        for (i, g) in group_by.iter().enumerate() {
+            if i > 0 {
+                key.push('\u{1}');
+            }
+            if let Some(v) = r.get(g) {
+                write!(key, "{v}").expect("writing to a String cannot fail");
+            }
+        }
+        match groups.get_mut(key.as_str()) {
+            Some((_, members)) => members.push(r),
+            None => {
+                let key_vals = group_by
+                    .iter()
+                    .map(|g| r.get(g).cloned().unwrap_or(Value::Null))
+                    .collect();
+                groups.insert(key.clone(), (key_vals, vec![r]));
+            }
+        }
     }
     if groups.is_empty() && group_by.is_empty() {
         // Global aggregate over the empty input: COUNT = 0, others null.
@@ -531,7 +629,7 @@ mod tests {
             let v = match i % 5 {
                 0 => Value::Int((i as i64 * 7) % 13),
                 1 => Value::Float((i as f64) * 0.37 - 3.21),
-                2 => Value::Text(format!("s{}", i % 4)),
+                2 => Value::Text(format!("s{}", i % 4).into()),
                 3 => Value::Null,
                 _ => Value::Int((i as i64) % 3),
             };
@@ -577,5 +675,125 @@ mod tests {
         // Under the budget nothing spills (same result either way).
         let small = sort_budgeted(&ctx, spill_fixture().split_off(35), "k", false).unwrap();
         assert_eq!(sort(spill_fixture().split_off(35), "k", false), small);
+    }
+
+    fn is_missing(r: &DataRecord) -> bool {
+        r.get("x").and_then(Value::as_f64).is_none_or(f64::is_nan)
+    }
+
+    #[test]
+    fn sort_orders_finite_keys_around_nan_in_both_directions() {
+        // About a quarter of the keys NaN, plus a null and a missing key.
+        let mut input: Vec<DataRecord> = (0..300u64)
+            .map(|i| {
+                let x = if i % 4 == 1 {
+                    f64::NAN
+                } else {
+                    ((i * 37) % 101) as f64
+                };
+                rec(i, &[("x", Value::Float(x))])
+            })
+            .collect();
+        input.push(rec(300, &[("x", Value::Null)]));
+        input.push(rec(301, &[]));
+        let n_missing = input.iter().filter(|r| is_missing(r)).count();
+        assert_eq!(n_missing, 77);
+        for descending in [false, true] {
+            let out = sort(input.clone(), "x", descending);
+            // NaN sorts as missing: after every finite key ascending, before
+            // them descending (the whole order reverses), in input order.
+            let (missing, finite) = if descending {
+                out.split_at(n_missing)
+            } else {
+                let (f, m) = out.split_at(out.len() - n_missing);
+                (m, f)
+            };
+            assert!(missing.iter().all(is_missing), "descending {descending}");
+            assert!(missing.windows(2).all(|w| w[0].id < w[1].id));
+            for w in finite.windows(2) {
+                let (a, b) = (w[0].get("x").unwrap(), w[1].get("x").unwrap());
+                let (a, b) = (a.as_f64().unwrap(), b.as_f64().unwrap());
+                let ordered = if descending { a >= b } else { a <= b };
+                assert!(ordered, "{a} before {b}, descending {descending}");
+                if a == b {
+                    assert!(w[0].id < w[1].id, "tie on {a} lost input order");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sort_keeps_signed_zero_ties_in_input_order() {
+        let input = vec![
+            rec(0, &[("x", Value::Float(0.0))]),
+            rec(1, &[("x", Value::Float(-0.0))]),
+            rec(2, &[("x", Value::Float(-1.0))]),
+            rec(3, &[("x", Value::Float(0.0))]),
+        ];
+        let ids = |out: Vec<DataRecord>| out.iter().map(|r| r.id).collect::<Vec<_>>();
+        assert_eq!(ids(sort(input.clone(), "x", false)), vec![2, 0, 1, 3]);
+        assert_eq!(ids(sort(input, "x", true)), vec![0, 1, 3, 2]);
+    }
+
+    /// NaN, ±inf and signed zeros in the key and in a passenger field,
+    /// beside ordinary floats.
+    fn non_finite_fixture() -> Vec<DataRecord> {
+        let floats = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+            1.5,
+            -2.25,
+        ];
+        (0..100u64)
+            .map(|i| {
+                let k = floats[(i * 3 % 7) as usize];
+                let other = floats[(i % 7) as usize];
+                rec(
+                    i,
+                    &[
+                        ("k", Value::Float(k)),
+                        ("other", Value::Float(other)),
+                        ("seq", Value::Int(i as i64)),
+                    ],
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn external_sort_round_trips_non_finite_floats() {
+        // `{:?}` tells NaN, ±inf, -0.0 and 0.0 apart; `==` cannot.
+        let debug = |rs: &[DataRecord]| format!("{rs:?}");
+        for descending in [false, true] {
+            let expected = debug(&sort(non_finite_fixture(), "k", descending));
+            for budget in [1, 7, 64] {
+                let got = sort_external(non_finite_fixture(), "k", descending, budget).unwrap();
+                assert_eq!(
+                    expected,
+                    debug(&got),
+                    "budget {budget}, descending {descending}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn distinct_keeps_first_occurrences_in_input_order() {
+        // 20k records, each of 10k keys twice at scattered positions
+        // (`i * 7919 % 20_000` permutes 0..20_000): half are duplicates.
+        let key = |i: u64| i * 7919 % 20_000 / 2;
+        let input: Vec<DataRecord> = (0..20_000u64)
+            .map(|i| rec(i, &[("k", Value::Int(key(i) as i64))]))
+            .collect();
+        let mut seen = std::collections::BTreeSet::new();
+        let expected: Vec<u64> = (0..20_000u64).filter(|&i| seen.insert(key(i))).collect();
+        assert_eq!(expected.len(), 10_000);
+        for fields in [vec!["k".to_string()], vec![]] {
+            let out = distinct(input.clone(), &fields);
+            assert_eq!(out.iter().map(|r| r.id).collect::<Vec<_>>(), expected);
+        }
     }
 }

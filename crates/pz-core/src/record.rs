@@ -11,15 +11,21 @@ use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A dynamically-typed field value.
+///
+/// Text is shared and immutable: cloning a `Text` value (and so a record)
+/// bumps a reference count and copies no bytes. A source parses each
+/// document once and every record scanned or derived from it points at
+/// that one copy.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum Value {
     Null,
     Bool(bool),
     Int(i64),
     Float(f64),
-    Text(String),
+    Text(Arc<str>),
     TextList(Vec<String>),
 }
 
@@ -30,14 +36,7 @@ impl Value {
 
     /// Render for prompts / display. Lists join with `; `.
     pub fn as_display(&self) -> String {
-        match self {
-            Value::Null => String::new(),
-            Value::Bool(b) => b.to_string(),
-            Value::Int(i) => i.to_string(),
-            Value::Float(f) => format!("{f}"),
-            Value::Text(s) => s.clone(),
-            Value::TextList(v) => v.join("; "),
-        }
+        self.to_string()
     }
 
     /// Text content if the value is text.
@@ -79,7 +78,7 @@ impl Value {
             return Value::Null;
         }
         match ty {
-            FieldType::Text => Value::Text(t.to_string()),
+            FieldType::Text => Value::Text(t.into()),
             FieldType::Int => t.parse::<i64>().map(Value::Int).unwrap_or(Value::Null),
             FieldType::Float => t.parse::<f64>().map(Value::Float).unwrap_or(Value::Null),
             FieldType::Bool => match t.to_ascii_lowercase().as_str() {
@@ -109,20 +108,43 @@ impl Value {
     }
 }
 
+/// Writes straight into the formatter, so a caller that renders into a
+/// reused buffer (`aggregate`'s group keys) allocates nothing.
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.as_display())
+        match self {
+            Value::Null => Ok(()),
+            Value::Bool(b) => write!(f, "{b}"),
+            Value::Int(i) => write!(f, "{i}"),
+            Value::Float(x) => write!(f, "{x}"),
+            Value::Text(s) => f.write_str(s),
+            Value::TextList(v) => {
+                for (i, item) in v.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str("; ")?;
+                    }
+                    f.write_str(item)?;
+                }
+                Ok(())
+            }
+        }
     }
 }
 
 impl From<&str> for Value {
     fn from(s: &str) -> Self {
-        Value::Text(s.to_string())
+        Value::Text(s.into())
     }
 }
 
 impl From<String> for Value {
     fn from(s: String) -> Self {
+        Value::Text(s.into())
+    }
+}
+
+impl From<Arc<str>> for Value {
+    fn from(s: Arc<str>) -> Self {
         Value::Text(s)
     }
 }
@@ -252,7 +274,7 @@ impl DataRecord {
                 Value::Bool(b) => serde_json::Value::Bool(*b),
                 Value::Int(i) => serde_json::Value::from(*i),
                 Value::Float(f) => serde_json::Value::from(*f),
-                Value::Text(s) => serde_json::Value::String(s.clone()),
+                Value::Text(s) => serde_json::Value::String(s.to_string()),
                 Value::TextList(l) => {
                     serde_json::Value::Array(l.iter().map(|s| s.clone().into()).collect())
                 }
@@ -373,6 +395,20 @@ mod tests {
         assert_eq!(j["l"][0], "x");
     }
 
+    #[test]
+    fn json_of_shared_text_is_a_plain_string() {
+        let r = DataRecord::new(3)
+            .with_field("contents", "body")
+            .with_field("n", 2i64);
+        let text = serde_json::to_string(&r).unwrap();
+        assert_eq!(
+            text,
+            r#"{"fields":{"contents":{"Text":"body"},"n":{"Int":2}},"id":3,"lineage":[]}"#
+        );
+        let back: DataRecord = serde_json::from_str(&text).unwrap();
+        assert_eq!(back, r);
+    }
+
     proptest! {
         #[test]
         fn parse_int_round_trips(i in any::<i64>()) {
@@ -381,7 +417,7 @@ mod tests {
 
         #[test]
         fn display_never_panics(s in "(?s).{0,100}") {
-            let v = Value::Text(s);
+            let v = Value::Text(s.into());
             let _ = v.as_display();
         }
 
