@@ -1,7 +1,11 @@
 //! Shared harness for the experiments (see EXPERIMENTS.md).
 //!
-//! The `repro` binary builds on these helpers so all experiments run the
-//! exact same pipelines over the exact same corpora.
+//! [`experiments`] holds every experiment as one row of a table; the
+//! `repro` binary parses flags and runs the rows. The helpers below make
+//! every experiment run the same pipelines over the same corpora.
+
+pub mod experiments;
+pub mod report;
 
 use pz_core::prelude::*;
 use pz_datagen::science::{self, ScienceConfig, ScienceTruth};

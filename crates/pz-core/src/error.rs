@@ -15,6 +15,9 @@ pub enum PzError {
     UnknownDataset(String),
     #[error("unknown UDF: {0}")]
     UnknownUdf(String),
+    /// A serving job named a tenant the host never provisioned.
+    #[error("unknown tenant: {0}")]
+    UnknownTenant(String),
     #[error("execution error: {0}")]
     Execution(String),
     #[error("optimizer error: {0}")]

@@ -2,12 +2,13 @@
 //!
 //! The paper validated its scientific-discovery output "manually". The
 //! reproduction keeps machine-checkable truth alongside every generated
-//! corpus, and scores pipeline output with standard set-based precision /
-//! recall / F1. These scores are what the optimizer's *quality* dimension
-//! (E3) and sentinel calibration (E9) are measured against.
+//! corpus, and scores pipeline output with set- (or multiset-) based
+//! precision / recall / F1. These scores are what the optimizer's
+//! *quality* dimension (E3) and sentinel calibration (E9) are measured
+//! against.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A dataset mention planted in a paper (the extraction target of E1).
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -90,22 +91,25 @@ pub fn score_string_sets(predicted: &[String], expected: &[String]) -> PrF1 {
 /// Score extracted `(name, url)` pairs against expected dataset mentions.
 /// A prediction counts as a true positive when the normalized name matches
 /// *and* the URL matches exactly (the paper verified URL validity by hand;
-/// we verify it mechanically).
+/// we verify it mechanically). Mentions are a multiset: a dataset cited by
+/// two papers is two mentions, and each prediction matches at most one
+/// mention not already matched.
 pub fn score_dataset_extractions(
     predicted: &[(Option<String>, Option<String>)],
     expected: &[DatasetMention],
 ) -> PrF1 {
-    let truth: BTreeSet<(String, String)> = expected
-        .iter()
-        .map(|m| (normalize(&m.name), m.url.clone()))
-        .collect();
+    let mut unmatched: BTreeMap<(String, &str), usize> = BTreeMap::new();
+    for m in expected {
+        *unmatched.entry((normalize(&m.name), &m.url)).or_default() += 1;
+    }
     let mut tp = 0usize;
-    let mut seen: BTreeSet<(String, String)> = BTreeSet::new();
     for (name, url) in predicted {
         if let (Some(n), Some(u)) = (name, url) {
-            let key = (normalize(n), u.clone());
-            if truth.contains(&key) && seen.insert(key) {
-                tp += 1;
+            if let Some(left) = unmatched.get_mut(&(normalize(n), u.as_str())) {
+                if *left > 0 {
+                    *left -= 1;
+                    tp += 1;
+                }
             }
         }
     }
@@ -216,6 +220,26 @@ mod tests {
         assert_eq!(m.true_positives, 1);
         assert_eq!(m.predicted, 2);
         assert!(m.precision < 1.0);
+    }
+
+    #[test]
+    fn a_dataset_cited_twice_is_two_mentions() {
+        let mention = DatasetMention {
+            name: "GSE39582".into(),
+            description: String::new(),
+            url: "https://geo/GSE39582".into(),
+        };
+        let truth = vec![mention.clone(), mention];
+        let pred = (
+            Some("gse39582".to_string()),
+            Some("https://geo/GSE39582".to_string()),
+        );
+        let m = score_dataset_extractions(&[pred.clone(), pred.clone()], &truth);
+        assert_eq!(m.true_positives, 2);
+        assert_eq!(m.f1, 1.0);
+        // A third extraction of it finds no mention left to match.
+        let m = score_dataset_extractions(&[pred.clone(), pred.clone(), pred], &truth);
+        assert_eq!(m.true_positives, 2);
     }
 
     #[test]

@@ -219,10 +219,22 @@ impl ServeHost {
 
     /// Run one session inline (no extra thread), measured on the clock.
     pub fn run_session(&self, job: SessionJob) -> SessionOutcome {
-        let ctx = self
-            .session_ctx(&job.tenant)
-            .expect("unknown tenant in SessionJob");
-        Self::run_on(&ctx, job)
+        match self.session_ctx(&job.tenant) {
+            Some(ctx) => Self::run_on(&ctx, job),
+            None => Self::unknown_tenant(job),
+        }
+    }
+
+    /// A job naming a tenant this host never provisioned fails on its own,
+    /// with a structured error that is not a shed.
+    fn unknown_tenant(job: SessionJob) -> SessionOutcome {
+        SessionOutcome {
+            result: Err(PzError::UnknownTenant(job.tenant.clone())),
+            tenant: job.tenant,
+            session: job.session,
+            interactive: job.interactive,
+            latency_secs: 0.0,
+        }
     }
 
     fn run_on(ctx: &PzContext, job: SessionJob) -> SessionOutcome {
@@ -243,23 +255,28 @@ impl ServeHost {
     /// scheduler arbitrates model slots among the admitted. "Together" is
     /// enforced at the gate ([`AdmissionController::expect_batch`]): no
     /// admitted run starts before every job has been admitted, queued or
-    /// shed, so the split does not depend on how long a run takes.
+    /// shed, so the split does not depend on how long a run takes. A job
+    /// naming an unknown tenant fails alone and is not waited for.
     pub fn serve(&self, jobs: Vec<SessionJob>) -> ServeReport {
         let t_start = self.clock.now_secs();
         let submitted = jobs.len();
-        let barrier = Arc::new(Barrier::new(jobs.len()));
-        let outcomes: Arc<Mutex<Vec<SessionOutcome>>> =
-            Arc::new(Mutex::new(Vec::with_capacity(jobs.len())));
-        self.admission.expect_batch(jobs.len());
+        let mut outcomes = Vec::with_capacity(submitted);
+        let mut runnable = Vec::with_capacity(submitted);
+        for job in jobs {
+            match self.session_ctx(&job.tenant) {
+                Some(ctx) => runnable.push((ctx, job)),
+                None => outcomes.push(Self::unknown_tenant(job)),
+            }
+        }
+        let barrier = Arc::new(Barrier::new(runnable.len()));
+        let outcomes = Arc::new(Mutex::new(outcomes));
+        self.admission.expect_batch(runnable.len());
         std::thread::scope(|s| {
-            for job in jobs {
-                let ctx = self
-                    .session_ctx(&job.tenant)
-                    .expect("unknown tenant in SessionJob")
-                    .with_admission(Arc::new(BatchMember {
-                        gate: self.admission.clone(),
-                        reached_gate: AtomicBool::new(false),
-                    }));
+            for (ctx, job) in runnable {
+                let ctx = ctx.with_admission(Arc::new(BatchMember {
+                    gate: self.admission.clone(),
+                    reached_gate: AtomicBool::new(false),
+                }));
                 let barrier = barrier.clone();
                 let outcomes = outcomes.clone();
                 s.spawn(move || {

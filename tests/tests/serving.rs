@@ -663,3 +663,43 @@ fn streaming_quota_refusal_is_structured_and_never_overbills() {
     let billed = host.tenant("c").unwrap().ctx.ledger.total_cost_usd();
     assert!(billed <= cap + 1e-9, "billed {billed} past cap {cap}");
 }
+
+/// A job naming a tenant the host never provisioned fails with a
+/// structured error naming the tenant, and is not a shed.
+#[test]
+fn unknown_tenant_session_is_an_error_not_a_panic() {
+    let host = ServeHost::new(open_admission(1));
+    let out = host.run_session(SessionJob::new("ghost", "s", session_plan("docs")));
+    let err = out.result.expect_err("no such tenant");
+    assert!(
+        !err.is_overloaded(),
+        "an unknown tenant is not a shed: {err}"
+    );
+    assert!(err.to_string().contains("ghost"), "unexpected error: {err}");
+}
+
+/// One bad job in a batch fails alone: the admission gate is sized by the
+/// jobs that will run, so the known tenants' sessions are not held for it.
+#[test]
+fn serve_batch_with_an_unknown_tenant_completes_the_rest() {
+    let mut host = ServeHost::new(open_admission(4));
+    host.add_tenant(TenantSpec::new("t").with_seed(tenant_seed("t")));
+    let ctx = host.session_ctx("t").unwrap();
+    let mut jobs = Vec::new();
+    for s in ["a", "b", "c"] {
+        register_corpus(&ctx, s, 70, 3);
+        jobs.push(SessionJob::new("t", s, session_plan(s)));
+    }
+    jobs.insert(1, SessionJob::new("ghost", "x", session_plan("a")));
+    let report = host.serve(jobs);
+    assert_eq!(report.metrics.sessions_submitted, 4);
+    assert_eq!(report.metrics.sessions_completed, 3);
+    assert_eq!(report.metrics.sessions_shed, 0);
+    let failed: Vec<&str> = report
+        .outcomes
+        .iter()
+        .filter(|o| o.result.is_err())
+        .map(|o| o.tenant.as_str())
+        .collect();
+    assert_eq!(failed, ["ghost"]);
+}
