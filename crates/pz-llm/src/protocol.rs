@@ -28,8 +28,8 @@
 //! lines end in `\n` or `\r\n`.
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// A field requested from an `extract` task.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -112,8 +112,13 @@ pub enum Task<'a> {
     },
 }
 
-fn sanitize_line(s: &str) -> String {
-    s.replace(['\n', '\r'], " ")
+/// `s` on one line: line breaks become spaces. Borrows `s` when it has none.
+fn sanitize_line(s: &str) -> Cow<'_, str> {
+    if s.contains(['\n', '\r']) {
+        Cow::Owned(s.replace(['\n', '\r'], " "))
+    } else {
+        Cow::Borrowed(s)
+    }
 }
 
 /// Build a `filter` prompt at standard effort.
@@ -123,12 +128,15 @@ pub fn filter_prompt(predicate: &str, input: &str) -> String {
 
 /// Build a `filter` prompt with an explicit effort level.
 pub fn filter_prompt_with_effort(predicate: &str, input: &str, effort: Effort) -> String {
-    format!(
-        "#TASK filter\n#PREDICATE {}\n{}#INPUT\n{}",
-        sanitize_line(predicate),
+    [
+        "#TASK filter\n#PREDICATE ",
+        &sanitize_line(predicate),
+        "\n",
         effort_header(effort),
-        input
-    )
+        "#INPUT\n",
+        input,
+    ]
+    .concat()
 }
 
 fn effort_header(effort: Effort) -> &'static str {
@@ -150,25 +158,49 @@ pub fn extract_prompt_with_effort(
     input: &str,
     effort: Effort,
 ) -> String {
-    let mut s = String::from("#TASK extract\n");
-    s.push_str(effort_header(effort));
-    let names: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
-    let _ = writeln!(s, "#FIELDS {}", names.join("|"));
-    for f in fields {
-        let _ = writeln!(
-            s,
-            "#DESC {}: {}",
-            sanitize_line(&f.name),
-            sanitize_line(&f.description)
-        );
-    }
     let card = match cardinality {
         Cardinality::OneToOne => "one",
         Cardinality::OneToMany => "many",
     };
-    let _ = writeln!(s, "#CARDINALITY {card}");
-    s.push_str("#INPUT\n");
-    s.push_str(input);
+    let header = effort_header(effort);
+    // The exact length, so the prompt is built in one allocation: per field
+    // its name in `#FIELDS` and its `#DESC` line, and the `|` between names.
+    let fields_len: usize = fields
+        .iter()
+        .map(|f| 2 * f.name.len() + f.description.len() + "#DESC : \n".len())
+        .sum::<usize>()
+        + fields.len().saturating_sub(1);
+    let mut s = String::with_capacity(
+        "#TASK extract\n#FIELDS \n#CARDINALITY \n#INPUT\n".len()
+            + header.len()
+            + fields_len
+            + card.len()
+            + input.len(),
+    );
+    s.push_str("#TASK extract\n");
+    s.push_str(header);
+    s.push_str("#FIELDS ");
+    for (i, f) in fields.iter().enumerate() {
+        if i > 0 {
+            s.push('|');
+        }
+        s.push_str(&f.name);
+    }
+    s.push('\n');
+    for f in fields {
+        for part in [
+            "#DESC ",
+            &sanitize_line(&f.name),
+            ": ",
+            &sanitize_line(&f.description),
+            "\n",
+        ] {
+            s.push_str(part);
+        }
+    }
+    for part in ["#CARDINALITY ", card, "\n#INPUT\n", input] {
+        s.push_str(part);
+    }
     s
 }
 
@@ -456,6 +488,69 @@ mod tests {
         match parse_prompt(&p).unwrap() {
             Task::Filter { predicate, .. } => assert_eq!(predicate, "line1 line2"),
             _ => unreachable!(),
+        }
+    }
+
+    #[test]
+    fn prompts_are_the_formatted_prompts() {
+        // The `format!` / `writeln!` builders these replaced.
+        fn filter_formatted(predicate: &str, input: &str, effort: Effort) -> String {
+            format!(
+                "#TASK filter\n#PREDICATE {}\n{}#INPUT\n{}",
+                predicate.replace(['\n', '\r'], " "),
+                effort_header(effort),
+                input
+            )
+        }
+        fn extract_formatted(
+            fields: &[FieldSpec],
+            card: Cardinality,
+            input: &str,
+            effort: Effort,
+        ) -> String {
+            use std::fmt::Write as _;
+            let line = |s: &str| s.replace(['\n', '\r'], " ");
+            let mut s = String::from("#TASK extract\n");
+            s.push_str(effort_header(effort));
+            let names: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
+            let _ = writeln!(s, "#FIELDS {}", names.join("|"));
+            for f in fields {
+                let _ = writeln!(s, "#DESC {}: {}", line(&f.name), line(&f.description));
+            }
+            let card = match card {
+                Cardinality::OneToOne => "one",
+                Cardinality::OneToMany => "many",
+            };
+            let _ = writeln!(s, "#CARDINALITY {card}");
+            s.push_str("#INPUT\n");
+            s.push_str(input);
+            s
+        }
+        let field_sets = [
+            vec![],
+            vec![FieldSpec::new("dataset", "the public dataset\r\nused")],
+            vec![
+                FieldSpec::new("name", "Name"),
+                FieldSpec::new("a\nb", ""),
+                FieldSpec::new("é", "数据 set"),
+            ],
+        ];
+        for effort in [Effort::Standard, Effort::High] {
+            for input in ["", "Title: X\nBody é.", "#INPUT\nnested"] {
+                for predicate in ["about cancer", "two\nlines\r", ""] {
+                    assert_eq!(
+                        filter_prompt_with_effort(predicate, input, effort),
+                        filter_formatted(predicate, input, effort)
+                    );
+                }
+                for fields in &field_sets {
+                    for card in [Cardinality::OneToOne, Cardinality::OneToMany] {
+                        let built = extract_prompt_with_effort(fields, card, input, effort);
+                        assert_eq!(built, extract_formatted(fields, card, input, effort));
+                        assert_eq!(built.capacity(), built.len(), "one exact allocation");
+                    }
+                }
+            }
         }
     }
 

@@ -16,13 +16,17 @@
 //!
 //! The simulator stands in for a network call, so its wall cost should be a
 //! few passes over the prompt and nothing that grows with it on the heap. A
-//! completion reads its document three times and copies it never:
+//! completion reads its document three times and copies it never, and the
+//! first two reads take ASCII text 8 bytes at a time ([`crate::text`]):
 //!
-//! 1. **one token count** of the prompt — the bill ([`count_tokens`]);
+//! 1. **one token count** of the prompt — the bill ([`count_tokens`]), one
+//!    table lookup per 8-byte chunk;
 //! 2. **one word scan** — [`find_stems`] walks the document's words through
-//!    the shared text kernel ([`crate::text`]), compares each word's stem
-//!    against the handful of predicate stems without building either, and
-//!    stops once every predicate word is found. The stopword test runs only
+//!    the shared text kernel, which steps over whole chunks of separators
+//!    and of word bytes. A word whose first byte starts no predicate stem
+//!    is dropped by one lookup; the rest are compared stem against stem
+//!    without building either, and the walk stops once every predicate
+//!    word is found. The stopword test (one first-byte bucket) runs only
 //!    on a word whose stem matched: a stopword is dropped from the
 //!    document's vocabulary, so it can only *withhold* a hit, and a word
 //!    that matches nothing has no hit to withhold;
@@ -222,17 +226,19 @@ fn find_stems(needles: &[Stem<'_>], haystack: &str) -> Vec<bool> {
     let mut found = vec![false; needles.len()];
     let mut missing = needles.len();
     let mut buf = String::new();
+    // A stem keeps its word's first byte, so most words are ruled out on
+    // that byte alone, by one lookup, before any folding or stemming.
+    let mut firsts = [false; 256];
+    for needle in needles {
+        if let Some(b) = needle.first_byte() {
+            firsts[usize::from(b)] = true;
+        }
+    }
     for word in words(haystack) {
         if missing == 0 {
             break;
         }
-        // A stem keeps its word's first byte, so most words are ruled out
-        // on that byte alone, before any folding or stemming.
-        let first = word.as_bytes()[0].to_ascii_lowercase();
-        if !needles
-            .iter()
-            .any(|needle| needle.first_byte() == Some(first))
-        {
+        if !firsts[usize::from(word.as_bytes()[0].to_ascii_lowercase())] {
             continue;
         }
         let word = lower(word, &mut buf);

@@ -6,14 +6,53 @@
 //! refined to count word and punctuation boundaries so that token counts
 //! respond to structure the way BPE counts do.
 //!
+//! ASCII text is counted 8 bytes per step: a chunk's alphanumeric bytes, as
+//! an 8-bit mask, and the length (mod 4) of the run it continues index a
+//! const table holding the tokens the chunk's runs start and the run it
+//! leaves; its punctuation bytes are counted by one multiply. A chunk with a
+//! non-ASCII byte is counted character by character under the Unicode rule.
+//!
 //! A provider call counts its prompt exactly once — in the simulator, where
 //! the count is the bill. The operator side only has to know whether a
 //! document *fits*, and [`truncate_to_tokens`] answers that without
 //! counting whenever it can: every token covers at least one byte, so a text
 //! of at most `max_tokens` bytes has at most `max_tokens` tokens.
 
-use crate::text::{class_at, ALPHANUMERIC, PUNCTUATION};
+use crate::text::{
+    alphanumeric_lanes, ascii_chunk, chunks_resume, class_at, lane_count, lane_mask,
+    punctuation_lanes, ALPHANUMERIC, CHUNK, PUNCTUATION,
+};
 use std::borrow::Cow;
+
+/// One chunk's tokens from its alphanumeric lanes: `RUN_STEP[run][mask]` for
+/// a chunk entered `run` (mod 4) alphanumerics into a run, with bit `k` of
+/// `mask` set for an alphanumeric byte `k`, is the tokens its runs start
+/// (low nibble) and the run length mod 4 it leaves (high nibble). Mod 4 is
+/// enough: a run takes a token at its 1st, 5th, 9th … character, so a run of
+/// 4 and no run at all both take one at the next alphanumeric.
+const RUN_STEP: [[u8; 256]; 4] = {
+    let mut table = [[0u8; 256]; 4];
+    let mut entered = 0;
+    while entered < 4 {
+        let mut mask = 0;
+        while mask < 256 {
+            let (mut run, mut tokens, mut lane) = (entered, 0u8, 0);
+            while lane < CHUNK {
+                run = if mask >> lane & 1 == 1 {
+                    (run + 1) & 3
+                } else {
+                    0
+                };
+                tokens += (run == 1) as u8;
+                lane += 1;
+            }
+            table[entered][mask] = tokens | (run as u8) << 4;
+            mask += 1;
+        }
+        entered += 1;
+    }
+    table
+};
 
 /// Count tokens in `text`.
 ///
@@ -22,8 +61,12 @@ use std::borrow::Cow;
 /// every non-space punctuation character contributes one token, and
 /// whitespace is free. The empty string is zero tokens.
 ///
-/// ASCII is classified by table lookup, without a branch per character; a
-/// non-ASCII character is decoded and classified by the Unicode rule.
+/// The text is read 8 bytes at a time (see the `text` module). An ASCII
+/// chunk is classified as one word: its punctuation lanes are counted by one
+/// multiply, and its alphanumeric lanes, as an 8-bit mask, index `RUN_STEP`
+/// with the run carried in from the previous chunk. A chunk holding a
+/// non-ASCII byte is read one character at a time, each decoded and
+/// classified by the Unicode rule.
 ///
 /// Properties relied on elsewhere (and checked by property tests):
 /// * `count_tokens("") == 0`
@@ -31,18 +74,33 @@ use std::borrow::Cow;
 /// * subadditive-ish: `count(a + b) <= count(a) + count(b) + 1`
 /// * `count(a) <= a.len()`
 pub fn count_tokens(text: &str) -> usize {
+    let bytes = text.as_bytes();
     let mut tokens = 0usize;
-    // Alphanumerics so far in the current run. A run of n is ceil(n / 4)
-    // tokens: one at its 1st, 5th, 9th … character.
+    // Length mod 4 of the alphanumeric run the next byte continues.
     let mut run = 0usize;
     let mut i = 0usize;
-    while i < text.len() {
-        let (class, width) = class_at(text, i);
-        // Branch-free on the class (the flags are 0, 1 and 2): `run` resets
-        // unless alphanumeric, and `class / PUNCTUATION` is 1 only for it.
-        run = (run + 1) & usize::from(class & ALPHANUMERIC).wrapping_neg();
-        tokens += usize::from(run & 3 == 1) + usize::from(class / PUNCTUATION);
-        i += width;
+    while i < bytes.len() {
+        if let Some(word) = ascii_chunk(bytes, i) {
+            let alphanumeric = alphanumeric_lanes(word);
+            let step = RUN_STEP[run][lane_mask(alphanumeric)];
+            run = usize::from(step >> 4);
+            tokens += usize::from(step & 0xf) + lane_count(punctuation_lanes(word));
+            i += CHUNK;
+        } else {
+            let from = i;
+            while i < bytes.len() {
+                let (class, width) = class_at(text, i);
+                // Branch-free on the class (the flags are 0, 1 and 2): `run`
+                // resets unless alphanumeric, and `class / PUNCTUATION` is 1
+                // only for it.
+                run = (run + 1) & 3 & usize::from(class & ALPHANUMERIC).wrapping_neg();
+                tokens += usize::from(run == 1) + usize::from(class / PUNCTUATION);
+                i += width;
+                if chunks_resume(from, i, width) {
+                    break;
+                }
+            }
+        }
     }
     tokens
 }
@@ -100,12 +158,28 @@ pub fn truncate_to_tokens(text: &str, max_tokens: usize) -> Cow<'_, str> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::text::reference::odd_text;
+    use crate::text::reference::{ascii_text, mixed_cuts, odd_text};
     use proptest::prelude::*;
 
     /// The per-`char` counter and the `String`-building truncation this
     /// module used to have, kept as the reference for the differentials.
     mod reference {
+        /// The per-character loop [`super::count_tokens`] replaced: each
+        /// character classified through `class_at`, run kept exactly.
+        pub fn count_tokens_by_class(text: &str) -> usize {
+            use crate::text::{class_at, ALPHANUMERIC, PUNCTUATION};
+            let mut tokens = 0usize;
+            let mut run = 0usize;
+            let mut i = 0usize;
+            while i < text.len() {
+                let (class, width) = class_at(text, i);
+                run = (run + 1) & usize::from(class & ALPHANUMERIC).wrapping_neg();
+                tokens += usize::from(run & 3 == 1) + usize::from(class / PUNCTUATION);
+                i += width;
+            }
+            tokens
+        }
+
         pub fn count_tokens(text: &str) -> usize {
             let mut tokens = 0usize;
             let mut run_len = 0usize;
@@ -181,6 +255,33 @@ mod tests {
                 reference::count_tokens(&around),
                 "byte {b:#x}"
             );
+        }
+    }
+
+    #[test]
+    fn count_matches_references_at_every_chunk_offset() {
+        for text in mixed_cuts() {
+            let want = reference::count_tokens(&text);
+            assert_eq!(count_tokens(&text), want, "{text:?}");
+            assert_eq!(reference::count_tokens_by_class(&text), want, "{text:?}");
+        }
+        // Runs of every length across chunk edges, in and out of ASCII.
+        for len in 0..40 {
+            for lead in 0..CHUNK {
+                for sep in [" ", ".", "é", "\u{a0}"] {
+                    let text = format!(
+                        "{}{}{sep}{}",
+                        ",".repeat(lead),
+                        "a".repeat(len),
+                        "b".repeat(len)
+                    );
+                    assert_eq!(
+                        count_tokens(&text),
+                        reference::count_tokens(&text),
+                        "{text:?}"
+                    );
+                }
+            }
         }
     }
 
@@ -277,7 +378,14 @@ mod tests {
         #[test]
         fn count_matches_reference(text in odd_text()) {
             prop_assert_eq!(count_tokens(&text), reference::count_tokens(&text));
+            prop_assert_eq!(count_tokens(&text), reference::count_tokens_by_class(&text));
             prop_assert!(count_tokens(&text) <= text.len());
+        }
+
+        #[test]
+        fn count_matches_reference_on_ascii(text in ascii_text()) {
+            prop_assert_eq!(count_tokens(&text), reference::count_tokens(&text));
+            prop_assert_eq!(count_tokens(&text), reference::count_tokens_by_class(&text));
         }
 
         #[test]

@@ -6,6 +6,14 @@
 //! structural span is currently open (an executor operator, an agent step)
 //! without disturbing the scope stack — safe for parallel workers.
 //!
+//! A call costs the tracer one lock: the wrapper reads the clock before the
+//! call and, once it returns, records the finished span — its attributes,
+//! its counter increment and its latency sample — in one
+//! [`pz_obs::Tracer::record_leaf`]. The span is numbered and parented when it
+//! is recorded, which in a single-threaded run is exactly what opening it
+//! first would give: nothing opens a span while a provider call runs. A call
+//! that unwinds records no span.
+//!
 //! The wrapper sees only calls that actually reach the provider: placed
 //! inside a [`crate::CachingClient`], cache hits never produce an LLM span
 //! (they emit `cache_hit` events instead), so `llm` span counts reconcile
@@ -32,41 +40,63 @@ impl TracedClient {
 
 impl LlmClient for TracedClient {
     fn complete(&self, req: &CompletionRequest) -> Result<CompletionResponse, LlmError> {
-        let span = self.tracer.leaf_span(Layer::Llm, "complete");
-        span.set_attr("model", req.model.as_str());
+        let start = self.tracer.now_micros();
         let result = self.inner.complete(req);
+        let model = ("model", req.model.as_str().to_string());
         match &result {
-            Ok(resp) => {
-                span.set_attr("input_tokens", resp.usage.input_tokens.to_string());
-                span.set_attr("output_tokens", resp.usage.output_tokens.to_string());
-                span.set_attr("cost_usd", format!("{:.6}", resp.cost_usd));
-                span.set_attr("latency_secs", format!("{:.6}", resp.latency_secs));
-                self.tracer.incr("llm.completions", 1);
-                self.tracer.observe("llm.latency_secs", resp.latency_secs);
-            }
-            Err(e) => {
-                span.set_attr("error", e.to_string());
-                self.tracer.incr("llm.errors", 1);
-            }
+            Ok(resp) => self.tracer.record_leaf(
+                Layer::Llm,
+                "complete",
+                start,
+                [
+                    model,
+                    ("input_tokens", resp.usage.input_tokens.to_string()),
+                    ("output_tokens", resp.usage.output_tokens.to_string()),
+                    ("cost_usd", format!("{:.6}", resp.cost_usd)),
+                    ("latency_secs", format!("{:.6}", resp.latency_secs)),
+                ],
+                "llm.completions",
+                Some(("llm.latency_secs", resp.latency_secs)),
+            ),
+            Err(e) => self.tracer.record_leaf(
+                Layer::Llm,
+                "complete",
+                start,
+                [model, ("error", e.to_string())],
+                "llm.errors",
+                None,
+            ),
         }
         result
     }
 
     fn embed(&self, req: &EmbeddingRequest) -> Result<EmbeddingResponse, LlmError> {
-        let span = self.tracer.leaf_span(Layer::Llm, "embed");
-        span.set_attr("model", req.model.as_str());
-        span.set_attr("inputs", req.inputs.len().to_string());
+        let start = self.tracer.now_micros();
         let result = self.inner.embed(req);
+        let model = ("model", req.model.as_str().to_string());
+        let inputs = ("inputs", req.inputs.len().to_string());
         match &result {
-            Ok(resp) => {
-                span.set_attr("input_tokens", resp.usage.input_tokens.to_string());
-                span.set_attr("cost_usd", format!("{:.6}", resp.cost_usd));
-                self.tracer.incr("llm.embeddings", 1);
-            }
-            Err(e) => {
-                span.set_attr("error", e.to_string());
-                self.tracer.incr("llm.errors", 1);
-            }
+            Ok(resp) => self.tracer.record_leaf(
+                Layer::Llm,
+                "embed",
+                start,
+                [
+                    model,
+                    inputs,
+                    ("input_tokens", resp.usage.input_tokens.to_string()),
+                    ("cost_usd", format!("{:.6}", resp.cost_usd)),
+                ],
+                "llm.embeddings",
+                None,
+            ),
+            Err(e) => self.tracer.record_leaf(
+                Layer::Llm,
+                "embed",
+                start,
+                [model, inputs, ("error", e.to_string())],
+                "llm.errors",
+                None,
+            ),
         }
         result
     }

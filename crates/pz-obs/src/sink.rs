@@ -58,7 +58,9 @@ impl HistogramSummary {
             return 0.0;
         }
         let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        // A total order: a NaN sample (a provider reporting a NaN latency)
+        // sorts above every number instead of making the sort panic.
+        sorted.sort_by(f64::total_cmp);
         let rank = ((q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize).max(1);
         sorted[rank.min(sorted.len()) - 1]
     }
@@ -79,7 +81,9 @@ impl HistogramSummary {
 #[derive(Default)]
 struct TraceState {
     spans: Vec<SpanRecord>,
-    /// span id → index into `spans`.
+    /// span id → index into `spans`, for the spans still open or still
+    /// taking attributes. A leaf recorded whole ([`Tracer::record_leaf`])
+    /// has no entry: nothing looks it up again.
     index: HashMap<SpanId, usize>,
     events: Vec<Event>,
     counters: BTreeMap<String, u64>,
@@ -98,10 +102,34 @@ impl TraceState {
                 self.root_count += 1;
                 SpanId::root(self.root_count)
             }
-            Some(p) => {
-                let n = self.child_count.entry(p.clone()).or_insert(0);
-                *n += 1;
-                p.child(*n)
+            Some(p) => match self.child_count.get_mut(p) {
+                Some(n) => {
+                    *n += 1;
+                    p.child(*n)
+                }
+                None => {
+                    self.child_count.insert(p.clone(), 1);
+                    p.child(1)
+                }
+            },
+        }
+    }
+
+    fn incr(&mut self, name: &str, by: u64) {
+        match self.counters.get_mut(name) {
+            Some(n) => *n += by,
+            None => {
+                self.counters.insert(name.to_string(), by);
+            }
+        }
+    }
+
+    fn observe(&mut self, name: &str, value: f64) {
+        match self.histograms.get_mut(name) {
+            Some(h) => h.observe(value),
+            None => {
+                self.histograms
+                    .insert(name.to_string(), HistogramSummary::new(value));
             }
         }
     }
@@ -192,6 +220,45 @@ impl Tracer {
         self.open_span(layer, name, false)
     }
 
+    /// Record a leaf span that is already over, in one call under one lock:
+    /// opened at `start_us` (read before the work it times), closed now, with
+    /// `attrs`, one increment of the counter `counter` and, when given, one
+    /// histogram sample. The span is parented under the current scope and
+    /// numbered when it is recorded, so a span opened while the work ran
+    /// (none is, in a single-threaded run) would number before it.
+    pub fn record_leaf<'k>(
+        &self,
+        layer: Layer,
+        name: &str,
+        start_us: u64,
+        attrs: impl IntoIterator<Item = (&'k str, String)>,
+        counter: &str,
+        sample: Option<(&str, f64)>,
+    ) {
+        let end = self.now_micros();
+        let name = name.to_string();
+        let mut map = BTreeMap::new();
+        for (key, value) in attrs {
+            map.insert(key.to_string(), value);
+        }
+        let mut st = self.inner.state.lock();
+        let parent = st.scope.last().cloned();
+        let id = st.alloc_id(parent.as_ref());
+        st.spans.push(SpanRecord {
+            id,
+            parent,
+            layer,
+            name,
+            start_us,
+            end_us: Some(end),
+            attrs: map,
+        });
+        st.incr(counter, 1);
+        if let Some((histogram, value)) = sample {
+            st.observe(histogram, value);
+        }
+    }
+
     pub(crate) fn end_span(&self, id: &SpanId, pushed: bool) {
         let end = self.now_micros();
         let mut st = self.inner.state.lock();
@@ -199,11 +266,11 @@ impl Tracer {
             st.spans[i].end_us = Some(end);
         }
         if pushed {
-            // Pop this span (and anything accidentally left above it).
-            while let Some(top) = st.scope.pop() {
-                if top == *id {
-                    break;
-                }
+            // Pop this span and anything accidentally left above it. A span
+            // no longer on the stack (closed out of order, after one it
+            // encloses) pops nothing: its enclosing spans are still open.
+            if let Some(at) = st.scope.iter().rposition(|open| open == id) {
+                st.scope.truncate(at);
             }
         }
     }
@@ -234,8 +301,7 @@ impl Tracer {
 
     /// Add `by` to a named monotonic counter.
     pub fn incr(&self, name: &str, by: u64) {
-        let mut st = self.inner.state.lock();
-        *st.counters.entry(name.to_string()).or_insert(0) += by;
+        self.inner.state.lock().incr(name, by);
     }
 
     /// Current value of a counter (0 if never incremented).
@@ -251,14 +317,7 @@ impl Tracer {
 
     /// Record one observation into a named histogram.
     pub fn observe(&self, name: &str, value: f64) {
-        let mut st = self.inner.state.lock();
-        match st.histograms.get_mut(name) {
-            Some(h) => h.observe(value),
-            None => {
-                st.histograms
-                    .insert(name.to_string(), HistogramSummary::new(value));
-            }
-        }
+        self.inner.state.lock().observe(name, value);
     }
 
     /// Number of spans recorded so far (cheap liveness probe).
@@ -512,6 +571,90 @@ mod tests {
         let single = &Tracer::new(Arc::new(FrozenClock(0)));
         single.observe("one", 7.0);
         assert_eq!(single.snapshot().histograms["one"].p99(), 7.0);
+    }
+
+    #[test]
+    fn histogram_quantiles_survive_nan_samples() {
+        // One NaN latency from a client must not make every later quantile
+        // panic (40 samples with 6 NaN did, under a `partial_cmp` sort).
+        let t = tracer();
+        for i in 0..40 {
+            t.observe(
+                "lat",
+                if i % 7 == 3 {
+                    f64::NAN
+                } else {
+                    f64::from(40 - i)
+                },
+            );
+        }
+        let h = &t.snapshot().histograms["lat"];
+        let mut numbers: Vec<f64> = h.samples.iter().copied().filter(|x| !x.is_nan()).collect();
+        assert_eq!(numbers.len(), 34);
+        numbers.sort_by(f64::total_cmp);
+        assert_eq!(h.p50(), numbers[19]);
+        assert_eq!(h.quantile(0.0), numbers[0]);
+        assert!(h.p99().is_nan());
+    }
+
+    #[test]
+    fn out_of_order_close_keeps_the_enclosing_scope() {
+        let t = tracer();
+        let turn = t.span(Layer::Chat, "turn");
+        let a = t.span(Layer::Agent, "a");
+        let b = t.span(Layer::Agent, "b");
+        // `a` closes first and takes `b` off the stack with it; closing `b`
+        // afterwards must leave `turn` open.
+        drop(a);
+        drop(b);
+        let leaf = t.leaf_span(Layer::Llm, "complete");
+        assert_eq!(leaf.id().to_string(), "1.2");
+        drop(leaf);
+        drop(turn);
+        let snap = t.snapshot();
+        assert_eq!(snap.spans[3].parent, Some(SpanId::root(1)));
+        assert!(snap.spans.iter().all(|s| s.end_us.is_some()));
+    }
+
+    #[test]
+    fn record_leaf_matches_an_opened_and_closed_leaf() {
+        struct Steps(std::sync::atomic::AtomicU64);
+        impl crate::TraceClock for Steps {
+            fn now_micros(&self) -> u64 {
+                self.0.fetch_add(7, std::sync::atomic::Ordering::SeqCst)
+            }
+        }
+        let run = |whole: bool| {
+            let t = Tracer::new(Arc::new(Steps(Default::default())));
+            let _op = t.span(Layer::Executor, "op");
+            for call in 0..3u32 {
+                if whole {
+                    let start = t.now_micros();
+                    t.record_leaf(
+                        Layer::Llm,
+                        "complete",
+                        start,
+                        [("model", "sim".to_string()), ("call", call.to_string())],
+                        "llm.completions",
+                        Some(("llm.latency_secs", f64::from(call))),
+                    );
+                } else {
+                    let leaf = t.leaf_span(Layer::Llm, "complete");
+                    leaf.set_attr("model", "sim");
+                    leaf.set_attr("call", call.to_string());
+                    t.incr("llm.completions", 1);
+                    t.observe("llm.latency_secs", f64::from(call));
+                }
+            }
+            t.snapshot()
+        };
+        let (whole, opened) = (run(true), run(false));
+        assert_eq!(whole.to_jsonl(), opened.to_jsonl());
+        assert_eq!(whole.spans[1].id.to_string(), "1.1");
+        assert_eq!(whole.spans[3].attrs["call"], "2");
+        assert_eq!(whole.spans[3].end_us, Some(whole.spans[3].start_us + 7));
+        assert_eq!(whole.counters["llm.completions"], 3);
+        assert_eq!(whole.histograms["llm.latency_secs"].count, 3);
     }
 
     #[test]

@@ -9,7 +9,9 @@ pub fn percentile(samples: &[f64], q: f64) -> f64 {
         return 0.0;
     }
     let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    // A total order: a NaN sample sorts above every number instead of
+    // making the sort panic.
+    sorted.sort_by(f64::total_cmp);
     let rank = ((q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
     sorted[rank - 1]
 }
@@ -72,6 +74,29 @@ mod tests {
         assert_eq!(percentile(&[], 0.5), 0.0);
         // Unsorted input is fine.
         assert_eq!(percentile(&[3.0, 1.0, 2.0], 0.5), 2.0);
+    }
+
+    #[test]
+    fn percentile_survives_nan_samples() {
+        // 40 latencies, 6 of them NaN: a sort by `partial_cmp` treating NaN
+        // as equal to everything is not a total order, and panics on this.
+        let samples: Vec<f64> = (0..40)
+            .map(|i| {
+                if i % 7 == 3 {
+                    f64::NAN
+                } else {
+                    f64::from(40 - i)
+                }
+            })
+            .collect();
+        let numbers = samples.iter().filter(|x| !x.is_nan()).count();
+        assert_eq!(numbers, 34);
+        // NaN sorts above every number, so the low ranks are the numbers.
+        let mut want: Vec<f64> = samples.iter().copied().filter(|x| !x.is_nan()).collect();
+        want.sort_by(f64::total_cmp);
+        assert_eq!(percentile(&samples, 0.5), want[19]);
+        assert_eq!(percentile(&samples, 0.0), want[0]);
+        assert!(percentile(&samples, 0.99).is_nan());
     }
 
     #[test]
