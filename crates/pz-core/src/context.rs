@@ -2,18 +2,16 @@
 //!
 //! Bundles every service a pipeline touches: the LLM client, the model
 //! catalog (for cost estimation), the dataset and UDF registries, the
-//! vector store, the virtual clock and usage ledger, and the record-id
-//! allocator. Clones share all state, so one context can be handed to
-//! parallel workers.
+//! virtual clock and usage ledger, and the record-id allocator. Clones
+//! share all state, so one context can be handed to parallel workers.
 
-use crate::datasource::{DataRegistry, RecordBatchIter, UdfRegistry};
+use crate::datasource::{DataRegistry, DataSource, RecordBatchIter, UdfRegistry};
 use crate::error::PzResult;
 use pz_llm::{
     CachingClient, Catalog, FaultInjector, HealthTracker, LlmClient, ModelId, RetryContext,
     RetryPolicy, SimConfig, SimulatedLlm, TracedClient, UsageLedger, VirtualClock,
 };
 use pz_obs::Tracer;
-use pz_vector::VectorStore;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -48,8 +46,6 @@ pub struct PzContext {
     pub registry: DataRegistry,
     /// Registered user-defined functions.
     pub udfs: UdfRegistry,
-    /// Vector store backing the Retrieve operator.
-    pub vectors: VectorStore,
     /// Shared virtual clock (latency accounting).
     pub clock: VirtualClock,
     /// Shared usage ledger (token / dollar accounting).
@@ -69,14 +65,6 @@ pub struct PzContext {
     /// executor on its cloned context from `ExecutionConfig::deadline_secs`;
     /// retries and backoff refuse to sleep past it.
     pub deadline_at_secs: Option<f64>,
-    /// Memory budget (in records) for blocking operators. Set by the
-    /// executor on its cloned context from
-    /// `ExecutionConfig::spill_budget_records`; past it, `Sort` spills
-    /// sorted runs to temp files and merges them back, and `HashJoin`
-    /// streams its build side in budget-sized batches instead of
-    /// materializing it. `None` (the default) keeps every operator fully
-    /// in-memory and byte-identical to pre-spill builds.
-    pub spill_budget_records: Option<usize>,
     /// Default embedding model.
     pub embed_model: ModelId,
     /// Sink for the virtual µs calls lose to failures (fault stalls, retry
@@ -133,14 +121,12 @@ impl PzContext {
             catalog,
             registry: DataRegistry::new(),
             udfs: UdfRegistry::new(),
-            vectors: VectorStore::new().with_tracer(tracer.clone()),
             clock,
             ledger,
             retry: RetryPolicy::default(),
             health: HealthTracker::default().with_tracer(tracer.clone()),
             faults,
             deadline_at_secs: None,
-            spill_budget_records: None,
             tracer,
             embed_model: "text-embedding-3-small".into(),
             retry_wait_us: None,
@@ -202,15 +188,26 @@ impl PzContext {
         self.ids.fetch_add(n, Ordering::Relaxed)
     }
 
+    /// Reserve one contiguous block of ids for every record of `src`,
+    /// returning the first. The one place a source's records are numbered
+    /// (scans, join build sides, `UnionAll`), so two reads never share an
+    /// id. The block is sized by the source's cardinality hint; a source
+    /// without one is counted by reading it.
+    pub fn reserve_ids(&self, src: &dyn DataSource) -> u64 {
+        let n = src
+            .cardinality_hint()
+            .or_else(|| src.records(0).ok().map(|r| r.len()))
+            .unwrap_or(0);
+        self.next_ids(n.max(1) as u64)
+    }
+
     /// Open dataset `dataset` as a batch stream of at most `chunk_size`
-    /// records per batch (0 = one batch holding everything). The one place
-    /// a scan reserves record ids — a contiguous block sized by the
-    /// source's cardinality hint, taken up front — so every drive numbers
+    /// records per batch (0 = one batch holding everything). Its ids are
+    /// reserved up front ([`Self::reserve_ids`]), so every drive numbers
     /// the same corpus identically.
     pub fn open_scan(&self, dataset: &str, chunk_size: usize) -> PzResult<RecordBatchIter> {
         let src = self.registry.get(dataset)?;
-        let n = src.cardinality_hint().unwrap_or(0) as u64;
-        src.batches(self.next_ids(n.max(1)), chunk_size)
+        src.batches(self.reserve_ids(src.as_ref()), chunk_size)
     }
 
     /// Reset accounting (clock + ledger + trace + breaker state) between

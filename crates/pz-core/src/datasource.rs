@@ -401,6 +401,18 @@ impl DirectorySource {
             dir: dir.as_ref().to_path_buf(),
         }
     }
+
+    /// The folder's files, sorted by name: one record each.
+    fn files(&self) -> PzResult<Vec<PathBuf>> {
+        let mut paths: Vec<PathBuf> = std::fs::read_dir(&self.dir)
+            .map_err(|e| PzError::Execution(format!("read_dir {}: {e}", self.dir.display())))?
+            .filter_map(|e| e.ok())
+            .map(|e| e.path())
+            .filter(|p| p.is_file())
+            .collect();
+        paths.sort();
+        Ok(paths)
+    }
 }
 
 impl DataSource for DirectorySource {
@@ -413,13 +425,7 @@ impl DataSource for DirectorySource {
     }
 
     fn records(&self, base_id: u64) -> PzResult<Vec<DataRecord>> {
-        let mut paths: Vec<PathBuf> = std::fs::read_dir(&self.dir)
-            .map_err(|e| PzError::Execution(format!("read_dir {}: {e}", self.dir.display())))?
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| p.is_file())
-            .collect();
-        paths.sort();
+        let paths = self.files()?;
         let mut out = Vec::with_capacity(paths.len());
         for (i, p) in paths.iter().enumerate() {
             let filename = p
@@ -435,6 +441,11 @@ impl DataSource for DirectorySource {
             );
         }
         Ok(out)
+    }
+
+    /// The file count: one directory listing, no file read.
+    fn cardinality_hint(&self) -> Option<usize> {
+        self.files().ok().map(|f| f.len())
     }
 }
 

@@ -1,7 +1,6 @@
 //! Error types for the Palimpzest core.
 
 use pz_llm::LlmError;
-use pz_vector::VectorStoreError;
 use thiserror::Error;
 
 /// Crate-wide error type.
@@ -33,8 +32,6 @@ pub enum PzError {
     },
     #[error(transparent)]
     Llm(#[from] LlmError),
-    #[error(transparent)]
-    Vector(#[from] VectorStoreError),
 }
 
 impl PzError {
@@ -57,12 +54,6 @@ mod tests {
         let e: PzError = LlmError::Rejected("nope".into()).into();
         assert!(matches!(e, PzError::Llm(_)));
         assert!(e.to_string().contains("nope"));
-    }
-
-    #[test]
-    fn vector_error_converts() {
-        let e: PzError = VectorStoreError::CollectionNotFound("c".into()).into();
-        assert!(e.to_string().contains("collection not found"));
     }
 
     #[test]

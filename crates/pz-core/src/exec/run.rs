@@ -135,12 +135,6 @@ pub struct ExecutionConfig {
     /// `PzContext::with_incremental`; off by default and byte-invisible
     /// while off (or while no snapshot is installed).
     pub incremental: bool,
-    /// Memory budget (in records) for blocking operators, plumbed to
-    /// `PzContext::spill_budget_records` on the executor's cloned context.
-    /// Past it, `Sort` spills sorted runs to temp files and `HashJoin`
-    /// streams its build side in budget-sized batches. `None` (the
-    /// default) never spills.
-    pub spill_budget_records: Option<usize>,
 }
 
 impl Default for ExecutionConfig {
@@ -150,7 +144,6 @@ impl Default for ExecutionConfig {
             parallelism: 1,
             deadline_secs: None,
             incremental: false,
-            spill_budget_records: None,
         }
     }
 }
@@ -201,13 +194,6 @@ impl ExecutionConfig {
     /// memoized operator verdicts, only the delta is executed and billed.
     pub fn with_incremental(mut self) -> Self {
         self.incremental = true;
-        self
-    }
-
-    /// Set the blocking-operator memory budget: past `records`, `Sort`
-    /// spills runs to temp files and `HashJoin` streams its build side.
-    pub fn with_spill_budget(mut self, records: usize) -> Self {
-        self.spill_budget_records = Some(records.max(1));
         self
     }
 }
@@ -272,9 +258,6 @@ pub(crate) fn execute_ranked(
     let ctx = &{
         let mut c = ctx.clone();
         c.deadline_at_secs = deadline_at;
-        // Blocking operators consult the budget straight off the context,
-        // so it rides the same clone the deadline does.
-        c.spill_budget_records = config.spill_budget_records;
         // The run's own sink for the time its calls lose to failures, which
         // steps read (`Observed`): no other run, and no sink a previous run
         // left on the caller's context, ever mixes in.
@@ -342,10 +325,10 @@ fn stage_kind(op: &PhysicalOp) -> StageKind {
         | PhysicalOp::LlmClassify { .. } => StageKind::PerBatch,
         PhysicalOp::HashJoin { .. } | PhysicalOp::LlmJoin { .. } => StageKind::Probe,
         PhysicalOp::Limit { n } => StageKind::Limit(*n),
-        // Sort/Distinct/Aggregate need the full input; Retrieve builds a
-        // temporary vector collection over it, so per-batch top-k would
-        // be wrong. A mid-plan Scan ignores its input entirely — running
-        // it once at end-of-stream is all it can mean.
+        // Sort/Distinct/Aggregate need the full input, and so does
+        // Retrieve: its top-k ranks the whole input, so a per-batch top-k
+        // would be wrong. A mid-plan Scan ignores its input entirely —
+        // running it once at end-of-stream is all it can mean.
         PhysicalOp::Sort { .. }
         | PhysicalOp::Distinct { .. }
         | PhysicalOp::Aggregate { .. }
@@ -1910,5 +1893,57 @@ mod tests {
         assert_eq!(rec_m, rec_s);
         assert_eq!(stats_m.operators.len(), 2);
         assert_eq!(stats_s.output_records, 11);
+    }
+
+    /// Every read of a folder numbers its files apart: a scan, a
+    /// `UnionAll` and a join build side each reserve one id per file, so
+    /// no two records, and no record and a lineage entry, share an id.
+    #[test]
+    fn folder_reads_number_every_file_once() {
+        let dir = std::env::temp_dir().join(format!("pz-ids-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for name in ["a.txt", "b.txt", "c.txt"] {
+            std::fs::write(dir.join(name), name).unwrap();
+        }
+        let ctx = PzContext::simulated();
+        ctx.registry
+            .register(Arc::new(crate::datasource::DirectorySource::new(
+                "folder",
+                Schema::text_file(),
+                &dir,
+            )));
+        ctx.registry.register(Arc::new(MemorySource::from_texts(
+            "one",
+            Schema::text_file(),
+            vec!["x".into()],
+        )));
+        let scan = || PhysicalOp::Scan {
+            dataset: "folder".into(),
+        };
+        let union = |d: &str| PhysicalOp::UnionAll { dataset: d.into() };
+        let join = PhysicalOp::HashJoin {
+            dataset: "folder".into(),
+            left_field: "filename".into(),
+            right_field: "filename".into(),
+        };
+        for config in [ExecutionConfig::sequential(), ExecutionConfig::streaming()] {
+            let plan = PhysicalPlan {
+                ops: vec![scan(), union("folder"), union("one")],
+            };
+            let (records, _) = execute_plan(&ctx, &plan, config).unwrap();
+            let ids: std::collections::BTreeSet<u64> = records.iter().map(|r| r.id).collect();
+            assert_eq!((records.len(), ids.len()), (7, 7), "{config:?}");
+
+            let plan = PhysicalPlan {
+                ops: vec![scan(), join.clone()],
+            };
+            let (records, _) = execute_plan(&ctx, &plan, config).unwrap();
+            let ids: std::collections::BTreeSet<u64> = records
+                .iter()
+                .flat_map(|r| std::iter::once(r.id).chain(r.lineage.iter().copied()))
+                .collect();
+            assert_eq!((records.len(), ids.len()), (3, 9), "{config:?}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

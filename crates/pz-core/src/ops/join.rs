@@ -42,20 +42,11 @@ fn merge(ctx: &PzContext, left: &DataRecord, right: &DataRecord, right_name: &st
 /// Materialize the build side of a join.
 fn build_side(ctx: &PzContext, dataset: &str) -> PzResult<Vec<DataRecord>> {
     let src = ctx.registry.get(dataset)?;
-    let n = src.cardinality_hint().unwrap_or(0) as u64;
-    let base = ctx.next_ids(n.max(1));
-    src.records(base)
+    src.records(ctx.reserve_ids(src.as_ref()))
 }
 
 /// Conventional equi-join: `left.left_field == right.right_field`
 /// (string-rendered comparison on non-null values).
-///
-/// Under a spill budget (`PzContext::spill_budget_records`) with a build
-/// side larger than the budget, the right side is pulled in budget-sized
-/// batches (`DataSource::batches`) and only the matching records are
-/// kept, so the full build side is never resident. Match lists are
-/// collected per left record and merged left-major afterwards, which
-/// reproduces the in-memory path's output order and id assignment exactly.
 pub fn hash_join(
     ctx: &PzContext,
     input: Vec<DataRecord>,
@@ -63,41 +54,6 @@ pub fn hash_join(
     left_field: &str,
     right_field: &str,
 ) -> PzResult<Vec<DataRecord>> {
-    let src = ctx.registry.get(dataset)?;
-    let n = src.cardinality_hint().unwrap_or(0);
-    let budget = ctx.spill_budget_records.unwrap_or(usize::MAX).max(1);
-    if n > budget {
-        let base = ctx.next_ids(n.max(1) as u64);
-        let mut matched: Vec<Vec<DataRecord>> = vec![Vec::new(); input.len()];
-        for batch in src.batches(base, budget)? {
-            let batch = batch?;
-            let mut table: BTreeMap<String, Vec<&DataRecord>> = BTreeMap::new();
-            for r in &batch {
-                if let Some(v) = r.get(right_field) {
-                    if !v.is_null() {
-                        table.entry(v.as_display()).or_default().push(r);
-                    }
-                }
-            }
-            for (l, bucket) in input.iter().zip(matched.iter_mut()) {
-                if let Some(v) = l.get(left_field) {
-                    if v.is_null() {
-                        continue;
-                    }
-                    if let Some(matches) = table.get(&v.as_display()) {
-                        bucket.extend(matches.iter().map(|r| (*r).clone()));
-                    }
-                }
-            }
-        }
-        let mut out = Vec::new();
-        for (l, bucket) in input.iter().zip(&matched) {
-            for r in bucket {
-                out.push(merge(ctx, l, r, dataset));
-            }
-        }
-        return Ok(out);
-    }
     let right = build_side(ctx, dataset)?;
     let mut table: BTreeMap<String, Vec<&DataRecord>> = BTreeMap::new();
     for r in &right {
@@ -334,43 +290,5 @@ mod tests {
         .unwrap();
         assert!(out.is_empty());
         assert_eq!(ctx.ledger.total_requests(), 0);
-    }
-
-    /// A wide build side with duplicate keys, joined with and without a
-    /// spill budget. Fresh contexts start from identical id counters, so
-    /// the batched path must reproduce the in-memory output bytewise —
-    /// merge order, assigned ids, lineage, everything.
-    #[test]
-    fn hash_join_batched_build_side_is_bytewise_identical() {
-        let make_ctx = |budget: Option<usize>| {
-            let mut ctx = PzContext::simulated();
-            ctx.spill_budget_records = budget;
-            let items: Vec<(String, String)> = (0..20)
-                .map(|i| (format!("f{}.txt", i % 6), format!("body-{i}")))
-                .collect();
-            ctx.registry.register(Arc::new(MemorySource::new(
-                "wide",
-                Schema::text_file(),
-                items,
-            )));
-            ctx
-        };
-        let left = |ctx: &PzContext| {
-            vec![
-                DataRecord::new(ctx.next_id()).with_field("file", "f1.txt"),
-                DataRecord::new(ctx.next_id()).with_field("file", "f4.txt"),
-                DataRecord::new(ctx.next_id()).with_field("file", "f1.txt"),
-                DataRecord::new(ctx.next_id()).with_field("file", "nope.txt"),
-            ]
-        };
-        let ctx_mem = make_ctx(None);
-        let expected = hash_join(&ctx_mem, left(&ctx_mem), "wide", "file", "filename").unwrap();
-        for budget in [1, 3, 7] {
-            let ctx = make_ctx(Some(budget));
-            let got = hash_join(&ctx, left(&ctx), "wide", "file", "filename").unwrap();
-            assert_eq!(expected, got, "batched join diverged at budget {budget}");
-        }
-        // 20 right-side rows, keys mod 6: f1 and f4 appear 4 and 3 times.
-        assert_eq!(expected.len(), 4 + 3 + 4);
     }
 }

@@ -90,7 +90,7 @@ pub enum PhysicalOp {
         group_by: Vec<String>,
         aggs: Vec<AggExpr>,
     },
-    /// Semantic top-k via the vector store.
+    /// Semantic top-k: cosine similarity to the query over the input.
     Retrieve {
         query: String,
         k: usize,
@@ -314,7 +314,7 @@ impl PhysicalOp {
             PhysicalOp::Project { fields } => Ok(crate::ops::relational::project(input, fields)),
             PhysicalOp::Limit { n } => Ok(crate::ops::relational::limit(input, *n)),
             PhysicalOp::Sort { field, descending } => {
-                crate::ops::relational::sort_budgeted(ctx, input, field, *descending)
+                Ok(crate::ops::relational::sort(input, field, *descending))
             }
             PhysicalOp::Distinct { fields } => Ok(crate::ops::relational::distinct(input, fields)),
             PhysicalOp::Aggregate { group_by, aggs } => {
@@ -344,10 +344,8 @@ impl PhysicalOp {
             }
             PhysicalOp::UnionAll { dataset } => {
                 let src = ctx.registry.get(dataset)?;
-                let n = src.cardinality_hint().unwrap_or(0) as u64;
-                let base = ctx.next_ids(n.max(1));
                 let mut out = input;
-                out.extend(src.records(base)?);
+                out.extend(src.records(ctx.reserve_ids(src.as_ref()))?);
                 Ok(out)
             }
         }

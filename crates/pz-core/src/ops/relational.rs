@@ -8,7 +8,6 @@ use crate::context::PzContext;
 use crate::error::{PzError, PzResult};
 use crate::ops::logical::{AggExpr, AggFunc};
 use crate::record::{DataRecord, Value};
-use serde::{Deserialize, Serialize};
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, HashSet};
 use std::fmt::Write as _;
@@ -58,180 +57,6 @@ pub fn sort(mut input: Vec<DataRecord>, field: &str, descending: bool) -> Vec<Da
         input.sort_by_cached_key(|r| SortKey::of(r.get(field)));
     }
     input
-}
-
-/// Sort under the context's spill budget: inputs past
-/// `PzContext::spill_budget_records` go through an external merge sort
-/// ([`sort_external`]); everything else takes the in-memory path. Output
-/// is byte-identical either way.
-pub fn sort_budgeted(
-    ctx: &PzContext,
-    input: Vec<DataRecord>,
-    field: &str,
-    descending: bool,
-) -> PzResult<Vec<DataRecord>> {
-    match ctx.spill_budget_records {
-        Some(b) if input.len() > b => sort_external(input, field, descending, b.max(1)),
-        _ => Ok(sort(input, field, descending)),
-    }
-}
-
-/// Monotone temp-dir suffix so concurrent spills in one process never
-/// collide.
-static SPILL_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// External merge sort: sort runs of at most `budget` records, spill each
-/// to a temp file as JSON lines, then k-way merge the runs back. The
-/// merge resolves ties by run index, and runs are consecutive input
-/// segments each sorted stably — so equal-key records come back in input
-/// order, exactly like the in-memory [`sort`]. Runs are sorted by [`sort`]
-/// itself and the merge compares the same keys in the same direction, so
-/// the merged output is byte-identical to the in-memory path at every
-/// budget.
-pub fn sort_external(
-    input: Vec<DataRecord>,
-    field: &str,
-    descending: bool,
-    budget: usize,
-) -> PzResult<Vec<DataRecord>> {
-    let spill_err = |e: std::io::Error| PzError::Execution(format!("sort spill: {e}"));
-    let dir = std::env::temp_dir().join(format!(
-        "pz-spill-{}-{}",
-        std::process::id(),
-        SPILL_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&dir).map_err(spill_err)?;
-    // Phase 1: drain the input into sorted runs on disk, freeing each
-    // run's records before the next is cut.
-    let total = input.len();
-    let mut run_paths = Vec::new();
-    let mut iter = input.into_iter();
-    loop {
-        let run: Vec<DataRecord> = iter.by_ref().take(budget).collect();
-        if run.is_empty() {
-            break;
-        }
-        let mut lines = String::new();
-        for r in sort(run, field, descending) {
-            lines.push_str(
-                &serde_json::to_string(&Spilled::from(r))
-                    .map_err(|e| PzError::Execution(format!("sort spill: {e}")))?,
-            );
-            lines.push('\n');
-        }
-        let path = dir.join(format!("run-{:05}.jsonl", run_paths.len()));
-        std::fs::write(&path, lines).map_err(spill_err)?;
-        run_paths.push(path);
-    }
-    // Phase 2: k-way merge. Heads are one keyed record per run; ties keep
-    // the lowest run index (stability). Linear head scan per pop — run
-    // counts are total/budget, small against record work.
-    let mut readers = Vec::new();
-    for p in &run_paths {
-        let f = std::fs::File::open(p).map_err(spill_err)?;
-        readers.push(std::io::BufRead::lines(std::io::BufReader::new(f)));
-    }
-    let keyed = |r: DataRecord| (SortKey::of(r.get(field)), r);
-    let mut heads: Vec<Option<(SortKey, DataRecord)>> = Vec::with_capacity(readers.len());
-    for r in readers.iter_mut() {
-        heads.push(next_spilled(r)?.map(keyed));
-    }
-    let mut out = Vec::with_capacity(total);
-    loop {
-        let mut best: Option<usize> = None;
-        for (i, h) in heads.iter().enumerate() {
-            if let Some((key, _)) = h {
-                best = match best {
-                    None => Some(i),
-                    Some(j) => {
-                        let (keep, _) = heads[j].as_ref().expect("best head present");
-                        let ord = key.cmp(keep);
-                        let ord = if descending { ord.reverse() } else { ord };
-                        Some(if ord == Ordering::Less { i } else { j })
-                    }
-                };
-            }
-        }
-        let Some(i) = best else { break };
-        let (_, rec) = heads[i].take().expect("best head present");
-        out.push(rec);
-        heads[i] = next_spilled(&mut readers[i])?.map(keyed);
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    Ok(out)
-}
-
-/// One record as a spill line. `DataRecord`'s own JSON writes NaN and
-/// ±inf as `null` (JSON has neither), so here every float travels as its
-/// bit pattern and comes back exact.
-#[derive(Serialize, Deserialize)]
-struct Spilled {
-    id: u64,
-    lineage: Vec<u64>,
-    fields: BTreeMap<String, SpilledValue>,
-}
-
-#[derive(Serialize, Deserialize)]
-enum SpilledValue {
-    FloatBits(u64),
-    Value(Value),
-}
-
-impl From<DataRecord> for Spilled {
-    fn from(r: DataRecord) -> Self {
-        let fields = r
-            .fields
-            .into_iter()
-            .map(|(k, v)| {
-                let v = match v {
-                    Value::Float(f) => SpilledValue::FloatBits(f.to_bits()),
-                    other => SpilledValue::Value(other),
-                };
-                (k, v)
-            })
-            .collect();
-        Spilled {
-            id: r.id,
-            lineage: r.lineage,
-            fields,
-        }
-    }
-}
-
-impl From<Spilled> for DataRecord {
-    fn from(s: Spilled) -> Self {
-        let fields = s
-            .fields
-            .into_iter()
-            .map(|(k, v)| {
-                let v = match v {
-                    SpilledValue::FloatBits(bits) => Value::Float(f64::from_bits(bits)),
-                    SpilledValue::Value(v) => v,
-                };
-                (k, v)
-            })
-            .collect();
-        DataRecord {
-            id: s.id,
-            lineage: s.lineage,
-            fields,
-        }
-    }
-}
-
-/// Read the next spilled record off a run file, `None` at end of run.
-fn next_spilled(
-    lines: &mut std::io::Lines<std::io::BufReader<std::fs::File>>,
-) -> PzResult<Option<DataRecord>> {
-    match lines.next() {
-        None => Ok(None),
-        Some(line) => {
-            let line = line.map_err(|e| PzError::Execution(format!("sort spill: {e}")))?;
-            serde_json::from_str::<Spilled>(&line)
-                .map(|s| Some(s.into()))
-                .map_err(|e| PzError::Execution(format!("sort spill: {e}")))
-        }
-    }
 }
 
 /// A record's sort key: numbers (bools first) before text, then lists.
@@ -621,9 +446,8 @@ mod tests {
     }
 
     /// A mixed-type, tie-heavy, null-bearing input that exercises every
-    /// branch of the comparator, including float round-tripping through
-    /// the spill files.
-    fn spill_fixture() -> Vec<DataRecord> {
+    /// branch of the comparator.
+    fn mixed_fixture() -> Vec<DataRecord> {
         let mut input = Vec::new();
         for i in 0..40u64 {
             let v = match i % 5 {
@@ -638,15 +462,38 @@ mod tests {
         input
     }
 
+    /// `sort` agrees with a stable sort under a comparator written out
+    /// case by case (numbers, then text, then null), on every prefix
+    /// length of the mixed fixture and in both directions.
     #[test]
     fn external_sort_matches_in_memory_at_every_budget() {
+        let key = |r: &DataRecord| match r.get("k") {
+            Some(Value::Int(i)) => (0, *i as f64, String::new()),
+            Some(Value::Float(f)) => (0, *f, String::new()),
+            Some(Value::Text(s)) => (1, 0.0, s.to_string()),
+            _ => (2, 0.0, String::new()),
+        };
         for descending in [false, true] {
-            let expected = sort(spill_fixture(), "k", descending);
-            for budget in [1, 3, 7, 64] {
-                let got = sort_external(spill_fixture(), "k", descending, budget).unwrap();
+            for len in [1, 3, 7, 40] {
+                let mut input = mixed_fixture();
+                input.truncate(len);
+                let mut expected = input.clone();
+                expected.sort_by(|a, b| {
+                    let (ka, kb) = (key(a), key(b));
+                    let ord =
+                        ka.0.cmp(&kb.0)
+                            .then(ka.1.total_cmp(&kb.1))
+                            .then(ka.2.cmp(&kb.2));
+                    if descending {
+                        ord.reverse()
+                    } else {
+                        ord
+                    }
+                });
                 assert_eq!(
-                    expected, got,
-                    "external sort diverged at budget {budget}, descending {descending}"
+                    expected,
+                    sort(input, "k", descending),
+                    "length {len}, descending {descending}"
                 );
             }
         }
@@ -654,27 +501,15 @@ mod tests {
 
     #[test]
     fn external_sort_preserves_stability() {
-        // All keys equal across three runs: merged order must be input
-        // order (lowest run wins ties, sequential reads within a run).
+        // All keys equal: either direction keeps input order.
         let input: Vec<DataRecord> = (0..9).map(|i| rec(i, &[("x", Value::Int(1))])).collect();
-        let out = sort_external(input, "x", false, 3).unwrap();
-        assert_eq!(
-            out.iter().map(|r| r.id).collect::<Vec<_>>(),
-            (0..9).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn sort_budgeted_spills_only_past_budget() {
-        let mut ctx = PzContext::simulated();
-        ctx.spill_budget_records = Some(8);
-        let in_memory = sort(spill_fixture(), "k", false);
-        // 40 records > budget 8: the spilling path runs and must agree.
-        let spilled = sort_budgeted(&ctx, spill_fixture(), "k", false).unwrap();
-        assert_eq!(in_memory, spilled);
-        // Under the budget nothing spills (same result either way).
-        let small = sort_budgeted(&ctx, spill_fixture().split_off(35), "k", false).unwrap();
-        assert_eq!(sort(spill_fixture().split_off(35), "k", false), small);
+        for descending in [false, true] {
+            let out = sort(input.clone(), "x", descending);
+            assert_eq!(
+                out.iter().map(|r| r.id).collect::<Vec<_>>(),
+                (0..9).collect::<Vec<_>>()
+            );
+        }
     }
 
     fn is_missing(r: &DataRecord) -> bool {
@@ -763,20 +598,34 @@ mod tests {
             .collect()
     }
 
+    /// Sort moves records and rewrites none: every float, NaN, ±inf and
+    /// signed zeros included, comes back bit for bit, and ±inf order at
+    /// the ends of the finite keys.
     #[test]
     fn external_sort_round_trips_non_finite_floats() {
-        // `{:?}` tells NaN, ±inf, -0.0 and 0.0 apart; `==` cannot.
-        let debug = |rs: &[DataRecord]| format!("{rs:?}");
+        let bits = |rs: &[DataRecord]| -> Vec<(u64, u64, u64)> {
+            let f = |r: &DataRecord, name| r.get(name).and_then(Value::as_f64).unwrap().to_bits();
+            rs.iter()
+                .map(|r| (r.id, f(r, "k"), f(r, "other")))
+                .collect()
+        };
+        let input = non_finite_fixture();
         for descending in [false, true] {
-            let expected = debug(&sort(non_finite_fixture(), "k", descending));
-            for budget in [1, 7, 64] {
-                let got = sort_external(non_finite_fixture(), "k", descending, budget).unwrap();
-                assert_eq!(
-                    expected,
-                    debug(&got),
-                    "budget {budget}, descending {descending}"
-                );
-            }
+            let mut out = sort(input.clone(), "k", descending);
+            let keys: Vec<f64> = out
+                .iter()
+                .map(|r| r.get("k").unwrap().as_f64().unwrap())
+                .collect();
+            let finite: Vec<f64> = keys.into_iter().filter(|k| !k.is_nan()).collect();
+            let (first, last) = (finite[0], finite[finite.len() - 1]);
+            let want = if descending {
+                (f64::INFINITY, f64::NEG_INFINITY)
+            } else {
+                (f64::NEG_INFINITY, f64::INFINITY)
+            };
+            assert_eq!((first, last), want, "descending {descending}");
+            out.sort_by_key(|r| r.id);
+            assert_eq!(bits(&input), bits(&out), "descending {descending}");
         }
     }
 

@@ -1,16 +1,16 @@
 //! Retrieve — semantic top-k over the operator's own input.
 //!
-//! The intro's "vector databases" leg: embed every input record and the
-//! natural-language query, load the vectors into a transient collection of
-//! the vector store, and keep the `k` most similar — one query per
-//! collection, which the store answers with an exact scan. Used for
-//! RAG-style narrowing before expensive LLM operators.
+//! The intro's "vector databases" leg, used for RAG-style narrowing
+//! before expensive LLM operators: embed the natural-language query and
+//! every input record, score each record by cosine similarity to the
+//! query, and keep the `k` best in input order. Equal scores go to the
+//! lower input position, so the result is the exact top-k of a flat scan.
 
 use crate::context::PzContext;
 use crate::error::{PzError, PzResult};
 use crate::record::DataRecord;
+use pz_llm::embedding::cosine;
 use pz_llm::{EmbeddingRequest, ModelId};
-use pz_vector::{Metric, VecId, VectorStoreError};
 
 /// Keep the `k` records most similar to `query`.
 pub fn retrieve(
@@ -38,53 +38,55 @@ pub fn retrieve(
         &ctx.retry_ctx(),
         pz_llm::DEFAULT_EMBED_BATCH,
     )?;
-    // The provider is outside the program: without one vector per input
-    // the tail of the input would silently be unretrievable.
-    if resp.vectors.len() != input.len() + 1 {
-        return Err(PzError::Execution(format!(
-            "retrieve: embedding provider returned {} vector(s) for {} input(s)",
-            resp.vectors.len(),
-            input.len() + 1
-        )));
-    }
-    let (query_vec, doc_vecs) = (&resp.vectors[0], &resp.vectors[1..]);
-
-    // A transient per-op collection: retrieval is over the operator input,
-    // not a persistent corpus. Unique name avoids cross-run clashes. It is
-    // dropped on every path, so a store error cannot leak it.
-    let coll = format!("__retrieve_{}", ctx.next_id());
-    let picked = top_k_ids(ctx, &coll, query_vec, doc_vecs, k);
-    ctx.vectors.drop_collection(&coll);
-    let picked = picked?;
-
+    let keep = top_k(&resp.vectors, input.len(), k)?;
     Ok(input
         .into_iter()
         .enumerate()
-        .filter(|(i, _)| picked.binary_search(&(*i as VecId)).is_ok())
+        .filter(|(i, _)| keep.binary_search(i).is_ok())
         .map(|(_, r)| r)
         .collect())
 }
 
-/// Create `coll`, load `docs` into it and return the sorted ids — insert
-/// positions, so input positions — of the `k` nearest to `query`. The
-/// store refuses an empty query vector and any document vector of another
-/// length, so a malformed provider response is an error here.
-fn top_k_ids(
-    ctx: &PzContext,
-    coll: &str,
-    query: &[f32],
-    docs: &[Vec<f32>],
-    k: usize,
-) -> Result<Vec<VecId>, VectorStoreError> {
-    ctx.vectors
-        .create_collection(coll, query.len(), Metric::Cosine)?;
-    for v in docs {
-        ctx.vectors.add(coll, v, "")?;
+/// Input positions, ascending, of the `k` documents nearest the query.
+/// `vectors` is the provider's answer: the query's vector, then one per
+/// document. Ranks by score (`total_cmp`, descending), then position
+/// (ascending). The provider is outside the program, so an answer a
+/// ranking cannot trust — a vector missing, of another length, of no
+/// length, or with a NaN or infinite component — is an error.
+fn top_k(vectors: &[Vec<f32>], docs: usize, k: usize) -> PzResult<Vec<usize>> {
+    let bad = |what: String| Err(PzError::Execution(format!("retrieve: embedding {what}")));
+    if vectors.len() != docs + 1 {
+        let got = vectors.len();
+        return bad(format!(
+            "provider returned {got} vector(s) for {} input(s)",
+            docs + 1
+        ));
     }
-    let hits = ctx.vectors.search(coll, query, k)?;
-    let mut ids: Vec<VecId> = hits.iter().map(|h| h.id).collect();
-    ids.sort_unstable();
-    Ok(ids)
+    let (query, docs) = (&vectors[0], &vectors[1..]);
+    if query.is_empty() {
+        return bad("vectors must have at least one dimension".into());
+    }
+    if let Some(v) = docs.iter().find(|v| v.len() != query.len()) {
+        let (expected, got) = (query.len(), v.len());
+        return bad(format!(
+            "dimension mismatch: expected {expected}, got {got}"
+        ));
+    }
+    if vectors.iter().flatten().any(|x| !x.is_finite()) {
+        return bad("vector has a non-finite component".into());
+    }
+    let mut scored: Vec<(f32, usize)> = docs
+        .iter()
+        .enumerate()
+        .map(|(i, v)| (cosine(query, v), i))
+        .collect();
+    if k < scored.len() {
+        scored.select_nth_unstable_by(k - 1, |a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        scored.truncate(k);
+    }
+    let mut keep: Vec<usize> = scored.into_iter().map(|(_, i)| i).collect();
+    keep.sort_unstable();
+    Ok(keep)
 }
 
 #[cfg(test)]
@@ -169,9 +171,9 @@ mod tests {
         assert_eq!(by_model[0].0.as_str(), "text-embedding-3-small");
     }
 
-    /// Embeds input `i` as `dims[i]` ones, and nothing past `dims`.
+    /// Answers every embedding request with `vectors`, whatever it asked.
     struct StubEmbedder {
-        dims: Vec<usize>,
+        vectors: Vec<Vec<f32>>,
     }
 
     impl pz_llm::LlmClient for StubEmbedder {
@@ -187,7 +189,7 @@ mod tests {
             _: &EmbeddingRequest,
         ) -> Result<pz_llm::EmbeddingResponse, pz_llm::LlmError> {
             Ok(pz_llm::EmbeddingResponse {
-                vectors: self.dims.iter().map(|&d| vec![1.0; d]).collect(),
+                vectors: self.vectors.clone(),
                 usage: pz_llm::Usage::new(0, 0),
                 latency_secs: 0.0,
                 cost_usd: 0.0,
@@ -197,27 +199,49 @@ mod tests {
 
     #[test]
     fn bad_embedding_response_is_an_error_and_leaks_nothing() {
-        // Query + three documents; the provider answers short, ragged, then
-        // with empty vectors.
-        for (dims, want) in [
-            (vec![4, 4, 4], "returned 3 vector(s) for 4 input(s)"),
-            (vec![4, 4, 4, 2], "dimension mismatch: expected 4, got 2"),
-            (vec![0, 0, 0, 0], "vectors must have at least one dimension"),
+        let ones = |d: usize| vec![1.0f32; d];
+        // Query + three documents; the provider answers short, ragged,
+        // with empty vectors, then with a NaN document beside an exact
+        // match of the query (a NaN score would rank first).
+        for (vectors, want) in [
+            (
+                vec![ones(4), ones(4), ones(4)],
+                "returned 3 vector(s) for 4 input(s)",
+            ),
+            (
+                vec![ones(4), ones(4), ones(4), ones(2)],
+                "dimension mismatch: expected 4, got 2",
+            ),
+            (vec![vec![]; 4], "vectors must have at least one dimension"),
+            (
+                vec![
+                    vec![1.0, 0.0],
+                    vec![1.0, 0.0],
+                    vec![f32::NAN, 0.0],
+                    vec![0.0, 1.0],
+                ],
+                "non-finite component",
+            ),
         ] {
             let ctx =
-                PzContext::simulated().with_client(std::sync::Arc::new(StubEmbedder { dims }));
+                PzContext::simulated().with_client(std::sync::Arc::new(StubEmbedder { vectors }));
             let input = vec![rec(&ctx, "a"), rec(&ctx, "b"), rec(&ctx, "c")];
-            let err = retrieve(&ctx, input, "q", 2, &ctx.embed_model.clone()).unwrap_err();
+            let next = ctx.next_id() + 1;
+            let err = retrieve(&ctx, input, "q", 1, &ctx.embed_model.clone()).unwrap_err();
             assert!(err.to_string().contains(want), "{err}");
-            assert!(ctx.vectors.collection_names().is_empty(), "{err}");
+            assert_eq!(ctx.next_id(), next, "{err}");
         }
     }
 
+    /// Retrieve ranks the provider's answer where it lies: it numbers no
+    /// record and takes no id.
     #[test]
     fn transient_collection_cleaned_up() {
         let ctx = PzContext::simulated();
         let input = vec![rec(&ctx, "text")];
-        retrieve(&ctx, input, "q", 1, &ctx.embed_model.clone()).unwrap();
-        assert!(ctx.vectors.collection_names().is_empty());
+        let next = ctx.next_id() + 1;
+        let out = retrieve(&ctx, input.clone(), "q", 1, &ctx.embed_model.clone()).unwrap();
+        assert_eq!(out, input);
+        assert_eq!(ctx.next_id(), next);
     }
 }

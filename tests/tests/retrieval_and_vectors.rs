@@ -1,5 +1,6 @@
-//! Integration: the Retrieve operator + vector store + embedding substrate
-//! inside full pipelines (the intro's "vector databases" leg).
+//! Integration: the Retrieve operator and the embedding substrate inside
+//! full pipelines (the intro's "vector databases" leg), checked against
+//! `pz-vector`'s exact flat index.
 
 use pz_core::prelude::*;
 use pz_datagen::science::{self, ScienceConfig};
@@ -88,11 +89,10 @@ fn retrieve_is_cheaper_than_filtering_everything() {
     );
 }
 
-/// One `Retrieve` over 8,292 records — past the 8,192 rows at which the
-/// store once started counting scans toward an HNSW graph, and about the
-/// size of pzbench `retrieve`'s load. It is the store's one-shot traffic:
-/// load, query once, drop. The output is exactly the exact top-k, the
-/// store records no index build, and no collection is left.
+/// One `Retrieve` over 8,292 records — past the 8,192 rows at which a
+/// vector store once started counting scans toward an HNSW graph, and
+/// about the size of pzbench `retrieve`'s load. The output is exactly a
+/// flat index's top-k, and no vector-layer event is recorded.
 #[test]
 fn retrieve_past_hnsw_threshold_is_exact_and_builds_nothing() {
     use pz_llm::EmbeddingRequest;
@@ -150,22 +150,66 @@ fn retrieve_past_hnsw_threshold_is_exact_and_builds_nothing() {
         events.iter().all(|e| e.layer != pz_obs::Layer::Vector),
         "the store recorded index work"
     );
-    assert!(ctx.vectors.collection_names().is_empty());
 }
 
+/// Equal scores go to the lower input position: six copies of the
+/// best-matching text, and `k` cuts through them. `Retrieve` keeps the
+/// four lowest copies, as a flat index does.
 #[test]
-fn vector_store_shared_through_context() {
-    use pz_vector::Metric;
-    let ctx = big_science_ctx(5);
-    ctx.vectors
-        .create_collection("notes", 4, Metric::Cosine)
-        .unwrap();
-    ctx.vectors
-        .add("notes", &[1.0, 0.0, 0.0, 0.0], "a")
-        .unwrap();
-    // Clones of the context observe the same store.
-    let clone = ctx.clone();
-    assert_eq!(clone.vectors.collection_len("notes").unwrap(), 1);
+fn retrieve_ties_keep_the_lowest_input_positions() {
+    use pz_llm::EmbeddingRequest;
+    use pz_vector::{FlatIndex, Metric};
+    const K: usize = 4;
+    let query = "colorectal tumor cohort";
+    let texts: Vec<String> = (0..12)
+        .map(|i| match i % 2 {
+            1 => query.to_string(),
+            _ => format!("galaxy redshift survey {i}"),
+        })
+        .collect();
+    let ctx = PzContext::simulated();
+    ctx.registry.register(Arc::new(MemorySource::from_texts(
+        "ties",
+        Schema::text_file(),
+        texts.clone(),
+    )));
+    let plan = Dataset::source("ties").retrieve(query, K).build().unwrap();
+    let outcome = execute(
+        &ctx,
+        &plan,
+        &Policy::MaxQuality,
+        ExecutionConfig::sequential(),
+    )
+    .unwrap();
+    let got: Vec<&str> = outcome
+        .records
+        .iter()
+        .map(|r| r.get("filename").and_then(|v| v.as_text()).unwrap())
+        .collect();
+    assert_eq!(
+        got,
+        [
+            "item-0001.txt",
+            "item-0003.txt",
+            "item-0005.txt",
+            "item-0007.txt"
+        ]
+    );
+
+    let mut inputs = vec![query.to_string()];
+    inputs.extend(texts);
+    let req = EmbeddingRequest {
+        model: ctx.embed_model.clone(),
+        inputs,
+    };
+    let vectors = ctx.llm.embed(&req).unwrap().vectors;
+    let mut flat = FlatIndex::new(vectors[0].len(), Metric::Cosine);
+    for v in &vectors[1..] {
+        flat.add(v);
+    }
+    let mut nearest: Vec<u64> = flat.search(&vectors[0], K).iter().map(|s| s.id).collect();
+    nearest.sort_unstable();
+    assert_eq!(nearest, [1, 3, 5, 7]);
 }
 
 #[test]

@@ -1,15 +1,15 @@
 //! Integration: the out-of-core data plane (`exec/run.rs` chunked scan,
-//! `ops/relational.rs` spill sort, `ops/join.rs` batched build side,
-//! `pz-vector`'s standalone HNSW index).
+//! and the blocking `Sort` behind it), plus `pz-vector`'s standalone HNSW
+//! index.
 //!
 //! The headline guarantee, test-enforced: chunking is a memory property,
 //! not a semantics one. The materializing executor always pulls its
 //! leading scan in fixed-size chunks; for any plan, a corpus that spans
 //! several chunks must produce the same records, the same ledger bill, and
 //! the same stats as the plan's operators applied to the whole corpus at
-//! once — and the spill operators must produce byte-identical output at
-//! any memory budget. The HNSW index must stay deterministic under a fixed
-//! seed and keep recall >= 0.9 against an exact flat scan.
+//! once — and a `Sort` must produce byte-identical output at any scan
+//! chunk or streaming batch size. The HNSW index must stay deterministic
+//! under a fixed seed and keep recall >= 0.9 against an exact flat scan.
 
 mod common;
 
@@ -117,12 +117,13 @@ proptest! {
         assert_reconciled(&ctx_chunked, &stats);
     }
 
-    /// Spilling the sort to temp-file runs at any budget is bytewise
-    /// invisible: same records (stability included) as the in-memory sort.
+    /// Streaming a sort's input in batches of any size is bytewise
+    /// invisible: same records (stability included) as the materializing
+    /// sort over the whole input.
     #[test]
     fn spill_sort_equals_in_memory(
         corpus in common::arb_corpus(),
-        budget in 1usize..10,
+        batch in 1usize..10,
         descending in any::<bool>(),
     ) {
         let plan = PhysicalPlan {
@@ -134,14 +135,10 @@ proptest! {
         let ctx_mem = common::fresh_ctx(DATASET, &corpus);
         let (in_memory, _) =
             execute_plan(&ctx_mem, &plan, ExecutionConfig::sequential()).unwrap();
-        let ctx_spill = common::fresh_ctx(DATASET, &corpus);
-        let (spilled, _) = execute_plan(
-            &ctx_spill,
-            &plan,
-            ExecutionConfig::sequential().with_spill_budget(budget),
-        )
-        .unwrap();
-        prop_assert_eq!(record_keys(&in_memory), record_keys(&spilled));
+        let ctx_batched = common::fresh_ctx(DATASET, &corpus);
+        let (batched, _) =
+            execute_plan(&ctx_batched, &plan, ExecutionConfig::streaming_with(batch)).unwrap();
+        prop_assert_eq!(record_keys(&in_memory), record_keys(&batched));
     }
 }
 
@@ -230,9 +227,9 @@ fn chunk_matrix_agrees_with_streaming() {
     }
 }
 
-/// Chunking composes with spilling: a multi-chunk scan into a budgeted
-/// sort and a tail limit still matches the all-in-memory whole-corpus
-/// application bytewise (sequential, so ids line up too).
+/// Chunking composes with a blocking sort: a multi-chunk scan into a sort
+/// and a tail limit matches the whole-corpus application bytewise
+/// (sequential, so ids line up too).
 #[test]
 fn chunked_scan_with_spill_sort_is_bytewise_identical() {
     let plan = PhysicalPlan {
@@ -249,15 +246,13 @@ fn chunked_scan_with_spill_sort_is_bytewise_identical() {
     };
     for n in [SCAN_CHUNK + 1, SCAN_CHUNK * 5 / 2] {
         let baseline = whole_corpus(&generated_ctx(n, 1), &plan);
-        for budget in [500usize, SCAN_CHUNK] {
-            let config = ExecutionConfig::sequential().with_spill_budget(budget);
-            let (records, _) = execute_plan(&generated_ctx(n, 1), &plan, config).unwrap();
-            assert_eq!(
-                record_keys(&baseline),
-                record_keys(&records),
-                "diverged at n={n} budget={budget}"
-            );
-        }
+        let (records, _) =
+            execute_plan(&generated_ctx(n, 1), &plan, ExecutionConfig::sequential()).unwrap();
+        assert_eq!(
+            record_keys(&baseline),
+            record_keys(&records),
+            "diverged at n={n}"
+        );
     }
 }
 
