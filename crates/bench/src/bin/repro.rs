@@ -14,8 +14,6 @@
 //! - `--parallelism N` sets workers per operator (0 = one per core).
 //! - `--fault-plan <spec>` scripts provider faults (e.g.
 //!   `gpt-4o:outage@0..120`) into E1, E17, E19 and the trace export.
-//! - `--incremental` arms memoized re-execution (E19 arms its own memo
-//!   regardless).
 //! - `--trace-out <path>` also runs the §3 chat dialogue and writes its
 //!   pz-obs trace as JSONL.
 //! - `--profile` runs E17, the profiled demo plan; `--chrome-trace-out`,
@@ -67,7 +65,6 @@ fn main() {
         chrome_out: take_value(&mut args, "--chrome-trace-out", path),
         prom_out: take_value(&mut args, "--prom-out", path),
         drift_out: take_value(&mut args, "--drift-out", path),
-        incremental: take_flag(&mut args, "--incremental"),
         ..Setup::default()
     };
     let profile = take_flag(&mut args, "--profile")
@@ -92,9 +89,6 @@ fn main() {
             Err(_) => usage_error(&format!("bad --parallelism value {n:?} (want an integer)")),
         };
         println!("parallelism: {} workers/operator", setup.parallelism);
-    }
-    if setup.incremental {
-        println!("incremental execution: on (memoized operator verdicts replay for free)");
     }
     let spec = "a spec, e.g. gpt-4o:outage@0..120";
     if let Some(spec) = take_value(&mut args, "--fault-plan", spec) {

@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// How `repro`'s flags configure a run. `Setup::default()` is a bare
-/// `repro`: materializing, one worker, no faults, no memo, no exports.
+/// `repro`: materializing, one worker, no faults, no exports.
 #[derive(Clone, Debug, Default)]
 pub struct Setup {
     /// `--exec-mode`: the executor of every run that follows the setup.
@@ -32,9 +32,6 @@ pub struct Setup {
     pub parallelism: usize,
     /// `--fault-plan`: scripted into E1, E17, E19 and the trace export.
     pub faults: Option<FaultPlan>,
-    /// `--incremental`: every run that follows the setup replays memoized
-    /// verdicts; E1 and the trace export carry a memo snapshot.
-    pub incremental: bool,
     /// `--scaling-out`: where E21 writes its curve as JSON.
     pub scaling_out: Option<String>,
     /// `--chrome-trace-out`, `--prom-out`, `--drift-out`: E17's exports.
@@ -49,25 +46,14 @@ impl Setup {
     }
 
     fn config_with(&self, workers: usize) -> ExecutionConfig {
-        let cfg = ExecutionConfig::sequential()
+        ExecutionConfig::sequential()
             .with_mode(self.exec_mode)
-            .with_parallelism(workers.max(1));
-        if self.incremental {
-            cfg.with_incremental()
-        } else {
-            cfg
-        }
+            .with_parallelism(workers.max(1))
     }
 
     fn script_faults(&self, ctx: &PzContext) {
         if let Some(plan) = &self.faults {
             ctx.faults.set(plan.clone());
-        }
-    }
-
-    fn arm_memo(&self, ctx: &mut PzContext) {
-        if self.incremental {
-            ctx.incremental = Some(ExecutionSnapshot::new());
         }
     }
 }
@@ -144,7 +130,6 @@ pub fn trace_dialogue(setup: &Setup) -> pz_obs::TraceSnapshot {
     {
         let mut session = chat.session().lock();
         session.exec = session.exec.with_mode(setup.exec_mode);
-        setup.arm_memo(&mut session.ctx);
         setup.script_faults(&session.ctx);
     }
     for turn in &DEMO_TURNS[..3] {
@@ -224,9 +209,8 @@ fn split_plan(dataset: &str) -> PhysicalPlan {
 }
 
 fn e1(setup: &Setup) -> Report {
-    let (mut ctx, truth) = demo_context();
+    let (ctx, truth) = demo_context();
     setup.script_faults(&ctx);
-    setup.arm_memo(&mut ctx);
     let outcome = run_demo(&ctx, &Policy::MaxQuality, setup.config());
     let s = &outcome.stats;
     let out = |i: usize| s.operators.get(i).map_or(0, |o| o.output_records);
@@ -878,9 +862,9 @@ fn e18(_: &Setup) -> Report {
 const APPEND_SPEEDUP_FLOOR: f64 = 10.0;
 const APPEND_MAX_DELTA_CALLS: usize = 2;
 
-/// E19 — a 40-paper corpus runs cold with the memo armed, one paper is
-/// appended and the pipeline re-runs; a cold context then runs the grown
-/// corpus from scratch.
+/// E19 — a 40-paper corpus runs cold through the response cache, one
+/// paper is appended and the pipeline re-runs; a cold context then runs
+/// the grown corpus from scratch.
 fn e19(setup: &Setup) -> Report {
     let (docs, _) = pz_datagen::science::generate(ScienceConfig {
         n_papers: 40,
@@ -889,9 +873,9 @@ fn e19(setup: &Setup) -> Report {
     let mut items: Vec<(String, String)> =
         docs.into_iter().map(|d| (d.filename, d.content)).collect();
     let plan = split_plan("sci-inc");
-    let config = setup.config().with_incremental();
+    let config = setup.config();
 
-    let ctx = PzContext::simulated().with_incremental();
+    let ctx = PzContext::simulated().with_cache();
     setup.script_faults(&ctx);
     let src = Arc::new(VersionedSource::new(
         "sci-inc",
@@ -918,8 +902,8 @@ fn e19(setup: &Setup) -> Report {
     let fresh = run_plan(&scratch, &plan, setup.config());
     let (scratch_time, scratch_calls) = (scratch.clock.now_secs(), scratch.ledger.total_requests());
 
-    let mut t = Table::new("configuration | time (s) | vs from-scratch | LLM calls | replays");
-    for (name, time, calls, replays) in [
+    let mut t = Table::new("configuration | time (s) | vs from-scratch | LLM calls | cache hits");
+    for (name, time, calls, hits) in [
         ("cold run (40 papers)", cold_time, cold_calls, 0),
         (
             "append re-run (+1 paper)",
@@ -931,7 +915,7 @@ fn e19(setup: &Setup) -> Report {
     ] {
         let speedup = scratch_time / time.max(1e-9);
         t.row(format!(
-            "{name} | {time:.1} | {speedup:.1}× | {calls} | {replays}"
+            "{name} | {time:.1} | {speedup:.1}× | {calls} | {hits}"
         ));
     }
     let mut r = Report::tables([t]);
@@ -944,10 +928,11 @@ fn e19(setup: &Setup) -> Report {
     // Scripted faults re-draw per request, so a faulted re-run and an
     // independently faulted scratch run may bill different attempts and
     // fail over differently: under a fault plan only the weaker invariant
-    // holds — verdicts replayed, the delta cheaper than the cold run.
+    // holds — responses served from the cache, the delta cheaper than the
+    // cold run.
     if setup.faults.is_some() {
         r.note("fault plan armed: strict equivalence waived; faults re-draw per run");
-        r.holds("memoized verdicts replayed", stats.memo_hits > 0);
+        r.holds("responses served from the cache", stats.memo_hits > 0);
         r.holds("delta cheaper than the cold run", rerun_calls < cold_calls);
     } else {
         let same_output = record_multiset(&rerun) == record_multiset(&fresh);

@@ -13,10 +13,10 @@
 //! both modes: it divides attributed time, never what runs),
 //! `:faults <spec>|off` to script provider faults into the simulator (an
 //! outage or a brownout moves the afflicted operators onto substitute
-//! models mid-run), `:watch <dataset>|off` to arm incremental execution (the
-//! dataset becomes editable and re-runs replay memoized operator verdicts,
-//! re-billing only changed records), `:append <dataset> <filename>
-//! <content...>` to stream a new record into a watched dataset,
+//! models mid-run), `:watch <dataset>` to make a dataset editable (the
+//! session's response cache then bills a re-run only for the records an
+//! edit touched), `:append <dataset> <filename> <content...>` to stream a
+//! new record into a watched dataset,
 //! `:serve [tenants] [sessions]` to run a seeded multi-tenant serving demo
 //! (fair scheduling, per-tenant ledgers, admission control — see pz-serve),
 //! `:breaker` to inspect per-model circuit breakers, `:profile on|off` to
@@ -26,7 +26,7 @@
 //! or Prometheus text exposition, `:quit` to exit.
 
 use palimpchat::PalimpChat;
-use pz_core::prelude::{ExecMode, ExecutionSnapshot, VersionedSource};
+use pz_core::prelude::{ExecMode, VersionedSource};
 use std::io::{self, BufRead, Write};
 
 fn main() {
@@ -43,7 +43,7 @@ fn main() {
          :exec streaming|materializing switches the executor, \
          :parallelism <n>|auto sets intra-operator parallelism, \
          :faults <spec>|off scripts provider faults, \
-         :watch <dataset>|off arms incremental re-runs, \
+         :watch <dataset> makes a dataset editable, \
          :append <dataset> <file> <text> streams in a record, \
          :serve [tenants] [sessions] runs a multi-tenant serving demo, \
          :breaker shows model health, \
@@ -116,20 +116,10 @@ fn main() {
                 continue;
             }
             ":watch" => {
-                let s = chat.session().lock();
-                match &s.ctx.incremental {
-                    Some(snap) => println!(
-                        "watch: on — {} memoized operator verdict(s); re-runs re-bill \
-                         only changed records (disarm with :watch off)",
-                        snap.len()
-                    ),
-                    None => println!("watch: off (arm with :watch <dataset>)"),
-                }
-                continue;
-            }
-            ":watch off" => {
-                chat.session().lock().ctx.incremental = None;
-                println!("watch: off (memo dropped; the next run pays full price)");
+                println!(
+                    "usage: :watch <dataset> makes it editable; re-runs bill only the \
+                     records an edit touched"
+                );
                 continue;
             }
             ":profile on" => {
@@ -204,15 +194,14 @@ fn main() {
         }
         if let Some(ds) = line.strip_prefix(":watch ") {
             let ds = ds.trim().to_string();
-            let mut s = chat.session().lock();
+            let s = chat.session().lock();
             match s.ctx.registry.get(&ds) {
                 Err(e) => println!("cannot watch: {e}"),
                 Ok(src) => {
                     // A watched dataset must accept live edits. Re-wrap a
                     // plain source's current records into a VersionedSource
                     // under the same name so `:append` has somewhere to go;
-                    // already-versioned sources are kept as-is (their memo
-                    // history stays valid).
+                    // already-versioned sources are kept as-is.
                     if src.as_versioned().is_none() {
                         match src.records(0) {
                             Ok(recs) => {
@@ -243,13 +232,9 @@ fn main() {
                             }
                         }
                     }
-                    if s.ctx.incremental.is_none() {
-                        s.ctx.incremental = Some(ExecutionSnapshot::new());
-                    }
                     println!(
-                        "watching {ds} — incremental execution armed: re-runs replay \
-                         memoized operator verdicts and re-bill only changed records \
-                         (:append {ds} <file> <text> to add one, :watch off to disarm)"
+                        "watching {ds} — editable: re-runs bill only the records an edit \
+                         touched (:append {ds} <file> <text> to add one)"
                     );
                 }
             }

@@ -63,9 +63,11 @@ impl SessionState {
 /// Shared handle passed to tools.
 pub type SessionHandle = Arc<Mutex<SessionState>>;
 
-/// Create a fresh simulated session.
+/// Create a fresh simulated session. Its context carries the response
+/// cache, so a re-run after an edit bills only the records it touched.
 pub fn new_session() -> SessionHandle {
-    Arc::new(Mutex::new(SessionState::new(PzContext::simulated())))
+    let ctx = PzContext::simulated().with_cache();
+    Arc::new(Mutex::new(SessionState::new(ctx)))
 }
 
 #[cfg(test)]

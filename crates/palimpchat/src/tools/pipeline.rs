@@ -292,15 +292,13 @@ pub fn execute_pipeline_tool(session: SessionHandle) -> Arc<dyn Tool> {
             .map_err(|e| tool_err("execute_pipeline", e))?;
         let policy = state.policy.clone();
         // The session's execution defaults (`:exec`, `:parallelism`) drive
-        // the run; the `parallelism` argument overrides
-        // one of them for this call. `:watch` arms the incremental memo so
-        // re-runs re-bill only changed records.
+        // the run; the `parallelism` argument overrides one of them for
+        // this call. The session's response cache serves every prompt an
+        // earlier run already paid for, so a re-run after an edit bills
+        // only the records the edit touched.
         let mut config = state.exec;
         if let Some(n) = args.get("parallelism").and_then(|v| v.as_i64()) {
             config = config.with_parallelism(n.clamp(1, 64) as usize);
-        }
-        if state.ctx.incremental.is_some() {
-            config = config.with_incremental();
         }
         let outcome = execute(&state.ctx, &plan, &policy, config)
             .map_err(|e| tool_err("execute_pipeline", e))?;
@@ -338,7 +336,7 @@ pub fn execute_pipeline_tool(session: SessionHandle) -> Arc<dyn Tool> {
         }
         if outcome.stats.memo_hits > 0 {
             summary.push_str(&format!(
-                " NOTE: incremental re-run — {} memoized operator verdict(s) replayed; only the delta was re-billed.",
+                " NOTE: {} response(s) served from the session cache; only the calls it missed were billed.",
                 outcome.stats.memo_hits,
             ));
         }
@@ -367,7 +365,7 @@ pub fn execute_pipeline_tool(session: SessionHandle) -> Arc<dyn Tool> {
             "plan": outcome.chosen_plan.describe(),
             "degraded": outcome.stats.degraded.len(),
             "replanned": outcome.stats.adaptive.len(),
-            "memo_replays": outcome.stats.memo_hits,
+            "cache_hits": outcome.stats.memo_hits,
             "deadline_exceeded": outcome.stats.deadline_exceeded,
             "profiled": profiled,
         });

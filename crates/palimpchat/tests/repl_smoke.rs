@@ -33,7 +33,8 @@ fn repl_runs_the_demo_dialogue() {
 }
 
 /// The incremental demo loop: watch the corpus, run, append one paper,
-/// re-run — the second run replays memoized verdicts and says so.
+/// re-run — the second run is served from the session cache for every
+/// unchanged paper and says so.
 #[test]
 fn repl_watch_append_reruns_incrementally() {
     let mut child = Command::new(env!("CARGO_BIN_EXE_palimpchat-repl"))
@@ -49,7 +50,6 @@ fn repl_watch_append_reruns_incrementally() {
                   :append scientific-demo paper-new.pdf This colorectal cancer cohort study deposited all samples in the FunkyData registry.\n\
                   run the pipeline with maximum quality\n\
                   :watch\n\
-                  :watch off\n\
                   :quit\n";
     child
         .stdin
@@ -62,13 +62,11 @@ fn repl_watch_append_reruns_incrementally() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("watching scientific-demo"), "{stdout}");
     assert!(stdout.contains("v1: 12 record(s)"), "{stdout}");
-    assert!(stdout.contains("NOTE: incremental re-run"), "{stdout}");
     assert!(
-        stdout.contains("memoized operator verdict(s) replayed"),
+        stdout.contains("response(s) served from the session cache"),
         "{stdout}"
     );
-    assert!(stdout.contains("watch: on"), "{stdout}");
-    assert!(stdout.contains("watch: off"), "{stdout}");
+    assert!(stdout.contains("usage: :watch <dataset>"), "{stdout}");
 }
 
 #[test]

@@ -182,8 +182,7 @@ pub struct DatasetVersion {
     pub records: usize,
 }
 
-/// One edit to a versioned dataset, keyed by `filename` — the stable
-/// record identity the incremental executor's memo store hashes over.
+/// One edit to a versioned dataset, keyed by `filename`.
 #[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
 pub enum DatasetChange {
     /// Add a new record at the end of the dataset.
@@ -217,8 +216,9 @@ fn item_record(base_id: u64, i: usize, (filename, contents): &Item) -> DataRecor
 }
 
 /// A [`MemorySource`] that accepts append/update/delete change batches
-/// between runs: the change-stream view of a dataset the incremental
-/// executor re-runs against. Register once; edits apply in place through
+/// between runs: the change-stream view of a dataset a session re-runs
+/// against, where the response cache bills only the records an edit
+/// touched. Register once; edits apply in place through
 /// interior mutability, so no re-registration is needed and every clone of
 /// the owning context observes the new version on its next `records()`.
 pub struct VersionedSource {

@@ -22,8 +22,8 @@
 //! Nothing samples the source.
 //!
 //! All evidence is the run's own: the failure rate reads only the window
-//! outcomes that came after the run first saw the model, and a memoized
-//! record replays what it cost the run that computed it, so a re-run makes
+//! outcomes that came after the run first saw the model, and a cache hit
+//! hands on what its call cost the run that made it, so a re-run makes
 //! that run's decisions. Swaps are sticky: an operator never returns to a
 //! model it left. Substitutes are same-kind models with a closed breaker
 //! and no brownout, best first along the policy's primary dimension. Runs
@@ -392,8 +392,7 @@ impl Substitution {
         swapped.is_some()
     }
 
-    /// What a step of stage `i` measured, or what the memoized records it
-    /// replayed cost the run that computed them.
+    /// What a step of stage `i` measured, its cache hits' shares included.
     pub(crate) fn observe(&mut self, i: usize, seen: &Observed) {
         let Some(slot) = self.slots.get_mut(i).and_then(Option::as_mut) else {
             return;

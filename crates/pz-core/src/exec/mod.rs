@@ -9,6 +9,5 @@ pub mod run;
 mod runner;
 pub mod stats;
 
-pub use incremental::ExecutionSnapshot;
 pub use run::{available_cores, execute_plan, ExecMode, ExecutionConfig};
 pub use stats::{AdaptiveReport, DegradedExecution, ExecutionStats, OperatorStats};

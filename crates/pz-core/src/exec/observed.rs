@@ -1,5 +1,6 @@
 //! What operator work costs in the run's own books: the ledger and the
-//! failure sink the retry layer writes (`PzContext::retry_wait_us`).
+//! failure sink the retry layer writes (`PzContext::retry_wait_us`) — and
+//! what the response cache's hits would have cost (`CachingClient::replayed`).
 
 use crate::context::PzContext;
 use std::sync::atomic::Ordering;
@@ -34,6 +35,25 @@ impl Observed {
         }
     }
 
+    /// The running total of what `ctx`'s cache hits handed on: the share
+    /// of every call that filled an entry they served. Zero without a
+    /// cache.
+    pub(crate) fn replayed(ctx: &PzContext) -> Self {
+        let Some(cache) = &ctx.cache else {
+            return Self::default();
+        };
+        let share = cache.replayed();
+        Self {
+            records: 0.0,
+            calls: share.calls,
+            input_tokens: share.input_tokens,
+            output_tokens: share.output_tokens,
+            cost_usd: share.cost_usd,
+            billed_secs: share.latency_secs,
+            stalled_secs: share.stalled_secs,
+        }
+    }
+
     /// Field by field, `f` of this and `other`.
     fn zip(self, other: Self, f: impl Fn(f64, f64) -> f64) -> Self {
         Self {
@@ -50,11 +70,6 @@ impl Observed {
     /// What ran since `before`, an earlier reading of the same totals.
     pub(crate) fn since(self, before: Self) -> Self {
         self.zip(before, |now, then| now - then)
-    }
-
-    /// One record's share of what `n` records cost together.
-    pub(crate) fn share(self, n: usize) -> Self {
-        self.zip(self, |total, _| total / n.max(1) as f64)
     }
 
     pub(crate) fn add(&mut self, other: &Self) {

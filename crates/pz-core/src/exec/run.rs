@@ -12,14 +12,15 @@
 //! Every operator application, whatever asked for it, is one
 //! [`Drive::step`]: deadline check by the caller, the substitution
 //! controller's consult (`exec/failover.rs`), ledger snapshot, `op:` span,
-//! the operator (`exec/runner.rs`: memo split, failover loop,
-//! `catch_unwind`), stats row, `prof_*` gauges, and the clock and ledger
-//! deltas handed back to the controller. Those deltas are all it observes,
-//! and all it needs: a healthy model's clock time equals its billed
-//! latency, so a stall shows as the difference, with no estimate to judge
-//! it against. No operator ever runs on a second thread, so a run is a
-//! pure function of its inputs: same seed, same records, ids, stats,
-//! ledger, clock and trace, at every parallelism and in either mode.
+//! the operator (`exec/runner.rs`: failover loop, `catch_unwind`), stats
+//! row, `prof_*` gauges, and the clock and ledger deltas — plus what the
+//! cache's hits would have cost — handed back to the controller. Those
+//! are all it observes, and all it needs: a healthy model's clock time
+//! equals its billed latency, so a stall shows as the difference, with no
+//! estimate to judge it against. No operator ever runs on a second
+//! thread, so a run is a pure function of its inputs: same seed, same
+//! records, ids, stats, ledger, clock and trace, at every parallelism and
+//! in either mode.
 //!
 //! ## Two policies
 //!
@@ -129,12 +130,6 @@ pub struct ExecutionConfig {
     /// Retries, backoff, and model substitution all respect it; exceeding
     /// it yields partial results flagged `deadline_exceeded`, never a hang.
     pub deadline_secs: Option<f64>,
-    /// Incremental re-execution: replay memoized operator verdicts for
-    /// unchanged records from the context's `ExecutionSnapshot` and
-    /// re-bill only the dirty delta. Requires a snapshot installed via
-    /// `PzContext::with_incremental`; off by default and byte-invisible
-    /// while off (or while no snapshot is installed).
-    pub incremental: bool,
 }
 
 impl Default for ExecutionConfig {
@@ -143,7 +138,6 @@ impl Default for ExecutionConfig {
             mode: ExecMode::default(),
             parallelism: 1,
             deadline_secs: None,
-            incremental: false,
         }
     }
 }
@@ -189,11 +183,9 @@ impl ExecutionConfig {
         self
     }
 
-    /// Enable incremental re-execution against the context's memo
-    /// snapshot (`PzContext::with_incremental`): unchanged records replay
-    /// memoized operator verdicts, only the delta is executed and billed.
-    pub fn with_incremental(mut self) -> Self {
-        self.incremental = true;
+    /// No-op kept for the benchmark harness: re-runs are served by the
+    /// context's response cache (`PzContext::with_cache`).
+    pub fn with_incremental(self) -> Self {
         self
     }
 }
@@ -264,19 +256,15 @@ pub(crate) fn execute_ranked(
         c.retry_wait_us = Some(Arc::new(AtomicU64::new(0)));
         c
     };
-    // Incremental re-execution is armed only when both the config flag and
-    // a context snapshot are present; the per-run replay count is the
-    // delta on the (shared, cumulative) snapshot counter.
-    let memo = if config.incremental {
-        ctx.incremental.clone()
-    } else {
-        None
+    // Responses the cache served this run: the ledger's cache-hit delta.
+    let cache_hits = || {
+        ctx.cache
+            .as_ref()
+            .map_or(0, |_| ctx.ledger.total_cache_hits())
     };
-    let memo_hits_before = memo.as_ref().map_or(0, |s| s.hits());
+    let hits_before = cache_hits();
     let (records, mut stats) = Drive::new(ctx, plan, &config, rank).run()?;
-    if let Some(s) = &memo {
-        stats.memo_hits = s.hits() - memo_hits_before;
-    }
+    stats.memo_hits = cache_hits() - hits_before;
     Ok((records, stats))
 }
 
@@ -645,9 +633,9 @@ impl<'a> Drive<'a> {
 
     /// A step of stage `i` that applies its operator through the runner.
     fn apply(&mut self, i: usize, input: Vec<DataRecord>) -> PzResult<Vec<DataRecord>> {
-        let (ctx, incremental) = (self.ctx, self.config.incremental);
+        let ctx = self.ctx;
         self.step(i, input, |subst, op, b| {
-            runner::execute(ctx, subst, i, op, incremental, b)
+            runner::execute(ctx, subst, i, op, b)
         })
     }
 
@@ -685,6 +673,7 @@ impl<'a> Drive<'a> {
                 .map(|s| s.buf.len() + s.out.len())
                 .sum::<usize>();
         let before = Observed::meter(ctx);
+        let replayed_before = Observed::replayed(ctx);
         let clock_before = ctx.clock.now_secs();
         // Materializing: a structural span per application, so the LLM leaf
         // spans it makes nest under it.
@@ -773,6 +762,8 @@ impl<'a> Drive<'a> {
         if !out.is_empty() && stage.startup_secs.is_none() {
             stage.startup_secs = Some(stage.row.time_secs);
         }
+        // The controller also sees what the cache hits would have cost.
+        seen.add(&Observed::replayed(ctx).since(replayed_before));
         self.subst.observe(i, &seen);
         Ok(out)
     }

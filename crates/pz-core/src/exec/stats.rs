@@ -134,10 +134,9 @@ pub struct ExecutionStats {
     /// field.
     #[serde(default, skip_serializing_if = "serial_workers")]
     pub parallelism: usize,
-    /// Incremental re-execution: operator verdicts replayed from the memo
-    /// snapshot instead of being re-billed. `0` (including every
-    /// non-incremental run) keeps serialized stats byte-identical to
-    /// pre-incremental runs.
+    /// Responses the run was served from the context's response cache
+    /// instead of billing a call (the ledger's cache-hit delta). `0`
+    /// (including every run without a cache) omits the field.
     #[serde(default, skip_serializing_if = "zero_hits")]
     pub memo_hits: usize,
     /// High-water mark of records resident in the executor at once: what
@@ -150,7 +149,7 @@ pub struct ExecutionStats {
     pub peak_resident_records: usize,
 }
 
-/// Serialization predicate: a run without memo replays carries no field.
+/// Serialization predicate: a run without cache hits carries no field.
 fn zero_hits(n: &usize) -> bool {
     *n == 0
 }
@@ -272,7 +271,7 @@ impl ExecutionStats {
         if self.memo_hits > 0 {
             let _ = writeln!(
                 s,
-                "INCREMENTAL: {} memoized operator verdict(s) replayed; only the delta was re-billed",
+                "CACHE: {} response(s) served from the cache; only the calls it missed were billed",
                 self.memo_hits
             );
         }

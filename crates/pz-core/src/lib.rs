@@ -175,8 +175,7 @@ pub mod prelude {
     };
     pub use crate::error::{PzError, PzResult};
     pub use crate::exec::{
-        AdaptiveReport, DegradedExecution, ExecMode, ExecutionConfig, ExecutionSnapshot,
-        ExecutionStats, OperatorStats,
+        AdaptiveReport, DegradedExecution, ExecMode, ExecutionConfig, ExecutionStats, OperatorStats,
     };
     pub use crate::execute;
     pub use crate::execute_with_optimizer;

@@ -1,11 +1,12 @@
 //! Seeded edit scripts over a base corpus.
 //!
-//! Incremental execution (pz-core's `ExecutionSnapshot`) is exercised by
-//! replaying *changes* to a dataset: appends, in-place updates, and
-//! deletes. This module generates those change streams deterministically
-//! from a seed, so the E19 append-latency experiment and the differential
-//! proptest harness in `tests/tests/incremental.rs` share one source of
-//! edits — same seed, same script, on any platform.
+//! Re-runs over an edited dataset (served by the response cache, which
+//! bills only the records an edit touched) are exercised by replaying
+//! *changes* to a dataset: appends, in-place updates, and deletes. This
+//! module generates those change streams deterministically from a seed,
+//! so the E19 append-latency experiment, the `rerun` benchmark workload
+//! and the differential proptest harness in `tests/tests/incremental.rs`
+//! share one source of edits — same seed, same script, on any platform.
 
 use crate::Document;
 
@@ -24,7 +25,7 @@ pub enum EditOp {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EditScript {
     /// Batches apply in order; each batch is one "run boundary" — the
-    /// incremental executor re-runs once per batch.
+    /// pipeline re-runs once per batch.
     pub batches: Vec<Vec<EditOp>>,
 }
 
@@ -38,7 +39,7 @@ impl EditScript {
         self.len() == 0
     }
 
-    /// True when every operation is an append — the memoized-prefix
+    /// True when every operation is an append — the cached-prefix
     /// zero-cost guarantee only binds for pure-append scripts.
     pub fn is_pure_append(&self) -> bool {
         self.batches
@@ -99,7 +100,7 @@ pub fn edit_script(
         let mut batch = Vec::with_capacity(ops_per_batch);
         for _ in 0..ops_per_batch {
             let kind = splitmix64(&mut rng) % 4;
-            // Bias toward appends (the headline incremental case): 2/4
+            // Bias toward appends (the headline re-run case): 2/4
             // append, 1/4 update, 1/4 delete.
             let op = match kind {
                 0 | 1 => None,

@@ -11,17 +11,36 @@
 //!
 //! Embeddings are cached per input string, so a batch with a mix of seen
 //! and unseen inputs only pays for the unseen ones.
+//!
+//! Each entry keeps the share of the call that filled it: usage, cost and
+//! latency, plus the time the call's failed attempts lost first (the retry
+//! layer reports it through [`LlmClient::note_stall`]). A hit bills nothing
+//! but hands that share on ([`CachingClient::replayed`]), so an executor
+//! reading it sees the same evidence on a re-run as on the cold run.
+//!
+//! The cache holds at most [`CAPACITY`] entries across both maps and every
+//! handle onto them, and evicts the oldest insertion first.
 
 use crate::client::{
     CompletionRequest, CompletionResponse, EmbeddingRequest, EmbeddingResponse, LlmClient, LlmError,
 };
-use crate::stable_hash;
-use crate::usage::{Usage, UsageLedger};
+use crate::usage::{CallShare, Usage, UsageLedger};
+use crate::StableHasher;
 use parking_lot::Mutex;
-use pz_obs::{Layer, Tracer};
-use std::collections::HashMap;
+use pz_obs::Tracer;
+use std::collections::{hash_map, HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+
+/// Entries one cache holds at most, completions and embedding inputs
+/// together: above the working set of any experiment or benchmark
+/// workload, so only a session that outgrows it evicts.
+pub const CAPACITY: usize = 1 << 18;
+
+/// Tracer counter of lookups served from the cache.
+pub const HITS: &str = "llm.cache_hits";
+/// Tracer counter of lookups that became provider requests.
+pub const MISSES: &str = "llm.cache_misses";
 
 /// Cache statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -44,16 +63,73 @@ impl CacheStats {
     }
 }
 
+/// A cached value, the share of the call that filled it, and the handle
+/// that made the call.
+struct Entry<T> {
+    value: T,
+    share: CallShare,
+    filler: u64,
+}
+
+impl<T> Entry<T> {
+    /// What a hit through `handle` hands on: the filler's share, less the
+    /// time its failed attempts lost unless `handle` made the call — one
+    /// tenant's provider faults are no evidence about another's.
+    fn share_for(&self, handle: u64) -> CallShare {
+        let mut share = self.share;
+        if handle != self.filler {
+            share.stalled_secs = 0.0;
+        }
+        share
+    }
+}
+
+/// Which map a key of the insertion order lives in.
+#[derive(Clone, Copy)]
+enum MapKey {
+    Completion(u64),
+    Embedding(u64),
+}
+
+/// Both maps and their one insertion order. A key is inserted only while
+/// absent and leaves only by eviction or [`CachingClient::clear`], so each
+/// live entry has exactly one place in `order`.
+#[derive(Default)]
+struct Store {
+    completions: HashMap<u64, Entry<String>>,
+    embeddings: HashMap<u64, Entry<Vec<f32>>>,
+    order: VecDeque<MapKey>,
+    /// Handles made by [`CachingClient::with_inner`] so far.
+    handles: u64,
+}
+
+impl Store {
+    /// Record a key just inserted, evicting the oldest past [`CAPACITY`].
+    fn admit(&mut self, key: MapKey) {
+        self.order.push_back(key);
+        while self.order.len() > CAPACITY {
+            match self.order.pop_front() {
+                Some(MapKey::Completion(k)) => drop(self.completions.remove(&k)),
+                Some(MapKey::Embedding(k)) => drop(self.embeddings.remove(&k)),
+                None => break,
+            }
+        }
+    }
+}
+
 /// An exact-match response cache over any client. Clones share the cache.
 #[derive(Clone)]
 pub struct CachingClient {
     inner: Arc<dyn LlmClient>,
-    completions: Arc<Mutex<HashMap<u64, CompletionResponse>>>,
-    embeddings: Arc<Mutex<HashMap<u64, Vec<f32>>>>,
+    store: Arc<Mutex<Store>>,
     completion_hits: Arc<AtomicUsize>,
     completion_misses: Arc<AtomicUsize>,
     embedding_hits: Arc<AtomicUsize>,
     embedding_misses: Arc<AtomicUsize>,
+    /// This handle among the cache's `with_inner` handles (clones share
+    /// it), and what its hits handed on (see [`Self::replayed`]).
+    handle: u64,
+    replayed: Arc<Mutex<CallShare>>,
     tracer: Option<Tracer>,
     ledger: Option<UsageLedger>,
 }
@@ -62,18 +138,22 @@ impl CachingClient {
     pub fn new(inner: Arc<dyn LlmClient>) -> Self {
         Self {
             inner,
-            completions: Arc::new(Mutex::new(HashMap::new())),
-            embeddings: Arc::new(Mutex::new(HashMap::new())),
-            completion_hits: Arc::new(AtomicUsize::new(0)),
-            completion_misses: Arc::new(AtomicUsize::new(0)),
-            embedding_hits: Arc::new(AtomicUsize::new(0)),
-            embedding_misses: Arc::new(AtomicUsize::new(0)),
+            store: Arc::default(),
+            completion_hits: Arc::default(),
+            completion_misses: Arc::default(),
+            embedding_hits: Arc::default(),
+            embedding_misses: Arc::default(),
+            handle: 0,
+            replayed: Arc::default(),
             tracer: None,
             ledger: None,
         }
     }
 
-    /// Emit `cache_hit` / `cache_miss` events on `tracer` for every lookup.
+    /// Count every lookup on `tracer`: [`HITS`] / [`MISSES`], one per
+    /// completion or embedding input. Counters, not events: a cached
+    /// session re-runs whole pipelines, and an event per lookup would grow
+    /// its trace by every record of every re-run.
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
         self.tracer = Some(tracer);
         self
@@ -85,8 +165,8 @@ impl CachingClient {
         self
     }
 
-    /// A handle onto the *same* cache (same maps, same counters) routed
-    /// through a different inner client.
+    /// A handle onto the *same* cache (same entries, same bound, same
+    /// counters) routed through a different inner client.
     ///
     /// This is how the serving layer shares one cross-tenant result cache
     /// while every tenant keeps its own billing/fault/breaker stack: the
@@ -94,28 +174,31 @@ impl CachingClient {
     /// Isolation audit: keys are pure content hashes over
     /// `(model, system, prompt, max_output_tokens)` — see
     /// [`Self::completion_key`] — with no session- or tenant-local state
-    /// folded in, so a hit can only ever replay a response another request
-    /// with the *byte-identical* prompt would have produced. Tenant-scoped
-    /// tracer/ledger attachments are deliberately dropped here; re-attach
-    /// the new tenant's own via [`Self::with_tracer`] / [`Self::with_ledger`].
+    /// folded in, so a hit can only ever replay a response to a request
+    /// with the *byte-identical* parts. Tenant-scoped attachments are
+    /// deliberately not shared: the new handle starts its own
+    /// [`Self::replayed`] total — into which another handle's entries hand
+    /// no stall — and re-attaches the tenant's own tracer and ledger via
+    /// [`Self::with_tracer`] / [`Self::with_ledger`].
     pub fn with_inner(&self, inner: Arc<dyn LlmClient>) -> Self {
+        let handle = {
+            let mut store = self.store.lock();
+            store.handles += 1;
+            store.handles
+        };
         Self {
             inner,
-            completions: self.completions.clone(),
-            embeddings: self.embeddings.clone(),
-            completion_hits: self.completion_hits.clone(),
-            completion_misses: self.completion_misses.clone(),
-            embedding_hits: self.embedding_hits.clone(),
-            embedding_misses: self.embedding_misses.clone(),
+            handle,
+            replayed: Arc::default(),
             tracer: None,
             ledger: None,
+            ..self.clone()
         }
     }
 
     fn note_completion(&self, model: &crate::ModelId, hit: bool) {
         if let Some(t) = &self.tracer {
-            let name = if hit { "cache_hit" } else { "cache_miss" };
-            t.event(Layer::Llm, name, &[("model", model.to_string())]);
+            t.incr(if hit { HITS } else { MISSES }, 1);
         }
         if let Some(l) = &self.ledger {
             if hit {
@@ -128,16 +211,10 @@ impl CachingClient {
 
     fn note_embeddings(&self, model: &crate::ModelId, hits: usize, misses: usize) {
         if let Some(t) = &self.tracer {
-            if hits + misses > 0 {
-                t.event(
-                    Layer::Llm,
-                    "embed_cache",
-                    &[
-                        ("model", model.to_string()),
-                        ("hits", hits.to_string()),
-                        ("misses", misses.to_string()),
-                    ],
-                );
+            for (name, n) in [(HITS, hits), (MISSES, misses)] {
+                if n > 0 {
+                    t.incr(name, n as u64);
+                }
             }
         }
         if let Some(l) = &self.ledger {
@@ -155,41 +232,73 @@ impl CachingClient {
         }
     }
 
+    /// Running total of what this handle's hits handed on: the share of
+    /// every call that filled an entry it served. The ledger never sees
+    /// it; the difference of two readings is what the hits between them
+    /// would have cost.
+    pub fn replayed(&self) -> CallShare {
+        *self.replayed.lock()
+    }
+
     /// Drop all cached entries (counters are kept).
     pub fn clear(&self) {
-        self.completions.lock().clear();
-        self.embeddings.lock().clear();
+        let mut store = self.store.lock();
+        store.completions.clear();
+        store.embeddings.clear();
+        store.order.clear();
     }
 
-    /// Exact-match cache key for a completion request. Public because the
-    /// executor's per-operator memo store (`pz-core`'s incremental
-    /// `ExecutionSnapshot`) generalizes this leaf cache: both key on the
-    /// same [`stable_hash`] over request-determining content, so a record
-    /// that misses the operator memo but repeats a prompt verbatim still
-    /// lands on the same response here.
+    /// Exact-match cache key for a completion request. Each part's byte
+    /// length leads it, so no byte inside a part can stand in for a
+    /// boundary, and an absent system preamble differs from an empty one.
+    /// Parts are absorbed a word at a time: a miss hashes its whole
+    /// prompt, often a full document.
     pub fn completion_key(req: &CompletionRequest) -> u64 {
-        stable_hash(&[
-            req.model.as_str(),
-            req.system.as_deref().unwrap_or(""),
-            &req.prompt,
-            &req.max_output_tokens.to_string(),
-        ])
+        let parts = [
+            Some(req.model.as_str()),
+            req.system.as_deref(),
+            Some(&req.prompt),
+        ];
+        parts
+            .into_iter()
+            .fold(StableHasher::new(), |h, part| {
+                let len = part.map_or(u64::MAX, |p| p.len() as u64);
+                h.words(&len.to_le_bytes())
+                    .words(part.unwrap_or("").as_bytes())
+            })
+            .words(&(req.max_output_tokens as u64).to_le_bytes())
+            .finish()
     }
 
+    /// Cache key for one embedding input, built like
+    /// [`Self::completion_key`].
     fn embedding_key(model: &str, input: &str) -> u64 {
-        stable_hash(&["embed", model, input])
+        [model, input]
+            .into_iter()
+            .fold(StableHasher::new().part("embed"), |h, part| {
+                h.words(&(part.len() as u64).to_le_bytes())
+                    .words(part.as_bytes())
+            })
+            .finish()
+    }
+
+    fn hand_on(&self, share: &CallShare) {
+        self.replayed.lock().add(share);
     }
 }
 
 impl LlmClient for CachingClient {
     fn complete(&self, req: &CompletionRequest) -> Result<CompletionResponse, LlmError> {
         let key = Self::completion_key(req);
-        if let Some(hit) = self.completions.lock().get(&key).cloned() {
+        let hit = (self.store.lock().completions.get(&key))
+            .map(|e| (e.value.clone(), e.share_for(self.handle)));
+        if let Some((text, share)) = hit {
             self.completion_hits.fetch_add(1, Ordering::Relaxed);
             self.note_completion(&req.model, true);
+            self.hand_on(&share);
             // A cache hit is free: no provider cost, negligible latency.
             return Ok(CompletionResponse {
-                text: hit.text,
+                text,
                 usage: Usage::default(),
                 latency_secs: 0.0,
                 cost_usd: 0.0,
@@ -198,7 +307,17 @@ impl LlmClient for CachingClient {
         self.completion_misses.fetch_add(1, Ordering::Relaxed);
         self.note_completion(&req.model, false);
         let resp = self.inner.complete(req)?;
-        self.completions.lock().insert(key, resp.clone());
+        let mut store = self.store.lock();
+        if let hash_map::Entry::Vacant(free) = store.completions.entry(key) {
+            let share = CallShare::of_call(resp.usage, resp.cost_usd, resp.latency_secs, 1);
+            let (value, filler) = (resp.text.clone(), self.handle);
+            free.insert(Entry {
+                value,
+                share,
+                filler,
+            });
+            store.admit(MapKey::Completion(key));
+        }
         Ok(resp)
     }
 
@@ -209,9 +328,16 @@ impl LlmClient for CachingClient {
             .iter()
             .map(|i| Self::embedding_key(req.model.as_str(), i))
             .collect();
+        let mut replayed = CallShare::default();
         let mut vectors: Vec<Option<Vec<f32>>> = {
-            let cache = self.embeddings.lock();
-            keys.iter().map(|k| cache.get(k).cloned()).collect()
+            let store = self.store.lock();
+            let mut hit = |e: &Entry<Vec<f32>>| {
+                replayed.add(&e.share_for(self.handle));
+                e.value.clone()
+            };
+            (keys.iter())
+                .map(|k| store.embeddings.get(k).map(&mut hit))
+                .collect()
         };
         let missing: Vec<usize> = (0..vectors.len())
             .filter(|&i| vectors[i].is_none())
@@ -221,6 +347,9 @@ impl LlmClient for CachingClient {
         self.embedding_misses
             .fetch_add(missing.len(), Ordering::Relaxed);
         self.note_embeddings(&req.model, vectors.len() - missing.len(), missing.len());
+        if missing.len() < vectors.len() {
+            self.hand_on(&replayed);
+        }
 
         let (usage, latency, cost) = if missing.is_empty() {
             (Usage::default(), 0.0, 0.0)
@@ -230,9 +359,21 @@ impl LlmClient for CachingClient {
                 inputs: missing.iter().map(|&i| req.inputs[i].clone()).collect(),
             };
             let resp = self.inner.embed(&sub)?;
-            let mut cache = self.embeddings.lock();
+            // Every input the call filled keeps an even share of it.
+            let share =
+                CallShare::of_call(resp.usage, resp.cost_usd, resp.latency_secs, missing.len());
+            let mut store = self.store.lock();
             for (slot, v) in missing.iter().zip(resp.vectors) {
-                cache.insert(keys[*slot], v.clone());
+                let key = keys[*slot];
+                if let hash_map::Entry::Vacant(free) = store.embeddings.entry(key) {
+                    let (value, filler) = (v.clone(), self.handle);
+                    free.insert(Entry {
+                        value,
+                        share,
+                        filler,
+                    });
+                    store.admit(MapKey::Embedding(key));
+                }
                 vectors[*slot] = Some(v);
             }
             (resp.usage, resp.latency_secs, resp.cost_usd)
@@ -247,6 +388,26 @@ impl LlmClient for CachingClient {
             cost_usd: cost,
         })
     }
+
+    /// The entry `req` filled keeps the time its failed attempts lost.
+    fn note_stall(&self, req: &CompletionRequest, stalled_secs: f64) {
+        let key = Self::completion_key(req);
+        if let Some(e) = self.store.lock().completions.get_mut(&key) {
+            e.share.stalled_secs += stalled_secs;
+        }
+    }
+
+    /// A batch's lost time is spread evenly over its inputs' entries.
+    fn note_embed_stall(&self, req: &EmbeddingRequest, stalled_secs: f64) {
+        let each = stalled_secs / req.inputs.len().max(1) as f64;
+        let mut store = self.store.lock();
+        for input in &req.inputs {
+            let key = Self::embedding_key(req.model.as_str(), input);
+            if let Some(e) = store.embeddings.get_mut(&key) {
+                e.share.stalled_secs += each;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -256,6 +417,41 @@ mod tests {
     use crate::clock::VirtualClock;
     use crate::protocol::filter_prompt;
     use crate::sim::{SimConfig, SimulatedLlm};
+
+    /// Answers every request instantly with its own parts, billing one
+    /// call of fixed usage; fails the first `fail_first` completions with
+    /// a two-second timeout.
+    #[derive(Default)]
+    struct Echo {
+        fail_first: usize,
+        calls: AtomicUsize,
+    }
+
+    impl LlmClient for Echo {
+        fn complete(&self, req: &CompletionRequest) -> Result<CompletionResponse, LlmError> {
+            if self.calls.fetch_add(1, Ordering::Relaxed) < self.fail_first {
+                return Err(LlmError::Timeout {
+                    model: req.model.clone(),
+                    after_secs: 2.0,
+                });
+            }
+            Ok(CompletionResponse {
+                text: format!("{:?}|{:?}", req.system, req.prompt),
+                usage: Usage::new(10, 2),
+                latency_secs: 0.5,
+                cost_usd: 0.01,
+            })
+        }
+
+        fn embed(&self, req: &EmbeddingRequest) -> Result<EmbeddingResponse, LlmError> {
+            Ok(EmbeddingResponse {
+                vectors: req.inputs.iter().map(|i| vec![i.len() as f32]).collect(),
+                usage: Usage::new(4 * req.inputs.len(), 0),
+                latency_secs: 0.2,
+                cost_usd: 0.004,
+            })
+        }
+    }
 
     fn caching_sim() -> (CachingClient, Arc<SimulatedLlm>) {
         let sim = Arc::new(SimulatedLlm::with_defaults());
@@ -389,10 +585,8 @@ mod tests {
         let req = CompletionRequest::new("gpt-4o", filter_prompt("topic", "content"));
         cache.complete(&req).unwrap();
         cache.complete(&req).unwrap();
-        let snap = tracer.snapshot();
-        let names: Vec<&str> = snap.events.iter().map(|e| e.name.as_str()).collect();
-        assert_eq!(names, vec!["cache_miss", "cache_hit"]);
-        assert_eq!(snap.events[0].attrs["model"], "gpt-4o");
+        assert_eq!((tracer.counter(HITS), tracer.counter(MISSES)), (1, 1));
+        assert!(tracer.snapshot().events.is_empty(), "a lookup is no event");
         let by = ledger.by_model();
         assert_eq!(by[0].1.cache_hits, 1);
         assert_eq!(by[0].1.cache_misses, 1);
@@ -498,5 +692,111 @@ mod tests {
         let eb = cache_b.embed(&embed_req).unwrap();
         assert_eq!(ea.vectors, eb.vectors);
         assert_eq!(sim_b.ledger().total_requests(), 1); // only B's filter call
+    }
+
+    /// Parts joined only by a separator byte that prompt text may contain
+    /// would give `(None, "\x1fABC")` and `("\x1f", "ABC")` one key, and
+    /// the second request the first one's response.
+    #[test]
+    fn part_boundaries_cannot_be_forged() {
+        let cache = CachingClient::new(Arc::new(Echo::default()));
+        let a = CompletionRequest::new("gpt-4o", "\u{1f}ABC");
+        let b = CompletionRequest::new("gpt-4o", "ABC").with_system("\u{1f}");
+        let empty = CompletionRequest::new("gpt-4o", "ABC").with_system("");
+        let none = CompletionRequest::new("gpt-4o", "ABC");
+        let key = CachingClient::completion_key;
+        assert_ne!(key(&a), key(&b));
+        assert_ne!(key(&empty), key(&none));
+        let first = cache.complete(&a).unwrap();
+        let second = cache.complete(&b).unwrap();
+        assert_ne!(second.text, first.text);
+        assert_eq!(second.text, "Some(\"\\u{1f}\")|\"ABC\"");
+        assert_eq!(cache.stats().completion_hits, 0);
+    }
+
+    /// One bound over both maps and every handle: the oldest insertion
+    /// goes first, whichever map or handle made it.
+    #[test]
+    fn eviction_is_fifo_across_maps_and_handles() {
+        let a = CachingClient::new(Arc::new(Echo::default()));
+        let b = a.with_inner(Arc::new(Echo::default()));
+        let oldest = CompletionRequest::new("m", "oldest");
+        let embed = EmbeddingRequest {
+            model: "e".into(),
+            inputs: vec!["second oldest".into()],
+        };
+        a.complete(&oldest).unwrap();
+        b.embed(&embed).unwrap();
+        for i in 0..CAPACITY - 2 {
+            b.complete(&CompletionRequest::new("m", i.to_string()))
+                .unwrap();
+        }
+        assert_eq!(a.store.lock().order.len(), CAPACITY);
+        a.complete(&oldest).unwrap();
+        assert_eq!(
+            a.stats().completion_hits,
+            1,
+            "full, but nothing evicted yet"
+        );
+
+        b.complete(&CompletionRequest::new("m", "one too many"))
+            .unwrap();
+        assert_eq!(b.store.lock().order.len(), CAPACITY);
+        a.complete(&oldest).unwrap();
+        assert_eq!(a.stats().completion_hits, 1, "the oldest entry was evicted");
+        // Re-admitting it evicted the next oldest, the embedding.
+        b.embed(&embed).unwrap();
+        assert_eq!(b.stats().embedding_hits, 0);
+        assert_eq!(b.stats().embedding_misses, 2);
+        assert_eq!(a.store.lock().order.len(), CAPACITY);
+    }
+
+    /// A hit bills nothing but hands on the share of the call that filled
+    /// it, the time its failed attempts lost included; the ledger sees only
+    /// the one call that ran.
+    #[test]
+    fn hit_hands_on_its_fillers_share() {
+        let echo = Arc::new(Echo {
+            fail_first: 1,
+            ..Default::default()
+        });
+        let ledger = UsageLedger::new();
+        let cache = CachingClient::new(echo).with_ledger(ledger.clone());
+        let clock = VirtualClock::new();
+        let retry = crate::RetryPolicy::default();
+        let req = CompletionRequest::new("m", "p");
+        let rc = crate::RetryContext::new(&clock);
+        retry.complete_with(&cache, &req, &rc).unwrap();
+        assert_eq!(cache.replayed(), CallShare::default());
+        let billed = |l: &UsageLedger| (l.total_requests(), l.total_cost_usd(), l.total_usage());
+        let before = billed(&ledger);
+
+        let hit = retry.complete_with(&cache, &req, &rc).unwrap();
+        assert_eq!(hit.cost_usd, 0.0);
+        let share = cache.replayed();
+        assert_eq!(share.calls, 1.0);
+        assert_eq!((share.input_tokens, share.output_tokens), (10.0, 2.0));
+        assert_eq!((share.cost_usd, share.latency_secs), (0.01, 0.5));
+        // The 2 s timeout, then the 0.5 s backoff before the retry.
+        assert_eq!(share.stalled_secs, 2.5);
+        assert_eq!(billed(&ledger), before);
+
+        // An embedding input keeps its even share of the batch that filled it.
+        let batch = |inputs: &[&str]| EmbeddingRequest {
+            model: "e".into(),
+            inputs: inputs.iter().map(|i| i.to_string()).collect(),
+        };
+        cache.embed(&batch(&["x", "y"])).unwrap();
+        let before = cache.replayed();
+        cache.embed(&batch(&["y", "z"])).unwrap();
+        let handed = cache.replayed().cost_usd - before.cost_usd;
+        assert!((handed - 0.002).abs() < 1e-12, "{handed}");
+        // A handle made by `with_inner` keeps its own total, and another
+        // handle's stall is no evidence about it.
+        let other = cache.with_inner(Arc::new(Echo::default()));
+        assert_eq!(other.replayed(), CallShare::default());
+        other.complete(&req).unwrap();
+        let share = other.replayed();
+        assert_eq!((share.calls, share.stalled_secs), (1.0, 0.0));
     }
 }

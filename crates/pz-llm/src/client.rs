@@ -174,6 +174,14 @@ pub trait LlmClient: Send + Sync {
 
     /// Embed a batch of inputs.
     fn embed(&self, req: &EmbeddingRequest) -> Result<EmbeddingResponse, LlmError>;
+
+    /// `req` succeeded after failed attempts lost `stalled_secs` first
+    /// ([`RetryPolicy::complete_with`] reports it). A caching client keeps
+    /// it with the entry the call filled; other clients ignore it.
+    fn note_stall(&self, _req: &CompletionRequest, _stalled_secs: f64) {}
+
+    /// [`Self::note_stall`] for an embedding batch.
+    fn note_embed_stall(&self, _req: &EmbeddingRequest, _stalled_secs: f64) {}
 }
 
 /// Retry policy with capped, optionally jittered exponential backoff on a
@@ -294,7 +302,11 @@ impl RetryPolicy {
         rc: &RetryContext<'_>,
     ) -> Result<CompletionResponse, LlmError> {
         let salt = || crate::stable_hash(&[&req.prompt]);
-        self.run(&req.model, salt, rc, || client.complete(req))
+        let (resp, stalled_secs) = self.run(&req.model, salt, rc, || client.complete(req))?;
+        if stalled_secs > 0.0 {
+            client.note_stall(req, stalled_secs);
+        }
+        Ok(resp)
     }
 
     /// Embedding with full resilience context.
@@ -321,7 +333,11 @@ impl RetryPolicy {
             }
             h.end_part().finish()
         };
-        self.run(&req.model, salt, rc, || client.embed(req))
+        let (resp, stalled_secs) = self.run(&req.model, salt, rc, || client.embed(req))?;
+        if stalled_secs > 0.0 {
+            client.note_embed_stall(req, stalled_secs);
+        }
+        Ok(resp)
     }
 
     /// Embedding with full resilience context, splitting oversized input
@@ -366,16 +382,18 @@ impl RetryPolicy {
     /// `salt` keys the jitter draw to the request. It is a hash of the whole
     /// prompt (or embedding batch), so it is computed only where it is used:
     /// inside the retry branch, when jitter is on. A call that succeeds
-    /// first time never reads its payload here.
+    /// first time never reads its payload here. A success comes back with
+    /// the seconds its failed attempts lost first.
     fn run<T>(
         &self,
         model: &ModelId,
         salt: impl Fn() -> u64,
         rc: &RetryContext<'_>,
         mut call: impl FnMut() -> Result<T, LlmError>,
-    ) -> Result<T, LlmError> {
+    ) -> Result<(T, f64), LlmError> {
         let mut backoff = self.initial_backoff_secs;
         let mut last_err: Option<LlmError> = None;
+        let mut stalled_secs = 0.0;
         for attempt in 0..self.max_attempts.max(1) {
             // Breaker gate: refuse locally while the model's domain is open.
             // Mid-retry this surfaces the provider error we already saw;
@@ -393,13 +411,14 @@ impl RetryPolicy {
                     if let Some(health) = rc.health {
                         health.record_success(model, rc.now_secs());
                     }
-                    return Ok(resp);
+                    return Ok((resp, stalled_secs));
                 }
                 Err(e) if e.is_retryable() => {
                     if let Some(health) = rc.health {
                         health.record_failure(model, &e, rc.now_secs());
                     }
-                    let lost = |secs: f64| {
+                    let mut lost = |secs: f64| {
+                        stalled_secs += secs;
                         if let Some(sink) = rc.wait_sink {
                             sink.fetch_add(
                                 (secs * 1e6).round() as u64,

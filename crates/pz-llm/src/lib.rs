@@ -51,7 +51,7 @@ pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultWindow};
 pub use sim::{SimConfig, SimulatedLlm};
 pub use tokenizer::count_tokens;
 pub use traced::TracedClient;
-pub use usage::{ModelUsage, Quota, QuotaExceeded, Usage, UsageLedger};
+pub use usage::{CallShare, ModelUsage, Quota, QuotaExceeded, Usage, UsageLedger};
 
 /// Stable 64-bit FNV-1a hash used everywhere the substrate needs seeded,
 /// reproducible pseudo-randomness (error injection, embeddings, latency
@@ -104,6 +104,29 @@ impl StableHasher {
         bytes.iter().fold(self, |h, b| h.byte(*b))
     }
 
+    /// Absorb `bytes` a little-endian word at a time (tail zero-padded, so
+    /// callers absorb the length too), for keys over long text: xor in,
+    /// FNV multiply, fold high into low so no later word cancels an earlier
+    /// one's high bits. Not bit-compatible with [`bytes`](Self::bytes).
+    #[inline]
+    pub(crate) fn words(self, bytes: &[u8]) -> Self {
+        let mut chunks = bytes.chunks_exact(8);
+        let mix = |h: u64, word: u64| {
+            let h = (h ^ word).wrapping_mul(FNV_PRIME);
+            h ^ (h >> 32)
+        };
+        let mut h = (chunks.by_ref())
+            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+            .fold(self.0, mix);
+        let tail = chunks.remainder();
+        if !tail.is_empty() {
+            let mut padded = [0u8; 8];
+            padded[..tail.len()].copy_from_slice(tail);
+            h = mix(h, u64::from_le_bytes(padded));
+        }
+        StableHasher(h)
+    }
+
     /// Close the current part: a separator so ["ab","c"] != ["a","bc"].
     #[inline]
     pub(crate) fn end_part(self) -> Self {
@@ -153,6 +176,28 @@ mod tests {
     #[test]
     fn stable_hash_is_deterministic() {
         assert_eq!(stable_hash(&["a", "b"]), stable_hash(&["a", "b"]));
+    }
+
+    /// Every byte of a word-wise absorb counts, the zero-padded tail
+    /// included, and no later word cancels a high-bit difference in an
+    /// earlier one.
+    #[test]
+    fn words_hash_every_byte() {
+        let hash = |b: &[u8]| StableHasher::new().words(b).finish();
+        let base: Vec<u8> = (0..21).collect();
+        let mut seen = vec![hash(&base)];
+        for i in 0..base.len() {
+            let mut flipped = base.clone();
+            flipped[i] ^= 0x80;
+            seen.push(hash(&flipped));
+        }
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen.len(), base.len() + 1);
+        let mut both = [0u8; 16];
+        both[7] ^= 0x80;
+        both[15] ^= 0x80;
+        assert_ne!(hash(&both), hash(&[0u8; 16]));
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!
 //! The wrapper sees only calls that actually reach the provider: placed
 //! inside a [`crate::CachingClient`], cache hits never produce an LLM span
-//! (they emit `cache_hit` events instead), so `llm` span counts reconcile
-//! with [`crate::UsageLedger::total_requests`].
+//! (they count on the `llm.cache_hits` counter instead), so `llm` span
+//! counts reconcile with [`crate::UsageLedger::total_requests`].
 
 use crate::client::{
     CompletionRequest, CompletionResponse, EmbeddingRequest, EmbeddingResponse, LlmClient, LlmError,

@@ -47,6 +47,45 @@ impl std::ops::AddAssign for Usage {
     }
 }
 
+/// What model calls cost the run that made them: calls, tokens, dollars,
+/// modelled latency, and the time their failed attempts lost first. Counts
+/// are `f64`, so one input's share of a batched call is one too. A cache
+/// entry keeps the share of the call that filled it, and a hit hands that
+/// share on instead of billing anything.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct CallShare {
+    pub calls: f64,
+    pub input_tokens: f64,
+    pub output_tokens: f64,
+    pub cost_usd: f64,
+    pub latency_secs: f64,
+    pub stalled_secs: f64,
+}
+
+impl CallShare {
+    /// `1/n` of one call that billed `usage`, `cost_usd` and `latency_secs`.
+    pub fn of_call(usage: Usage, cost_usd: f64, latency_secs: f64, n: usize) -> Self {
+        let n = n.max(1) as f64;
+        Self {
+            calls: 1.0 / n,
+            input_tokens: usage.input_tokens as f64 / n,
+            output_tokens: usage.output_tokens as f64 / n,
+            cost_usd: cost_usd / n,
+            latency_secs: latency_secs / n,
+            stalled_secs: 0.0,
+        }
+    }
+
+    pub fn add(&mut self, other: &Self) {
+        self.calls += other.calls;
+        self.input_tokens += other.input_tokens;
+        self.output_tokens += other.output_tokens;
+        self.cost_usd += other.cost_usd;
+        self.latency_secs += other.latency_secs;
+        self.stalled_secs += other.stalled_secs;
+    }
+}
+
 /// Per-model accumulated usage.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ModelUsage {

@@ -133,7 +133,7 @@ pub fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
 }
 
 /// Step mix extended with `Classify`, for suites exercising per-operator
-/// memo rules; kept separate so `properties.rs` coverage is unchanged.
+/// re-run deltas; kept separate so `properties.rs` coverage is unchanged.
 pub fn arb_steps_llm() -> impl Strategy<Value = Vec<Step>> {
     proptest::collection::vec((0u8..6, 0usize..12, any::<bool>()), 0..4).prop_map(|raw| {
         raw.into_iter()
@@ -197,8 +197,8 @@ pub fn build_plan(dataset: &str, steps: &[Step]) -> PhysicalPlan {
     PhysicalPlan { ops }
 }
 
-/// A tail Limit legitimately lets streaming (and incremental) skip
-/// upstream LLM calls, so exact cost equality only binds without one.
+/// A tail Limit legitimately lets streaming (and a re-run after an edit)
+/// skip upstream LLM calls, so exact cost equality only binds without one.
 pub fn has_early_exit(steps: &[Step]) -> bool {
     steps.iter().any(|s| matches!(s, Step::Limit(_)))
 }

@@ -1,12 +1,14 @@
-//! Integration: incremental execution (`exec/incremental.rs`).
+//! Integration: re-runs over an edited dataset through the response cache
+//! (`PzContext::with_cache`).
 //!
 //! The headline guarantee, test-enforced: for any plan and any edit script
-//! (appends, updates, deletes), re-running incrementally over the edited
-//! dataset produces the *same output multiset* as running from scratch —
-//! while re-billing at most the delta. The differential proptests randomize
-//! plans × edit scripts × execution modes × parallelism; targeted tests pin
-//! each operator's memo rule, the full-rerun fallback for operators without
-//! one, and the off-by-default byte-invisibility contract.
+//! (appends, updates, deletes), re-running on a cached context over the
+//! edited dataset produces the *same output multiset* as running from
+//! scratch — while billing only the records the edit touched: an unchanged
+//! record repeats its prompts verbatim and is served from the cache. The
+//! differential proptests randomize plans × edit scripts × execution modes
+//! × parallelism; targeted tests pin each operator's delta, and that a
+//! cold run through the cache is byte-invisible.
 
 mod common;
 
@@ -26,9 +28,9 @@ use std::sync::Arc;
 
 const DATASET: &str = "inc";
 
-/// Armed incremental context over a versioned copy of `items`.
+/// Cached context over a versioned copy of `items`.
 fn versioned_ctx(items: &[(String, String)]) -> (PzContext, Arc<VersionedSource>) {
-    let ctx = PzContext::simulated().with_incremental();
+    let ctx = PzContext::simulated().with_cache();
     let src = Arc::new(VersionedSource::new(
         DATASET,
         Schema::pdf_file(),
@@ -38,7 +40,7 @@ fn versioned_ctx(items: &[(String, String)]) -> (PzContext, Arc<VersionedSource>
     (ctx, src)
 }
 
-/// From-scratch baseline: fresh context, plain `MemorySource`, no memo.
+/// From-scratch baseline: fresh context, plain `MemorySource`, no cache.
 fn scratch_run(
     items: &[(String, String)],
     plan: &PhysicalPlan,
@@ -89,10 +91,12 @@ fn base_config(mode_idx: usize) -> ExecutionConfig {
 proptest! {
     /// The tentpole guarantee. For a random plan, a random seeded edit
     /// script, both execution modes, and worker pools of 1/2/8: after
-    /// every batch the incremental re-run agrees with a from-scratch run
-    /// on the output multiset, never bills more (absent an early-exit
-    /// Limit, whose overrun is scheduling-dependent), and its per-operator
-    /// stats still reconcile exactly against the ledger.
+    /// every batch the cached re-run agrees with a from-scratch run on the
+    /// output multiset and its per-operator stats still reconcile exactly
+    /// against the ledger. Absent an early-exit Limit (which lets an edit
+    /// pull unchanged records it never reached into the LLM steps), it
+    /// never bills more, and no unchanged record bills a call: each LLM
+    /// step bills at most once per appended or updated record.
     #[test]
     fn incremental_rerun_matches_from_scratch(
         corpus in arb_corpus(),
@@ -104,38 +108,48 @@ proptest! {
     ) {
         let parallelism = [1usize, 2, 8][p_idx];
         let plan = build_plan(DATASET, &steps);
-        let inc_cfg = base_config(mode_idx)
-            .with_parallelism(parallelism)
-            .with_incremental();
-        let scratch_cfg = base_config(mode_idx).with_parallelism(parallelism);
+        let config = base_config(mode_idx).with_parallelism(parallelism);
+        let llm_steps = steps
+            .iter()
+            .filter(|s| matches!(s, Step::Filter(_) | Step::Classify))
+            .count();
 
         let script = edits::edit_script(&to_docs(&corpus), seed, batches, ops);
         let (ctx, src) = versioned_ctx(&corpus);
         let mut items = corpus.clone();
 
-        // Cold run warms the memo.
-        let (_, stats0) = execute_plan(&ctx, &plan, inc_cfg).unwrap();
-        prop_assert_eq!(stats0.memo_hits, 0, "cold run replayed from an empty memo");
+        // Cold run warms the cache.
+        let (_, stats0) = execute_plan(&ctx, &plan, config).unwrap();
+        prop_assert_eq!(stats0.memo_hits, ctx.ledger.total_cache_hits());
         assert_reconciled(&ctx, &stats0);
 
         for batch in &script.batches {
             apply_batch(&src, &mut items, batch);
             ctx.reset_accounting();
-            let (rec_i, stats_i) = execute_plan(&ctx, &plan, inc_cfg).unwrap();
+            let (rec_i, stats_i) = execute_plan(&ctx, &plan, config).unwrap();
             assert_reconciled(&ctx, &stats_i);
 
-            let (ctx_f, rec_f, _) = scratch_run(&items, &plan, scratch_cfg);
+            let (ctx_f, rec_f, _) = scratch_run(&items, &plan, config);
             prop_assert_eq!(multiset(&rec_i), multiset(&rec_f));
             if !has_early_exit(&steps) {
+                let dirty = batch
+                    .iter()
+                    .filter(|op| !matches!(op, EditOp::Delete { .. }))
+                    .count();
+                prop_assert!(
+                    ctx.ledger.total_requests() <= llm_steps * dirty,
+                    "{} calls for {dirty} edited record(s) over {llm_steps} LLM step(s)",
+                    ctx.ledger.total_requests()
+                );
                 prop_assert!(
                     ctx.ledger.total_cost_usd() <= ctx_f.ledger.total_cost_usd() + 1e-9,
-                    "incremental ${} > from-scratch ${}",
+                    "cached re-run ${} > from-scratch ${}",
                     ctx.ledger.total_cost_usd(),
                     ctx_f.ledger.total_cost_usd()
                 );
                 prop_assert!(
                     ctx.ledger.total_requests() <= ctx_f.ledger.total_requests(),
-                    "incremental {} calls > from-scratch {}",
+                    "cached re-run {} calls > from-scratch {}",
                     ctx.ledger.total_requests(),
                     ctx_f.ledger.total_requests()
                 );
@@ -143,12 +157,12 @@ proptest! {
         }
     }
 
-    /// Pure appends touching a memoized prefix re-bill *exactly* the
-    /// delta: the incremental re-run's call count equals fresh(final
-    /// corpus) − fresh(old corpus). Duplicate LLM steps are deduplicated
-    /// first — two identical operators share a memo fingerprint, so the
-    /// second replays the first's verdicts even within one run, which is
-    /// correct but makes the unmemoized subtraction above miscount.
+    /// Pure appends to a cached prefix re-bill *exactly* the delta: the
+    /// re-run's call count equals fresh(final corpus) − fresh(old corpus).
+    /// Duplicate LLM steps are deduplicated first — two identical
+    /// operators send the same prompts, so the second is served from the
+    /// cache even within one run, which is correct but makes the uncached
+    /// subtraction above miscount.
     #[test]
     fn pure_append_rebills_exactly_the_delta(
         corpus in arb_corpus(),
@@ -181,10 +195,10 @@ proptest! {
         let script = edits::append_script(seed, 1, appended);
         let (ctx, src) = versioned_ctx(&corpus);
         let mut items = corpus.clone();
-        execute_plan(&ctx, &plan, config.with_incremental()).unwrap();
+        execute_plan(&ctx, &plan, config).unwrap();
         apply_batch(&src, &mut items, &script.batches[0]);
         ctx.reset_accounting();
-        let (rec_i, _) = execute_plan(&ctx, &plan, config.with_incremental()).unwrap();
+        let (rec_i, _) = execute_plan(&ctx, &plan, config).unwrap();
         let delta_calls = ctx.ledger.total_requests();
 
         let (ctx_old, _, _) = scratch_run(&corpus, &plan, config);
@@ -199,7 +213,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Targeted per-operator memo rules.
+// Targeted per-operator deltas.
 // ---------------------------------------------------------------------------
 
 fn demo_items() -> Vec<(String, String)> {
@@ -243,9 +257,10 @@ fn single_op_plan(op: PhysicalOp) -> PhysicalPlan {
 const DELTA_DOC: &str = "Delta document. A colorectal cancer screening cohort with the FunkyData \
      registry available at https://example.org/funky.";
 
-/// Run `plan` cold on the demo corpus, apply `edit`, re-run incrementally,
-/// and run from scratch on the edited corpus. Returns both contexts (their
-/// ledgers carry the re-billed vs full accounting) and both record sets.
+/// Run `plan` cold on the demo corpus, apply `edit`, re-run on the same
+/// cached context, and run from scratch on the edited corpus. Returns both
+/// contexts (their ledgers carry the re-billed vs full accounting) and
+/// both record sets.
 fn delta_scenario(
     plan: &PhysicalPlan,
     config: ExecutionConfig,
@@ -253,10 +268,10 @@ fn delta_scenario(
 ) -> (PzContext, Vec<DataRecord>, PzContext, Vec<DataRecord>) {
     let mut items = demo_items();
     let (ctx, src) = versioned_ctx(&items);
-    execute_plan(&ctx, plan, config.with_incremental()).unwrap();
+    execute_plan(&ctx, plan, config).unwrap();
     edit(&src, &mut items);
     ctx.reset_accounting();
-    let (rec_i, _) = execute_plan(&ctx, plan, config.with_incremental()).unwrap();
+    let (rec_i, _) = execute_plan(&ctx, plan, config).unwrap();
     let (ctx_f, rec_f, _) = scratch_run(&items, plan, config);
     (ctx, rec_i, ctx_f, rec_f)
 }
@@ -309,12 +324,12 @@ fn embedding_filter_delta_rule() {
         });
     assert_eq!(multiset(&rec_i), multiset(&rec_f));
     // Embeddings batch: both runs make one provider request, but the
-    // incremental one embeds only the predicate + the appended record, so
-    // the saving shows up in tokens, i.e. dollars.
+    // re-run embeds only the appended record — the predicate and the old
+    // records are cached — so the saving shows up in tokens, i.e. dollars.
     assert_eq!(ctx_i.ledger.total_requests(), 1);
     assert!(
         ctx_i.ledger.total_cost_usd() < ctx_f.ledger.total_cost_usd(),
-        "incremental embed ${} not cheaper than from-scratch ${}",
+        "re-run embed ${} not cheaper than from-scratch ${}",
         ctx_i.ledger.total_cost_usd(),
         ctx_f.ledger.total_cost_usd()
     );
@@ -357,7 +372,7 @@ fn classify_delta_rule() {
     let delta = ctx_i.ledger.total_requests();
     assert_eq!(multiset(&rec_i), multiset(&rec_f));
     assert_eq!(delta, 1, "classify bills exactly the appended record");
-    // Every record still carries a label after the replayed merge.
+    // Every record still carries a label, cached or billed.
     assert!(rec_i.iter().all(|r| r.get("topic").is_some()));
 }
 
@@ -394,9 +409,9 @@ fn fieldwise_convert_delta_rule() {
     assert!(delta < ctx_f.ledger.total_requests());
 }
 
-/// The join memoizes per *left* record but folds the right dataset's
-/// content into the operator fingerprint: editing the build side must
-/// invalidate every memoized row rather than serve stale joins.
+/// The join prompts once per (left, right) pair: an unchanged build side
+/// re-runs for free, and editing it bills only the pairs with the new
+/// right record — never a stale join.
 #[test]
 fn llm_join_right_side_edit_invalidates_fingerprint() {
     let left_items: Vec<(String, String)> = vec![
@@ -427,7 +442,7 @@ fn llm_join_right_side_edit_invalidates_fingerprint() {
         effort: Effort::Standard,
     });
 
-    let ctx = PzContext::simulated().with_incremental();
+    let ctx = PzContext::simulated().with_cache();
     let left = Arc::new(VersionedSource::new(
         DATASET,
         Schema::text_file(),
@@ -441,17 +456,17 @@ fn llm_join_right_side_edit_invalidates_fingerprint() {
     ctx.registry.register(left.clone());
     ctx.registry.register(right.clone());
 
-    let config = ExecutionConfig::sequential().with_incremental();
+    let config = ExecutionConfig::sequential();
     let (rec1, _) = execute_plan(&ctx, &plan, config).unwrap();
     assert_eq!(ctx.ledger.total_requests(), 2 * 2, "left × right pairs");
 
-    // Unchanged build side: the join replays for free.
+    // Unchanged build side: the join is served from the cache.
     ctx.reset_accounting();
     let (rec2, _) = execute_plan(&ctx, &plan, config).unwrap();
     assert_eq!(ctx.ledger.total_requests(), 0, "unchanged join re-billed");
     assert_eq!(multiset(&rec1), multiset(&rec2));
 
-    // Edited build side: the fingerprint rotates, everything re-runs.
+    // Edited build side: only the pairs with the new right record bill.
     let extra = (
         "cat-2.txt".to_string(),
         "repository: SDSS\ncatalog_entry: quasar redshift sky survey imaging\n".to_string(),
@@ -461,8 +476,8 @@ fn llm_join_right_side_edit_invalidates_fingerprint() {
     let (rec3, _) = execute_plan(&ctx, &plan, config).unwrap();
     assert_eq!(
         ctx.ledger.total_requests(),
-        2 * 3,
-        "right-side edit must invalidate every memoized join row"
+        2,
+        "a right-side append bills one call per left record"
     );
 
     // And the re-run agrees with a from-scratch join over the new catalog.
@@ -483,9 +498,9 @@ fn llm_join_right_side_edit_invalidates_fingerprint() {
     assert_eq!(multiset(&rec3), multiset(&rec_f));
 }
 
-/// Operators without a memo rule (here: Retrieve) fall back to a
-/// transparent full re-run — correctness never depends on coverage. The
-/// re-bill is partial: the memoized filter downstream stays free.
+/// Retrieve embeds per input, so an unchanged corpus re-runs for free and
+/// an appended record bills its own embedding, plus a filter call if it
+/// enters the top-k; the records already ranked stay free.
 #[test]
 fn retrieve_falls_back_to_full_rerun() {
     let (docs, _) = science::generate(ScienceConfig {
@@ -510,27 +525,40 @@ fn retrieve_falls_back_to_full_rerun() {
             },
         ],
     };
-    let (ctx, _src) = versioned_ctx(&items);
-    let config = ExecutionConfig::sequential().with_incremental();
+    let (ctx, src) = versioned_ctx(&items);
+    let config = ExecutionConfig::sequential();
     let (rec1, _) = execute_plan(&ctx, &plan, config).unwrap();
     let cold_calls = ctx.ledger.total_requests();
 
     ctx.reset_accounting();
     let (rec2, _) = execute_plan(&ctx, &plan, config).unwrap();
-    let rerun_calls = ctx.ledger.total_requests();
     assert_eq!(multiset(&rec1), multiset(&rec2));
-    assert!(rerun_calls > 0, "retrieve must re-run: it has no memo rule");
-    assert!(
-        rerun_calls < cold_calls,
-        "downstream filter was not memoized: {rerun_calls} vs {cold_calls}"
+    assert_eq!(
+        ctx.ledger.total_requests(),
+        0,
+        "unchanged retrieve re-billed"
     );
+
+    let mut items = items;
+    src.append("delta-000.pdf", DELTA_DOC);
+    items.push(("delta-000.pdf".into(), DELTA_DOC.into()));
+    ctx.reset_accounting();
+    let (rec3, _) = execute_plan(&ctx, &plan, config).unwrap();
+    let rerun_calls = ctx.ledger.total_requests();
+    let (ctx_f, rec_f, _) = scratch_run(&items, &plan, config);
+    assert_eq!(multiset(&rec3), multiset(&rec_f));
+    assert!(
+        (1..=2).contains(&rerun_calls),
+        "append re-billed {rerun_calls} calls (cold run: {cold_calls})"
+    );
+    assert!(ctx.ledger.total_cost_usd() < ctx_f.ledger.total_cost_usd());
 }
 
-/// Off by default, byte-invisible when off: with the config flag down, a
-/// context carrying an armed snapshot must behave identically to a plain
-/// context over a plain `MemorySource` — same records, cost, calls, and
-/// (sequentially, where execution is exactly deterministic) byte-identical
-/// serialized stats; no memo key in the JSON, no replay trace events.
+/// A cold run through the cache is byte-invisible: it must behave
+/// identically to a plain context over a plain `MemorySource` — same
+/// records, cost, calls, clock, and (sequentially, where execution is
+/// exactly deterministic) byte-identical serialized stats, with no
+/// cache-hit key in the JSON.
 #[test]
 fn incremental_off_is_byte_invisible() {
     for config in [ExecutionConfig::sequential(), ExecutionConfig::streaming()] {
@@ -551,15 +579,9 @@ fn incremental_off_is_byte_invisible() {
         );
         assert!((ctx_armed.clock.now_secs() - ctx_plain.clock.now_secs()).abs() < 1e-9);
         assert_eq!(stats_a.memo_hits, 0);
-        assert!(ctx_armed.incremental.as_ref().unwrap().is_empty());
+        assert_eq!(ctx_armed.ledger.total_cache_hits(), 0);
         let json = serde_json::to_string(&stats_a).unwrap();
         assert!(!json.contains("memo_hits"), "zero memo_hits serialized");
-        assert_eq!(ctx_armed.tracer.counter("exec.memo_replay"), 0);
-        assert!(!ctx_armed
-            .tracer
-            .snapshot()
-            .to_jsonl()
-            .contains("memo_replay"));
         if config.mode == ExecMode::Materializing {
             assert_eq!(
                 serde_json::to_string(&stats_a).unwrap(),
@@ -570,27 +592,24 @@ fn incremental_off_is_byte_invisible() {
 }
 
 /// The fault-matrix cell: under the E18 brownout (sub-threshold timeouts,
-/// retried to success — no breaker, no failover) an incremental re-run
-/// after an append must still agree with a from-scratch run under the
-/// *same* fault plan, and still bill only the delta.
+/// retried to success — no breaker, no failover) a cached re-run after an
+/// append must still agree with a from-scratch run under the *same* fault
+/// plan, and still bill only the delta.
 ///
-/// The brownout moves operators off gpt-4o. A replayed record hands the
-/// substitution controller what it cost the cold run, so the re-run makes
-/// the cold run's swaps and finds every memoized verdict under the model
-/// that produced it.
+/// The brownout moves operators off gpt-4o. A cache hit hands the
+/// substitution controller what its call cost the cold run, stall
+/// included, so the re-run makes the cold run's swaps and finds every
+/// cached response under the model that produced it.
 #[test]
 fn brownout_incremental_rerun_matches_from_scratch() {
     let brownout = || FaultPlan::parse("gpt-4o:timeout@0..1e9:p=0.35:stall=25", 11).unwrap();
-    for config in [
-        ExecutionConfig::sequential().with_incremental(),
-        ExecutionConfig::streaming().with_incremental(),
-    ] {
+    for config in [ExecutionConfig::sequential(), ExecutionConfig::streaming()] {
         let ctx = PzContext::simulated_with(SimConfig {
             seed: 0,
             fault_plan: brownout(),
             ..Default::default()
         })
-        .with_incremental();
+        .with_cache();
         let mut items = demo_items();
         let src = Arc::new(VersionedSource::new(
             DATASET,
@@ -625,6 +644,16 @@ fn brownout_incremental_rerun_matches_from_scratch() {
         )
         .unwrap();
         assert_eq!(multiset(&rec_i), multiset(&rec_f));
+        let swaps = |s: &ExecutionStats| {
+            (s.adaptive.iter())
+                .map(|r| (r.operator.clone(), r.from_model.clone(), r.to_model.clone()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            swaps(&stats_i),
+            swaps(&cold),
+            "the re-run swapped elsewhere"
+        );
         assert!(delta_calls <= 2, "brownout delta re-billed {delta_calls}");
         assert!(delta_calls < scratch.ledger.total_requests());
     }

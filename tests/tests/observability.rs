@@ -257,7 +257,7 @@ fn cached_rerun_hits_land_on_tracer_and_ledger_not_llm_spans() {
         .unwrap();
 
     // MaxQuality routes the filter to completion calls (MinCost would pick
-    // the embedding filter, whose cache emits batched `embed_cache` events).
+    // the embedding filter, whose cache counts per input).
     execute(
         &ctx,
         &plan,
@@ -280,9 +280,9 @@ fn cached_rerun_hits_land_on_tracer_and_ledger_not_llm_spans() {
 
     // Second run was served from cache: hits on the ledger…
     assert_eq!(ctx.ledger.total_cache_hits(), misses_after_first);
-    // …as cache_hit events on the trace…
-    let hit_events = snap.events.iter().filter(|e| e.name == "cache_hit").count();
-    assert_eq!(hit_events, ctx.ledger.total_cache_hits());
+    // …on the trace's hit counter…
+    let hits = snap.counters.get(pz_llm::cache::HITS).copied().unwrap_or(0);
+    assert_eq!(hits as usize, ctx.ledger.total_cache_hits());
     // …and NO extra LLM spans (hits never reach the provider).
     assert_eq!(
         snap.spans_in_layer(Layer::Llm).len(),
