@@ -9,7 +9,7 @@ use crate::datasource::{DataRegistry, DataSource, RecordBatchIter, UdfRegistry};
 use crate::error::PzResult;
 use pz_llm::{
     CachingClient, Catalog, FaultInjector, HealthTracker, LlmClient, ModelId, RetryContext,
-    RetryPolicy, SimConfig, SimulatedLlm, TracedClient, UsageLedger, VirtualClock,
+    RetryPolicy, RunSink, SimConfig, SimulatedLlm, TracedClient, UsageLedger, VirtualClock,
 };
 use pz_obs::Tracer;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -67,10 +67,11 @@ pub struct PzContext {
     pub deadline_at_secs: Option<f64>,
     /// Default embedding model.
     pub embed_model: ModelId,
-    /// Sink for the virtual µs calls lose to failures (fault stalls, retry
-    /// backoff). The executor gives every run its own on its cloned
-    /// context and reads it around each step; `None` records nothing.
-    pub retry_wait_us: Option<Arc<AtomicU64>>,
+    /// The books of the time calls lose to failures (fault stalls, retry
+    /// backoff) and of what cache hits hand on. The executor gives every
+    /// run its own on its cloned context and reads it around each step;
+    /// `None` records nothing.
+    pub run_sink: Option<Arc<RunSink>>,
     /// Admission gate consulted at the top of every executed plan. `None`
     /// (the default) admits everything; serving hosts install their gate so
     /// per-run capacity and load shedding apply uniformly to REPL, tool and
@@ -121,7 +122,7 @@ impl PzContext {
             deadline_at_secs: None,
             tracer,
             embed_model: "text-embedding-3-small".into(),
-            retry_wait_us: None,
+            run_sink: None,
             admission: None,
             ids: Arc::new(AtomicU64::new(1)),
         }
@@ -151,9 +152,11 @@ impl PzContext {
     /// statistics are available via `self.cache`. Cache hits and misses
     /// land on the tracer (counters) and the ledger (per-model counts),
     /// and each hit hands the executor what its call cost the run that
-    /// made it.
+    /// made it — the time it lost to failures only while the fault plan
+    /// that run saw is still in force.
     pub fn with_cache(mut self) -> Self {
         let cache = CachingClient::new(self.llm.clone())
+            .with_faults(self.faults.clone())
             .with_tracer(self.tracer.clone())
             .with_ledger(self.ledger.clone());
         self.cache = Some(cache.clone());
@@ -216,7 +219,7 @@ impl PzContext {
         RetryContext::new(&self.clock)
             .with_health(&self.health)
             .with_deadline(self.deadline_at_secs)
-            .with_wait_sink(self.retry_wait_us.as_deref())
+            .with_sink(self.run_sink.as_deref())
     }
 }
 

@@ -102,26 +102,28 @@ impl Observed {
     /// Billed plus stalled seconds per billed second: exactly 1 without a
     /// stall, capped (finite) when nothing was billed at all.
     fn stall_ratio(&self) -> f64 {
-        if self.stalled_secs <= 0.0 {
+        let (billed, stalled) = (self.share.latency_secs, self.share.stalled_secs);
+        if stalled <= 0.0 {
             1.0
-        } else if self.billed_secs <= 0.0 {
+        } else if billed <= 0.0 {
             RATIO_CAP
         } else {
-            ((self.billed_secs + self.stalled_secs) / self.billed_secs).min(RATIO_CAP)
+            ((billed + stalled) / billed).min(RATIO_CAP)
         }
     }
 
     /// Seconds per record `card` takes at the request shape billed here.
     fn secs_per_record(&self, card: Option<&ModelCard>) -> f64 {
         let Some(card) = card else { return 0.0 };
-        let (input, output) = match self.calls {
+        let share = &self.share;
+        let (input, output) = match share.calls {
             n if n < 1.0 => UNBILLED_SHAPE,
             n => (
-                (self.input_tokens / n) as usize,
-                (self.output_tokens / n) as usize,
+                (share.input_tokens / n) as usize,
+                (share.output_tokens / n) as usize,
             ),
         };
-        card.latency_secs(input, output) * self.calls.max(1.0) / self.records.max(1.0)
+        card.latency_secs(input, output) * share.calls.max(1.0) / self.records.max(1.0)
     }
 }
 
@@ -429,7 +431,6 @@ mod tests {
     use crate::datasource::MemorySource;
     use crate::schema::Schema;
     use pz_llm::protocol::Effort;
-    use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
 
     fn filter_op(model: &str) -> PhysicalOp {
@@ -480,15 +481,15 @@ mod tests {
     /// seconds of latency and `stalled` seconds lost to failures.
     fn step(records: usize, billed: f64, stalled: f64) -> Observed {
         let records = records as f64;
-        Observed {
-            records,
+        let share = pz_llm::CallShare {
             calls: records,
             input_tokens: 400.0 * records,
             output_tokens: 2.0 * records,
-            billed_secs: billed,
+            latency_secs: billed,
             stalled_secs: stalled,
-            ..Observed::default()
-        }
+            ..Default::default()
+        };
+        Observed { records, share }
     }
 
     fn transient(reason: &str) -> pz_llm::LlmError {
@@ -763,7 +764,7 @@ mod tests {
     /// then holds for gpt-4o.
     fn stall_ratio_over_demo(faults: &str) -> f64 {
         let mut ctx = demo_ctx(pz_llm::FaultPlan::parse(faults, 11).unwrap());
-        ctx.retry_wait_us = Some(Arc::new(AtomicU64::new(0)));
+        ctx.run_sink = Some(Arc::default());
         let op = filter_op("gpt-4o");
         let mut s = subst(&ctx, vec![op.clone()], Rank::Quality);
         let corpus = ctx.open_scan("sigmod-demo", 4).unwrap();

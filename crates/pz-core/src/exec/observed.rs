@@ -1,21 +1,17 @@
-//! What operator work costs in the run's own books: the ledger and the
-//! failure sink the retry layer writes (`PzContext::retry_wait_us`) — and
-//! what the response cache's hits would have cost (`CachingClient::replayed`).
+//! What operator work costs in the run's own books: the ledger, and the
+//! sink the retry layer writes (`PzContext::run_sink`) with the time calls
+//! lost to failures and what the response cache's hits handed on.
 
 use crate::context::PzContext;
-use std::sync::atomic::Ordering;
+use pz_llm::CallShare;
 
-/// Records in, calls, tokens, dollars and latency billed, and the time
-/// calls lost to failures; counts held as `f64`, so a share is one too.
+/// Records in, and the calls, tokens, dollars and latency billed for them
+/// with the time calls lost to failures; counts held as `f64`, so a share
+/// is one too.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct Observed {
     pub(crate) records: f64,
-    pub(crate) calls: f64,
-    pub(crate) input_tokens: f64,
-    pub(crate) output_tokens: f64,
-    pub(crate) cost_usd: f64,
-    pub(crate) billed_secs: f64,
-    pub(crate) stalled_secs: f64,
+    pub(crate) share: CallShare,
 }
 
 impl Observed {
@@ -23,56 +19,40 @@ impl Observed {
     /// ([`since`](Self::since)) is what ran between them.
     pub(crate) fn meter(ctx: &PzContext) -> Self {
         let usage = ctx.ledger.total_usage();
-        let lost_us = (ctx.retry_wait_us.as_ref()).map_or(0, |s| s.load(Ordering::Relaxed));
-        Self {
-            records: 0.0,
+        let share = CallShare {
             calls: ctx.ledger.total_requests() as f64,
             input_tokens: usage.input_tokens as f64,
             output_tokens: usage.output_tokens as f64,
             cost_usd: ctx.ledger.total_cost_usd(),
-            billed_secs: ctx.ledger.total_latency_secs(),
-            stalled_secs: lost_us as f64 / 1e6,
+            latency_secs: ctx.ledger.total_latency_secs(),
+            stalled_secs: (ctx.run_sink.as_ref()).map_or(0.0, |s| s.lost_secs()),
+        };
+        Self {
+            records: 0.0,
+            share,
         }
     }
 
-    /// The running total of what `ctx`'s cache hits handed on: the share
+    /// The running total of what the run's cache hits handed on: the share
     /// of every call that filled an entry they served. Zero without a
     /// cache.
     pub(crate) fn replayed(ctx: &PzContext) -> Self {
-        let Some(cache) = &ctx.cache else {
-            return Self::default();
-        };
-        let share = cache.replayed();
         Self {
             records: 0.0,
-            calls: share.calls,
-            input_tokens: share.input_tokens,
-            output_tokens: share.output_tokens,
-            cost_usd: share.cost_usd,
-            billed_secs: share.latency_secs,
-            stalled_secs: share.stalled_secs,
-        }
-    }
-
-    /// Field by field, `f` of this and `other`.
-    fn zip(self, other: Self, f: impl Fn(f64, f64) -> f64) -> Self {
-        Self {
-            records: f(self.records, other.records),
-            calls: f(self.calls, other.calls),
-            input_tokens: f(self.input_tokens, other.input_tokens),
-            output_tokens: f(self.output_tokens, other.output_tokens),
-            cost_usd: f(self.cost_usd, other.cost_usd),
-            billed_secs: f(self.billed_secs, other.billed_secs),
-            stalled_secs: f(self.stalled_secs, other.stalled_secs),
+            share: (ctx.run_sink.as_ref()).map_or_else(CallShare::default, |s| s.replayed()),
         }
     }
 
     /// What ran since `before`, an earlier reading of the same totals.
     pub(crate) fn since(self, before: Self) -> Self {
-        self.zip(before, |now, then| now - then)
+        Self {
+            records: self.records - before.records,
+            share: self.share.since(before.share),
+        }
     }
 
     pub(crate) fn add(&mut self, other: &Self) {
-        *self = self.zip(*other, |a, b| a + b);
+        self.records += other.records;
+        self.share.add(&other.share);
     }
 }

@@ -79,7 +79,6 @@ use crate::exec::runner;
 use crate::exec::stats::{ExecutionStats, OperatorStats};
 use crate::ops::physical::{PhysicalOp, PhysicalPlan};
 use crate::record::DataRecord;
-use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 /// Records per pull of the leading `Scan` in a materializing run — the
@@ -250,10 +249,11 @@ pub(crate) fn execute_ranked(
     let ctx = &{
         let mut c = ctx.clone();
         c.deadline_at_secs = deadline_at;
-        // The run's own sink for the time its calls lose to failures, which
-        // steps read (`Observed`): no other run, and no sink a previous run
-        // left on the caller's context, ever mixes in.
-        c.retry_wait_us = Some(Arc::new(AtomicU64::new(0)));
+        // The run's own sink for the time its calls lose to failures and
+        // the shares its cache hits hand on, which steps read
+        // (`Observed`): no other run, and no sink a previous run left on
+        // the caller's context, ever mixes in.
+        c.run_sink = Some(Arc::default());
         c
     };
     // Responses the cache served this run: the ledger's cache-hit delta.
@@ -706,18 +706,19 @@ impl<'a> Drive<'a> {
         let mut seen = Observed::meter(ctx).since(before);
         seen.records = in_len as f64;
         let elapsed = ctx.clock.now_secs() - clock_before;
+        let billed = &seen.share;
         let applied = OperatorStats {
             input_records: in_len,
             output_records: out.len(),
-            llm_calls: seen.calls as usize,
-            input_tokens: seen.input_tokens as usize,
-            output_tokens: seen.output_tokens as usize,
-            cost_usd: seen.cost_usd,
+            llm_calls: billed.calls as usize,
+            input_tokens: billed.input_tokens as usize,
+            output_tokens: billed.output_tokens as usize,
+            cost_usd: billed.cost_usd,
             // Streaming bills a stage its calls' modelled latency and
             // divides by the stage's workers once they are known (`finish`);
             // materializing bills the clock, overlapped across the fan-out.
             time_secs: if self.policy.pipelined {
-                seen.billed_secs
+                billed.latency_secs
             } else if fanout > 1 && parallelizable {
                 elapsed / fanout as f64
             } else {
@@ -727,8 +728,8 @@ impl<'a> Drive<'a> {
         };
         let gauges = Prof {
             window_us: (elapsed * 1e6).round() as u64,
-            provider_wait_us: (seen.billed_secs * 1e6).round() as u64,
-            retry_backoff_us: (seen.stalled_secs * 1e6).round() as u64,
+            provider_wait_us: (billed.latency_secs * 1e6).round() as u64,
+            retry_backoff_us: (billed.stalled_secs * 1e6).round() as u64,
             ..Default::default()
         };
         self.stats.peak_resident_records = self.stats.peak_resident_records.max(held + out.len());
@@ -1336,7 +1337,12 @@ mod tests {
             let (in_len, before) = (records.len(), Observed::meter(ctx));
             records = op.execute(ctx, records).unwrap();
             let ran = Observed::meter(ctx).since(before);
-            rows.push((in_len, records.len(), ran.calls as usize, ran.cost_usd));
+            rows.push((
+                in_len,
+                records.len(),
+                ran.share.calls as usize,
+                ran.share.cost_usd,
+            ));
         }
         (records, rows)
     }

@@ -193,6 +193,7 @@ mod tests {
                 usage: pz_llm::Usage::new(0, 0),
                 latency_secs: 0.0,
                 cost_usd: 0.0,
+                replayed: Default::default(),
             })
         }
     }

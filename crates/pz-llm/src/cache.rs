@@ -15,8 +15,18 @@
 //! Each entry keeps the share of the call that filled it: usage, cost and
 //! latency, plus the time the call's failed attempts lost first (the retry
 //! layer reports it through [`LlmClient::note_stall`]). A hit bills nothing
-//! but hands that share on ([`CachingClient::replayed`]), so an executor
-//! reading it sees the same evidence on a re-run as on the cold run.
+//! but hands that share on ([`CompletionResponse::replayed`]; the retry
+//! layer adds it to the caller's own [`crate::RunSink`]), so an executor
+//! reading it sees the same evidence on a re-run as on the cold run. The
+//! lost time is evidence only under the fault plan that measured it: a hit
+//! hands it on only while the handle's [`FaultInjector::regime`] is the
+//! one the entry was filled under.
+//!
+//! A request that failed past every retry (the retry layer reports it
+//! through [`LlmClient::note_failure`]) is kept too, and replayed as
+//! [`LlmError::Replayed`] while the regime that saw it lasts: a re-run
+//! fails over where the run that filled the cache did, instead of asking
+//! the failing model again. Under any other regime it is a miss.
 //!
 //! The cache holds at most [`CAPACITY`] entries across both maps and every
 //! handle onto them, and evicts the oldest insertion first.
@@ -24,6 +34,7 @@
 use crate::client::{
     CompletionRequest, CompletionResponse, EmbeddingRequest, EmbeddingResponse, LlmClient, LlmError,
 };
+use crate::fault::FaultInjector;
 use crate::usage::{CallShare, Usage, UsageLedger};
 use crate::StableHasher;
 use parking_lot::Mutex;
@@ -63,21 +74,22 @@ impl CacheStats {
     }
 }
 
-/// A cached value, the share of the call that filled it, and the handle
-/// that made the call.
+/// A cached value, the share of the call that filled it, and the fault
+/// regime the call ran under.
 struct Entry<T> {
     value: T,
     share: CallShare,
-    filler: u64,
+    regime: u64,
 }
 
 impl<T> Entry<T> {
-    /// What a hit through `handle` hands on: the filler's share, less the
-    /// time its failed attempts lost unless `handle` made the call — one
-    /// tenant's provider faults are no evidence about another's.
-    fn share_for(&self, handle: u64) -> CallShare {
+    /// What a hit under fault regime `regime` hands on: the filler's
+    /// share, less the time its failed attempts lost unless it ran under
+    /// the same regime — after the plan changes, or through another
+    /// tenant's handle, those faults are no evidence.
+    fn share_for(&self, regime: u64) -> CallShare {
         let mut share = self.share;
-        if handle != self.filler {
+        if regime != self.regime {
             share.stalled_secs = 0.0;
         }
         share
@@ -96,14 +108,27 @@ enum MapKey {
 /// live entry has exactly one place in `order`.
 #[derive(Default)]
 struct Store {
-    completions: HashMap<u64, Entry<String>>,
+    completions: HashMap<u64, Entry<Result<String, LlmError>>>,
     embeddings: HashMap<u64, Entry<Vec<f32>>>,
     order: VecDeque<MapKey>,
-    /// Handles made by [`CachingClient::with_inner`] so far.
-    handles: u64,
 }
 
 impl Store {
+    /// Keep `entry` for completion `key`: a new key is admitted, a kept
+    /// failure is replaced in its place, a kept response stays.
+    fn keep_completion(&mut self, key: u64, entry: Entry<Result<String, LlmError>>) {
+        match self.completions.entry(key) {
+            hash_map::Entry::Vacant(free) => {
+                free.insert(entry);
+                self.admit(MapKey::Completion(key));
+            }
+            hash_map::Entry::Occupied(mut kept) if kept.get().value.is_err() => {
+                kept.insert(entry);
+            }
+            hash_map::Entry::Occupied(_) => {}
+        }
+    }
+
     /// Record a key just inserted, evicting the oldest past [`CAPACITY`].
     fn admit(&mut self, key: MapKey) {
         self.order.push_back(key);
@@ -126,10 +151,9 @@ pub struct CachingClient {
     completion_misses: Arc<AtomicUsize>,
     embedding_hits: Arc<AtomicUsize>,
     embedding_misses: Arc<AtomicUsize>,
-    /// This handle among the cache's `with_inner` handles (clones share
-    /// it), and what its hits handed on (see [`Self::replayed`]).
-    handle: u64,
-    replayed: Arc<Mutex<CallShare>>,
+    /// The fault plan this handle's calls run under (see
+    /// [`Self::with_faults`]).
+    faults: FaultInjector,
     tracer: Option<Tracer>,
     ledger: Option<UsageLedger>,
 }
@@ -143,8 +167,7 @@ impl CachingClient {
             completion_misses: Arc::default(),
             embedding_hits: Arc::default(),
             embedding_misses: Arc::default(),
-            handle: 0,
-            replayed: Arc::default(),
+            faults: FaultInjector::default(),
             tracer: None,
             ledger: None,
         }
@@ -165,6 +188,14 @@ impl CachingClient {
         self
     }
 
+    /// Stamp the entries this handle fills with `faults`' regime, and hand
+    /// on the time their calls lost only to hits under that same regime.
+    /// Without it, a handle has a regime of its own that never changes.
+    pub fn with_faults(mut self, faults: FaultInjector) -> Self {
+        self.faults = faults;
+        self
+    }
+
     /// A handle onto the *same* cache (same entries, same bound, same
     /// counters) routed through a different inner client.
     ///
@@ -176,20 +207,14 @@ impl CachingClient {
     /// [`Self::completion_key`] — with no session- or tenant-local state
     /// folded in, so a hit can only ever replay a response to a request
     /// with the *byte-identical* parts. Tenant-scoped attachments are
-    /// deliberately not shared: the new handle starts its own
-    /// [`Self::replayed`] total — into which another handle's entries hand
-    /// no stall — and re-attaches the tenant's own tracer and ledger via
-    /// [`Self::with_tracer`] / [`Self::with_ledger`].
+    /// deliberately not shared: the new handle has a fault regime of its
+    /// own — so another handle's entries hand it no lost time — until the
+    /// tenant attaches its own injector, tracer and ledger via
+    /// [`Self::with_faults`] / [`Self::with_tracer`] / [`Self::with_ledger`].
     pub fn with_inner(&self, inner: Arc<dyn LlmClient>) -> Self {
-        let handle = {
-            let mut store = self.store.lock();
-            store.handles += 1;
-            store.handles
-        };
         Self {
             inner,
-            handle,
-            replayed: Arc::default(),
+            faults: FaultInjector::default(),
             tracer: None,
             ledger: None,
             ..self.clone()
@@ -230,14 +255,6 @@ impl CachingClient {
             embedding_hits: self.embedding_hits.load(Ordering::Relaxed),
             embedding_misses: self.embedding_misses.load(Ordering::Relaxed),
         }
-    }
-
-    /// Running total of what this handle's hits handed on: the share of
-    /// every call that filled an entry it served. The ledger never sees
-    /// it; the difference of two readings is what the hits between them
-    /// would have cost.
-    pub fn replayed(&self) -> CallShare {
-        *self.replayed.lock()
     }
 
     /// Drop all cached entries (counters are kept).
@@ -281,43 +298,42 @@ impl CachingClient {
             })
             .finish()
     }
-
-    fn hand_on(&self, share: &CallShare) {
-        self.replayed.lock().add(share);
-    }
 }
 
 impl LlmClient for CachingClient {
     fn complete(&self, req: &CompletionRequest) -> Result<CompletionResponse, LlmError> {
         let key = Self::completion_key(req);
-        let hit = (self.store.lock().completions.get(&key))
-            .map(|e| (e.value.clone(), e.share_for(self.handle)));
-        if let Some((text, share)) = hit {
+        let regime = self.faults.regime();
+        let hit = (self.store.lock().completions.get(&key)).and_then(|e| match &e.value {
+            Ok(text) => Some(Ok((text.clone(), e.share_for(regime)))),
+            Err(error) if e.regime == regime => Some(Err(LlmError::Replayed {
+                error: Box::new(error.clone()),
+                stalled_secs: e.share.stalled_secs,
+            })),
+            Err(_) => None,
+        });
+        if let Some(hit) = hit {
             self.completion_hits.fetch_add(1, Ordering::Relaxed);
             self.note_completion(&req.model, true);
-            self.hand_on(&share);
+            let (text, replayed) = hit?;
             // A cache hit is free: no provider cost, negligible latency.
             return Ok(CompletionResponse {
                 text,
                 usage: Usage::default(),
                 latency_secs: 0.0,
                 cost_usd: 0.0,
+                replayed,
             });
         }
         self.completion_misses.fetch_add(1, Ordering::Relaxed);
         self.note_completion(&req.model, false);
         let resp = self.inner.complete(req)?;
-        let mut store = self.store.lock();
-        if let hash_map::Entry::Vacant(free) = store.completions.entry(key) {
-            let share = CallShare::of_call(resp.usage, resp.cost_usd, resp.latency_secs, 1);
-            let (value, filler) = (resp.text.clone(), self.handle);
-            free.insert(Entry {
-                value,
-                share,
-                filler,
-            });
-            store.admit(MapKey::Completion(key));
-        }
+        let entry = Entry {
+            value: Ok(resp.text.clone()),
+            share: CallShare::of_call(resp.usage, resp.cost_usd, resp.latency_secs, 1),
+            regime,
+        };
+        self.store.lock().keep_completion(key, entry);
         Ok(resp)
     }
 
@@ -328,11 +344,12 @@ impl LlmClient for CachingClient {
             .iter()
             .map(|i| Self::embedding_key(req.model.as_str(), i))
             .collect();
+        let regime = self.faults.regime();
         let mut replayed = CallShare::default();
         let mut vectors: Vec<Option<Vec<f32>>> = {
             let store = self.store.lock();
             let mut hit = |e: &Entry<Vec<f32>>| {
-                replayed.add(&e.share_for(self.handle));
+                replayed.add(&e.share_for(regime));
                 e.value.clone()
             };
             (keys.iter())
@@ -347,9 +364,6 @@ impl LlmClient for CachingClient {
         self.embedding_misses
             .fetch_add(missing.len(), Ordering::Relaxed);
         self.note_embeddings(&req.model, vectors.len() - missing.len(), missing.len());
-        if missing.len() < vectors.len() {
-            self.hand_on(&replayed);
-        }
 
         let (usage, latency, cost) = if missing.is_empty() {
             (Usage::default(), 0.0, 0.0)
@@ -366,11 +380,10 @@ impl LlmClient for CachingClient {
             for (slot, v) in missing.iter().zip(resp.vectors) {
                 let key = keys[*slot];
                 if let hash_map::Entry::Vacant(free) = store.embeddings.entry(key) {
-                    let (value, filler) = (v.clone(), self.handle);
                     free.insert(Entry {
-                        value,
+                        value: v.clone(),
                         share,
-                        filler,
+                        regime,
                     });
                     store.admit(MapKey::Embedding(key));
                 }
@@ -386,7 +399,23 @@ impl LlmClient for CachingClient {
             usage,
             latency_secs: latency,
             cost_usd: cost,
+            replayed,
         })
+    }
+
+    /// `req`'s failure is kept, with the time its attempts lost.
+    fn note_failure(&self, req: &CompletionRequest, error: &LlmError, stalled_secs: f64) {
+        let entry = Entry {
+            value: Err(error.clone()),
+            share: CallShare {
+                stalled_secs,
+                ..CallShare::default()
+            },
+            regime: self.faults.regime(),
+        };
+        self.store
+            .lock()
+            .keep_completion(Self::completion_key(req), entry);
     }
 
     /// The entry `req` filled keeps the time its failed attempts lost.
@@ -440,6 +469,7 @@ mod tests {
                 usage: Usage::new(10, 2),
                 latency_secs: 0.5,
                 cost_usd: 0.01,
+                replayed: Default::default(),
             })
         }
 
@@ -449,6 +479,7 @@ mod tests {
                 usage: Usage::new(4 * req.inputs.len(), 0),
                 latency_secs: 0.2,
                 cost_usd: 0.004,
+                replayed: Default::default(),
             })
         }
     }
@@ -752,8 +783,8 @@ mod tests {
     }
 
     /// A hit bills nothing but hands on the share of the call that filled
-    /// it, the time its failed attempts lost included; the ledger sees only
-    /// the one call that ran.
+    /// it, the time its failed attempts lost included, to the caller's
+    /// sink; the ledger sees only the one call that ran.
     #[test]
     fn hit_hands_on_its_fillers_share() {
         let echo = Arc::new(Echo {
@@ -761,42 +792,100 @@ mod tests {
             ..Default::default()
         });
         let ledger = UsageLedger::new();
-        let cache = CachingClient::new(echo).with_ledger(ledger.clone());
+        let faults = crate::FaultInjector::default();
+        let cache = CachingClient::new(echo)
+            .with_ledger(ledger.clone())
+            .with_faults(faults.clone());
         let clock = VirtualClock::new();
         let retry = crate::RetryPolicy::default();
         let req = CompletionRequest::new("m", "p");
-        let rc = crate::RetryContext::new(&clock);
+        let sink = crate::RunSink::default();
+        let rc = crate::RetryContext::new(&clock).with_sink(Some(&sink));
         retry.complete_with(&cache, &req, &rc).unwrap();
-        assert_eq!(cache.replayed(), CallShare::default());
+        assert_eq!(sink.replayed(), CallShare::default());
+        // The 2 s timeout, then the 0.5 s backoff before the retry.
+        assert_eq!(sink.lost_secs(), 2.5);
         let billed = |l: &UsageLedger| (l.total_requests(), l.total_cost_usd(), l.total_usage());
         let before = billed(&ledger);
 
         let hit = retry.complete_with(&cache, &req, &rc).unwrap();
         assert_eq!(hit.cost_usd, 0.0);
-        let share = cache.replayed();
+        let share = sink.replayed();
+        assert_eq!(hit.replayed, share);
         assert_eq!(share.calls, 1.0);
         assert_eq!((share.input_tokens, share.output_tokens), (10.0, 2.0));
         assert_eq!((share.cost_usd, share.latency_secs), (0.01, 0.5));
-        // The 2 s timeout, then the 0.5 s backoff before the retry.
         assert_eq!(share.stalled_secs, 2.5);
         assert_eq!(billed(&ledger), before);
+        assert_eq!(sink.lost_secs(), 2.5, "a hit loses nothing itself");
 
         // An embedding input keeps its even share of the batch that filled it.
         let batch = |inputs: &[&str]| EmbeddingRequest {
             model: "e".into(),
             inputs: inputs.iter().map(|i| i.to_string()).collect(),
         };
-        cache.embed(&batch(&["x", "y"])).unwrap();
-        let before = cache.replayed();
-        cache.embed(&batch(&["y", "z"])).unwrap();
-        let handed = cache.replayed().cost_usd - before.cost_usd;
+        retry.embed_with(&cache, &batch(&["x", "y"]), &rc).unwrap();
+        let before = sink.replayed();
+        let resp = retry.embed_with(&cache, &batch(&["y", "z"]), &rc).unwrap();
+        let handed = sink.replayed().since(before).cost_usd;
         assert!((handed - 0.002).abs() < 1e-12, "{handed}");
-        // A handle made by `with_inner` keeps its own total, and another
-        // handle's stall is no evidence about it.
+        assert_eq!(resp.replayed.cost_usd, handed);
+        // A handle made by `with_inner` runs under a fault regime of its
+        // own: another handle's lost time is no evidence about it.
         let other = cache.with_inner(Arc::new(Echo::default()));
-        assert_eq!(other.replayed(), CallShare::default());
-        other.complete(&req).unwrap();
-        let share = other.replayed();
+        let share = other.complete(&req).unwrap().replayed;
         assert_eq!((share.calls, share.stalled_secs), (1.0, 0.0));
+        // Nor is it evidence once the fault plan changes.
+        faults.clear();
+        let share = cache.complete(&req).unwrap().replayed;
+        assert_eq!((share.calls, share.stalled_secs), (1.0, 0.0));
+    }
+
+    /// A request that failed past every retry is replayed while its fault
+    /// regime lasts: it fails at once, hands on what its attempts lost and
+    /// trips the breaker as they did, without reaching the provider.
+    /// Under a new regime it is asked again.
+    #[test]
+    fn spent_retries_replay_under_their_regime_only() {
+        let echo = Arc::new(Echo {
+            fail_first: 3,
+            ..Default::default()
+        });
+        let faults = crate::FaultInjector::default();
+        let cache = CachingClient::new(echo.clone()).with_faults(faults.clone());
+        let clock = VirtualClock::new();
+        let health = crate::HealthTracker::default();
+        let retry = crate::RetryPolicy::default();
+        let req = CompletionRequest::new("m", "p");
+        let sink = crate::RunSink::default();
+        let rc = crate::RetryContext::new(&clock)
+            .with_health(&health)
+            .with_sink(Some(&sink));
+        let cold = retry.complete_with(&cache, &req, &rc).unwrap_err();
+        // Three 2 s timeouts and the 0.5, 1 and 2 s backoffs after them.
+        assert_eq!(sink.lost_secs(), 9.5);
+        assert_eq!(echo.calls.load(Ordering::Relaxed), 3);
+
+        health.reset();
+        let replayed = retry.complete_with(&cache, &req, &rc).unwrap_err();
+        assert_eq!(replayed, cold);
+        assert_eq!(
+            echo.calls.load(Ordering::Relaxed),
+            3,
+            "the provider was asked"
+        );
+        assert_eq!(sink.replayed().stalled_secs, 9.5);
+        assert_eq!(sink.replayed().calls, 0.0);
+        assert_eq!(sink.lost_secs(), 9.5, "a replay loses nothing itself");
+        assert!(health.is_open(&req.model, clock.now_secs()));
+        assert_eq!(cache.stats().completion_hits, 1);
+
+        faults.clear();
+        health.reset();
+        assert!(retry.complete_with(&cache, &req, &rc).is_ok());
+        assert_eq!(echo.calls.load(Ordering::Relaxed), 4);
+        // The response took the failure's place.
+        assert!(cache.complete(&req).is_ok());
+        assert_eq!(cache.store.lock().order.len(), 1);
     }
 }

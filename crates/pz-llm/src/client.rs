@@ -11,7 +11,9 @@
 //! jitter salt — is computed inside the retry branch (see `RetryPolicy::run`).
 
 use crate::catalog::ModelId;
-use crate::usage::Usage;
+use crate::usage::{CallShare, Usage};
+use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 use thiserror::Error;
 
 /// Errors surfaced by model clients.
@@ -57,6 +59,14 @@ pub enum LlmError {
     QuotaExhausted { model: ModelId, reason: String },
     #[error("request rejected: {0}")]
     Rejected(String),
+    /// A response cache replays `error`: the request failed past every
+    /// retry under the fault plan still in force, after losing
+    /// `stalled_secs`. The retry layer fails it at once, as spent retries.
+    #[error("{error} (replayed from the response cache)")]
+    Replayed {
+        error: Box<LlmError>,
+        stalled_secs: f64,
+    },
 }
 
 impl LlmError {
@@ -85,14 +95,17 @@ impl LlmError {
     /// domain (as opposed to a malformed request or a caller bug) — the
     /// class of error that justifies failing over to another model.
     pub fn is_provider_fault(&self) -> bool {
-        matches!(
-            self,
-            LlmError::Transient { .. }
-                | LlmError::RateLimited { .. }
-                | LlmError::Timeout { .. }
-                | LlmError::MalformedOutput { .. }
-                | LlmError::CircuitOpen { .. }
-        )
+        match self {
+            LlmError::Replayed { error, .. } => error.is_provider_fault(),
+            _ => matches!(
+                self,
+                LlmError::Transient { .. }
+                    | LlmError::RateLimited { .. }
+                    | LlmError::Timeout { .. }
+                    | LlmError::MalformedOutput { .. }
+                    | LlmError::CircuitOpen { .. }
+            ),
+        }
     }
 }
 
@@ -144,6 +157,10 @@ pub struct CompletionResponse {
     pub latency_secs: f64,
     /// Dollar cost of this single call.
     pub cost_usd: f64,
+    /// Served from a response cache: the share of the call that filled
+    /// the entry, which the retry layer hands to the caller's
+    /// [`RunSink`]. Zero for a response the provider made.
+    pub replayed: CallShare,
 }
 
 /// Default chunk size for [`RetryPolicy::embed_batched`]: large enough that
@@ -165,6 +182,9 @@ pub struct EmbeddingResponse {
     pub usage: Usage,
     pub latency_secs: f64,
     pub cost_usd: f64,
+    /// The shares of the calls that filled the inputs a cache served
+    /// (see [`CompletionResponse::replayed`]).
+    pub replayed: CallShare,
 }
 
 /// Object-safe client interface.
@@ -182,6 +202,12 @@ pub trait LlmClient: Send + Sync {
 
     /// [`Self::note_stall`] for an embedding batch.
     fn note_embed_stall(&self, _req: &EmbeddingRequest, _stalled_secs: f64) {}
+
+    /// `req` failed with `error` past every retry, after losing
+    /// `stalled_secs` ([`RetryPolicy::complete_with`] reports it). A
+    /// caching client replays the failure ([`LlmError::Replayed`]) while
+    /// the same fault plan is in force; other clients ignore it.
+    fn note_failure(&self, _req: &CompletionRequest, _error: &LlmError, _stalled_secs: f64) {}
 }
 
 /// Retry policy with capped, optionally jittered exponential backoff on a
@@ -216,6 +242,42 @@ impl Default for RetryPolicy {
     }
 }
 
+/// One caller's own books, which the retry layer writes: the time its
+/// calls lost to failures, and what its cache hits handed on. An executor
+/// gives every run its own, so nothing a neighbour on the same clock,
+/// ledger or cache does can add to it.
+#[derive(Debug, Default)]
+pub struct RunSink {
+    lost_us: AtomicU64,
+    replayed: Mutex<CallShare>,
+}
+
+impl RunSink {
+    /// Virtual seconds calls lost to failures: each failed attempt's
+    /// stall, and the backoff the retry loop then slept, to the µs.
+    pub fn lost_secs(&self) -> f64 {
+        self.lost_us.load(Ordering::Relaxed) as f64 / 1e6
+    }
+
+    /// The total of the shares cache hits handed on
+    /// ([`CompletionResponse::replayed`]).
+    pub fn replayed(&self) -> CallShare {
+        *self.replayed.lock()
+    }
+
+    fn lose(&self, secs: f64) {
+        self.lost_us
+            .fetch_add((secs * 1e6).round() as u64, Ordering::Relaxed);
+    }
+
+    fn hand_on(&self, share: &CallShare) {
+        // A provider's response hands on nothing: no lock on that path.
+        if *share != CallShare::default() {
+            self.replayed.lock().add(share);
+        }
+    }
+}
+
 /// Ambient state the retry loop consults: the virtual clock backoff is
 /// charged to, the per-model health tracker (breaker), and the absolute
 /// execution deadline on that clock, if any.
@@ -224,11 +286,10 @@ pub struct RetryContext<'a> {
     pub clock: Option<&'a crate::clock::VirtualClock>,
     pub health: Option<&'a crate::breaker::HealthTracker>,
     pub deadline_at_secs: Option<f64>,
-    /// Sink for the time calls lose to failures: every virtual microsecond
-    /// a failed attempt stalled, and the retry loop then slept, is added
-    /// here, for the executor to attribute to the step that lost it.
-    /// `None` (the default) records nothing.
-    pub wait_sink: Option<&'a std::sync::atomic::AtomicU64>,
+    /// The caller's books: the time calls lose to failures and the shares
+    /// cache hits hand on are added here, for the executor to attribute
+    /// to the step they belong to. `None` (the default) records nothing.
+    pub sink: Option<&'a RunSink>,
 }
 
 impl<'a> RetryContext<'a> {
@@ -237,7 +298,7 @@ impl<'a> RetryContext<'a> {
             clock: Some(clock),
             health: None,
             deadline_at_secs: None,
-            wait_sink: None,
+            sink: None,
         }
     }
 
@@ -251,9 +312,16 @@ impl<'a> RetryContext<'a> {
         self
     }
 
-    pub fn with_wait_sink(mut self, sink: Option<&'a std::sync::atomic::AtomicU64>) -> Self {
-        self.wait_sink = sink;
+    pub fn with_sink(mut self, sink: Option<&'a RunSink>) -> Self {
+        self.sink = sink;
         self
+    }
+
+    /// Hand a response's replayed share to the sink, if any.
+    fn hand_on(&self, share: &CallShare) {
+        if let Some(sink) = self.sink {
+            sink.hand_on(share);
+        }
     }
 
     fn now_secs(&self) -> f64 {
@@ -302,10 +370,13 @@ impl RetryPolicy {
         rc: &RetryContext<'_>,
     ) -> Result<CompletionResponse, LlmError> {
         let salt = || crate::stable_hash(&[&req.prompt]);
-        let (resp, stalled_secs) = self.run(&req.model, salt, rc, || client.complete(req))?;
+        let exhausted = |e: &LlmError, stalled_secs| client.note_failure(req, e, stalled_secs);
+        let (resp, stalled_secs) =
+            self.run(&req.model, salt, rc, || client.complete(req), exhausted)?;
         if stalled_secs > 0.0 {
             client.note_stall(req, stalled_secs);
         }
+        rc.hand_on(&resp.replayed);
         Ok(resp)
     }
 
@@ -333,10 +404,12 @@ impl RetryPolicy {
             }
             h.end_part().finish()
         };
-        let (resp, stalled_secs) = self.run(&req.model, salt, rc, || client.embed(req))?;
+        let (resp, stalled_secs) =
+            self.run(&req.model, salt, rc, || client.embed(req), |_, _| {})?;
         if stalled_secs > 0.0 {
             client.note_embed_stall(req, stalled_secs);
         }
+        rc.hand_on(&resp.replayed);
         Ok(resp)
     }
 
@@ -364,6 +437,7 @@ impl RetryPolicy {
             usage: Usage::new(0, 0),
             latency_secs: 0.0,
             cost_usd: 0.0,
+            replayed: CallShare::default(),
         };
         for chunk in req.inputs.chunks(batch) {
             let sub = EmbeddingRequest {
@@ -375,6 +449,7 @@ impl RetryPolicy {
             merged.usage += resp.usage;
             merged.latency_secs += resp.latency_secs;
             merged.cost_usd += resp.cost_usd;
+            merged.replayed.add(&resp.replayed);
         }
         Ok(merged)
     }
@@ -383,13 +458,15 @@ impl RetryPolicy {
     /// prompt (or embedding batch), so it is computed only where it is used:
     /// inside the retry branch, when jitter is on. A call that succeeds
     /// first time never reads its payload here. A success comes back with
-    /// the seconds its failed attempts lost first.
+    /// the seconds its failed attempts lost first; when every attempt
+    /// fails, `exhausted` hears the last error and those seconds.
     fn run<T>(
         &self,
         model: &ModelId,
         salt: impl Fn() -> u64,
         rc: &RetryContext<'_>,
         mut call: impl FnMut() -> Result<T, LlmError>,
+        exhausted: impl FnOnce(&LlmError, f64),
     ) -> Result<(T, f64), LlmError> {
         let mut backoff = self.initial_backoff_secs;
         let mut last_err: Option<LlmError> = None;
@@ -413,17 +490,29 @@ impl RetryPolicy {
                     }
                     return Ok((resp, stalled_secs));
                 }
+                // Spent retries, replayed: hand on what they lost, trip
+                // the breaker as they did, and fail at once.
+                Err(LlmError::Replayed {
+                    error,
+                    stalled_secs,
+                }) => {
+                    rc.hand_on(&CallShare {
+                        stalled_secs,
+                        ..CallShare::default()
+                    });
+                    if let Some(health) = rc.health {
+                        health.trip(model, &error, rc.now_secs());
+                    }
+                    return Err(*error);
+                }
                 Err(e) if e.is_retryable() => {
                     if let Some(health) = rc.health {
                         health.record_failure(model, &e, rc.now_secs());
                     }
                     let mut lost = |secs: f64| {
                         stalled_secs += secs;
-                        if let Some(sink) = rc.wait_sink {
-                            sink.fetch_add(
-                                (secs * 1e6).round() as u64,
-                                std::sync::atomic::Ordering::Relaxed,
-                            );
+                        if let Some(sink) = rc.sink {
+                            sink.lose(secs);
                         }
                     };
                     // A timed-out attempt stalled before it failed.
@@ -466,10 +555,12 @@ impl RetryPolicy {
         }
         // Every attempt failed: trip the breaker so subsequent work (and
         // other operators) fail over instead of re-paying full retry cost.
-        if let (Some(health), Some(e)) = (rc.health, last_err.as_ref()) {
-            health.trip(model, e, rc.now_secs());
+        let e = last_err.unwrap_or(LlmError::Rejected("no attempts configured".into()));
+        if let Some(health) = rc.health {
+            health.trip(model, &e, rc.now_secs());
         }
-        Err(last_err.unwrap_or(LlmError::Rejected("no attempts configured".into())))
+        exhausted(&e, stalled_secs);
+        Err(e)
     }
 }
 
@@ -499,6 +590,7 @@ mod tests {
                     usage: Usage::new(1, 1),
                     latency_secs: 0.0,
                     cost_usd: 0.0,
+                    replayed: Default::default(),
                 })
             }
         }
@@ -589,6 +681,7 @@ mod tests {
                         usage: Usage::new(1, 0),
                         latency_secs: 0.0,
                         cost_usd: 0.0,
+                        replayed: Default::default(),
                     })
                 }
             }
@@ -628,6 +721,7 @@ mod tests {
                 usage: Usage::new(req.inputs.len(), 0),
                 latency_secs: 1.0,
                 cost_usd: 0.25,
+                replayed: Default::default(),
             })
         }
     }

@@ -255,13 +255,28 @@ impl FaultPlan {
 /// The simulator holds one and consults it per call; contexts expose a
 /// clone so the REPL (`:faults`) and CLI (`--fault-plan`) can script
 /// faults mid-session without rebuilding the client stack.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct FaultInjector {
     inner: Arc<RwLock<FaultPlan>>,
     /// Per-injector call counter driving brownout draws. Separate from
     /// the simulator's transient counter so an empty plan leaves legacy
     /// behavior untouched.
     draws: Arc<AtomicU64>,
+    /// See [`Self::regime`].
+    regime: Arc<AtomicU64>,
+}
+
+/// The next [`FaultInjector::regime`], unique in the process.
+static NEXT_REGIME: AtomicU64 = AtomicU64::new(1);
+
+fn fresh_regime() -> u64 {
+    NEXT_REGIME.fetch_add(1, Ordering::Relaxed)
+}
+
+impl Default for FaultInjector {
+    fn default() -> Self {
+        Self::new(FaultPlan::none())
+    }
 }
 
 impl FaultInjector {
@@ -269,12 +284,23 @@ impl FaultInjector {
         Self {
             inner: Arc::new(RwLock::new(plan)),
             draws: Arc::new(AtomicU64::new(0)),
+            regime: Arc::new(AtomicU64::new(fresh_regime())),
         }
     }
 
-    /// Replace the active plan.
+    /// Replace the active plan. This starts a new [`Self::regime`].
     pub fn set(&self, plan: FaultPlan) {
         *self.inner.write() = plan;
+        self.regime.store(fresh_regime(), Ordering::Relaxed);
+    }
+
+    /// Names the plan in force: unique to this injector, and new with
+    /// every [`Self::set`] or [`Self::clear`]. What a call lost to
+    /// failures under one regime is no evidence about another, so a
+    /// response cache hands that time on only within the regime that
+    /// measured it.
+    pub fn regime(&self) -> u64 {
+        self.regime.load(Ordering::Relaxed)
     }
 
     /// Remove all scripted faults.

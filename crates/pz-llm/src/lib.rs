@@ -43,7 +43,7 @@ pub use cache::{CacheStats, CachingClient};
 pub use catalog::{Catalog, ModelCard, ModelId, ModelKind};
 pub use client::{
     CompletionRequest, CompletionResponse, EmbeddingRequest, EmbeddingResponse, LlmClient,
-    LlmError, RetryContext, RetryPolicy, DEFAULT_EMBED_BATCH,
+    LlmError, RetryContext, RetryPolicy, RunSink, DEFAULT_EMBED_BATCH,
 };
 pub use clock::VirtualClock;
 pub use embedding::Embedder;

@@ -784,6 +784,7 @@ impl LlmClient for SimulatedLlm {
             usage,
             latency_secs,
             cost_usd,
+            replayed: Default::default(),
         })
     }
 
@@ -817,6 +818,7 @@ impl LlmClient for SimulatedLlm {
             usage,
             latency_secs,
             cost_usd,
+            replayed: Default::default(),
         })
     }
 }

@@ -76,13 +76,25 @@ impl CallShare {
         }
     }
 
+    /// Field by field, `f` of this and `other`.
+    fn zip(self, other: Self, f: impl Fn(f64, f64) -> f64) -> Self {
+        Self {
+            calls: f(self.calls, other.calls),
+            input_tokens: f(self.input_tokens, other.input_tokens),
+            output_tokens: f(self.output_tokens, other.output_tokens),
+            cost_usd: f(self.cost_usd, other.cost_usd),
+            latency_secs: f(self.latency_secs, other.latency_secs),
+            stalled_secs: f(self.stalled_secs, other.stalled_secs),
+        }
+    }
+
     pub fn add(&mut self, other: &Self) {
-        self.calls += other.calls;
-        self.input_tokens += other.input_tokens;
-        self.output_tokens += other.output_tokens;
-        self.cost_usd += other.cost_usd;
-        self.latency_secs += other.latency_secs;
-        self.stalled_secs += other.stalled_secs;
+        *self = self.zip(*other, |a, b| a + b);
+    }
+
+    /// What accrued since `before`, an earlier reading of the same totals.
+    pub fn since(self, before: Self) -> Self {
+        self.zip(before, |now, then| now - then)
     }
 }
 

@@ -195,6 +195,7 @@ impl ServeHost {
         } else {
             CachingClient::new(scheduled)
         }
+        .with_faults(ctx.faults.clone())
         .with_tracer(ctx.tracer.clone())
         .with_ledger(ctx.ledger.clone());
         let mut ctx = ctx

@@ -15,7 +15,7 @@ use common::{
 use pz_core::prelude::*;
 use pz_datagen::science;
 use pz_llm::FaultPlan;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Scan → LLMFilter → LLMConvert over the demo corpus.
@@ -233,14 +233,14 @@ fn a_cleared_brownout_is_not_held_against_the_next_run() {
 #[test]
 fn non_profiled_run_does_not_feed_stale_retry_sink() {
     let mut ctx = ctx_with(brownout(), 0);
-    let sink = Arc::new(AtomicU64::new(0));
-    ctx.retry_wait_us = Some(sink.clone());
+    let sink = Arc::new(pz_llm::RunSink::default());
+    ctx.run_sink = Some(sink.clone());
     let (records, _) =
         pz_core::exec::execute_plan(&ctx, &brownout_plan(), ExecutionConfig::sequential()).unwrap();
     assert!(!records.is_empty());
     assert_eq!(
-        sink.load(Ordering::Relaxed),
-        0,
+        sink.lost_secs(),
+        0.0,
         "non-profiled run wrote retry backoff into a stale sink"
     );
 }

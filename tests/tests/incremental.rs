@@ -599,62 +599,83 @@ fn incremental_off_is_byte_invisible() {
 /// The brownout moves operators off gpt-4o. A cache hit hands the
 /// substitution controller what its call cost the cold run, stall
 /// included, so the re-run makes the cold run's swaps and finds every
-/// cached response under the model that produced it.
+/// cached response under the model that produced it. After the plan is
+/// cleared, a re-run replans nothing and returns the healthy output.
 #[test]
 fn brownout_incremental_rerun_matches_from_scratch() {
-    let brownout = || FaultPlan::parse("gpt-4o:timeout@0..1e9:p=0.35:stall=25", 11).unwrap();
-    for config in [ExecutionConfig::sequential(), ExecutionConfig::streaming()] {
-        let ctx = PzContext::simulated_with(SimConfig {
-            seed: 0,
-            fault_plan: brownout(),
-            ..Default::default()
-        })
-        .with_cache();
-        let mut items = demo_items();
-        let src = Arc::new(VersionedSource::new(
-            DATASET,
-            Schema::pdf_file(),
-            items.clone(),
-        ));
-        ctx.registry.register(src.clone());
-
-        let (_, cold) = execute_plan(&ctx, &filter_convert_plan(), config).unwrap();
-        assert!(!cold.adaptive.is_empty(), "the brownout moved nothing");
-        src.append("delta-000.pdf", DELTA_DOC);
-        items.push(("delta-000.pdf".into(), DELTA_DOC.into()));
-        ctx.reset_accounting();
-        let (rec_i, stats_i) = execute_plan(&ctx, &filter_convert_plan(), config).unwrap();
-        let delta_calls = ctx.ledger.total_requests();
-        assert_reconciled(&ctx, &stats_i);
-
-        let scratch = PzContext::simulated_with(SimConfig {
-            seed: 0,
-            fault_plan: brownout(),
-            ..Default::default()
-        });
-        scratch.registry.register(Arc::new(MemorySource::new(
-            DATASET,
-            Schema::pdf_file(),
-            items.clone(),
-        )));
-        let (rec_f, _) = execute_plan(
-            &scratch,
-            &filter_convert_plan(),
-            ExecutionConfig::sequential(),
-        )
-        .unwrap();
-        assert_eq!(multiset(&rec_i), multiset(&rec_f));
-        let swaps = |s: &ExecutionStats| {
-            (s.adaptive.iter())
-                .map(|r| (r.operator.clone(), r.from_model.clone(), r.to_model.clone()))
-                .collect::<Vec<_>>()
+    let (docs, _) = science::generate(ScienceConfig {
+        n_papers: 40,
+        ..Default::default()
+    });
+    let e19 = docs.into_iter().map(|d| (d.filename, d.content)).collect();
+    // Who moved where. Not why: a hit takes no virtual time, so a breaker
+    // the cold run saw cool down may still be open on the re-run.
+    let decisions = |s: &ExecutionStats| {
+        let failovers = (s.degraded.iter()).map(|d| (&d.operator, &d.from_model, &d.to_model));
+        let swaps = (s.adaptive.iter()).map(|r| (&r.operator, &r.from_model, &r.to_model));
+        (failovers.chain(swaps))
+            .map(|(o, f, t)| format!("{o}: {f} -> {t}"))
+            .collect::<Vec<_>>()
+    };
+    let mut failed_over = false;
+    // The demo corpus; E19's, on E19's seeds (the simulator's default and
+    // `repro --fault-plan`'s).
+    for (corpus, seed, fault_seed) in [(demo_items(), 0, 11), (e19, 42, 42)] {
+        let brownout = || {
+            let plan = FaultPlan::parse("gpt-4o:timeout@0..1e9:p=0.35:stall=25", fault_seed);
+            SimConfig {
+                seed,
+                fault_plan: plan.unwrap(),
+                ..Default::default()
+            }
         };
-        assert_eq!(
-            swaps(&stats_i),
-            swaps(&cold),
-            "the re-run swapped elsewhere"
-        );
-        assert!(delta_calls <= 2, "brownout delta re-billed {delta_calls}");
-        assert!(delta_calls < scratch.ledger.total_requests());
+        for config in [ExecutionConfig::sequential(), ExecutionConfig::streaming()] {
+            let ctx = PzContext::simulated_with(brownout()).with_cache();
+            let mut items = corpus.clone();
+            let src = Arc::new(VersionedSource::new(
+                DATASET,
+                Schema::pdf_file(),
+                items.clone(),
+            ));
+            ctx.registry.register(src.clone());
+
+            let (_, cold) = execute_plan(&ctx, &filter_convert_plan(), config).unwrap();
+            assert!(!decisions(&cold).is_empty(), "the brownout moved nothing");
+            failed_over |= !cold.degraded.is_empty();
+            src.append("delta-000.pdf", DELTA_DOC);
+            items.push(("delta-000.pdf".into(), DELTA_DOC.into()));
+            ctx.reset_accounting();
+            let (rec_i, stats_i) = execute_plan(&ctx, &filter_convert_plan(), config).unwrap();
+            let delta_calls = ctx.ledger.total_requests();
+            assert_reconciled(&ctx, &stats_i);
+
+            let scratch = PzContext::simulated_with(brownout());
+            scratch.registry.register(Arc::new(MemorySource::new(
+                DATASET,
+                Schema::pdf_file(),
+                items.clone(),
+            )));
+            let sequential = ExecutionConfig::sequential();
+            let (rec_f, _) = execute_plan(&scratch, &filter_convert_plan(), sequential).unwrap();
+            assert_eq!(multiset(&rec_i), multiset(&rec_f));
+            assert_eq!(
+                decisions(&stats_i),
+                decisions(&cold),
+                "the re-run decided otherwise"
+            );
+            assert!(delta_calls <= 2, "brownout delta re-billed {delta_calls}");
+            assert!(delta_calls < scratch.ledger.total_requests());
+
+            // What the calls lost is evidence only under the plan that
+            // measured it: once it is cleared (and the breakers reset), the
+            // re-run is the healthy run.
+            ctx.faults.clear();
+            ctx.reset_accounting();
+            let (rec_h, healthy) = execute_plan(&ctx, &filter_convert_plan(), config).unwrap();
+            assert!(decisions(&healthy).is_empty());
+            let (_, rec_s, _) = scratch_run(&items, &filter_convert_plan(), config);
+            assert_eq!(multiset(&rec_h), multiset(&rec_s));
+        }
     }
+    assert!(failed_over, "no cold run failed over");
 }

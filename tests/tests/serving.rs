@@ -703,3 +703,59 @@ fn serve_batch_with_an_unknown_tenant_completes_the_rest() {
         .collect();
     assert_eq!(failed, ["ghost"]);
 }
+
+/// Sessions of one tenant share its ledger, clock and cache handle, but
+/// each run's evidence is its own: under a brownout, a cached re-run on
+/// the browning-out model and one on a healthy model, served together,
+/// make exactly the replans each makes alone. Neither sees the other's
+/// cache hits.
+#[test]
+fn cached_sessions_of_one_tenant_replan_as_they_do_alone() {
+    let brownout = FaultPlan::parse("gpt-4o:timeout@0..1000000000:p=0.35:stall=60", 11).unwrap();
+    let mut host = ServeHost::new(open_admission(2));
+    host.add_tenant(
+        TenantSpec::new("t")
+            .with_seed(tenant_seed("t"))
+            .with_fault_plan(brownout),
+    );
+    let ctx = host.session_ctx("t").unwrap();
+    for (seed, ds) in [(7000, "t-slow"), (7001, "t-fast")] {
+        register_corpus(&ctx, ds, seed, 400);
+    }
+    // A filter on gpt-4o, and a classifier on the cheapest chat model.
+    let classify = Dataset::source("t-fast")
+        .classify(&["oncology", "other"], "area")
+        .build()
+        .unwrap();
+    let jobs = || {
+        [
+            SessionJob::new("t", "t-slow", session_plan("t-slow")),
+            SessionJob::new("t", "t-fast", classify.clone()).with_policy(Policy::MinCost),
+        ]
+        .map(|job| job.with_config(ExecutionConfig::streaming()))
+    };
+    let swaps = |o: &pz_serve::SessionOutcome| {
+        let stats = &o.result.as_ref().expect("session completes").stats;
+        (stats.adaptive.iter())
+            .map(|r| (r.operator.clone(), r.from_model.clone(), r.to_model.clone()))
+            .collect::<Vec<_>>()
+    };
+    // Cold runs fill the cache; a re-run alone is the reference.
+    for job in jobs() {
+        host.run_session(job);
+    }
+    let alone: Vec<_> = jobs()
+        .into_iter()
+        .map(|job| swaps(&host.run_session(job)))
+        .collect();
+    assert!(!alone[0].is_empty(), "the brownout moved nothing");
+    assert!(alone[1].is_empty(), "the healthy model replanned alone");
+
+    for _ in 0..4 {
+        let report = host.serve(jobs().into());
+        for o in &report.outcomes {
+            let i = usize::from(o.session == "t-fast");
+            assert_eq!(swaps(o), alone[i], "{} decided otherwise", o.session);
+        }
+    }
+}
