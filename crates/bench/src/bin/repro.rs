@@ -9,9 +9,7 @@
 //! Each experiment prints its tables as Markdown, then one line per gate;
 //! the process exits 1 when any gate fails and 2 on a bad command line.
 //!
-//! - `--exec-mode streaming|materializing` selects the executor of every
-//!   run that follows the setup (default materializing).
-//! - `--parallelism N` sets workers per operator (0 = one per core).
+//! - `--parallelism N` sets modelled workers per operator (N ≥ 1).
 //! - `--fault-plan <spec>` scripts provider faults (e.g.
 //!   `gpt-4o:outage@0..120`) into E1, E17, E19 and the trace export.
 //! - `--trace-out <path>` also runs the §3 chat dialogue and writes its
@@ -21,7 +19,6 @@
 //! - `--scaling-out <path>` writes E21's curve as JSON.
 
 use bench::experiments::{run_all, scaling_cell, trace_dialogue, Setup, EXPERIMENTS};
-use pz_core::exec::ExecMode;
 use std::process::exit;
 
 fn usage_error(message: &str) -> ! {
@@ -71,22 +68,12 @@ fn main() {
         || setup.chrome_out.is_some()
         || setup.prom_out.is_some()
         || setup.drift_out.is_some();
-    if let Some(mode) = take_value(&mut args, "--exec-mode", "streaming | materializing") {
-        setup.exec_mode = match mode.as_str() {
-            "streaming" => ExecMode::streaming(),
-            "materializing" => ExecMode::Materializing,
-            other => usage_error(&format!(
-                "unknown --exec-mode {other:?} (try streaming | materializing)"
-            )),
-        };
-        println!("exec mode: {:?}", setup.exec_mode);
-    }
-    let workers = "a worker count (or 0 for one per core)";
-    if let Some(n) = take_value(&mut args, "--parallelism", workers) {
+    if let Some(n) = take_value(&mut args, "--parallelism", "a worker count") {
         setup.parallelism = match n.parse::<usize>() {
-            Ok(0) => pz_core::exec::available_cores(),
-            Ok(w) => w,
-            Err(_) => usage_error(&format!("bad --parallelism value {n:?} (want an integer)")),
+            Ok(w) if w >= 1 => w,
+            _ => usage_error(&format!(
+                "bad --parallelism value {n:?} (want an integer >= 1)"
+            )),
         };
         println!("parallelism: {} workers/operator", setup.parallelism);
     }

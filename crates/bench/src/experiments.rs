@@ -23,12 +23,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// How `repro`'s flags configure a run. `Setup::default()` is a bare
-/// `repro`: materializing, one worker, no faults, no exports.
+/// `repro`: one worker, no faults, no exports.
 #[derive(Clone, Debug, Default)]
 pub struct Setup {
-    /// `--exec-mode`: the executor of every run that follows the setup.
-    pub exec_mode: ExecMode,
-    /// `--parallelism`: workers per operator (0 and 1 both mean one).
+    /// `--parallelism`: modelled workers per operator (0 and 1 both mean
+    /// one).
     pub parallelism: usize,
     /// `--fault-plan`: scripted into E1, E17, E19 and the trace export.
     pub faults: Option<FaultPlan>,
@@ -46,9 +45,7 @@ impl Setup {
     }
 
     fn config_with(&self, workers: usize) -> ExecutionConfig {
-        ExecutionConfig::sequential()
-            .with_mode(self.exec_mode)
-            .with_parallelism(workers.max(1))
+        ExecutionConfig::sequential().with_parallelism(workers)
     }
 
     fn script_faults(&self, ctx: &PzContext) {
@@ -83,7 +80,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     row("e11", "response-cache ablation", e11),
     row("e12", "filter physical-strategy ablation", e12),
     row("e13", "convert strategy ablation", e13),
-    row("e14", "streaming vs materializing executor", e14),
+    row("e14", "pipelined vs sequential time of one run", e14),
     row("e15", "provider outage, circuit breaker, failover", e15),
     row("e16", "intra-operator parallelism sweep", e16),
     row("e17", "pipeline profiler", e17),
@@ -128,8 +125,7 @@ pub fn run_all<'a>(
 pub fn trace_dialogue(setup: &Setup) -> pz_obs::TraceSnapshot {
     let mut chat = PalimpChat::new();
     {
-        let mut session = chat.session().lock();
-        session.exec = session.exec.with_mode(setup.exec_mode);
+        let session = chat.session().lock();
         setup.script_faults(&session.ctx);
     }
     for turn in &DEMO_TURNS[..3] {
@@ -298,7 +294,6 @@ fn e4(_: &Setup) -> Report {
         avg_record_tokens: 3000.0,
         build_cardinality: Default::default(),
         calibration: None,
-        workers: 1,
     };
     let mut t = Table::new("semantic ops | plan space | frontier");
     let mut timings = Vec::new();
@@ -556,18 +551,22 @@ fn e13(setup: &Setup) -> Report {
     Report::tables([t])
 }
 
-/// Run the demo plan under MaxQuality once per `(label, config)` and
-/// tabulate time against the first row. Gates that every row bills the
-/// same dollars and outputs the same multiset; returns each row's speedup.
-fn demo_sweep(label: &str, runs: Vec<(String, ExecutionConfig)>) -> (Report, Vec<f64>) {
-    let header = format!("{label} | time (s) | speedup | cost ($) | records | LLM calls");
-    let mut t = Table::new(&header);
+/// Run the demo plan under MaxQuality at each parallelism and tabulate
+/// both time figures against the first row. Gates that every row bills
+/// the same dollars and outputs the same multiset; returns each row's
+/// speedup of the sequential figure.
+fn demo_sweep(parallelisms: &[usize]) -> (Report, Vec<f64>) {
+    let mut t = Table::new(
+        "parallelism | sequential (s) | pipelined (s) | speedup | cost ($) | records | LLM calls",
+    );
     let (mut base, mut speedups) = (None, Vec::new());
     let (mut same_cost, mut same_output) = (true, true);
-    for (name, config) in runs {
+    for &p in parallelisms {
         let (ctx, _) = demo_context();
+        let config = ExecutionConfig::sequential().with_parallelism(p);
         let o = run_demo(&ctx, &Policy::MaxQuality, config);
-        let (time, cost) = (o.stats.total_time_secs, ctx.ledger.total_cost_usd());
+        let (time, pipelined) = (o.stats.total_time_secs, o.stats.pipelined_secs);
+        let cost = ctx.ledger.total_cost_usd();
         let keys = record_multiset(&o.records);
         let (base_time, base_cost, base_keys) =
             base.get_or_insert_with(|| (time, cost, keys.clone()));
@@ -577,7 +576,7 @@ fn demo_sweep(label: &str, runs: Vec<(String, ExecutionConfig)>) -> (Report, Vec
         speedups.push(speedup);
         let (n, calls) = (o.records.len(), o.stats.total_llm_calls);
         t.row(format!(
-            "{name} | {time:.1} | {speedup:.2}× | {cost:.3} | {n} | {calls}"
+            "{p} | {time:.1} | {pipelined:.1} | {speedup:.2}× | {cost:.3} | {n} | {calls}"
         ));
     }
     let mut r = Report::tables([t]);
@@ -586,61 +585,61 @@ fn demo_sweep(label: &str, runs: Vec<(String, ExecutionConfig)>) -> (Report, Vec
     (r, speedups)
 }
 
-/// Streaming at batch size 1, so every record is its own unit of overlap.
-fn streaming_cfg(parallelism: usize) -> ExecutionConfig {
-    ExecutionConfig::streaming_with(1).with_parallelism(parallelism)
-}
+const PIPELINED_SPEEDUP_FLOOR: f64 = 1.3;
 
-const STREAMING_SPEEDUP_FLOOR: f64 = 1.3;
-
-/// E14 — the streaming executor overlaps the demo plan's stages on the
-/// virtual clock; materializing runs them one after another.
+/// E14 — one run of the demo plan reports both time figures: its stages
+/// one after another, and the same stages overlapped on the virtual clock.
 fn e14(_: &Setup) -> Report {
-    let mut runs = vec![("materializing".to_string(), ExecutionConfig::sequential())];
-    for p in [1, 4, 8] {
-        runs.push((format!("streaming, p={p}"), streaming_cfg(p)));
-    }
-    let (mut r, speedups) = demo_sweep("executor", runs);
-    r.at_least(
-        "streaming speedup at p=1",
-        speedups[1],
-        STREAMING_SPEEDUP_FLOOR,
+    let (ctx, _) = demo_context();
+    let o = run_demo(&ctx, &Policy::MaxQuality, ExecutionConfig::sequential());
+    let s = &o.stats;
+    let (sequential, pipelined) = (s.total_time_secs, s.pipelined_secs);
+    let speedup = sequential / pipelined;
+    let mut t =
+        Table::new("sequential (s) | pipelined (s) | speedup | cost ($) | records | LLM calls");
+    let (cost, n, calls) = (s.total_cost_usd, o.records.len(), s.total_llm_calls);
+    t.row(format!(
+        "{sequential:.1} | {pipelined:.1} | {speedup:.2}× | {cost:.3} | {n} | {calls}"
+    ));
+    let mut r = Report::tables([t]);
+    r.holds(
+        "the sequential figure is the clock the run advanced",
+        (ctx.clock.now_secs() - sequential).abs() < 1e-9,
     );
+    r.at_least("pipelined speedup", speedup, PIPELINED_SPEEDUP_FLOOR);
     r
 }
 
 fn e15(_: &Setup) -> Report {
-    let mut t =
-        Table::new("scenario | mode | records | cost ($) | time (s) | F1 | swaps | breaker trips");
+    let mut t = Table::new(
+        "scenario | records | cost ($) | time (s) | pipelined (s) | F1 | swaps | breaker trips",
+    );
     let mut decisions = Table::new("op | operator | from | to | reason | records | est. quality");
-    for (mode, config) in [
-        ("materializing", ExecutionConfig::sequential()),
-        ("streaming", ExecutionConfig::streaming()),
+    for (scenario, plan) in [
+        ("healthy", FaultPlan::none()),
+        (
+            "gpt-4o outage",
+            FaultPlan::none().outage("gpt-4o", 0.0, 1e9),
+        ),
     ] {
-        for (scenario, plan) in [
-            ("healthy", FaultPlan::none()),
-            (
-                "gpt-4o outage",
-                FaultPlan::none().outage("gpt-4o", 0.0, 1e9),
-            ),
-        ] {
-            let (ctx, truth) = demo_context();
-            ctx.faults.set(plan);
-            let o = run_demo(&ctx, &Policy::MaxQuality, config);
-            let s = &o.stats;
-            let (n, cost, time) = (o.records.len(), s.total_cost_usd, s.total_time_secs);
-            let f1 = score_extractions(&o.records, &truth).f1;
-            let (swaps, trips) = (s.degraded.len(), ctx.tracer.counter("llm.breaker_opened"));
-            let cells = format!("{n} | {cost:.3} | {time:.1} | {f1:.2} | {swaps} | {trips}");
-            t.row(format!("{scenario} | {mode} | {cells}"));
-            for d in s.degraded.iter().filter(|_| mode == "streaming") {
-                let (op, from, to) = (&d.operator, &d.from_model, &d.to_model);
-                let (reason, n, dq) = (&d.reason, d.records_affected, d.est_quality_delta);
-                let i = d.operator_index;
-                decisions.row(format!(
-                    "{i} | {op} | {from} | {to} | {reason} | {n} | {dq:+.2}"
-                ));
-            }
+        let (ctx, truth) = demo_context();
+        ctx.faults.set(plan);
+        let o = run_demo(&ctx, &Policy::MaxQuality, ExecutionConfig::sequential());
+        let s = &o.stats;
+        let (n, cost, time) = (o.records.len(), s.total_cost_usd, s.total_time_secs);
+        let pipelined = s.pipelined_secs;
+        let f1 = score_extractions(&o.records, &truth).f1;
+        let (swaps, trips) = (s.degraded.len(), ctx.tracer.counter("llm.breaker_opened"));
+        t.row(format!(
+            "{scenario} | {n} | {cost:.3} | {time:.1} | {pipelined:.1} | {f1:.2} | {swaps} | {trips}"
+        ));
+        for d in &s.degraded {
+            let (op, from, to) = (&d.operator, &d.from_model, &d.to_model);
+            let (reason, n, dq) = (&d.reason, d.records_affected, d.est_quality_delta);
+            let i = d.operator_index;
+            decisions.row(format!(
+                "{i} | {op} | {from} | {to} | {reason} | {n} | {dq:+.2}"
+            ));
         }
     }
     Report::tables([t, decisions])
@@ -648,27 +647,27 @@ fn e15(_: &Setup) -> Report {
 
 const PARALLEL_SPEEDUP_FLOOR: f64 = 2.0;
 
-/// E16 — the demo plan streaming at parallelism 1/2/4/8: parallelism
-/// changes how much of a stage's calls overlap on the virtual clock,
-/// never what is called.
+/// E16 — the demo plan at parallelism 1/2/4/8: parallelism changes how
+/// much of a stage's calls overlap on the virtual clock, never what is
+/// called.
 fn e16(_: &Setup) -> Report {
-    let runs = [1, 2, 4, 8].map(|p| (p.to_string(), streaming_cfg(p)));
-    let (mut r, speedups) = demo_sweep("parallelism", runs.to_vec());
+    let (mut r, speedups) = demo_sweep(&[1, 2, 4, 8]);
     r.at_least("speedup at p=8", speedups[3], PARALLEL_SPEEDUP_FLOOR);
     r
 }
 
 const PROFILER_OVERHEAD_CEILING_PCT: f64 = 5.0;
 
-/// E17 — the E16 plan at parallelism 8 with the profiler armed: per-stage
-/// attribution, critical path, bottleneck agreement with the executor's
-/// fill model, and estimate-vs-observed drift. Also writes the exports
-/// `setup` asks for, and times what arming the profiler costs.
+/// E17 — the E14 run with the profiler armed: per-stage attribution,
+/// critical path, bottleneck agreement with the executor's fill model, and
+/// estimate-vs-observed drift. Serial, so the drift compares the
+/// optimizer's one time model with what the stages took. Also writes the
+/// exports `setup` asks for, and times what arming the profiler costs.
 fn e17(setup: &Setup) -> Report {
     let (ctx, _) = demo_context();
     ctx.tracer.set_profiling(true);
     setup.script_faults(&ctx);
-    let outcome = run_demo(&ctx, &Policy::MaxQuality, streaming_cfg(8));
+    let outcome = run_demo(&ctx, &Policy::MaxQuality, ExecutionConfig::sequential());
     let snap = ctx.tracer.snapshot();
     let profile = pz_obs::profile_plan(&snap).expect("plan profile from the trace");
     let mut t =
@@ -743,7 +742,7 @@ fn e17(setup: &Setup) -> Report {
         let (ctx, _) = demo_context();
         ctx.tracer.set_profiling(profiling);
         let t = Instant::now();
-        run_demo(&ctx, &Policy::MaxQuality, streaming_cfg(8));
+        run_demo(&ctx, &Policy::MaxQuality, ExecutionConfig::sequential());
         t.elapsed().as_secs_f64()
     };
     timed(false);
@@ -766,6 +765,10 @@ fn e17(setup: &Setup) -> Report {
     r.holds(
         "bottleneck agrees with the fill model",
         bottleneck == fill_model,
+    );
+    r.holds(
+        "modelled total matches the run's pipelined time",
+        (total - outcome.stats.pipelined_secs).abs() < 1e-3,
     );
     let covered = llm_stages.iter().all(|s| s.obs_llm_calls > 0.0);
     r.holds(
@@ -793,7 +796,7 @@ fn offering_no_substitute(mut ctx: PzContext, model: &str) -> PzContext {
     ctx
 }
 
-/// One E18 run of the split plan, streaming: healthy, or with gpt-4o
+/// One E18 run of the split plan: healthy, or with gpt-4o
 /// browning out (25 s stalls on ~35% of calls, under the breaker's trip
 /// rate), with a substitute on offer or not. Returns (virtual time,
 /// ledger cost, output multiset, replans).
@@ -810,7 +813,7 @@ fn e18_run(brownout: bool, adaptive: bool) -> (f64, f64, Vec<String>, Vec<Adapti
     }
     let plan = split_plan(DEMO_DATASET);
     let (records, stats) =
-        pz_core::exec::execute_plan(&ctx, &plan, ExecutionConfig::streaming()).expect("runs");
+        pz_core::exec::execute_plan(&ctx, &plan, ExecutionConfig::sequential()).expect("runs");
     let (time, cost) = (ctx.clock.now_secs(), ctx.ledger.total_cost_usd());
     (time, cost, record_multiset(&records), stats.adaptive)
 }

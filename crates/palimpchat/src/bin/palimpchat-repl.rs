@@ -8,9 +8,8 @@
 //!
 //! Type `:trace` to toggle the ReAct trace display, `:spans` to print the
 //! session's observability trace tree, `:export <path>` to write the trace
-//! as JSONL, `:exec streaming|materializing` to switch the execution mode,
-//! `:parallelism <n>|auto` to set intra-operator parallelism (modelled in
-//! both modes: it divides attributed time, never what runs),
+//! as JSONL, `:parallelism <n>` to set intra-operator parallelism (n ≥ 1;
+//! modelled: it divides attributed time, never what runs),
 //! `:faults <spec>|off` to script provider faults into the simulator (an
 //! outage or a brownout moves the afflicted operators onto substitute
 //! models mid-run), `:watch <dataset>` to make a dataset editable (the
@@ -26,7 +25,7 @@
 //! or Prometheus text exposition, `:quit` to exit.
 
 use palimpchat::PalimpChat;
-use pz_core::prelude::{ExecMode, VersionedSource};
+use pz_core::prelude::VersionedSource;
 use std::io::{self, BufRead, Write};
 
 fn main() {
@@ -40,8 +39,7 @@ fn main() {
          extract whatever public dataset is used by the study\",\n\
          then \"run the pipeline with maximum quality\".\n\
          (:trace toggles traces, :spans shows the span tree, :export <path> writes JSONL, \
-         :exec streaming|materializing switches the executor, \
-         :parallelism <n>|auto sets intra-operator parallelism, \
+         :parallelism <n> sets intra-operator parallelism, \
          :faults <spec>|off scripts provider faults, \
          :watch <dataset> makes a dataset editable, \
          :append <dataset> <file> <text> streams in a record, \
@@ -153,42 +151,20 @@ fn main() {
             }
             continue;
         }
-        if let Some(mode) = line.strip_prefix(":exec ") {
-            match mode.trim() {
-                "streaming" => {
-                    chat.session().lock().exec.mode = ExecMode::streaming();
-                    println!("execution mode: streaming (small batches, pipelined virtual time)");
-                }
-                "materializing" => {
-                    chat.session().lock().exec.mode = ExecMode::Materializing;
-                    println!("execution mode: materializing (operator-at-a-time)");
-                }
-                other => println!("unknown mode {other:?} — try :exec streaming | materializing"),
-            }
-            continue;
-        }
         if let Some(n) = line.strip_prefix(":parallelism ") {
-            match n.trim() {
-                "auto" => {
-                    let cores = pz_core::exec::available_cores();
-                    chat.session().lock().exec.parallelism = cores;
-                    println!("parallelism: {cores} modelled workers/operator (one per core)");
+            match n.trim().parse::<usize>() {
+                Ok(1) => {
+                    chat.session().lock().exec.parallelism = 1;
+                    println!("parallelism: serial (1 worker/operator)");
                 }
-                n => match n.parse::<usize>() {
-                    Ok(w) if w >= 1 => {
-                        chat.session().lock().exec.parallelism = w;
-                        if w == 1 {
-                            println!("parallelism: serial (1 worker/operator)");
-                        } else {
-                            println!(
-                                "parallelism: {w} modelled workers/operator — divides \
-                                 attributed time only (streaming clamps it by the model's \
-                                 rate limit)"
-                            );
-                        }
-                    }
-                    _ => println!("usage: :parallelism <n>=1 | auto"),
-                },
+                Ok(w) if w > 1 => {
+                    chat.session().lock().exec.parallelism = w;
+                    println!(
+                        "parallelism: {w} modelled workers/operator — divides attributed \
+                         time only, clamped by each model's rate limit"
+                    );
+                }
+                _ => println!("usage: :parallelism <n>, n >= 1"),
             }
             continue;
         }

@@ -18,9 +18,8 @@ pub struct SessionState {
     pub pending_ops: Vec<LogicalOp>,
     /// Optimization preference for the next execution.
     pub policy: Policy,
-    /// How `execute_pipeline` drives the plan: executor mode and
-    /// parallelism (the REPL's `:exec` / `:parallelism` switches edit
-    /// this).
+    /// How `execute_pipeline` drives the plan: parallelism and deadline
+    /// (the REPL's `:parallelism` switch edits this).
     pub exec: ExecutionConfig,
     /// Outcome of the most recent execution.
     pub last_outcome: Option<ExecutionOutcome>,

@@ -291,9 +291,8 @@ pub fn execute_pipeline_tool(session: SessionHandle) -> Arc<dyn Tool> {
             .current_plan()
             .map_err(|e| tool_err("execute_pipeline", e))?;
         let policy = state.policy.clone();
-        // The session's execution defaults (`:exec`, `:parallelism`) drive
-        // the run; the `parallelism` argument overrides one of them for
-        // this call. The session's response cache serves every prompt an
+        // The session's execution defaults (`:parallelism`) drive the run;
+        // the `parallelism` argument overrides them for this call. The session's response cache serves every prompt an
         // earlier run already paid for, so a re-run after an edit bills
         // only the records the edit touched.
         let mut config = state.exec;

@@ -85,57 +85,55 @@ mod tests {
 
     #[test]
     fn identical_rerun_bills_zero_calls() {
-        for config in [ExecutionConfig::sequential(), ExecutionConfig::streaming()] {
-            let (ctx, _src) = versioned_ctx();
-            let (rec1, stats1) = execute_plan(&ctx, &demo_plan(), config).unwrap();
-            let calls1 = ctx.ledger.total_requests();
-            assert!(calls1 > 0);
-            assert_eq!(stats1.memo_hits, 0, "first run hit an empty cache");
-            ctx.reset_accounting();
-            let (rec2, stats2) = execute_plan(&ctx, &demo_plan(), config).unwrap();
-            assert_eq!(ctx.ledger.total_requests(), 0, "re-run re-billed calls");
-            assert_eq!(multiset(&rec1), multiset(&rec2));
-            assert!(stats2.memo_hits > 0);
-        }
+        let config = ExecutionConfig::sequential();
+        let (ctx, _src) = versioned_ctx();
+        let (rec1, stats1) = execute_plan(&ctx, &demo_plan(), config).unwrap();
+        let calls1 = ctx.ledger.total_requests();
+        assert!(calls1 > 0);
+        assert_eq!(stats1.memo_hits, 0, "first run hit an empty cache");
+        ctx.reset_accounting();
+        let (rec2, stats2) = execute_plan(&ctx, &demo_plan(), config).unwrap();
+        assert_eq!(ctx.ledger.total_requests(), 0, "re-run re-billed calls");
+        assert_eq!(multiset(&rec1), multiset(&rec2));
+        assert!(stats2.memo_hits > 0);
     }
 
     #[test]
     fn append_one_record_bills_o1_calls() {
-        for config in [ExecutionConfig::sequential(), ExecutionConfig::streaming()] {
-            let (ctx, src) = versioned_ctx();
-            let (_, _) = execute_plan(&ctx, &demo_plan(), config).unwrap();
-            let v = src.append(
-                "delta-000.pdf",
-                "Delta document. A colorectal cancer cohort using the FunkyData registry at https://example.org/funky.",
-            );
-            assert_eq!(v.version, 1);
-            ctx.reset_accounting();
-            let (rec2, _) = execute_plan(&ctx, &demo_plan(), config).unwrap();
-            let delta_calls = ctx.ledger.total_requests();
-            assert!(
-                delta_calls <= 2,
-                "append of 1 record cost {delta_calls} calls (want <= filter + convert)"
-            );
+        let config = ExecutionConfig::sequential();
+        let (ctx, src) = versioned_ctx();
+        let (_, _) = execute_plan(&ctx, &demo_plan(), config).unwrap();
+        let v = src.append(
+            "delta-000.pdf",
+            "Delta document. A colorectal cancer cohort using the FunkyData registry at https://example.org/funky.",
+        );
+        assert_eq!(v.version, 1);
+        ctx.reset_accounting();
+        let (rec2, _) = execute_plan(&ctx, &demo_plan(), config).unwrap();
+        let delta_calls = ctx.ledger.total_requests();
+        assert!(
+            delta_calls <= 2,
+            "append of 1 record cost {delta_calls} calls (want <= filter + convert)"
+        );
 
-            // From-scratch over the final corpus agrees on the answer.
-            let scratch = PzContext::simulated();
-            let (docs, _) = pz_datagen::science::demo_corpus();
-            let mut items: Vec<(String, String)> =
-                docs.into_iter().map(|d| (d.filename, d.content)).collect();
-            items.push((
-                "delta-000.pdf".into(),
-                "Delta document. A colorectal cancer cohort using the FunkyData registry at https://example.org/funky.".into(),
-            ));
-            scratch
-                .registry
-                .register(Arc::new(crate::datasource::MemorySource::new(
-                    "sigmod-demo",
-                    Schema::pdf_file(),
-                    items,
-                )));
-            let (rec_f, _) = execute_plan(&scratch, &demo_plan(), config).unwrap();
-            assert_eq!(multiset(&rec2), multiset(&rec_f));
-            assert!(delta_calls < scratch.ledger.total_requests());
-        }
+        // From-scratch over the final corpus agrees on the answer.
+        let scratch = PzContext::simulated();
+        let (docs, _) = pz_datagen::science::demo_corpus();
+        let mut items: Vec<(String, String)> =
+            docs.into_iter().map(|d| (d.filename, d.content)).collect();
+        items.push((
+            "delta-000.pdf".into(),
+            "Delta document. A colorectal cancer cohort using the FunkyData registry at https://example.org/funky.".into(),
+        ));
+        scratch
+            .registry
+            .register(Arc::new(crate::datasource::MemorySource::new(
+                "sigmod-demo",
+                Schema::pdf_file(),
+                items,
+            )));
+        let (rec_f, _) = execute_plan(&scratch, &demo_plan(), config).unwrap();
+        assert_eq!(multiset(&rec2), multiset(&rec_f));
+        assert!(delta_calls < scratch.ledger.total_requests());
     }
 }

@@ -1,6 +1,5 @@
 //! Execution engine: one single-threaded stage loop over a physical plan,
-//! driven by a materializing or a streaming policy, with per-operator
-//! statistics (Figure 5).
+//! with per-operator statistics (Figure 5).
 
 pub(crate) mod failover;
 pub mod incremental;
@@ -9,5 +8,7 @@ pub mod run;
 mod runner;
 pub mod stats;
 
-pub use run::{available_cores, execute_plan, ExecMode, ExecutionConfig};
+#[doc(hidden)]
+pub use run::ExecMode; // pzbench alias
+pub use run::{execute_plan, ExecutionConfig, STEP};
 pub use stats::{AdaptiveReport, DegradedExecution, ExecutionStats, OperatorStats};

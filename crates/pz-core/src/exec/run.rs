@@ -1,72 +1,73 @@
 //! Plan executor: one single-threaded loop over the plan's stages.
 //!
 //! A *stage* is one physical operator plus the state its [`StageKind`]
-//! needs — a barrier's input buffer, a `Limit`'s remaining
-//! count. The loop schedules **downstream-first**: a batch a stage emits is
-//! carried through every following stage (until one buffers it or it
-//! reaches the output) before anything upstream moves, so nothing queues
-//! between stages. Only when nothing is in flight is the source pulled
-//! again, and only when the source is dry do the stages see end-of-stream,
-//! in plan order — which is when a barrier applies its operator.
+//! needs — a barrier's input buffer, a model stage's queued input, a
+//! `Limit`'s remaining count. The loop schedules **downstream-first**: a
+//! batch a stage emits is carried through every following stage (until one
+//! buffers or queues it, or it reaches the output) before anything upstream
+//! moves, so nothing waits between stages longer than it must. Only when
+//! nothing is queued is the source pulled again, and only when the source
+//! is dry do the stages see end-of-stream, in plan order — which is when a
+//! barrier applies its operator.
 //!
-//! Every operator application, whatever asked for it, is one
-//! [`Drive::step`]: deadline check by the caller, the substitution
-//! controller's consult (`exec/failover.rs`), ledger snapshot, `op:` span,
-//! the operator (`exec/runner.rs`: failover loop, `catch_unwind`), stats
-//! row, `prof_*` gauges, and the clock and ledger deltas — plus what the
-//! cache's hits would have cost — handed back to the controller. Those
-//! are all it observes, and all it needs: a healthy model's clock time
-//! equals its billed latency, so a stall shows as the difference, with no
-//! estimate to judge it against. No operator ever runs on a second
+//! ## One drive, shaped by the plan
+//!
+//! There is no mode to pick; each stage's shape follows from its operator:
+//!
+//! - The leading `Scan` is pulled in [`SCAN_CHUNK`]-record batches, so a
+//!   corpus of any size keeps O(chunk + output) leaf records resident.
+//! - A per-batch stage whose operator makes a model call per record (or
+//!   per pair) steps [`STEP`] records at a time. Between two steps the
+//!   substitution controller may swap its model, and a satisfied `Limit`
+//!   downstream stops it.
+//! - Every other per-batch stage (UDFs, maps, projections, hash joins, and
+//!   the embedding filter, whose batch is one embedding request) takes its
+//!   batch whole: stepping it would change nothing but the cost of the
+//!   drive, or multiply its requests.
+//! - `Sort`, `Distinct`, `Aggregate`, `Retrieve` and a mid-plan `Scan` are
+//!   barriers; `UnionAll` passes through and appends the other dataset at
+//!   end-of-stream; a satisfied `Limit` cancels everything upstream.
+//! - Under a tenant budget every stage is a barrier, so a refusal can
+//!   return the input of the operator the budget refused (the quota
+//!   contract of serving).
+//!
+//! Empty batches are dropped. Each stage has one leaf `op:` span for the
+//! run and one stats row.
+//!
+//! Every operator application is one [`Drive::step`]: deadline check by
+//! the caller, the substitution controller's consult
+//! (`exec/failover.rs`), ledger snapshot, the operator (`exec/runner.rs`:
+//! failover loop, `catch_unwind`), stats row, `prof_*` gauges, and the
+//! clock and ledger deltas — plus what the cache's hits would have cost —
+//! handed back to the controller. No operator ever runs on a second
 //! thread, so a run is a pure function of its inputs: same seed, same
-//! records, ids, stats, ledger, clock and trace, at every parallelism and
-//! in either mode.
+//! records, ids, stats, ledger, clock and trace, at every parallelism.
 //!
-//! ## Two policies
+//! ## Two time figures
 //!
-//! [`ExecMode`] picks a [`Policy`] — data the loop consults, not a second
-//! drive:
-//!
-//! - **Materializing** pulls [`SCAN_CHUNK`]-record batches. Operators that
-//!   commute with chunking run per batch; every other operator is a
-//!   barrier that sees its whole input at once and passes its whole output
-//!   on, so a corpus of any size keeps O(chunk + output) leaf records
-//!   resident. Empty batches still flow (an operator over nothing is still
-//!   an application), each application gets its own `op:` span, a `Limit`
-//!   bills its whole input, and plan time is the sum of the stages. Under a
-//!   tenant quota every operator is a barrier, so a refusal can restore
-//!   the input of the operator the budget refused. Model swaps need no
-//!   barrier: the controller acts at the top of any step, which here is a
-//!   chunk boundary.
-//! - **Streaming** pulls `batch_size`-record batches and classifies stages
-//!   by [`stage_kind`]: joins probe per batch, `UnionAll` passes through
-//!   and appends the other dataset at end-of-stream, a satisfied `Limit`
-//!   stops the source and everything upstream of it on the spot. A
-//!   barrier's output is re-chunked to `batch_size`; empty batches are
-//!   dropped. Each stage keeps one `op:` span for the run, and plan time is
-//!   *pipelined*: the bottleneck stage plus the fill delay before it
-//!   (`ExecutionStats::finalize_pipelined`) — arithmetic over per-stage
-//!   busy seconds, since the virtual clock advances by every call's full
-//!   latency in either mode.
+//! A stage is billed the virtual-clock time its steps took.
+//! `ExecutionStats::total_time_secs` is the sum of the stages: the plan
+//! run one operator after another. `pipelined_secs` is the bottleneck
+//! stage plus the fill delay before it (`ExecutionStats::finalize_pipelined`),
+//! each stage's share of the fill being its time up to its first non-empty
+//! output: the plan's stages overlapped.
 //!
 //! ## Parallelism is modelled
 //!
 //! `parallelism` divides *attributed time* and nothing else — calls, cost,
-//! records and ids are identical at every value. Materializing divides an
-//! LLM-bound application's elapsed time by `min(parallelism, records)`;
-//! streaming divides a per-batch stage's busy time by `min(parallelism
-//! capped at the model's rate limit, batches seen)`. Running the fan-out
-//! on threads measures 1.0–1.5× wall-clock against a simulated provider
-//! that never blocks, and costs rerun determinism; the arithmetic is the
-//! part of it worth having.
+//! records and ids are identical at every value. A model stage's time
+//! divides by `min(parallelism, the model's rate cap, records it saw)`.
+//! Running the fan-out on threads measures 1.0–1.5× wall-clock against a
+//! simulated provider that never blocks, and costs rerun determinism; the
+//! arithmetic is the part of it worth having.
 //!
 //! ## Profiling gauges
 //!
 //! With the tracer's profiling flag on, `prof_provider_wait_us` and
 //! `prof_retry_backoff_us` are the ledger-latency and retry-sink deltas
-//! around a step. A streaming stage's other two gauges follow from the
-//! schedule: while one stage's step advances the clock by *d*, every live
-//! stage upstream of it accrues *d* of backpressure and every live stage
+//! around a step. A stage's other two gauges follow from the schedule:
+//! while one stage's step advances the clock by *d*, every live stage
+//! upstream of it accrues *d* of backpressure and every live stage
 //! downstream *d* of queue wait, so each stage's buckets partition its
 //! window exactly.
 
@@ -81,49 +82,34 @@ use crate::ops::physical::{PhysicalOp, PhysicalPlan};
 use crate::record::DataRecord;
 use std::sync::Arc;
 
-/// Records per pull of the leading `Scan` in a materializing run — the
-/// size the E21 flat-memory curve was measured at.
+/// Records per pull of the leading `Scan` — the size the E21 flat-memory
+/// curve was measured at.
 const SCAN_CHUNK: usize = 4096;
 
-/// How a physical plan is driven: the scheduling policy of the one loop.
+/// Records per step of a per-batch stage whose operator calls a model.
+pub const STEP: usize = 4;
+
+/// Kept only so code written against the retired execution modes still
+/// compiles; nothing in the engine reads it.
+#[doc(hidden)]
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Operator-at-a-time over scan chunks: see the module docs.
+pub enum ExecMode /* pzbench alias */ {
     #[default]
     Materializing,
-    /// Pipelined: stages overlap on the virtual clock, residency is
-    /// bounded by the batch size, and a satisfied `Limit` cancels upstream
-    /// work.
     Streaming {
-        /// Records per batch flowing between stages.
         batch_size: usize,
     },
-}
-
-impl ExecMode {
-    /// Streaming with the default batch size (4).
-    pub fn streaming() -> Self {
-        ExecMode::Streaming { batch_size: 4 }
-    }
-}
-
-/// Worker count for "auto" parallelism: the cores the OS reports.
-pub fn available_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// Executor configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct ExecutionConfig {
-    /// Materializing or streaming execution.
-    pub mode: ExecMode,
-    /// Intra-operator parallelism; `1` is serial. Modelled in both modes:
-    /// an LLM-bound operator's attributed time is divided by this many
-    /// workers (clamped by the records or batches it saw and, when
-    /// streaming, by the model's provider rate limit). Records, ledger and
-    /// trace are identical at every value; only attributed time changes.
+    #[doc(hidden)]
+    pub mode: ExecMode, // pzbench alias: read by nothing
+    /// Intra-operator parallelism, at least `1` (serial). Modelled: a model
+    /// stage's attributed time is divided by this many workers, clamped by
+    /// the records it saw and by the model's provider rate limit. Records,
+    /// ledger and trace are identical at every value.
     pub parallelism: usize,
     /// Execution deadline in virtual seconds, relative to plan start.
     /// Retries, backoff, and model substitution all respect it; exceeding
@@ -134,7 +120,7 @@ pub struct ExecutionConfig {
 impl Default for ExecutionConfig {
     fn default() -> Self {
         Self {
-            mode: ExecMode::default(),
+            mode: ExecMode::Materializing, // pzbench alias
             parallelism: 1,
             deadline_secs: None,
         }
@@ -142,27 +128,20 @@ impl Default for ExecutionConfig {
 }
 
 impl ExecutionConfig {
-    /// Materializing, serial — the default.
+    /// Serial, no deadline — the default.
     pub fn sequential() -> Self {
         Self::default()
     }
 
-    /// Streaming with the default batch size.
+    /// The default configuration, labelled the way the retired streaming
+    /// mode was.
+    #[doc(hidden)]
     pub fn streaming() -> Self {
-        Self::default().with_mode(ExecMode::streaming())
-    }
-
-    /// Streaming with an explicit batch size.
-    pub fn streaming_with(batch_size: usize) -> Self {
-        Self::default().with_mode(ExecMode::Streaming {
-            batch_size: batch_size.max(1),
-        })
-    }
-
-    /// Replace the execution mode.
-    pub fn with_mode(mut self, mode: ExecMode) -> Self {
-        self.mode = mode;
-        self
+        let mode = ExecMode::Streaming { batch_size: STEP }; // pzbench alias
+        Self {
+            mode,
+            ..Self::default()
+        }
     }
 
     /// Set the execution deadline (virtual seconds from plan start).
@@ -171,14 +150,9 @@ impl ExecutionConfig {
         self
     }
 
-    /// Set the intra-operator parallelism. `0` means auto (one worker per
-    /// available core).
+    /// Set the intra-operator parallelism; values below 1 mean 1.
     pub fn with_parallelism(mut self, workers: usize) -> Self {
-        self.parallelism = if workers == 0 {
-            available_cores()
-        } else {
-            workers
-        };
+        self.parallelism = workers.max(1);
         self
     }
 
@@ -263,20 +237,9 @@ pub(crate) fn execute_ranked(
             .map_or(0, |_| ctx.ledger.total_cache_hits())
     };
     let hits_before = cache_hits();
-    let (records, mut stats) = Drive::new(ctx, plan, &config, rank).run()?;
+    let (records, mut stats) = Drive::new(ctx, plan, config.parallelism, rank).run()?;
     stats.memo_hits = cache_hits() - hits_before;
     Ok((records, stats))
-}
-
-/// What tells the two execution modes apart, as data the loop consults
-/// (module docs, "Two policies").
-#[derive(Clone, Copy)]
-struct Policy {
-    /// Records per pull of the source.
-    batch: usize,
-    /// Streaming. Off, every stage that does not commute with chunking is
-    /// a barrier whose output is passed on whole.
-    pipelined: bool,
 }
 
 /// How a stage consumes its input. Classifying a `PhysicalOp` is an
@@ -286,11 +249,10 @@ enum StageKind {
     Source,
     /// Batch-at-a-time: the operator applied to each incoming batch, and
     /// nothing else — these operators commute with any re-chunking of
-    /// their input.
-    PerBatch,
-    /// Batch-at-a-time probe against a build side that each application
-    /// materializes anew (the joins).
-    Probe,
+    /// their input (a join materializes its build side anew each time).
+    /// `stepped`: the operator calls a model per record, so a batch is
+    /// queued and applied [`STEP`] records at a time.
+    PerBatch { stepped: bool },
     /// A barrier: must see the whole input before producing anything.
     Blocking,
     /// Passes records through until this many are left to pass, then
@@ -303,15 +265,18 @@ enum StageKind {
 fn stage_kind(op: &PhysicalOp) -> StageKind {
     match op {
         PhysicalOp::LlmFilter { .. }
-        | PhysicalOp::EmbeddingFilter { .. }
         | PhysicalOp::EnsembleFilter { .. }
-        | PhysicalOp::UdfFilter { .. }
         | PhysicalOp::LlmConvert { .. }
         | PhysicalOp::FieldwiseConvert { .. }
+        | PhysicalOp::LlmJoin { .. }
+        | PhysicalOp::LlmClassify { .. } => StageKind::PerBatch { stepped: true },
+        // An embedding filter sends its whole batch as one embedding
+        // request: stepping it would multiply its requests.
+        PhysicalOp::EmbeddingFilter { .. }
+        | PhysicalOp::UdfFilter { .. }
         | PhysicalOp::Map { .. }
         | PhysicalOp::Project { .. }
-        | PhysicalOp::LlmClassify { .. } => StageKind::PerBatch,
-        PhysicalOp::HashJoin { .. } | PhysicalOp::LlmJoin { .. } => StageKind::Probe,
+        | PhysicalOp::HashJoin { .. } => StageKind::PerBatch { stepped: false },
         PhysicalOp::Limit { n } => StageKind::Limit(*n),
         // Sort/Distinct/Aggregate need the full input, and so does
         // Retrieve: its top-k ranks the whole input, so a per-batch top-k
@@ -326,7 +291,7 @@ fn stage_kind(op: &PhysicalOp) -> StageKind {
     }
 }
 
-/// Profiling gauges of one application or one stage, in virtual µs.
+/// Profiling gauges of one step or one stage, in virtual µs.
 #[derive(Clone, Copy, Default)]
 struct Prof {
     /// Clock time the gauges below (plus compute) must fill.
@@ -342,17 +307,17 @@ struct Stage {
     kind: StageKind,
     /// Input a `Blocking` stage has collected so far.
     buf: Vec<DataRecord>,
-    /// Streaming: flushed output the loop has yet to hand on, re-chunked.
-    out: std::vec::IntoIter<DataRecord>,
-    /// The stats row; `time_secs` is not yet divided by streaming workers.
+    /// Input a stepped stage has yet to apply its operator to.
+    queue: std::vec::IntoIter<DataRecord>,
+    /// The stats row; `time_secs` is not yet divided by workers.
     row: OperatorStats,
     applications: usize,
     /// `row.time_secs` when the stage first emitted a record — its share
     /// of the downstream pipeline-fill delay.
     startup_secs: Option<f64>,
-    /// Streaming: the stage's one `op:` span. A leaf, opened up front in
-    /// plan order, so per-call spans parent under the plan span.
-    span: Option<pz_obs::SpanGuard>,
+    /// The stage's one `op:` span. A leaf, opened up front in plan order,
+    /// so per-call spans parent under the plan span.
+    span: pz_obs::SpanGuard,
     prof: Prof,
 }
 
@@ -372,8 +337,7 @@ type Halt = Option<Vec<DataRecord>>;
 /// The state of one run.
 struct Drive<'a> {
     ctx: &'a PzContext,
-    config: &'a ExecutionConfig,
-    policy: Policy,
+    parallelism: usize,
     /// The plan's operators. A swappable one's re-planned form is the
     /// controller's (`Substitution::planned`).
     ops: Vec<PhysicalOp>,
@@ -393,40 +357,17 @@ struct Drive<'a> {
 }
 
 impl<'a> Drive<'a> {
-    fn new(
-        ctx: &'a PzContext,
-        plan: &PhysicalPlan,
-        config: &'a ExecutionConfig,
-        rank: Rank,
-    ) -> Self {
-        let policy = match config.mode {
-            ExecMode::Materializing => Policy {
-                batch: SCAN_CHUNK,
-                pipelined: false,
-            },
-            ExecMode::Streaming { batch_size } => Policy {
-                batch: batch_size.max(1),
-                pipelined: true,
-            },
-        };
+    fn new(ctx: &'a PzContext, plan: &PhysicalPlan, parallelism: usize, rank: Rank) -> Self {
         let plan_span = ctx.tracer.span(pz_obs::Layer::Executor, "execute_plan");
         plan_span.set_attr("plan", plan.describe());
-        if policy.pipelined {
-            plan_span.set_attr("mode", "streaming");
-            plan_span.set_attr("batch_size", policy.batch.to_string());
-        } else {
-            plan_span.set_attr("workers", config.parallelism.to_string());
-        }
-        // Quota truncation is a materializing contract (a streaming run
-        // surfaces the refusal), armed only when the tenant ledger carries
-        // a budget.
-        let quota_armed = !policy.pipelined && ctx.ledger.quota().is_limited();
-        let barriers_only = !policy.pipelined && quota_armed;
+        // Quota truncation is armed only when the tenant ledger carries a
+        // budget, and then every stage is a barrier.
+        let quota_armed = ctx.ledger.quota().is_limited();
         let source = plan.ops.first().map(|first| match first {
             // An unopenable source fails inside the first scan step, under
             // its `op:` span like any other operator failure.
             PhysicalOp::Scan { dataset } => ctx
-                .open_scan(dataset, policy.batch)
+                .open_scan(dataset, SCAN_CHUNK)
                 .unwrap_or_else(|e| Box::new(std::iter::once(Err(e)))),
             // A plan that does not open with a Scan is fed one empty batch.
             _ => Box::new(std::iter::once(Ok(Vec::new()))) as RecordBatchIter,
@@ -435,32 +376,26 @@ impl<'a> Drive<'a> {
             .ops
             .iter()
             .enumerate()
-            .map(|(i, op)| {
-                let kind = match stage_kind(op) {
+            .map(|(i, op)| Stage {
+                kind: match stage_kind(op) {
                     _ if i == 0 && matches!(op, PhysicalOp::Scan { .. }) => StageKind::Source,
-                    kind if policy.pipelined => kind,
-                    StageKind::PerBatch if !barriers_only => StageKind::PerBatch,
-                    _ => StageKind::Blocking,
-                };
-                Stage {
-                    kind,
-                    buf: Vec::new(),
-                    out: Default::default(),
-                    row: row_for(op),
-                    applications: 0,
-                    startup_secs: None,
-                    span: policy.pipelined.then(|| {
-                        ctx.tracer
-                            .leaf_span(pz_obs::Layer::Executor, &format!("op:{}", op.describe()))
-                    }),
-                    prof: Prof::default(),
-                }
+                    _ if quota_armed => StageKind::Blocking,
+                    kind => kind,
+                },
+                buf: Vec::new(),
+                queue: Default::default(),
+                row: row_for(op),
+                applications: 0,
+                startup_secs: None,
+                span: ctx
+                    .tracer
+                    .leaf_span(pz_obs::Layer::Executor, &format!("op:{}", op.describe())),
+                prof: Prof::default(),
             })
             .collect();
         Self {
             ctx,
-            config,
-            policy,
+            parallelism: parallelism.max(1),
             ops: plan.ops.clone(),
             stages,
             source,
@@ -477,21 +412,21 @@ impl<'a> Drive<'a> {
         }
     }
 
-    /// The loop (module docs): hand on what is in flight, else pull the
-    /// source, else close the next stage.
+    /// The loop (module docs): step the most downstream queued stage, else
+    /// pull the source, else close the next stage.
     fn run(mut self) -> PzResult<(Vec<DataRecord>, ExecutionStats)> {
         let records = loop {
-            let in_flight = (0..self.stages.len())
+            let queued = (0..self.stages.len())
                 .rev()
-                .find(|&i| self.stages[i].out.len() > 0);
-            let halt = if let Some(i) = in_flight {
-                let out = &mut self.stages[i].out;
-                let batch = if out.len() <= self.policy.batch {
-                    std::mem::take(out).collect()
+                .find(|&i| self.stages[i].queue.len() > 0);
+            let halt = if let Some(i) = queued {
+                let batch: Vec<DataRecord> = self.stages[i].queue.by_ref().take(STEP).collect();
+                if self.past_deadline(i) {
+                    Some(self.partial(i, batch))
                 } else {
-                    out.by_ref().take(self.policy.batch).collect()
-                };
-                self.push(i + 1, batch)?
+                    let out = self.apply(i, batch)?;
+                    self.push(i + 1, out)?
+                }
             } else if let Some(pulled) = self.source.as_mut().and_then(|s| s.next()) {
                 if self.past_deadline(0) {
                     Some(self.partial(0, Vec::new()))
@@ -517,19 +452,29 @@ impl<'a> Drive<'a> {
     }
 
     /// Carry `batch` from stage `i` downstream as far as it goes: through
-    /// every per-batch stage, into the first barrier's buffer or the sink.
+    /// every whole-batch stage, into the first stepped stage's queue, a
+    /// barrier's buffer or the sink.
     fn push(&mut self, mut i: usize, mut batch: Vec<DataRecord>) -> PzResult<Halt> {
         loop {
-            if batch.is_empty() && self.policy.pipelined {
+            if batch.is_empty() {
                 return Ok(None);
             }
             let Some(stage) = self.stages.get_mut(i) else {
                 self.sink.append(&mut batch);
                 return Ok(None);
             };
-            if let StageKind::Blocking = stage.kind {
-                stage.buf.append(&mut batch);
-                return Ok(None);
+            match stage.kind {
+                StageKind::Blocking => {
+                    stage.buf.append(&mut batch);
+                    return Ok(None);
+                }
+                // Downstream-first: a batch only reaches a stepped stage
+                // once its previous one is used up.
+                StageKind::PerBatch { stepped: true } => {
+                    stage.queue = batch.into_iter();
+                    return Ok(None);
+                }
+                _ => {}
             }
             if self.past_deadline(i) {
                 return Ok(Some(self.partial(i, batch)));
@@ -567,20 +512,14 @@ impl<'a> Drive<'a> {
         // Under a budget, keep the input so a mid-operator quota refusal
         // can return results through the last *completed* operator.
         let saved = self.quota_armed.then(|| input.clone());
-        let out = match self.apply(i, input) {
-            Ok(out) => out,
+        match self.apply(i, input) {
+            Ok(out) => self.push(i + 1, out),
             // The tenant's own budget refused the next call (the step
             // flagged it). Calls made before the refusal are billed — they
             // ran; nothing past the budget ever was. Truncate: the run ends
             // with the input of the aborted operator.
-            Err(_) if self.stats.quota_exhausted => return Ok(saved),
-            Err(e) => return Err(e),
-        };
-        if self.policy.pipelined {
-            self.stages[i].out = out.into_iter();
-            Ok(None)
-        } else {
-            self.push(i + 1, out)
+            Err(_) if self.stats.quota_exhausted => Ok(saved),
+            Err(e) => Err(e),
         }
     }
 
@@ -591,7 +530,7 @@ impl<'a> Drive<'a> {
         self.closed = self.closed.max(i + 1);
         for stage in &mut self.stages[..=i] {
             stage.buf = Vec::new();
-            stage.out = Default::default();
+            stage.queue = Default::default();
         }
     }
 
@@ -641,9 +580,9 @@ impl<'a> Drive<'a> {
 
     /// One application of stage `i`'s operator to one batch — the only
     /// place the executor consults the substitution controller, snapshots
-    /// the ledger, opens an `op:` span, writes `prof_*` attributes and
-    /// accrues a stats row. `run` does the work (the runner, or the loop's
-    /// own pull / truncate / pass-through).
+    /// the ledger and accrues a stats row and `prof_*` gauges. `run` does
+    /// the work (the runner, or the loop's own pull / truncate /
+    /// pass-through).
     fn step(
         &mut self,
         i: usize,
@@ -653,7 +592,7 @@ impl<'a> Drive<'a> {
         let ctx = self.ctx;
         // The controller decides the model before anything is measured. A
         // replan before the stage's first application relabels its row;
-        // spans always name the operator as (re-)planned.
+        // spans always name the operator as planned.
         let consulted = self.subst.consult(ctx, i, input.len());
         let planned = self.subst.planned(i).unwrap_or(&self.ops[i]);
         if matches!(consulted, Ok(true)) && self.stages[i].applications == 0 {
@@ -665,24 +604,14 @@ impl<'a> Drive<'a> {
         } else {
             input.len()
         };
-        let parallelizable = planned.is_parallelizable();
-        let fanout = self.config.parallelism.min(input.len().max(1));
         // Records resident besides this batch.
         let held = self.sink.len()
             + (self.stages.iter())
-                .map(|s| s.buf.len() + s.out.len())
+                .map(|s| s.buf.len() + s.queue.len())
                 .sum::<usize>();
         let before = Observed::meter(ctx);
         let replayed_before = Observed::replayed(ctx);
         let clock_before = ctx.clock.now_secs();
-        // Materializing: a structural span per application, so the LLM leaf
-        // spans it makes nest under it.
-        let span = (!self.policy.pipelined).then(|| {
-            ctx.tracer.span(
-                pz_obs::Layer::Executor,
-                &format!("op:{}", planned.describe()),
-            )
-        });
 
         let out = match consulted.and_then(|_| run(&mut self.subst, &self.ops[i], input)) {
             Ok(out) => out,
@@ -707,25 +636,6 @@ impl<'a> Drive<'a> {
         seen.records = in_len as f64;
         let elapsed = ctx.clock.now_secs() - clock_before;
         let billed = &seen.share;
-        let applied = OperatorStats {
-            input_records: in_len,
-            output_records: out.len(),
-            llm_calls: billed.calls as usize,
-            input_tokens: billed.input_tokens as usize,
-            output_tokens: billed.output_tokens as usize,
-            cost_usd: billed.cost_usd,
-            // Streaming bills a stage its calls' modelled latency and
-            // divides by the stage's workers once they are known (`finish`);
-            // materializing bills the clock, overlapped across the fan-out.
-            time_secs: if self.policy.pipelined {
-                billed.latency_secs
-            } else if fanout > 1 && parallelizable {
-                elapsed / fanout as f64
-            } else {
-                elapsed
-            },
-            ..Default::default()
-        };
         let gauges = Prof {
             window_us: (elapsed * 1e6).round() as u64,
             provider_wait_us: (billed.latency_secs * 1e6).round() as u64,
@@ -733,17 +643,13 @@ impl<'a> Drive<'a> {
             ..Default::default()
         };
         self.stats.peak_resident_records = self.stats.peak_resident_records.max(held + out.len());
-        if let Some(span) = span {
-            report(&span, &applied, self.profiling.then_some(&gauges));
-            span.finish();
-        }
-        if self.policy.pipelined && self.profiling {
+        if self.profiling {
             // No stage works while this one does: the ones upstream are
             // held back by it, the ones downstream wait on it.
             let closed = self.closed;
             for (j, other) in self.stages.iter_mut().enumerate() {
-                // Live: yet to see end-of-stream, or still handing on.
-                if j == i || (j < closed && other.out.len() == 0) {
+                // Live: yet to see end-of-stream, or still stepping.
+                if j == i || (j < closed && other.queue.len() == 0) {
                     continue;
                 }
                 other.prof.window_us += gauges.window_us;
@@ -756,7 +662,16 @@ impl<'a> Drive<'a> {
         }
         let stage = &mut self.stages[i];
         stage.applications += 1;
-        stage.row.accrue(&applied);
+        stage.row.accrue(&OperatorStats {
+            input_records: in_len,
+            output_records: out.len(),
+            llm_calls: billed.calls as usize,
+            input_tokens: billed.input_tokens as usize,
+            output_tokens: billed.output_tokens as usize,
+            cost_usd: billed.cost_usd,
+            time_secs: elapsed,
+            ..Default::default()
+        });
         stage.prof.window_us += gauges.window_us;
         stage.prof.provider_wait_us += gauges.provider_wait_us;
         stage.prof.retry_backoff_us += gauges.retry_backoff_us;
@@ -769,64 +684,49 @@ impl<'a> Drive<'a> {
         Ok(out)
     }
 
-    /// Close the books: stats rows, plan totals under the policy's time
-    /// model, and (streaming) each stage's span.
+    /// Close the books: stats rows divided by their workers, both plan
+    /// time figures, and each stage's span.
     fn finish(mut self, records: Vec<DataRecord>) -> (Vec<DataRecord>, ExecutionStats) {
         let mut stats = self.stats;
         let mut startup = Vec::with_capacity(self.stages.len());
-        for (i, (stage, op)) in self.stages.iter_mut().zip(&self.ops).enumerate() {
+        for (i, mut stage) in std::mem::take(&mut self.stages).into_iter().enumerate() {
             // Failover decisions, in plan order.
             stats.degraded.append(&mut self.subst.take_degraded(i));
             let mut row = std::mem::take(&mut stage.row);
-            if !self.policy.pipelined {
-                // Rows cover exactly the operators that ran.
-                if stage.applications > 0 {
-                    stats.operators.push(row);
-                }
-                continue;
-            }
-            let startup_secs = stage.startup_secs.unwrap_or(row.time_secs);
-            startup.push(startup_secs);
-            // Modelled overlap: a per-batch stage's calls spread over no
-            // more workers than the batches it saw, nor than its model's
-            // provider admits at once. Cost, calls and tokens never divide.
-            let workers = match stage.kind {
-                StageKind::PerBatch | StageKind::Probe => {
-                    let planned = self.subst.planned(i).unwrap_or(op);
-                    let rate_cap = (planned.model())
-                        .and_then(|m| self.ctx.catalog.get(m))
-                        .map_or(usize::MAX, |card| card.concurrency_cap());
-                    self.config
-                        .parallelism
-                        .min(rate_cap)
-                        .min(stage.applications)
-                        .max(1)
-                }
-                _ => 1,
+            // Modelled overlap: a model stage's calls spread over no more
+            // workers than the records it saw, nor than its model's
+            // provider admits at once. Its time divides, the part before
+            // its first output included; cost, calls and tokens never do.
+            let planned = self.subst.planned(i).unwrap_or(&self.ops[i]);
+            let workers = if planned.is_parallelizable() {
+                let rate_cap = (planned.model())
+                    .and_then(|m| self.ctx.catalog.get(m))
+                    .map_or(usize::MAX, |card| card.concurrency_cap());
+                self.parallelism.min(rate_cap).min(row.input_records).max(1)
+            } else {
+                1
             };
+            let startup_secs = stage.startup_secs.unwrap_or(row.time_secs) / workers as f64;
+            startup.push(startup_secs);
             row.time_secs /= workers as f64;
             stats.parallelism = stats.parallelism.max(workers);
-            if let Some(span) = stage.span.take() {
-                if workers > 1 {
-                    span.set_attr("workers", workers.to_string());
-                }
-                report(&span, &row, self.profiling.then_some(&stage.prof));
-                if self.profiling {
-                    let p = &stage.prof;
-                    span.set_attr("prof_queue_wait_us", p.queue_wait_us.to_string());
-                    span.set_attr("prof_backpressure_us", p.backpressure_us.to_string());
-                    span.set_attr("prof_startup_secs", format!("{startup_secs:.6}"));
-                }
-                span.finish();
+            let span = stage.span;
+            if workers > 1 {
+                span.set_attr("workers", workers.to_string());
             }
+            report(&span, &row, self.profiling.then_some(&stage.prof));
+            if self.profiling {
+                let p = &stage.prof;
+                span.set_attr("prof_queue_wait_us", p.queue_wait_us.to_string());
+                span.set_attr("prof_backpressure_us", p.backpressure_us.to_string());
+                span.set_attr("prof_startup_secs", format!("{startup_secs:.6}"));
+            }
+            span.finish();
             stats.operators.push(row);
         }
         stats.adaptive = self.subst.take_reports();
-        if self.policy.pipelined {
-            stats.finalize_pipelined(&startup);
-        } else {
-            stats.finalize();
-        }
+        stats.finalize();
+        stats.finalize_pipelined(&startup);
         stats.output_records = records.len();
         let plan_span = self.plan_span;
         plan_span.set_attr("output_records", stats.output_records.to_string());
@@ -836,8 +736,7 @@ impl<'a> Drive<'a> {
     }
 }
 
-/// Write what one application (materializing) or one whole stage
-/// (streaming) did onto its `op:` span.
+/// Write what one stage did onto its `op:` span.
 fn report(span: &pz_obs::SpanGuard, row: &OperatorStats, gauges: Option<&Prof>) {
     span.set_attr("in", row.input_records.to_string());
     span.set_attr("out", row.output_records.to_string());
@@ -1004,86 +903,69 @@ mod tests {
 
     #[test]
     fn streaming_same_records_and_cost_less_virtual_time() {
-        let ctx_m = science_ctx();
-        let (rec_m, stats_m) =
-            execute_plan(&ctx_m, &demo_plan(), ExecutionConfig::sequential()).unwrap();
-        let ctx_s = science_ctx();
-        let (rec_s, stats_s) =
-            execute_plan(&ctx_s, &demo_plan(), ExecutionConfig::streaming()).unwrap();
-
-        // Identical outputs: the simulator keys responses on record
-        // content, and stages preserve batch order.
-        assert_eq!(rec_m.len(), rec_s.len());
-        let names = |recs: &[DataRecord]| {
-            let mut v: Vec<String> = recs
-                .iter()
-                .map(|r| r.get("name").unwrap().as_display())
-                .collect();
-            v.sort();
-            v
-        };
-        assert_eq!(names(&rec_m), names(&rec_s));
-
-        // Identical cost and calls on the ledger and in the stats.
-        assert!((stats_m.total_cost_usd - stats_s.total_cost_usd).abs() < 1e-9);
-        assert_eq!(stats_m.total_llm_calls, stats_s.total_llm_calls);
-        assert!((ctx_m.ledger.total_cost_usd() - ctx_s.ledger.total_cost_usd()).abs() < 1e-9);
-
-        // Overlapping stages: strictly less attributed virtual time.
+        // One run reports both time figures: the operators one after
+        // another, and the same operators overlapped.
+        let ctx = science_ctx();
+        let (_, stats) = execute_plan(&ctx, &demo_plan(), ExecutionConfig::sequential()).unwrap();
+        let sum: f64 = stats.operators.iter().map(|o| o.time_secs).sum();
+        assert!((stats.total_time_secs - sum).abs() < 1e-9);
         assert!(
-            stats_s.total_time_secs < stats_m.total_time_secs,
-            "streaming {} vs materializing {}",
-            stats_s.total_time_secs,
-            stats_m.total_time_secs
+            stats.pipelined_secs < stats.total_time_secs,
+            "pipelined {} vs sequential {}",
+            stats.pipelined_secs,
+            stats.total_time_secs
         );
-        assert!(stats_s.total_time_secs > 0.0);
+        // At least the slowest stage: overlap never beats the bottleneck.
+        let slowest = stats
+            .operators
+            .iter()
+            .map(|o| o.time_secs)
+            .fold(0.0, f64::max);
+        assert!(stats.pipelined_secs >= slowest);
+        // Every call advanced the clock once, whatever the figures say.
+        assert!((ctx.clock.now_secs() - stats.total_time_secs).abs() < 1e-9);
     }
 
     #[test]
     fn streaming_per_operator_accounting_sums_to_ledger() {
         let ctx = science_ctx();
-        let (_, stats) = execute_plan(&ctx, &demo_plan(), ExecutionConfig::streaming()).unwrap();
+        let (_, stats) = execute_plan(&ctx, &demo_plan(), ExecutionConfig::sequential()).unwrap();
         assert_eq!(stats.operators.len(), 3);
-        assert_eq!(stats.operators[0].llm_calls, 0);
-        assert_eq!(stats.operators[1].llm_calls, 11);
-        assert!(stats.operators[2].llm_calls >= 4);
-        let op_cost: f64 = stats.operators.iter().map(|o| o.cost_usd).sum();
-        assert!((op_cost - ctx.ledger.total_cost_usd()).abs() < 1e-9);
         let op_calls: usize = stats.operators.iter().map(|o| o.llm_calls).sum();
         assert_eq!(op_calls, ctx.ledger.total_requests());
+        assert_eq!(stats.total_llm_calls, ctx.ledger.total_requests());
+        // One `op:` span per stage, however many steps it took.
+        let snap = ctx.tracer.snapshot();
+        for row in &stats.operators {
+            let name = format!("op:{}", row.physical);
+            assert_eq!(snap.spans.iter().filter(|s| s.name == name).count(), 1);
+        }
     }
 
     #[test]
     fn parallel_streaming_same_records_cost_less_attributed_time() {
-        let base = ExecutionConfig::streaming_with(1);
         let ctx_1 = science_ctx();
-        let (rec_1, stats_1) = execute_plan(&ctx_1, &demo_plan(), base).unwrap();
+        let (rec_1, stats_1) =
+            execute_plan(&ctx_1, &demo_plan(), ExecutionConfig::sequential()).unwrap();
         let ctx_8 = science_ctx();
-        let (rec_8, stats_8) =
-            execute_plan(&ctx_8, &demo_plan(), base.with_parallelism(8)).unwrap();
+        let config = ExecutionConfig::sequential().with_parallelism(8);
+        let (rec_8, stats_8) = execute_plan(&ctx_8, &demo_plan(), config).unwrap();
 
         // Parallelism is attribution-only: identical records…
-        let names = |recs: &[DataRecord]| {
-            let mut v: Vec<String> = recs
-                .iter()
-                .map(|r| r.get("name").unwrap().as_display())
-                .collect();
-            v.sort();
-            v
-        };
-        assert_eq!(names(&rec_1), names(&rec_8));
+        assert_eq!(rec_1, rec_8);
         // …identical ledger (same calls, same dollars, same clock order)…
         assert!((ctx_1.ledger.total_cost_usd() - ctx_8.ledger.total_cost_usd()).abs() < 1e-9);
         assert_eq!(ctx_1.ledger.total_requests(), ctx_8.ledger.total_requests());
         assert!((stats_1.total_cost_usd - stats_8.total_cost_usd).abs() < 1e-9);
-        // …but at least 2x less attributed plan time, and the worker count
-        // is recorded on the stats.
+        // …but at least 2x less attributed plan time on both figures, and
+        // the worker count is recorded on the stats.
         assert!(
             stats_8.total_time_secs * 2.0 < stats_1.total_time_secs,
             "parallel 8 {} vs serial {}",
             stats_8.total_time_secs,
             stats_1.total_time_secs
         );
+        assert!(stats_8.pipelined_secs < stats_1.pipelined_secs);
         assert_eq!(stats_1.parallelism, 1);
         assert_eq!(stats_8.parallelism, 8);
         // Per-operator accounting still reconciles against the ledger.
@@ -1095,12 +977,13 @@ mod tests {
     fn parallel_streaming_pool_clamped_by_model_rate_limit() {
         // gpt-4o publishes max_concurrency 8: a 32-worker request clamps to
         // the same effective worker count, so attribution is identical.
-        let base = ExecutionConfig::streaming_with(1);
+        let base = ExecutionConfig::sequential();
         let ctx_8 = science_ctx();
         let (_, stats_8) = execute_plan(&ctx_8, &demo_plan(), base.with_parallelism(8)).unwrap();
         let ctx_32 = science_ctx();
         let (_, stats_32) = execute_plan(&ctx_32, &demo_plan(), base.with_parallelism(32)).unwrap();
         assert!((stats_8.total_time_secs - stats_32.total_time_secs).abs() < 1e-9);
+        assert!((stats_8.pipelined_secs - stats_32.pipelined_secs).abs() < 1e-9);
         assert_eq!(stats_8.parallelism, stats_32.parallelism);
     }
 
@@ -1110,7 +993,7 @@ mod tests {
         // the breaker trips once, the stage fails over exactly once, and
         // the run lands on the same substitute model as the serial run.
         let outage = pz_llm::FaultPlan::none().outage("gpt-4o", 0.0, 1e9);
-        let base = ExecutionConfig::streaming_with(1);
+        let base = ExecutionConfig::sequential();
         let ctx_1 = science_ctx();
         ctx_1.faults.set(outage.clone());
         let (rec_1, stats_1) = execute_plan(&ctx_1, &demo_plan(), base).unwrap();
@@ -1145,8 +1028,9 @@ mod tests {
 
     #[test]
     fn streaming_limit_cancels_upstream_llm_calls() {
-        // scan -> filter -> limit 2: streaming stops filtering once the
-        // limit is satisfied; materializing filters all 11 papers.
+        // scan -> filter -> limit 2: the filter steps four papers at a time
+        // and the step that satisfies the limit is the last one billed.
+        // Filtering the whole corpus first would bill all 11.
         let plan = PhysicalPlan {
             ops: vec![
                 PhysicalOp::Scan {
@@ -1160,20 +1044,44 @@ mod tests {
                 PhysicalOp::Limit { n: 2 },
             ],
         };
-        let ctx_m = science_ctx();
-        let (rec_m, _) = execute_plan(&ctx_m, &plan, ExecutionConfig::sequential()).unwrap();
-        let ctx_s = science_ctx();
-        // batch 1 so cancellation lands at record granularity.
-        let (rec_s, _) = execute_plan(&ctx_s, &plan, ExecutionConfig::streaming_with(1)).unwrap();
-        assert_eq!(rec_m.len(), 2);
-        assert_eq!(rec_s.len(), 2);
-        assert_eq!(ctx_m.ledger.total_requests(), 11);
-        // The first two papers both pass: the source stops right there.
-        assert_eq!(ctx_s.ledger.total_requests(), 2);
+        let ctx = science_ctx();
+        let (records, stats) = execute_plan(&ctx, &plan, ExecutionConfig::sequential()).unwrap();
+        assert_eq!(records.len(), 2);
+        // The first step's four papers hold two that pass: one step billed.
+        assert_eq!(ctx.ledger.total_requests(), STEP);
+        assert_eq!(stats.operators[1].input_records, STEP);
+        assert_eq!(stats.operators[2].output_records, 2);
+    }
+
+    #[test]
+    fn limit_behind_udf_stages_stops_the_source_after_one_chunk() {
+        // Stages that call no model take a scan chunk whole, so a Limit
+        // behind them is satisfied by the first chunk and the source is
+        // never pulled again.
+        let n = SCAN_CHUNK * 5 / 2;
+        let ctx = big_ctx(n);
+        let plan = PhysicalPlan {
+            ops: vec![
+                PhysicalOp::Scan {
+                    dataset: BIG.into(),
+                },
+                PhysicalOp::UdfFilter {
+                    udf: "sixteenth".into(),
+                },
+                PhysicalOp::Limit { n: 3 },
+            ],
+        };
+        let (records, stats) = execute_plan(&ctx, &plan, ExecutionConfig::sequential()).unwrap();
+        assert_eq!(records.len(), 3);
+        assert_eq!(stats.operators[0].output_records, SCAN_CHUNK);
+        assert_eq!(stats.operators[1].input_records, SCAN_CHUNK);
+        assert!(stats.peak_resident_records <= SCAN_CHUNK + 3);
     }
 
     #[test]
     fn streaming_conventional_ops_match_materializing() {
+        // Sort -> Limit -> Project over the drive match the operators
+        // applied one after another to their whole input.
         let plan = PhysicalPlan {
             ops: vec![
                 PhysicalOp::Scan {
@@ -1189,18 +1097,10 @@ mod tests {
                 },
             ],
         };
-        let ctx_m = science_ctx();
-        let (rec_m, _) = execute_plan(&ctx_m, &plan, ExecutionConfig::sequential()).unwrap();
-        let ctx_s = science_ctx();
-        let (rec_s, stats_s) = execute_plan(&ctx_s, &plan, ExecutionConfig::streaming()).unwrap();
-        let files = |recs: &[DataRecord]| -> Vec<String> {
-            recs.iter()
-                .map(|r| r.get("filename").unwrap().as_display())
-                .collect()
-        };
-        assert_eq!(files(&rec_m), files(&rec_s));
-        assert_eq!(stats_s.total_llm_calls, 0);
-        assert_eq!(stats_s.total_cost_usd, 0.0);
+        let reference = whole_corpus_reference(&science_ctx(), &plan);
+        let run = execute_plan(&science_ctx(), &plan, ExecutionConfig::sequential()).unwrap();
+        assert_matches_reference(&run, &reference, "conventional ops");
+        assert_eq!(run.1.total_cost_usd, 0.0);
     }
 
     #[test]
@@ -1217,7 +1117,7 @@ mod tests {
                 PhysicalOp::Limit { n: 3 },
             ],
         };
-        let err = execute_plan(&ctx, &plan, ExecutionConfig::streaming_with(2)).unwrap_err();
+        let err = execute_plan(&ctx, &plan, ExecutionConfig::sequential()).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("UDFFilter[not-registered]"), "{msg}");
         assert!(msg.contains("unknown UDF"), "{msg}");
@@ -1227,7 +1127,7 @@ mod tests {
     fn streaming_empty_plan_and_unknown_dataset() {
         let ctx = PzContext::simulated();
         let empty = PhysicalPlan { ops: vec![] };
-        let (recs, stats) = execute_plan(&ctx, &empty, ExecutionConfig::streaming()).unwrap();
+        let (recs, stats) = execute_plan(&ctx, &empty, ExecutionConfig::sequential()).unwrap();
         assert!(recs.is_empty());
         assert_eq!(stats.operators.len(), 0);
         let ghost = PhysicalPlan {
@@ -1235,7 +1135,7 @@ mod tests {
                 dataset: "ghost".into(),
             }],
         };
-        assert!(execute_plan(&ctx, &ghost, ExecutionConfig::streaming()).is_err());
+        assert!(execute_plan(&ctx, &ghost, ExecutionConfig::sequential()).is_err());
     }
 
     #[test]
@@ -1394,27 +1294,24 @@ mod tests {
             let run = execute_plan(&ctx, &big_plan(), ExecutionConfig::sequential()).unwrap();
             assert_matches_reference(&run, &reference, &format!("n={n}"));
             assert!((ctx.ledger.total_cost_usd() - run.1.total_cost_usd).abs() < 1e-9);
-            let scans = ctx
-                .tracer
-                .snapshot()
-                .spans
-                .iter()
+            // One span for the scan stage, however many chunks it pulled.
+            let snap = ctx.tracer.snapshot();
+            let scans: Vec<_> = (snap.spans.iter())
                 .filter(|s| s.name == format!("op:Scan[{BIG}]"))
-                .count();
-            assert_eq!(
-                scans,
-                n.div_ceil(SCAN_CHUNK),
-                "n={n}: one scan span per chunk"
-            );
+                .collect();
+            assert_eq!(scans.len(), 1, "n={n}: one scan span");
+            assert_eq!(scans[0].attrs["out"], n.to_string(), "n={n}");
         }
     }
 
     #[test]
     fn chunked_scan_bounds_resident_records() {
-        // A corpus that fits one chunk is resident whole...
-        let (_, small) =
+        // A corpus that fits one chunk is resident whole, beside the output
+        // it has produced so far...
+        let (small_out, small) =
             execute_plan(&science_ctx(), &demo_plan(), ExecutionConfig::sequential()).unwrap();
-        assert_eq!(small.peak_resident_records, 11);
+        assert!(small.peak_resident_records >= 11);
+        assert!(small.peak_resident_records <= 11 + small_out.len());
         // ...a larger one holds one chunk plus the filtered survivors.
         let n = SCAN_CHUNK * 5 / 2;
         let (records, big) =
@@ -1468,43 +1365,23 @@ mod tests {
     #[test]
     fn multi_chunk_outage_fails_over_once_per_operator() {
         // gpt-4o is down for the whole run. The runner is sticky across
-        // scan chunks: one failover entry per LLM operator, accruing every
-        // record the planned model did not handle — the same entries the
-        // streaming executor records.
+        // scan chunks and steps: one failover entry per LLM operator,
+        // accruing every record the planned model did not handle.
         let outage = pz_llm::FaultPlan::none().outage("gpt-4o", 0.0, 1e9);
         let n = SCAN_CHUNK * 5 / 2;
-        let decisions = |stats: &ExecutionStats| {
-            stats
-                .degraded
-                .iter()
-                .map(|d| {
-                    (
-                        d.operator_index,
-                        d.operator.clone(),
-                        d.from_model.clone(),
-                        d.to_model.clone(),
-                        d.records_affected,
-                    )
-                })
-                .collect::<Vec<_>>()
-        };
-        let ctx_m = big_ctx(n);
-        ctx_m.faults.set(outage.clone());
-        let (rec_m, stats_m) =
-            execute_plan(&ctx_m, &big_plan(), ExecutionConfig::sequential()).unwrap();
-        let ctx_s = big_ctx(n);
-        ctx_s.faults.set(outage);
-        let (rec_s, stats_s) =
-            execute_plan(&ctx_s, &big_plan(), ExecutionConfig::streaming()).unwrap();
+        let ctx = big_ctx(n);
+        ctx.faults.set(outage);
+        let (records, stats) =
+            execute_plan(&ctx, &big_plan(), ExecutionConfig::sequential()).unwrap();
 
-        assert_eq!(stats_m.degraded.len(), 2, "{:?}", stats_m.degraded);
-        for (d, row) in stats_m.degraded.iter().zip(&stats_m.operators[2..]) {
+        assert!(!records.is_empty());
+        assert_eq!(stats.degraded.len(), 2, "{:?}", stats.degraded);
+        for (d, row) in stats.degraded.iter().zip(&stats.operators[2..]) {
             assert_eq!(d.from_model, "gpt-4o");
             assert_eq!(d.records_affected, row.input_records, "{d:?}");
         }
-        assert_eq!(decisions(&stats_m), decisions(&stats_s));
-        assert_eq!(rec_m.len(), rec_s.len());
-        assert!((ctx_m.ledger.total_cost_usd() - ctx_s.ledger.total_cost_usd()).abs() < 1e-9);
+        let op_calls: usize = stats.operators.iter().map(|o| o.llm_calls).sum();
+        assert_eq!(op_calls, ctx.ledger.total_requests());
     }
 
     /// A source that ignores the requested chunk size and reports its
@@ -1572,11 +1449,11 @@ mod tests {
         );
         assert!(stats.quota_exhausted);
 
-        // A brownout needs no barrier: the filter browns out over the first
-        // chunk and is replanned at the top of its step over the second —
-        // a chunk boundary — and stays replanned for the third.
-        // Every 256th document reaches the LLM operators, and only the
-        // filter's model browns out.
+        // A brownout needs no barrier: the filter browns out over its first
+        // steps and is replanned at the top of a later one — a step
+        // boundary inside the first chunk — and stays replanned for the
+        // rest of the run. Every 256th document reaches the LLM operators,
+        // and only the filter's model browns out.
         let mut plan = big_plan();
         plan.ops[1] = PhysicalOp::UdfFilter {
             udf: "sparse".into(),
@@ -1603,18 +1480,20 @@ mod tests {
         assert_eq!(stats.adaptive.len(), 1, "one report per demoted model");
         let r = &stats.adaptive[0];
         assert_eq!((r.operator_index, r.from_model.as_str()), (2, "gpt-4o"));
-        assert_eq!(
-            r.records_remaining, chunk_survivors,
-            "not at a chunk boundary"
-        );
-        // Sticky: gpt-4o served the first chunk and nothing after it.
+        assert_eq!(r.records_remaining, STEP, "not at a step boundary");
+        // Sticky: gpt-4o served whole steps of the first chunk and nothing
+        // after the swap.
         let gpt4o_calls = ctx
             .ledger
             .by_model()
             .into_iter()
             .find(|(m, _)| m.as_str() == "gpt-4o")
-            .map(|(_, u)| u.requests);
-        assert_eq!(gpt4o_calls, Some(chunk_survivors));
+            .map_or(0, |(_, u)| u.requests);
+        assert!(
+            gpt4o_calls > 0 && gpt4o_calls < chunk_survivors,
+            "{gpt4o_calls}"
+        );
+        assert_eq!(gpt4o_calls % STEP, 0, "{gpt4o_calls}");
         assert!(stats.degraded.is_empty());
         // Ledger == stats, and the run replays byte for byte.
         let op_calls: usize = stats.operators.iter().map(|o| o.llm_calls).sum();
@@ -1657,50 +1536,7 @@ mod tests {
         assert!((op_cost - ctx.ledger.total_cost_usd()).abs() < 1e-9);
     }
 
-    // -- streaming: modelled intra-stage parallelism ------------------------
-
-    #[test]
-    fn streaming_parallelism_changes_time_attribution_only() {
-        let run = |p: usize| {
-            let ctx = science_ctx();
-            let config = ExecutionConfig::streaming_with(1).with_parallelism(p);
-            let (records, stats) = execute_plan(&ctx, &demo_plan(), config).unwrap();
-            (ctx, records, stats)
-        };
-        let (ctx_1, rec_1, stats_1) = run(1);
-        for p in [2usize, 8] {
-            let (ctx_p, rec_p, stats_p) = run(p);
-            assert_eq!(rec_1, rec_p, "p={p}: records (ids included)");
-            assert_eq!(ctx_1.ledger.total_requests(), ctx_p.ledger.total_requests());
-            assert_eq!(ctx_1.ledger.total_cost_usd(), ctx_p.ledger.total_cost_usd());
-            assert_eq!(ctx_1.clock.now_secs(), ctx_p.clock.now_secs());
-            assert_eq!(stats_p.parallelism, p);
-            let snap = ctx_p.tracer.snapshot();
-            for (serial, row) in stats_1.operators.iter().zip(&stats_p.operators) {
-                // The scan stays serial; an LLM stage's busy time divides
-                // by `p`, capped by the single-record batches it saw.
-                let workers = if row.model.is_some() {
-                    p.min(row.input_records)
-                } else {
-                    1
-                };
-                let mut expect = serial.clone();
-                expect.time_secs = serial.time_secs / workers as f64;
-                assert_eq!(&expect, row, "p={p}");
-                let span = snap
-                    .spans
-                    .iter()
-                    .find(|s| s.name == format!("op:{}", row.physical))
-                    .unwrap();
-                assert_eq!(
-                    span.attrs.get("workers").cloned(),
-                    (workers > 1).then(|| workers.to_string()),
-                    "p={p}: {} workers attribute",
-                    row.physical
-                );
-            }
-        }
-    }
+    // -- modelled intra-stage parallelism ------------------------------------
 
     #[test]
     fn materializing_parallelism_changes_time_attribution_only() {
@@ -1728,16 +1564,53 @@ mod tests {
             assert_eq!(ctx_1.clock.now_secs(), ctx_p.clock.now_secs());
             assert_eq!(masked_trace(&ctx_1), masked_trace(&ctx_p), "p={p}: trace");
             for (serial, row) in stats_1.operators.iter().zip(&stats_p.operators) {
-                // An LLM operator's elapsed time divides by the fan-out,
-                // capped by the records it was handed.
-                let fanout = if row.model.is_some() {
+                // The scan stays serial; an LLM stage's time divides by
+                // `p`, capped by the records it saw.
+                let workers = if row.model.is_some() {
                     p.min(row.input_records)
                 } else {
                     1
                 };
                 let mut expect = serial.clone();
-                expect.time_secs = serial.time_secs / fanout as f64;
+                expect.time_secs = serial.time_secs / workers as f64;
                 assert_eq!(&expect, row, "p={p}");
+            }
+        }
+    }
+
+    #[test]
+    fn streaming_parallelism_changes_time_attribution_only() {
+        // The worker count each stage's time was divided by is on its span
+        // and, the largest of them, on the stats; the pipelined figure
+        // shrinks with it and never exceeds the sequential one.
+        let run = |p: usize| {
+            let ctx = science_ctx();
+            let config = ExecutionConfig::sequential().with_parallelism(p);
+            let (_, stats) = execute_plan(&ctx, &demo_plan(), config).unwrap();
+            (ctx, stats)
+        };
+        let (_, stats_1) = run(1);
+        for p in [2usize, 8] {
+            let (ctx_p, stats_p) = run(p);
+            assert_eq!(stats_p.parallelism, p);
+            assert!(stats_p.pipelined_secs < stats_1.pipelined_secs, "p={p}");
+            assert!(stats_p.pipelined_secs <= stats_p.total_time_secs, "p={p}");
+            let snap = ctx_p.tracer.snapshot();
+            for row in &stats_p.operators {
+                let workers = if row.model.is_some() {
+                    p.min(row.input_records)
+                } else {
+                    1
+                };
+                let span = (snap.spans.iter())
+                    .find(|s| s.name == format!("op:{}", row.physical))
+                    .unwrap();
+                assert_eq!(
+                    span.attrs.get("workers").cloned(),
+                    (workers > 1).then(|| workers.to_string()),
+                    "p={p}: {} workers attribute",
+                    row.physical
+                );
             }
         }
     }
@@ -1746,37 +1619,29 @@ mod tests {
 
     #[test]
     fn streaming_residency_is_bounded_by_batches_not_corpus() {
-        // Streaming reports the peak too, and it does not grow with the
-        // corpus: at most one batch per stage plus the output so far.
+        // Residency does not grow with the corpus: at most one scan chunk,
+        // one step per model stage and the output so far.
         let mut plan = big_plan();
         let stages = plan.ops.len();
-        let batch = 4;
-        let mut peaks = Vec::new();
-        for n in [2_000usize, 6_000] {
+        for n in [SCAN_CHUNK * 2, SCAN_CHUNK * 4] {
             let (records, stats) =
-                execute_plan(&big_ctx(n), &plan, ExecutionConfig::streaming_with(batch)).unwrap();
-            assert!(stats.peak_resident_records > 0);
+                execute_plan(&big_ctx(n), &plan, ExecutionConfig::sequential()).unwrap();
             assert!(
-                stats.peak_resident_records <= stages * batch + records.len(),
-                "n={n}: peak {} for {stages} stages x batch {batch} + output {}",
+                stats.peak_resident_records <= SCAN_CHUNK + stages * STEP + records.len(),
+                "n={n}: peak {} for chunk {SCAN_CHUNK} + {stages} stages x step {STEP} + output {}",
                 stats.peak_resident_records,
                 records.len()
             );
-            peaks.push(stats.peak_resident_records - records.len());
         }
-        assert_eq!(peaks[0], peaks[1], "residency beyond the output grew");
         // A barrier holds its whole input by definition.
         plan.ops.push(PhysicalOp::Sort {
             field: "filename".into(),
             descending: false,
         });
-        let (records, stats) = execute_plan(
-            &big_ctx(2_000),
-            &plan,
-            ExecutionConfig::streaming_with(batch),
-        )
-        .unwrap();
-        assert!(stats.peak_resident_records <= stages * batch + 2 * records.len());
+        let n = SCAN_CHUNK * 2;
+        let (records, stats) =
+            execute_plan(&big_ctx(n), &plan, ExecutionConfig::sequential()).unwrap();
+        assert!(stats.peak_resident_records <= SCAN_CHUNK + stages * STEP + 2 * records.len());
     }
 
     // -- panics and odd plan shapes ------------------------------------------
@@ -1798,13 +1663,7 @@ mod tests {
                 PhysicalOp::UdfFilter { udf: "boom".into() },
             ],
         ];
-        for (tail, config) in plans.iter().flat_map(|tail| {
-            [
-                ExecutionConfig::streaming(),
-                ExecutionConfig::sequential().with_parallelism(2),
-            ]
-            .map(|config| (tail, config))
-        }) {
+        for tail in &plans {
             let ctx = science_ctx();
             ctx.udfs
                 .register_filter("boom", |_: &DataRecord| panic!("tenant bug"));
@@ -1814,13 +1673,10 @@ mod tests {
                 dataset: "sigmod-demo".into(),
             }];
             ops.extend(tail.iter().cloned());
+            let config = ExecutionConfig::sequential().with_parallelism(2);
             let err = execute_plan(&ctx, &PhysicalPlan { ops }, config).unwrap_err();
             let msg = err.to_string();
-            assert!(
-                matches!(err, PzError::Execution(_)),
-                "{:?}: {msg}",
-                config.mode
-            );
+            assert!(matches!(err, PzError::Execution(_)), "{msg}");
             assert!(msg.contains("operator UDFFilter[boom]"), "{msg}");
             assert!(msg.contains("panicked: tenant bug"), "{msg}");
         }
@@ -1828,18 +1684,19 @@ mod tests {
 
     #[test]
     fn deadline_is_checked_before_every_step_limit_included() {
-        // scan -> sort -> limit -> filter, one record per batch: the sort
-        // hands its output on a record at a time, the deadline passes while
-        // the filter works on the third, and it is the Limit's own check,
-        // on the fourth, that stops the run.
+        // scan -> classify -> limit -> filter under a deadline the first
+        // classify step overruns: the Limit's own check, before the step
+        // that would pass on that step's output, stops the run.
         let plan = PhysicalPlan {
             ops: vec![
                 PhysicalOp::Scan {
                     dataset: "sigmod-demo".into(),
                 },
-                PhysicalOp::Sort {
-                    field: "filename".into(),
-                    descending: false,
+                PhysicalOp::LlmClassify {
+                    labels: vec!["cancer".into(), "other".into()],
+                    output_field: "label".into(),
+                    model: "gpt-4o".into(),
+                    effort: Effort::Standard,
                 },
                 PhysicalOp::Limit { n: 8 },
                 PhysicalOp::LlmFilter {
@@ -1850,15 +1707,15 @@ mod tests {
             ],
         };
         let ctx = science_ctx();
-        let (_, full) = execute_plan(&ctx, &plan, ExecutionConfig::streaming_with(1)).unwrap();
-        assert_eq!(ctx.ledger.total_requests(), 8);
-        let ctx = science_ctx();
-        let config = ExecutionConfig::streaming_with(1).with_deadline(full.total_time_secs * 0.3);
-        let (_, stats) = execute_plan(&ctx, &plan, config).unwrap();
+        let config = ExecutionConfig::sequential().with_deadline(1e-3);
+        let (records, stats) = execute_plan(&ctx, &plan, config).unwrap();
         assert!(stats.deadline_exceeded);
-        assert_eq!(ctx.ledger.total_requests(), 3);
-        // The Limit passed exactly the records the filter was billed for.
-        assert_eq!(stats.operators[2].output_records, 3);
+        // One classify step ran; nothing after it did.
+        assert_eq!(ctx.ledger.total_requests(), STEP);
+        assert_eq!(stats.operators[2].input_records, 0);
+        // The partial result is that step's output, labelled.
+        assert_eq!(records.len(), STEP);
+        assert!(records.iter().all(|r| r.get("label").is_some()));
         let events = ctx.tracer.snapshot().events;
         let at_op = &events
             .iter()
@@ -1882,14 +1739,11 @@ mod tests {
                 },
             ],
         };
-        let (rec_m, stats_m) =
+        let (records, stats) =
             execute_plan(&science_ctx(), &plan, ExecutionConfig::sequential()).unwrap();
-        let (rec_s, stats_s) =
-            execute_plan(&science_ctx(), &plan, ExecutionConfig::streaming()).unwrap();
-        assert_eq!(rec_m.len(), 11);
-        assert_eq!(rec_m, rec_s);
-        assert_eq!(stats_m.operators.len(), 2);
-        assert_eq!(stats_s.output_records, 11);
+        assert_eq!(records.len(), 11);
+        assert_eq!(stats.operators.len(), 2);
+        assert_eq!(stats.output_records, 11);
     }
 
     /// Every read of a folder numbers its files apart: a scan, a
@@ -1923,24 +1777,23 @@ mod tests {
             left_field: "filename".into(),
             right_field: "filename".into(),
         };
-        for config in [ExecutionConfig::sequential(), ExecutionConfig::streaming()] {
-            let plan = PhysicalPlan {
-                ops: vec![scan(), union("folder"), union("one")],
-            };
-            let (records, _) = execute_plan(&ctx, &plan, config).unwrap();
-            let ids: std::collections::BTreeSet<u64> = records.iter().map(|r| r.id).collect();
-            assert_eq!((records.len(), ids.len()), (7, 7), "{config:?}");
+        let config = ExecutionConfig::sequential();
+        let plan = PhysicalPlan {
+            ops: vec![scan(), union("folder"), union("one")],
+        };
+        let (records, _) = execute_plan(&ctx, &plan, config).unwrap();
+        let ids: std::collections::BTreeSet<u64> = records.iter().map(|r| r.id).collect();
+        assert_eq!((records.len(), ids.len()), (7, 7));
 
-            let plan = PhysicalPlan {
-                ops: vec![scan(), join.clone()],
-            };
-            let (records, _) = execute_plan(&ctx, &plan, config).unwrap();
-            let ids: std::collections::BTreeSet<u64> = records
-                .iter()
-                .flat_map(|r| std::iter::once(r.id).chain(r.lineage.iter().copied()))
-                .collect();
-            assert_eq!((records.len(), ids.len()), (3, 9), "{config:?}");
-        }
+        let plan = PhysicalPlan {
+            ops: vec![scan(), join],
+        };
+        let (records, _) = execute_plan(&ctx, &plan, config).unwrap();
+        let ids: std::collections::BTreeSet<u64> = records
+            .iter()
+            .flat_map(|r| std::iter::once(r.id).chain(r.lineage.iter().copied()))
+            .collect();
+        assert_eq!((records.len(), ids.len()), (3, 9));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -109,7 +109,14 @@ pub struct ExecutionStats {
     pub policy: String,
     pub operators: Vec<OperatorStats>,
     pub total_cost_usd: f64,
+    /// Virtual seconds of the plan run one operator after another: the sum
+    /// of the operators' times.
     pub total_time_secs: f64,
+    /// Virtual seconds of the plan with its stages overlapped: the
+    /// bottleneck operator plus the fill delay before it
+    /// ([`Self::finalize_pipelined`]).
+    #[serde(default)]
+    pub pipelined_secs: f64,
     pub total_llm_calls: usize,
     pub output_records: usize,
     /// Mid-plan failover decisions, in the order they were made. Empty on
@@ -129,9 +136,8 @@ pub struct ExecutionStats {
     /// byte-identical.
     #[serde(default, skip_serializing_if = "std::ops::Not::not")]
     pub quota_exhausted: bool,
-    /// Largest effective parallelism any streaming stage's time was
-    /// divided by. `0`/`1` (serial, and every materializing run) omits the
-    /// field.
+    /// Largest effective parallelism any model stage's time was divided
+    /// by. `0`/`1` (serial) omits the field.
     #[serde(default, skip_serializing_if = "serial_workers")]
     pub parallelism: usize,
     /// Responses the run was served from the context's response cache
@@ -168,21 +174,19 @@ impl ExecutionStats {
         self.output_records = self.operators.last().map_or(0, |o| o.output_records);
     }
 
-    /// Recompute totals for a *pipelined* run: stages overlap, so total
+    /// Compute [`Self::pipelined_secs`]: stages overlap, so the pipelined
     /// time is not the sum of stage times but the bottleneck stage plus
     /// the delay before it first received work. `startup[i]` is operator
-    /// `i`'s busy time before it emitted its first output batch (its
-    /// contribution to downstream pipeline-fill delay). Cost and call
-    /// totals are unaffected — only time models the overlap.
+    /// `i`'s busy time before it emitted its first output (its
+    /// contribution to downstream pipeline-fill delay).
     pub fn finalize_pipelined(&mut self, startup: &[f64]) {
-        self.finalize();
         let mut fill = 0.0f64;
         let mut total = 0.0f64;
         for (i, op) in self.operators.iter().enumerate() {
             total = total.max(fill + op.time_secs);
             fill += startup.get(i).copied().unwrap_or(0.0);
         }
-        self.total_time_secs = total;
+        self.pipelined_secs = total;
     }
 
     /// Index of the bottleneck operator under the pipelined model of
@@ -350,10 +354,13 @@ mod tests {
             ],
             ..Default::default()
         };
+        stats.finalize();
         stats.finalize_pipelined(&[0.0, 2.0, 8.0]);
         // convert starts after 0+2s of fill and runs 8s => ends at 10s;
         // filter itself runs 10s => bottleneck is 10s, not 18s.
-        assert!((stats.total_time_secs - 10.0).abs() < 1e-12);
+        assert!((stats.pipelined_secs - 10.0).abs() < 1e-12);
+        // The sequential figure is still the sum.
+        assert!((stats.total_time_secs - 18.0).abs() < 1e-12);
         // Cost and call totals are still plain sums.
         assert!((stats.total_cost_usd - 0.3).abs() < 1e-12);
         assert_eq!(stats.total_llm_calls, 15);

@@ -58,11 +58,6 @@ pub struct CostContext {
     /// from the registry when built via [`CostContext::from_context`]).
     pub build_cardinality: BTreeMap<String, f64>,
     pub calibration: Option<Calibration>,
-    /// Intra-operator worker-pool size the executor will use for
-    /// streaming stages. With `pipelined` estimation, a per-record LLM
-    /// stage's time divides by `min(workers, records)` clamped by the
-    /// model's rate limit (`ModelCard::max_concurrency`). `1` = serial.
-    pub workers: usize,
 }
 
 impl CostContext {
@@ -105,7 +100,6 @@ impl CostContext {
             avg_record_tokens: avg,
             build_cardinality,
             calibration: None,
-            workers: 1,
         })
     }
 
@@ -168,7 +162,7 @@ pub struct OperatorEstimate {
     pub input_cardinality: f64,
     pub output_cardinality: f64,
     pub cost_usd: f64,
-    /// Predicted operator time (after any worker-pool divisor).
+    /// Predicted operator time.
     pub time_secs: f64,
     /// Predicted provider calls (fractional: cardinalities are estimates).
     pub llm_calls: f64,
@@ -276,54 +270,25 @@ fn effort_multiplier(effort: Effort) -> f64 {
     }
 }
 
-/// Estimate a full physical plan under materializing execution (plan time
-/// is the sum of operator times).
+/// Estimate a full physical plan: cost, quality, output cardinality, and
+/// time as the sum of the operators' times — the figure
+/// `ExecutionStats::total_time_secs` measures.
 pub fn estimate_plan(plan: &PhysicalPlan, ctx: &CostContext) -> PlanEstimate {
-    estimate_plan_for(plan, ctx, false)
+    estimate_plan_detailed(plan, ctx).0
 }
 
-/// Estimate a full physical plan. With `pipelined`, plan time models the
-/// streaming executor: stages overlap on the virtual clock, so total time
-/// is driven by the bottleneck stage rather than the sum of stages. Cost,
-/// quality, and cardinality are mode-independent.
-pub fn estimate_plan_for(plan: &PhysicalPlan, ctx: &CostContext, pipelined: bool) -> PlanEstimate {
-    estimate_plan_detailed(plan, ctx, pipelined).0
-}
-
-/// [`estimate_plan_for`] plus the per-operator breakdown — the totals are
+/// [`estimate_plan`] plus the per-operator breakdown — the totals are
 /// produced by the same single pass, so they always agree.
 pub fn estimate_plan_detailed(
     plan: &PhysicalPlan,
     ctx: &CostContext,
-    pipelined: bool,
 ) -> (PlanEstimate, Vec<OperatorEstimate>) {
     let mut details: Vec<OperatorEstimate> = Vec::with_capacity(plan.ops.len());
     let mut card = 0.0f64;
     let mut tokens = ctx.source_tokens();
-    let mut bottleneck = 0.0f64;
     let mut est = PlanEstimate {
         quality: 1.0,
         ..Default::default()
-    };
-
-    // Streaming worker pools divide a per-batch stage's time by the pool
-    // size, clamped by how many records there are to overlap and by the
-    // slowest member model's published rate limit
-    // (`ModelCard::max_concurrency`). Cost and quality are unaffected:
-    // the pool changes *when* calls overlap on the virtual clock, not how
-    // many calls are made.
-    let parallel_divisor = |model_ids: &[&pz_llm::ModelId], records: f64| -> f64 {
-        if !pipelined || ctx.workers <= 1 {
-            return 1.0;
-        }
-        let rate_cap = model_ids
-            .iter()
-            .filter_map(|id| ctx.catalog.get(id))
-            .map(|m| m.concurrency_cap())
-            .min()
-            .unwrap_or(usize::MAX);
-        let w = ctx.workers.min(rate_cap).max(1) as f64;
-        w.min(records.ceil().max(1.0))
     };
 
     for (idx, op) in plan.ops.iter().enumerate() {
@@ -565,28 +530,6 @@ pub fn estimate_plan_detailed(
                 card = card.min(*k as f64);
             }
         }
-        // Worker pools apply to per-batch stages only; blocking stages
-        // (scan, sort, aggregate, retrieve) and limits run single-threaded.
-        let divisor = match op {
-            PhysicalOp::LlmFilter { model, .. }
-            | PhysicalOp::EmbeddingFilter { model, .. }
-            | PhysicalOp::LlmConvert { model, .. }
-            | PhysicalOp::FieldwiseConvert { model, .. }
-            | PhysicalOp::LlmClassify { model, .. }
-            | PhysicalOp::LlmJoin { model, .. } => parallel_divisor(&[model], card_before),
-            PhysicalOp::EnsembleFilter { models, .. } => {
-                parallel_divisor(&models.iter().collect::<Vec<_>>(), card_before)
-            }
-            PhysicalOp::UdfFilter { .. }
-            | PhysicalOp::Map { .. }
-            | PhysicalOp::Project { .. }
-            | PhysicalOp::HashJoin { .. } => parallel_divisor(&[], card_before),
-            _ => 1.0,
-        };
-        if divisor > 1.0 {
-            est.time_secs = time_before + (est.time_secs - time_before) / divisor;
-        }
-        bottleneck = bottleneck.max(est.time_secs - time_before);
         details.push(OperatorEstimate {
             physical: op.describe(),
             model: op.model().map(|m| m.to_string()),
@@ -599,9 +542,6 @@ pub fn estimate_plan_detailed(
         });
     }
     est.output_cardinality = card;
-    if pipelined {
-        est.time_secs = bottleneck;
-    }
     (est, details)
 }
 
@@ -619,7 +559,6 @@ mod tests {
             avg_record_tokens: 500.0,
             build_cardinality: Default::default(),
             calibration: None,
-            workers: 1,
         }
     }
 
@@ -720,81 +659,6 @@ mod tests {
             &c,
         );
         assert!(double.cost_usd < single.cost_usd * 0.6);
-    }
-
-    #[test]
-    fn pipelined_estimate_is_bottleneck_not_sum() {
-        let c = ctx();
-        let plan = PhysicalPlan {
-            ops: vec![
-                PhysicalOp::Scan {
-                    dataset: "d".into(),
-                },
-                PhysicalOp::LlmFilter {
-                    predicate: "about cancer".into(),
-                    model: "gpt-4o".into(),
-                    effort: Effort::Standard,
-                },
-                PhysicalOp::LlmFilter {
-                    predicate: "uses public data".into(),
-                    model: "gpt-4o".into(),
-                    effort: Effort::Standard,
-                },
-            ],
-        };
-        let mat = estimate_plan_for(&plan, &c, false);
-        let pipe = estimate_plan_for(&plan, &c, true);
-        // Overlap: strictly less than the sum, at least the largest stage.
-        assert!(pipe.time_secs < mat.time_secs);
-        assert!(pipe.time_secs > 0.0);
-        // Everything but time is mode-independent.
-        assert_eq!(pipe.cost_usd, mat.cost_usd);
-        assert_eq!(pipe.quality, mat.quality);
-        assert_eq!(pipe.output_cardinality, mat.output_cardinality);
-    }
-
-    #[test]
-    fn parallel_workers_divide_pipelined_llm_time() {
-        let serial = ctx();
-        let mut pooled = ctx();
-        pooled.workers = 4;
-        let plan = filter_plan("gpt-4o", Effort::Standard);
-        let base = estimate_plan_for(&plan, &serial, true);
-        let par = estimate_plan_for(&plan, &pooled, true);
-        // 100 input records, 4 workers, gpt-4o rate cap 8: full 4x on the
-        // LLM bottleneck stage.
-        assert!((par.time_secs - base.time_secs / 4.0).abs() < base.time_secs * 1e-9);
-        // Pools change when calls overlap, not how many are made.
-        assert_eq!(par.cost_usd, base.cost_usd);
-        assert_eq!(par.quality, base.quality);
-        assert_eq!(par.output_cardinality, base.output_cardinality);
-        // Materializing estimates ignore workers entirely.
-        assert_eq!(
-            estimate_plan_for(&plan, &pooled, false).time_secs,
-            estimate_plan_for(&plan, &serial, false).time_secs
-        );
-    }
-
-    #[test]
-    fn parallel_workers_clamped_by_rate_limit_and_records() {
-        let plan = filter_plan("gpt-4o", Effort::Standard);
-        // gpt-4o publishes max_concurrency 8: 32 requested workers clamp to 8.
-        let mut want8 = ctx();
-        want8.workers = 32;
-        let mut at8 = ctx();
-        at8.workers = 8;
-        assert_eq!(
-            estimate_plan_for(&plan, &want8, true).time_secs,
-            estimate_plan_for(&plan, &at8, true).time_secs
-        );
-        // Two records can overlap at most two ways, however many workers.
-        let mut tiny = ctx();
-        tiny.input_cardinality = 2.0;
-        let mut tiny_pool = tiny.clone();
-        tiny_pool.workers = 8;
-        let base = estimate_plan_for(&plan, &tiny, true);
-        let par = estimate_plan_for(&plan, &tiny_pool, true);
-        assert!((par.time_secs - base.time_secs / 2.0).abs() < base.time_secs * 1e-9);
     }
 
     #[test]
@@ -955,7 +819,6 @@ mod tests {
                 avg_record_tokens: tokens,
                 build_cardinality: Default::default(),
                 calibration: None,
-                workers: 1,
             };
             let est = estimate_plan(&filter_plan("gpt-4o", Effort::High), &c);
             prop_assert!(est.cost_usd >= 0.0);
@@ -972,7 +835,6 @@ mod tests {
                 avg_record_tokens: 2_000.0,
                 build_cardinality: Default::default(),
                 calibration: None,
-                workers: 1,
             };
             let small = estimate_plan(&filter_plan("gpt-4o", Effort::Standard), &mk(a));
             let big = estimate_plan(&filter_plan("gpt-4o", Effort::Standard), &mk(a + delta));

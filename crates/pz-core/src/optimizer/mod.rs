@@ -55,15 +55,6 @@ pub struct Optimizer {
     pub enumeration_cap: usize,
     /// Run sentinel calibration on a sample before estimating.
     pub sentinel_sample: Option<usize>,
-    /// Estimate plan time for the streaming pipelined executor: total time
-    /// is the bottleneck stage, not the sum of stages. Cost and quality
-    /// estimates are unaffected.
-    pub pipelined_time: bool,
-    /// Intra-operator worker-pool size the executor will run with. An LLM
-    /// stage's effective time divides by `min(workers, records)`, clamped
-    /// by the model's rate limit — so plan choice can shift when
-    /// parallelism is on. `0`/`1` means serial.
-    pub parallel_workers: usize,
 }
 
 impl Default for Optimizer {
@@ -71,8 +62,6 @@ impl Default for Optimizer {
         Self {
             enumeration_cap: 20_000,
             sentinel_sample: None,
-            pipelined_time: false,
-            parallel_workers: 1,
         }
     }
 }
@@ -84,18 +73,6 @@ impl Optimizer {
 
     pub fn with_sentinel(mut self, sample: usize) -> Self {
         self.sentinel_sample = Some(sample);
-        self
-    }
-
-    /// Cost plan time for the streaming pipelined executor.
-    pub fn with_pipelined_time(mut self) -> Self {
-        self.pipelined_time = true;
-        self
-    }
-
-    /// Cost LLM-stage time for intra-operator worker pools of this size.
-    pub fn with_parallelism(mut self, workers: usize) -> Self {
-        self.parallel_workers = workers.max(1);
         self
     }
 
@@ -117,7 +94,6 @@ impl Optimizer {
         let plan = &plan;
 
         let mut cost_ctx = CostContext::from_context(ctx, plan)?;
-        cost_ctx.workers = self.parallel_workers.max(1);
         let mut report = OptimizerReport {
             plan_space_size: enumerate::plan_space_size(plan, &ctx.catalog),
             rewrites,
@@ -144,13 +120,12 @@ impl Optimizer {
             plans
                 .into_iter()
                 .map(|p| {
-                    let est = cost::estimate_plan_for(&p, &cost_ctx, self.pipelined_time);
+                    let est = cost::estimate_plan(&p, &cost_ctx);
                     (p, est)
                 })
                 .collect()
         } else {
-            let frontier =
-                pareto::enumerate_pareto_for(plan, &ctx.catalog, &cost_ctx, self.pipelined_time);
+            let frontier = pareto::enumerate_pareto(plan, &ctx.catalog, &cost_ctx);
             report.plans_considered = frontier.len();
             frontier
         };
@@ -169,8 +144,7 @@ impl Optimizer {
         let (chosen, est) = frontier.into_iter().nth(idx).expect("index from choose");
         // Re-estimate the winner once more for the per-operator breakdown;
         // same cost context, so totals match `est` exactly.
-        report.op_estimates =
-            cost::estimate_plan_detailed(&chosen, &cost_ctx, self.pipelined_time).1;
+        report.op_estimates = cost::estimate_plan_detailed(&chosen, &cost_ctx).1;
         span.set_attr("plan_space", report.plan_space_size.to_string());
         span.set_attr("considered", report.plans_considered.to_string());
         span.set_attr("pareto", report.pareto_size.to_string());

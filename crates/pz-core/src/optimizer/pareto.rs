@@ -10,7 +10,7 @@
 
 use crate::ops::logical::LogicalPlan;
 use crate::ops::physical::PhysicalPlan;
-use crate::optimizer::cost::{estimate_plan_for, CostContext, PlanEstimate};
+use crate::optimizer::cost::{estimate_plan, CostContext, PlanEstimate};
 use crate::optimizer::enumerate::alternatives;
 use pz_llm::Catalog;
 
@@ -54,20 +54,6 @@ pub fn enumerate_pareto(
     catalog: &Catalog,
     ctx: &CostContext,
 ) -> Vec<(PhysicalPlan, PlanEstimate)> {
-    enumerate_pareto_for(plan, catalog, ctx, false)
-}
-
-/// [`enumerate_pareto`] with a choice of time model: `pipelined` estimates
-/// plan time as the bottleneck stage (streaming executor) instead of the
-/// sum of stages. Prefix pruning stays sound — the bottleneck of a prefix
-/// only grows as operators are appended, monotonically for every
-/// completion, just like the sum.
-pub fn enumerate_pareto_for(
-    plan: &LogicalPlan,
-    catalog: &Catalog,
-    ctx: &CostContext,
-    pipelined: bool,
-) -> Vec<(PhysicalPlan, PlanEstimate)> {
     let mut frontier: Vec<PhysicalPlan> = vec![PhysicalPlan { ops: Vec::new() }];
     for op in &plan.ops {
         let alts = alternatives(op, catalog);
@@ -77,7 +63,7 @@ pub fn enumerate_pareto_for(
                 let mut ops = prefix.ops.clone();
                 ops.push(alt.clone());
                 let p = PhysicalPlan { ops };
-                let est = estimate_plan_for(&p, ctx, pipelined);
+                let est = estimate_plan(&p, ctx);
                 extended.push((p, est));
             }
         }
@@ -86,7 +72,7 @@ pub fn enumerate_pareto_for(
     frontier
         .into_iter()
         .map(|p| {
-            let est = estimate_plan_for(&p, ctx, pipelined);
+            let est = estimate_plan(&p, ctx);
             (p, est)
         })
         .collect()
@@ -148,7 +134,6 @@ mod tests {
             avg_record_tokens: 500.0,
             build_cardinality: Default::default(),
             calibration: None,
-            workers: 1,
         }
     }
 

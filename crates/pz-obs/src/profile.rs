@@ -205,7 +205,7 @@ impl PlanProfile {
     }
 
     /// The modelled pipelined wall time, `max_i(fill_i + time_secs_i)` —
-    /// should reconcile with `ExecutionStats::total_time_secs`.
+    /// reconciles with `ExecutionStats::pipelined_secs`.
     pub fn modelled_total_secs(&self) -> f64 {
         let mut fill = 0.0f64;
         let mut total = 0.0f64;

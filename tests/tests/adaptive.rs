@@ -57,47 +57,45 @@ fn brownout() -> FaultPlan {
 }
 
 /// While every model stays healthy, a run is indistinguishable from one
-/// whose context offers no substitute at all, in either mode: same
+/// whose context offers no substitute at all: same
 /// records, request count, cost, virtual clock, serialized stats and
 /// trace, byte for byte.
 #[test]
 fn healthy_adaptive_run_is_byte_identical_to_off() {
     let demo = plan("gpt-4o", "gpt-4o");
-    for config in [ExecutionConfig::sequential(), ExecutionConfig::streaming()] {
-        let ctx_off = offering_no_substitute(ctx_with(FaultPlan::none(), 0), "gpt-4o");
-        let (rec_off, stats_off) = pz_core::exec::execute_plan(&ctx_off, &demo, config).unwrap();
-        let ctx_on = ctx_with(FaultPlan::none(), 0);
-        let (rec_on, stats_on) = pz_core::exec::execute_plan(&ctx_on, &demo, config).unwrap();
+    let config = ExecutionConfig::sequential();
+    let ctx_off = offering_no_substitute(ctx_with(FaultPlan::none(), 0), "gpt-4o");
+    let (rec_off, stats_off) = pz_core::exec::execute_plan(&ctx_off, &demo, config).unwrap();
+    let ctx_on = ctx_with(FaultPlan::none(), 0);
+    let (rec_on, stats_on) = pz_core::exec::execute_plan(&ctx_on, &demo, config).unwrap();
 
-        assert_eq!(rec_off, rec_on, "{:?}", config.mode);
-        assert_eq!(
-            ctx_off.ledger.total_requests(),
-            ctx_on.ledger.total_requests()
-        );
-        assert_eq!(
-            ctx_off.ledger.total_cost_usd(),
-            ctx_on.ledger.total_cost_usd()
-        );
-        assert_eq!(ctx_off.clock.now_secs(), ctx_on.clock.now_secs());
-        assert!(stats_on.adaptive.is_empty());
-        assert_eq!(ctx_on.tracer.counter("exec.replan"), 0);
-        assert_eq!(
-            serde_json::to_string(&stats_off).unwrap(),
-            serde_json::to_string(&stats_on).unwrap(),
-            "{:?}",
-            config.mode
-        );
-        assert_eq!(
-            ctx_off.tracer.snapshot().to_jsonl(),
-            ctx_on.tracer.snapshot().to_jsonl()
-        );
-    }
+    assert_eq!(rec_off, rec_on);
+    assert_eq!(
+        ctx_off.ledger.total_requests(),
+        ctx_on.ledger.total_requests()
+    );
+    assert_eq!(
+        ctx_off.ledger.total_cost_usd(),
+        ctx_on.ledger.total_cost_usd()
+    );
+    assert_eq!(ctx_off.clock.now_secs(), ctx_on.clock.now_secs());
+    assert!(stats_on.adaptive.is_empty());
+    assert_eq!(ctx_on.tracer.counter("exec.replan"), 0);
+    assert_eq!(
+        serde_json::to_string(&stats_off).unwrap(),
+        serde_json::to_string(&stats_on).unwrap()
+    );
+    assert_eq!(
+        ctx_off.tracer.snapshot().to_jsonl(),
+        ctx_on.tracer.snapshot().to_jsonl()
+    );
 }
 
-/// Materializing actuation: the filter browns out while it runs; at the
-/// top of the convert's first step the controller sees gpt-4o's stall
-/// ratio and moves the *convert* (still planned on the same degraded
-/// model) to a healthy substitute before it starts.
+/// Repairing what has not run yet: the filter browns out while it steps
+/// through the corpus; by the top of the convert's first step the
+/// controller has seen gpt-4o's stall ratio cross its threshold and moves
+/// the *convert* (planned on the same degraded model) to a healthy
+/// substitute before it starts.
 #[test]
 fn materializing_brownout_repairs_unexecuted_suffix() {
     let ctx = ctx_with(brownout(), 0);
@@ -140,12 +138,12 @@ fn materializing_brownout_repairs_unexecuted_suffix() {
 fn e18_streaming_brownout_static_vs_adaptive() {
     let ctx_s = offering_no_substitute(ctx_with(brownout(), 0), "gpt-4o");
     let (rec_s, stats_s) =
-        pz_core::exec::execute_plan(&ctx_s, &brownout_plan(), ExecutionConfig::streaming())
+        pz_core::exec::execute_plan(&ctx_s, &brownout_plan(), ExecutionConfig::sequential())
             .unwrap();
 
     let ctx_a = ctx_with(brownout(), 0);
     let (rec_a, stats_a) =
-        pz_core::exec::execute_plan(&ctx_a, &brownout_plan(), ExecutionConfig::streaming())
+        pz_core::exec::execute_plan(&ctx_a, &brownout_plan(), ExecutionConfig::sequential())
             .unwrap();
 
     // The static run rode the brownout without tripping anything: no
@@ -203,27 +201,26 @@ fn e18_streaming_brownout_static_vs_adaptive() {
 #[test]
 fn a_cleared_brownout_is_not_held_against_the_next_run() {
     let demo = plan("gpt-4o", "gpt-4o");
-    for config in [ExecutionConfig::sequential(), ExecutionConfig::streaming()] {
-        let ctx = ctx_with(brownout(), 0);
-        let (_, stats) = pz_core::exec::execute_plan(&ctx, &demo, config).unwrap();
-        assert!(!stats.adaptive.is_empty(), "{:?}: no replan", config.mode);
-        assert!(ctx.health.outcomes(&"gpt-4o".into()).0 >= 2);
+    let config = ExecutionConfig::sequential();
+    let ctx = ctx_with(brownout(), 0);
+    let (_, stats) = pz_core::exec::execute_plan(&ctx, &demo, config).unwrap();
+    assert!(!stats.adaptive.is_empty(), "no replan");
+    assert!(ctx.health.outcomes(&"gpt-4o".into()).0 >= 2);
 
-        ctx.faults.clear();
-        let calls = ctx.ledger.total_requests();
-        let (cost, clock) = (ctx.ledger.total_cost_usd(), ctx.clock.now_micros());
-        let (records, stats) = pz_core::exec::execute_plan(&ctx, &demo, config).unwrap();
-        assert!(stats.adaptive.is_empty(), "{:?}", stats.adaptive);
-        let fresh = ctx_with(FaultPlan::none(), 0);
-        let (fresh_records, _) = pz_core::exec::execute_plan(&fresh, &demo, config).unwrap();
-        assert_eq!(multiset(&records), multiset(&fresh_records));
-        assert_eq!(
-            ctx.ledger.total_requests() - calls,
-            fresh.ledger.total_requests()
-        );
-        assert!((ctx.ledger.total_cost_usd() - cost - fresh.ledger.total_cost_usd()).abs() < 1e-9);
-        assert_eq!(ctx.clock.now_micros() - clock, fresh.clock.now_micros());
-    }
+    ctx.faults.clear();
+    let calls = ctx.ledger.total_requests();
+    let (cost, clock) = (ctx.ledger.total_cost_usd(), ctx.clock.now_micros());
+    let (records, stats) = pz_core::exec::execute_plan(&ctx, &demo, config).unwrap();
+    assert!(stats.adaptive.is_empty(), "{:?}", stats.adaptive);
+    let fresh = ctx_with(FaultPlan::none(), 0);
+    let (fresh_records, _) = pz_core::exec::execute_plan(&fresh, &demo, config).unwrap();
+    assert_eq!(multiset(&records), multiset(&fresh_records));
+    assert_eq!(
+        ctx.ledger.total_requests() - calls,
+        fresh.ledger.total_requests()
+    );
+    assert!((ctx.ledger.total_cost_usd() - cost - fresh.ledger.total_cost_usd()).abs() < 1e-9);
+    assert_eq!(ctx.clock.now_micros() - clock, fresh.clock.now_micros());
 }
 
 /// Regression (PR 7 satellite): a non-profiled run must not leave a
@@ -245,7 +242,7 @@ fn non_profiled_run_does_not_feed_stale_retry_sink() {
     );
 }
 
-/// Records per materializing scan chunk (the executor's `SCAN_CHUNK`).
+/// Records per scan chunk (the executor's `SCAN_CHUNK`).
 const SCAN_CHUNK: usize = 4096;
 
 /// A generated corpus that counts whole-corpus reads: `records()` is what
@@ -277,60 +274,57 @@ impl pz_core::datasource::DataSource for CountingSource {
 
 /// Bugfix: arming substitution used to cost the whole corpus — the
 /// controller sampled the source (`records()`) to price its estimates, and
-/// turned every materializing operator into a barrier. Under a brownout,
-/// over two and a half scan chunks, neither mode may read the corpus whole
-/// or hold more than two chunks at once.
+/// turned every operator into a barrier. Under a brownout, over two and a
+/// half scan chunks, a run may not read the corpus whole or hold more than
+/// two chunks at once.
 #[test]
 fn brownout_run_never_materializes_the_corpus() {
     let n = SCAN_CHUNK * 5 / 2;
-    for config in [ExecutionConfig::sequential(), ExecutionConfig::streaming()] {
-        let ctx = ctx_with(brownout(), 0);
-        let whole_reads = Arc::new(AtomicUsize::new(0));
-        ctx.registry.register(Arc::new(CountingSource {
-            inner: GeneratedSource::new("big", Schema::text_file(), n, |i| {
-                let topic = if i % 2 == 0 {
-                    "colorectal cancer cohort"
-                } else {
-                    "modern home"
-                };
-                (format!("doc-{i:05}.txt"), format!("Document {i}: {topic}."))
-            }),
-            whole_reads: whole_reads.clone(),
-        }));
-        // Every 256th document reaches the browning-out model.
-        ctx.udfs.register_filter("sparse", |r: &DataRecord| {
-            r.get("filename")
-                .and_then(|v| v.as_display()[4..9].parse::<usize>().ok())
-                .is_some_and(|i| i % 256 == 0)
-        });
-        let plan = PhysicalPlan {
-            ops: vec![
-                PhysicalOp::Scan {
-                    dataset: "big".into(),
-                },
-                PhysicalOp::UdfFilter {
-                    udf: "sparse".into(),
-                },
-                PhysicalOp::LlmFilter {
-                    predicate: science::FILTER_PREDICATE.into(),
-                    model: "gpt-4o".into(),
-                    effort: Default::default(),
-                },
-            ],
-        };
-        let (_, stats) = pz_core::exec::execute_plan(&ctx, &plan, config).unwrap();
-        assert_eq!(
-            whole_reads.load(Ordering::Relaxed),
-            0,
-            "{:?}: the corpus was read whole",
-            config.mode
-        );
-        assert!(
-            stats.peak_resident_records <= 2 * SCAN_CHUNK,
-            "{:?}: peak {} resident records",
-            config.mode,
-            stats.peak_resident_records
-        );
-        assert!(!stats.adaptive.is_empty(), "{:?}: no replan", config.mode);
-    }
+    let config = ExecutionConfig::sequential();
+    let ctx = ctx_with(brownout(), 0);
+    let whole_reads = Arc::new(AtomicUsize::new(0));
+    ctx.registry.register(Arc::new(CountingSource {
+        inner: GeneratedSource::new("big", Schema::text_file(), n, |i| {
+            let topic = if i % 2 == 0 {
+                "colorectal cancer cohort"
+            } else {
+                "modern home"
+            };
+            (format!("doc-{i:05}.txt"), format!("Document {i}: {topic}."))
+        }),
+        whole_reads: whole_reads.clone(),
+    }));
+    // Every 256th document reaches the browning-out model.
+    ctx.udfs.register_filter("sparse", |r: &DataRecord| {
+        r.get("filename")
+            .and_then(|v| v.as_display()[4..9].parse::<usize>().ok())
+            .is_some_and(|i| i % 256 == 0)
+    });
+    let plan = PhysicalPlan {
+        ops: vec![
+            PhysicalOp::Scan {
+                dataset: "big".into(),
+            },
+            PhysicalOp::UdfFilter {
+                udf: "sparse".into(),
+            },
+            PhysicalOp::LlmFilter {
+                predicate: science::FILTER_PREDICATE.into(),
+                model: "gpt-4o".into(),
+                effort: Default::default(),
+            },
+        ],
+    };
+    let (_, stats) = pz_core::exec::execute_plan(&ctx, &plan, config).unwrap();
+    assert_eq!(
+        whole_reads.load(Ordering::Relaxed),
+        0,
+        "the corpus was read whole"
+    );
+    assert!(
+        stats.peak_resident_records <= 2 * SCAN_CHUNK,
+        "peak {} resident records",
+        stats.peak_resident_records
+    );
+    assert!(!stats.adaptive.is_empty(), "no replan");
 }

@@ -197,10 +197,19 @@ pub fn build_plan(dataset: &str, steps: &[Step]) -> PhysicalPlan {
     PhysicalPlan { ops }
 }
 
-/// A tail Limit legitimately lets streaming (and a re-run after an edit)
-/// skip upstream LLM calls, so exact cost equality only binds without one.
+/// A Limit legitimately lets a run (and a re-run after an edit) skip
+/// upstream LLM calls once it is satisfied, so exact cost equality against
+/// a whole-input reference only binds without one.
 pub fn has_early_exit(steps: &[Step]) -> bool {
     steps.iter().any(|s| matches!(s, Step::Limit(_)))
+}
+
+/// The reference a run of `plan` is held to: each operator applied once
+/// to its whole input, one after another.
+pub fn whole_input_reference(ctx: &PzContext, plan: &PhysicalPlan) -> Vec<DataRecord> {
+    plan.ops.iter().fold(Vec::new(), |records, op| {
+        op.execute(ctx, records).expect("reference operator runs")
+    })
 }
 
 /// Fresh simulated context with `corpus` registered under `dataset`.

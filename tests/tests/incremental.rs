@@ -6,8 +6,8 @@
 //! edited dataset produces the *same output multiset* as running from
 //! scratch — while billing only the records the edit touched: an unchanged
 //! record repeats its prompts verbatim and is served from the cache. The
-//! differential proptests randomize plans × edit scripts × execution modes
-//! × parallelism; targeted tests pin each operator's delta, and that a
+//! differential proptests randomize plans × edit scripts × parallelism;
+//! targeted tests pin each operator's delta, and that a
 //! cold run through the cache is byte-invisible.
 
 mod common;
@@ -81,16 +81,9 @@ fn apply_batch(src: &VersionedSource, items: &mut Vec<(String, String)>, batch: 
     }
 }
 
-fn base_config(mode_idx: usize) -> ExecutionConfig {
-    match mode_idx {
-        0 => ExecutionConfig::sequential(),
-        _ => ExecutionConfig::streaming_with(3),
-    }
-}
-
 proptest! {
     /// The tentpole guarantee. For a random plan, a random seeded edit
-    /// script, both execution modes, and worker pools of 1/2/8: after
+    /// script, and worker pools of 1/2/8: after
     /// every batch the cached re-run agrees with a from-scratch run on the
     /// output multiset and its per-operator stats still reconcile exactly
     /// against the ledger. Absent an early-exit Limit (which lets an edit
@@ -102,13 +95,12 @@ proptest! {
         corpus in arb_corpus(),
         steps in arb_steps_llm(),
         seed in any::<u64>(),
-        mode_idx in 0usize..2,
         p_idx in 0usize..3,
         (batches, ops) in (1usize..3, 1usize..4),
     ) {
         let parallelism = [1usize, 2, 8][p_idx];
         let plan = build_plan(DATASET, &steps);
-        let config = base_config(mode_idx).with_parallelism(parallelism);
+        let config = ExecutionConfig::sequential().with_parallelism(parallelism);
         let llm_steps = steps
             .iter()
             .filter(|s| matches!(s, Step::Filter(_) | Step::Classify))
@@ -168,7 +160,6 @@ proptest! {
         corpus in arb_corpus(),
         raw_steps in arb_steps_llm(),
         seed in any::<u64>(),
-        mode_idx in 0usize..2,
         appended in 1usize..3,
     ) {
         let mut seen_filters = Vec::new();
@@ -190,7 +181,7 @@ proptest! {
             })
             .collect();
         let plan = build_plan(DATASET, &steps);
-        let config = base_config(mode_idx);
+        let config = ExecutionConfig::sequential();
 
         let script = edits::append_script(seed, 1, appended);
         let (ctx, src) = versioned_ctx(&corpus);
@@ -278,36 +269,33 @@ fn delta_scenario(
 
 #[test]
 fn update_rebills_only_the_touched_record() {
-    for config in [ExecutionConfig::sequential(), ExecutionConfig::streaming()] {
-        let (ctx_i, rec_i, ctx_f, rec_f) =
-            delta_scenario(&filter_convert_plan(), config, |src, items| {
-                let filename = items[0].0.clone();
-                src.update(&filename, DELTA_DOC);
-                items[0].1 = DELTA_DOC.into();
-            });
-        let delta = ctx_i.ledger.total_requests();
-        assert_eq!(multiset(&rec_i), multiset(&rec_f));
-        assert!(
-            delta <= 2,
-            "update of 1 record re-billed {delta} calls (want <= filter + convert)"
-        );
-        assert!(delta < ctx_f.ledger.total_requests());
-    }
+    let config = ExecutionConfig::sequential();
+    let (ctx_i, rec_i, ctx_f, rec_f) =
+        delta_scenario(&filter_convert_plan(), config, |src, items| {
+            let filename = items[0].0.clone();
+            src.update(&filename, DELTA_DOC);
+            items[0].1 = DELTA_DOC.into();
+        });
+    let delta = ctx_i.ledger.total_requests();
+    assert_eq!(multiset(&rec_i), multiset(&rec_f));
+    assert!(
+        delta <= 2,
+        "update of 1 record re-billed {delta} calls (want <= filter + convert)"
+    );
+    assert!(delta < ctx_f.ledger.total_requests());
 }
 
 #[test]
 fn delete_rebills_nothing() {
-    for config in [ExecutionConfig::sequential(), ExecutionConfig::streaming()] {
-        let (ctx_i, rec_i, _, rec_f) =
-            delta_scenario(&filter_convert_plan(), config, |src, items| {
-                let filename = items[3].0.clone();
-                src.delete(&filename);
-                items.remove(3);
-            });
-        let delta = ctx_i.ledger.total_requests();
-        assert_eq!(multiset(&rec_i), multiset(&rec_f));
-        assert_eq!(delta, 0, "a delete re-billed {delta} calls");
-    }
+    let config = ExecutionConfig::sequential();
+    let (ctx_i, rec_i, _, rec_f) = delta_scenario(&filter_convert_plan(), config, |src, items| {
+        let filename = items[3].0.clone();
+        src.delete(&filename);
+        items.remove(3);
+    });
+    let delta = ctx_i.ledger.total_requests();
+    assert_eq!(multiset(&rec_i), multiset(&rec_f));
+    assert_eq!(delta, 0, "a delete re-billed {delta} calls");
 }
 
 #[test]
@@ -556,39 +544,33 @@ fn retrieve_falls_back_to_full_rerun() {
 
 /// A cold run through the cache is byte-invisible: it must behave
 /// identically to a plain context over a plain `MemorySource` — same
-/// records, cost, calls, clock, and (sequentially, where execution is
-/// exactly deterministic) byte-identical serialized stats, with no
-/// cache-hit key in the JSON.
+/// records, cost, calls, clock, and byte-identical serialized stats, with
+/// no cache-hit key in the JSON.
 #[test]
 fn incremental_off_is_byte_invisible() {
-    for config in [ExecutionConfig::sequential(), ExecutionConfig::streaming()] {
-        let items = demo_items();
-        let (ctx_armed, _src) = versioned_ctx(&items);
-        let (rec_a, stats_a) = execute_plan(&ctx_armed, &filter_convert_plan(), config).unwrap();
+    let config = ExecutionConfig::sequential();
+    let items = demo_items();
+    let (ctx_armed, _src) = versioned_ctx(&items);
+    let (rec_a, stats_a) = execute_plan(&ctx_armed, &filter_convert_plan(), config).unwrap();
 
-        let ctx_plain = common::fresh_ctx(DATASET, &items);
-        let (rec_p, stats_p) = execute_plan(&ctx_plain, &filter_convert_plan(), config).unwrap();
+    let ctx_plain = common::fresh_ctx(DATASET, &items);
+    let (rec_p, stats_p) = execute_plan(&ctx_plain, &filter_convert_plan(), config).unwrap();
 
-        assert_eq!(multiset(&rec_a), multiset(&rec_p));
-        assert_eq!(
-            ctx_armed.ledger.total_requests(),
-            ctx_plain.ledger.total_requests()
-        );
-        assert!(
-            (ctx_armed.ledger.total_cost_usd() - ctx_plain.ledger.total_cost_usd()).abs() < 1e-9
-        );
-        assert!((ctx_armed.clock.now_secs() - ctx_plain.clock.now_secs()).abs() < 1e-9);
-        assert_eq!(stats_a.memo_hits, 0);
-        assert_eq!(ctx_armed.ledger.total_cache_hits(), 0);
-        let json = serde_json::to_string(&stats_a).unwrap();
-        assert!(!json.contains("memo_hits"), "zero memo_hits serialized");
-        if config.mode == ExecMode::Materializing {
-            assert_eq!(
-                serde_json::to_string(&stats_a).unwrap(),
-                serde_json::to_string(&stats_p).unwrap()
-            );
-        }
-    }
+    assert_eq!(multiset(&rec_a), multiset(&rec_p));
+    assert_eq!(
+        ctx_armed.ledger.total_requests(),
+        ctx_plain.ledger.total_requests()
+    );
+    assert!((ctx_armed.ledger.total_cost_usd() - ctx_plain.ledger.total_cost_usd()).abs() < 1e-9);
+    assert!((ctx_armed.clock.now_secs() - ctx_plain.clock.now_secs()).abs() < 1e-9);
+    assert_eq!(stats_a.memo_hits, 0);
+    assert_eq!(ctx_armed.ledger.total_cache_hits(), 0);
+    let json = serde_json::to_string(&stats_a).unwrap();
+    assert!(!json.contains("memo_hits"), "zero memo_hits serialized");
+    assert_eq!(
+        serde_json::to_string(&stats_a).unwrap(),
+        serde_json::to_string(&stats_p).unwrap()
+    );
 }
 
 /// The fault-matrix cell: under the E18 brownout (sub-threshold timeouts,
@@ -607,7 +589,7 @@ fn brownout_incremental_rerun_matches_from_scratch() {
         n_papers: 40,
         ..Default::default()
     });
-    let e19 = docs.into_iter().map(|d| (d.filename, d.content)).collect();
+    let e19: Vec<(String, String)> = docs.into_iter().map(|d| (d.filename, d.content)).collect();
     // Who moved where. Not why: a hit takes no virtual time, so a breaker
     // the cold run saw cool down may still be open on the re-run.
     let decisions = |s: &ExecutionStats| {
@@ -619,63 +601,70 @@ fn brownout_incremental_rerun_matches_from_scratch() {
     };
     let mut failed_over = false;
     // The demo corpus; E19's, on E19's seeds (the simulator's default and
-    // `repro --fault-plan`'s).
-    for (corpus, seed, fault_seed) in [(demo_items(), 0, 11), (e19, 42, 42)] {
+    // `repro --fault-plan`'s); and E19's under a hotter brownout, whose
+    // cold filter runs out of retries and fails over mid-step before its
+    // stall ratio is read.
+    let e18 = "gpt-4o:timeout@0..1e9:p=0.35:stall=25";
+    let hot = "gpt-4o:timeout@0..1e9:p=0.6:stall=25";
+    for (corpus, seed, spec, fault_seed) in [
+        (demo_items(), 0, e18, 11),
+        (e19.clone(), 42, e18, 42),
+        (e19, 42, hot, 42),
+    ] {
         let brownout = || {
-            let plan = FaultPlan::parse("gpt-4o:timeout@0..1e9:p=0.35:stall=25", fault_seed);
+            let plan = FaultPlan::parse(spec, fault_seed);
             SimConfig {
                 seed,
                 fault_plan: plan.unwrap(),
                 ..Default::default()
             }
         };
-        for config in [ExecutionConfig::sequential(), ExecutionConfig::streaming()] {
-            let ctx = PzContext::simulated_with(brownout()).with_cache();
-            let mut items = corpus.clone();
-            let src = Arc::new(VersionedSource::new(
-                DATASET,
-                Schema::pdf_file(),
-                items.clone(),
-            ));
-            ctx.registry.register(src.clone());
+        let config = ExecutionConfig::sequential();
+        let ctx = PzContext::simulated_with(brownout()).with_cache();
+        let mut items = corpus.clone();
+        let src = Arc::new(VersionedSource::new(
+            DATASET,
+            Schema::pdf_file(),
+            items.clone(),
+        ));
+        ctx.registry.register(src.clone());
 
-            let (_, cold) = execute_plan(&ctx, &filter_convert_plan(), config).unwrap();
-            assert!(!decisions(&cold).is_empty(), "the brownout moved nothing");
-            failed_over |= !cold.degraded.is_empty();
-            src.append("delta-000.pdf", DELTA_DOC);
-            items.push(("delta-000.pdf".into(), DELTA_DOC.into()));
-            ctx.reset_accounting();
-            let (rec_i, stats_i) = execute_plan(&ctx, &filter_convert_plan(), config).unwrap();
-            let delta_calls = ctx.ledger.total_requests();
-            assert_reconciled(&ctx, &stats_i);
+        let (_, cold) = execute_plan(&ctx, &filter_convert_plan(), config).unwrap();
+        assert!(!decisions(&cold).is_empty(), "the brownout moved nothing");
+        failed_over |= !cold.degraded.is_empty();
+        src.append("delta-000.pdf", DELTA_DOC);
+        items.push(("delta-000.pdf".into(), DELTA_DOC.into()));
+        ctx.reset_accounting();
+        let (rec_i, stats_i) = execute_plan(&ctx, &filter_convert_plan(), config).unwrap();
+        let delta_calls = ctx.ledger.total_requests();
+        assert_reconciled(&ctx, &stats_i);
 
-            let scratch = PzContext::simulated_with(brownout());
-            scratch.registry.register(Arc::new(MemorySource::new(
-                DATASET,
-                Schema::pdf_file(),
-                items.clone(),
-            )));
-            let sequential = ExecutionConfig::sequential();
-            let (rec_f, _) = execute_plan(&scratch, &filter_convert_plan(), sequential).unwrap();
-            assert_eq!(multiset(&rec_i), multiset(&rec_f));
-            assert_eq!(
-                decisions(&stats_i),
-                decisions(&cold),
-                "the re-run decided otherwise"
-            );
-            assert!(delta_calls <= 2, "brownout delta re-billed {delta_calls}");
-            assert!(delta_calls < scratch.ledger.total_requests());
+        let scratch = PzContext::simulated_with(brownout());
+        scratch.registry.register(Arc::new(MemorySource::new(
+            DATASET,
+            Schema::pdf_file(),
+            items.clone(),
+        )));
+        let sequential = ExecutionConfig::sequential();
+        let (rec_f, _) = execute_plan(&scratch, &filter_convert_plan(), sequential).unwrap();
+        assert_eq!(multiset(&rec_i), multiset(&rec_f));
+        assert_eq!(
+            decisions(&stats_i),
+            decisions(&cold),
+            "the re-run decided otherwise"
+        );
+        assert!(delta_calls <= 2, "brownout delta re-billed {delta_calls}");
+        assert!(delta_calls < scratch.ledger.total_requests());
 
-            // What the calls lost is evidence only under the plan that
-            // measured it: once it is cleared (and the breakers reset), the
-            // re-run is the healthy run.
-            ctx.faults.clear();
-            ctx.reset_accounting();
-            let (rec_h, healthy) = execute_plan(&ctx, &filter_convert_plan(), config).unwrap();
-            assert!(decisions(&healthy).is_empty());
-            let (_, rec_s, _) = scratch_run(&items, &filter_convert_plan(), config);
-            assert_eq!(multiset(&rec_h), multiset(&rec_s));
-        }
+        // What the calls lost is evidence only under the plan that
+        // measured it: once it is cleared (and the breakers reset), the
+        // re-run is the healthy run.
+        ctx.faults.clear();
+        ctx.reset_accounting();
+        let (rec_h, healthy) = execute_plan(&ctx, &filter_convert_plan(), config).unwrap();
+        assert!(decisions(&healthy).is_empty());
+        let (_, rec_s, _) = scratch_run(&items, &filter_convert_plan(), config);
+        assert_eq!(multiset(&rec_h), multiset(&rec_s));
     }
     assert!(failed_over, "no cold run failed over");
 }

@@ -143,10 +143,10 @@ fn trace_totals_reconcile_with_stats_and_ledger() {
 
 #[test]
 fn streaming_trace_reconciles_with_stats_and_ledger() {
-    // Same reconciliation contract as materializing mode, but with the
-    // stages interleaved batch by batch: each stage's row must attribute
-    // exactly the ledger's calls/dollars it caused, and all spans must
-    // stay under the plan span on the shared virtual clock.
+    // The reconciliation contract of a run outside a chat session, with
+    // the filter and convert steps interleaved: each stage's row must
+    // attribute exactly the ledger's calls/dollars it caused, and all spans
+    // must stay under the plan span on the shared virtual clock.
     let ctx = PzContext::simulated();
     let (docs, _) = pz_datagen::science::demo_corpus();
     let items: Vec<(String, String)> = docs.into_iter().map(|d| (d.filename, d.content)).collect();
@@ -173,7 +173,7 @@ fn streaming_trace_reconciles_with_stats_and_ledger() {
         &ctx,
         &plan,
         &Policy::MaxQuality,
-        ExecutionConfig::streaming(),
+        ExecutionConfig::sequential(),
     )
     .unwrap();
     let snap = ctx.tracer.snapshot();
@@ -209,23 +209,20 @@ fn streaming_trace_reconciles_with_stats_and_ledger() {
     assert_eq!(stats.total_llm_calls, ctx.ledger.total_requests());
     assert!((stats.total_cost_usd - ctx.ledger.total_cost_usd()).abs() < 1e-9);
 
-    // Attributed time reflects overlap: stage busy times sum to at least
-    // the pipelined total, which is less than the serial sum.
+    // Both time figures: the sequential one is the stages' sum, the
+    // pipelined one reflects their overlap and is no larger.
     let busy_sum: f64 = stats.operators.iter().map(|o| o.time_secs).sum();
-    assert!(stats.total_time_secs <= busy_sum + 1e-9);
-    assert!(stats.total_time_secs > 0.0);
+    assert!((stats.total_time_secs - busy_sum).abs() < 1e-9);
+    assert!(stats.pipelined_secs <= busy_sum + 1e-9);
+    assert!(stats.pipelined_secs > 0.0);
 
-    // All op spans nest under the (streaming) plan span, every span is
-    // closed, and the trace ends when the virtual clock stopped.
+    // All op spans nest under the plan span, every span is closed, and
+    // the trace ends when the virtual clock stopped.
     let plan_span = snap
         .spans_in_layer(Layer::Executor)
         .into_iter()
         .find(|s| s.name == "execute_plan")
         .expect("plan span");
-    assert_eq!(
-        plan_span.attrs.get("mode").map(String::as_str),
-        Some("streaming")
-    );
     for op in &op_spans {
         assert!(
             plan_span.id.contains(&op.id),

@@ -43,10 +43,8 @@ fn demo_plan() -> LogicalPlan {
         .unwrap()
 }
 
-/// Streaming config matching the E16/E17 experiments: batch size 1 so every
-/// record is its own unit of overlap.
-fn streaming_cfg(parallelism: usize) -> ExecutionConfig {
-    ExecutionConfig::streaming_with(1).with_parallelism(parallelism)
+fn config(parallelism: usize) -> ExecutionConfig {
+    ExecutionConfig::sequential().with_parallelism(parallelism)
 }
 
 fn record_keys(records: &[DataRecord]) -> Vec<String> {
@@ -59,30 +57,27 @@ fn record_keys(records: &[DataRecord]) -> Vec<String> {
 }
 
 /// With the profiler disarmed (the default), the trace is byte-identical
-/// across runs under either policy and contains none of the profiler's
-/// artifacts — the gauges are invisible, not merely empty.
+/// across runs and contains none of the profiler's artifacts — the gauges
+/// are invisible, not merely empty.
 #[test]
 fn profiling_off_trace_is_byte_identical_and_artifact_free() {
-    for config in [ExecutionConfig::sequential(), streaming_cfg(1)] {
-        let traces: Vec<String> = (0..2)
-            .map(|_| {
-                let ctx = science_ctx();
-                assert!(!ctx.tracer.profiling_enabled(), "profiler must default off");
-                execute(&ctx, &demo_plan(), &Policy::MaxQuality, config).unwrap();
-                ctx.tracer.snapshot().to_jsonl()
-            })
-            .collect();
-        assert_eq!(
-            traces[0], traces[1],
-            "{:?}: disarmed runs must produce bit-identical traces",
-            config.mode
-        );
-        assert!(
-            !traces[0].contains("prof_"),
-            "{:?}: disarmed trace leaked prof_* span attrs",
-            config.mode
-        );
-    }
+    let cfg = config(1);
+    let traces: Vec<String> = (0..2)
+        .map(|_| {
+            let ctx = science_ctx();
+            assert!(!ctx.tracer.profiling_enabled(), "profiler must default off");
+            execute(&ctx, &demo_plan(), &Policy::MaxQuality, cfg).unwrap();
+            ctx.tracer.snapshot().to_jsonl()
+        })
+        .collect();
+    assert_eq!(
+        traces[0], traces[1],
+        "disarmed runs must produce bit-identical traces"
+    );
+    assert!(
+        !traces[0].contains("prof_"),
+        "disarmed trace leaked prof_* span attrs"
+    );
 }
 
 /// Arming the profiler changes what is *recorded*, never what *runs*:
@@ -92,7 +87,7 @@ fn armed_profiler_does_not_perturb_execution() {
     let run = |profiling: bool| {
         let ctx = science_ctx();
         ctx.tracer.set_profiling(profiling);
-        let outcome = execute(&ctx, &demo_plan(), &Policy::MaxQuality, streaming_cfg(8)).unwrap();
+        let outcome = execute(&ctx, &demo_plan(), &Policy::MaxQuality, config(8)).unwrap();
         (
             record_keys(&outcome.records),
             ctx.ledger.total_cost_usd(),
@@ -135,7 +130,7 @@ fn armed_profiler_does_not_perturb_execution() {
 #[test]
 fn drift_report_reconciles_with_estimate_and_stats() {
     let ctx = science_ctx();
-    // Materializing: the headline time estimate is the sum of stages.
+    // The headline time estimate is the sum of stages.
     let outcome = execute(
         &ctx,
         &demo_plan(),
@@ -194,7 +189,7 @@ proptest! {
         });
         let ctx = ctx_from_docs(docs);
         ctx.tracer.set_profiling(true);
-        execute(&ctx, &demo_plan(), &Policy::MinCost, streaming_cfg(parallelism)).unwrap();
+        execute(&ctx, &demo_plan(), &Policy::MinCost, config(parallelism)).unwrap();
         let snap = ctx.tracer.snapshot();
         let profile = pz_obs::profile_plan(&snap).expect("profile");
         prop_assert_eq!(profile.stages.len(), 3);

@@ -210,7 +210,7 @@ fn concurrent_serving_matches_solo_runs_per_tenant() {
 /// neighbours advance the shared clock during every step of a session,
 /// but a healthy session loses no time to failures, so nothing is ever
 /// replanned and concurrent serving still matches solo runs — here with
-/// two LLM operators per session and, streaming, several batches each.
+/// two LLM operators per session, each stepping through several batches.
 #[test]
 fn concurrent_multi_stage_sessions_never_replan_and_match_solo() {
     let plan = traffic::generate(TrafficConfig {
@@ -232,41 +232,37 @@ fn concurrent_multi_stage_sessions_never_replan_and_match_solo() {
             .build()
             .unwrap()
     };
-    for config in [
-        ExecutionConfig::sequential(),
-        ExecutionConfig::streaming_with(2),
-    ] {
-        let serve = |tenants: &[traffic::TenantTraffic]| {
-            let mut host = ServeHost::new(open_admission(n_jobs));
-            let mut jobs = Vec::new();
-            for t in tenants {
-                host.add_tenant(TenantSpec::new(&t.id).with_seed(tenant_seed(&t.id)));
-                let ctx = host.session_ctx(&t.id).unwrap();
-                for s in &t.sessions {
-                    register_corpus(&ctx, &s.session, s.corpus_seed, s.n_docs);
-                    let job = SessionJob::new(&t.id, &s.session, two_stage(&s.session));
-                    jobs.push(job.with_config(config));
-                }
+    let config = ExecutionConfig::sequential();
+    let serve = |tenants: &[traffic::TenantTraffic]| {
+        let mut host = ServeHost::new(open_admission(n_jobs));
+        let mut jobs = Vec::new();
+        for t in tenants {
+            host.add_tenant(TenantSpec::new(&t.id).with_seed(tenant_seed(&t.id)));
+            let ctx = host.session_ctx(&t.id).unwrap();
+            for s in &t.sessions {
+                register_corpus(&ctx, &s.session, s.corpus_seed, s.n_docs);
+                let job = SessionJob::new(&t.id, &s.session, two_stage(&s.session));
+                jobs.push(job.with_config(config));
             }
-            let report = host.serve(jobs);
-            for t in tenants {
-                let ctx = &host.tenant(&t.id).unwrap().ctx;
-                assert_eq!(ctx.tracer.counter("exec.replan"), 0, "{}", t.id);
-            }
-            (host, outputs_by_session(&report))
-        };
-        let (host, concurrent) = serve(&plan.tenants);
-        for t in &plan.tenants {
-            let (solo, outputs) = serve(std::slice::from_ref(t));
-            assert!(outputs
-                .iter()
-                .all(|(s, out)| concurrent.get(s) == Some(out)));
-            assert_ledger_parity(
-                ledger_key(&host.tenant(&t.id).unwrap().ctx),
-                ledger_key(&solo.tenant(&t.id).unwrap().ctx),
-                &t.id,
-            );
         }
+        let report = host.serve(jobs);
+        for t in tenants {
+            let ctx = &host.tenant(&t.id).unwrap().ctx;
+            assert_eq!(ctx.tracer.counter("exec.replan"), 0, "{}", t.id);
+        }
+        (host, outputs_by_session(&report))
+    };
+    let (host, concurrent) = serve(&plan.tenants);
+    for t in &plan.tenants {
+        let (solo, outputs) = serve(std::slice::from_ref(t));
+        assert!(outputs
+            .iter()
+            .all(|(s, out)| concurrent.get(s) == Some(out)));
+        assert_ledger_parity(
+            ledger_key(&host.tenant(&t.id).unwrap().ctx),
+            ledger_key(&solo.tenant(&t.id).unwrap().ctx),
+            &t.id,
+        );
     }
 }
 
@@ -624,10 +620,10 @@ fn deadline_aware_admission_refuses_unmeetable_sessions() {
     assert!(out.result.is_ok());
 }
 
-/// Streaming sessions under a quota propagate the refusal as a structured
-/// error (a streaming host flushes what was emitted and surfaces the
-/// error; it cannot retroactively truncate), and still never bill past
-/// the cap.
+/// A session under a dollar cap on a plan whose model stages step through
+/// the corpus is cut at the refused operator: every stage is a barrier
+/// under a budget, so the result is flagged partial output, never an
+/// error, and nothing is billed past the cap.
 #[test]
 fn streaming_quota_refusal_is_structured_and_never_overbills() {
     let mut probe = ServeHost::new(open_admission(1));
@@ -635,10 +631,7 @@ fn streaming_quota_refusal_is_structured_and_never_overbills() {
     let ctx = probe.session_ctx("p").unwrap();
     register_corpus(&ctx, "docs", 64, 6);
     probe
-        .run_session(
-            SessionJob::new("p", "s", session_plan("docs"))
-                .with_config(ExecutionConfig::streaming()),
-        )
+        .run_session(SessionJob::new("p", "s", session_plan("docs")))
         .result
         .unwrap();
     let full_cost = probe.tenant("p").unwrap().ctx.ledger.total_cost_usd();
@@ -652,14 +645,10 @@ fn streaming_quota_refusal_is_structured_and_never_overbills() {
     );
     let ctx = host.session_ctx("c").unwrap();
     register_corpus(&ctx, "docs", 64, 6);
-    let out = host.run_session(
-        SessionJob::new("c", "s", session_plan("docs")).with_config(ExecutionConfig::streaming()),
-    );
-    let err = out.result.expect_err("streaming surfaces the refusal");
-    assert!(
-        err.to_string().contains("budget exhausted"),
-        "unexpected error: {err}"
-    );
+    let out = host.run_session(SessionJob::new("c", "s", session_plan("docs")));
+    let outcome = out.result.expect("a refusal truncates the run");
+    assert!(outcome.stats.quota_exhausted);
+    assert!(outcome.stats.render_table().contains("QUOTA EXHAUSTED"));
     let billed = host.tenant("c").unwrap().ctx.ledger.total_cost_usd();
     assert!(billed <= cap + 1e-9, "billed {billed} past cap {cap}");
 }
@@ -732,7 +721,7 @@ fn cached_sessions_of_one_tenant_replan_as_they_do_alone() {
             SessionJob::new("t", "t-slow", session_plan("t-slow")),
             SessionJob::new("t", "t-fast", classify.clone()).with_policy(Policy::MinCost),
         ]
-        .map(|job| job.with_config(ExecutionConfig::streaming()))
+        .map(|job| job.with_config(ExecutionConfig::sequential()))
     };
     let swaps = |o: &pz_serve::SessionOutcome| {
         let stats = &o.result.as_ref().expect("session completes").stats;
