@@ -862,8 +862,8 @@ mod tests {
             .with_health(&health)
             .with_sink(Some(&sink));
         let cold = retry.complete_with(&cache, &req, &rc).unwrap_err();
-        // Three 2 s timeouts and the 0.5, 1 and 2 s backoffs after them.
-        assert_eq!(sink.lost_secs(), 9.5);
+        // Three 2 s timeouts and the 0.5 and 1 s backoffs between them.
+        assert_eq!(sink.lost_secs(), 7.5);
         assert_eq!(echo.calls.load(Ordering::Relaxed), 3);
 
         health.reset();
@@ -874,9 +874,9 @@ mod tests {
             3,
             "the provider was asked"
         );
-        assert_eq!(sink.replayed().stalled_secs, 9.5);
+        assert_eq!(sink.replayed().stalled_secs, 7.5);
         assert_eq!(sink.replayed().calls, 0.0);
-        assert_eq!(sink.lost_secs(), 9.5, "a replay loses nothing itself");
+        assert_eq!(sink.lost_secs(), 7.5, "a replay loses nothing itself");
         assert!(health.is_open(&req.model, clock.now_secs()));
         assert_eq!(cache.stats().completion_hits, 1);
 

@@ -471,7 +471,8 @@ impl RetryPolicy {
         let mut backoff = self.initial_backoff_secs;
         let mut last_err: Option<LlmError> = None;
         let mut stalled_secs = 0.0;
-        for attempt in 0..self.max_attempts.max(1) {
+        let attempts = self.max_attempts.max(1);
+        for attempt in 0..attempts {
             // Breaker gate: refuse locally while the model's domain is open.
             // Mid-retry this surfaces the provider error we already saw;
             // before the first attempt it is a fast CircuitOpen.
@@ -518,6 +519,11 @@ impl RetryPolicy {
                     // A timed-out attempt stalled before it failed.
                     if let LlmError::Timeout { after_secs, .. } = &e {
                         lost(*after_secs);
+                    }
+                    // No retry follows the last attempt, so no backoff does.
+                    if attempt + 1 == attempts {
+                        last_err = Some(e);
+                        break;
                     }
                     let mut wait = backoff;
                     if let Some(hint) = e.retry_after_secs() {
@@ -625,6 +631,25 @@ mod tests {
             .unwrap_err();
         assert!(err.is_retryable());
         assert_eq!(c.calls.load(Ordering::SeqCst), 3);
+    }
+
+    #[test]
+    fn exhausted_retries_wait_only_between_attempts() {
+        // Three failed attempts sleep the two backoffs between them and
+        // none after the last: 0.5 + 1.0.
+        let c = Flaky {
+            fail_first: 10,
+            calls: AtomicUsize::new(0),
+        };
+        let clock = VirtualClock::new();
+        let sink = crate::RunSink::default();
+        let rc = RetryContext::new(&clock).with_sink(Some(&sink));
+        RetryPolicy::default()
+            .complete_with(&c, &CompletionRequest::new("m", "p"), &rc)
+            .unwrap_err();
+        assert_eq!(c.calls.load(Ordering::SeqCst), 3);
+        assert_eq!(clock.now_secs(), 1.5);
+        assert_eq!(sink.lost_secs(), 1.5);
     }
 
     #[test]
@@ -776,8 +801,9 @@ mod tests {
             .complete_with_retry(&c, &CompletionRequest::new("m", "p"), Some(&clock))
             .unwrap_err();
         assert!(matches!(err, LlmError::RateLimited { .. }));
-        // Three sleeps, each lifted to the 10s hint.
-        assert!((clock.now_secs() - 30.0).abs() < 1e-9);
+        // Two sleeps between the three attempts, each lifted to the 10s
+        // hint.
+        assert!((clock.now_secs() - 20.0).abs() < 1e-9);
     }
 
     #[test]
@@ -794,8 +820,8 @@ mod tests {
         policy
             .complete_with_retry(&c, &CompletionRequest::new("m", "p"), Some(&clock))
             .unwrap_err();
-        // Sleeps: 0.5, then capped at 1.0 thrice.
-        assert!((clock.now_secs() - 3.5).abs() < 1e-9);
+        // Sleeps between the four attempts: 0.5, then capped at 1.0 twice.
+        assert!((clock.now_secs() - 2.5).abs() < 1e-9);
     }
 
     #[test]
@@ -817,7 +843,7 @@ mod tests {
         let b = run(0.25);
         assert!((a - b).abs() < 1e-12, "jitter must be reproducible");
         let plain = run(0.0);
-        assert!((plain - 3.5).abs() < 1e-9);
+        assert!((plain - 1.5).abs() < 1e-9);
         assert!(a != plain && (a - plain).abs() <= 0.25 * plain + 1e-9);
     }
 
@@ -834,7 +860,8 @@ mod tests {
         let expected_micros = |salt: u64| -> u64 {
             let mut total = 0u64;
             let mut backoff = policy.initial_backoff_secs;
-            for attempt in 0..policy.max_attempts {
+            // A wait follows every attempt but the last.
+            for attempt in 0..policy.max_attempts - 1 {
                 let u = crate::hash_unit(&[
                     "7",
                     "retry-jitter",
