@@ -12,7 +12,7 @@ use crate::error::{PzError, PzResult};
 use crate::ops::logical::{Cardinality, LogicalPlan};
 use crate::ops::physical::{PhysicalOp, PhysicalPlan};
 use pz_llm::protocol::Effort;
-use pz_llm::{count_tokens, Catalog};
+use pz_llm::{count_tokens, Catalog, ModelCard};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -270,33 +270,55 @@ fn effort_multiplier(effort: Effort) -> f64 {
     }
 }
 
-/// Estimate a full physical plan: cost, quality, output cardinality, and
-/// time as the sum of the operators' times — the figure
-/// `ExecutionStats::total_time_secs` measures.
-pub fn estimate_plan(plan: &PhysicalPlan, ctx: &CostContext) -> PlanEstimate {
-    estimate_plan_detailed(plan, ctx).0
+/// A plan prefix's running estimate: the totals so far, plus the record
+/// size the next operator sees. `est.output_cardinality` is the running
+/// cardinality. Both the cardinality and the record size after an operator
+/// depend only on the logical operator it implements, never on the model or
+/// strategy, so every prefix of one logical plan carries the same values.
+#[derive(Clone, Copy, Debug)]
+pub struct Running {
+    pub est: PlanEstimate,
+    pub tokens: f64,
 }
 
-/// [`estimate_plan`] plus the per-operator breakdown — the totals are
-/// produced by the same single pass, so they always agree.
-pub fn estimate_plan_detailed(
-    plan: &PhysicalPlan,
-    ctx: &CostContext,
-) -> (PlanEstimate, Vec<OperatorEstimate>) {
-    let mut details: Vec<OperatorEstimate> = Vec::with_capacity(plan.ops.len());
-    let mut card = 0.0f64;
-    let mut tokens = ctx.source_tokens();
-    let mut est = PlanEstimate {
-        quality: 1.0,
-        ..Default::default()
-    };
+impl Running {
+    /// The empty prefix: nothing spent, quality 1.
+    pub fn start(ctx: &CostContext) -> Self {
+        Self {
+            est: PlanEstimate {
+                quality: 1.0,
+                ..Default::default()
+            },
+            tokens: ctx.source_tokens(),
+        }
+    }
 
-    for (idx, op) in plan.ops.iter().enumerate() {
-        let time_before = est.time_secs;
-        let card_before = card;
-        let cost_before = est.cost_usd;
-        let mut op_calls = 0.0f64;
-        let mut op_tokens = 0.0f64;
+    /// Price `op`, the plan's operator at position `idx`, on top of this
+    /// prefix. Returns the operator's predicted provider calls and tokens.
+    pub fn step(&mut self, idx: usize, op: &PhysicalOp, ctx: &CostContext) -> (f64, f64) {
+        let est = &mut self.est;
+        let mut card = est.output_cardinality;
+        let mut tokens = self.tokens;
+        let mut usage = (0.0f64, 0.0f64);
+        // Bill `calls` calls to `m`, each of `raw` input tokens (clipped to
+        // the context window, scaled by effort) and `out` output tokens;
+        // returns the model's quality at this operator.
+        let mut bill = |est: &mut PlanEstimate,
+                        m: &ModelCard,
+                        effort: Effort,
+                        calls: f64,
+                        raw: f64,
+                        out: f64| {
+            let raw = raw.min(m.context_window as f64);
+            let in_tokens = raw * effort_multiplier(effort);
+            est.cost_usd += calls * m.cost_usd(in_tokens as usize, out as usize);
+            est.time_secs +=
+                calls * m.latency_secs(raw as usize, out as usize) * effort_multiplier(effort);
+            usage.0 += calls;
+            usage.1 += calls * (in_tokens + out);
+            ctx.quality_override(idx, m.id.as_str())
+                .unwrap_or_else(|| effective_quality(m.quality, effort))
+        };
         match op {
             PhysicalOp::Scan { .. } => {
                 card = ctx.input_cardinality;
@@ -308,18 +330,8 @@ pub fn estimate_plan_detailed(
                 effort,
             } => {
                 if let Some(m) = ctx.catalog.get(model) {
-                    let raw_tokens =
-                        (tokens + count_tokens(predicate) as f64).min(m.context_window as f64);
-                    let in_tokens = raw_tokens * effort_multiplier(*effort);
-                    est.cost_usd += card * m.cost_usd(in_tokens as usize, 1);
-                    est.time_secs +=
-                        card * m.latency_secs(raw_tokens as usize, 1) * effort_multiplier(*effort);
-                    op_calls = card;
-                    op_tokens = card * (in_tokens + 1.0);
-                    let q = ctx
-                        .quality_override(idx, model.as_str())
-                        .unwrap_or_else(|| effective_quality(m.quality, *effort));
-                    est.quality *= q;
+                    let raw = tokens + count_tokens(predicate) as f64;
+                    est.quality *= bill(est, m, *effort, card, raw, 1.0);
                 }
                 card *= ctx.selectivity(idx);
             }
@@ -328,24 +340,12 @@ pub fn estimate_plan_detailed(
                 models,
                 effort,
             } => {
-                let mut member_q = Vec::with_capacity(models.len());
-                for model in models {
-                    if let Some(m) = ctx.catalog.get(model) {
-                        let raw_tokens =
-                            (tokens + count_tokens(predicate) as f64).min(m.context_window as f64);
-                        let in_tokens = raw_tokens * effort_multiplier(*effort);
-                        est.cost_usd += card * m.cost_usd(in_tokens as usize, 1);
-                        est.time_secs += card
-                            * m.latency_secs(raw_tokens as usize, 1)
-                            * effort_multiplier(*effort);
-                        op_calls += card;
-                        op_tokens += card * (in_tokens + 1.0);
-                        member_q.push(
-                            ctx.quality_override(idx, model.as_str())
-                                .unwrap_or_else(|| effective_quality(m.quality, *effort)),
-                        );
-                    }
-                }
+                let raw = tokens + count_tokens(predicate) as f64;
+                let member_q: Vec<f64> = models
+                    .iter()
+                    .filter_map(|model| ctx.catalog.get(model))
+                    .map(|m| bill(est, m, *effort, card, raw, 1.0))
+                    .collect();
                 est.quality *= ensemble_quality(&member_q, pz_llm::sim::ERROR_CORRELATION);
                 card *= ctx.selectivity(idx);
             }
@@ -353,8 +353,7 @@ pub fn estimate_plan_detailed(
                 if let Some(m) = ctx.catalog.get(model) {
                     est.cost_usd += card * m.cost_usd(tokens as usize, 0);
                     est.time_secs += card * m.latency_secs(tokens as usize, 0);
-                    op_calls = card;
-                    op_tokens = card * tokens;
+                    usage = (card, card * tokens);
                 }
                 est.quality *= ctx
                     .quality_override(idx, model.as_str())
@@ -378,18 +377,7 @@ pub fn estimate_plan_detailed(
                 };
                 let out_tokens = target.fields.len() as f64 * TOKENS_PER_FIELD * fanout;
                 if let Some(m) = ctx.catalog.get(model) {
-                    let raw_tokens = (tokens + 30.0).min(m.context_window as f64);
-                    let in_tokens = raw_tokens * effort_multiplier(*effort);
-                    est.cost_usd += card * m.cost_usd(in_tokens as usize, out_tokens as usize);
-                    est.time_secs += card
-                        * m.latency_secs(raw_tokens as usize, out_tokens as usize)
-                        * effort_multiplier(*effort);
-                    op_calls = card;
-                    op_tokens = card * (in_tokens + out_tokens);
-                    let q = ctx
-                        .quality_override(idx, model.as_str())
-                        .unwrap_or_else(|| effective_quality(m.quality, *effort));
-                    est.quality *= q;
+                    est.quality *= bill(est, m, *effort, card, tokens + 30.0, out_tokens);
                 }
                 card *= fanout;
                 tokens = target.fields.len() as f64 * TOKENS_PER_FIELD;
@@ -410,29 +398,17 @@ pub fn estimate_plan_detailed(
                 // smaller output. Focused prompts raise per-field accuracy.
                 let out_tokens = TOKENS_PER_FIELD * fanout;
                 if let Some(m) = ctx.catalog.get(model) {
-                    let raw_tokens = (tokens + 30.0).min(m.context_window as f64);
-                    let in_tokens = raw_tokens * effort_multiplier(*effort);
-                    est.cost_usd +=
-                        card * n_fields * m.cost_usd(in_tokens as usize, out_tokens as usize);
-                    est.time_secs += card
-                        * n_fields
-                        * m.latency_secs(raw_tokens as usize, out_tokens as usize)
-                        * effort_multiplier(*effort);
-                    op_calls = card * n_fields;
-                    op_tokens = card * n_fields * (in_tokens + out_tokens);
-                    let base_q = ctx
-                        .quality_override(idx, model.as_str())
-                        .unwrap_or_else(|| effective_quality(m.quality, *effort));
+                    let calls = card * n_fields;
+                    let base_q = bill(est, m, *effort, calls, tokens + 30.0, out_tokens);
                     // Focused prompts: per-field error rate drops by a
                     // quarter — but one-to-many positional zipping loses
                     // alignment, costing quality back for multi-object
                     // outputs.
                     let focused = base_q + (1.0 - base_q) * 0.25;
-                    let q = match cardinality {
+                    est.quality *= match cardinality {
                         Cardinality::OneToOne => focused,
                         Cardinality::OneToMany => focused * 0.92,
                     };
-                    est.quality *= q;
                 }
                 card *= fanout;
                 tokens = target.fields.len() as f64 * TOKENS_PER_FIELD;
@@ -445,17 +421,7 @@ pub fn estimate_plan_detailed(
             } => {
                 if let Some(m) = ctx.catalog.get(model) {
                     let label_tokens: f64 = labels.iter().map(|l| count_tokens(l) as f64).sum();
-                    let raw_tokens = (tokens + label_tokens).min(m.context_window as f64);
-                    let in_tokens = raw_tokens * effort_multiplier(*effort);
-                    est.cost_usd += card * m.cost_usd(in_tokens as usize, 4);
-                    est.time_secs +=
-                        card * m.latency_secs(raw_tokens as usize, 4) * effort_multiplier(*effort);
-                    op_calls = card;
-                    op_tokens = card * (in_tokens + 4.0);
-                    let q = ctx
-                        .quality_override(idx, model.as_str())
-                        .unwrap_or_else(|| effective_quality(m.quality, *effort));
-                    est.quality *= q;
+                    est.quality *= bill(est, m, *effort, card, tokens + label_tokens, 4.0);
                 }
                 // Classification drops nothing; records just gain a field.
             }
@@ -499,21 +465,10 @@ pub fn estimate_plan_detailed(
                 model,
                 effort,
             } => {
-                let right = ctx.build_side(dataset);
-                let pairs = card * right;
+                let pairs = card * ctx.build_side(dataset);
                 if let Some(m) = ctx.catalog.get(model) {
-                    let raw_tokens = (2.0 * tokens + count_tokens(criterion) as f64)
-                        .min(m.context_window as f64);
-                    let in_tokens = raw_tokens * effort_multiplier(*effort);
-                    est.cost_usd += pairs * m.cost_usd(in_tokens as usize, 1);
-                    est.time_secs +=
-                        pairs * m.latency_secs(raw_tokens as usize, 1) * effort_multiplier(*effort);
-                    op_calls = pairs;
-                    op_tokens = pairs * (in_tokens + 1.0);
-                    let q = ctx
-                        .quality_override(idx, model.as_str())
-                        .unwrap_or_else(|| effective_quality(m.quality, *effort));
-                    est.quality *= q;
+                    let raw = 2.0 * tokens + count_tokens(criterion) as f64;
+                    est.quality *= bill(est, m, *effort, pairs, raw, 1.0);
                 }
                 card = pairs * ctx.selectivity_or(idx, DEFAULT_JOIN_SELECTIVITY);
                 tokens *= 2.0;
@@ -523,26 +478,56 @@ pub fn estimate_plan_detailed(
                     let total_tokens = card * tokens;
                     est.cost_usd += m.cost_usd(total_tokens as usize, 0);
                     est.time_secs += m.latency_secs(total_tokens as usize, 0);
-                    op_calls = 1.0;
-                    op_tokens = total_tokens;
+                    usage = (1.0, total_tokens);
                 }
                 est.quality *= 0.9;
                 card = card.min(*k as f64);
             }
         }
-        details.push(OperatorEstimate {
-            physical: op.describe(),
-            model: op.model().map(|m| m.to_string()),
-            input_cardinality: card_before,
-            output_cardinality: card,
-            cost_usd: est.cost_usd - cost_before,
-            time_secs: est.time_secs - time_before,
-            llm_calls: op_calls,
-            tokens: op_tokens,
-        });
+        est.output_cardinality = card;
+        self.tokens = tokens;
+        usage
     }
-    est.output_cardinality = card;
-    (est, details)
+}
+
+/// Estimate a full physical plan: cost, quality, output cardinality, and
+/// time as the sum of the operators' times — the figure
+/// `ExecutionStats::total_time_secs` measures.
+pub fn estimate_plan(plan: &PhysicalPlan, ctx: &CostContext) -> PlanEstimate {
+    let mut run = Running::start(ctx);
+    for (idx, op) in plan.ops.iter().enumerate() {
+        run.step(idx, op, ctx);
+    }
+    run.est
+}
+
+/// [`estimate_plan`] plus the per-operator breakdown — the same steps, so
+/// the totals always agree.
+pub fn estimate_plan_detailed(
+    plan: &PhysicalPlan,
+    ctx: &CostContext,
+) -> (PlanEstimate, Vec<OperatorEstimate>) {
+    let mut run = Running::start(ctx);
+    let details = plan
+        .ops
+        .iter()
+        .enumerate()
+        .map(|(idx, op)| {
+            let before = run.est;
+            let (llm_calls, tokens) = run.step(idx, op, ctx);
+            OperatorEstimate {
+                physical: op.describe(),
+                model: op.model().map(|m| m.to_string()),
+                input_cardinality: before.output_cardinality,
+                output_cardinality: run.est.output_cardinality,
+                cost_usd: run.est.cost_usd - before.cost_usd,
+                time_secs: run.est.time_secs - before.time_secs,
+                llm_calls,
+                tokens,
+            }
+        })
+        .collect();
+    (run.est, details)
 }
 
 #[cfg(test)]

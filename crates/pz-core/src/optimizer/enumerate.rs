@@ -1,9 +1,11 @@
 //! Physical plan enumeration.
 //!
 //! For each logical operator, the catalog induces a set of physical
-//! alternatives; the plan space is their cartesian product. This module
-//! provides exhaustive enumeration (capped) and the space-size computation
-//! used by experiment E4.
+//! alternatives; the plan space is their cartesian product. The optimizer's
+//! search ([`pareto::enumerate_pareto`](crate::optimizer::pareto::enumerate_pareto))
+//! walks these alternatives one operator at a time. [`enumerate_plans`]
+//! lists the whole product; it is the reference that tests and experiment
+//! E4 compare the search against, never the optimizer's path.
 
 use crate::ops::logical::{FilterPredicate, JoinCondition, LogicalOp, LogicalPlan};
 use crate::ops::physical::{default_physical, PhysicalOp, PhysicalPlan};
@@ -133,52 +135,33 @@ pub fn alternatives(op: &LogicalOp, catalog: &Catalog) -> Vec<PhysicalOp> {
     }
 }
 
-/// Exact size of the physical plan space (product of per-op alternative
-/// counts), without materializing it.
+/// Size of the physical plan space (product of per-op alternative counts),
+/// without materializing it; saturates at `u128::MAX`.
 pub fn plan_space_size(plan: &LogicalPlan, catalog: &Catalog) -> u128 {
-    plan.ops
-        .iter()
-        .map(|op| alternatives(op, catalog).len() as u128)
-        .product()
+    plan.ops.iter().fold(1, |size: u128, op| {
+        size.saturating_mul(alternatives(op, catalog).len() as u128)
+    })
 }
 
-/// Materialize up to `cap` physical plans (cartesian product, depth-first,
-/// deterministic order).
+/// Materialize up to `cap` physical plans: the cartesian product, in
+/// lexicographic order of each operator's alternatives.
 pub fn enumerate_plans(plan: &LogicalPlan, catalog: &Catalog, cap: usize) -> Vec<PhysicalPlan> {
-    let per_op: Vec<Vec<PhysicalOp>> = plan
-        .ops
-        .iter()
-        .map(|op| alternatives(op, catalog))
-        .collect();
-    let mut out = Vec::new();
-    let mut current: Vec<PhysicalOp> = Vec::with_capacity(per_op.len());
-    fn rec(
-        per_op: &[Vec<PhysicalOp>],
-        depth: usize,
-        current: &mut Vec<PhysicalOp>,
-        out: &mut Vec<PhysicalPlan>,
-        cap: usize,
-    ) {
-        if out.len() >= cap {
-            return;
-        }
-        if depth == per_op.len() {
-            out.push(PhysicalPlan {
-                ops: current.clone(),
-            });
-            return;
-        }
-        for alt in &per_op[depth] {
-            current.push(alt.clone());
-            rec(per_op, depth + 1, current, out, cap);
-            current.pop();
-            if out.len() >= cap {
-                return;
-            }
-        }
-    }
-    rec(&per_op, 0, &mut current, &mut out, cap);
-    out
+    let prefixes = plan.ops.iter().fold(vec![Vec::new()], |prefixes, op| {
+        let alts = alternatives(op, catalog);
+        // The first `cap` plans extend the first `cap` prefixes.
+        prefixes
+            .iter()
+            .flat_map(|p: &Vec<PhysicalOp>| {
+                alts.iter()
+                    .map(move |a| p.iter().chain([a]).cloned().collect())
+            })
+            .take(cap)
+            .collect()
+    });
+    prefixes
+        .into_iter()
+        .map(|ops| PhysicalPlan { ops })
+        .collect()
 }
 
 #[cfg(test)]
@@ -301,6 +284,16 @@ mod tests {
         .unwrap();
         let plans = enumerate_plans(&plan, &catalog(), 50);
         assert_eq!(plans.len(), 50);
+    }
+
+    #[test]
+    fn space_size_saturates_instead_of_overflowing() {
+        let mut ops = vec![LogicalOp::Scan {
+            dataset: "d".into(),
+        }];
+        ops.extend((0..40).map(|_| nl_filter()));
+        let plan = LogicalPlan::new(ops).unwrap();
+        assert_eq!(plan_space_size(&plan, &catalog()), u128::MAX);
     }
 
     #[test]

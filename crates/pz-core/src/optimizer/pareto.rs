@@ -1,16 +1,16 @@
-//! Pareto-frontier pruning.
+//! Pareto-frontier pruning and the plan search built on it.
 //!
 //! A plan is *dominated* when another plan is at least as good on all three
 //! objectives (cost ↓, time ↓, quality ↑) and strictly better on one. No
 //! policy can ever prefer a dominated plan, so they are pruned before
-//! ranking. For large plan spaces, [`enumerate_pareto`] interleaves pruning
-//! with enumeration: because all alternatives of an operator share the same
-//! cardinality model, prefix-dominance is safe and the frontier stays small
-//! while the full space grows exponentially (experiment E4).
+//! ranking. [`enumerate_pareto`] interleaves pruning with enumeration:
+//! because all alternatives of an operator share the same cardinality
+//! model, prefix-dominance is safe and the frontier stays small while the
+//! full space grows exponentially (experiment E4).
 
 use crate::ops::logical::LogicalPlan;
-use crate::ops::physical::PhysicalPlan;
-use crate::optimizer::cost::{estimate_plan, CostContext, PlanEstimate};
+use crate::ops::physical::{PhysicalOp, PhysicalPlan};
+use crate::optimizer::cost::{CostContext, PlanEstimate, Running};
 use crate::optimizer::enumerate::alternatives;
 use pz_llm::Catalog;
 
@@ -24,17 +24,28 @@ pub fn dominates(a: &PlanEstimate, b: &PlanEstimate) -> bool {
 }
 
 /// Keep only non-dominated entries (stable order).
-pub fn pareto_front(items: Vec<(PhysicalPlan, PlanEstimate)>) -> Vec<(PhysicalPlan, PlanEstimate)> {
-    let mut keep = vec![true; items.len()];
-    for i in 0..items.len() {
-        if !keep[i] {
-            continue;
-        }
-        for j in 0..items.len() {
-            if i != j && keep[j] && dominates(&items[j].1, &items[i].1) {
-                keep[i] = false;
-                break;
-            }
+///
+/// Visits the entries by (cost ↑, time ↑, quality ↓), an order in which
+/// every dominator comes before what it dominates, so each entry is
+/// checked only against the survivors so far: O(n log n + n·frontier).
+/// Estimates are never NaN or negative, so the total order agrees with
+/// `<=` on them.
+pub fn pareto_front<T>(items: Vec<(T, PlanEstimate)>) -> Vec<(T, PlanEstimate)> {
+    let mut order: Vec<usize> = (0..items.len()).collect();
+    order.sort_by(|&a, &b| {
+        let (a, b) = (&items[a].1, &items[b].1);
+        a.cost_usd
+            .total_cmp(&b.cost_usd)
+            .then(a.time_secs.total_cmp(&b.time_secs))
+            .then(b.quality.total_cmp(&a.quality))
+    });
+    let mut keep = vec![false; items.len()];
+    let mut survivors: Vec<&PlanEstimate> = Vec::new();
+    for i in order {
+        let e = &items[i].1;
+        if !survivors.iter().any(|s| dominates(s, e)) {
+            survivors.push(e);
+            keep[i] = true;
         }
     }
     items
@@ -45,37 +56,62 @@ pub fn pareto_front(items: Vec<(PhysicalPlan, PlanEstimate)>) -> Vec<(PhysicalPl
         .collect()
 }
 
-/// Enumerate with prefix-level Pareto pruning: after extending every
-/// frontier plan with every alternative of the next operator, dominated
-/// prefixes are dropped. Sound because every completion adds identical
-/// deltas to plans with equal prefix cardinality state.
-pub fn enumerate_pareto(
-    plan: &LogicalPlan,
-    catalog: &Catalog,
-    ctx: &CostContext,
-) -> Vec<(PhysicalPlan, PlanEstimate)> {
-    let mut frontier: Vec<PhysicalPlan> = vec![PhysicalPlan { ops: Vec::new() }];
-    for op in &plan.ops {
-        let alts = alternatives(op, catalog);
-        let mut extended: Vec<(PhysicalPlan, PlanEstimate)> = Vec::new();
-        for prefix in &frontier {
-            for alt in &alts {
-                let mut ops = prefix.ops.clone();
-                ops.push(alt.clone());
-                let p = PhysicalPlan { ops };
-                let est = estimate_plan(&p, ctx);
-                extended.push((p, est));
+/// The Pareto frontier of a logical plan's physical plans.
+#[derive(Clone, Debug)]
+pub struct Frontier {
+    /// Non-dominated plans with their estimates, in enumeration order.
+    pub plans: Vec<(PhysicalPlan, PlanEstimate)>,
+    /// Prefix extensions priced on the way, one pricing step each.
+    pub priced: usize,
+}
+
+/// Enumerate with prefix-level Pareto pruning: every surviving prefix is
+/// extended with every alternative of the next operator by one pricing
+/// step, and dominated extensions are dropped. Sound because every prefix
+/// leaves the same cardinality and record size ([`Running`]), so a
+/// completion adds identical deltas to every prefix it extends. Plans are
+/// built only for the final frontier, in the order that
+/// [`enumerate_plans`](crate::optimizer::enumerate::enumerate_plans) lists
+/// them.
+pub fn enumerate_pareto(plan: &LogicalPlan, catalog: &Catalog, ctx: &CostContext) -> Frontier {
+    let per_op: Vec<Vec<PhysicalOp>> = plan
+        .ops
+        .iter()
+        .map(|op| alternatives(op, catalog))
+        .collect();
+    let mut frontier = vec![Running::start(ctx)];
+    // Per operator: each survivor's (prefix index, alternative index).
+    let mut links: Vec<Vec<(usize, usize)>> = Vec::with_capacity(per_op.len());
+    let mut priced = 0;
+    for (idx, alts) in per_op.iter().enumerate() {
+        let mut extended = Vec::with_capacity(frontier.len() * alts.len());
+        for (p, prefix) in frontier.iter().enumerate() {
+            for (a, op) in alts.iter().enumerate() {
+                let mut next = *prefix;
+                next.step(idx, op, ctx);
+                extended.push(((p, a, next), next.est));
             }
         }
-        frontier = pareto_front(extended).into_iter().map(|(p, _)| p).collect();
+        priced += extended.len();
+        let kept = pareto_front(extended);
+        links.push(kept.iter().map(|((p, a, _), _)| (*p, *a)).collect());
+        frontier = kept.into_iter().map(|((_, _, next), _)| next).collect();
     }
-    frontier
+    let plans = frontier
         .into_iter()
-        .map(|p| {
-            let est = estimate_plan(&p, ctx);
-            (p, est)
+        .enumerate()
+        .map(|(mut at, run)| {
+            let mut ops = Vec::with_capacity(per_op.len());
+            for (layer, alts) in links.iter().zip(&per_op).rev() {
+                let (prefix, alt) = layer[at];
+                ops.push(alts[alt].clone());
+                at = prefix;
+            }
+            ops.reverse();
+            (PhysicalPlan { ops }, run.est)
         })
-        .collect()
+        .collect();
+    Frontier { plans, priced }
 }
 
 #[cfg(test)]
@@ -163,7 +199,7 @@ mod tests {
                 })
                 .collect();
         let full_front = pareto_front(exhaustive);
-        let pruned = enumerate_pareto(&plan, &cat, &ctx);
+        let pruned = enumerate_pareto(&plan, &cat, &ctx).plans;
         // Same frontier *estimates* (plans may tie).
         let mut a: Vec<String> = full_front
             .iter()
@@ -184,8 +220,8 @@ mod tests {
     fn frontier_stays_small_as_space_explodes() {
         let cat = Catalog::builtin();
         let ctx = science_cost_ctx();
-        let f3 = enumerate_pareto(&chain(3), &cat, &ctx).len();
-        let f5 = enumerate_pareto(&chain(5), &cat, &ctx).len();
+        let f3 = enumerate_pareto(&chain(3), &cat, &ctx).plans.len();
+        let f5 = enumerate_pareto(&chain(5), &cat, &ctx).plans.len();
         // Full spaces: 13^3 = 2197, 13^5 = 371293. Frontiers stay tiny.
         assert!(f3 < 200, "frontier {f3}");
         assert!(f5 < 2000, "frontier {f5}");

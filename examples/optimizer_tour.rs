@@ -32,7 +32,7 @@ fn main() -> PzResult<()> {
 
     // 2. The Pareto frontier with estimates.
     let cost_ctx = CostContext::from_context(&ctx, &plan)?;
-    let frontier = pareto::enumerate_pareto(&plan, &ctx.catalog, &cost_ctx);
+    let frontier = pareto::enumerate_pareto(&plan, &ctx.catalog, &cost_ctx).plans;
     println!("pareto frontier  : {} plans\n", frontier.len());
     println!(
         "{:<64} {:>9} {:>9} {:>8}",
