@@ -302,11 +302,12 @@ pub fn execute_pipeline_tool(session: SessionHandle) -> Arc<dyn Tool> {
         let outcome = execute(&state.ctx, &plan, &policy, config)
             .map_err(|e| tool_err("execute_pipeline", e))?;
         let mut summary = format!(
-            "Executed plan [{}] under {}: {} output record(s), {:.1}s runtime (virtual), ${:.4} cost, {} LLM call(s).",
+            "Executed plan [{}] under {}: {} output record(s), {:.1}s runtime (virtual; {:.1}s pipelined), ${:.4} cost, {} LLM call(s).",
             outcome.chosen_plan.describe(),
             policy.name(),
             outcome.records.len(),
             outcome.stats.total_time_secs,
+            outcome.stats.pipelined_secs,
             outcome.stats.total_cost_usd,
             outcome.stats.total_llm_calls,
         );
@@ -361,6 +362,7 @@ pub fn execute_pipeline_tool(session: SessionHandle) -> Arc<dyn Tool> {
             "records": outcome.records.len(),
             "cost_usd": outcome.stats.total_cost_usd,
             "time_secs": outcome.stats.total_time_secs,
+            "pipelined_secs": outcome.stats.pipelined_secs,
             "plan": outcome.chosen_plan.describe(),
             "degraded": outcome.stats.degraded.len(),
             "replanned": outcome.stats.adaptive.len(),
@@ -491,6 +493,17 @@ mod tests {
         let state = session.lock();
         let outcome = state.last_outcome.as_ref().unwrap();
         assert!(!outcome.records.is_empty());
+        // Both time figures of the run: the sequential sum and the
+        // pipelined one.
+        let stats = &outcome.stats;
+        assert_eq!(out.data["time_secs"].as_f64(), Some(stats.total_time_secs));
+        assert_eq!(
+            out.data["pipelined_secs"].as_f64(),
+            Some(stats.pipelined_secs)
+        );
+        assert!(stats.pipelined_secs < stats.total_time_secs);
+        let pipelined = format!("{:.1}s pipelined", stats.pipelined_secs);
+        assert!(out.text.contains(&pipelined), "{}", out.text);
         // The notebook got the Figure 6 code and the Figure 5 output.
         assert!(state
             .notebook
