@@ -3,9 +3,10 @@
 use crate::session::SessionHandle;
 use archytas::tool::{ArgKind, ArgSpec, FnTool, Tool, ToolArgs, ToolOutput, ToolSpec};
 use archytas::ArchytasError;
+use pz_core::datasource::DataSource;
 use pz_core::prelude::*;
 use serde_json::json;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 fn tool_err(tool: &str, e: impl std::fmt::Display) -> ArchytasError {
     ArchytasError::ToolFailed {
@@ -14,9 +15,34 @@ fn tool_err(tool: &str, e: impl std::fmt::Display) -> ArchytasError {
     }
 }
 
+/// A built-in demo corpus as a source, generated and parsed once per
+/// process (on its first load) and shared by every session after that.
+/// `docs` builds the corpus afresh rather than through `pz-datagen`'s
+/// memo, so the process holds only this parsed copy of its text.
+fn demo_source(
+    cell: &'static OnceLock<MemorySource>,
+    name: &str,
+    schema: fn() -> Schema,
+    docs: fn() -> Vec<pz_datagen::Document>,
+) -> &'static MemorySource {
+    cell.get_or_init(|| {
+        let items = docs()
+            .into_iter()
+            .map(|d| (d.filename, d.content))
+            .collect();
+        MemorySource::new(name, schema(), items)
+    })
+}
+
 /// `register_dataset`: load one of the built-in demo corpora, or a local
-/// folder, as the session's input dataset.
+/// folder, as the session's input dataset. A demo load runs no generator
+/// and copies no document: it registers a [`MemorySource::renamed`] view of
+/// the process-wide parsed corpus, so every session shares one copy of its
+/// text. A folder is read from disk on every load.
 pub fn register_dataset_tool(session: SessionHandle) -> Arc<dyn Tool> {
+    static SCIENCE: OnceLock<MemorySource> = OnceLock::new();
+    static LEGAL: OnceLock<MemorySource> = OnceLock::new();
+    static REALESTATE: OnceLock<MemorySource> = OnceLock::new();
     let spec = ToolSpec::new(
         "register_dataset",
         "Register an input dataset so a pipeline can process it. Use this \
@@ -34,74 +60,62 @@ pub fn register_dataset_tool(session: SessionHandle) -> Arc<dyn Tool> {
     Arc::new(FnTool::new(spec, move |args: &ToolArgs| {
         let source = args["source"].as_str().unwrap_or_default().to_string();
         let mut state = session.lock();
-        let (default_name, schema, items): (&str, Schema, Vec<(String, String)>) =
-            match source.as_str() {
-                s if s.contains("legal") || s.contains("email") => {
-                    let (docs, _) = pz_datagen::legal::demo_corpus();
-                    (
-                        "legal-demo",
-                        Schema::text_file(),
-                        docs.into_iter().map(|d| (d.filename, d.content)).collect(),
-                    )
-                }
-                s if s.contains("real") || s.contains("estate") || s.contains("listing") => {
-                    let (docs, _) = pz_datagen::realestate::demo_corpus();
-                    (
-                        "realestate-demo",
-                        Schema::text_file(),
-                        docs.into_iter().map(|d| (d.filename, d.content)).collect(),
-                    )
-                }
-                s if s.starts_with("dir:") => {
-                    let dir = s.trim_start_matches("dir:").to_string();
-                    let name = args
-                        .get("name")
-                        .and_then(|v| v.as_str())
-                        .unwrap_or("local-dir")
-                        .to_string();
-                    state.ctx.registry.register(Arc::new(DirectorySource::new(
-                        name.clone(),
-                        Schema::pdf_file(),
-                        &dir,
-                    )));
-                    // Validate eagerly so bad paths fail at registration.
-                    let n = state
-                        .ctx
-                        .registry
-                        .get(&name)
-                        .and_then(|s| s.records(0))
-                        .map_err(|e| tool_err("register_dataset", e))?
-                        .len();
-                    state.dataset = Some(name.clone());
-                    state.notebook.push_code(format!(
-                        "dataset = pz.Dataset(source=\"{name}\", schema=PDFFile)"
-                    ));
-                    return Ok(ToolOutput::text(format!(
-                        "Registered dataset '{name}' from {dir} with {n} files (PDFFile schema)."
-                    ))
-                    .with_data(json!({ "name": name, "records": n })));
-                }
-                // Default: the scientific discovery corpus of §3.
-                _ => {
-                    let (docs, _) = pz_datagen::science::demo_corpus();
-                    (
-                        "scientific-demo",
-                        Schema::pdf_file(),
-                        docs.into_iter().map(|d| (d.filename, d.content)).collect(),
-                    )
-                }
-            };
+        let demo = match source.as_str() {
+            s if s.contains("legal") || s.contains("email") => {
+                demo_source(&LEGAL, "legal-demo", Schema::text_file, || {
+                    pz_datagen::legal::build_demo_corpus().0
+                })
+            }
+            s if s.contains("real") || s.contains("estate") || s.contains("listing") => {
+                demo_source(&REALESTATE, "realestate-demo", Schema::text_file, || {
+                    pz_datagen::realestate::build_demo_corpus().0
+                })
+            }
+            s if s.starts_with("dir:") => {
+                let dir = s.trim_start_matches("dir:").to_string();
+                let name = args
+                    .get("name")
+                    .and_then(|v| v.as_str())
+                    .unwrap_or("local-dir")
+                    .to_string();
+                state.ctx.registry.register(Arc::new(DirectorySource::new(
+                    name.clone(),
+                    Schema::pdf_file(),
+                    &dir,
+                )));
+                // Validate eagerly so bad paths fail at registration.
+                let n = state
+                    .ctx
+                    .registry
+                    .get(&name)
+                    .and_then(|s| s.records(0))
+                    .map_err(|e| tool_err("register_dataset", e))?
+                    .len();
+                state.dataset = Some(name.clone());
+                state.notebook.push_code(format!(
+                    "dataset = pz.Dataset(source=\"{name}\", schema=PDFFile)"
+                ));
+                return Ok(ToolOutput::text(format!(
+                    "Registered dataset '{name}' from {dir} with {n} files (PDFFile schema)."
+                ))
+                .with_data(json!({ "name": name, "records": n })));
+            }
+            // Default: the scientific discovery corpus of §3.
+            _ => demo_source(&SCIENCE, "scientific-demo", Schema::pdf_file, || {
+                pz_datagen::science::build_demo_corpus().0
+            }),
+        };
         let name = args
             .get("name")
             .and_then(|v| v.as_str())
-            .unwrap_or(default_name)
+            .unwrap_or(demo.name())
             .to_string();
-        let n = items.len();
-        let schema_name = schema.name.clone();
+        let n = demo.len();
+        let schema_name = demo.schema().name;
         state
             .ctx
             .registry
-            .register(Arc::new(MemorySource::new(name.clone(), schema, items)));
+            .register(Arc::new(demo.renamed(name.clone())));
         state.dataset = Some(name.clone());
         state.reset_pipeline();
         state.notebook.push_code(format!(
@@ -181,6 +195,40 @@ mod tests {
         assert_eq!(state.dataset.as_deref(), Some("scientific-demo"));
         assert!(state.ctx.registry.contains("scientific-demo"));
         assert_eq!(state.notebook.len(), 1);
+    }
+
+    /// The shared `Arc<str>` behind a record's `contents`.
+    fn contents(r: &DataRecord) -> Arc<str> {
+        match r.get("contents") {
+            Some(Value::Text(t)) => Arc::clone(t),
+            other => panic!("contents is not text: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn sessions_share_one_parsed_demo_corpus() {
+        let scan = |name: &str| {
+            let session = new_session();
+            register_dataset_tool(session.clone())
+                .invoke(&args(json!({"source": "scientific papers", "name": name})))
+                .unwrap();
+            let src = session.lock().ctx.registry.get(name).unwrap();
+            src.records(0).unwrap()
+        };
+        let (a, b) = (scan("scientific-demo"), scan("scientific-demo"));
+        let renamed = scan("sigmod-demo");
+        assert_eq!(a.len(), 11);
+        for ((a, b), c) in a.iter().zip(&b).zip(&renamed) {
+            assert!(Arc::ptr_eq(&contents(a), &contents(b)));
+            assert!(Arc::ptr_eq(&contents(a), &contents(c)));
+        }
+        let (docs, _) = pz_datagen::science::demo_corpus();
+        let fresh = MemorySource::new(
+            "fresh",
+            Schema::pdf_file(),
+            docs.into_iter().map(|d| (d.filename, d.content)).collect(),
+        );
+        assert_eq!(fresh.records(0).unwrap(), a);
     }
 
     #[test]

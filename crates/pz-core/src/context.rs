@@ -5,7 +5,7 @@
 //! virtual clock and usage ledger, and the record-id allocator. Clones
 //! share all state, so one context can be handed to parallel workers.
 
-use crate::datasource::{DataRegistry, DataSource, RecordBatchIter, UdfRegistry};
+use crate::datasource::{record_count, DataRegistry, DataSource, RecordBatchIter, UdfRegistry};
 use crate::error::PzResult;
 use pz_llm::{
     CachingClient, Catalog, FaultInjector, HealthTracker, LlmClient, ModelId, RetryContext,
@@ -182,13 +182,10 @@ impl PzContext {
     /// Reserve one contiguous block of ids for every record of `src`,
     /// returning the first. The one place a source's records are numbered
     /// (scans, join build sides, `UnionAll`), so two reads never share an
-    /// id. The block is sized by the source's cardinality hint; a source
-    /// without one is counted by reading it.
+    /// id. The block is sized by [`record_count`]: the source's cardinality
+    /// hint, or a count of its batches.
     pub fn reserve_ids(&self, src: &dyn DataSource) -> u64 {
-        let n = src
-            .cardinality_hint()
-            .or_else(|| src.records(0).ok().map(|r| r.len()))
-            .unwrap_or(0);
+        let n = record_count(src).unwrap_or(0);
         self.next_ids(n.max(1) as u64)
     }
 

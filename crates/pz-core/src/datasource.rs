@@ -59,6 +59,33 @@ pub trait DataSource: Send + Sync {
     }
 }
 
+/// Records per batch when a source without a cardinality hint is counted.
+const COUNT_CHUNK: usize = 4096;
+
+/// The number of records `src` yields: its cardinality hint, or else the
+/// sum of its batch lengths, so counting holds at most one chunk of a
+/// source that streams.
+pub fn record_count(src: &dyn DataSource) -> PzResult<usize> {
+    if let Some(n) = src.cardinality_hint() {
+        return Ok(n);
+    }
+    src.batches(0, COUNT_CHUNK)?
+        .try_fold(0, |n, batch| Ok(n + batch?.len()))
+}
+
+/// The first `n` records of `src` (all of them if it has fewer): a prefix
+/// of `records(base_id)` that pulls no batch past the one holding record
+/// `n`, so sampling a source that streams reads only the sample.
+pub fn head_records(src: &dyn DataSource, base_id: u64, n: usize) -> PzResult<Vec<DataRecord>> {
+    let mut out = Vec::new();
+    let mut batches = src.batches(base_id, n.max(1))?;
+    while out.len() < n {
+        let Some(batch) = batches.next() else { break };
+        out.extend(batch?.into_iter().take(n - out.len()));
+    }
+    Ok(out)
+}
+
 /// Split an already-materialized record vector into a batch stream.
 pub fn chunk_records(all: Vec<DataRecord>, chunk_size: usize) -> RecordBatchIter {
     if chunk_size == 0 || all.len() <= chunk_size {
@@ -83,6 +110,27 @@ pub fn chunk_records(all: Vec<DataRecord>, chunk_size: usize) -> RecordBatchIter
         rest: all.into_iter(),
         chunk: chunk_size,
     })
+}
+
+/// The batch stream of a source whose record `i` of `len` can be built on
+/// its own: each batch of at most `chunk_size` records (0 = one batch
+/// holding everything) is built only when it is pulled. Same batch shapes
+/// as [`chunk_records`], an empty source included.
+fn lazy_batches(
+    len: usize,
+    chunk_size: usize,
+    record: impl Fn(usize) -> DataRecord + Send + 'static,
+) -> RecordBatchIter {
+    let chunk = if chunk_size == 0 {
+        len.max(1)
+    } else {
+        chunk_size
+    };
+    // `len.max(1)`: an empty source still yields its one empty batch.
+    Box::new((0..len.max(1)).step_by(chunk).map(move |start| {
+        let end = (start + chunk).min(len);
+        Ok((start..end).map(&record).collect())
+    }))
 }
 
 /// Generator signature for [`GeneratedSource`]: index → `(filename,
@@ -118,13 +166,13 @@ impl GeneratedSource {
             generator: Arc::new(generator),
         }
     }
+}
 
-    fn record_at(&self, base_id: u64, index: usize) -> DataRecord {
-        let (filename, content) = (self.generator)(index);
-        DataRecord::new(base_id + index as u64)
-            .with_field("filename", filename.as_str())
-            .with_field("contents", parse_content(&filename, &content))
-    }
+fn generated_record(generator: &RecordGenerator, base_id: u64, index: usize) -> DataRecord {
+    let (filename, content) = generator(index);
+    DataRecord::new(base_id + index as u64)
+        .with_field("filename", filename.as_str())
+        .with_field("contents", parse_content(&filename, &content))
 }
 
 impl DataSource for GeneratedSource {
@@ -137,34 +185,16 @@ impl DataSource for GeneratedSource {
     }
 
     fn records(&self, base_id: u64) -> PzResult<Vec<DataRecord>> {
-        Ok((0..self.len).map(|i| self.record_at(base_id, i)).collect())
+        Ok((0..self.len)
+            .map(|i| generated_record(&self.generator, base_id, i))
+            .collect())
     }
 
     fn batches(&self, base_id: u64, chunk_size: usize) -> PzResult<RecordBatchIter> {
-        let chunk = if chunk_size == 0 {
-            self.len.max(1)
-        } else {
-            chunk_size
-        };
         let generator = Arc::clone(&self.generator);
-        let len = self.len;
-        if len == 0 {
-            return Ok(Box::new(std::iter::once(Ok(Vec::new()))));
-        }
-        let iter = (0..len).step_by(chunk).map(move |start| {
-            let end = (start + chunk).min(len);
-            let mut out = Vec::with_capacity(end - start);
-            for i in start..end {
-                let (filename, content) = generator(i);
-                out.push(
-                    DataRecord::new(base_id + i as u64)
-                        .with_field("filename", filename.as_str())
-                        .with_field("contents", parse_content(&filename, &content)),
-                );
-            }
-            Ok(out)
-        });
-        Ok(Box::new(iter))
+        Ok(lazy_batches(self.len, chunk_size, move |i| {
+            generated_record(&generator, base_id, i)
+        }))
     }
 
     fn cardinality_hint(&self) -> Option<usize> {
@@ -335,11 +365,14 @@ impl DataSource for VersionedSource {
 }
 
 /// In-memory source: each `(filename, content)` item becomes one record.
-/// Items are parsed once, here; every scan hands out shared text.
+/// Items are parsed once, here; every scan hands out shared text, and
+/// [`MemorySource::renamed`] copies share the parsed items themselves.
 pub struct MemorySource {
     name: String,
     schema: Schema,
-    items: Vec<Item>,
+    /// An `Arc<Vec<_>>`, not an `Arc<[_]>`: wrapping moves the parsed
+    /// vector in place instead of copying it into a second buffer.
+    items: Arc<Vec<Item>>,
 }
 
 impl MemorySource {
@@ -347,8 +380,28 @@ impl MemorySource {
         Self {
             name: name.into(),
             schema,
-            items: parse_items(items),
+            items: Arc::new(parse_items(items)),
         }
+    }
+
+    /// The same parsed items under registry name `name`: one
+    /// reference-count bump; nothing is parsed or copied, and every record
+    /// scanned from either source shares the same text.
+    pub fn renamed(&self, name: impl Into<String>) -> Self {
+        Self {
+            name: name.into(),
+            schema: self.schema.clone(),
+            items: Arc::clone(&self.items),
+        }
+    }
+
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.items.is_empty()
     }
 
     /// Convenience: wrap plain strings with synthesized filenames.
@@ -378,6 +431,15 @@ impl DataSource for MemorySource {
             .enumerate()
             .map(|(i, item)| item_record(base_id, i, item))
             .collect())
+    }
+
+    /// Each batch is built when it is pulled, so a 5-record sample reads
+    /// 5 items, not the corpus.
+    fn batches(&self, base_id: u64, chunk_size: usize) -> PzResult<RecordBatchIter> {
+        let items = Arc::clone(&self.items);
+        Ok(lazy_batches(items.len(), chunk_size, move |i| {
+            item_record(base_id, i, &items[i])
+        }))
     }
 
     fn cardinality_hint(&self) -> Option<usize> {
@@ -634,9 +696,14 @@ mod tests {
         let first = src.records(0).unwrap();
         let second = src.records(100).unwrap();
         let batched: Vec<DataRecord> = collect_batches(&src, 0, 1).concat();
-        for ((a, b), c) in first.iter().zip(&second).zip(&batched) {
+        let renamed = src.renamed("n");
+        assert_eq!((renamed.name(), renamed.schema()), ("n", src.schema()));
+        let copied = renamed.records(0).unwrap();
+        assert_eq!(copied, first);
+        for (((a, b), c), d) in first.iter().zip(&second).zip(&batched).zip(&copied) {
             assert_eq!(contents_ptr(a), contents_ptr(b));
             assert_eq!(contents_ptr(a), contents_ptr(c));
+            assert_eq!(contents_ptr(a), contents_ptr(d));
             assert_eq!(contents_ptr(a), contents_ptr(&a.clone()));
         }
     }
@@ -720,10 +787,13 @@ mod tests {
 
     #[test]
     fn default_batches_concatenate_to_records() {
-        let src = MemorySource::from_texts(
-            "m",
+        // `VersionedSource` keeps the trait's default `batches`.
+        let src = VersionedSource::new(
+            "v",
             Schema::text_file(),
-            (0..10).map(|i| format!("text {i}")).collect(),
+            (0..10)
+                .map(|i| (format!("item-{i:04}.txt"), format!("text {i}")))
+                .collect(),
         );
         let whole = src.records(100).unwrap();
         for chunk in [0usize, 1, 3, 10, 99] {
@@ -737,6 +807,39 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn memory_source_batches_concatenate_to_records_byte_for_byte() {
+        let len = 4099;
+        let src = MemorySource::new(
+            "m",
+            Schema::pdf_file(),
+            (0..len)
+                .map(|i| match i % 3 {
+                    0 => (format!("doc-{i}.pdf"), wrap_pdf(&format!("paper {i}"))),
+                    1 => (format!("doc-{i}.pdf"), format!("bare {i}")),
+                    _ => (format!("doc-{i}.txt"), format!("plain text {i}")),
+                })
+                .collect(),
+        );
+        let whole = src.records(42).unwrap();
+        let bytes = |recs: &[DataRecord]| -> Vec<String> {
+            recs.iter().map(|r| r.to_json().to_string()).collect()
+        };
+        for chunk in [1usize, 5, 4096, len + 1] {
+            let batches = collect_batches(&src, 42, chunk);
+            assert_eq!(batches.len(), len.div_ceil(chunk), "chunk {chunk}");
+            assert!(batches.iter().all(|b| b.len() <= chunk), "chunk {chunk}");
+            let flat = batches.concat();
+            assert_eq!(flat, whole, "chunk {chunk}");
+            assert_eq!(bytes(&flat), bytes(&whole), "chunk {chunk}");
+        }
+        let empty = MemorySource::new("e", Schema::text_file(), vec![]);
+        assert_eq!(
+            collect_batches(&empty, 0, 5),
+            vec![Vec::<DataRecord>::new()]
+        );
     }
 
     #[test]
@@ -756,6 +859,26 @@ mod tests {
             let flat: Vec<DataRecord> = collect_batches(&src, 7, chunk).concat();
             assert_eq!(flat, whole, "chunk {chunk}");
         }
+    }
+
+    #[test]
+    fn head_records_is_a_prefix_that_reads_only_its_batch() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&calls);
+        let src = GeneratedSource::new("g", Schema::text_file(), 100, move |i| {
+            counter.fetch_add(1, Ordering::Relaxed);
+            (format!("gen-{i}.txt"), format!("body {i}"))
+        });
+        let whole = src.records(3).unwrap();
+        for n in [0usize, 1, 5, 100, 150] {
+            calls.store(0, Ordering::Relaxed);
+            let head = head_records(&src, 3, n).unwrap();
+            assert_eq!(head, whole[..n.min(100)], "n {n}");
+            assert_eq!(calls.load(Ordering::Relaxed), n.min(100), "n {n}");
+        }
+        assert_eq!(record_count(&src).unwrap(), 100);
+        assert_eq!(calls.load(Ordering::Relaxed), 100, "the hint counts");
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! calibration (E9) is for.
 
 use crate::context::PzContext;
+use crate::datasource::{head_records, record_count};
 use crate::error::{PzError, PzResult};
 use crate::ops::logical::{Cardinality, LogicalPlan};
 use crate::ops::physical::{PhysicalOp, PhysicalPlan};
@@ -62,16 +63,18 @@ pub struct CostContext {
 
 impl CostContext {
     /// Build from a runtime context: cardinality from the source hint,
-    /// record size by sampling the first few records.
+    /// record size by sampling the first few records ([`head_records`]).
+    /// Only the sample is read; a source without a hint is counted batch by
+    /// batch ([`record_count`]), so costing never holds the whole corpus.
     pub fn from_context(ctx: &PzContext, plan: &LogicalPlan) -> PzResult<Self> {
+        const SAMPLE: usize = 5;
         let src = ctx.registry.get(plan.dataset())?;
-        let records = src
-            .records(0)
-            .map_err(|e| PzError::Optimizer(format!("cannot sample source for costing: {e}")))?;
-        let n = records.len();
-        let sample: Vec<usize> = records
+        let sample_err =
+            |e: PzError| PzError::Optimizer(format!("cannot sample source for costing: {e}"));
+        let n = record_count(src.as_ref()).map_err(sample_err)?;
+        let sample: Vec<usize> = head_records(src.as_ref(), 0, SAMPLE)
+            .map_err(sample_err)?
             .iter()
-            .take(5)
             .map(|r| count_tokens(&r.prompt_text()))
             .collect();
         let avg = if sample.is_empty() {
@@ -86,10 +89,8 @@ impl CostContext {
             | crate::ops::logical::LogicalOp::Union { dataset } = op
             {
                 if let Ok(src) = ctx.registry.get(dataset) {
-                    let n = src
-                        .cardinality_hint()
-                        .or_else(|| src.records(0).ok().map(|r| r.len()))
-                        .unwrap_or(DEFAULT_BUILD_CARDINALITY as usize);
+                    let n =
+                        record_count(src.as_ref()).unwrap_or(DEFAULT_BUILD_CARDINALITY as usize);
                     build_cardinality.insert(dataset.clone(), n as f64);
                 }
             }
@@ -837,6 +838,114 @@ mod tests {
             let e = ensemble_quality(&qs, rho);
             prop_assert!((-1e-9..=1.0 + 1e-9).contains(&e));
         }
+    }
+
+    /// A source that reports no cardinality hint: costing must count it.
+    struct Unhinted(crate::datasource::MemorySource);
+
+    impl crate::datasource::DataSource for Unhinted {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+        fn schema(&self) -> Schema {
+            self.0.schema()
+        }
+        fn records(&self, base_id: u64) -> PzResult<Vec<crate::record::DataRecord>> {
+            self.0.records(base_id)
+        }
+        fn batches(
+            &self,
+            base_id: u64,
+            chunk_size: usize,
+        ) -> PzResult<crate::datasource::RecordBatchIter> {
+            self.0.batches(base_id, chunk_size)
+        }
+    }
+
+    #[test]
+    fn from_context_matches_a_whole_corpus_read_bit_for_bit() {
+        use crate::dataset::Dataset;
+        use crate::datasource::{DataSource, MemorySource};
+        use std::sync::Arc;
+        let pz = PzContext::simulated();
+        let items = |n: usize| -> Vec<(String, String)> {
+            (0..n)
+                .map(|i| (format!("doc-{i}.txt"), "word ".repeat(7 * i + 3)))
+                .collect()
+        };
+        for n in [0usize, 1, 3, 5, 9] {
+            let hinted = MemorySource::new("hinted", Schema::text_file(), items(n));
+            let unhinted = Unhinted(MemorySource::new("unhinted", Schema::text_file(), items(n)));
+            // The reference: what costing computed when it read everything.
+            let all = hinted.records(0).unwrap();
+            let toks: Vec<usize> = all
+                .iter()
+                .take(5)
+                .map(|r| count_tokens(&r.prompt_text()))
+                .collect();
+            let want_avg = if toks.is_empty() {
+                200.0
+            } else {
+                toks.iter().sum::<usize>() as f64 / toks.len() as f64
+            };
+            pz.registry.register(Arc::new(hinted));
+            pz.registry.register(Arc::new(unhinted));
+            for name in ["hinted", "unhinted"] {
+                let plan = Dataset::source(name)
+                    .filter("about cancer")
+                    .join_semantic(
+                        if name == "hinted" {
+                            "unhinted"
+                        } else {
+                            "hinted"
+                        },
+                        "same topic",
+                    )
+                    .build()
+                    .unwrap();
+                let cc = CostContext::from_context(&pz, &plan).unwrap();
+                assert_eq!(cc.input_cardinality.to_bits(), (all.len() as f64).to_bits());
+                assert_eq!(
+                    cc.avg_record_tokens.to_bits(),
+                    want_avg.to_bits(),
+                    "{name} n={n}"
+                );
+                assert_eq!(cc.build_cardinality.values().next(), Some(&(n as f64)));
+            }
+        }
+    }
+
+    #[test]
+    fn planning_over_a_generated_source_reads_only_the_sample() {
+        use crate::dataset::Dataset;
+        use crate::datasource::GeneratedSource;
+        use crate::optimizer::{Optimizer, Policy};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&calls);
+        let pz = PzContext::simulated();
+        pz.registry.register(Arc::new(GeneratedSource::new(
+            "big",
+            Schema::text_file(),
+            300_000,
+            move |i| {
+                counter.fetch_add(1, Ordering::Relaxed);
+                (format!("doc-{i}.txt"), format!("generated body {i}"))
+            },
+        )));
+        let plan = Dataset::source("big")
+            .filter("about cancer")
+            .build()
+            .unwrap();
+        let (_, est, _) = Optimizer::default()
+            .optimize(&pz, &plan, &Policy::MaxQuality)
+            .unwrap();
+        let n = calls.load(Ordering::Relaxed);
+        assert!(n <= 5, "planning called the generator {n} times");
+        assert!(est.cost_usd > 0.0);
+        let cc = CostContext::from_context(&pz, &plan).unwrap();
+        assert_eq!(cc.input_cardinality, 300_000.0);
     }
 
     #[test]

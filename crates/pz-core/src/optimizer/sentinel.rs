@@ -13,6 +13,7 @@
 //! investment the optimizer amortizes over the full run (experiment E9).
 
 use crate::context::PzContext;
+use crate::datasource::head_records;
 use crate::error::PzResult;
 use crate::ops::logical::{FilterPredicate, LogicalOp, LogicalPlan};
 use crate::ops::physical::{default_physical, PhysicalOp};
@@ -30,11 +31,7 @@ pub fn calibrate(ctx: &PzContext, plan: &LogicalPlan, sample_size: usize) -> PzR
     let mut calib = Calibration::default();
     let src = ctx.registry.get(plan.dataset())?;
     let base = ctx.next_ids(sample_size.max(1) as u64 * 4);
-    let mut sample: Vec<DataRecord> = src
-        .records(base)?
-        .into_iter()
-        .take(sample_size.max(1))
-        .collect();
+    let mut sample = head_records(src.as_ref(), base, sample_size.max(1))?;
     if sample.is_empty() {
         return Ok(calib);
     }

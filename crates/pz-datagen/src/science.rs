@@ -15,6 +15,7 @@ use crate::text::{Prng, Topic};
 use crate::truth::DatasetMention;
 use crate::Document;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// The natural-language filter used throughout the demo (Figure 6 line 5).
 pub const FILTER_PREDICATE: &str = "The papers are about colorectal cancer";
@@ -373,7 +374,18 @@ pub fn generate(cfg: ScienceConfig) -> (Vec<Document>, ScienceTruth) {
 /// The fixed 11-paper demo corpus of E1: 5 colorectal-cancer papers
 /// carrying 6 dataset mentions in total (paper 0 carries two), plus 6
 /// irrelevant papers including one breast-cancer hard negative.
+///
+/// A constant: it is generated once per process and every call returns a
+/// copy of that one build, byte-identical to [`build_demo_corpus`].
 pub fn demo_corpus() -> (Vec<Document>, ScienceTruth) {
+    static DEMO: OnceLock<(Vec<Document>, ScienceTruth)> = OnceLock::new();
+    DEMO.get_or_init(build_demo_corpus).clone()
+}
+
+/// Generate the demo corpus afresh; what [`demo_corpus`] memoizes. For a
+/// caller that keeps its own parsed copy for the life of the process, so
+/// that the memo's copy would be a second one.
+pub fn build_demo_corpus() -> (Vec<Document>, ScienceTruth) {
     let mut rng = Prng::new(0xD3_A0);
     let mut docs = Vec::new();
     let mut truth = ScienceTruth::default();
@@ -440,6 +452,11 @@ mod tests {
         let (a, _) = demo_corpus();
         let (b, _) = demo_corpus();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn memoized_demo_corpus_equals_a_fresh_build() {
+        assert_eq!(demo_corpus(), build_demo_corpus());
     }
 
     #[test]
