@@ -17,8 +17,6 @@ fn tool_err(tool: &str, e: impl std::fmt::Display) -> ArchytasError {
 
 /// A built-in demo corpus as a source, generated and parsed once per
 /// process (on its first load) and shared by every session after that.
-/// `docs` builds the corpus afresh rather than through `pz-datagen`'s
-/// memo, so the process holds only this parsed copy of its text.
 fn demo_source(
     cell: &'static OnceLock<MemorySource>,
     name: &str,
@@ -63,12 +61,12 @@ pub fn register_dataset_tool(session: SessionHandle) -> Arc<dyn Tool> {
         let demo = match source.as_str() {
             s if s.contains("legal") || s.contains("email") => {
                 demo_source(&LEGAL, "legal-demo", Schema::text_file, || {
-                    pz_datagen::legal::build_demo_corpus().0
+                    pz_datagen::legal::demo_corpus().0
                 })
             }
             s if s.contains("real") || s.contains("estate") || s.contains("listing") => {
                 demo_source(&REALESTATE, "realestate-demo", Schema::text_file, || {
-                    pz_datagen::realestate::build_demo_corpus().0
+                    pz_datagen::realestate::demo_corpus().0
                 })
             }
             s if s.starts_with("dir:") => {
@@ -102,7 +100,7 @@ pub fn register_dataset_tool(session: SessionHandle) -> Arc<dyn Tool> {
             }
             // Default: the scientific discovery corpus of §3.
             _ => demo_source(&SCIENCE, "scientific-demo", Schema::pdf_file, || {
-                pz_datagen::science::build_demo_corpus().0
+                pz_datagen::science::demo_corpus().0
             }),
         };
         let name = args
@@ -110,7 +108,7 @@ pub fn register_dataset_tool(session: SessionHandle) -> Arc<dyn Tool> {
             .and_then(|v| v.as_str())
             .unwrap_or(demo.name())
             .to_string();
-        let n = demo.len();
+        let n = demo.cardinality_hint().unwrap_or(0);
         let schema_name = demo.schema().name;
         state
             .ctx
@@ -222,13 +220,46 @@ mod tests {
             assert!(Arc::ptr_eq(&contents(a), &contents(b)));
             assert!(Arc::ptr_eq(&contents(a), &contents(c)));
         }
-        let (docs, _) = pz_datagen::science::demo_corpus();
-        let fresh = MemorySource::new(
-            "fresh",
-            Schema::pdf_file(),
-            docs.into_iter().map(|d| (d.filename, d.content)).collect(),
-        );
-        assert_eq!(fresh.records(0).unwrap(), a);
+    }
+
+    #[test]
+    fn each_shared_demo_corpus_equals_a_fresh_parse() {
+        let corpora = [
+            (
+                "scientific papers",
+                Schema::pdf_file(),
+                pz_datagen::science::demo_corpus().0,
+            ),
+            (
+                "legal emails",
+                Schema::text_file(),
+                pz_datagen::legal::demo_corpus().0,
+            ),
+            (
+                "real estate listings",
+                Schema::text_file(),
+                pz_datagen::realestate::demo_corpus().0,
+            ),
+        ];
+        for (source, schema, docs) in corpora {
+            let session = new_session();
+            register_dataset_tool(session.clone())
+                .invoke(&args(json!({"source": source})))
+                .unwrap();
+            let state = session.lock();
+            let name = state.dataset.clone().unwrap();
+            let shared = state.ctx.registry.get(&name).unwrap();
+            let fresh = MemorySource::new(
+                "fresh",
+                schema,
+                docs.into_iter().map(|d| (d.filename, d.content)).collect(),
+            );
+            assert_eq!(
+                shared.records(0).unwrap(),
+                fresh.records(0).unwrap(),
+                "{source}"
+            );
+        }
     }
 
     #[test]

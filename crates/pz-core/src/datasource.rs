@@ -395,15 +395,6 @@ impl MemorySource {
         }
     }
 
-    /// Number of records.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
     /// Convenience: wrap plain strings with synthesized filenames.
     pub fn from_texts(name: impl Into<String>, schema: Schema, texts: Vec<String>) -> Self {
         let items = texts

@@ -9,7 +9,6 @@
 use crate::text::{capitalize, Prng, Topic};
 use crate::Document;
 use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
 
 /// The demo filter: messages about the Acme–Initech merger.
 pub const FILTER_PREDICATE: &str = "The emails discuss the acme initech merger";
@@ -195,17 +194,9 @@ pub fn generate(cfg: LegalConfig) -> (Vec<Document>, LegalTruth) {
 /// Fixed small corpus for the chat demo: 12 mails, 5 responsive of which 2
 /// privileged.
 ///
-/// A constant: it is generated once per process and every call returns a
-/// copy of that one build, byte-identical to [`build_demo_corpus`].
+/// Every call builds the same corpus afresh; the chat's `register_dataset`
+/// builds it once per process and shares that parsed copy.
 pub fn demo_corpus() -> (Vec<Document>, LegalTruth) {
-    static DEMO: OnceLock<(Vec<Document>, LegalTruth)> = OnceLock::new();
-    DEMO.get_or_init(build_demo_corpus).clone()
-}
-
-/// Generate the demo corpus afresh; what [`demo_corpus`] memoizes. For a
-/// caller that keeps its own parsed copy for the life of the process, so
-/// that the memo's copy would be a second one.
-pub fn build_demo_corpus() -> (Vec<Document>, LegalTruth) {
     // Search a seed once at authoring time? No — derive deterministically:
     // generate a slightly larger pool and take the first mails satisfying
     // the demo quota, preserving order.
@@ -247,11 +238,6 @@ pub fn build_demo_corpus() -> (Vec<Document>, LegalTruth) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn memoized_demo_corpus_equals_a_fresh_build() {
-        assert_eq!(demo_corpus(), build_demo_corpus());
-    }
 
     #[test]
     fn demo_corpus_quota() {

@@ -10,7 +10,6 @@
 use crate::text::{Prng, Topic};
 use crate::Document;
 use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
 
 /// The demo's semantic filter.
 pub const FILTER_PREDICATE: &str = "The listings describe modern homes with a garden";
@@ -184,17 +183,9 @@ pub fn generate(cfg: RealEstateConfig) -> (Vec<Document>, RealEstateTruth) {
 
 /// Fixed demo corpus: 20 listings.
 ///
-/// A constant: it is generated once per process and every call returns a
-/// copy of that one build, byte-identical to [`build_demo_corpus`].
+/// Every call builds the same corpus afresh; the chat's `register_dataset`
+/// builds it once per process and shares that parsed copy.
 pub fn demo_corpus() -> (Vec<Document>, RealEstateTruth) {
-    static DEMO: OnceLock<(Vec<Document>, RealEstateTruth)> = OnceLock::new();
-    DEMO.get_or_init(build_demo_corpus).clone()
-}
-
-/// Generate the demo corpus afresh; what [`demo_corpus`] memoizes. For a
-/// caller that keeps its own parsed copy for the life of the process, so
-/// that the memo's copy would be a second one.
-pub fn build_demo_corpus() -> (Vec<Document>, RealEstateTruth) {
     generate(RealEstateConfig {
         n_listings: 20,
         seed: 0xE57A7E,
@@ -205,11 +196,6 @@ pub fn build_demo_corpus() -> (Vec<Document>, RealEstateTruth) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn memoized_demo_corpus_equals_a_fresh_build() {
-        assert_eq!(demo_corpus(), build_demo_corpus());
-    }
 
     #[test]
     fn demo_is_deterministic_with_matches() {

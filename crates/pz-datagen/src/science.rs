@@ -15,7 +15,6 @@ use crate::text::{Prng, Topic};
 use crate::truth::DatasetMention;
 use crate::Document;
 use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
 
 /// The natural-language filter used throughout the demo (Figure 6 line 5).
 pub const FILTER_PREDICATE: &str = "The papers are about colorectal cancer";
@@ -375,17 +374,9 @@ pub fn generate(cfg: ScienceConfig) -> (Vec<Document>, ScienceTruth) {
 /// carrying 6 dataset mentions in total (paper 0 carries two), plus 6
 /// irrelevant papers including one breast-cancer hard negative.
 ///
-/// A constant: it is generated once per process and every call returns a
-/// copy of that one build, byte-identical to [`build_demo_corpus`].
+/// Every call builds the same corpus afresh; the chat's `register_dataset`
+/// builds it once per process and shares that parsed copy.
 pub fn demo_corpus() -> (Vec<Document>, ScienceTruth) {
-    static DEMO: OnceLock<(Vec<Document>, ScienceTruth)> = OnceLock::new();
-    DEMO.get_or_init(build_demo_corpus).clone()
-}
-
-/// Generate the demo corpus afresh; what [`demo_corpus`] memoizes. For a
-/// caller that keeps its own parsed copy for the life of the process, so
-/// that the memo's copy would be a second one.
-pub fn build_demo_corpus() -> (Vec<Document>, ScienceTruth) {
     let mut rng = Prng::new(0xD3_A0);
     let mut docs = Vec::new();
     let mut truth = ScienceTruth::default();
@@ -452,11 +443,6 @@ mod tests {
         let (a, _) = demo_corpus();
         let (b, _) = demo_corpus();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn memoized_demo_corpus_equals_a_fresh_build() {
-        assert_eq!(demo_corpus(), build_demo_corpus());
     }
 
     #[test]
