@@ -1065,9 +1065,10 @@ fn e20(_: &Setup) -> Report {
     });
 
     let mut r = Report::tables([t]);
-    r.note(format!(
+    r.text(format!(
         "normal load: {}/{} completed, p50 {:.1}s p99 {:.1}s, {:.3} sessions/s, \
-         Jain fairness {:.3}, {} scheduler grants",
+         Jain fairness {:.3}, {} scheduler grants\n\
+         overload (1/3 capacity): {}/{} completed, {} shed ({:.0}%), p99 {:.1}s",
         m.sessions_completed,
         m.sessions_submitted,
         m.p50_latency_secs,
@@ -1075,9 +1076,6 @@ fn e20(_: &Setup) -> Report {
         m.throughput_per_sec,
         m.fairness_jain,
         report.scheduler.granted,
-    ));
-    r.note(format!(
-        "overload (1/3 capacity): {}/{} completed, {} shed ({:.0}%), p99 {:.1}s",
         o.sessions_completed,
         o.sessions_submitted,
         o.sessions_shed,

@@ -40,7 +40,7 @@ pub enum Block {
     /// Deterministic preformatted text, printed in a code fence;
     /// EXPERIMENTS.md quotes it verbatim.
     Text(String),
-    /// A line that changes run to run (wall clock, thread order): printed,
+    /// A line that changes run to run (wall clock): printed,
     /// never quoted.
     Note(String),
 }

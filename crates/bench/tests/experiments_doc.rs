@@ -5,9 +5,8 @@
 
 use bench::experiments::{Setup, EXPERIMENTS};
 
-/// Not quoted: E20's latencies depend on thread order, and E21 is wall
-/// clock over million-record subprocesses.
-const UNQUOTED: [&str; 2] = ["e20", "e21"];
+/// Not quoted: E21 is wall clock over million-record subprocesses.
+const UNQUOTED: [&str; 1] = ["e21"];
 
 #[test]
 fn experiments_md_quotes_every_deterministic_block() {

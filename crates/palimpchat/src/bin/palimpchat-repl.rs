@@ -311,9 +311,10 @@ fn main() {
 /// `:serve [tenants] [sessions]` — a self-contained multi-tenant serving
 /// demo on a fresh `pz-serve` host: seeded traffic (half interactive chat
 /// tenants at weight 4, half batch at weight 1), every session a private
-/// corpus and pipeline, all submitted concurrently through admission
-/// control and the weighted-fair scheduler. Prints per-tenant completions,
-/// bills, and the aggregate fairness/latency numbers.
+/// corpus and pipeline, all submitted at one instant through admission
+/// control, then run one at a time in weighted-fair order across tenants.
+/// Prints per-tenant completions, bills, and the aggregate
+/// fairness/latency numbers, the same on every run.
 fn serve_demo(tenants: usize, sessions: usize) {
     use pz_core::prelude::{Dataset, MemorySource, Schema};
     use pz_serve::{AdmissionConfig, ServeConfig, ServeHost, SessionJob, TenantSpec};

@@ -7,18 +7,27 @@
 //! Shedding is deadline-aware on the way in (a run whose predicted queue
 //! wait already blows its deadline is refused immediately — cheaper for
 //! everyone than admitting a run that must fail) and on the way through (a
-//! queued run whose deadline passes while it waits is shed on wake-up).
+//! queued run whose deadline has passed when a slot frees is shed instead
+//! of promoted).
 //!
-//! The controller implements [`pz_core::context::AdmissionGate`], so the
-//! executor consults it at the top of every run and releases the slot via
-//! RAII on every exit path.
+//! The controller is a state machine on the virtual clock: [`arrive`]
+//! and [`finish`] take the time and return what they decided, and never
+//! block. `ServeHost::serve` drives it from one thread. It also
+//! implements [`pz_core::context::AdmissionGate`] for live callers
+//! (`ServeHost::run_session`): the executor consults it at the top of
+//! every run and releases the slot via RAII on every exit path, and a
+//! live caller told "queued" is the one thing that waits — until another
+//! run's `finish` admits or sheds it.
+//!
+//! [`arrive`]: AdmissionController::arrive
+//! [`finish`]: AdmissionController::finish
 
+use parking_lot::{Mutex, MutexGuard};
 use pz_core::context::AdmissionGate;
 use pz_core::error::{PzError, PzResult};
-use pz_llm::VirtualClock;
 use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, PoisonError};
 
 /// Capacity limits for a serving host.
 #[derive(Clone, Copy, Debug)]
@@ -52,29 +61,116 @@ pub struct AdmissionStats {
     pub shed_deadline: u64,
     /// High-water mark of queued runs.
     pub max_queue_depth: usize,
-    /// EWMA of completed run durations, virtual seconds.
+    /// EWMA of how long completed runs held their slot (admission to
+    /// finish), virtual seconds: the turnover a queued run waits on.
     pub ewma_run_secs: f64,
 }
 
+/// What [`AdmissionController::arrive`] decided for one submission.
+#[derive(Debug)]
+pub enum Decision {
+    /// The run holds a slot under this ticket; `finish` it when it ends.
+    Admitted(u64),
+    /// The run waits under this ticket; a later `finish` admits or sheds it.
+    Queued(u64),
+    /// Refused with a structured [`PzError::Overloaded`].
+    Shed(PzError),
+}
+
+#[derive(Default)]
 struct AdmState {
-    running: usize,
-    queue: VecDeque<u64>,
-    /// Ticket → admission time, for duration tracking.
-    started_at: HashMap<u64, f64>,
+    config: AdmissionConfig,
+    /// Ticket → admission time of every run holding a slot.
+    holders: HashMap<u64, f64>,
+    /// Tickets waiting for a slot, first come first served, each with its
+    /// absolute deadline.
+    queue: VecDeque<(u64, Option<f64>)>,
     next_ticket: u64,
-    ewma_run_secs: f64,
     stats: AdmissionStats,
-    /// Members of an announced batch that have not reached the gate yet
-    /// (see [`AdmissionController::expect_batch`]).
-    batch_pending: usize,
 }
 
 impl AdmState {
-    /// One batch member is accounted for; true when it was the last.
-    fn batch_member_arrived(&mut self) -> bool {
-        let was_pending = self.batch_pending > 0;
-        self.batch_pending = self.batch_pending.saturating_sub(1);
-        was_pending && self.batch_pending == 0
+    fn ticket(&mut self) -> u64 {
+        self.next_ticket += 1;
+        self.next_ticket
+    }
+
+    fn admit(&mut self, ticket: u64, now_secs: f64) {
+        self.holders.insert(ticket, now_secs);
+        self.stats.admitted += 1;
+    }
+
+    /// The error a queued run gets when its deadline passes before a slot
+    /// frees.
+    fn passed_while_queued(&self) -> PzError {
+        PzError::Overloaded {
+            reason: "deadline passed while queued".into(),
+            retry_after_secs: self.stats.ewma_run_secs.max(1.0),
+        }
+    }
+
+    fn arrive(&mut self, now_secs: f64, deadline_at_secs: Option<f64>) -> Decision {
+        let config = self.config;
+        // A free slot and nobody queued ahead.
+        if self.holders.len() < config.max_concurrent_runs && self.queue.is_empty() {
+            let ticket = self.ticket();
+            self.admit(ticket, now_secs);
+            return Decision::Admitted(ticket);
+        }
+        // Predicted wait from the back of the queue: each slot turns over
+        // one queued run per EWMA run duration on average.
+        let waiting = self.queue.len();
+        let predicted =
+            self.stats.ewma_run_secs * (waiting as f64 + 1.0) / config.max_concurrent_runs as f64;
+        if waiting >= config.max_queued {
+            self.stats.shed_queue_full += 1;
+            return Decision::Shed(PzError::Overloaded {
+                reason: format!("queue full ({waiting} waiting)"),
+                retry_after_secs: predicted.max(1.0),
+            });
+        }
+        // The predicted wait already blows the caller's deadline:
+        // admitting it would only waste capacity.
+        if let Some(d) = deadline_at_secs.filter(|d| now_secs + predicted >= *d) {
+            self.stats.shed_deadline += 1;
+            return Decision::Shed(PzError::Overloaded {
+                reason: format!(
+                    "predicted queue wait {predicted:.1}s blows deadline in {:.1}s",
+                    d - now_secs
+                ),
+                retry_after_secs: predicted.max(1.0),
+            });
+        }
+        let ticket = self.ticket();
+        self.queue.push_back((ticket, deadline_at_secs));
+        self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.queue.len());
+        Decision::Queued(ticket)
+    }
+
+    fn finish(&mut self, ticket: u64, now_secs: f64) -> Vec<(u64, PzResult<()>)> {
+        // Only a ticket that holds a slot frees one: a second `finish`, or
+        // one for a ticket never admitted, changes nothing.
+        let Some(started) = self.holders.remove(&ticket) else {
+            return Vec::new();
+        };
+        // EWMA with alpha 0.3: responsive to load shifts, stable against
+        // one outlier run.
+        let ewma = &mut self.stats.ewma_run_secs;
+        *ewma = 0.7 * *ewma + 0.3 * (now_secs - started).max(0.0);
+        let mut decided = Vec::new();
+        while self.holders.len() < self.config.max_concurrent_runs {
+            let Some((next, deadline)) = self.queue.pop_front() else {
+                break;
+            };
+            if deadline.is_some_and(|d| now_secs >= d) {
+                self.stats.shed_deadline += 1;
+                decided.push((next, Err(self.passed_while_queued())));
+            } else {
+                self.admit(next, now_secs);
+                decided.push((next, Ok(())));
+            }
+        }
+        decided
     }
 }
 
@@ -82,301 +178,267 @@ impl AdmState {
 /// Clones share state.
 #[derive(Clone)]
 pub struct AdmissionController {
-    config: AdmissionConfig,
-    /// The host's shared virtual clock: queued runs consult it on wake-up
-    /// to detect a deadline that passed while the runs ahead advanced time.
-    clock: VirtualClock,
     state: Arc<Mutex<AdmState>>,
-    cond: Arc<Condvar>,
+    /// Wakes live callers queued in [`AdmissionGate::begin`] once a
+    /// `finish` has decided their ticket.
+    decided: Arc<Condvar>,
 }
 
 impl AdmissionController {
-    pub fn new(config: AdmissionConfig, clock: VirtualClock) -> Self {
+    pub fn new(config: AdmissionConfig) -> Self {
         let config = AdmissionConfig {
             max_concurrent_runs: config.max_concurrent_runs.max(1),
             ..config
         };
+        let stats = AdmissionStats {
+            ewma_run_secs: config.expected_run_secs,
+            ..AdmissionStats::default()
+        };
         Self {
-            config,
-            clock,
             state: Arc::new(Mutex::new(AdmState {
-                running: 0,
-                queue: VecDeque::new(),
-                started_at: HashMap::new(),
-                next_ticket: 1,
-                ewma_run_secs: config.expected_run_secs,
-                stats: AdmissionStats::default(),
-                batch_pending: 0,
+                config,
+                stats,
+                ..AdmState::default()
             })),
-            cond: Arc::new(Condvar::new()),
+            decided: Arc::new(Condvar::new()),
         }
     }
 
-    /// Predicted wait from the back of a queue of depth `depth`: each slot
-    /// turns over one queued run per `ewma` seconds on average.
-    fn predicted_wait_secs(&self, ewma: f64, depth: usize) -> f64 {
-        ewma * (depth as f64 + 1.0) / self.config.max_concurrent_runs as f64
+    /// A submission at `now_secs` with an optional absolute deadline: it
+    /// takes a free slot, joins the queue, or is shed.
+    pub fn arrive(&self, now_secs: f64, deadline_at_secs: Option<f64>) -> Decision {
+        self.state.lock().arrive(now_secs, deadline_at_secs)
     }
 
-    /// Announce `n` submissions that arrive *together*. Until every one of
-    /// them has reached the gate (or been written off with
-    /// [`Self::batch_member_gone`]) admitted runs are held at it, so the
-    /// batch is admitted, queued and shed as the one burst it is — however
-    /// fast its first runs are and however the OS staggers its threads.
-    /// Without this, how much a host sheds under overload is a race
-    /// between run length and thread wake-up.
-    pub fn expect_batch(&self, n: usize) {
-        self.state.lock().unwrap().batch_pending += n;
-    }
-
-    /// A batch member ended without ever reaching the gate (its plan failed
-    /// to optimize, its thread panicked): stop holding the batch for it.
-    pub fn batch_member_gone(&self) {
-        if self.state.lock().unwrap().batch_member_arrived() {
-            self.cond.notify_all();
+    /// The run holding `ticket` ended at `now_secs`. Each slot it frees
+    /// promotes the queue head, or sheds the head if its deadline has
+    /// passed; returns those decisions in queue order.
+    pub fn finish(&self, ticket: u64, now_secs: f64) -> Vec<(u64, PzResult<()>)> {
+        let decided = self.state.lock().finish(ticket, now_secs);
+        if !decided.is_empty() {
+            self.decided.notify_all();
         }
+        decided
+    }
+
+    /// Block until a `finish` elsewhere decides `ticket`, which
+    /// [`Self::arrive`] queued. Only a run queued behind live sessions on
+    /// other threads ever waits: a ticket already decided returns at once.
+    pub fn wait(&self, ticket: u64) -> PzResult<()> {
+        self.wait_locked(self.state.lock(), ticket)
+    }
+
+    fn wait_locked(&self, st: MutexGuard<'_, AdmState>, ticket: u64) -> PzResult<()> {
+        let st = (self.decided)
+            .wait_while(st, |st| st.queue.iter().any(|(t, _)| *t == ticket))
+            .unwrap_or_else(PoisonError::into_inner);
+        let admitted = st.holders.contains_key(&ticket);
+        admitted
+            .then_some(())
+            .ok_or_else(|| st.passed_while_queued())
     }
 
     /// Snapshot of admission counters.
     pub fn stats(&self) -> AdmissionStats {
-        let st = self.state.lock().unwrap();
-        AdmissionStats {
-            ewma_run_secs: st.ewma_run_secs,
-            ..st.stats
-        }
-    }
-
-    /// Runs currently holding a slot.
-    pub fn running(&self) -> usize {
-        self.state.lock().unwrap().running
+        self.state.lock().stats
     }
 }
 
 impl AdmissionGate for AdmissionController {
     fn begin(&self, now_secs: f64, deadline_at_secs: Option<f64>) -> PzResult<u64> {
-        let mut st = self.state.lock().unwrap();
-        if st.batch_member_arrived() {
-            self.cond.notify_all();
-        }
-        // Fast path: a free slot and nobody queued ahead.
-        if st.running < self.config.max_concurrent_runs && st.queue.is_empty() {
-            let ticket = st.next_ticket;
-            st.next_ticket += 1;
-            st.running += 1;
-            st.started_at.insert(ticket, now_secs);
-            st.stats.admitted += 1;
-            // Hold the slot, not the run, until the rest of the batch is in.
-            drop(self.cond.wait_while(st, |st| st.batch_pending > 0).unwrap());
-            return Ok(ticket);
-        }
-        // Shed: bounded queue.
-        if st.queue.len() >= self.config.max_queued {
-            st.stats.shed_queue_full += 1;
-            let retry = self.predicted_wait_secs(st.ewma_run_secs, st.queue.len());
-            return Err(PzError::Overloaded {
-                reason: format!("queue full ({} waiting)", st.queue.len()),
-                retry_after_secs: retry.max(1.0),
-            });
-        }
-        // Shed: the predicted wait from the back of the queue already blows
-        // the caller's deadline — admitting it would only waste capacity.
-        let predicted = self.predicted_wait_secs(st.ewma_run_secs, st.queue.len());
-        if let Some(d) = deadline_at_secs {
-            if now_secs + predicted >= d {
-                st.stats.shed_deadline += 1;
-                return Err(PzError::Overloaded {
-                    reason: format!(
-                        "predicted queue wait {predicted:.1}s blows deadline in {:.1}s",
-                        d - now_secs
-                    ),
-                    retry_after_secs: predicted.max(1.0),
-                });
-            }
-        }
-        // Queue (FIFO) and wait for a slot.
-        let ticket = st.next_ticket;
-        st.next_ticket += 1;
-        st.queue.push_back(ticket);
-        let depth = st.queue.len();
-        st.stats.max_queue_depth = st.stats.max_queue_depth.max(depth);
-        loop {
-            if st.queue.front() == Some(&ticket) && st.running < self.config.max_concurrent_runs {
-                st.queue.pop_front();
-                st.running += 1;
-                st.started_at.insert(ticket, now_secs);
-                st.stats.admitted += 1;
-                // The next queued run may also fit (slots free in bursts).
-                self.cond.notify_all();
-                return Ok(ticket);
-            }
-            st = self.cond.wait(st).unwrap();
-            // Deadline passed while queued (the shared virtual clock is
-            // advanced by the runs ahead of us): shed on wake.
-            if let Some(d) = deadline_at_secs {
-                if self.clock.now_secs() >= d {
-                    st.queue.retain(|t| *t != ticket);
-                    st.stats.shed_deadline += 1;
-                    self.cond.notify_all();
-                    return Err(PzError::Overloaded {
-                        reason: "deadline passed while queued".into(),
-                        retry_after_secs: st.ewma_run_secs.max(1.0),
-                    });
-                }
-            }
+        let mut st = self.state.lock();
+        match st.arrive(now_secs, deadline_at_secs) {
+            Decision::Admitted(ticket) => Ok(ticket),
+            Decision::Shed(e) => Err(e),
+            // Still under the lock, so no `finish` can slip between the
+            // decision and the wait.
+            Decision::Queued(ticket) => self.wait_locked(st, ticket).map(|()| ticket),
         }
     }
 
     fn end(&self, ticket: u64, now_secs: f64) {
-        let mut st = self.state.lock().unwrap();
-        st.running = st.running.saturating_sub(1);
-        if let Some(t0) = st.started_at.remove(&ticket) {
-            let dur = (now_secs - t0).max(0.0);
-            // EWMA with alpha 0.3: responsive to load shifts, stable
-            // against one outlier run.
-            st.ewma_run_secs = 0.7 * st.ewma_run_secs + 0.3 * dur;
-        }
-        drop(st);
-        self.cond.notify_all();
+        self.finish(ticket, now_secs);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::host::{ServeConfig, ServeHost, SessionJob};
+    use crate::tenant::TenantSpec;
+    use pz_core::prelude::{Dataset, MemorySource, Schema};
 
     fn gate(max_runs: usize, max_queued: usize) -> AdmissionController {
-        AdmissionController::new(
-            AdmissionConfig {
+        AdmissionController::new(AdmissionConfig {
+            max_concurrent_runs: max_runs,
+            max_queued,
+            expected_run_secs: 10.0,
+        })
+    }
+
+    fn admitted(d: Decision) -> u64 {
+        match d {
+            Decision::Admitted(t) => t,
+            other => panic!("expected admission, got {other:?}"),
+        }
+    }
+
+    fn queued(d: Decision) -> u64 {
+        match d {
+            Decision::Queued(t) => t,
+            other => panic!("expected a queue place, got {other:?}"),
+        }
+    }
+
+    fn shed(d: Decision) -> PzError {
+        match d {
+            Decision::Shed(e) => e,
+            other => panic!("expected a shed, got {other:?}"),
+        }
+    }
+
+    /// A host of one tenant whose `docs` dataset scans without a model
+    /// call: its runs take no virtual time at all.
+    fn host(max_runs: usize, max_queued: usize) -> ServeHost {
+        let mut host = ServeHost::new(ServeConfig {
+            admission: AdmissionConfig {
                 max_concurrent_runs: max_runs,
                 max_queued,
                 expected_run_secs: 10.0,
             },
-            VirtualClock::new(),
-        )
+            shared_cache: true,
+        });
+        host.add_tenant(TenantSpec::new("t"));
+        let items = vec![("a.txt".to_string(), "text".to_string())];
+        let source = MemorySource::new("docs", Schema::text_file(), items);
+        host.session_ctx("t")
+            .expect("tenant just added")
+            .registry
+            .register(Arc::new(source));
+        host
+    }
+
+    fn scan(session: &str, dataset: &str) -> SessionJob {
+        let plan = Dataset::source(dataset).build().expect("static plan");
+        SessionJob::new("t", session, plan)
     }
 
     #[test]
     fn admits_up_to_capacity_then_sheds_past_queue_bound() {
         let g = gate(2, 1);
-        let a = g.begin(0.0, None).unwrap();
-        let b = g.begin(0.0, None).unwrap();
-        assert_eq!(g.running(), 2);
-        // Third submission would queue; we shed the *fourth* by filling the
-        // queue from another thread and submitting once more.
-        let g2 = g.clone();
-        let queued = std::thread::spawn(move || g2.begin(0.0, None));
-        while g.state.lock().unwrap().queue.is_empty() {
-            std::thread::yield_now();
-        }
-        let err = g.begin(0.0, None).unwrap_err();
+        let a = admitted(g.arrive(0.0, None));
+        let b = admitted(g.arrive(0.0, None));
+        let c = queued(g.arrive(0.0, None));
+        let err = shed(g.arrive(0.0, None));
         assert!(err.is_overloaded(), "{err}");
         assert!(err.to_string().contains("queue full"), "{err}");
-        g.end(a, 12.0);
-        let c = queued.join().unwrap().unwrap();
-        g.end(b, 15.0);
-        g.end(c, 20.0);
+        // The first slot to free goes to the queued run.
+        assert_eq!(g.finish(a, 12.0).len(), 1);
+        assert!(g.finish(b, 15.0).is_empty());
+        assert!(g.finish(c, 20.0).is_empty());
         let s = g.stats();
         assert_eq!(s.admitted, 3);
         assert_eq!(s.shed_queue_full, 1);
-        assert_eq!(g.running(), 0);
         // EWMA moved off the 10s seed after three completions.
         assert!(s.ewma_run_secs > 10.0, "{}", s.ewma_run_secs);
+        // Every slot is free again.
+        admitted(g.arrive(20.0, None));
+        admitted(g.arrive(20.0, None));
     }
 
-    /// An announced batch splits into slots, queue and sheds by capacity
-    /// alone — even when a run takes no time at all, so the first ones
-    /// would otherwise be long gone before the last submission arrives.
+    /// A batch arriving at one instant splits into slots, queue and sheds
+    /// by capacity alone — even when a run takes no time at all.
     #[test]
     fn announced_batch_is_admitted_as_one_burst() {
-        for _ in 0..20 {
-            let g = gate(2, 2);
-            g.expect_batch(8);
-            std::thread::scope(|s| {
-                for _ in 0..8 {
-                    s.spawn(|| {
-                        if let Ok(ticket) = g.begin(0.0, None) {
-                            g.end(ticket, 1.0);
-                        }
-                    });
-                }
-            });
-            let stats = g.stats();
-            assert_eq!((stats.admitted, stats.shed_queue_full), (4, 4));
-            assert_eq!(stats.max_queue_depth, 2);
-            assert_eq!(g.running(), 0);
-        }
+        let host = host(2, 2);
+        let jobs = (0..8).map(|i| scan(&format!("s{i}"), "docs")).collect();
+        let report = host.serve(jobs);
+        let shed: Vec<bool> = report.outcomes.iter().map(|o| o.shed()).collect();
+        assert_eq!(shed, [false, false, false, false, true, true, true, true]);
+        let sessions: Vec<&str> = report.outcomes.iter().map(|o| o.session.as_str()).collect();
+        assert_eq!(sessions, ["s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7"]);
+        let stats = report.admission;
+        assert_eq!((stats.admitted, stats.shed_queue_full), (4, 4));
+        assert_eq!(stats.max_queue_depth, 2);
+        // No slot is left held.
+        let g = host.admission();
+        admitted(g.arrive(0.0, None));
+        admitted(g.arrive(0.0, None));
     }
 
+    /// A job that fails to optimize gives its slot back like any other
+    /// run: the rest of its batch runs.
     #[test]
     fn batch_member_that_never_arrives_is_written_off() {
-        let g = gate(2, 2);
-        g.expect_batch(2);
-        let g2 = g.clone();
-        let held = std::thread::spawn(move || g2.begin(0.0, None));
-        while g.running() == 0 {
-            std::thread::yield_now();
-        }
-        // The slot is taken but the run is held for the second member…
-        assert!(!held.is_finished());
-        // …until that member is known not to be coming.
-        g.batch_member_gone();
-        let ticket = held.join().unwrap().unwrap();
-        g.end(ticket, 1.0);
-        // With no batch announced, nothing is ever held.
-        let ticket = g.begin(1.0, None).unwrap();
-        g.end(ticket, 2.0);
+        let host = host(1, 2);
+        let jobs = vec![
+            scan("s0", "docs"),
+            scan("s1", "no-such-dataset"),
+            scan("s2", "docs"),
+        ];
+        let report = host.serve(jobs);
+        let ok: Vec<bool> = report.outcomes.iter().map(|o| o.result.is_ok()).collect();
+        assert_eq!(ok, [true, false, true]);
+        assert!(!report.outcomes[1].shed());
+        assert_eq!(report.admission.admitted, 3);
+        admitted(host.admission().arrive(0.0, None));
     }
 
     #[test]
     fn deadline_aware_shed_refuses_unmeetable_runs_immediately() {
         let g = gate(1, 8);
-        let _hold = g.begin(0.0, None).unwrap();
+        let hold = admitted(g.arrive(0.0, None));
         // Predicted wait with one slot and empty queue is ewma = 10s; a
         // 5s deadline cannot be met from the back of the queue.
-        let err = g.begin(0.0, Some(5.0)).unwrap_err();
+        let err = shed(g.arrive(0.0, Some(5.0)));
         assert!(err.is_overloaded());
         assert!(err.to_string().contains("deadline"), "{err}");
         assert_eq!(g.stats().shed_deadline, 1);
-        // A roomy deadline queues fine.
-        let g2 = g.clone();
-        let h = std::thread::spawn(move || g2.begin(0.0, Some(100.0)));
-        while g.state.lock().unwrap().queue.is_empty() {
-            std::thread::yield_now();
-        }
-        g.end(_hold, 1.0);
-        assert!(h.join().unwrap().is_ok());
+        // A roomy deadline queues fine and is admitted when the slot frees.
+        let roomy = queued(g.arrive(0.0, Some(100.0)));
+        let decided = g.finish(hold, 1.0);
+        assert!(matches!(decided[..], [(t, Ok(()))] if t == roomy));
+        // A queued run whose deadline passes before a slot frees is shed.
+        let late = queued(g.arrive(1.0, Some(50.0)));
+        let decided = g.finish(roomy, 60.0);
+        assert!(matches!(&decided[..], [(t, Err(e))] if *t == late && e.is_overloaded()));
+        assert_eq!(g.stats().shed_deadline, 2);
+        // A decided ticket does not wait.
+        assert!(g.wait(late).is_err());
     }
 
     #[test]
     fn fifo_order_among_queued_runs() {
         let g = gate(1, 8);
-        let hold = g.begin(0.0, None).unwrap();
-        let order = Arc::new(Mutex::new(Vec::new()));
-        std::thread::scope(|s| {
-            for i in 0..3u64 {
-                let g = g.clone();
-                let order = order.clone();
-                s.spawn(move || {
-                    // Serialize enqueue order by spinning until it's our turn
-                    // to submit.
-                    loop {
-                        let st = g.state.lock().unwrap();
-                        if st.queue.len() as u64 == i {
-                            break;
-                        }
-                        drop(st);
-                        std::thread::yield_now();
-                    }
-                    let t = g.begin(0.0, None).unwrap();
-                    order.lock().unwrap().push(i);
-                    g.end(t, 0.0);
-                });
-            }
-            while g.state.lock().unwrap().queue.len() < 3 {
-                std::thread::yield_now();
-            }
-            g.end(hold, 0.0);
-        });
-        assert_eq!(*order.lock().unwrap(), vec![0, 1, 2]);
+        let mut running = admitted(g.arrive(0.0, None));
+        let waiting: Vec<u64> = (0..3).map(|_| queued(g.arrive(0.0, None))).collect();
+        let mut order = Vec::new();
+        for now in 1..=3 {
+            let decided = g.finish(running, f64::from(now));
+            let [(next, Ok(()))] = decided[..] else {
+                panic!("one promotion per freed slot: {decided:?}");
+            };
+            order.push(next);
+            running = next;
+        }
+        assert_eq!(order, waiting);
+    }
+
+    /// Ending a ticket that holds no slot — a second end, or a ticket
+    /// never issued — frees nothing another run holds.
+    #[test]
+    fn ending_a_ticket_without_a_slot_frees_nothing() {
+        let g = gate(1, 1);
+        let a = g.begin(0.0, None).unwrap();
+        g.end(a, 1.0);
+        let b = g.begin(1.0, None).unwrap();
+        let before = g.stats();
+        g.end(a, 2.0);
+        g.end(999, 2.0);
+        assert_eq!(g.stats(), before);
+        // b still holds the only slot: the next arrival queues, as it would
+        // have before the stray ends.
+        queued(g.arrive(2.0, None));
+        g.end(b, 3.0);
     }
 }

@@ -1,39 +1,36 @@
-//! The session host: many tenants, many concurrent sessions, one
-//! substrate.
+//! The session host: many tenants, many sessions, one substrate.
 //!
 //! [`ServeHost`] assembles the per-tenant client stack
-//! (simulator → tracing → global fair scheduler → shared response cache),
-//! installs the admission controller on every tenant context, and drives
-//! batches of [`SessionJob`]s on real threads against the shared virtual
+//! (simulator → tracing → shared response cache), installs the admission
+//! controller on every tenant context, and serves batches of
+//! [`SessionJob`]s on the calling thread against the shared virtual
 //! clock, collecting per-session outcomes and aggregate
 //! [`ServeMetrics`].
 //!
 //! The stack order is deliberate:
 //!
 //! ```text
-//!   shared CachingClient          — hits are free and skip arbitration
-//!     └ ScheduledClient           — WFQ slot per provider call
-//!         └ TracedClient          — leaf span per provider call
-//!             └ SimulatedLlm      — tenant seed, faults, quota ledger
+//!   shared CachingClient          — hits are free and reach no provider
+//!     └ TracedClient              — leaf span per provider call
+//!         └ SimulatedLlm          — tenant seed, faults, quota ledger
 //! ```
 //!
-//! so a cache hit consumes no model slot (it uses no provider capacity)
-//! and a quota refusal never reaches the scheduler at all.
+//! so a cache hit makes no provider call (it uses no provider capacity)
+//! and the traced client's counters number exactly the calls that missed.
 
-use crate::admission::{AdmissionConfig, AdmissionController, AdmissionStats};
+use crate::admission::{AdmissionConfig, AdmissionController, AdmissionStats, Decision};
 use crate::metrics::{jain_fairness, percentile, ServeMetrics, TenantMetrics};
-use crate::scheduler::{GlobalScheduler, ScheduledClient, SchedulerStats};
+use crate::scheduler::{FairQueue, GlobalScheduler, SchedulerStats};
 use crate::tenant::{Tenant, TenantSpec};
-use pz_core::context::{AdmissionGate, PzContext};
+use pz_core::context::PzContext;
 use pz_core::error::{PzError, PzResult};
 use pz_core::exec::ExecutionConfig;
 use pz_core::ops::logical::LogicalPlan;
 use pz_core::optimizer::policy::Policy;
 use pz_core::ExecutionOutcome;
-use pz_llm::{CachingClient, Catalog, LlmClient, VirtualClock};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use pz_llm::{CachingClient, VirtualClock};
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 /// Host-level configuration.
 #[derive(Clone, Debug)]
@@ -106,6 +103,16 @@ pub struct SessionOutcome {
 }
 
 impl SessionOutcome {
+    fn of(job: &SessionJob, result: PzResult<ExecutionOutcome>, latency_secs: f64) -> Self {
+        Self {
+            tenant: job.tenant.clone(),
+            session: job.session.clone(),
+            interactive: job.interactive,
+            result,
+            latency_secs,
+        }
+    }
+
     /// Was this session shed (structured refusal, not a pipeline failure)?
     pub fn shed(&self) -> bool {
         matches!(&self.result, Err(e) if e.is_overloaded())
@@ -123,7 +130,6 @@ pub struct ServeReport {
 /// A multi-tenant pipeline serving host over the shared substrate.
 pub struct ServeHost {
     clock: VirtualClock,
-    catalog: Catalog,
     scheduler: GlobalScheduler,
     admission: AdmissionController,
     config: ServeConfig,
@@ -135,30 +141,17 @@ pub struct ServeHost {
 
 impl ServeHost {
     pub fn new(config: ServeConfig) -> Self {
-        let clock = VirtualClock::new();
-        let catalog = Catalog::builtin();
         Self {
-            scheduler: GlobalScheduler::new(&catalog),
-            admission: AdmissionController::new(config.admission, clock.clone()),
-            clock,
-            catalog,
+            clock: VirtualClock::new(),
+            scheduler: GlobalScheduler::default(),
+            admission: AdmissionController::new(config.admission),
             config,
             shared_cache: None,
             tenants: BTreeMap::new(),
         }
     }
 
-    /// The host's shared virtual clock.
-    pub fn clock(&self) -> &VirtualClock {
-        &self.clock
-    }
-
-    /// The model catalog all tenants share.
-    pub fn catalog(&self) -> &Catalog {
-        &self.catalog
-    }
-
-    /// The cross-tenant scheduler (for inspection).
+    /// Tenant weights and provider-call counts (for inspection).
     pub fn scheduler(&self) -> &GlobalScheduler {
         &self.scheduler
     }
@@ -169,31 +162,22 @@ impl ServeHost {
     }
 
     /// Provision a tenant: build its isolated context and wire it into the
-    /// shared scheduler, admission gate, and (optionally) shared cache.
+    /// run order, the admission gate, and (optionally) the shared cache.
     pub fn add_tenant(&mut self, spec: TenantSpec) -> &Tenant {
-        self.scheduler.register_tenant(&spec.id, spec.weight);
         let ledger = pz_llm::UsageLedger::with_quota(spec.quota);
         // Tenant-isolated base: own simulator (seed + faults), own ledger,
-        // own tracer/breakers — on the host's shared clock.
+        // own tracer/breakers — on the host's shared clock. It leaves a
+        // TracedClient over the simulator on ctx.llm; the cache goes
+        // outside it.
         let ctx = PzContext::simulated_shared(spec.sim_config(), self.clock.clone(), ledger);
-        // simulated_shared leaves a TracedClient over the simulator on
-        // ctx.llm; arbitration goes outside tracing, cache outside both.
-        let scheduled: Arc<dyn LlmClient> = Arc::new(ScheduledClient::new(
-            ctx.llm.clone(),
-            self.scheduler.clone(),
-            spec.id.clone(),
-        ));
+        (self.scheduler).register_tenant(&spec.id, spec.weight, ctx.tracer.clone());
+        let traced = ctx.llm.clone();
         let cache = if self.config.shared_cache {
-            match &self.shared_cache {
-                Some(proto) => proto.with_inner(scheduled),
-                None => {
-                    let first = CachingClient::new(scheduled);
-                    self.shared_cache = Some(first.clone());
-                    first
-                }
-            }
+            let proto =
+                (self.shared_cache).get_or_insert_with(|| CachingClient::new(traced.clone()));
+            proto.with_inner(traced)
         } else {
-            CachingClient::new(scheduled)
+            CachingClient::new(traced)
         }
         .with_faults(ctx.faults.clone())
         .with_tracer(ctx.tracer.clone())
@@ -218,83 +202,93 @@ impl ServeHost {
         self.tenants.get(tenant).map(|t| t.ctx.clone())
     }
 
-    /// Run one session inline (no extra thread), measured on the clock.
+    /// Run one session on the calling thread, measured on the clock. The
+    /// run passes the admission gate like a [`Self::serve`] job; told
+    /// "queued" — slots held by sessions on other threads — it waits until
+    /// one of them finishes.
     pub fn run_session(&self, job: SessionJob) -> SessionOutcome {
-        match self.session_ctx(&job.tenant) {
-            Some(ctx) => Self::run_on(&ctx, job),
-            None => Self::unknown_tenant(job),
-        }
+        let t0 = self.clock.now_secs();
+        let result = match self.session_ctx(&job.tenant) {
+            Some(ctx) => pz_core::execute(&ctx, &job.plan, &job.policy, job.config),
+            None => Err(PzError::UnknownTenant(job.tenant.clone())),
+        };
+        SessionOutcome::of(&job, result, self.clock.now_secs() - t0)
     }
 
-    /// A job naming a tenant this host never provisioned fails on its own,
-    /// with a structured error that is not a shed.
-    fn unknown_tenant(job: SessionJob) -> SessionOutcome {
-        SessionOutcome {
-            result: Err(PzError::UnknownTenant(job.tenant.clone())),
-            tenant: job.tenant,
-            session: job.session,
-            interactive: job.interactive,
-            latency_secs: 0.0,
-        }
-    }
-
-    fn run_on(ctx: &PzContext, job: SessionJob) -> SessionOutcome {
-        let t0 = ctx.clock.now_secs();
-        let result = pz_core::execute(ctx, &job.plan, &job.policy, job.config);
-        SessionOutcome {
-            tenant: job.tenant,
-            session: job.session,
-            interactive: job.interactive,
-            latency_secs: ctx.clock.now_secs() - t0,
-            result,
-        }
-    }
-
-    /// Drive a batch of sessions concurrently — one thread per job, all
-    /// submitting together — and aggregate the outcome into serving
-    /// metrics. Admission decides who runs, queues, or is shed; the
-    /// scheduler arbitrates model slots among the admitted. "Together" is
-    /// enforced at the gate ([`AdmissionController::expect_batch`]): no
-    /// admitted run starts before every job has been admitted, queued or
-    /// shed, so the split does not depend on how long a run takes. A job
-    /// naming an unknown tenant fails alone and is not waited for.
+    /// Serve a batch of sessions on the calling thread and aggregate the
+    /// outcome into serving metrics. Every job arrives at the same instant,
+    /// in submission order: admission gives the first ones a slot, queues
+    /// the next and sheds the rest. Admitted runs then go one whole run at
+    /// a time, in weighted-fair order across tenants (`FairQueue`); each
+    /// run's end promotes the queue head, or sheds it if its deadline —
+    /// counted from submission — has passed. Outcomes come back in
+    /// submission order, with latency from submission to completion on the
+    /// host clock, so the report is a function of the jobs alone. A job
+    /// naming an unknown tenant fails alone.
     pub fn serve(&self, jobs: Vec<SessionJob>) -> ServeReport {
-        let t_start = self.clock.now_secs();
-        let submitted = jobs.len();
-        let mut outcomes = Vec::with_capacity(submitted);
-        let mut runnable = Vec::with_capacity(submitted);
-        for job in jobs {
-            match self.session_ctx(&job.tenant) {
-                Some(ctx) => runnable.push((ctx, job)),
-                None => outcomes.push(Self::unknown_tenant(job)),
+        let t0 = self.clock.now_secs();
+        let deadline = |job: &SessionJob| job.config.deadline_secs.map(|d| t0 + d);
+        // Each job's result and latency, once it has them.
+        let mut ends: Vec<Option<(PzResult<ExecutionOutcome>, f64)>> =
+            jobs.iter().map(|_| None).collect();
+        let mut tickets = vec![0; jobs.len()];
+        let mut ready = FairQueue::default();
+        // Queued jobs, as (ticket, job), in queue order.
+        let mut queued = VecDeque::new();
+        let mut decided = Vec::new();
+        for (i, job) in jobs.iter().enumerate() {
+            match self.tenants.get(&job.tenant) {
+                Some(_) => decided.push((i, self.admission.arrive(t0, deadline(job)))),
+                None => ends[i] = Some((Err(PzError::UnknownTenant(job.tenant.clone())), 0.0)),
             }
         }
-        let barrier = Arc::new(Barrier::new(runnable.len()));
-        let outcomes = Arc::new(Mutex::new(outcomes));
-        self.admission.expect_batch(runnable.len());
-        std::thread::scope(|s| {
-            for (ctx, job) in runnable {
-                let ctx = ctx.with_admission(Arc::new(BatchMember {
-                    gate: self.admission.clone(),
-                    reached_gate: AtomicBool::new(false),
-                }));
-                let barrier = barrier.clone();
-                let outcomes = outcomes.clone();
-                s.spawn(move || {
-                    barrier.wait();
-                    let outcome = Self::run_on(&ctx, job);
-                    outcomes.lock().unwrap().push(outcome);
-                });
+        loop {
+            for (i, decision) in decided.drain(..) {
+                match decision {
+                    Decision::Admitted(ticket) => {
+                        tickets[i] = ticket;
+                        let tenant = &jobs[i].tenant;
+                        ready.push(tenant, self.scheduler.weight(tenant), i);
+                    }
+                    Decision::Queued(ticket) => queued.push_back((ticket, i)),
+                    Decision::Shed(e) => ends[i] = Some((Err(e), self.clock.now_secs() - t0)),
+                }
             }
-        });
-        let outcomes = Arc::into_inner(outcomes)
-            .expect("all session threads joined")
-            .into_inner()
-            .unwrap();
-        let metrics = self.aggregate(&outcomes, submitted, t_start);
+            let Some(i) = ready.pop() else {
+                // Nothing admitted is left to run, yet jobs wait: live
+                // sessions on other threads hold the slots.
+                let Some((ticket, i)) = queued.pop_front() else {
+                    break;
+                };
+                decided.push((i, settled(ticket, self.admission.wait(ticket))));
+                continue;
+            };
+            // Past the gate already, with what is left of its deadline.
+            let job = &jobs[i];
+            let mut ctx = self.tenants[&job.tenant].ctx.clone();
+            ctx.admission = None;
+            let mut config = job.config;
+            config.deadline_secs = deadline(job).map(|d| d - self.clock.now_secs());
+            let result = pz_core::execute(&ctx, &job.plan, &job.policy, config);
+            let now = self.clock.now_secs();
+            ends[i] = Some((result, now - t0));
+            for (ticket, decision) in self.admission.finish(tickets[i], now) {
+                // Promotions leave the queue in order; tickets this batch
+                // does not hold belong to live callers.
+                if let Some(&(ours, j)) = queued.front().filter(|(t, _)| *t == ticket) {
+                    queued.pop_front();
+                    decided.push((j, settled(ours, decision)));
+                }
+            }
+        }
+        let outcomes: Vec<SessionOutcome> = (jobs.iter().zip(ends))
+            .filter_map(|(job, end)| {
+                end.map(|(result, latency)| SessionOutcome::of(job, result, latency))
+            })
+            .collect();
         ServeReport {
+            metrics: self.aggregate(&outcomes, jobs.len(), t0),
             outcomes,
-            metrics,
             scheduler: self.scheduler.stats(),
             admission: self.admission.stats(),
         }
@@ -349,36 +343,7 @@ impl ServeHost {
     }
 }
 
-/// One job of a [`ServeHost::serve`] batch at the admission gate. The gate
-/// holds the batch until every member has reached it; a member that never
-/// will — its plan failed to optimize, its thread panicked — is written off
-/// when its context drops, so the others are not held for it.
-struct BatchMember {
-    gate: AdmissionController,
-    reached_gate: AtomicBool,
-}
-
-impl AdmissionGate for BatchMember {
-    fn begin(&self, now_secs: f64, deadline_at_secs: Option<f64>) -> PzResult<u64> {
-        self.reached_gate.store(true, Ordering::Relaxed);
-        self.gate.begin(now_secs, deadline_at_secs)
-    }
-
-    fn end(&self, ticket: u64, now_secs: f64) {
-        self.gate.end(ticket, now_secs);
-    }
-}
-
-impl Drop for BatchMember {
-    fn drop(&mut self) {
-        if !*self.reached_gate.get_mut() {
-            self.gate.batch_member_gone();
-        }
-    }
-}
-
-/// Convenience check used by tests and the bench harness: did `e` shed
-/// with the structured overload error (as opposed to failing)?
-pub fn is_shed(e: &PzError) -> bool {
-    e.is_overloaded()
+/// A queued ticket's fate as an arrival decision.
+fn settled(ticket: u64, admitted: PzResult<()>) -> Decision {
+    admitted.map_or_else(Decision::Shed, |()| Decision::Admitted(ticket))
 }

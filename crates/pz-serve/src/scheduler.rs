@@ -1,376 +1,133 @@
-//! Cross-session weighted-fair model scheduling.
+//! Weighted-fair run order and the host's provider-call count.
 //!
-//! Each [`pz_llm::ModelCard`] advertises a `max_concurrency` — the
-//! provider-side cap on simultaneous requests. Inside a single run the
-//! executor's worker pools already respect it, but a serving host runs
-//! *many* pipelines at once over the same provider pool, so the cap has to
-//! be arbitrated globally: [`GlobalScheduler`] holds one slot table per
-//! model and every tenant's client acquires a slot before each call.
-//!
-//! Arbitration is weighted fair queueing (start-time fair queueing over
-//! unit-cost requests): each tenant carries a weight, each granted request
-//! advances the tenant's virtual finish tag by `1/weight`, and a freed
-//! slot goes to the waiter with the smallest tag (FIFO within a tenant).
-//! An interactive tenant with weight 4 therefore gets four slots for every
-//! one a weight-1 batch tenant gets while both are backlogged — a
-//! 1M-record batch job cannot starve chat turns — while an idle tenant's
-//! tag is clamped up to the scheduler's virtual time on arrival so it
-//! cannot bank service while away and then monopolize the pool.
-//!
-//! Blocking is on a condvar, not the virtual clock: simulated calls are
-//! instantaneous in wall time, so a waiter is always unblocked by the
-//! thread currently holding the slot finishing its call.
+//! A serving host runs its admitted sessions one whole run at a time
+//! (see `ServeHost::serve`), so what tenants compete for is their turn.
+//! The order is start-time fair queueing over unit-cost runs: each tenant
+//! carries a weight, each run it is handed advances the tenant's virtual
+//! finish tag by `1/weight`, and the host next runs the admitted run with
+//! the smallest tag (submission order breaks ties). An interactive
+//! tenant with weight 4 therefore gets four runs for every one a weight-1
+//! batch tenant gets while both are backlogged — a deep batch backlog
+//! cannot starve chat turns — while an idle tenant's tag is clamped up to
+//! the virtual time on arrival so it cannot bank service while away and
+//! then monopolize the host. `FairQueue` computes the tags from its
+//! inputs alone: no lock, no clock.
 
-use pz_llm::{
-    Catalog, CompletionRequest, CompletionResponse, EmbeddingRequest, EmbeddingResponse, LlmClient,
-    LlmError, ModelId,
-};
+use pz_obs::Tracer;
 use serde::Serialize;
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
 
-/// Counters describing the scheduler's life so far.
+/// Counters describing the provider calls a host has made.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
 pub struct SchedulerStats {
-    /// Slots granted (one per model call that went through arbitration).
+    /// Provider calls that missed the response cache, failed ones
+    /// included: one per call a tenant's traced client recorded.
     pub granted: u64,
-    /// Grants that had to wait for a slot or for their fair turn.
-    pub queued: u64,
-    /// High-water mark of simultaneous waiters.
-    pub max_waiters: usize,
 }
 
-struct TenantState {
-    weight: f64,
-    /// Virtual finish tag of this tenant's most recently enqueued request.
-    next_tag: f64,
-}
-
-struct Waiter {
-    seq: u64,
-    tag: f64,
-    model: ModelId,
-}
-
-struct SchedState {
-    caps: HashMap<ModelId, usize>,
-    in_flight: HashMap<ModelId, usize>,
-    tenants: HashMap<String, TenantState>,
-    waiters: Vec<Waiter>,
-    /// Virtual time: finish tag of the most recently granted request.
-    /// Newly active tenants start here, so idle time banks no credit.
-    vtime: f64,
-    seq: u64,
-    stats: SchedulerStats,
-}
-
-impl SchedState {
-    /// Is `seq` the front of the queue for its model — smallest finish
-    /// tag, ties broken by arrival order?
-    fn is_front(&self, seq: u64, model: &ModelId) -> bool {
-        let me = match self.waiters.iter().find(|w| w.seq == seq) {
-            Some(w) => w,
-            None => return false,
-        };
-        self.waiters
-            .iter()
-            .filter(|w| &w.model == model)
-            .all(|w| (w.tag, w.seq) >= (me.tag, me.seq))
-    }
-}
-
-/// Arbitration of per-model concurrency caps across every session a host
-/// runs. Clones share state.
-#[derive(Clone)]
+/// The host's tenants as the run order sees them: weights, and the
+/// tracers whose counters number their provider calls.
+#[derive(Default)]
 pub struct GlobalScheduler {
-    state: Arc<Mutex<SchedState>>,
-    cond: Arc<Condvar>,
+    weights: HashMap<String, f64>,
+    tracers: Vec<Tracer>,
 }
 
 impl GlobalScheduler {
-    /// Scheduler enforcing `catalog`'s per-model `max_concurrency` caps.
-    /// Models with cap 0 (and unknown models) are unlimited.
-    pub fn new(catalog: &Catalog) -> Self {
-        let caps = catalog
-            .iter()
-            .map(|card| (card.id.clone(), card.max_concurrency))
-            .collect();
-        Self {
-            state: Arc::new(Mutex::new(SchedState {
-                caps,
-                in_flight: HashMap::new(),
-                tenants: HashMap::new(),
-                waiters: Vec::new(),
-                vtime: 0.0,
-                seq: 0,
-                stats: SchedulerStats::default(),
-            })),
-            cond: Arc::new(Condvar::new()),
-        }
+    /// Register a tenant with its relative share. Weights are clamped to a
+    /// small positive floor so a zero weight cannot push a tenant's runs
+    /// behind everyone's forever.
+    pub(crate) fn register_tenant(&mut self, tenant: &str, weight: f64, tracer: Tracer) {
+        self.weights.insert(tenant.to_string(), weight.max(1e-6));
+        self.tracers.push(tracer);
     }
 
-    /// Register (or re-weight) a tenant. Weights are relative shares;
-    /// unregistered tenants get weight 1. Weights are clamped to a small
-    /// positive floor so a zero weight cannot stall the queue forever.
-    pub fn register_tenant(&self, tenant: &str, weight: f64) {
-        let mut st = self.state.lock().unwrap();
-        let vtime = st.vtime;
-        let entry = st.tenants.entry(tenant.to_string()).or_insert(TenantState {
-            weight: 1.0,
-            next_tag: vtime,
-        });
-        entry.weight = weight.max(1e-6);
+    /// A tenant's weight; 1 for a tenant never registered.
+    pub fn weight(&self, tenant: &str) -> f64 {
+        self.weights.get(tenant).copied().unwrap_or(1.0)
     }
 
-    /// Acquire a slot for one `model` call on behalf of `tenant`, blocking
-    /// until the weighted-fair queue grants it. The returned guard releases
-    /// the slot on drop.
-    pub fn acquire(&self, tenant: &str, model: &ModelId) -> SlotGuard {
-        let mut st = self.state.lock().unwrap();
-        let cap = st.caps.get(model).copied().unwrap_or(0);
-        if cap == 0 {
-            // Unlimited model: count it in-flight (for observability) but
-            // never queue.
-            *st.in_flight.entry(model.clone()).or_insert(0) += 1;
-            st.stats.granted += 1;
-            return self.guard(model.clone());
-        }
-        // Enqueue with a start-time-fair finish tag.
-        let vtime = st.vtime;
-        let entry = st.tenants.entry(tenant.to_string()).or_insert(TenantState {
-            weight: 1.0,
-            next_tag: vtime,
-        });
-        let start = entry.next_tag.max(vtime);
-        let tag = start + 1.0 / entry.weight;
-        entry.next_tag = tag;
-        let seq = st.seq;
-        st.seq += 1;
-        st.waiters.push(Waiter {
-            seq,
-            tag,
-            model: model.clone(),
-        });
-        let depth = st.waiters.len();
-        st.stats.max_waiters = st.stats.max_waiters.max(depth);
-        let mut waited = false;
-        loop {
-            let in_flight = st.in_flight.get(model).copied().unwrap_or(0);
-            if in_flight < cap && st.is_front(seq, model) {
-                st.waiters.retain(|w| w.seq != seq);
-                *st.in_flight.entry(model.clone()).or_insert(0) += 1;
-                st.vtime = st.vtime.max(tag);
-                st.stats.granted += 1;
-                if waited {
-                    st.stats.queued += 1;
-                }
-                // Another waiter may now be front for a different model.
-                self.cond.notify_all();
-                return self.guard(model.clone());
-            }
-            waited = true;
-            st = self.cond.wait(st).unwrap();
-        }
-    }
-
-    /// Snapshot of grant/queue counters.
+    /// Provider calls so far, read off every tenant's tracer counters
+    /// (since the tracer was last reset).
     pub fn stats(&self) -> SchedulerStats {
-        self.state.lock().unwrap().stats
-    }
-
-    /// Requests currently holding a slot for `model`.
-    pub fn in_flight(&self, model: &ModelId) -> usize {
-        self.state
-            .lock()
-            .unwrap()
-            .in_flight
-            .get(model)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    fn guard(&self, model: ModelId) -> SlotGuard {
-        SlotGuard {
-            sched: self.clone(),
-            model,
-        }
-    }
-
-    fn release(&self, model: &ModelId) {
-        let mut st = self.state.lock().unwrap();
-        if let Some(n) = st.in_flight.get_mut(model) {
-            *n = n.saturating_sub(1);
-        }
-        drop(st);
-        self.cond.notify_all();
-    }
-}
-
-/// RAII slot: releases its model slot (and wakes waiters) on drop.
-pub struct SlotGuard {
-    sched: GlobalScheduler,
-    model: ModelId,
-}
-
-impl Drop for SlotGuard {
-    fn drop(&mut self) {
-        self.sched.release(&self.model);
-    }
-}
-
-/// A client wrapper that routes every call through the global scheduler on
-/// behalf of one tenant. Sits *inside* any shared cache, so cache hits
-/// bypass arbitration entirely (they consume no provider capacity).
-pub struct ScheduledClient {
-    inner: Arc<dyn LlmClient>,
-    sched: GlobalScheduler,
-    tenant: String,
-}
-
-impl ScheduledClient {
-    pub fn new(
-        inner: Arc<dyn LlmClient>,
-        sched: GlobalScheduler,
-        tenant: impl Into<String>,
-    ) -> Self {
-        Self {
-            inner,
-            sched,
-            tenant: tenant.into(),
+        let calls = |t: &Tracer| {
+            ["llm.completions", "llm.embeddings", "llm.errors"]
+                .iter()
+                .map(|name| t.counter(name))
+                .sum::<u64>()
+        };
+        SchedulerStats {
+            granted: self.tracers.iter().map(calls).sum(),
         }
     }
 }
 
-impl LlmClient for ScheduledClient {
-    fn complete(&self, req: &CompletionRequest) -> Result<CompletionResponse, LlmError> {
-        let _slot = self.sched.acquire(&self.tenant, &req.model);
-        self.inner.complete(req)
+/// Admitted runs waiting for their turn, handed out in start-time-fair
+/// order.
+#[derive(Default)]
+pub(crate) struct FairQueue {
+    /// `(finish tag, job)` of every waiting run; `job` is its submission
+    /// index.
+    ready: Vec<(f64, usize)>,
+    /// Each tenant's most recent finish tag.
+    last_tag: HashMap<String, f64>,
+    /// Finish tag of the run handed out last: a tenant that was idle
+    /// starts from here.
+    vtime: f64,
+}
+
+impl FairQueue {
+    /// Queue run `job` of `tenant`, whose weight is `weight`.
+    pub(crate) fn push(&mut self, tenant: &str, weight: f64, job: usize) {
+        let last = self.last_tag.entry(tenant.to_string()).or_insert(0.0);
+        let tag = last.max(self.vtime) + 1.0 / weight;
+        *last = tag;
+        self.ready.push((tag, job));
     }
 
-    fn embed(&self, req: &EmbeddingRequest) -> Result<EmbeddingResponse, LlmError> {
-        let _slot = self.sched.acquire(&self.tenant, &req.model);
-        self.inner.embed(req)
+    /// The waiting run with the smallest `(tag, job)`, if any.
+    pub(crate) fn pop(&mut self) -> Option<usize> {
+        let next = (0..self.ready.len()).min_by(|&a, &b| {
+            let ((ta, ja), (tb, jb)) = (self.ready[a], self.ready[b]);
+            ta.total_cmp(&tb).then(ja.cmp(&jb))
+        })?;
+        let (tag, job) = self.ready.swap_remove(next);
+        self.vtime = self.vtime.max(tag);
+        Some(job)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Barrier;
 
-    fn tiny_catalog(cap: usize) -> Catalog {
-        let mut c = Catalog::new();
-        let mut card = Catalog::builtin().get(&"gpt-4o".into()).unwrap().clone();
-        card.max_concurrency = cap;
-        c.insert(card);
-        c
-    }
-
-    #[test]
-    fn cap_bounds_concurrent_holders() {
-        let sched = GlobalScheduler::new(&tiny_catalog(2));
-        let model: ModelId = "gpt-4o".into();
-        let peak = Arc::new(AtomicUsize::new(0));
-        let live = Arc::new(AtomicUsize::new(0));
-        let barrier = Arc::new(Barrier::new(8));
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                let sched = sched.clone();
-                let model = model.clone();
-                let peak = peak.clone();
-                let live = live.clone();
-                let barrier = barrier.clone();
-                s.spawn(move || {
-                    barrier.wait();
-                    for _ in 0..10 {
-                        let _slot = sched.acquire("t", &model);
-                        let now = live.fetch_add(1, Ordering::SeqCst) + 1;
-                        peak.fetch_max(now, Ordering::SeqCst);
-                        live.fetch_sub(1, Ordering::SeqCst);
-                    }
-                });
-            }
-        });
-        assert!(peak.load(Ordering::SeqCst) <= 2, "cap violated");
-        assert_eq!(sched.stats().granted, 80);
-        assert_eq!(sched.in_flight(&model), 0);
-    }
-
-    #[test]
-    fn unknown_or_uncapped_models_never_queue() {
-        let sched = GlobalScheduler::new(&tiny_catalog(2));
-        let a = sched.acquire("t", &"never-heard-of-it".into());
-        let b = sched.acquire("t", &"never-heard-of-it".into());
-        drop(a);
-        drop(b);
-        assert_eq!(sched.stats().queued, 0);
-        assert_eq!(sched.stats().granted, 2);
-    }
-
-    /// WFQ: with one slot and both tenants' backlogs fully enqueued, the
-    /// weight-4 tenant's requests (finish tags 0.25, 0.5, … 2.5) are
-    /// granted ahead of the weight-1 tenant's (tags 1, 2, … 10) — a deep
-    /// batch backlog cannot starve interactive traffic.
+    /// Ten runs of a weight-1 batch tenant, submitted first, and ten of a
+    /// weight-4 chat tenant: the chat tenant's tags (0.25, 0.5, … 2.5) run
+    /// ahead of the batch tenant's (1, 2, … 10), four to one, and the
+    /// batch tenant still finishes all ten.
     #[test]
     fn weighted_fairness_interleaves_backlogged_tenants() {
-        let sched = GlobalScheduler::new(&tiny_catalog(1));
-        sched.register_tenant("chat", 4.0);
-        sched.register_tenant("batch", 1.0);
-        let model: ModelId = "gpt-4o".into();
-        let order = Arc::new(Mutex::new(Vec::<&'static str>::new()));
-        // Hold the only slot so every waiter is enqueued before any grant
-        // decision happens; grant order is then purely tag-driven.
-        let hold = sched.acquire("warm", &model);
-        std::thread::scope(|s| {
-            for name in ["batch", "chat"] {
-                for _ in 0..10 {
-                    let sched = sched.clone();
-                    let model = model.clone();
-                    let order = order.clone();
-                    s.spawn(move || {
-                        let slot = sched.acquire(name, &model);
-                        order.lock().unwrap().push(name);
-                        drop(slot);
-                    });
-                }
-            }
-            // All 20 enqueued behind the held slot (+1 for the holder's own
-            // pass through the queue), then open the floodgate.
-            while sched.stats().max_waiters < 20 {
-                std::thread::yield_now();
-            }
-            drop(hold);
-        });
-        let order = order.lock().unwrap();
-        assert_eq!(order.len(), 20);
-        // All 10 chat tags are ≤ 2.5; only batch tags 1.0 and 2.0 can tie
-        // into that range, so the first 10 grants hold at least 8 chats.
-        let chat_head = order.iter().take(10).filter(|n| **n == "chat").count();
-        assert!(
-            chat_head >= 8,
-            "weight-4 tenant got only {chat_head}/10 of the head: {order:?}"
-        );
-        // And nobody is starved: batch finishes all 10.
-        assert_eq!(order.iter().filter(|n| **n == "batch").count(), 10);
-    }
+        let mut q = FairQueue::default();
+        for job in 0..20 {
+            let (tenant, weight) = if job < 10 { ("b", 1.0) } else { ("c", 4.0) };
+            q.push(tenant, weight, job);
+        }
+        let order: String = std::iter::from_fn(|| q.pop())
+            .map(|job| if job < 10 { 'b' } else { 'c' })
+            .collect();
+        // A tie goes to the earlier submission.
+        assert_eq!(order, "cccbccccbcccbbbbbbbb");
+        let chat_head = order.chars().take(10).filter(|&n| n == 'c').count();
+        assert_eq!(chat_head, 8);
 
-    #[test]
-    fn scheduled_client_routes_calls_through_slots() {
-        use pz_llm::{SimConfig, SimulatedLlm, UsageLedger, VirtualClock};
-        let sim = Arc::new(SimulatedLlm::new(
-            Catalog::builtin(),
-            SimConfig::default(),
-            VirtualClock::new(),
-            UsageLedger::new(),
-        ));
-        let sched = GlobalScheduler::new(sim.catalog());
-        let client = ScheduledClient::new(sim, sched.clone(), "t");
-        let resp = client
-            .complete(&CompletionRequest::new("gpt-4o", "hello"))
-            .unwrap();
-        assert!(!resp.text.is_empty());
-        assert_eq!(sched.stats().granted, 1);
-        assert_eq!(sched.in_flight(&"gpt-4o".into()), 0);
+        // A tenant that arrives later starts at the virtual time: it banked
+        // nothing while away, and takes its turn after the runs already
+        // tagged ahead of it.
+        let mut q = FairQueue::default();
+        q.push("b", 1.0, 0);
+        q.push("b", 1.0, 1);
+        assert_eq!(q.pop(), Some(0));
+        q.push("late", 1.0, 2);
+        assert_eq!((q.pop(), q.pop()), (Some(1), Some(2)));
     }
 }

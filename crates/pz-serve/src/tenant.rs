@@ -6,22 +6,21 @@
 //! tenant's outage storm trips only its own breakers and one tenant's
 //! spend can never land on another's bill. What tenants *share* — by
 //! construction, not by accident — is the virtual clock (one timebase),
-//! the model catalog, the global per-model concurrency scheduler, the
-//! admission controller, and (optionally) the exact-match response cache,
-//! whose keys are pure content hashes audited in `pz_llm::cache` to be
-//! leak-free.
+//! the model catalog, the admission controller, and (optionally) the
+//! exact-match response cache, whose keys are pure content hashes audited
+//! in `pz_llm::cache` to be leak-free.
 
 use pz_core::context::PzContext;
-use pz_llm::{FaultPlan, Quota, SimConfig, UsageLedger};
+use pz_llm::{FaultPlan, Quota, SimConfig};
 use serde::{Deserialize, Serialize};
 
 /// Declarative description of one tenant.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct TenantSpec {
-    /// Stable identifier (also the scheduler's fair-queueing key).
+    /// Stable identifier (also the key of its place in the run order).
     pub id: String,
-    /// Relative scheduler share. Interactive tenants typically get a
-    /// larger weight than batch tenants.
+    /// Relative share of the host's runs. Interactive tenants typically
+    /// get a larger weight than batch tenants.
     pub weight: f64,
     /// Hard budget; `Quota::unlimited()` for none. Enforced atomically at
     /// the billing point — an over-budget call is refused, never billed.
@@ -80,13 +79,6 @@ pub struct Tenant {
     /// clone to each of the tenant's sessions keeps them on one ledger,
     /// one breaker set, one tracer.
     pub ctx: PzContext,
-}
-
-impl Tenant {
-    /// The tenant's own ledger (quota-bearing).
-    pub fn ledger(&self) -> &UsageLedger {
-        &self.ctx.ledger
-    }
 }
 
 #[cfg(test)]

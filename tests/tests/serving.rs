@@ -66,8 +66,8 @@ fn tenant_seed(id: &str) -> u64 {
 
 /// Provision `host` with the given slice of a traffic plan and build its
 /// session jobs. Deadlines are only attached when `use_deadlines` — the
-/// parity tests keep them off because concurrent neighbors advance the
-/// shared clock, which would make deadline hits themselves load-dependent.
+/// parity tests keep them off because neighbors advance the shared clock,
+/// which would make deadline hits themselves load-dependent.
 fn provision(
     host: &mut ServeHost,
     tenants: &[traffic::TenantTraffic],
@@ -312,9 +312,8 @@ fn shared_cache_dedups_identical_workloads_without_cost_shift() {
     assert_eq!(a_cost, solo_cost, "first tenant pays exactly its solo bill");
     assert_eq!(b_reqs, 0, "second tenant's calls all hit the shared cache");
     assert_eq!(b_cost, 0.0, "cache hits are free, not re-billed");
-    // Reduce-only also under true concurrency: neither tenant can ever
-    // exceed its solo bill (a racing double-miss just re-pays the solo
-    // price for that call).
+    // Reduce-only also when served as one batch: neither tenant can ever
+    // exceed its solo bill.
     let mut chost = ServeHost::new(open_admission(2));
     let ja = build(&mut chost, "alpha");
     let jb = build(&mut chost, "beta");
@@ -516,7 +515,7 @@ fn e18_brownout_storm_never_leaks_into_neighbor() {
 
 /// Overload: 2× more submissions than the host will hold. The host sheds
 /// the excess with structured `Overloaded` errors (bounded queue), every
-/// thread returns (no hangs), admitted sessions complete, and the shed
+/// submission returns (no hangs), admitted sessions complete, and the shed
 /// errors carry a usable retry-after.
 #[test]
 fn overload_sheds_with_structured_errors_and_bounded_latency() {
@@ -543,10 +542,8 @@ fn overload_sheds_with_structured_errors_and_bounded_latency() {
             ));
         }
     }
-    // 8 sessions into 2 slots + 2 queue spots: at least 2 must shed (all 8
-    // submit together at the barrier; grants free slots as runs finish, so
-    // more than 4 may ultimately complete — but the queue bound guarantees
-    // sheds at the initial burst).
+    // 8 sessions into 2 slots + 2 queue spots: all 8 arrive at one
+    // instant, so the queue bound sheds the last 4 of the burst.
     let report = host.serve(jobs);
     assert_eq!(report.outcomes.len(), 8, "every submission returned");
     assert!(
@@ -747,4 +744,106 @@ fn cached_sessions_of_one_tenant_replan_as_they_do_alone() {
             assert_eq!(swaps(o), alone[i], "{} decided otherwise", o.session);
         }
     }
+}
+
+/// `serve()` is a function of its jobs: the same batch on two fresh hosts
+/// gives the same outcomes in submission order (latencies bit for bit),
+/// metrics, admission counters, scheduler grants and per-tenant traces —
+/// at open admission and under E20's overload (2 slots, 2 queued, 12 jobs).
+#[test]
+fn serve_is_a_function_of_its_jobs() {
+    let plan = traffic::generate(TrafficConfig {
+        tenants: 4,
+        sessions_per_tenant: 3,
+        interactive_fraction: 0.5,
+        docs_per_session: 4,
+        seed: 20,
+        ..Default::default()
+    });
+    let n_jobs = plan.total_sessions();
+    let overload = ServeConfig {
+        admission: AdmissionConfig {
+            max_concurrent_runs: 2,
+            max_queued: 2,
+            expected_run_secs: 30.0,
+        },
+        shared_cache: true,
+    };
+    for config in [open_admission(n_jobs), overload] {
+        let run = || {
+            let mut host = ServeHost::new(config.clone());
+            let jobs = provision(&mut host, &plan.tenants, true);
+            let report = host.serve(jobs);
+            let outcomes: Vec<_> = (report.outcomes.iter())
+                .map(|o| {
+                    let kind = match &o.result {
+                        Ok(_) => "ok".to_string(),
+                        Err(e) => format!("{e:?}"),
+                    };
+                    (o.session.clone(), kind, o.latency_secs.to_bits())
+                })
+                .collect();
+            let traces: Vec<String> = (plan.tenants.iter())
+                .map(|t| host.tenant(&t.id).unwrap().ctx.tracer.snapshot().to_jsonl())
+                .collect();
+            let grants = report.scheduler.granted;
+            (outcomes, report.metrics, report.admission, grants, traces)
+        };
+        let (first, second) = (run(), run());
+        assert_eq!(first.0.len(), n_jobs);
+        assert_eq!(first.0, second.0, "outcomes");
+        assert_eq!(first.1, second.1, "metrics");
+        assert_eq!(first.2, second.2, "admission");
+        assert_eq!(first.3, second.3, "scheduler grants");
+        assert!(first.4 == second.4, "a tenant's trace differs");
+    }
+}
+
+/// The live path: with the only slot held, a `run_session` on another
+/// thread is queued and waits; freeing the slot lets it run. A `serve`
+/// batch queued behind a slot held that way waits for it the same way.
+#[test]
+fn live_session_waits_for_a_held_slot_then_runs() {
+    use pz_core::context::AdmissionGate;
+    let one_slot = || {
+        let mut host = ServeHost::new(ServeConfig {
+            admission: AdmissionConfig {
+                max_concurrent_runs: 1,
+                max_queued: 1,
+                expected_run_secs: 30.0,
+            },
+            shared_cache: true,
+        });
+        host.add_tenant(TenantSpec::new("t").with_seed(3));
+        register_corpus(&host.session_ctx("t").unwrap(), "docs", 42, 3);
+        host
+    };
+    // Hold the only slot, start `submit` on another thread, wait until its
+    // run is queued, check it has not run, free the slot, and collect it.
+    fn behind_held_slot<T: Send>(host: &ServeHost, submit: impl FnOnce() -> T + Send) -> T {
+        let held = host.admission().begin(0.0, None).unwrap();
+        std::thread::scope(|s| {
+            let waiter = s.spawn(submit);
+            while host.admission().stats().max_queue_depth == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            assert!(
+                !waiter.is_finished(),
+                "a queued run went past the held slot"
+            );
+            host.admission().end(held, 0.0);
+            waiter.join().unwrap()
+        })
+    }
+    let host = one_slot();
+    let job = SessionJob::new("t", "s", session_plan("docs"));
+    let out = behind_held_slot(&host, || host.run_session(job));
+    assert!(out.result.is_ok(), "{:?}", out.result.as_ref().err());
+    assert_eq!(host.admission().stats().admitted, 2);
+
+    let host = one_slot();
+    let jobs = vec![SessionJob::new("t", "b", session_plan("docs"))];
+    let report = behind_held_slot(&host, || host.serve(jobs));
+    assert_eq!(report.metrics.sessions_completed, 1);
+    assert_eq!(host.admission().stats().admitted, 2);
 }
