@@ -76,19 +76,13 @@ pub fn register_dataset_tool(session: SessionHandle) -> Arc<dyn Tool> {
                     .and_then(|v| v.as_str())
                     .unwrap_or("local-dir")
                     .to_string();
-                state.ctx.registry.register(Arc::new(DirectorySource::new(
-                    name.clone(),
-                    Schema::pdf_file(),
-                    &dir,
-                )));
-                // Validate eagerly so bad paths fail at registration.
-                let n = state
-                    .ctx
-                    .registry
-                    .get(&name)
-                    .and_then(|s| s.records(0))
-                    .map_err(|e| tool_err("register_dataset", e))?
-                    .len();
+                // A folder that cannot be listed fails here and replaces
+                // nothing; its files are read when a run scans them.
+                let folder = DirectorySource::new(name.clone(), Schema::pdf_file(), &dir);
+                let n = folder
+                    .file_count()
+                    .map_err(|e| tool_err("register_dataset", e))?;
+                state.ctx.registry.register(Arc::new(folder));
                 state.dataset = Some(name.clone());
                 state.notebook.push_code(format!(
                     "dataset = pz.Dataset(source=\"{name}\", schema=PDFFile)"
@@ -306,6 +300,28 @@ mod tests {
         assert!(tool
             .invoke(&args(json!({"source": "dir:/does/not/exist"})))
             .is_err());
+    }
+
+    #[test]
+    fn a_failed_folder_load_keeps_the_dataset_of_that_name() {
+        let dir = std::env::temp_dir().join(format!("palimp-data-keep-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("a.txt"), "alpha").unwrap();
+        std::fs::write(dir.join("b.txt"), "beta").unwrap();
+        let session = new_session();
+        let tool = register_dataset_tool(session.clone());
+        tool.invoke(&args(json!({"source": format!("dir:{}", dir.display())})))
+            .unwrap();
+        // Same default name ("local-dir"), a folder that does not exist.
+        assert!(tool
+            .invoke(&args(json!({"source": "dir:/does/not/exist"})))
+            .is_err());
+        let run = crate::tools::execute_pipeline_tool(session.clone())
+            .invoke(&args(json!({})))
+            .unwrap();
+        assert_eq!(run.data["records"], 2);
+        assert_eq!(session.lock().dataset.as_deref(), Some("local-dir"));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -112,25 +112,31 @@ pub fn chunk_records(all: Vec<DataRecord>, chunk_size: usize) -> RecordBatchIter
     })
 }
 
-/// The batch stream of a source whose record `i` of `len` can be built on
-/// its own: each batch of at most `chunk_size` records (0 = one batch
-/// holding everything) is built only when it is pulled. Same batch shapes
-/// as [`chunk_records`], an empty source included.
-fn lazy_batches(
+/// The index ranges of the batches of a `len`-record source at
+/// `chunk_size` (0 = one batch holding everything): the shapes
+/// [`chunk_records`] gives, an empty source's one empty batch included.
+fn batch_ranges(
     len: usize,
     chunk_size: usize,
-    record: impl Fn(usize) -> DataRecord + Send + 'static,
-) -> RecordBatchIter {
+) -> impl Iterator<Item = std::ops::Range<usize>> + Send + 'static {
     let chunk = if chunk_size == 0 {
         len.max(1)
     } else {
         chunk_size
     };
-    // `len.max(1)`: an empty source still yields its one empty batch.
-    Box::new((0..len.max(1)).step_by(chunk).map(move |start| {
-        let end = (start + chunk).min(len);
-        Ok((start..end).map(&record).collect())
-    }))
+    (0..len.max(1))
+        .step_by(chunk)
+        .map(move |start| start..(start + chunk).min(len))
+}
+
+/// The batch stream of a source whose record `i` of `len` can be built on
+/// its own: each batch is built only when it is pulled.
+fn lazy_batches(
+    len: usize,
+    chunk_size: usize,
+    record: impl Fn(usize) -> DataRecord + Send + 'static,
+) -> RecordBatchIter {
+    Box::new(batch_ranges(len, chunk_size).map(move |range| Ok(range.map(&record).collect())))
 }
 
 /// Generator signature for [`GeneratedSource`]: index → `(filename,
@@ -245,16 +251,36 @@ fn item_record(base_id: u64, i: usize, (filename, contents): &Item) -> DataRecor
         .with_field("contents", contents.clone())
 }
 
+/// Every stored item's record, in order.
+fn item_records(items: &[Item], base_id: u64) -> Vec<DataRecord> {
+    items
+        .iter()
+        .enumerate()
+        .map(|(i, item)| item_record(base_id, i, item))
+        .collect()
+}
+
+/// The batch stream over one version of stored items: each batch is built
+/// when it is pulled, so a 5-record sample reads 5 items, not the corpus.
+fn item_batches(items: Arc<Vec<Item>>, base_id: u64, chunk_size: usize) -> RecordBatchIter {
+    lazy_batches(items.len(), chunk_size, move |i| {
+        item_record(base_id, i, &items[i])
+    })
+}
+
 /// A [`MemorySource`] that accepts append/update/delete change batches
 /// between runs: the change-stream view of a dataset a session re-runs
 /// against, where the response cache bills only the records an edit
-/// touched. Register once; edits apply in place through
-/// interior mutability, so no re-registration is needed and every clone of
-/// the owning context observes the new version on its next `records()`.
+/// touched. Register once; edits apply through interior mutability, so no
+/// re-registration is needed and every clone of the owning context
+/// observes the new version on its next scan.
 pub struct VersionedSource {
     name: String,
     schema: Schema,
-    items: RwLock<Vec<Item>>,
+    /// The current version's items. A scan takes the `Arc` and reads only
+    /// that version; [`VersionedSource::apply`] copies on write, so a scan
+    /// opened before an edit still yields the version it opened on.
+    items: RwLock<Arc<Vec<Item>>>,
     version: std::sync::atomic::AtomicU64,
 }
 
@@ -263,14 +289,15 @@ impl VersionedSource {
         Self {
             name: name.into(),
             schema,
-            items: RwLock::new(parse_items(items)),
+            items: RwLock::new(Arc::new(parse_items(items))),
             version: std::sync::atomic::AtomicU64::new(0),
         }
     }
 
     /// Apply one batch of changes atomically and bump the version.
     pub fn apply(&self, changes: &[DatasetChange]) -> DatasetVersion {
-        let mut items = self.items.write();
+        let mut current = self.items.write();
+        let items = Arc::make_mut(&mut current);
         for change in changes {
             match change {
                 DatasetChange::Append { filename, content } => {
@@ -346,13 +373,16 @@ impl DataSource for VersionedSource {
     }
 
     fn records(&self, base_id: u64) -> PzResult<Vec<DataRecord>> {
-        Ok(self
-            .items
-            .read()
-            .iter()
-            .enumerate()
-            .map(|(i, item)| item_record(base_id, i, item))
-            .collect())
+        Ok(item_records(&self.items.read(), base_id))
+    }
+
+    /// Reads the version current when the scan opened.
+    fn batches(&self, base_id: u64, chunk_size: usize) -> PzResult<RecordBatchIter> {
+        Ok(item_batches(
+            Arc::clone(&self.items.read()),
+            base_id,
+            chunk_size,
+        ))
     }
 
     fn cardinality_hint(&self) -> Option<usize> {
@@ -416,21 +446,11 @@ impl DataSource for MemorySource {
     }
 
     fn records(&self, base_id: u64) -> PzResult<Vec<DataRecord>> {
-        Ok(self
-            .items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| item_record(base_id, i, item))
-            .collect())
+        Ok(item_records(&self.items, base_id))
     }
 
-    /// Each batch is built when it is pulled, so a 5-record sample reads
-    /// 5 items, not the corpus.
     fn batches(&self, base_id: u64, chunk_size: usize) -> PzResult<RecordBatchIter> {
-        let items = Arc::clone(&self.items);
-        Ok(lazy_batches(items.len(), chunk_size, move |i| {
-            item_record(base_id, i, &items[i])
-        }))
+        Ok(item_batches(Arc::clone(&self.items), base_id, chunk_size))
     }
 
     fn cardinality_hint(&self) -> Option<usize> {
@@ -453,6 +473,12 @@ impl DirectorySource {
             schema,
             dir: dir.as_ref().to_path_buf(),
         }
+    }
+
+    /// The number of files in the folder, from its listing alone: no file
+    /// is read. Fails as a scan would if the folder cannot be listed.
+    pub fn file_count(&self) -> PzResult<usize> {
+        Ok(self.files()?.len())
     }
 
     /// The folder's files, sorted by name: one record each.
@@ -478,28 +504,40 @@ impl DataSource for DirectorySource {
     }
 
     fn records(&self, base_id: u64) -> PzResult<Vec<DataRecord>> {
+        self.files()?
+            .iter()
+            .enumerate()
+            .map(|(i, p)| file_record(base_id, i, p))
+            .collect()
+    }
+
+    /// Lists the folder when the scan opens, then reads each batch's files
+    /// only when the batch is pulled; a file that cannot be read fails its
+    /// batch.
+    fn batches(&self, base_id: u64, chunk_size: usize) -> PzResult<RecordBatchIter> {
         let paths = self.files()?;
-        let mut out = Vec::with_capacity(paths.len());
-        for (i, p) in paths.iter().enumerate() {
-            let filename = p
-                .file_name()
-                .map(|f| f.to_string_lossy().into_owned())
-                .unwrap_or_default();
-            let raw = std::fs::read_to_string(p)
-                .map_err(|e| PzError::Execution(format!("read {}: {e}", p.display())))?;
-            out.push(
-                DataRecord::new(base_id + i as u64)
-                    .with_field("filename", filename.as_str())
-                    .with_field("contents", parse_content(&filename, &raw)),
-            );
-        }
-        Ok(out)
+        Ok(Box::new(batch_ranges(paths.len(), chunk_size).map(
+            move |range| range.map(|i| file_record(base_id, i, &paths[i])).collect(),
+        )))
     }
 
     /// The file count: one directory listing, no file read.
     fn cardinality_hint(&self) -> Option<usize> {
-        self.files().ok().map(|f| f.len())
+        self.file_count().ok()
     }
+}
+
+/// The record for file `i` of a folder: its name and parsed contents.
+fn file_record(base_id: u64, i: usize, path: &Path) -> PzResult<DataRecord> {
+    let filename = path
+        .file_name()
+        .map(|f| f.to_string_lossy().into_owned())
+        .unwrap_or_default();
+    let raw = std::fs::read_to_string(path)
+        .map_err(|e| PzError::Execution(format!("read {}: {e}", path.display())))?;
+    Ok(DataRecord::new(base_id + i as u64)
+        .with_field("filename", filename.as_str())
+        .with_field("contents", parse_content(&filename, &raw)))
 }
 
 /// "Parse" file contents per extension. Substitution S4: synthetic "PDFs"
@@ -738,9 +776,36 @@ mod tests {
     }
 
     #[test]
+    fn directory_source_batches_read_only_what_is_pulled() {
+        let dir = std::env::temp_dir().join(format!("pz-test-batches-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for i in 0..5 {
+            std::fs::write(dir.join(format!("f{i}.pdf")), wrap_pdf(&format!("doc {i}"))).unwrap();
+        }
+        let src = DirectorySource::new("d", Schema::pdf_file(), &dir);
+        assert_eq!(src.file_count().unwrap(), 5);
+        let whole = src.records(9).unwrap();
+        for chunk in [0usize, 1, 2, 5, 6] {
+            let flat = collect_batches(&src, 9, chunk).concat();
+            assert_eq!(record_bytes(&flat), record_bytes(&whole), "chunk {chunk}");
+        }
+        // A file that cannot be read as text fails its own batch, not the
+        // ones before it.
+        std::fs::write(dir.join("f4.pdf"), [0xff, 0xfe, 0xfd]).unwrap();
+        let mut scan = src.batches(9, 2).unwrap();
+        assert_eq!(scan.next().unwrap().unwrap().len(), 2);
+        assert_eq!(scan.next().unwrap().unwrap().len(), 2);
+        assert!(matches!(scan.next().unwrap(), Err(PzError::Execution(_))));
+        assert!(matches!(src.records(9), Err(PzError::Execution(_))));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn directory_source_missing_dir_errors() {
         let src = DirectorySource::new("d", Schema::text_file(), "/nonexistent/pz/path");
         assert!(matches!(src.records(0), Err(PzError::Execution(_))));
+        assert!(matches!(src.file_count(), Err(PzError::Execution(_))));
+        assert!(src.batches(0, 4).is_err());
     }
 
     #[test]
@@ -778,14 +843,27 @@ mod tests {
 
     #[test]
     fn default_batches_concatenate_to_records() {
-        // `VersionedSource` keeps the trait's default `batches`.
-        let src = VersionedSource::new(
+        // A custom source that implements `records` only keeps the trait's
+        // default `batches`.
+        struct RecordsOnly(MemorySource);
+        impl DataSource for RecordsOnly {
+            fn name(&self) -> &str {
+                self.0.name()
+            }
+            fn schema(&self) -> Schema {
+                self.0.schema()
+            }
+            fn records(&self, base_id: u64) -> PzResult<Vec<DataRecord>> {
+                self.0.records(base_id)
+            }
+        }
+        let src = RecordsOnly(MemorySource::new(
             "v",
             Schema::text_file(),
             (0..10)
                 .map(|i| (format!("item-{i:04}.txt"), format!("text {i}")))
                 .collect(),
-        );
+        ));
         let whole = src.records(100).unwrap();
         for chunk in [0usize, 1, 3, 10, 99] {
             let batches = collect_batches(&src, 100, chunk);
@@ -798,6 +876,65 @@ mod tests {
                 );
             }
         }
+    }
+
+    fn record_bytes(recs: &[DataRecord]) -> Vec<String> {
+        recs.iter().map(|r| r.to_json().to_string()).collect()
+    }
+
+    #[test]
+    fn versioned_source_batches_concatenate_to_records_byte_for_byte() {
+        let len = 4099;
+        let src = VersionedSource::new(
+            "v",
+            Schema::pdf_file(),
+            (0..len)
+                .map(|i| match i % 2 {
+                    0 => (format!("doc-{i}.pdf"), wrap_pdf(&format!("paper {i}"))),
+                    _ => (format!("doc-{i}.txt"), format!("plain text {i}")),
+                })
+                .collect(),
+        );
+        src.apply(&[
+            DatasetChange::Delete {
+                filename: "doc-3.txt".into(),
+            },
+            DatasetChange::Append {
+                filename: "new.pdf".into(),
+                content: wrap_pdf("appended"),
+            },
+        ]);
+        let whole = src.records(42).unwrap();
+        assert_eq!(whole.len(), len);
+        for chunk in [1usize, 5, 4096, len + 1] {
+            let batches = collect_batches(&src, 42, chunk);
+            assert_eq!(batches.len(), len.div_ceil(chunk), "chunk {chunk}");
+            assert!(batches.iter().all(|b| b.len() <= chunk), "chunk {chunk}");
+            let flat = batches.concat();
+            assert_eq!(flat, whole, "chunk {chunk}");
+            assert_eq!(record_bytes(&flat), record_bytes(&whole), "chunk {chunk}");
+        }
+    }
+
+    #[test]
+    fn a_versioned_scan_opened_before_an_edit_yields_the_old_version() {
+        let src = VersionedSource::new(
+            "v",
+            Schema::text_file(),
+            (0..6)
+                .map(|i| (format!("item-{i}.txt"), format!("text {i}")))
+                .collect(),
+        );
+        let old = src.records(0).unwrap();
+        let mut scan = src.batches(0, 2).unwrap();
+        let first = scan.next().unwrap().unwrap();
+        src.update("item-3.txt", "edited");
+        src.append("item-6.txt", "text 6");
+        let rest: Vec<DataRecord> = scan.map(|b| b.unwrap()).collect::<Vec<_>>().concat();
+        assert_eq!([first, rest].concat(), old);
+        let new = collect_batches(&src, 0, 2).concat();
+        assert_eq!(new.len(), 7);
+        assert_eq!(new[3].get("contents").unwrap().as_text(), Some("edited"));
     }
 
     #[test]
@@ -815,16 +952,13 @@ mod tests {
                 .collect(),
         );
         let whole = src.records(42).unwrap();
-        let bytes = |recs: &[DataRecord]| -> Vec<String> {
-            recs.iter().map(|r| r.to_json().to_string()).collect()
-        };
         for chunk in [1usize, 5, 4096, len + 1] {
             let batches = collect_batches(&src, 42, chunk);
             assert_eq!(batches.len(), len.div_ceil(chunk), "chunk {chunk}");
             assert!(batches.iter().all(|b| b.len() <= chunk), "chunk {chunk}");
             let flat = batches.concat();
             assert_eq!(flat, whole, "chunk {chunk}");
-            assert_eq!(bytes(&flat), bytes(&whole), "chunk {chunk}");
+            assert_eq!(record_bytes(&flat), record_bytes(&whole), "chunk {chunk}");
         }
         let empty = MemorySource::new("e", Schema::text_file(), vec![]);
         assert_eq!(

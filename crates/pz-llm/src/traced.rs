@@ -14,6 +14,14 @@
 //! first would give: nothing opens a span while a provider call runs. A call
 //! that unwinds records no span.
 //!
+//! The wrapper hands the tracer values, not strings: token counts as
+//! [`AttrValue::Int`], cost and latency as [`AttrValue::Fixed`] with six
+//! decimals, and the model id as an [`AttrValue::Symbol`], stored once per
+//! tracer. The span becomes one row of numbers, and the tracer renders the
+//! strings (`"0.003210"`, `"412"`, `"gpt-4o"`) only when a snapshot is
+//! taken, so a successful call allocates nothing here beyond the tracer's
+//! amortized vector growth. Only a failed call's error message is text.
+//!
 //! The wrapper sees only calls that actually reach the provider: placed
 //! inside a [`crate::CachingClient`], cache hits never produce an LLM span
 //! (they count on the `llm.cache_hits` counter instead), so `llm` span
@@ -22,7 +30,7 @@
 use crate::client::{
     CompletionRequest, CompletionResponse, EmbeddingRequest, EmbeddingResponse, LlmClient, LlmError,
 };
-use pz_obs::{Layer, Tracer};
+use pz_obs::{AttrValue, Layer, Tracer};
 use std::sync::Arc;
 
 /// An [`LlmClient`] that records a span per call.
@@ -42,7 +50,7 @@ impl LlmClient for TracedClient {
     fn complete(&self, req: &CompletionRequest) -> Result<CompletionResponse, LlmError> {
         let start = self.tracer.now_micros();
         let result = self.inner.complete(req);
-        let model = ("model", req.model.as_str().to_string());
+        let model = ("model", AttrValue::Symbol(req.model.as_str()));
         match &result {
             Ok(resp) => self.tracer.record_leaf(
                 Layer::Llm,
@@ -50,10 +58,10 @@ impl LlmClient for TracedClient {
                 start,
                 [
                     model,
-                    ("input_tokens", resp.usage.input_tokens.to_string()),
-                    ("output_tokens", resp.usage.output_tokens.to_string()),
-                    ("cost_usd", format!("{:.6}", resp.cost_usd)),
-                    ("latency_secs", format!("{:.6}", resp.latency_secs)),
+                    ("input_tokens", resp.usage.input_tokens.into()),
+                    ("output_tokens", resp.usage.output_tokens.into()),
+                    ("cost_usd", AttrValue::Fixed(resp.cost_usd, 6)),
+                    ("latency_secs", AttrValue::Fixed(resp.latency_secs, 6)),
                 ],
                 "llm.completions",
                 Some(("llm.latency_secs", resp.latency_secs)),
@@ -62,7 +70,7 @@ impl LlmClient for TracedClient {
                 Layer::Llm,
                 "complete",
                 start,
-                [model, ("error", e.to_string())],
+                [model, ("error", e.to_string().into())],
                 "llm.errors",
                 None,
             ),
@@ -73,8 +81,8 @@ impl LlmClient for TracedClient {
     fn embed(&self, req: &EmbeddingRequest) -> Result<EmbeddingResponse, LlmError> {
         let start = self.tracer.now_micros();
         let result = self.inner.embed(req);
-        let model = ("model", req.model.as_str().to_string());
-        let inputs = ("inputs", req.inputs.len().to_string());
+        let model = ("model", AttrValue::Symbol(req.model.as_str()));
+        let inputs = ("inputs", req.inputs.len().into());
         match &result {
             Ok(resp) => self.tracer.record_leaf(
                 Layer::Llm,
@@ -83,8 +91,8 @@ impl LlmClient for TracedClient {
                 [
                     model,
                     inputs,
-                    ("input_tokens", resp.usage.input_tokens.to_string()),
-                    ("cost_usd", format!("{:.6}", resp.cost_usd)),
+                    ("input_tokens", resp.usage.input_tokens.into()),
+                    ("cost_usd", AttrValue::Fixed(resp.cost_usd, 6)),
                 ],
                 "llm.embeddings",
                 None,
@@ -93,7 +101,7 @@ impl LlmClient for TracedClient {
                 Layer::Llm,
                 "embed",
                 start,
-                [model, inputs, ("error", e.to_string())],
+                [model, inputs, ("error", e.to_string().into())],
                 "llm.errors",
                 None,
             ),

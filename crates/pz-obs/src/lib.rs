@@ -7,7 +7,7 @@
 //! LLM/vector substrate call) onto one trace tree:
 //!
 //! - **Spans** carry a hierarchical id (`1.2.3`), a [`Layer`], start/end
-//!   timestamps, and string attributes.
+//!   timestamps, and attributes, which a snapshot shows as strings.
 //! - **Events** are point-in-time marks (cache hits, Pareto pruning, …)
 //!   attached to the enclosing span.
 //! - **Counters** and **histograms** aggregate high-frequency signals
@@ -18,9 +18,14 @@
 //! reproducible* across runs: same pipeline, same trace.
 //!
 //! The sink is an in-memory, thread-safe store (`parking_lot::Mutex`,
-//! matching workspace style; no external `tracing` dependency). Traces
-//! export as JSON Lines ([`TraceSnapshot::to_jsonl`]) and render as a
-//! text tree ([`render_tree`]) for the REPL `:spans` command.
+//! matching workspace style; no external `tracing` dependency). It keeps
+//! each span as one small row of numbers and each attribute as a typed
+//! [`AttrValue`] (integer, fixed-point float, interned symbol or text), so
+//! recording a provider call formats nothing. Strings — span ids, names,
+//! attribute values — are built only when [`Tracer::snapshot`] copies the
+//! trace out as [`SpanRecord`]s; the `sink` module documents the layout.
+//! Traces export as JSON Lines ([`TraceSnapshot::to_jsonl`]) and render as
+//! a text tree ([`render_tree`]) for the REPL `:spans` command.
 //!
 //! ## Span parenting
 //!
@@ -42,7 +47,7 @@ pub use export::{to_chrome_trace, to_prometheus};
 pub use profile::{critical_path, profile_plan, PlanProfile, StageBuckets, StageProfile};
 pub use render::render_tree;
 pub use sink::{HistogramSummary, TraceSnapshot, Tracer};
-pub use span::{Event, Layer, SpanGuard, SpanId, SpanRecord};
+pub use span::{AttrValue, Event, Layer, SpanGuard, SpanId, SpanRecord};
 
 /// Source of trace timestamps, in microseconds.
 ///

@@ -1,6 +1,33 @@
 //! The thread-safe in-memory trace sink and its snapshot/export types.
+//!
+//! ## Row layout
+//!
+//! The sink keeps no strings per span. Each span is one 40-byte [`Row`]:
+//! start and end times, its parent's row, its position among its parent's
+//! children, its layer, an interned name and the head of its attribute
+//! list. Each attribute is one 16-byte [`AttrSlot`] in a shared vector,
+//! linked to the span's previous attribute: a key index (keys are
+//! `&'static str`, stored once), a kind, and 8 bytes of value — an
+//! integer, the bits of a float with its decimal places, an interned
+//! symbol, or an index into the text values. Names and symbols are stored
+//! once per tracer, so a provider call's span (`"complete"`, model
+//! `"gpt-4o"`, two token counts, cost and latency) appends one row and five
+//! slots and allocates nothing beyond amortized vector growth.
+//!
+//! ## Strings at snapshot
+//!
+//! [`SpanId`] paths, parent ids, names and attribute renderings (`to_string`
+//! for integers, `{:.N}` for fixed-point floats) are built only by
+//! [`Tracer::snapshot`], which yields the same [`TraceSnapshot`] of
+//! [`SpanRecord`]s, byte for byte, that a tracer storing strings from the
+//! start would. A span's id is its row's path of ordinals; a parent is
+//! always an earlier row, so the snapshot builds every id in one pass.
+//!
+//! A [`SpanGuard`] names its span by row and by the tracer's reset
+//! generation: after [`Tracer::reset`] the generation moves on and the
+//! guard touches nothing, not even a new span that reused its row.
 
-use crate::span::{Event, Layer, SpanGuard, SpanId, SpanRecord};
+use crate::span::{AttrValue, Event, Layer, SpanGuard, SpanId, SpanRecord};
 use crate::TraceClock;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -78,41 +105,220 @@ impl HistogramSummary {
     }
 }
 
+/// `Row::parent` of a root span, the end of an attribute list, and the
+/// scope of an event recorded outside every span.
+const NONE: u32 = u32::MAX;
+
+/// A position in one of the state's vectors as a `u32` link; [`NONE`]
+/// stays free to mean "no row".
+fn link(len: usize) -> u32 {
+    u32::try_from(len)
+        .ok()
+        .filter(|&i| i != NONE)
+        .expect("a trace holds fewer than 2^32 - 1 of each: spans, attributes, texts, strings")
+}
+
+/// One span: 40 bytes, no heap. Its id, parent id and name become strings
+/// only in [`TraceState::snapshot`].
+#[derive(Clone, Copy)]
+struct Row {
+    start_us: u64,
+    /// Meaningful once `closed`.
+    end_us: u64,
+    /// Row of the enclosing span, or [`NONE`] for a root.
+    parent: u32,
+    /// 1-based position among its parent's children (or among the roots):
+    /// the last component of its [`SpanId`].
+    ordinal: u32,
+    /// Interned name ([`TraceState::strings`]).
+    name: u32,
+    /// Head of this span's attribute list in [`TraceState::attrs`].
+    attrs: u32,
+    layer: Layer,
+    closed: bool,
+}
+
+/// How an [`AttrSlot`]'s `bits` read.
+#[derive(Clone, Copy, PartialEq)]
+enum Kind {
+    /// The integer itself.
+    Int,
+    /// `f64::to_bits` of the value, shown with `places` decimals.
+    Fixed,
+    /// An interned string ([`TraceState::strings`]).
+    Symbol,
+    /// An index into [`TraceState::texts`].
+    Text,
+}
+
+/// One attribute: 16 bytes, a link in its span's list.
+#[derive(Clone, Copy)]
+struct AttrSlot {
+    bits: u64,
+    /// The span's next attribute, or [`NONE`].
+    next: u32,
+    /// Index into [`TraceState::keys`].
+    key: u16,
+    kind: Kind,
+    places: u8,
+}
+
+// The sizes the layout above is built around.
+const _: () = assert!(std::mem::size_of::<Row>() == 40);
+const _: () = assert!(std::mem::size_of::<AttrSlot>() == 16);
+
+/// An open structural span on the scope stack, with the number of
+/// children numbered under it so far. Only the top of the stack takes
+/// children, and a span that leaves the stack never returns to it, so its
+/// count lives here rather than on the row.
+struct Open {
+    row: u32,
+    children: u32,
+}
+
+/// Everything a tracer has recorded since its last reset.
 #[derive(Default)]
 struct TraceState {
-    spans: Vec<SpanRecord>,
-    /// span id → index into `spans`, for the spans still open or still
-    /// taking attributes. A leaf recorded whole ([`Tracer::record_leaf`])
-    /// has no entry: nothing looks it up again.
-    index: HashMap<SpanId, usize>,
-    events: Vec<Event>,
+    /// Bumped by every [`Tracer::reset`]; a guard from an earlier
+    /// generation touches nothing.
+    generation: u64,
+    rows: Vec<Row>,
+    attrs: Vec<AttrSlot>,
+    /// Attribute keys, by [`AttrSlot::key`].
+    keys: Vec<&'static str>,
+    key_ids: HashMap<&'static str, u16>,
+    /// Span names and symbol values, each stored once.
+    strings: HashMap<Box<str>, u32>,
+    /// Text attribute values, by [`AttrSlot::bits`].
+    texts: Vec<Box<str>>,
+    /// Each event with the row it was recorded under; its `span` is filled
+    /// in by the snapshot.
+    events: Vec<(u32, Event)>,
     counters: BTreeMap<String, u64>,
     histograms: BTreeMap<String, HistogramSummary>,
     /// Stack of open *structural* spans; the top is the parent for
     /// whatever starts next.
-    scope: Vec<SpanId>,
-    root_count: u32,
-    child_count: HashMap<SpanId, u32>,
+    scope: Vec<Open>,
+    roots: u32,
 }
 
 impl TraceState {
-    fn alloc_id(&mut self, parent: Option<&SpanId>) -> SpanId {
-        match parent {
-            None => {
-                self.root_count += 1;
-                SpanId::root(self.root_count)
-            }
-            Some(p) => match self.child_count.get_mut(p) {
-                Some(n) => {
-                    *n += 1;
-                    p.child(*n)
-                }
-                None => {
-                    self.child_count.insert(p.clone(), 1);
-                    p.child(1)
-                }
-            },
+    fn intern(&mut self, s: &str) -> u32 {
+        if let Some(&id) = self.strings.get(s) {
+            return id;
         }
+        let id = link(self.strings.len());
+        self.strings.insert(s.into(), id);
+        id
+    }
+
+    fn key_id(&mut self, key: &'static str) -> u16 {
+        if let Some(&id) = self.key_ids.get(key) {
+            return id;
+        }
+        let id = u16::try_from(self.keys.len())
+            .expect("attribute keys are string literals, fewer than 2^16 of them");
+        self.keys.push(key);
+        self.key_ids.insert(key, id);
+        id
+    }
+
+    /// Append a span under the current scope top, numbered after its
+    /// earlier siblings; a structural span also becomes the scope top.
+    fn open(&mut self, layer: Layer, name: &str, start_us: u64, push: bool) -> u32 {
+        let name = self.intern(name);
+        let row = link(self.rows.len());
+        let (parent, ordinal) = match self.scope.last_mut() {
+            Some(open) => {
+                open.children += 1;
+                (open.row, open.children)
+            }
+            None => {
+                self.roots += 1;
+                (NONE, self.roots)
+            }
+        };
+        self.rows.push(Row {
+            start_us,
+            end_us: 0,
+            parent,
+            ordinal,
+            name,
+            attrs: NONE,
+            layer,
+            closed: false,
+        });
+        if push {
+            self.scope.push(Open { row, children: 0 });
+        }
+        row
+    }
+
+    fn close(&mut self, row: u32, end_us: u64) {
+        let row = &mut self.rows[row as usize];
+        row.end_us = end_us;
+        row.closed = true;
+    }
+
+    /// Set `key` on `row`, replacing an earlier value under the same key.
+    fn set_attr(&mut self, row: u32, key: &'static str, value: AttrValue<'_>) {
+        let key = self.key_id(key);
+        let mut at = self.rows[row as usize].attrs;
+        while at != NONE {
+            let slot = self.attrs[at as usize];
+            if slot.key == key {
+                let reuse = (slot.kind == Kind::Text).then_some(slot.bits);
+                let (kind, places, bits) = self.encode(value, reuse);
+                self.attrs[at as usize] = AttrSlot {
+                    kind,
+                    places,
+                    bits,
+                    ..slot
+                };
+                return;
+            }
+            at = slot.next;
+        }
+        let (kind, places, bits) = self.encode(value, None);
+        let at = link(self.attrs.len());
+        let row = &mut self.rows[row as usize];
+        self.attrs.push(AttrSlot {
+            bits,
+            next: row.attrs,
+            key,
+            kind,
+            places,
+        });
+        row.attrs = at;
+    }
+
+    /// A value's slot fields. A text replacing a text takes over its slot
+    /// in `texts` (`reuse`); a text replaced by anything else is emptied.
+    fn encode(&mut self, value: AttrValue<'_>, reuse: Option<u64>) -> (Kind, u8, u64) {
+        let slot = match value {
+            AttrValue::Int(n) => (Kind::Int, 0, n),
+            AttrValue::Fixed(x, places) => (Kind::Fixed, places, x.to_bits()),
+            AttrValue::Symbol(s) => (Kind::Symbol, 0, u64::from(self.intern(s))),
+            AttrValue::Text(t) => {
+                let t = Box::<str>::from(t);
+                let at = match reuse {
+                    Some(at) => {
+                        self.texts[at as usize] = t;
+                        at
+                    }
+                    None => {
+                        let at = u64::from(link(self.texts.len()));
+                        self.texts.push(t);
+                        at
+                    }
+                };
+                return (Kind::Text, 0, at);
+            }
+        };
+        if let Some(at) = reuse {
+            self.texts[at as usize] = Box::default();
+        }
+        slot
     }
 
     fn incr(&mut self, name: &str, by: u64) {
@@ -133,6 +339,82 @@ impl TraceState {
             }
         }
     }
+
+    /// The id of `row`: its ordinals from the root down.
+    fn span_id(&self, mut row: u32) -> SpanId {
+        let mut path = Vec::new();
+        while row != NONE {
+            let r = &self.rows[row as usize];
+            path.push(r.ordinal);
+            row = r.parent;
+        }
+        path.reverse();
+        SpanId(path)
+    }
+
+    /// The state as snapshot types: here, and only here, ids, names and
+    /// attribute values become strings.
+    fn snapshot(&self) -> TraceSnapshot {
+        let mut strings = vec![""; self.strings.len()];
+        for (s, &id) in &self.strings {
+            strings[id as usize] = s;
+        }
+        // A parent is always an earlier row, so its id is already built.
+        let mut ids: Vec<SpanId> = Vec::with_capacity(self.rows.len());
+        for row in &self.rows {
+            let id = match row.parent {
+                NONE => SpanId::root(row.ordinal),
+                parent => ids[parent as usize].child(row.ordinal),
+            };
+            ids.push(id);
+        }
+        let spans = self
+            .rows
+            .iter()
+            .zip(&ids)
+            .map(|(row, id)| SpanRecord {
+                id: id.clone(),
+                parent: (row.parent != NONE).then(|| ids[row.parent as usize].clone()),
+                layer: row.layer,
+                name: strings[row.name as usize].to_string(),
+                start_us: row.start_us,
+                end_us: row.closed.then_some(row.end_us),
+                attrs: self.attr_map(row.attrs, &strings),
+            })
+            .collect();
+        let events = self
+            .events
+            .iter()
+            .map(|(row, event)| Event {
+                span: (*row != NONE).then(|| ids[*row as usize].clone()),
+                ..event.clone()
+            })
+            .collect();
+        TraceSnapshot {
+            spans,
+            events,
+            counters: self.counters.clone(),
+            histograms: self.histograms.clone(),
+        }
+    }
+
+    fn attr_map(&self, mut at: u32, strings: &[&str]) -> BTreeMap<String, String> {
+        let mut map = BTreeMap::new();
+        while at != NONE {
+            let slot = &self.attrs[at as usize];
+            let value = match slot.kind {
+                Kind::Int => slot.bits.to_string(),
+                Kind::Fixed => {
+                    format!("{:.*}", usize::from(slot.places), f64::from_bits(slot.bits))
+                }
+                Kind::Symbol => strings[slot.bits as usize].to_string(),
+                Kind::Text => self.texts[slot.bits as usize].to_string(),
+            };
+            map.insert(self.keys[usize::from(slot.key)].to_string(), value);
+            at = slot.next;
+        }
+        map
+    }
 }
 
 /// Cloneable handle to a shared trace sink. All palimpchat layers hold
@@ -152,6 +434,8 @@ struct Inner {
 }
 
 impl Tracer {
+    /// A tracer with nothing recorded. It allocates nothing until the
+    /// first span, event, counter or sample.
     pub fn new(clock: Arc<dyn TraceClock>) -> Self {
         Self {
             inner: Arc::new(Inner {
@@ -181,26 +465,11 @@ impl Tracer {
     fn open_span(&self, layer: Layer, name: &str, push: bool) -> SpanGuard {
         let start = self.now_micros();
         let mut st = self.inner.state.lock();
-        let parent = st.scope.last().cloned();
-        let id = st.alloc_id(parent.as_ref());
-        let record = SpanRecord {
-            id: id.clone(),
-            parent,
-            layer,
-            name: name.to_string(),
-            start_us: start,
-            end_us: None,
-            attrs: BTreeMap::new(),
-        };
-        let idx = st.spans.len();
-        st.index.insert(id.clone(), idx);
-        st.spans.push(record);
-        if push {
-            st.scope.push(id.clone());
-        }
+        let row = st.open(layer, name, start, push);
         SpanGuard {
             tracer: self.clone(),
-            id,
+            row,
+            generation: st.generation,
             pushed: push,
             done: false,
         }
@@ -225,78 +494,86 @@ impl Tracer {
     /// `attrs`, one increment of the counter `counter` and, when given, one
     /// histogram sample. The span is parented under the current scope and
     /// numbered when it is recorded, so a span opened while the work ran
-    /// (none is, in a single-threaded run) would number before it.
-    pub fn record_leaf<'k>(
+    /// (none is, in a single-threaded run) would number before it. Beyond
+    /// the amortized growth of the state's vectors it allocates only for a
+    /// [`AttrValue::Text`] value or a name, key, symbol, counter or
+    /// histogram seen for the first time.
+    pub fn record_leaf<'v>(
         &self,
         layer: Layer,
         name: &str,
         start_us: u64,
-        attrs: impl IntoIterator<Item = (&'k str, String)>,
+        attrs: impl IntoIterator<Item = (&'static str, AttrValue<'v>)>,
         counter: &str,
         sample: Option<(&str, f64)>,
     ) {
         let end = self.now_micros();
-        let name = name.to_string();
-        let mut map = BTreeMap::new();
-        for (key, value) in attrs {
-            map.insert(key.to_string(), value);
-        }
         let mut st = self.inner.state.lock();
-        let parent = st.scope.last().cloned();
-        let id = st.alloc_id(parent.as_ref());
-        st.spans.push(SpanRecord {
-            id,
-            parent,
-            layer,
-            name,
-            start_us,
-            end_us: Some(end),
-            attrs: map,
-        });
+        let row = st.open(layer, name, start_us, false);
+        st.close(row, end);
+        for (key, value) in attrs {
+            st.set_attr(row, key, value);
+        }
         st.incr(counter, 1);
         if let Some((histogram, value)) = sample {
             st.observe(histogram, value);
         }
     }
 
-    pub(crate) fn end_span(&self, id: &SpanId, pushed: bool) {
+    /// Close `row` now, if the tracer has not been reset since it opened.
+    pub(crate) fn end_span(&self, row: u32, generation: u64, pushed: bool) {
         let end = self.now_micros();
         let mut st = self.inner.state.lock();
-        if let Some(&i) = st.index.get(id) {
-            st.spans[i].end_us = Some(end);
+        if st.generation != generation {
+            return;
         }
+        st.close(row, end);
         if pushed {
             // Pop this span and anything accidentally left above it. A span
             // no longer on the stack (closed out of order, after one it
             // encloses) pops nothing: its enclosing spans are still open.
-            if let Some(at) = st.scope.iter().rposition(|open| open == id) {
+            if let Some(at) = st.scope.iter().rposition(|open| open.row == row) {
                 st.scope.truncate(at);
             }
         }
     }
 
-    pub(crate) fn set_span_attr(&self, id: &SpanId, key: String, value: String) {
+    pub(crate) fn set_span_attr(
+        &self,
+        row: u32,
+        generation: u64,
+        key: &'static str,
+        value: AttrValue<'_>,
+    ) {
         let mut st = self.inner.state.lock();
-        if let Some(&i) = st.index.get(id) {
-            st.spans[i].attrs.insert(key, value);
+        if st.generation == generation {
+            st.set_attr(row, key, value);
         }
+    }
+
+    pub(crate) fn span_id(&self, row: u32, generation: u64) -> Option<SpanId> {
+        let st = self.inner.state.lock();
+        (st.generation == generation).then(|| st.span_id(row))
     }
 
     /// Record a point-in-time event under the current scope.
     pub fn event(&self, layer: Layer, name: &str, attrs: &[(&str, String)]) {
         let at = self.now_micros();
         let mut st = self.inner.state.lock();
-        let span = st.scope.last().cloned();
-        st.events.push(Event {
+        let span = st.scope.last().map_or(NONE, |open| open.row);
+        st.events.push((
             span,
-            layer,
-            name: name.to_string(),
-            at_us: at,
-            attrs: attrs
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.clone()))
-                .collect(),
-        });
+            Event {
+                span: None,
+                layer,
+                name: name.to_string(),
+                at_us: at,
+                attrs: attrs
+                    .iter()
+                    .map(|(k, v)| (k.to_string(), v.clone()))
+                    .collect(),
+            },
+        ));
     }
 
     /// Add `by` to a named monotonic counter.
@@ -322,23 +599,23 @@ impl Tracer {
 
     /// Number of spans recorded so far (cheap liveness probe).
     pub fn span_count(&self) -> usize {
-        self.inner.state.lock().spans.len()
+        self.inner.state.lock().rows.len()
     }
 
-    /// Copy out everything recorded so far.
+    /// Copy out everything recorded so far, as strings.
     pub fn snapshot(&self) -> TraceSnapshot {
-        let st = self.inner.state.lock();
-        TraceSnapshot {
-            spans: st.spans.clone(),
-            events: st.events.clone(),
-            counters: st.counters.clone(),
-            histograms: st.histograms.clone(),
-        }
+        self.inner.state.lock().snapshot()
     }
 
-    /// Drop all recorded data (scope stack included).
+    /// Drop all recorded data (scope stack included). Guards of spans
+    /// opened before the reset touch nothing afterwards.
     pub fn reset(&self) {
-        *self.inner.state.lock() = TraceState::default();
+        let mut st = self.inner.state.lock();
+        let generation = st.generation + 1;
+        *st = TraceState {
+            generation,
+            ..TraceState::default()
+        };
     }
 }
 
@@ -494,6 +771,9 @@ impl TraceSnapshot {
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::FrozenClock;
@@ -529,8 +809,8 @@ mod tests {
         let _outer = t.span(Layer::Executor, "op");
         let leaf = t.leaf_span(Layer::Llm, "call-1");
         let sibling = t.leaf_span(Layer::Llm, "call-2");
-        assert_eq!(leaf.id().to_string(), "1.1");
-        assert_eq!(sibling.id().to_string(), "1.2");
+        assert_eq!(leaf.id().unwrap().to_string(), "1.1");
+        assert_eq!(sibling.id().unwrap().to_string(), "1.2");
     }
 
     #[test]
@@ -608,7 +888,7 @@ mod tests {
         drop(a);
         drop(b);
         let leaf = t.leaf_span(Layer::Llm, "complete");
-        assert_eq!(leaf.id().to_string(), "1.2");
+        assert_eq!(leaf.id().unwrap().to_string(), "1.2");
         drop(leaf);
         drop(turn);
         let snap = t.snapshot();
@@ -634,7 +914,10 @@ mod tests {
                         Layer::Llm,
                         "complete",
                         start,
-                        [("model", "sim".to_string()), ("call", call.to_string())],
+                        [
+                            ("model", AttrValue::Symbol("sim")),
+                            ("call", AttrValue::Int(call.into())),
+                        ],
                         "llm.completions",
                         Some(("llm.latency_secs", f64::from(call))),
                     );
@@ -735,6 +1018,6 @@ mod tests {
         assert!(snap.counters.is_empty());
         // ids restart from 1
         let s = t.span(Layer::Chat, "turn2");
-        assert_eq!(s.id().to_string(), "1");
+        assert_eq!(s.id().unwrap().to_string(), "1");
     }
 }

@@ -1,6 +1,7 @@
 //! Span, event, and layer types.
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -124,41 +125,82 @@ pub struct Event {
     pub attrs: BTreeMap<String, String>,
 }
 
+/// A span attribute's value as instrumented code hands it over. The
+/// tracer keeps it in this form and renders it as a string only in a
+/// snapshot, so recording one formats nothing.
+#[derive(Clone, Debug, PartialEq)]
+pub enum AttrValue<'a> {
+    /// Shown in decimal, as `to_string` shows it.
+    Int(u64),
+    /// Shown with this many decimal places, as `format!("{:.N}")` shows it.
+    Fixed(f64, u8),
+    /// A string from a small set, such as a model id: stored once per
+    /// tracer, so recording it again allocates nothing.
+    Symbol(&'a str),
+    /// Any other string: stored with its span.
+    Text(Cow<'a, str>),
+}
+
+impl<'a> From<&'a str> for AttrValue<'a> {
+    fn from(s: &'a str) -> Self {
+        AttrValue::Text(Cow::Borrowed(s))
+    }
+}
+
+impl From<String> for AttrValue<'_> {
+    fn from(s: String) -> Self {
+        AttrValue::Text(Cow::Owned(s))
+    }
+}
+
+impl From<usize> for AttrValue<'_> {
+    fn from(n: usize) -> Self {
+        // Lossless: no supported target has a usize wider than 64 bits.
+        AttrValue::Int(n as u64)
+    }
+}
+
 /// RAII handle for an open span: records the end timestamp (and pops the
-/// scope stack for structural spans) when dropped or `finish`ed.
+/// scope stack for structural spans) when dropped or `finish`ed. It names
+/// its span by row, and a guard that outlives [`crate::Tracer::reset`]
+/// touches nothing.
 pub struct SpanGuard {
     pub(crate) tracer: crate::Tracer,
-    pub(crate) id: SpanId,
+    pub(crate) row: u32,
+    /// The tracer's reset generation when the span opened.
+    pub(crate) generation: u64,
     pub(crate) pushed: bool,
     pub(crate) done: bool,
 }
 
 impl SpanGuard {
-    pub fn id(&self) -> &SpanId {
-        &self.id
+    /// The span's id, or `None` once the tracer has been reset.
+    pub fn id(&self) -> Option<SpanId> {
+        self.tracer.span_id(self.row, self.generation)
     }
 
-    /// Attach or overwrite a string attribute on this span.
-    pub fn set_attr(&self, key: impl Into<String>, value: impl Into<String>) {
+    /// Attach or overwrite an attribute on this span.
+    pub fn set_attr<'v>(&self, key: &'static str, value: impl Into<AttrValue<'v>>) {
         self.tracer
-            .set_span_attr(&self.id, key.into(), value.into());
+            .set_span_attr(self.row, self.generation, key, value.into());
     }
 
     /// Close the span now (equivalent to dropping it).
     pub fn finish(mut self) {
-        self.finish_inner();
+        self.close();
     }
 
-    fn finish_inner(&mut self) {
+    /// Close the span if it is still open; later calls do nothing.
+    pub(crate) fn close(&mut self) {
         if !self.done {
             self.done = true;
-            self.tracer.end_span(&self.id, self.pushed);
+            self.tracer.end_span(self.row, self.generation, self.pushed);
         }
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        self.finish_inner();
+        self.close();
     }
 }
